@@ -11,7 +11,8 @@
 //! regression, so CI can call it directly after a `cell_cost --smoke`
 //! run. Both subcommands print what they decided.
 
-use olab_bench::trend::{self, Json, DEFAULT_TOLERANCE};
+use olab_bench::trend::{self, DEFAULT_TOLERANCE};
+use olab_core::fmtutil::{parse_json, Json};
 
 fn usage() -> ! {
     eprintln!(
@@ -32,7 +33,7 @@ fn load(path: &str) -> Json {
         eprintln!("trend: {path}: {e}");
         std::process::exit(2);
     });
-    trend::parse(&text).unwrap_or_else(|e| {
+    parse_json(&text).unwrap_or_else(|e| {
         eprintln!("trend: {path}: {e}");
         std::process::exit(2);
     })

@@ -1,6 +1,7 @@
-//! Perf-trajectory tooling behind the `trend` binary: a dependency-free
-//! JSON value model, the v1 → v2 `BENCH_*.json` schema migration, and the
-//! regression gate CI runs against the checked-in trajectory.
+//! Perf-trajectory tooling behind the `trend` binary: a pretty-printer
+//! for the [`Json`] tree `olab_core::fmtutil` parses, the v1 → v2
+//! `BENCH_*.json` schema migration, and the regression gate CI runs
+//! against the checked-in trajectory.
 //!
 //! # Schema
 //!
@@ -27,208 +28,13 @@
 //! so the gate catches order-of-magnitude regressions (a lost fast path,
 //! an accidental O(n²)), not percent-level noise.
 
+use olab_core::fmtutil::{json_escape, Json};
 use std::fmt::Write as _;
 
 /// Gate tolerance when `--tolerance` is absent: the candidate median may
 /// be up to 3× the baseline before the gate fails. See the module docs
 /// for why it is this wide.
 pub const DEFAULT_TOLERANCE: f64 = 3.0;
-
-/// A parsed JSON value. Object keys keep insertion order so a
-/// parse → render round trip is stable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (benchmark integers stay exact below 2^53).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object; `None` for other variants.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first syntax error.
-pub fn parse(s: &str) -> Result<Json, String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                pairs.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|t| t.parse().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("malformed number at byte {start}"))
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("unknown escape '\\{}'", other as char)),
-                }
-            }
-            _ => {
-                // Re-sync to char boundaries for multi-byte UTF-8.
-                let start = *pos - 1;
-                while *pos < b.len() && b[*pos] & 0xC0 == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
-        }
-    }
-    Err("unterminated string".to_string())
-}
 
 /// Renders a value as pretty-printed JSON (2-space indent, newline at
 /// end), matching the style of the hand-formatted `BENCH_*.json` files.
@@ -255,7 +61,7 @@ fn render_into(value: &Json, indent: usize, out: &mut String) {
             }
         }
         Json::Str(s) => {
-            let _ = write!(out, "\"{}\"", olab_core::fmtutil::json_escape(s));
+            let _ = write!(out, "\"{}\"", json_escape(s));
         }
         Json::Arr(items) => {
             if items.is_empty() {
@@ -278,7 +84,7 @@ fn render_into(value: &Json, indent: usize, out: &mut String) {
             }
             out.push_str("{\n");
             for (i, (k, v)) in pairs.iter().enumerate() {
-                let _ = write!(out, "{inner}\"{}\": ", olab_core::fmtutil::json_escape(k));
+                let _ = write!(out, "{inner}\"{}\": ", json_escape(k));
                 render_into(v, indent + 1, out);
                 out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
             }
@@ -412,6 +218,7 @@ pub fn current_commit() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use olab_core::fmtutil::parse_json;
 
     fn v1_snapshot(lean_ns: f64, speedup: f64) -> Json {
         Json::Obj(vec![
@@ -430,9 +237,9 @@ mod tests {
                    \"median_ns\": {\n    \"fast_path_lean\": 121268\n  },\n  \
                    \"fast_path_speedup\": 8.16,\n  \"ok\": true,\n  \
                    \"none\": null,\n  \"list\": [1, 2, 3]\n}\n";
-        let parsed = parse(src).expect("parses");
+        let parsed = parse_json(src).expect("parses");
         let rendered = render(&parsed);
-        assert_eq!(parse(&rendered).expect("re-parses"), parsed);
+        assert_eq!(parse_json(&rendered).expect("re-parses"), parsed);
         olab_core::fmtutil::validate_json(&rendered).expect("render is valid JSON");
         assert_eq!(parsed.get("tasks").and_then(Json::as_f64), Some(3184.0));
         assert_eq!(
@@ -446,7 +253,7 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_documents() {
         for bad in ["", "{", "{\"a\" 1}", "[1,]", "{\"a\":1} x", "\"open"] {
-            assert!(parse(bad).is_err(), "{bad:?}");
+            assert!(parse_json(bad).is_err(), "{bad:?}");
         }
     }
 

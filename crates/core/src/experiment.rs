@@ -378,10 +378,28 @@ impl Experiment {
     /// [`ExperimentError::Sim`] if the engine rejects the schedule.
     pub fn run(&self) -> Result<ExperimentReport, ExperimentError> {
         let policy = self.validate()?;
-        let machine = self.machine();
+        self.run_on(policy, &self.machine())
+    }
 
-        let overlapped = execute(&self.timeline(ExecutionMode::Overlapped, policy)?, &machine)?;
-        let sequential = execute(&self.timeline(ExecutionMode::Sequential, policy)?, &machine)?;
+    /// Runs the experiment once with measurement noise.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Experiment::run`].
+    pub fn run_jittered(&self, seed: u64, sigma: f64) -> Result<ExperimentReport, ExperimentError> {
+        let policy = self.validate()?;
+        self.run_on(policy, &self.machine().with_jitter(Jitter { seed, sigma }))
+    }
+
+    /// The three legs and the derived metrics of a validated experiment
+    /// on `machine`.
+    fn run_on(
+        &self,
+        policy: ActivationPolicy,
+        machine: &Machine,
+    ) -> Result<ExperimentReport, ExperimentError> {
+        let overlapped = execute(&self.timeline(ExecutionMode::Overlapped, policy)?, machine)?;
+        let sequential = execute(&self.timeline(ExecutionMode::Sequential, policy)?, machine)?;
         // Only the ideal leg's end-to-end time is reported, so the lean
         // executor serves it without materializing a trace.
         let ideal = execute_lean(
@@ -390,8 +408,7 @@ impl Experiment {
         )?;
 
         let metrics = OverlapMetrics::derive(&overlapped, &sequential);
-        let sampler = self.sampler();
-        let sampled = overlapped.gpus[0].power.sample(sampler);
+        let sampled = overlapped.gpus[0].power.sample(self.sampler());
 
         Ok(ExperimentReport {
             experiment: self.clone(),
@@ -446,36 +463,6 @@ impl MultiRunStats {
 }
 
 impl Experiment {
-    /// Runs the experiment once with measurement noise.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Experiment::run`].
-    pub fn run_jittered(&self, seed: u64, sigma: f64) -> Result<ExperimentReport, ExperimentError> {
-        let policy = self.validate()?;
-        let mut machine = self.machine();
-        machine = machine.with_jitter(Jitter { seed, sigma });
-
-        let overlapped = execute(&self.timeline(ExecutionMode::Overlapped, policy)?, &machine)?;
-        let sequential = execute(&self.timeline(ExecutionMode::Sequential, policy)?, &machine)?;
-        let ideal = execute_lean(
-            &self.timeline(ExecutionMode::Overlapped, policy)?,
-            &machine.uncontended(),
-        )?;
-        let metrics = OverlapMetrics::derive(&overlapped, &sequential);
-        let sampled = overlapped.gpus[0].power.sample(self.sampler());
-        Ok(ExperimentReport {
-            experiment: self.clone(),
-            activation_policy: policy,
-            metrics,
-            sampled_avg_w: sampled.average().unwrap_or(0.0),
-            sampled_peak_w: sampled.peak().unwrap_or(0.0),
-            ideal_simulated_e2e_s: ideal.e2e_s,
-            overlapped,
-            sequential,
-        })
-    }
-
     /// Runs the experiment `n` times with different noise seeds and returns
     /// the distribution of metrics — the paper's methodology ("all metrics
     /// were averaged over 25 runs").

@@ -34,7 +34,9 @@ static EVENT_LOOP_RUNS: AtomicU64 = AtomicU64::new(0);
 /// Registry-backed route attribution: per-route cell counts (cross-run
 /// deterministic) and per-route cell-latency histograms (wall-clock), for
 /// the `olab-metrics` expositions. The legacy `fast_runs`/`event_loop_runs`
-/// atomics above stay authoritative for [`SweepStats`](crate::SweepStats).
+/// atomics above feed `SweepStats::fast_path` as a before/after delta;
+/// being process-global, that delta is exact only while sweeps do not
+/// overlap in time and an upper bound when they do.
 pub(crate) struct RouteMetrics {
     pub fast_full: &'static Counter,
     pub fast_lean: &'static Counter,

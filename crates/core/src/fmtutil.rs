@@ -1,7 +1,8 @@
 //! Shared text-format helpers for the exporters: JSON string escaping
 //! (Chrome traces, manifests, event logs), CSV cell escaping (report
-//! tables, counter series), and a minimal JSON well-formedness checker
-//! used by tests and smoke gates to validate exporter output end-to-end.
+//! tables, counter series), and one small strict JSON parser — the value
+//! tree the perf-trajectory tooling reads, and the well-formedness check
+//! tests and smoke gates run over exporter output end-to-end.
 
 use std::fmt::Write as _;
 
@@ -35,29 +36,85 @@ pub fn csv_escape(cell: &str) -> String {
     }
 }
 
-/// Checks that `s` is one well-formed JSON value (object, array, string,
-/// number, `true`/`false`/`null`) with nothing but whitespace after it.
+/// A parsed JSON value. Object keys keep insertion order so a
+/// parse → render round trip is stable.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any number (integers stay exact below 2^53).
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, in insertion order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Looks up a key in an object; `None` for other variants.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The numeric value, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The string value, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Parses `s` as one JSON value (object, array, string, number,
+/// `true`/`false`/`null`) with nothing but whitespace after it.
 ///
-/// This is a validator, not a parser: it builds no value tree and exists
-/// so tests and CI smoke steps can assert that hand-assembled exporter
-/// output (Chrome traces with counter tracks, manifests, JSONL lines)
-/// actually parses — catching escaping and comma regressions substring
-/// assertions miss.
+/// The grammar is strict RFC 8259: no leading zeros' lookalikes such as
+/// `1.` or `-`, no raw control characters inside strings, no trailing
+/// commas. `\u` escapes that are not scalar values (lone surrogates)
+/// decode to U+FFFD.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first defect, with its byte
 /// offset.
-pub fn validate_json(s: &str) -> Result<(), String> {
+pub fn parse_json(s: &str) -> Result<Json, String> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
+    let parsed = value(bytes, &mut pos)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
-    Ok(())
+    Ok(parsed)
+}
+
+/// Checks that `s` is one well-formed JSON value, discarding the
+/// [`parse_json`] tree. Tests and CI smoke steps use it to assert that
+/// hand-assembled exporter output (Chrome traces with counter tracks,
+/// manifests, JSONL lines) actually parses — catching escaping and comma
+/// regressions substring assertions miss.
+///
+/// # Errors
+///
+/// Same as [`parse_json`].
+pub fn validate_json(s: &str) -> Result<(), String> {
+    parse_json(s).map(drop)
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -66,104 +123,131 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
+fn value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     match b.get(*pos) {
         Some(b'{') => object(b, pos),
         Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, "true"),
-        Some(b'f') => literal(b, pos, "false"),
-        Some(b'n') => literal(b, pos, "null"),
+        Some(b'"') => string(b, pos).map(Json::Str),
+        Some(b't') => literal(b, pos, "true", Json::Bool(true)),
+        Some(b'f') => literal(b, pos, "false", Json::Bool(false)),
+        Some(b'n') => literal(b, pos, "null", Json::Null),
         Some(c) if *c == b'-' || c.is_ascii_digit() => number(b, pos),
         Some(c) => Err(format!("unexpected byte {c:#04x} at {pos:?}", pos = *pos)),
         None => Err("unexpected end of input".into()),
     }
 }
 
-fn literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
+fn literal(b: &[u8], pos: &mut usize, lit: &str, parsed: Json) -> Result<Json, String> {
     if b[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
-        Ok(())
+        Ok(parsed)
     } else {
         Err(format!("malformed literal at byte {}", *pos))
     }
 }
 
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
+fn object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     *pos += 1; // '{'
+    let mut pairs = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(());
+        return Ok(Json::Obj(pairs));
     }
     loop {
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at byte {}", *pos));
         }
-        string(b, pos)?;
+        let key = string(b, pos)?;
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
         skip_ws(b, pos);
-        value(b, pos)?;
+        pairs.push((key, value(b, pos)?));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(());
+                return Ok(Json::Obj(pairs));
             }
             _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
         }
     }
 }
 
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
+fn array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     *pos += 1; // '['
+    let mut items = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b']') {
         *pos += 1;
-        return Ok(());
+        return Ok(Json::Arr(items));
     }
     loop {
         skip_ws(b, pos);
-        value(b, pos)?;
+        items.push(value(b, pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b']') => {
                 *pos += 1;
-                return Ok(());
+                return Ok(Json::Arr(items));
             }
             _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
         }
     }
 }
 
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
+fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1; // opening '"'
+    let mut out = String::new();
+    // Start of the current run of unescaped bytes. Runs end only at ASCII
+    // bytes, so each is a whole UTF-8 slice of the (valid) input.
+    let mut run = *pos;
+    let flush = |out: &mut String, run: usize, end: usize| {
+        out.push_str(std::str::from_utf8(&b[run..end]).expect("runs end on ASCII boundaries"));
+    };
     while let Some(&c) = b.get(*pos) {
         match c {
             b'"' => {
+                flush(&mut out, run, *pos);
                 *pos += 1;
-                return Ok(());
+                return Ok(out);
             }
-            b'\\' => match b.get(*pos + 1) {
-                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
-                Some(b'u') => {
-                    let hex = b
-                        .get(*pos + 2..*pos + 6)
-                        .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
-                    if !hex.iter().all(u8::is_ascii_hexdigit) {
-                        return Err(format!("bad \\u escape at byte {}", *pos));
+            b'\\' => {
+                flush(&mut out, run, *pos);
+                let unescaped = match b.get(*pos + 1) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
+                    Some(b'u') => {
+                        let hex = b
+                            .get(*pos + 2..*pos + 6)
+                            .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(format!("bad \\u escape at byte {}", *pos));
+                        }
+                        let code = hex.iter().fold(0, |acc, &h| {
+                            acc * 16 + char::from(h).to_digit(16).unwrap_or(0)
+                        });
+                        *pos += 4;
+                        char::from_u32(code).unwrap_or('\u{fffd}')
                     }
-                    *pos += 6;
-                }
-                _ => return Err(format!("bad escape at byte {}", *pos)),
-            },
+                    _ => return Err(format!("bad escape at byte {}", *pos)),
+                };
+                out.push(unescaped);
+                *pos += 2;
+                run = *pos;
+            }
             c if c < 0x20 => {
                 return Err(format!("raw control character at byte {}", *pos));
             }
@@ -173,7 +257,7 @@ fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
     Err("unterminated string".into())
 }
 
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
+fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -211,7 +295,11 @@ fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
             return Err(format!("malformed exponent at byte {start}"));
         }
     }
-    Ok(())
+    std::str::from_utf8(&b[start..*pos])
+        .ok()
+        .and_then(|t| t.parse().ok())
+        .map(Json::Num)
+        .ok_or_else(|| format!("malformed number at byte {start}"))
 }
 
 #[cfg(test)]
@@ -291,6 +379,33 @@ mod tests {
         ] {
             assert!(validate_json(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn parser_builds_the_value_tree() {
+        let doc = "{\"b\": [1, -2.5e1, true, null], \"a\": \"q\\\" \\u00e9 µ\\n\"}";
+        let parsed = parse_json(doc).expect("parses");
+        assert_eq!(
+            parsed,
+            Json::Obj(vec![
+                (
+                    "b".into(),
+                    Json::Arr(vec![
+                        Json::Num(1.0),
+                        Json::Num(-25.0),
+                        Json::Bool(true),
+                        Json::Null
+                    ])
+                ),
+                ("a".into(), Json::Str("q\" é µ\n".into())),
+            ]),
+            "keys keep insertion order"
+        );
+        assert_eq!(parsed.get("a").and_then(Json::as_str), Some("q\" é µ\n"));
+        assert_eq!(
+            parse_json("\"\\ud800\"").unwrap(),
+            Json::Str("\u{fffd}".into())
+        );
     }
 
     #[test]

@@ -387,7 +387,7 @@ impl GridJob for Experiment {
 }
 
 /// Environment variable overriding the default worker count for sweeps
-/// built with [`Sweep::from_env`] (the regenerators).
+/// built with [`Sweep::from_env`] (the `regen` binary).
 pub const JOBS_ENV: &str = "OLAB_JOBS";
 
 /// Environment variable pointing sweeps built with [`Sweep::from_env`] at
@@ -573,7 +573,7 @@ impl Sweep {
         let fast_before = crate::fastpath::fast_runs();
         let SweepRun { outputs, mut stats } = self.engine.run_guarded(cells, &guard, sink);
         // Process-global counter: concurrent sweeps can only inflate the
-        // delta, never shrink it, so the attribution stays a lower bound
+        // delta, never shrink it, so the attribution is an upper bound
         // per-sweep and exact when sweeps don't overlap in time.
         stats.fast_path = (crate::fastpath::fast_runs() - fast_before) as usize;
         SweepOutcome {
@@ -593,15 +593,6 @@ impl Default for Sweep {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Runs a grid with the environment-configured engine (`OLAB_JOBS`,
-/// `OLAB_CACHE_DIR`) and logs telemetry to stderr — the one-liner the
-/// figure regenerators use.
-pub fn run_cells(cells: &[Experiment]) -> SweepOutcome {
-    let outcome = Sweep::from_env().run(cells);
-    outcome.log_stats();
-    outcome
 }
 
 #[cfg(test)]

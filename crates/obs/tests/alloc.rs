@@ -9,15 +9,29 @@
 use olab_obs::{EventBus, ObsEvent};
 use olab_sim::GpuId;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per-thread, so tests running in
+    /// parallel on the harness's threads never count each other's
+    /// allocations; `const`-initialized with no destructor, so touching it
+    /// from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.alloc(layout)
     }
 
@@ -26,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,7 +54,7 @@ fn emitting_to_an_empty_bus_allocates_nothing() {
     let gpus = [GpuId(0), GpuId(1), GpuId(2), GpuId(3)];
     let label = String::from("all_gather layer7"); // allocated before measuring
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..10_000u64 {
         bus.emit(&ObsEvent::CollectiveStart {
             t_s: i as f64 * 1e-3,
@@ -61,7 +75,7 @@ fn emitting_to_an_empty_bus_allocates_nothing() {
             gpus: &gpus,
         });
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -8,15 +8,29 @@
 
 use olab_sim::{ConstantRate, Engine, GpuId, SimArena, TaskSpec, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per-thread, so tests running in
+    /// parallel on the harness's threads never count each other's
+    /// allocations; `const`-initialized with no destructor, so touching it
+    /// from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.alloc(layout)
     }
 
@@ -25,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -63,7 +77,7 @@ fn allocations_per_run(engine: &mut Engine<ConstantRate>, w: &Workload<()>, warm
     let mut arena = SimArena::new();
     // Warm-up: grow the arena (and the trace-side capacities) to steady state.
     engine.run_in(w, &mut arena).expect("workload runs");
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..RUNS {
         if warm {
             engine.run_in(w, &mut arena).expect("workload runs");
@@ -73,7 +87,7 @@ fn allocations_per_run(engine: &mut Engine<ConstantRate>, w: &Workload<()>, warm
                 .expect("workload runs");
         }
     }
-    (ALLOCATIONS.load(Ordering::SeqCst) - before) / RUNS
+    (allocations() - before) / RUNS
 }
 
 /// The documented steady-state budget, derived from what legitimately
