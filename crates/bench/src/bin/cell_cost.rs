@@ -5,9 +5,9 @@
 //! * `event_loop_cold_arena` — the engine with a fresh [`SimArena`] every
 //!   run (the pre-arena allocation behavior);
 //! * `event_loop_warm_arena` — the engine reusing one arena (the shipping
-//!   configuration of [`olab_core::execute_event_loop`]);
+//!   configuration of [`olab_core::execute_model`]);
 //! * `event_loop_full_stats` — the engine plus the full per-GPU statistics
-//!   derivation ([`olab_core::execute_event_loop`]);
+//!   derivation ([`olab_core::execute_model`]);
 //! * `event_loop_lean` — the engine plus the scalar-only reduction
 //!   ([`olab_core::LeanRun::summarize`]): the cheapest the event loop can
 //!   deliver metrics, since it must run every epoch before any statistic
@@ -30,14 +30,13 @@
 //! `olab-oracle` pins that all paths produce the same answers; this
 //! binary pins what they cost.
 
+use olab_core::fastpath::Route;
 use olab_core::fmtutil::{json_escape, validate_json};
-use olab_core::{
-    execute, execute_event_loop, execute_lean, fastpath, Experiment, LeanRun, Strategy,
-};
+use olab_core::{execute, execute_lean, execute_model, Experiment, LeanRun, Strategy};
 use olab_gpu::SkuKind;
 use olab_models::ModelPreset;
 use olab_parallel::ExecutionMode;
-use olab_sim::{Engine, SimArena};
+use olab_sim::{Engine, NullObserver, SimArena};
 use std::time::Instant;
 
 fn median_ns(samples: &[u128]) -> u128 {
@@ -81,58 +80,68 @@ fn main() {
     let mut engine = Engine::new(machine.clone());
     let mut warm_arena = SimArena::new();
     engine
-        .run_in(&workload, &mut warm_arena)
+        .run_observed_in(&workload, &mut NullObserver, &mut warm_arena)
         .expect("workload runs");
     let mut cold = Vec::with_capacity(iters);
     let mut warm = Vec::with_capacity(iters);
     for _ in 0..iters {
         let t = Instant::now();
         engine
-            .run_in(&workload, &mut SimArena::new())
+            .run_observed_in(&workload, &mut NullObserver, &mut SimArena::new())
             .expect("workload runs");
         cold.push(t.elapsed().as_nanos());
 
         let t = Instant::now();
         engine
-            .run_in(&workload, &mut warm_arena)
+            .run_observed_in(&workload, &mut NullObserver, &mut warm_arena)
             .expect("workload runs");
         warm.push(t.elapsed().as_nanos());
     }
 
     // Executor-level path comparison: full results and lean (scalar-only)
-    // results, through the fast path and through the event loop.
-    fastpath::set_enabled(true);
+    // results, through the fast path and through the event loop. Every
+    // fast iteration asserts its route: the benchmark cell must be
+    // fast-path eligible, or the "fast" timings would time the event loop.
     execute(&workload, &machine).expect("workload runs");
     execute_lean(&workload, &machine).expect("workload runs");
-    let fast_before = fastpath::fast_runs();
     let mut fast_full = Vec::with_capacity(iters);
     let mut fast_lean = Vec::with_capacity(iters);
     let mut loop_full = Vec::with_capacity(iters);
     let mut loop_lean = Vec::with_capacity(iters);
     for _ in 0..iters {
         let t = Instant::now();
-        execute(&workload, &machine).expect("workload runs");
+        // The result drops inside the timed statement, so freeing it is
+        // timed too; only the route outlives it.
+        let route = execute(&workload, &machine).expect("workload runs").route;
         fast_full.push(t.elapsed().as_nanos());
+        assert_eq!(
+            route,
+            Route::FastPath,
+            "benchmark cell must be fast-path eligible"
+        );
 
         let t = Instant::now();
-        execute_lean(&workload, &machine).expect("workload runs");
+        let route = execute_lean(&workload, &machine)
+            .expect("workload runs")
+            .route;
         fast_lean.push(t.elapsed().as_nanos());
+        assert_eq!(
+            route,
+            Route::FastPath,
+            "benchmark cell must be fast-path eligible"
+        );
 
         let t = Instant::now();
-        execute_event_loop(&workload, &machine).expect("workload runs");
+        execute_model(&workload, machine.clone(), &mut NullObserver).expect("workload runs");
         loop_full.push(t.elapsed().as_nanos());
 
         let t = Instant::now();
-        let full = execute_event_loop(&workload, &machine).expect("workload runs");
+        let full =
+            execute_model(&workload, machine.clone(), &mut NullObserver).expect("workload runs");
         let lean = LeanRun::summarize(&full);
         loop_lean.push(t.elapsed().as_nanos());
         assert!(lean.e2e_s > 0.0);
     }
-    assert_eq!(
-        fastpath::fast_runs() - fast_before,
-        2 * iters as u64,
-        "the benchmark cell must be fast-path eligible on both fast runs"
-    );
 
     let cold_ns = median_ns(&cold);
     let warm_ns = median_ns(&warm);

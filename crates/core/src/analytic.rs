@@ -14,6 +14,7 @@
 //!   paper characterizes).
 
 use crate::executor::{run_result_from_trace, LeanGpuStats, LeanRun, RunResult};
+use crate::fastpath::Route;
 use crate::Machine;
 use olab_ccl::{lower, Algorithm, Collective, CommOp};
 use olab_gpu::{roofline, GpuSku};
@@ -508,7 +509,7 @@ pub(crate) fn execute_fast(workload: &Workload<Op>, machine: &Machine) -> Option
             vec![GpuActivity::default(); n_gpus],
             SimTime::ZERO,
         );
-        return Some(run_result_from_trace(trace, n_gpus));
+        return Some(run_result_from_trace(trace, n_gpus, Route::FastPath));
     }
 
     let s = build_schedule(workload, machine)?;
@@ -567,7 +568,7 @@ pub(crate) fn execute_fast(workload: &Workload<Op>, machine: &Machine) -> Option
         })
         .collect();
     let trace = SimTrace::from_parts(records, gpus, SimTime::from_secs(s.makespan));
-    Some(run_result_from_trace(trace, n_gpus))
+    Some(run_result_from_trace(trace, n_gpus, Route::FastPath))
 }
 
 /// Executes a fast-path-eligible workload analytically, producing only the
@@ -605,6 +606,7 @@ pub(crate) fn execute_fast_lean(workload: &Workload<Op>, machine: &Machine) -> O
         return Some(LeanRun {
             e2e_s: 0.0,
             gpus: vec![LeanGpuStats::default(); n_gpus],
+            route: Route::FastPath,
         });
     }
 
@@ -718,6 +720,7 @@ pub(crate) fn execute_fast_lean(workload: &Workload<Op>, machine: &Machine) -> O
     Some(LeanRun {
         e2e_s: makespan,
         gpus,
+        route: Route::FastPath,
     })
 }
 
@@ -828,6 +831,7 @@ fn lean_from_lanes(workload: &Workload<Op>, machine: &Machine) -> Option<LeanRun
     Some(LeanRun {
         e2e_s: s.makespan,
         gpus,
+        route: Route::FastPath,
     })
 }
 

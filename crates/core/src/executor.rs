@@ -1,5 +1,6 @@
 //! Executing schedules and collecting run statistics.
 
+use crate::fastpath::Route;
 use crate::Machine;
 use olab_parallel::Op;
 use olab_power::PowerTrace;
@@ -33,6 +34,8 @@ pub struct RunResult {
     pub e2e_s: f64,
     /// Per-GPU statistics.
     pub gpus: Vec<GpuRunStats>,
+    /// The execution path that produced this result.
+    pub route: Route,
 }
 
 impl RunResult {
@@ -145,6 +148,8 @@ pub struct LeanRun {
     pub e2e_s: f64,
     /// Per-GPU scalar statistics.
     pub gpus: Vec<LeanGpuStats>,
+    /// The execution path that produced this result.
+    pub route: Route,
 }
 
 impl LeanRun {
@@ -173,6 +178,7 @@ impl LeanRun {
                     }
                 })
                 .collect(),
+            route: full.route,
         }
     }
 
@@ -227,15 +233,14 @@ impl LeanRun {
 
 /// Runs a schedule on a machine.
 ///
-/// When the cell qualifies (see [`CellClassifier`](crate::CellClassifier))
+/// When the cell qualifies (see `docs/FASTPATH.md` for the routing rules)
 /// the run is served by the contention-free analytic fast path instead of
 /// the event loop; the result is the same to floating-point rounding (the
 /// differential suite in `olab-oracle` pins this) and
-/// [`fastpath::fast_runs`](crate::fastpath::fast_runs) /
-/// [`SweepStats::fast_path`](crate::SweepStats) record which path ran.
-/// Generic models going through [`execute_model`] — fault injectors,
-/// wrappers — never reach the classifier: only plain `Machine` execution
-/// can skip the event loop.
+/// [`RunResult::route`] records which path ran. Generic models going
+/// through [`execute_model`] — fault injectors, wrappers, observed runs —
+/// never reach the router: only plain `Machine` execution can skip the
+/// event loop.
 ///
 /// # Errors
 ///
@@ -243,18 +248,15 @@ impl LeanRun {
 /// misbehaving rate model).
 pub fn execute(workload: &Workload<Op>, machine: &Machine) -> Result<RunResult, SimError> {
     let start = olab_metrics::now_if_enabled();
+    let m = crate::fastpath::route_metrics();
     if crate::fastpath::machine_eligible(machine) {
         if let Some(result) = crate::analytic::execute_fast(workload, machine) {
-            crate::fastpath::note_fast_run();
-            let m = crate::fastpath::route_metrics();
             m.fast_full.inc();
             m.fast_full_ns.observe_since(start);
             return Ok(result);
         }
     }
-    crate::fastpath::note_event_loop_run();
-    let result = execute_model(workload, machine.clone());
-    let m = crate::fastpath::route_metrics();
+    let result = execute_model(workload, machine.clone(), &mut NullObserver);
     m.event_loop_full.inc();
     m.event_loop_full_ns.observe_since(start);
     result
@@ -268,7 +270,7 @@ pub fn execute(workload: &Workload<Op>, machine: &Machine) -> Result<RunResult, 
 /// closed form without materializing task records or power segments at all,
 /// while an ineligible run falls back to the event loop and reduces its
 /// full result with [`LeanRun::summarize`]. Path routing and counters match
-/// [`execute`] exactly.
+/// [`execute`] exactly, and [`LeanRun::route`] records which path ran.
 ///
 /// # Errors
 ///
@@ -276,82 +278,35 @@ pub fn execute(workload: &Workload<Op>, machine: &Machine) -> Result<RunResult, 
 /// misbehaving rate model).
 pub fn execute_lean(workload: &Workload<Op>, machine: &Machine) -> Result<LeanRun, SimError> {
     let start = olab_metrics::now_if_enabled();
+    let m = crate::fastpath::route_metrics();
     if crate::fastpath::machine_eligible(machine) {
         if let Some(result) = crate::analytic::execute_fast_lean(workload, machine) {
-            crate::fastpath::note_fast_run();
-            let m = crate::fastpath::route_metrics();
             m.fast_lean.inc();
             m.fast_lean_ns.observe_since(start);
             return Ok(result);
         }
     }
-    crate::fastpath::note_event_loop_run();
-    let result = execute_model(workload, machine.clone())?;
-    let m = crate::fastpath::route_metrics();
+    let result = execute_model(workload, machine.clone(), &mut NullObserver)?;
     m.event_loop_lean.inc();
     m.event_loop_lean_ns.observe_since(start);
     Ok(LeanRun::summarize(&result))
 }
 
-/// Runs a schedule on a machine through the event loop unconditionally,
-/// bypassing the fast-path classifier (and its counters). This is the
-/// reference implementation the differential harness and the `cell_cost`
-/// benchmark compare against.
+/// Runs a schedule through the event loop on any [`RateModel`] pricing
+/// [`Op`] payloads, driving `obs` through every task edge and epoch. This
+/// is the reference implementation the differential harness compares the
+/// fast path against, and the hook that lets wrappers (fault injectors,
+/// what-if models) and telemetry sinks reuse the standard per-GPU
+/// statistics pipeline. Pass `&mut model` to inspect the model's state
+/// after the run, and `&mut NullObserver` when nothing observes it. The
+/// result's route is always [`Route::EventLoop`].
+///
+/// [`RateModel`]: olab_sim::RateModel
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`] from the engine.
-pub fn execute_event_loop(
-    workload: &Workload<Op>,
-    machine: &Machine,
-) -> Result<RunResult, SimError> {
-    execute_model(workload, machine.clone())
-}
-
-/// Like [`execute`], driving an [`EngineObserver`] through the run so
-/// telemetry sinks see task edges and per-epoch counters as they happen.
-///
-/// A disabled observer (`O::ENABLED == false`) compiles the instrumentation
-/// away, so the run routes through [`execute`] and stays fast-path
-/// eligible; an enabled observer forces the event loop (only it can drive
-/// task-edge and epoch callbacks).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn execute_observed<O: EngineObserver>(
-    workload: &Workload<Op>,
-    machine: &Machine,
-    obs: &mut O,
-) -> Result<RunResult, SimError> {
-    if !O::ENABLED {
-        return execute(workload, machine);
-    }
-    execute_model_observed(workload, machine.clone(), obs)
-}
-
-/// Runs a schedule on any [`RateModel`] pricing [`Op`] payloads — the hook
-/// that lets wrappers (fault injectors, what-if models) reuse the standard
-/// per-GPU statistics pipeline. Pass `&mut model` to inspect the model's
-/// state after the run.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn execute_model<M>(workload: &Workload<Op>, model: M) -> Result<RunResult, SimError>
-where
-    M: olab_sim::RateModel<Payload = Op>,
-{
-    execute_model_observed(workload, model, &mut NullObserver)
-}
-
-/// Like [`execute_model`], driving an [`EngineObserver`] through the run —
-/// the instrumented path under the `olab-obs` telemetry layer.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn execute_model_observed<M, O>(
+pub fn execute_model<M, O>(
     workload: &Workload<Op>,
     model: M,
     obs: &mut O,
@@ -361,13 +316,17 @@ where
     O: EngineObserver,
 {
     let trace = Engine::new(model).run_observed(workload, obs)?;
-    Ok(run_result_from_trace(trace, workload.n_gpus()))
+    Ok(run_result_from_trace(
+        trace,
+        workload.n_gpus(),
+        Route::EventLoop,
+    ))
 }
 
 /// Derives the per-GPU statistics of a [`RunResult`] from a trace. Both
 /// execution paths (event loop and analytic fast path) funnel through this,
 /// so the statistics derivation is shared by construction.
-pub(crate) fn run_result_from_trace(trace: SimTrace, n_gpus: usize) -> RunResult {
+pub(crate) fn run_result_from_trace(trace: SimTrace, n_gpus: usize, route: Route) -> RunResult {
     // One pass over the records accumulates all four per-(GPU, stream)
     // sums. Each (gpu, stream) bucket sees its records in the same order
     // `SimTrace::stream_time_on`/`coactive_time_on` would visit them, so
@@ -402,6 +361,7 @@ pub(crate) fn run_result_from_trace(trace: SimTrace, n_gpus: usize) -> RunResult
         e2e_s: trace.makespan().as_secs(),
         trace,
         gpus,
+        route,
     }
 }
 

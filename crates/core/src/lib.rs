@@ -63,11 +63,9 @@ pub use chrome_trace::{
     to_chrome_trace, to_chrome_trace_annotated, to_chrome_trace_full, CounterTrack, TraceAnnotation,
 };
 pub use executor::{
-    execute, execute_event_loop, execute_lean, execute_model, execute_model_observed,
-    execute_observed, GpuRunStats, LeanGpuStats, LeanRun, RunResult,
+    execute, execute_lean, execute_model, GpuRunStats, LeanGpuStats, LeanRun, RunResult,
 };
 pub use experiment::{Experiment, ExperimentError, ExperimentReport, MultiRunStats, Strategy};
-pub use fastpath::{CellClassifier, FastPathDecision};
 pub use machine::{Jitter, Machine, MachineConfig};
 pub use metrics::{goodput_samples_per_s, OverlapMetrics};
 pub use sweep::{CellError, CellMetrics, CellOutcome, Sweep, SweepOutcome};

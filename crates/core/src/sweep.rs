@@ -366,22 +366,18 @@ impl GridJob for Experiment {
         )
     }
 
-    /// Cost class for the capped disk cache: cells the analytic fast path
-    /// can serve are microseconds to recompute (`Cheap`), everything the
-    /// event loop must re-simulate is `Expensive`, and a cell that fails
-    /// validation caches only a tiny error record (`Cheap`). The
-    /// classification is a pure function of the cell, so the eviction
-    /// order it feeds stays schedule-independent.
+    /// Cost class for the capped disk cache: a feasible cell is
+    /// `Expensive` and a cell that fails validation is `Cheap`. Lowering a
+    /// feasible cell's timelines alone takes milliseconds, whichever route
+    /// its legs then take, while an infeasible cell caches an error record
+    /// of a few bytes that validation reproduces in microseconds. The class
+    /// is a pure function of the cell, so the eviction order it feeds stays
+    /// schedule-independent.
     fn cost_hint(&self) -> CacheCost {
-        let Ok(policy) = self.validate() else {
-            return CacheCost::Cheap;
-        };
-        let Ok(workload) = self.timeline(olab_parallel::ExecutionMode::Overlapped, policy) else {
-            return CacheCost::Cheap;
-        };
-        match crate::CellClassifier::classify(&workload, &self.machine(), false) {
-            crate::FastPathDecision::Eligible => CacheCost::Cheap,
-            _ => CacheCost::Expensive,
+        if self.validate().is_ok() {
+            CacheCost::Expensive
+        } else {
+            CacheCost::Cheap
         }
     }
 }
@@ -570,12 +566,7 @@ impl Sweep {
         guard: GuardConfig,
         sink: Option<&dyn ProgressSink>,
     ) -> SweepOutcome {
-        let fast_before = crate::fastpath::fast_runs();
-        let SweepRun { outputs, mut stats } = self.engine.run_guarded(cells, &guard, sink);
-        // Process-global counter: concurrent sweeps can only inflate the
-        // delta, never shrink it, so the attribution is an upper bound
-        // per-sweep and exact when sweeps don't overlap in time.
-        stats.fast_path = (crate::fastpath::fast_runs() - fast_before) as usize;
+        let SweepRun { outputs, stats } = self.engine.run_guarded(cells, &guard, sink);
         SweepOutcome {
             cells: outputs
                 .into_iter()
@@ -700,6 +691,37 @@ mod tests {
         let from_run = exp.run().unwrap_err().to_string();
         let from_cell = exp.execute().0.unwrap_err().to_string();
         assert_eq!(from_run, from_cell);
+    }
+
+    #[test]
+    fn cost_hint_is_expensive_for_feasible_cells_and_cheap_for_errors() {
+        let grid = crate::registry::main_grid();
+        let feasible: Vec<&Experiment> = grid.iter().filter(|e| e.validate().is_ok()).collect();
+        assert!(!feasible.is_empty(), "the main grid has feasible cells");
+        for exp in &feasible {
+            assert_eq!(exp.cost_hint(), CacheCost::Expensive, "{}", exp.label());
+        }
+
+        // The dominant leg of a contended FSDP cell runs the event loop.
+        let fsdp = feasible
+            .iter()
+            .find(|e| matches!(e.strategy, Strategy::Fsdp))
+            .expect("a feasible FSDP cell");
+        let policy = fsdp.validate().expect("cell fits");
+        let overlapped = crate::execute(
+            &fsdp
+                .timeline(olab_parallel::ExecutionMode::Overlapped, policy)
+                .expect("timeline builds"),
+            &fsdp.machine(),
+        )
+        .expect("runs");
+        assert_eq!(overlapped.route, crate::fastpath::Route::EventLoop);
+        assert_eq!(fsdp.cost_hint(), CacheCost::Expensive);
+
+        // The same OOM cell as `cell_error_prints_like_experiment_error`.
+        let oom = Experiment::new(SkuKind::A100, 4, ModelPreset::Gpt3_13B, Strategy::Fsdp, 8);
+        assert!(oom.validate().is_err());
+        assert_eq!(oom.cost_hint(), CacheCost::Cheap);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use olab_core::{
     TraceAnnotation,
 };
 use olab_parallel::ExecutionMode;
+use olab_sim::NullObserver;
 use std::error::Error;
 use std::fmt;
 
@@ -261,7 +262,8 @@ pub fn run_under_faults(
 
     let timeline = FaultTimeline::generate(spec, exp.n_gpus, fault_free.e2e_s);
     let mut injected = FaultyMachine::new(machine, timeline.clone());
-    let faulty = execute_model(&workload, &mut injected).map_err(ExperimentError::from)?;
+    let faulty = execute_model(&workload, &mut injected, &mut NullObserver)
+        .map_err(ExperimentError::from)?;
     let abort = injected.abort().cloned();
     let stats = injected.stats().clone();
     Ok(FaultRun {

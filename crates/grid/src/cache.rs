@@ -31,9 +31,9 @@
 //!   byte-identical directories.
 //! * **Cost/size-aware admission** — jobs declare how expensive their
 //!   value is to recompute ([`ResultCache::insert_with_cost`]); under a
-//!   byte cap, cheap fast-path cells are evicted before expensive
-//!   event-loop results, and a single entry larger than the whole cap is
-//!   denied disk admission outright
+//!   byte cap, cheap entries (such as error records) are evicted before
+//!   expensive simulation results, and a single entry larger than the
+//!   whole cap is denied disk admission outright
 //!   ([`CacheCounters::admission_rejected`]) instead of flushing the tier.
 //! * **Graceful degradation** — a disk write failing with `ENOSPC` or
 //!   `EACCES` latches the cache into memory-only operation instead of
@@ -187,10 +187,10 @@ pub enum CacheTier {
 
 /// How expensive a cached value would be to *recompute* — the currency of
 /// the disk tier's admission/eviction policy. The variant order is the
-/// eviction order: under a byte cap, `Cheap` entries (analytic fast-path
-/// cells, microseconds to regenerate) are dropped before `Standard` ones,
-/// and `Expensive` entries (full event-loop results) go last — a burst of
-/// lean cells can no longer wash costly results out of a capped cache.
+/// eviction order: under a byte cap, `Cheap` entries (microseconds to
+/// regenerate, such as error records) are dropped before `Standard` ones,
+/// and `Expensive` entries (full simulation results) go last — a burst of
+/// cheap entries can no longer wash costly results out of a capped cache.
 ///
 /// Costs are tracked in-process for keys inserted through
 /// [`ResultCache::insert_with_cost`]; entries from earlier processes have
@@ -199,7 +199,7 @@ pub enum CacheTier {
 /// policy — is identical between serial and parallel sweeps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CacheCost {
-    /// Trivially recomputable (e.g. analytic fast-path cells).
+    /// Trivially recomputable (e.g. error records).
     Cheap,
     /// Unclassified — the default for jobs without a hint, and for disk
     /// entries inherited from other processes.
@@ -516,8 +516,8 @@ impl<V: CacheValue> ResultCache<V> {
     /// bytes exceed the cap, evicts entries this process has *not* touched
     /// (absent from the memory tier) before touched ones, each partition
     /// ordered by ascending recompute cost ([`CacheCost`]) and then
-    /// ascending key — so cheap fast-path cells go before expensive
-    /// event-loop results of the same temperature. The candidate set, the
+    /// ascending key — so cheap entries go before expensive simulation
+    /// results of the same temperature. The candidate set, the
     /// cost ranks (pure functions of the cells), and the order are all
     /// independent of worker scheduling, so serial and parallel sweeps
     /// evict identically — the determinism contract extends to the cache

@@ -51,11 +51,6 @@ pub struct SweepStats {
     /// Observability overhead: cumulative wall-clock spent inside progress
     /// sinks across all workers, seconds (0 when no sink is attached).
     pub observer_s: f64,
-    /// Simulated cells served by an analytic fast path instead of the full
-    /// event loop (0 when the executor has no fast path or it never fired).
-    /// Cache keys never depend on the path — the answers are identical —
-    /// but artifacts report it so perf trajectories stay auditable.
-    pub fast_path: usize,
 }
 
 impl SweepStats {
@@ -145,9 +140,6 @@ impl fmt::Display for SweepStats {
         if self.observer_s > 0.0 {
             write!(f, ", {:.3} s in observers", self.observer_s)?;
         }
-        if self.fast_path > 0 {
-            write!(f, ", {} fast-path", self.fast_path)?;
-        }
         Ok(())
     }
 }
@@ -213,12 +205,6 @@ mod tests {
             ..stats()
         };
         assert!(rotten.summary().contains("1 quarantined"));
-        assert!(!text.contains("fast-path"), "quiet when no fast path ran");
-        let fast = SweepStats {
-            fast_path: 3,
-            ..stats()
-        };
-        assert!(fast.summary().contains("3 fast-path"));
     }
 
     #[test]

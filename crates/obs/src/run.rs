@@ -12,8 +12,8 @@ use crate::event::{EventBus, JsonlSink, ObsEvent};
 use crate::record::Recorder;
 use olab_core::sweep::{cell_descriptor, cell_key, CELL_SCHEMA_VERSION};
 use olab_core::{
-    execute, execute_model_observed, execute_observed, to_chrome_trace_full, Experiment,
-    ExperimentError, Machine, OverlapMetrics, RunResult,
+    execute, execute_model, to_chrome_trace_full, Experiment, ExperimentError, Machine,
+    OverlapMetrics, RunResult,
 };
 use olab_faults::{
     fault_annotations, FaultCell, FaultError, FaultScenarioSpec, FaultTimeline, FaultyMachine,
@@ -65,9 +65,9 @@ pub fn observe_cell(exp: &Experiment, cfg: &ObserveConfig) -> Result<RunArtifact
     let machine = exp.machine();
 
     let (mut recorder, events) = recorder_with_log();
-    let overlapped = execute_observed(
+    let overlapped = execute_model(
         &exp.timeline(ExecutionMode::Overlapped, policy)?,
-        &machine,
+        machine.clone(),
         &mut recorder,
     )?;
 
@@ -204,8 +204,8 @@ pub fn observe_fault_cell(
     emit_fault_prologue(&mut recorder, &timeline);
 
     let mut injected = FaultyMachine::new(machine, timeline.clone());
-    let faulty = execute_model_observed(&workload, &mut injected, &mut recorder)
-        .map_err(ExperimentError::from)?;
+    let faulty =
+        execute_model(&workload, &mut injected, &mut recorder).map_err(ExperimentError::from)?;
     emit_fault_epilogue(&mut recorder, &injected);
 
     let stats = injected.stats();
@@ -340,8 +340,7 @@ pub fn observe_recovery_cell(
     let (mut recorder, events) = recorder_with_log();
     emit_fault_prologue(&mut recorder, &report.run.timeline);
     let mut injected = FaultyMachine::new(machine, report.run.timeline.clone());
-    execute_model_observed(&workload, &mut injected, &mut recorder)
-        .map_err(ExperimentError::from)?;
+    execute_model(&workload, &mut injected, &mut recorder).map_err(ExperimentError::from)?;
     emit_fault_epilogue(&mut recorder, &injected);
     emit_recovery_epilogue(&mut recorder, &report);
 

@@ -232,6 +232,7 @@ pub fn check_fault_relations(seed: u64) -> RelationOutcome {
     use olab_faults::{
         run_with_faults, FaultError, FaultScenarioSpec, FaultTimeline, FaultyMachine, Severity,
     };
+    use olab_sim::NullObserver;
 
     let exp = random_experiment(seed);
     let base = match overlapped_run(&exp) {
@@ -281,8 +282,16 @@ pub fn check_fault_relations(seed: u64) -> RelationOutcome {
                 w.start_s = (w.start_s - 0.10 * base.e2e_s).max(0.0);
                 w.end_s += 0.20 * base.e2e_s;
             }
-            let narrow = execute_model(&workload, FaultyMachine::new(machine.clone(), narrow_tl));
-            let wide = execute_model(&workload, FaultyMachine::new(machine, wide_tl));
+            let narrow = execute_model(
+                &workload,
+                FaultyMachine::new(machine.clone(), narrow_tl),
+                &mut NullObserver,
+            );
+            let wide = execute_model(
+                &workload,
+                FaultyMachine::new(machine, wide_tl),
+                &mut NullObserver,
+            );
             match (narrow, wide) {
                 (Ok(n), Ok(w)) => {
                     if w.e2e_s + tol.allowance(n.e2e_s) < n.e2e_s {

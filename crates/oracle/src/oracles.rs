@@ -8,11 +8,12 @@
 //! those paths cannot cancel out of the comparison.
 
 use olab_ccl::{lower, Algorithm, Collective, CollectiveKind};
+use olab_core::fastpath::Route;
 use olab_core::{Experiment, ExperimentError, ExperimentReport, RunResult};
 use olab_gpu::{roofline, Datapath, GpuSku, KernelKind, Precision};
 use olab_net::Topology;
 use olab_parallel::{ExecutionMode, Op};
-use olab_sim::{critical_path, verify_trace};
+use olab_sim::{critical_path, verify_trace, NullObserver};
 use std::fmt;
 
 /// A relative + absolute tolerance band. A comparison of `actual` against
@@ -667,49 +668,56 @@ fn check_report(
 /// schedule on the uncontended (ideal) machine.
 ///
 /// [`execute`](olab_core::execute) routes eligible cells through the
-/// closed form while [`execute_event_loop`](olab_core::execute_event_loop)
-/// always runs the reference engine; every quantity the figures consume —
+/// closed form while [`execute_model`](olab_core::execute_model) always
+/// runs the reference engine; every quantity the figures consume —
 /// makespan, per-GPU stream and co-activity times, energy, average and
 /// peak power — must agree within [`Tolerance::BAND`] (the two paths
 /// accumulate floating-point roundoff in different orders). The fast
 /// trace additionally has to satisfy the same structural invariants
 /// ([`verify_trace`]) as an engine trace.
 ///
-/// The check is path-agnostic by design: if the fast path declines a cell
-/// (or is disabled process-wide) both runs take the event loop and the
-/// comparison is trivially clean, so callers that want to *prove* the fast
-/// path fired must additionally watch
-/// [`fast_runs`](olab_core::fastpath::fast_runs).
+/// Returns the report together with how many of the cell's four routed
+/// legs (full and lean, for each shape) the fast path served, read from
+/// each result's [`route`](olab_core::RunResult::route). If the fast path
+/// declines a leg, both runs of that leg take the event loop and its
+/// comparison is trivially clean, so a caller proving the fast path fired
+/// checks the count.
 ///
 /// # Errors
 ///
 /// Propagates [`ExperimentError`] from validation or timeline
 /// construction; out-of-memory cells are the caller's to skip.
-pub fn check_fastpath_equivalence(exp: &Experiment) -> Result<DivergenceReport, ExperimentError> {
+pub fn check_fastpath_equivalence(
+    exp: &Experiment,
+) -> Result<(DivergenceReport, usize), ExperimentError> {
     let policy = exp.validate()?;
     let machine = exp.machine();
     let mut report = DivergenceReport::new(format!("fastpath {}", exp.label()));
 
     let sequential_w = exp.timeline(ExecutionMode::Sequential, policy)?;
-    compare_paths(&mut report, "sequential/contended", &sequential_w, &machine)?;
+    let mut fast_served =
+        compare_paths(&mut report, "sequential/contended", &sequential_w, &machine)?;
     let overlapped_w = exp.timeline(ExecutionMode::Overlapped, policy)?;
-    compare_paths(
+    fast_served += compare_paths(
         &mut report,
         "overlapped/uncontended",
         &overlapped_w,
         &machine.uncontended(),
     )?;
-    Ok(report)
+    Ok((report, fast_served))
 }
 
+/// Compares one shape's routed full and lean runs against the reference
+/// event loop; returns how many of the two routed runs the fast path
+/// served.
 fn compare_paths(
     report: &mut DivergenceReport,
     tag: &str,
     workload: &olab_sim::Workload<Op>,
     machine: &olab_core::Machine,
-) -> Result<(), ExperimentError> {
+) -> Result<usize, ExperimentError> {
     let fast = olab_core::execute(workload, machine)?;
-    let reference = olab_core::execute_event_loop(workload, machine)?;
+    let reference = olab_core::execute_model(workload, machine.clone(), &mut NullObserver)?;
 
     for v in verify_trace(workload, &fast.trace) {
         report.violation(format!("{tag} (routed): {v}"));
@@ -833,7 +841,10 @@ fn compare_paths(
             Tolerance::TIGHT,
         );
     }
-    Ok(())
+    Ok([fast.route, lean.route]
+        .iter()
+        .filter(|&&r| r == Route::FastPath)
+        .count())
 }
 
 #[cfg(test)]

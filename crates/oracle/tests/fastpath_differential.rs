@@ -2,30 +2,23 @@
 //! observationally equivalent to the event loop on every eligible cell,
 //! and must *never* fire on cells it cannot legally serve.
 //!
-//! The fast-path switch and run counters are process-wide atomics, so
-//! every test here serializes on one mutex: this binary is the only
-//! process whose tests toggle `set_enabled` or assert on counter deltas,
-//! and within the binary the lock keeps the deltas attributable.
+//! Every result records the path that served it (`RunResult::route`,
+//! `LeanRun::route`), so each test reads attribution off its own results
+//! and the tests run in parallel under the default harness.
 
-use olab_core::fastpath;
-use olab_core::{execute, execute_event_loop, execute_observed, Experiment, Jitter, Strategy};
-use olab_gpu::SkuKind;
+use olab_ccl::{lower, Algorithm, Collective};
+use olab_core::fastpath::Route;
+use olab_core::{
+    execute, execute_lean, execute_model, Experiment, Jitter, LeanRun, Machine, Strategy,
+};
+use olab_gpu::{Datapath, GpuSku, KernelKind, Precision, SkuKind};
 use olab_grid::Pool;
 use olab_models::ModelPreset;
 use olab_oracle::{check_fastpath_equivalence, random_experiment};
-use olab_parallel::ExecutionMode;
-use olab_sim::{EngineObserver, GpuCounters};
-use std::sync::Mutex;
-
-/// Serializes the tests in this binary (they share process-global
-/// fast-path state). `unwrap_or_else(into_inner)` keeps a poisoned lock
-/// usable: a failed test must not cascade into lock panics elsewhere.
-static GUARD: Mutex<()> = Mutex::new(());
-
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    fastpath::set_enabled(true);
-    GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
+use olab_parallel::{ComputeOp, ExecutionMode, Op};
+use olab_sim::{
+    EngineObserver, GpuCounters, GpuId, NullObserver, StreamKind, TaskId, TaskSpec, Workload,
+};
 
 /// A stock FSDP cell whose overlapped timeline genuinely overlaps compute
 /// and communication (the executor tests pin overlap_ratio > 0.02 on it).
@@ -33,9 +26,21 @@ fn overlapping_cell() -> Experiment {
     Experiment::new(SkuKind::H100, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(128)
 }
 
+/// Runs `w` through the router, full and lean, and through the reference
+/// event loop: both routed runs must reproduce the reference exactly (the
+/// same engine on the same machine), error for error when the workload
+/// does not run. `LeanRun` carries the route, so equality with the
+/// reference also pins `Route::EventLoop`.
+fn assert_event_loop(w: &Workload<Op>, machine: &Machine, why: &str) {
+    let reference =
+        execute_model(w, machine.clone(), &mut NullObserver).map(|r| LeanRun::summarize(&r));
+    let routed = execute(w, machine).map(|r| LeanRun::summarize(&r));
+    assert_eq!(routed, reference, "{why}");
+    assert_eq!(execute_lean(w, machine), reference, "{why}");
+}
+
 #[test]
 fn fast_path_matches_event_loop_on_200_contention_free_cells() {
-    let _guard = locked();
     // Collect feasible cells first (OOM cells are legitimate skips), then
     // fan the comparisons across the pool. 260 seeds leave slack above the
     // 200-cell floor.
@@ -45,85 +50,74 @@ fn fast_path_matches_event_loop_on_200_contention_free_cells() {
         .collect();
     assert!(cells.len() >= 200, "only {} feasible cells", cells.len());
 
-    let fast_before = fastpath::fast_runs();
-    let reports = Pool::with_available_parallelism().map(&cells, |exp| {
+    let checks = Pool::with_available_parallelism().map(&cells, |exp| {
         check_fastpath_equivalence(exp).expect("validated cell must run")
     });
-    let fast_served = fastpath::fast_runs() - fast_before;
+    let fast_served: usize = checks.iter().map(|(_, served)| served).sum();
 
-    let dirty: Vec<String> = reports
+    let dirty: Vec<String> = checks
         .iter()
-        .filter(|r| !r.is_clean())
-        .map(|r| r.to_string())
+        .filter(|(r, _)| !r.is_clean())
+        .map(|(r, _)| r.to_string())
         .collect();
     assert!(
         dirty.is_empty(),
         "{} of {} cells diverged between the fast path and the event loop:\n{}",
         dirty.len(),
-        reports.len(),
+        checks.len(),
         dirty.join("\n")
     );
-    // Each cell compares two eligible shapes (sequential/contended and
-    // overlapped/uncontended); the fast path must have actually served the
-    // overwhelming majority — a trivially-green suite where everything
-    // fell back to the event loop would prove nothing.
+    // Each cell routes four legs (full and lean of the sequential/contended
+    // and overlapped/uncontended shapes); the fast path must have actually
+    // served a good share of them — a trivially-green suite where
+    // everything fell back to the event loop would prove nothing.
     assert!(
-        fast_served >= cells.len() as u64,
-        "fast path served only {fast_served} of {} eligible runs",
-        2 * cells.len()
+        fast_served >= cells.len(),
+        "fast path served only {fast_served} of {} routed runs",
+        4 * cells.len()
     );
 }
 
 #[test]
 fn contended_overlap_never_takes_the_fast_path() {
-    let _guard = locked();
     let exp = overlapping_cell();
     let policy = exp.validate().expect("cell fits");
     let w = exp
         .timeline(ExecutionMode::Overlapped, policy)
         .expect("timeline builds");
-    let machine = exp.machine();
-
-    let fast_before = fastpath::fast_runs();
-    let loop_before = fastpath::event_loop_runs();
-    let routed = execute(&w, &machine).expect("runs");
-    assert_eq!(
-        fastpath::fast_runs() - fast_before,
-        0,
-        "a contended overlapped schedule must fall back to the event loop"
+    assert_event_loop(
+        &w,
+        &exp.machine(),
+        "a contended overlapped schedule must fall back to the event loop",
     );
-    assert_eq!(fastpath::event_loop_runs() - loop_before, 1);
-
-    // And the fallback is exactly the reference engine.
-    let reference = execute_event_loop(&w, &machine).expect("runs");
-    assert_eq!(routed.e2e_s, reference.e2e_s);
 }
 
 #[test]
 fn jittered_machines_never_take_the_fast_path() {
-    let _guard = locked();
     let exp = overlapping_cell();
     let policy = exp.validate().expect("cell fits");
     let w = exp
         .timeline(ExecutionMode::Sequential, policy)
         .expect("timeline builds");
-    let jittered = exp.machine().with_jitter(Jitter {
+    let machine = exp.machine();
+    assert_eq!(
+        execute(&w, &machine).expect("runs").route,
+        Route::FastPath,
+        "the sequential schedule is eligible without jitter"
+    );
+    let jittered = machine.with_jitter(Jitter {
         seed: 11,
         sigma: 0.02,
     });
-
-    let fast_before = fastpath::fast_runs();
-    execute(&w, &jittered).expect("runs");
-    assert_eq!(
-        fastpath::fast_runs() - fast_before,
-        0,
-        "jitter only exists epoch by epoch; the closed form must decline"
+    assert_event_loop(
+        &w,
+        &jittered,
+        "jitter only exists epoch by epoch; the closed form must decline",
     );
 }
 
 #[test]
 fn freq_capped_machines_never_take_the_fast_path() {
-    let _guard = locked();
     let exp = overlapping_cell();
     let policy = exp.validate().expect("cell fits");
     let w = exp
@@ -131,18 +125,96 @@ fn freq_capped_machines_never_take_the_fast_path() {
         .expect("timeline builds");
     let mut capped = exp.machine();
     capped.set_gpu_freq_caps(vec![0.6; exp.n_gpus]);
+    assert_event_loop(
+        &w,
+        &capped,
+        "transient frequency caps are event-loop-only state",
+    );
 
-    let fast_before = fastpath::fast_runs();
-    execute(&w, &capped).expect("runs");
+    // A cap of exactly 1.0 is a no-op and must not disqualify.
+    let mut uncapped = exp.machine();
+    uncapped.set_gpu_freq_caps(vec![1.0; exp.n_gpus]);
+    assert_eq!(execute(&w, &uncapped).expect("runs").route, Route::FastPath);
+}
+
+fn gemm() -> Op {
+    Op::Compute(ComputeOp::new(
+        KernelKind::gemm(256, 256, 256),
+        Precision::Fp16,
+        Datapath::TensorCore,
+    ))
+}
+
+fn all_reduce(machine: &Machine) -> Op {
+    let group: Vec<GpuId> = (0..2).map(GpuId).collect();
+    Op::Comm(lower(
+        &Collective::all_reduce(1 << 20, group),
+        Algorithm::Ring,
+        &machine.config().sku,
+        &machine.config().topology,
+        Precision::Fp16,
+    ))
+}
+
+#[test]
+fn forward_dependencies_never_take_the_fast_path() {
+    // Uncontended, so co-residency cannot be what disqualifies the cell.
+    let machine = Machine::stock(GpuSku::h100(), 2).uncontended();
+    let workload = |forward: bool| {
+        let mut w = Workload::new(2);
+        let mut first = TaskSpec::compute("k0", GpuId(0), gemm());
+        if forward {
+            // Depends on the task pushed next: the one-pass closed form
+            // requires every dependency to point backward in push order.
+            first = first.after(TaskId(1));
+        }
+        w.push(first);
+        w.push(TaskSpec::compute("k1", GpuId(1), gemm()));
+        w
+    };
     assert_eq!(
-        fastpath::fast_runs() - fast_before,
-        0,
-        "transient frequency caps are event-loop-only state"
+        execute(&workload(false), &machine).expect("runs").route,
+        Route::FastPath,
+        "the same tasks with no forward dependency are eligible"
+    );
+    assert_event_loop(
+        &workload(true),
+        &machine,
+        "a forward dependency must fall back to the event loop",
     );
 }
 
-/// An enabled observer that merely counts callbacks — enough to force the
-/// event loop (only it can drive task edges and epochs).
+#[test]
+fn comm_payloads_on_the_compute_stream_never_take_the_fast_path() {
+    let machine = Machine::stock(GpuSku::h100(), 2);
+    let workload = |stream: StreamKind| {
+        let mut w = Workload::new(2);
+        w.push(TaskSpec::new(
+            "all_reduce",
+            vec![GpuId(0), GpuId(1)],
+            stream,
+            all_reduce(&machine),
+        ));
+        w
+    };
+    assert_eq!(
+        execute(&workload(StreamKind::Comm), &machine)
+            .expect("runs")
+            .route,
+        Route::FastPath,
+        "the same collective on the comm stream is eligible"
+    );
+    // The engine prices by payload while the closed form walks streams, so
+    // such hybrids stay on the event loop.
+    assert_event_loop(
+        &workload(StreamKind::Compute),
+        &machine,
+        "a comm payload on the compute stream must fall back to the event loop",
+    );
+}
+
+/// An enabled observer that merely counts callbacks — only the event loop
+/// can drive task edges and epochs.
 #[derive(Default)]
 struct CountingObserver {
     starts: usize,
@@ -170,7 +242,6 @@ impl EngineObserver for CountingObserver {
 
 #[test]
 fn observed_runs_never_take_the_fast_path() {
-    let _guard = locked();
     let exp = overlapping_cell();
     let policy = exp.validate().expect("cell fits");
     let w = exp
@@ -179,48 +250,19 @@ fn observed_runs_never_take_the_fast_path() {
     let machine = exp.machine();
 
     let mut obs = CountingObserver::default();
-    let fast_before = fastpath::fast_runs();
-    execute_observed(&w, &machine, &mut obs).expect("runs");
+    let observed = execute_model(&w, machine.clone(), &mut obs).expect("runs");
     assert_eq!(
-        fastpath::fast_runs() - fast_before,
-        0,
+        observed.route,
+        Route::EventLoop,
         "an enabled observer needs the event loop's callbacks"
     );
     assert_eq!(obs.starts, w.tasks().len(), "observer saw every task");
     assert!(obs.epochs > 0, "observer saw the epochs");
-}
 
-#[test]
-fn disabling_the_switch_forces_the_event_loop_with_identical_results() {
-    let _guard = locked();
-    let exp = overlapping_cell();
-    let policy = exp.validate().expect("cell fits");
-    let w = exp
-        .timeline(ExecutionMode::Sequential, policy)
-        .expect("timeline builds");
-    let machine = exp.machine();
-
-    let fast_before = fastpath::fast_runs();
-    let routed = execute(&w, &machine).expect("runs");
+    // Observation changes nothing about the answer.
+    let unobserved = execute_model(&w, machine, &mut NullObserver).expect("runs");
     assert_eq!(
-        fastpath::fast_runs() - fast_before,
-        1,
-        "a sequential schedule on a deterministic machine is eligible"
-    );
-
-    fastpath::set_enabled(false);
-    let disabled_before = fastpath::fast_runs();
-    let reference = execute(&w, &machine).expect("runs");
-    fastpath::set_enabled(true);
-    assert_eq!(fastpath::fast_runs() - disabled_before, 0);
-
-    // Within oracle tolerance, not bit-identical: the event loop
-    // accumulates `now += dt` per epoch while the closed form sums spans.
-    let tol = 1e-9 * reference.e2e_s.abs() + 1e-9;
-    assert!(
-        (routed.e2e_s - reference.e2e_s).abs() <= tol,
-        "{} vs {}",
-        routed.e2e_s,
-        reference.e2e_s
+        LeanRun::summarize(&observed),
+        LeanRun::summarize(&unobserved)
     );
 }

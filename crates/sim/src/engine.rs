@@ -32,9 +32,9 @@ enum Status {
 /// increment instead of a `VecDeque` rotation.
 ///
 /// [`Engine::run`] and [`Engine::run_observed`] draw an arena from a
-/// thread-local pool automatically; [`Engine::run_in`] takes an explicit
-/// arena for callers (benchmarks, allocation tests) that want to control
-/// reuse.
+/// thread-local pool automatically; [`Engine::run_observed_in`] takes an
+/// explicit arena for callers (benchmarks, allocation tests) that want to
+/// control reuse.
 #[derive(Debug, Default)]
 pub struct SimArena {
     /// Unsatisfied dependency count per task.
@@ -200,23 +200,6 @@ impl<M: RateModel> Engine<M> {
         self.run_observed(workload, &mut NullObserver)
     }
 
-    /// Runs the workload to completion using an explicit [`SimArena`].
-    ///
-    /// Identical to [`run`](Engine::run) except the caller controls scratch
-    /// reuse — benchmarks and allocation tests use this to compare cold
-    /// (fresh arena each run) against warm (one arena across runs) cost.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](Engine::run).
-    pub fn run_in(
-        &mut self,
-        workload: &Workload<M::Payload>,
-        arena: &mut SimArena,
-    ) -> Result<SimTrace, SimError> {
-        self.run_observed_in(workload, &mut NullObserver, arena)
-    }
-
     /// Runs the workload to completion, driving `obs` through every task
     /// start/end and epoch (see [`EngineObserver`]).
     ///
@@ -240,7 +223,10 @@ impl<M: RateModel> Engine<M> {
         })
     }
 
-    /// [`run_observed`](Engine::run_observed) with an explicit [`SimArena`].
+    /// [`run_observed`](Engine::run_observed) with an explicit [`SimArena`]:
+    /// the caller controls scratch reuse — benchmarks and allocation tests
+    /// use this to compare cold (fresh arena each run) against warm (one
+    /// arena across runs) cost.
     ///
     /// # Errors
     ///

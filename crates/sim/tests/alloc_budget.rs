@@ -6,7 +6,7 @@
 //! (the library forbids unsafe code; a separate integration-test crate is
 //! the only place Rust lets us count).
 
-use olab_sim::{ConstantRate, Engine, GpuId, SimArena, TaskSpec, Workload};
+use olab_sim::{ConstantRate, Engine, GpuId, NullObserver, SimArena, TaskSpec, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -76,14 +76,18 @@ fn allocations_per_run(engine: &mut Engine<ConstantRate>, w: &Workload<()>, warm
     const RUNS: usize = 10;
     let mut arena = SimArena::new();
     // Warm-up: grow the arena (and the trace-side capacities) to steady state.
-    engine.run_in(w, &mut arena).expect("workload runs");
+    engine
+        .run_observed_in(w, &mut NullObserver, &mut arena)
+        .expect("workload runs");
     let before = allocations();
     for _ in 0..RUNS {
         if warm {
-            engine.run_in(w, &mut arena).expect("workload runs");
+            engine
+                .run_observed_in(w, &mut NullObserver, &mut arena)
+                .expect("workload runs");
         } else {
             engine
-                .run_in(w, &mut SimArena::new())
+                .run_observed_in(w, &mut NullObserver, &mut SimArena::new())
                 .expect("workload runs");
         }
     }

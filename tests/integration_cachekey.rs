@@ -12,27 +12,19 @@
 //!   worse, aliases) every existing on-disk cache. Bump
 //!   [`CELL_SCHEMA_VERSION`](olab_core::sweep::CELL_SCHEMA_VERSION) instead
 //!   of editing the format in place, then re-pin here;
-//! * **path independence**: toggling the fast-path switch does not move
-//!   the key;
-//! * **attribution**: `SweepStats::fast_path` (not the key) is what
-//!   records which path served the cells, and the two paths' metrics
-//!   agree.
+//! * **path independence**: the key hashes the descriptor alone, which
+//!   names no route, even for a cell whose legs take both routes;
+//! * **attribution**: each leg's result (not the key) records which path
+//!   served it, and the metrics a sweep caches agree with metrics derived
+//!   from event-loop-only legs.
 
-use olab_core::sweep::{cell_descriptor_versioned, cell_key};
-use olab_core::{fastpath, Experiment, Strategy, Sweep};
+use olab_core::fastpath::Route;
+use olab_core::sweep::{cell_descriptor, cell_descriptor_versioned, cell_key};
+use olab_core::{execute, execute_model, Experiment, OverlapMetrics, Strategy, Sweep};
 use olab_gpu::SkuKind;
 use olab_models::ModelPreset;
-use std::sync::Mutex;
-
-/// The fast-path switch is process-wide; tests that toggle it serialize
-/// here and restore the default.
-static GUARD: Mutex<()> = Mutex::new(());
-
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    let g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
-    fastpath::set_enabled(true);
-    g
-}
+use olab_parallel::ExecutionMode;
+use olab_sim::NullObserver;
 
 fn golden_cell() -> Experiment {
     Experiment::new(SkuKind::H100, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(256)
@@ -59,49 +51,62 @@ const GOLDEN_KEY: u64 = 0x06ac_15d7_ee86_ad91;
 
 #[test]
 fn cell_key_is_execution_path_independent() {
-    let _g = locked();
     let exp = golden_cell();
-    fastpath::set_enabled(true);
-    let enabled_key = cell_key(&exp);
-    fastpath::set_enabled(false);
-    let disabled_key = cell_key(&exp);
-    fastpath::set_enabled(true);
-    assert_eq!(enabled_key, disabled_key);
+    let report = exp.run().expect("golden cell runs");
+    assert_eq!(report.sequential.route, Route::FastPath);
+    assert_eq!(report.overlapped.route, Route::EventLoop);
+
+    let descriptor = cell_descriptor(&exp);
+    assert_eq!(cell_key(&exp), olab_grid::fnv1a_64(descriptor.as_bytes()));
+    for word in ["route", "fast", "event"] {
+        assert!(
+            !descriptor.to_lowercase().contains(word),
+            "descriptor mentions '{word}': {descriptor}"
+        );
+    }
 }
 
 #[test]
-fn sweep_stats_attribute_the_path_and_paths_agree() {
-    let _g = locked();
+fn results_attribute_the_route_and_paths_agree() {
     let cells = vec![
         Experiment::new(SkuKind::H100, 2, ModelPreset::Gpt3Xl, Strategy::Fsdp, 4).with_seq(64),
         Experiment::new(SkuKind::A100, 2, ModelPreset::Gpt3Xl, Strategy::Fsdp, 4).with_seq(64),
     ];
+    let swept = Sweep::new().run(&cells);
 
-    fastpath::set_enabled(true);
-    let fast = Sweep::new().run(&cells);
-    assert!(
-        fast.stats.fast_path > 0,
-        "eligible cells must be attributed to the fast path"
-    );
+    for (exp, cell) in cells.iter().zip(&swept.cells) {
+        let cached = cell.as_ref().expect("cell simulates");
+        let policy = exp.validate().expect("cell fits");
+        let machine = exp.machine();
+        let sequential_w = exp
+            .timeline(ExecutionMode::Sequential, policy)
+            .expect("timeline builds");
+        let overlapped_w = exp
+            .timeline(ExecutionMode::Overlapped, policy)
+            .expect("timeline builds");
+        assert_eq!(
+            execute(&sequential_w, &machine).expect("runs").route,
+            Route::FastPath,
+            "a sequential leg has no co-residency"
+        );
+        assert_eq!(
+            execute(&overlapped_w, &machine).expect("runs").route,
+            Route::EventLoop,
+            "a contended overlapped leg needs the event loop"
+        );
 
-    fastpath::set_enabled(false);
-    let reference = Sweep::new().run(&cells);
-    fastpath::set_enabled(true);
-    assert_eq!(
-        reference.stats.fast_path, 0,
-        "switch off, nothing attributed"
-    );
-
-    for (f, r) in fast.cells.iter().zip(&reference.cells) {
-        let f = f.as_ref().expect("cell simulates");
-        let r = r.as_ref().expect("cell simulates");
+        let reference = OverlapMetrics::derive(
+            &execute_model(&overlapped_w, machine.clone(), &mut NullObserver).expect("runs"),
+            &execute_model(&sequential_w, machine, &mut NullObserver).expect("runs"),
+        );
+        let m = &cached.metrics;
         for (a, b) in [
-            (f.metrics.e2e_overlapped_s, r.metrics.e2e_overlapped_s),
+            (m.e2e_overlapped_s, reference.e2e_overlapped_s),
             (
-                f.metrics.e2e_sequential_measured_s,
-                r.metrics.e2e_sequential_measured_s,
+                m.e2e_sequential_measured_s,
+                reference.e2e_sequential_measured_s,
             ),
-            (f.metrics.overlap_ratio, r.metrics.overlap_ratio),
+            (m.overlap_ratio, reference.overlap_ratio),
         ] {
             assert!(
                 (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1e-9),
