@@ -66,7 +66,7 @@ pub(crate) fn section(title: &str, table: &Table) -> String {
 /// stderr; outcomes come back in input order.
 pub(crate) fn run(sweep: &Sweep, cells: &[Experiment]) -> Vec<CellOutcome> {
     let outcome = sweep.run(cells);
-    outcome.log_stats();
+    outcome.stats.log();
     outcome.cells
 }
 

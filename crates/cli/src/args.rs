@@ -92,17 +92,34 @@ impl RunArgs {
     }
 }
 
+/// The grid-engine flags `sweep`, `faults` and `serve` share, parsed by
+/// one helper.
+#[derive(Debug, Clone, Default)]
+pub struct EngineArgs {
+    /// Worker threads (`--jobs N`; `1` forces a serial sweep). `None`
+    /// uses `available_parallelism`.
+    pub jobs: Option<usize>,
+    /// Persistent result-cache directory (`--cache DIR`). `None` caches
+    /// in memory only.
+    pub cache: Option<String>,
+    /// Disk-cache byte cap with deterministic eviction
+    /// (`--cache-max-bytes N`); requires `--cache DIR`.
+    pub cache_max_bytes: Option<u64>,
+    /// Per-cell wall-clock deadline, seconds (`--cell-timeout-s X`).
+    /// `None` means no deadline.
+    pub cell_timeout_s: Option<f64>,
+    /// Per-cell retry budget for transient failures (`--retries N`).
+    /// `None` means no retries.
+    pub retries: Option<u32>,
+}
+
 /// Sweep-specific arguments: the batch list plus the grid-engine knobs.
 #[derive(Debug, Clone)]
 pub struct SweepArgs {
     /// Batch sizes to sweep.
     pub batches: Vec<u64>,
-    /// Worker threads (`--jobs N`; `1` forces a serial sweep). `None`
-    /// defers to `OLAB_JOBS` or `available_parallelism`.
-    pub jobs: Option<usize>,
-    /// Persistent result-cache directory (`--cache DIR`). `None` defers
-    /// to `OLAB_CACHE_DIR` or memory-only caching.
-    pub cache: Option<String>,
+    /// Grid-engine flags.
+    pub engine: EngineArgs,
     /// Live progress + run artifacts (`--observe`).
     pub observe: bool,
     /// Artifact directory for `--observe` (`--out-dir DIR`).
@@ -110,15 +127,6 @@ pub struct SweepArgs {
     /// Counter sampling cadence for artifacts, ms of simulated time
     /// (`--sample-ms X`).
     pub sample_ms: f64,
-    /// Per-cell wall-clock deadline, seconds (`--cell-timeout-s X`).
-    /// `None` defers to `OLAB_CELL_TIMEOUT_S` or no deadline.
-    pub cell_timeout_s: Option<f64>,
-    /// Per-cell retry budget for transient failures (`--retries N`).
-    /// `None` defers to `OLAB_RETRIES` or no retries.
-    pub retries: Option<u32>,
-    /// Disk-cache byte cap with deterministic eviction
-    /// (`--cache-max-bytes N`); requires a disk cache.
-    pub cache_max_bytes: Option<u64>,
     /// Engine self-telemetry exposition directory (`--metrics DIR`):
     /// enables the `olab-metrics` registry and writes `metrics.prom` +
     /// `metrics.json` there after the sweep.
@@ -133,14 +141,10 @@ impl Default for SweepArgs {
     fn default() -> Self {
         SweepArgs {
             batches: Vec::new(),
-            jobs: None,
-            cache: None,
+            engine: EngineArgs::default(),
             observe: false,
             out_dir: None,
             sample_ms: 100.0,
-            cell_timeout_s: None,
-            retries: None,
-            cache_max_bytes: None,
             metrics: None,
             metrics_deterministic: false,
         }
@@ -157,8 +161,8 @@ pub struct FaultsArgs {
     /// Abort on watchdog exhaustion instead of degrading
     /// (`--action degrade|abort`).
     pub abort: bool,
-    /// Worker threads (`--jobs N`; `1` forces a serial sweep).
-    pub jobs: Option<usize>,
+    /// Grid-engine flags.
+    pub engine: EngineArgs,
     /// Live progress + run artifacts (`--observe`).
     pub observe: bool,
     /// Artifact directory for `--observe` (`--out-dir DIR`).
@@ -170,20 +174,29 @@ pub struct FaultsArgs {
     /// (`--recovery failfast|ckpt|elastic`; `--ckpt-interval-s X` pins the
     /// checkpoint interval). `None` keeps the plain fault scorecard.
     pub recovery: Option<olab_resilience::RecoveryPolicy>,
-    /// Persistent result-cache directory (`--cache DIR`). `None` defers
-    /// to `OLAB_CACHE_DIR` or memory-only caching.
-    pub cache: Option<String>,
-    /// Per-cell wall-clock deadline, seconds (`--cell-timeout-s X`).
-    pub cell_timeout_s: Option<f64>,
-    /// Per-cell retry budget for transient failures (`--retries N`).
-    pub retries: Option<u32>,
-    /// Disk-cache byte cap with deterministic eviction
-    /// (`--cache-max-bytes N`); requires a disk cache.
-    pub cache_max_bytes: Option<u64>,
     /// Engine self-telemetry exposition directory (`--metrics DIR`).
     pub metrics: Option<String>,
     /// Deterministic-families-only expositions (`--metrics-deterministic`).
     pub metrics_deterministic: bool,
+}
+
+impl FaultsArgs {
+    /// The fault scenario of every cell: each seed crossed with each
+    /// severity, aborting or degrading per `--action`.
+    pub fn specs(&self) -> Vec<olab_faults::FaultScenarioSpec> {
+        use olab_faults::FaultScenarioSpec;
+        let mut specs = Vec::with_capacity(self.seeds.len() * self.severities.len());
+        for &seed in &self.seeds {
+            for &severity in &self.severities {
+                specs.push(if self.abort {
+                    FaultScenarioSpec::abort(seed, severity)
+                } else {
+                    FaultScenarioSpec::degrade(seed, severity)
+                });
+            }
+        }
+        specs
+    }
 }
 
 impl Default for FaultsArgs {
@@ -192,15 +205,11 @@ impl Default for FaultsArgs {
             seeds: vec![1],
             severities: olab_faults::Severity::ALL.to_vec(),
             abort: false,
-            jobs: None,
+            engine: EngineArgs::default(),
             observe: false,
             out_dir: None,
             sample_ms: 100.0,
             recovery: None,
-            cache: None,
-            cell_timeout_s: None,
-            retries: None,
-            cache_max_bytes: None,
             metrics: None,
             metrics_deterministic: false,
         }
@@ -284,17 +293,9 @@ impl Default for ObserveArgs {
 pub struct ServeArgs {
     /// Listen address (`--addr HOST:PORT`; port `0` picks a free port).
     pub addr: String,
-    /// Engine worker threads (`--jobs N`). `None` defers to `OLAB_JOBS`
-    /// or `available_parallelism`.
-    pub jobs: Option<usize>,
-    /// Persistent result-cache directory (`--cache DIR`).
-    pub cache: Option<String>,
-    /// Disk-cache byte cap (`--cache-max-bytes N`); requires a disk cache.
-    pub cache_max_bytes: Option<u64>,
-    /// Server-side per-cell deadline, seconds (`--cell-timeout-s X`).
-    pub cell_timeout_s: Option<f64>,
-    /// Per-cell retry budget (`--retries N`).
-    pub retries: Option<u32>,
+    /// Grid-engine flags; `--cell-timeout-s` is the server-side per-cell
+    /// deadline.
+    pub engine: EngineArgs,
     /// Admission-queue capacity before shedding (`--max-queue N`).
     pub max_queue: Option<usize>,
     /// HTTP worker threads (`--http-workers N`).
@@ -319,11 +320,7 @@ impl Default for ServeArgs {
     fn default() -> Self {
         ServeArgs {
             addr: "127.0.0.1:7979".to_string(),
-            jobs: None,
-            cache: None,
-            cache_max_bytes: None,
-            cell_timeout_s: None,
-            retries: None,
+            engine: EngineArgs::default(),
             max_queue: None,
             http_workers: None,
             drain_timeout_s: None,
@@ -486,6 +483,26 @@ fn parse_run_args<'a>(pairs: &[(&'a str, &'a str)]) -> Result<(RunArgs, RestPair
     Ok((args, rest))
 }
 
+/// Parses the grid-engine flags into `EngineArgs`, returning unconsumed
+/// (flag, value) pairs to the caller.
+fn parse_engine_args<'a>(
+    pairs: &[(&'a str, &'a str)],
+) -> Result<(EngineArgs, RestPairs<'a>), CliError> {
+    let mut engine = EngineArgs::default();
+    let mut rest = Vec::new();
+    for &(flag, value) in pairs {
+        match flag {
+            "--jobs" => engine.jobs = Some(num(flag, value)?),
+            "--cache" => engine.cache = Some(value.to_string()),
+            "--cache-max-bytes" => engine.cache_max_bytes = Some(num(flag, value)?),
+            "--cell-timeout-s" => engine.cell_timeout_s = Some(positive_secs(flag, value)?),
+            "--retries" => engine.retries = Some(num(flag, value)?),
+            _ => rest.push((flag, value)),
+        }
+    }
+    Ok((engine, rest))
+}
+
 /// Parses a full command line (without the program name).
 ///
 /// # Errors
@@ -553,8 +570,10 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             reject_recovery("sweep", &pairs)?;
             let (mut args, rest) = parse_run_args(&pairs)?;
             args.csv = csv;
+            let (engine, rest) = parse_engine_args(&rest)?;
             let mut sweep = SweepArgs {
                 batches: vec![8, 16, 32],
+                engine,
                 observe,
                 ..SweepArgs::default()
             };
@@ -567,19 +586,14 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                             .map(|v| num("--batches", v.trim()))
                             .collect::<Result<Vec<u64>, _>>()?;
                     }
-                    "--jobs" => sweep.jobs = Some(num(flag, value)?),
-                    "--cache" => sweep.cache = Some(value.to_string()),
                     "--out-dir" => sweep.out_dir = Some(value.to_string()),
                     "--sample-ms" => sweep.sample_ms = positive_ms(flag, value)?,
-                    "--cell-timeout-s" => sweep.cell_timeout_s = Some(positive_secs(flag, value)?),
-                    "--retries" => sweep.retries = Some(num(flag, value)?),
-                    "--cache-max-bytes" => sweep.cache_max_bytes = Some(num(flag, value)?),
                     "--metrics" => sweep.metrics = Some(value.to_string()),
                     _ => unknown.push((flag, value)),
                 }
             }
             reject_unknown(&unknown)?;
-            require_cache_for_cap(sweep.cache_max_bytes, &sweep.cache)?;
+            require_cache_for_cap(&sweep.engine)?;
             sweep.metrics_deterministic = metrics_deterministic;
             require_metrics_for_deterministic(metrics_deterministic, &sweep.metrics)?;
             Ok(Command::Sweep(args, sweep))
@@ -616,7 +630,9 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         "faults" => {
             let (mut args, rest) = parse_run_args(&pairs)?;
             args.csv = csv;
+            let (engine, rest) = parse_engine_args(&rest)?;
             let mut faults = FaultsArgs {
+                engine,
                 observe,
                 ..FaultsArgs::default()
             };
@@ -634,22 +650,17 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     }
                     "--severity" => faults.severities = parse_severities(value)?,
                     "--action" => faults.abort = parse_action(value)?,
-                    "--jobs" => faults.jobs = Some(num(flag, value)?),
                     "--out-dir" => faults.out_dir = Some(value.to_string()),
                     "--sample-ms" => faults.sample_ms = positive_ms(flag, value)?,
                     "--recovery" => recovery = Some(value),
                     "--ckpt-interval-s" => ckpt_interval_s = Some(positive_secs(flag, value)?),
-                    "--cache" => faults.cache = Some(value.to_string()),
-                    "--cell-timeout-s" => faults.cell_timeout_s = Some(positive_secs(flag, value)?),
-                    "--retries" => faults.retries = Some(num(flag, value)?),
-                    "--cache-max-bytes" => faults.cache_max_bytes = Some(num(flag, value)?),
                     "--metrics" => faults.metrics = Some(value.to_string()),
                     _ => unknown.push((flag, value)),
                 }
             }
             reject_unknown(&unknown)?;
             faults.recovery = parse_recovery(recovery, ckpt_interval_s)?;
-            require_cache_for_cap(faults.cache_max_bytes, &faults.cache)?;
+            require_cache_for_cap(&faults.engine)?;
             faults.metrics_deterministic = metrics_deterministic;
             require_metrics_for_deterministic(metrics_deterministic, &faults.metrics)?;
             Ok(Command::Faults(args, faults))
@@ -758,19 +769,16 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             }
             reject_observe("serve", observe)?;
             reject_recovery("serve", &pairs)?;
+            let (engine, rest) = parse_engine_args(&pairs)?;
             let mut serve = ServeArgs {
+                engine,
                 metrics_deterministic,
                 ..ServeArgs::default()
             };
             let mut unknown = Vec::new();
-            for &(flag, value) in &pairs {
+            for (flag, value) in rest {
                 match flag {
                     "--addr" => serve.addr = value.to_string(),
-                    "--jobs" => serve.jobs = Some(num(flag, value)?),
-                    "--cache" => serve.cache = Some(value.to_string()),
-                    "--cache-max-bytes" => serve.cache_max_bytes = Some(num(flag, value)?),
-                    "--cell-timeout-s" => serve.cell_timeout_s = Some(positive_secs(flag, value)?),
-                    "--retries" => serve.retries = Some(num(flag, value)?),
                     "--max-queue" => serve.max_queue = Some(num(flag, value)?),
                     "--http-workers" => serve.http_workers = Some(num(flag, value)?),
                     "--drain-timeout-s" => {
@@ -784,7 +792,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 }
             }
             reject_unknown(&unknown)?;
-            require_cache_for_cap(serve.cache_max_bytes, &serve.cache)?;
+            require_cache_for_cap(&serve.engine)?;
             require_metrics_for_deterministic(metrics_deterministic, &serve.metrics)?;
             if serve.max_queue == Some(0) {
                 return Err(CliError("--max-queue: must be > 0".to_string()));
@@ -836,18 +844,14 @@ fn reject_guard(sub: &str, pairs: &[(&str, &str)]) -> Result<(), CliError> {
 }
 
 /// A disk-cache byte cap with nothing on disk to cap is a configuration
-/// mistake, not a no-op: `--cache-max-bytes` requires `--cache DIR` or
-/// `OLAB_CACHE_DIR`.
-fn require_cache_for_cap(cap: Option<u64>, cache: &Option<String>) -> Result<(), CliError> {
-    if cap.is_none() || cache.is_some() {
-        return Ok(());
+/// mistake, not a no-op: `--cache-max-bytes` requires `--cache DIR`.
+fn require_cache_for_cap(engine: &EngineArgs) -> Result<(), CliError> {
+    if engine.cache_max_bytes.is_some() && engine.cache.is_none() {
+        return Err(CliError(
+            "--cache-max-bytes requires a disk cache (--cache DIR)".to_string(),
+        ));
     }
-    match std::env::var("OLAB_CACHE_DIR") {
-        Ok(dir) if !dir.is_empty() => Ok(()),
-        _ => Err(CliError(
-            "--cache-max-bytes requires a disk cache (--cache DIR or OLAB_CACHE_DIR)".to_string(),
-        )),
-    }
+    Ok(())
 }
 
 /// `--metrics` only makes sense where an engine runs long enough to have
@@ -997,8 +1001,8 @@ mod tests {
             panic!("expected sweep");
         };
         assert_eq!(sweep.batches, vec![4, 8, 64]);
-        assert_eq!(sweep.jobs, None);
-        assert_eq!(sweep.cache, None);
+        assert_eq!(sweep.engine.jobs, None);
+        assert_eq!(sweep.engine.cache, None);
     }
 
     #[test]
@@ -1007,8 +1011,8 @@ mod tests {
         let Command::Sweep(_, sweep) = cmd else {
             panic!("expected sweep");
         };
-        assert_eq!(sweep.jobs, Some(2));
-        assert_eq!(sweep.cache.as_deref(), Some("/tmp/olab-cache"));
+        assert_eq!(sweep.engine.jobs, Some(2));
+        assert_eq!(sweep.engine.cache.as_deref(), Some("/tmp/olab-cache"));
         assert_eq!(sweep.batches, vec![8, 16, 32], "default batch list");
     }
 
@@ -1047,7 +1051,7 @@ mod tests {
         assert_eq!(faults.seeds, vec![3, 5]);
         assert_eq!(faults.severities, vec![olab_faults::Severity::Severe]);
         assert!(faults.abort);
-        assert_eq!(faults.jobs, Some(2));
+        assert_eq!(faults.engine.jobs, Some(2));
     }
 
     #[test]
@@ -1132,9 +1136,9 @@ mod tests {
         let Command::Sweep(_, sweep) = cmd else {
             panic!("expected sweep");
         };
-        assert_eq!(sweep.cell_timeout_s, Some(2.5));
-        assert_eq!(sweep.retries, Some(3));
-        assert_eq!(sweep.cache_max_bytes, Some(1_048_576));
+        assert_eq!(sweep.engine.cell_timeout_s, Some(2.5));
+        assert_eq!(sweep.engine.retries, Some(3));
+        assert_eq!(sweep.engine.cache_max_bytes, Some(1_048_576));
 
         let cmd = parse(&argv(
             "faults --cache /tmp/olab-c --cell-timeout-s 1.5 --retries 2 --cache-max-bytes 4096",
@@ -1143,10 +1147,10 @@ mod tests {
         let Command::Faults(_, faults) = cmd else {
             panic!("expected faults");
         };
-        assert_eq!(faults.cache.as_deref(), Some("/tmp/olab-c"));
-        assert_eq!(faults.cell_timeout_s, Some(1.5));
-        assert_eq!(faults.retries, Some(2));
-        assert_eq!(faults.cache_max_bytes, Some(4096));
+        assert_eq!(faults.engine.cache.as_deref(), Some("/tmp/olab-c"));
+        assert_eq!(faults.engine.cell_timeout_s, Some(1.5));
+        assert_eq!(faults.engine.retries, Some(2));
+        assert_eq!(faults.engine.cache_max_bytes, Some(4096));
 
         let cmd = parse(&argv("observe --cell-timeout-s 4 --retries 1")).unwrap();
         let Command::Observe(_, obs) = cmd else {
@@ -1170,15 +1174,13 @@ mod tests {
 
     #[test]
     fn cache_cap_requires_a_disk_cache() {
-        // Only meaningful when OLAB_CACHE_DIR is not set in the test
-        // environment (CI runs it clean); with --cache it always parses.
-        if std::env::var("OLAB_CACHE_DIR").map_or(true, |v| v.is_empty()) {
-            let err = parse(&argv("sweep --cache-max-bytes 4096")).unwrap_err();
-            assert!(err.0.contains("--cache-max-bytes requires"), "{err}");
-            let err = parse(&argv("faults --cache-max-bytes 4096")).unwrap_err();
-            assert!(err.0.contains("--cache-max-bytes requires"), "{err}");
+        for sub in ["sweep", "faults", "serve"] {
+            let err = parse(&argv(&format!("{sub} --cache-max-bytes 4096"))).unwrap_err();
+            assert!(err.0.contains("--cache-max-bytes requires"), "{sub}: {err}");
+            assert!(err.0.contains("--cache DIR"), "{sub}: {err}");
+            let capped = format!("{sub} --cache /tmp/c --cache-max-bytes 4096");
+            assert!(parse(&argv(&capped)).is_ok(), "{sub}");
         }
-        assert!(parse(&argv("sweep --cache /tmp/c --cache-max-bytes 4096")).is_ok());
     }
 
     #[test]
@@ -1284,11 +1286,11 @@ mod tests {
             panic!("expected serve");
         };
         assert_eq!(serve.addr, "0.0.0.0:8080");
-        assert_eq!(serve.jobs, Some(2));
-        assert_eq!(serve.cache.as_deref(), Some("/tmp/c"));
-        assert_eq!(serve.cache_max_bytes, Some(4096));
-        assert_eq!(serve.cell_timeout_s, Some(2.5));
-        assert_eq!(serve.retries, Some(3));
+        assert_eq!(serve.engine.jobs, Some(2));
+        assert_eq!(serve.engine.cache.as_deref(), Some("/tmp/c"));
+        assert_eq!(serve.engine.cache_max_bytes, Some(4096));
+        assert_eq!(serve.engine.cell_timeout_s, Some(2.5));
+        assert_eq!(serve.engine.retries, Some(3));
         assert_eq!(serve.max_queue, Some(64));
         assert_eq!(serve.http_workers, Some(8));
         assert_eq!(serve.drain_timeout_s, Some(10.0));
@@ -1305,7 +1307,7 @@ mod tests {
             panic!("expected serve");
         };
         assert_eq!(serve.addr, "127.0.0.1:7979");
-        assert_eq!(serve.jobs, None);
+        assert_eq!(serve.engine.jobs, None);
         assert!(!serve.metrics_deterministic);
 
         let Command::Serve(serve) = parse(&argv("serve --oneshot seq=128&batch=2")).unwrap() else {
@@ -1323,9 +1325,7 @@ mod tests {
         assert!(parse(&argv("serve --max-queue 0")).is_err());
         assert!(parse(&argv("serve --http-workers 0")).is_err());
         assert!(parse(&argv("serve --cell-timeout-s 0")).is_err());
-        if std::env::var("OLAB_CACHE_DIR").map_or(true, |v| v.is_empty()) {
-            assert!(parse(&argv("serve --cache-max-bytes 4096")).is_err());
-        }
+        assert!(parse(&argv("serve --cache-max-bytes 4096")).is_err());
     }
 
     #[test]

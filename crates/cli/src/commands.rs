@@ -1,12 +1,13 @@
 //! Subcommand implementations (each returns the text to print).
 
 use crate::args::{
-    CliError, FaultsArgs, ObserveArgs, ResilienceArgs, RunArgs, ServeArgs, SweepArgs,
+    CliError, EngineArgs, FaultsArgs, ObserveArgs, ResilienceArgs, RunArgs, ServeArgs, SweepArgs,
 };
 use olab_core::adaptive::{tune_fsdp, Objective};
 use olab_core::report::{ms, pct, Table};
 use olab_core::Sweep;
 use olab_gpu::GpuSku;
+use olab_grid::{CacheValue, Executor, GridJob, GuardConfig, ProgressSink, SweepRun};
 use olab_models::ModelPreset;
 use olab_obs::{JsonlProgress, MultiSink, ObserveConfig, StderrProgress};
 use olab_power::Sampler;
@@ -145,34 +146,12 @@ pub fn run(args: &RunArgs) -> Result<String, CliError> {
 
 /// `olab sweep`.
 ///
-/// Runs the batch sweep on the `olab-grid` engine: cells fan out across
-/// `--jobs` workers (default `OLAB_JOBS`, then `available_parallelism`)
-/// and repeats are served from the content-addressed cache (persistent
-/// under `--cache DIR`, default `OLAB_CACHE_DIR`, else memory-only).
-/// Telemetry goes to stderr; the table on stdout stays machine-readable.
+/// Runs the batch sweep on the `olab-grid` engine the engine flags
+/// describe (see [`executor`]). Telemetry goes to stderr; the table on
+/// stdout stays machine-readable.
 pub fn sweep(args: &RunArgs, sweep_args: &SweepArgs) -> Result<String, CliError> {
     enable_metrics(&sweep_args.metrics);
-    let mut engine = Sweep::from_env();
-    if let Some(jobs) = sweep_args.jobs {
-        engine = engine.with_jobs(jobs);
-    }
-    if let Some(dir) = &sweep_args.cache {
-        engine = engine
-            .with_disk_cache(dir)
-            .map_err(|e| CliError(format!("--cache {dir}: {e}")))?;
-    }
-    // Flags override the OLAB_* environment the engine was seeded from.
-    let mut guard = *engine.guard();
-    if let Some(timeout) = sweep_args.cell_timeout_s {
-        guard.cell_timeout_s = Some(timeout);
-    }
-    if let Some(retries) = sweep_args.retries {
-        guard.retries = retries;
-    }
-    engine = engine.with_guard(guard);
-    if let Some(cap) = sweep_args.cache_max_bytes {
-        engine = engine.with_cache_cap(cap);
-    }
+    let engine = Sweep::from(executor(&sweep_args.engine)?);
 
     let grid: Vec<_> = sweep_args
         .batches
@@ -184,12 +163,8 @@ pub fn sweep(args: &RunArgs, sweep_args: &SweepArgs) -> Result<String, CliError>
         })
         .collect();
     let sinks = progress_sinks(sweep_args.observe, sweep_args.out_dir.as_deref())?;
-    let outcome = if sinks.is_empty() {
-        engine.run(&grid)
-    } else {
-        engine.run_with_progress(&grid, Some(&sinks))
-    };
-    outcome.log_stats();
+    let outcome = engine.run_guarded(&grid, engine.executor().guard(), sinks.as_deref());
+    outcome.stats.log();
     if sweep_args.observe {
         if let Some(dir) = &sweep_args.out_dir {
             let cfg = ObserveConfig {
@@ -282,7 +257,7 @@ pub fn chrome(args: &RunArgs) -> Result<String, CliError> {
 /// job reacts to each scenario under the chosen policy and the table
 /// becomes a recovery scorecard (goodput, lost work, time-to-recover).
 pub fn faults(args: &RunArgs, faults_args: &FaultsArgs) -> Result<String, CliError> {
-    use olab_faults::{CachedFaultCell, FaultCell, FaultScenarioSpec};
+    use olab_faults::{CachedFaultCell, FaultCell};
 
     enable_metrics(&faults_args.metrics);
     if let Some(policy) = faults_args.recovery {
@@ -290,30 +265,12 @@ pub fn faults(args: &RunArgs, faults_args: &FaultsArgs) -> Result<String, CliErr
     }
 
     let base = args.experiment();
-    let mut cells = Vec::new();
-    for &seed in &faults_args.seeds {
-        for &severity in &faults_args.severities {
-            let spec = if faults_args.abort {
-                FaultScenarioSpec::abort(seed, severity)
-            } else {
-                FaultScenarioSpec::degrade(seed, severity)
-            };
-            cells.push(FaultCell::new(base.clone(), spec));
-        }
-    }
-
-    let mut engine = olab_grid::Executor::new();
-    if let Some(jobs) = faults_args.jobs {
-        engine = engine.with_jobs(jobs);
-    }
-    engine = harden_executor(engine, faults_args)?;
-    let sinks = progress_sinks(faults_args.observe, faults_args.out_dir.as_deref())?;
-    let outcome = if sinks.is_empty() {
-        engine.run(&cells)
-    } else {
-        engine.run_with_progress(&cells, Some(&sinks))
-    };
-    eprintln!("{}", outcome.stats);
+    let cells: Vec<FaultCell> = faults_args
+        .specs()
+        .into_iter()
+        .map(|spec| FaultCell::new(base.clone(), spec))
+        .collect();
+    let outcome = run_fault_sweep(faults_args, &cells)?;
     if faults_args.observe {
         if let Some(dir) = &faults_args.out_dir {
             let cfg = ObserveConfig {
@@ -443,34 +400,15 @@ fn faults_with_recovery(
     faults_args: &FaultsArgs,
     policy: olab_resilience::RecoveryPolicy,
 ) -> Result<String, CliError> {
-    use olab_faults::FaultScenarioSpec;
     use olab_resilience::ResilienceCell;
 
     let base = args.experiment();
-    let mut cells = Vec::new();
-    for &seed in &faults_args.seeds {
-        for &severity in &faults_args.severities {
-            let spec = if faults_args.abort {
-                FaultScenarioSpec::abort(seed, severity)
-            } else {
-                FaultScenarioSpec::degrade(seed, severity)
-            };
-            cells.push(ResilienceCell::new(base.clone(), spec, policy));
-        }
-    }
-
-    let mut engine = olab_grid::Executor::new();
-    if let Some(jobs) = faults_args.jobs {
-        engine = engine.with_jobs(jobs);
-    }
-    engine = harden_executor(engine, faults_args)?;
-    let sinks = progress_sinks(faults_args.observe, faults_args.out_dir.as_deref())?;
-    let outcome = if sinks.is_empty() {
-        engine.run(&cells)
-    } else {
-        engine.run_with_progress(&cells, Some(&sinks))
-    };
-    eprintln!("{}", outcome.stats);
+    let cells: Vec<ResilienceCell> = faults_args
+        .specs()
+        .into_iter()
+        .map(|spec| ResilienceCell::new(base.clone(), spec, policy))
+        .collect();
+    let outcome = run_fault_sweep(faults_args, &cells)?;
     if faults_args.observe {
         if let Some(dir) = &faults_args.out_dir {
             let cfg = ObserveConfig {
@@ -510,30 +448,44 @@ fn faults_with_recovery(
     })
 }
 
-/// Applies the hardening flags shared by `faults` and
-/// `faults --recovery` to a grid executor: `--cache DIR`,
-/// `--cell-timeout-s`, `--retries`, `--cache-max-bytes`.
-fn harden_executor<V: olab_grid::CacheValue>(
-    mut engine: olab_grid::Executor<V>,
-    faults_args: &FaultsArgs,
-) -> Result<olab_grid::Executor<V>, CliError> {
-    if let Some(dir) = &faults_args.cache {
-        engine = engine
+/// Builds the grid engine the engine flags describe: `--jobs` workers
+/// (default `available_parallelism`), a disk cache tier under `--cache
+/// DIR` (default memory-only) capped at `--cache-max-bytes`, and a guard
+/// from `--cell-timeout-s` and `--retries`. `sweep`, `faults` and
+/// `resilience` build their engine here; `serve` hands the same fields
+/// to `ServeConfig`.
+fn executor<V: CacheValue>(engine: &EngineArgs) -> Result<Executor<V>, CliError> {
+    let mut executor = Executor::new();
+    if let Some(jobs) = engine.jobs {
+        executor = executor.with_jobs(jobs);
+    }
+    if let Some(dir) = &engine.cache {
+        executor = executor
             .with_disk_cache(dir)
             .map_err(|e| CliError(format!("--cache {dir}: {e}")))?;
     }
-    let mut guard = *engine.guard();
-    if let Some(timeout) = faults_args.cell_timeout_s {
-        guard.cell_timeout_s = Some(timeout);
+    if let Some(cap) = engine.cache_max_bytes {
+        executor = executor.with_cache_cap(cap);
     }
-    if let Some(retries) = faults_args.retries {
-        guard.retries = retries;
-    }
-    engine = engine.with_guard(guard);
-    if let Some(cap) = faults_args.cache_max_bytes {
-        engine = engine.with_cache_cap(cap);
-    }
-    Ok(engine)
+    Ok(executor.with_guard(GuardConfig {
+        cell_timeout_s: engine.cell_timeout_s,
+        retries: engine.retries.unwrap_or(0),
+        ..GuardConfig::default()
+    }))
+}
+
+/// Runs the cells of `faults` or `faults --recovery` on the engine the
+/// flags describe, reporting `--observe` progress, and logs the telemetry
+/// line.
+fn run_fault_sweep<J: GridJob>(
+    faults_args: &FaultsArgs,
+    cells: &[J],
+) -> Result<SweepRun<J::Output>, CliError> {
+    let engine = executor(&faults_args.engine)?;
+    let sinks = progress_sinks(faults_args.observe, faults_args.out_dir.as_deref())?;
+    let outcome = engine.run_guarded(cells, engine.guard(), sinks.as_deref());
+    outcome.stats.log();
+    Ok(outcome)
 }
 
 /// `olab resilience`: run every recovery policy against the same fault
@@ -550,12 +502,12 @@ pub fn resilience(args: &RunArgs, res: &ResilienceArgs) -> Result<String, CliErr
         &res.seeds,
     );
 
-    let mut engine = olab_grid::Executor::new();
-    if let Some(jobs) = res.jobs {
-        engine = engine.with_jobs(jobs);
-    }
-    let outcome = engine.run(&cells);
-    eprintln!("{}", outcome.stats);
+    let outcome = executor(&EngineArgs {
+        jobs: res.jobs,
+        ..EngineArgs::default()
+    })?
+    .run(&cells);
+    outcome.stats.log();
 
     let mut headers = vec!["Seed", "Policy"];
     headers.extend(RECOVERY_COLUMNS);
@@ -669,13 +621,17 @@ fn write_metrics(metrics: &Option<String>, deterministic: bool) -> Result<(), Cl
 
 /// Builds the live-progress fan-out for `--observe`: a stderr status line
 /// plus, when `--out-dir` is given, a `progress.jsonl` stream inside it.
-/// The progress feed is wall-clock ordered — it is deliberately outside
-/// the determinism guarantee the artifacts carry.
-fn progress_sinks(observe: bool, out_dir: Option<&str>) -> Result<MultiSink, CliError> {
-    let mut sinks = MultiSink::new();
+/// `None` without `--observe`. The progress feed is wall-clock ordered —
+/// it is deliberately outside the determinism guarantee the artifacts
+/// carry.
+fn progress_sinks(
+    observe: bool,
+    out_dir: Option<&str>,
+) -> Result<Option<Box<dyn ProgressSink>>, CliError> {
     if !observe {
-        return Ok(sinks);
+        return Ok(None);
     }
+    let mut sinks = MultiSink::new();
     sinks.push(Box::new(StderrProgress::new(1)));
     if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir).map_err(|e| CliError(format!("--out-dir {dir}: {e}")))?;
@@ -684,7 +640,7 @@ fn progress_sinks(observe: bool, out_dir: Option<&str>) -> Result<MultiSink, Cli
             .map_err(|e| CliError(format!("{}: {e}", path.display())))?;
         sinks.push(Box::new(JsonlProgress::new(file)));
     }
-    Ok(sinks)
+    Ok(Some(Box::new(sinks)))
 }
 
 /// Writes one cell's artifact under `DIR/cell-NNN/`.
@@ -715,17 +671,14 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
         metrics_deterministic: args.metrics_deterministic,
         ..olab_serve::ServeConfig::default()
     };
-    cfg.cache_dir = args.cache.as_ref().map(std::path::PathBuf::from);
-    cfg.cache_max_bytes = args.cache_max_bytes;
-    cfg.cell_timeout_s = args.cell_timeout_s;
+    let engine = &args.engine;
+    cfg.jobs = engine.jobs.unwrap_or(cfg.jobs);
+    cfg.cache_dir = engine.cache.as_ref().map(std::path::PathBuf::from);
+    cfg.cache_max_bytes = engine.cache_max_bytes;
+    cfg.cell_timeout_s = engine.cell_timeout_s;
+    cfg.retries = engine.retries.unwrap_or(cfg.retries);
     cfg.metrics_out = args.metrics.as_ref().map(std::path::PathBuf::from);
     cfg.log = args.log.as_ref().map(std::path::PathBuf::from);
-    if let Some(jobs) = args.jobs {
-        cfg.jobs = jobs;
-    }
-    if let Some(retries) = args.retries {
-        cfg.retries = retries;
-    }
     if let Some(depth) = args.max_queue {
         cfg.max_queue = depth;
     }
@@ -842,10 +795,17 @@ mod tests {
         assert!(out.contains("x TDP"));
     }
 
+    fn jobs(n: usize) -> EngineArgs {
+        EngineArgs {
+            jobs: Some(n),
+            ..EngineArgs::default()
+        }
+    }
+
     fn sweep_args(batches: &[u64]) -> SweepArgs {
         SweepArgs {
             batches: batches.to_vec(),
-            jobs: Some(2),
+            engine: jobs(2),
             ..Default::default()
         }
     }
@@ -869,10 +829,10 @@ mod tests {
             ..Default::default()
         };
         let mut hardened = sweep_args(&[4, 8]);
-        hardened.cache = Some(dir.display().to_string());
-        hardened.cache_max_bytes = Some(1_000_000);
-        hardened.cell_timeout_s = Some(120.0);
-        hardened.retries = Some(2);
+        hardened.engine.cache = Some(dir.display().to_string());
+        hardened.engine.cache_max_bytes = Some(1_000_000);
+        hardened.engine.cell_timeout_s = Some(120.0);
+        hardened.engine.retries = Some(2);
         assert_eq!(
             sweep(&args, &hardened).unwrap(),
             sweep(&args, &sweep_args(&[4, 8])).unwrap(),
@@ -888,7 +848,7 @@ mod tests {
             ..Default::default()
         };
         let mut serial = sweep_args(&[4, 8, 16]);
-        serial.jobs = Some(1);
+        serial.engine.jobs = Some(1);
         let parallel = sweep_args(&[4, 8, 16]);
         assert_eq!(
             sweep(&args, &serial).unwrap(),
@@ -904,11 +864,39 @@ mod tests {
             ..Default::default()
         };
         let mut with_cache = sweep_args(&[4]);
-        with_cache.cache = Some(dir.display().to_string());
+        with_cache.engine.cache = Some(dir.display().to_string());
         let out = sweep(&args, &with_cache).unwrap();
         assert_eq!(out.lines().count(), 3, "header + separator + 1 row");
         let entries = std::fs::read_dir(&dir).unwrap().count();
         assert!(entries > 0, "cache dir has entries");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn faults_uses_the_disk_cache_dir() {
+        let dir = temp_dir("faults-cache");
+        let _ = std::fs::remove_dir_all(&dir);
+        let fa = FaultsArgs {
+            seeds: vec![1],
+            severities: vec![olab_faults::Severity::Mild, olab_faults::Severity::Severe],
+            engine: EngineArgs {
+                cache: Some(dir.display().to_string()),
+                ..jobs(2)
+            },
+            ..Default::default()
+        };
+        let cold = faults(&small_args(), &fa).unwrap();
+
+        // A fresh engine over the same directory re-simulates nothing.
+        let cells: Vec<_> = fa
+            .specs()
+            .into_iter()
+            .map(|spec| olab_faults::FaultCell::new(small_args().experiment(), spec))
+            .collect();
+        let warm = run_fault_sweep(&fa, &cells).unwrap();
+        assert_eq!(warm.stats.simulated, 0, "{}", warm.stats);
+        assert_eq!(warm.stats.disk_hits, cells.len(), "{}", warm.stats);
+        assert_eq!(faults(&small_args(), &fa).unwrap(), cold);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -944,7 +932,7 @@ mod tests {
         let faults_args = FaultsArgs {
             seeds: vec![1, 2],
             severities: vec![olab_faults::Severity::Mild, olab_faults::Severity::Severe],
-            jobs: Some(2),
+            engine: jobs(2),
             ..Default::default()
         };
         let out = faults(&args, &faults_args).unwrap();
@@ -963,9 +951,9 @@ mod tests {
             seeds: vec![7],
             ..Default::default()
         };
-        serial.jobs = Some(1);
+        serial.engine.jobs = Some(1);
         let mut parallel = serial.clone();
-        parallel.jobs = Some(4);
+        parallel.engine.jobs = Some(4);
         assert_eq!(
             faults(&args, &serial).unwrap(),
             faults(&args, &parallel).unwrap()
@@ -1066,7 +1054,7 @@ mod tests {
         let fa = FaultsArgs {
             seeds: vec![1],
             severities: vec![olab_faults::Severity::Mild],
-            jobs: Some(1),
+            engine: jobs(1),
             observe: true,
             out_dir: Some(dir.display().to_string()),
             sample_ms: 10.0,
@@ -1095,7 +1083,7 @@ mod tests {
             seeds: vec![3],
             severities: vec![olab_faults::Severity::Severe],
             abort: true,
-            jobs: Some(1),
+            engine: jobs(1),
             recovery: Some(olab_resilience::RecoveryPolicy::ElasticContinue),
             ..Default::default()
         };
@@ -1187,7 +1175,7 @@ mod tests {
             seeds: vec![3],
             severities: vec![olab_faults::Severity::Severe],
             abort: true,
-            jobs: Some(1),
+            engine: jobs(1),
             observe: true,
             out_dir: Some(dir.display().to_string()),
             sample_ms: 10.0,

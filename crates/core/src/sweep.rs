@@ -14,13 +14,11 @@
 
 use crate::{Experiment, ExperimentError, ExperimentReport, OverlapMetrics};
 use olab_grid::{
-    CacheCost, CacheCounters, CacheHealth, CacheValue, CellFailure, Executor, GridJob, GuardConfig,
-    ProgressSink, Reader, SweepRun, SweepStats, Writer,
+    CacheCost, CacheValue, CellFailure, Executor, GridJob, GuardConfig, ProgressSink, Reader,
+    SweepRun, SweepStats, Writer,
 };
 use olab_models::memory::ActivationPolicy;
 use std::fmt;
-use std::io;
-use std::path::PathBuf;
 
 /// Version of the [`CellMetrics`] wire encoding. Part of every cache
 /// descriptor, so a layout change invalidates old disk entries instead of
@@ -382,26 +380,6 @@ impl GridJob for Experiment {
     }
 }
 
-/// Environment variable overriding the default worker count for sweeps
-/// built with [`Sweep::from_env`] (the `regen` binary).
-pub const JOBS_ENV: &str = "OLAB_JOBS";
-
-/// Environment variable pointing sweeps built with [`Sweep::from_env`] at
-/// a persistent disk cache directory.
-pub const CACHE_DIR_ENV: &str = "OLAB_CACHE_DIR";
-
-/// Environment variable setting a per-cell wall-clock deadline, seconds,
-/// for sweeps built with [`Sweep::from_env`].
-pub const CELL_TIMEOUT_ENV: &str = "OLAB_CELL_TIMEOUT_S";
-
-/// Environment variable setting the per-cell retry budget for sweeps
-/// built with [`Sweep::from_env`].
-pub const RETRIES_ENV: &str = "OLAB_RETRIES";
-
-/// Environment variable capping the disk cache tier, bytes, for sweeps
-/// built with [`Sweep::from_env`].
-pub const CACHE_MAX_BYTES_ENV: &str = "OLAB_CACHE_MAX_BYTES";
-
 /// The results of one sweep, index-aligned with the submitted cells.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
@@ -411,15 +389,12 @@ pub struct SweepOutcome {
     pub stats: SweepStats,
 }
 
-impl SweepOutcome {
-    /// Writes the one-line sweep telemetry to stderr (stderr so that
-    /// markdown/CSV tables on stdout stay machine-readable).
-    pub fn log_stats(&self) {
-        eprintln!("[olab-grid] {}", self.stats);
-    }
-}
-
-/// The sweep front-end: a configured grid engine for experiment cells.
+/// The sweep front-end: an [`Executor<CachedCell>`] whose outcomes come
+/// back as [`CellOutcome`]s, with a [`CellFailure`] (panic, missed
+/// deadline, exhausted retries) folded into [`CellError`].
+///
+/// Configure the engine with the [`Executor`] builders and wrap it with
+/// [`Sweep::from`]; [`Sweep::executor`] reads the configuration back.
 pub struct Sweep {
     engine: Executor<CachedCell>,
 }
@@ -428,145 +403,37 @@ impl Sweep {
     /// A sweep engine with `available_parallelism` workers and an
     /// in-memory cache.
     pub fn new() -> Self {
-        Sweep {
-            engine: Executor::new(),
-        }
-    }
-
-    /// A sweep engine configured from the environment: worker count from
-    /// `OLAB_JOBS`, disk cache from `OLAB_CACHE_DIR`, per-cell deadline
-    /// from `OLAB_CELL_TIMEOUT_S`, retry budget from `OLAB_RETRIES`, and
-    /// disk-cache byte cap from `OLAB_CACHE_MAX_BYTES`. Unset, unparsable,
-    /// or uncreatable values fall back to the defaults (parallel,
-    /// memory-only, unguarded, uncapped).
-    pub fn from_env() -> Self {
-        let mut sweep = Sweep::new();
-        if let Some(jobs) = std::env::var(JOBS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            sweep = sweep.with_jobs(jobs);
-        }
-        if let Ok(dir) = std::env::var(CACHE_DIR_ENV) {
-            if !dir.is_empty() {
-                if let Ok(with_disk) = Sweep::new().with_disk_cache(&dir) {
-                    sweep = Sweep {
-                        engine: with_disk.engine.with_jobs(sweep.engine.pool().workers()),
-                    };
-                }
-            }
-        }
-        let mut guard = GuardConfig::default();
-        if let Some(timeout) = std::env::var(CELL_TIMEOUT_ENV)
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|t| t.is_finite() && *t > 0.0)
-        {
-            guard.cell_timeout_s = Some(timeout);
-        }
-        if let Some(retries) = std::env::var(RETRIES_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-        {
-            guard.retries = retries;
-        }
-        sweep = sweep.with_guard(guard);
-        if let Some(cap) = std::env::var(CACHE_MAX_BYTES_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            sweep = sweep.with_cache_cap(cap);
-        }
-        sweep
+        Sweep::from(Executor::new())
     }
 
     /// Overrides the worker count (`1` forces a serial sweep).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.engine = self.engine.with_jobs(jobs);
-        self
+    pub fn with_jobs(self, jobs: usize) -> Self {
+        Sweep::from(self.engine.with_jobs(jobs))
     }
 
-    /// Adds an on-disk cache tier under `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the directory cannot be created.
-    pub fn with_disk_cache(mut self, dir: impl Into<PathBuf>) -> io::Result<Self> {
-        self.engine = self.engine.with_disk_cache(dir)?;
-        Ok(self)
-    }
-
-    /// Overrides the execution guard (per-cell deadline, retry budget).
-    pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.engine = self.engine.with_guard(guard);
-        self
-    }
-
-    /// Caps the disk cache tier at `max_bytes`; excess entries are evicted
-    /// deterministically (cold first, ascending key) at the end of a run.
-    pub fn with_cache_cap(mut self, max_bytes: u64) -> Self {
-        self.engine = self.engine.with_cache_cap(max_bytes);
-        self
-    }
-
-    /// Arms deterministic fault injection on the engine and its cache
-    /// (see `olab_grid::chaos`). Feature-gated; soak harnesses only.
-    #[cfg(feature = "chaos")]
-    pub fn with_chaos(mut self, plan: olab_grid::ChaosPlan) -> Self {
-        self.engine = self.engine.with_chaos(plan);
-        self
-    }
-
-    /// Worker threads this sweep will use.
-    pub fn jobs(&self) -> usize {
-        self.engine.pool().workers()
-    }
-
-    /// The execution guard the sweep runs under.
-    pub fn guard(&self) -> &GuardConfig {
-        self.engine.guard()
-    }
-
-    /// A point-in-time snapshot of cache health (tiering, degradation,
-    /// disk usage against the cap).
-    pub fn cache_health(&self) -> CacheHealth {
-        self.engine.cache().health()
-    }
-
-    /// Hit/miss/store counters of the underlying cache.
-    pub fn cache_counters(&self) -> CacheCounters {
-        self.engine.cache().counters()
+    /// The engine this sweep runs on: its pool, guard and cache.
+    pub fn executor(&self) -> &Executor<CachedCell> {
+        &self.engine
     }
 
     /// Runs every cell — parallel across the pool, misses simulated,
     /// hits served from cache — returning outcomes in input order.
     pub fn run(&self, cells: &[Experiment]) -> SweepOutcome {
-        self.run_with_progress(cells, None)
+        self.run_guarded(cells, self.engine.guard(), None)
     }
 
-    /// Like [`Sweep::run`], reporting each resolved cell to `sink` as it
-    /// completes (live progress for long sweeps). Sink time is accounted
-    /// in [`SweepStats::observer_s`], never in the cache/throughput
-    /// numbers; cell outcomes are byte-identical with or without a sink.
-    pub fn run_with_progress(
-        &self,
-        cells: &[Experiment],
-        sink: Option<&dyn ProgressSink>,
-    ) -> SweepOutcome {
-        self.run_guarded(cells, *self.engine.guard(), sink)
-    }
-
-    /// Like [`Sweep::run_with_progress`], but under `guard` instead of the
-    /// engine's own guard — the deadline-propagation hook: a serving
-    /// front-end tightens the per-cell deadline to each request's own
-    /// budget while concurrent runs keep sharing one engine and cache.
+    /// Like [`Sweep::run`], but under `guard` and reporting each resolved
+    /// cell to `sink` (see [`Executor::run_guarded`]). Pass
+    /// `sweep.executor().guard()` to keep the engine's own guard; a
+    /// serving front-end passes a tighter per-request deadline instead.
+    /// Cell outcomes are byte-identical with or without a sink.
     pub fn run_guarded(
         &self,
         cells: &[Experiment],
-        guard: GuardConfig,
+        guard: &GuardConfig,
         sink: Option<&dyn ProgressSink>,
     ) -> SweepOutcome {
-        let SweepRun { outputs, stats } = self.engine.run_guarded(cells, &guard, sink);
+        let SweepRun { outputs, stats } = self.engine.run_guarded(cells, guard, sink);
         SweepOutcome {
             cells: outputs
                 .into_iter()
@@ -577,6 +444,12 @@ impl Sweep {
                 .collect(),
             stats,
         }
+    }
+}
+
+impl From<Executor<CachedCell>> for Sweep {
+    fn from(engine: Executor<CachedCell>) -> Self {
+        Sweep { engine }
     }
 }
 

@@ -7,7 +7,7 @@
 //! never collide with its fault-free twin or with a different scenario.
 
 use crate::run::{run_with_faults, FaultError, ResilienceMetrics};
-use crate::scenario::{FaultScenarioSpec, Severity};
+use crate::scenario::FaultScenarioSpec;
 use olab_core::sweep::cell_descriptor;
 use olab_core::Experiment;
 use olab_grid::{CacheValue, GridJob, Reader, Writer};
@@ -128,25 +128,10 @@ impl GridJob for FaultCell {
     }
 }
 
-/// The faults experiment grid: `base` crossed with every severity for each
-/// seed — the sweep behind the CLI `faults` subcommand and the CI smoke
-/// step.
-pub fn severity_grid(base: &Experiment, seeds: &[u64], severities: &[Severity]) -> Vec<FaultCell> {
-    let mut cells = Vec::with_capacity(seeds.len() * severities.len());
-    for &seed in seeds {
-        for &severity in severities {
-            cells.push(FaultCell::new(
-                base.clone(),
-                FaultScenarioSpec::degrade(seed, severity),
-            ));
-        }
-    }
-    cells
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Severity;
     use olab_core::Strategy;
     use olab_gpu::SkuKind;
     use olab_grid::Executor;
@@ -215,7 +200,15 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_sweeps_agree_bit_for_bit() {
-        let cells = severity_grid(&small_experiment(), &[1, 2], Severity::ALL.as_slice());
+        let mut cells = Vec::new();
+        for seed in [1, 2] {
+            for severity in Severity::ALL {
+                cells.push(FaultCell::new(
+                    small_experiment(),
+                    FaultScenarioSpec::degrade(seed, severity),
+                ));
+            }
+        }
         let serial: Vec<_> = Executor::new()
             .with_jobs(1)
             .run(&cells)

@@ -23,7 +23,7 @@ mod machine;
 mod run;
 mod scenario;
 
-pub use cell::{severity_grid, CachedFaultCell, FaultCell};
+pub use cell::{CachedFaultCell, FaultCell};
 pub use machine::{AbortInfo, FaultEvent, FaultEventKind, FaultStats, FaultyMachine};
 pub use run::{
     fault_annotations, run_under_faults, run_with_faults, FaultError, FaultReport, FaultRun,

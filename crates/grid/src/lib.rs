@@ -199,24 +199,17 @@ impl<V: CacheValue> Executor<V> {
     /// Runs every job — cache lookups first, simulations for the misses —
     /// and returns outputs in input order with sweep telemetry.
     pub fn run<J: GridJob<Output = V>>(&self, jobs: &[J]) -> SweepRun<V> {
-        self.run_with_progress(jobs, None)
+        self.run_guarded(jobs, &self.guard, None)
     }
 
-    /// Like [`Executor::run`], reporting each resolved cell to `sink` as
-    /// it completes (see [`ProgressSink`] for threading and ordering
-    /// semantics). Time spent inside the sink is accumulated into
-    /// [`SweepStats::observer_s`]; with `None` this is exactly
-    /// [`Executor::run`] — no timing, no counting, no overhead.
-    pub fn run_with_progress<J: GridJob<Output = V>>(
-        &self,
-        jobs: &[J],
-        sink: Option<&dyn ProgressSink>,
-    ) -> SweepRun<V> {
-        self.run_guarded(jobs, &self.guard, sink)
-    }
-
-    /// Like [`Executor::run_with_progress`] but under `guard` instead of
-    /// the engine-level policy, leaving the engine untouched. This is the
+    /// Like [`Executor::run`], but under `guard` and reporting each
+    /// resolved cell to `sink` as it completes (see [`ProgressSink`] for
+    /// threading and ordering semantics). Time spent inside the sink is
+    /// accumulated into [`SweepStats::observer_s`]; with `None` there is no
+    /// timing, no counting, no overhead. Pass [`Executor::guard`] to keep
+    /// the engine-level policy.
+    ///
+    /// A different `guard` leaves the engine untouched. This is the
     /// deadline-propagation hook for a serving front-end: a request-scoped
     /// deadline (e.g. an HTTP `timeout_ms`) becomes the cooperative
     /// [`CellCtx`] deadline of exactly this run, so a dead client's cell
@@ -604,7 +597,7 @@ mod tests {
         let xs: Vec<u64> = (0..24).collect();
         let engine = Executor::new().with_jobs(4);
         let sink = Collecting::default();
-        let cold = engine.run_with_progress(&jobs(&xs, &executions), Some(&sink));
+        let cold = engine.run_guarded(&jobs(&xs, &executions), engine.guard(), Some(&sink));
         assert_eq!(cold.stats.simulated, 24);
         assert!(
             cold.stats.observer_s > 0.0,
@@ -630,7 +623,7 @@ mod tests {
         }
 
         // A warm sweep reports the same cells as memory hits.
-        let warm = engine.run_with_progress(&jobs(&xs, &executions), Some(&sink));
+        let warm = engine.run_guarded(&jobs(&xs, &executions), engine.guard(), Some(&sink));
         assert_eq!(warm.stats.memory_hits, 24);
         let seen = sink.seen.lock().unwrap();
         assert_eq!(seen.len(), 24);
@@ -844,8 +837,7 @@ mod tests {
         let sink = HookCounter::default();
         let run = Executor::new()
             .with_jobs(2)
-            .with_guard(guard)
-            .run_with_progress(&cells, Some(&sink));
+            .run_guarded(&cells, &guard, Some(&sink));
         assert_eq!(run.stats.panicked, 1);
         assert_eq!(sink.retries.load(Ordering::SeqCst), 1, "one retry started");
         assert_eq!(sink.timeouts.load(Ordering::SeqCst), 1, "one final timeout");

@@ -92,6 +92,13 @@ impl SweepStats {
     pub fn summary(&self) -> String {
         format!("{self}")
     }
+
+    /// Writes the one-line summary to stderr behind the `[olab-grid] `
+    /// prefix every grid front-end shares (stderr, so tables on stdout
+    /// stay machine-readable).
+    pub fn log(&self) {
+        eprintln!("[olab-grid] {self}");
+    }
 }
 
 impl fmt::Display for SweepStats {

@@ -1,7 +1,8 @@
 //! Sweep progress sinks: live stderr status and a JSONL progress stream.
 //!
 //! These implement [`olab_grid::ProgressSink`] and are wired into sweeps
-//! via `Sweep::run_with_progress` / `Executor::run_with_progress`.
+//! as the `sink` argument of `Sweep::run_guarded` /
+//! `Executor::run_guarded`.
 //! Progress updates arrive in *completion* order from worker threads —
 //! the stream is wall-clock ordered and explicitly **not** part of the
 //! determinism guarantee (the artifacts are; the progress feed is not).

@@ -74,9 +74,8 @@ fn sweep_progress_stream_does_not_perturb_outcomes() {
     let cells = vec![cell(), cell().with_seq(128)];
     let quiet = Sweep::new().with_jobs(2).run(&cells);
     let sink = JsonlProgress::new(Vec::new());
-    let observed = Sweep::new()
-        .with_jobs(2)
-        .run_with_progress(&cells, Some(&sink));
+    let sweep = Sweep::new().with_jobs(2);
+    let observed = sweep.run_guarded(&cells, sweep.executor().guard(), Some(&sink));
     assert_eq!(quiet.cells, observed.cells, "sink must not change results");
     assert!(observed.stats.observer_s > 0.0);
     assert_eq!(quiet.stats.observer_s, 0.0);

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use olab_core::sweep::{cell_descriptor, cell_key};
 use olab_core::{CellError, Sweep};
 use olab_grid::AdmissionQueue;
-use olab_grid::{CoalesceMap, GuardConfig, Join, RejectReason, WaitOutcome};
+use olab_grid::{CoalesceMap, Executor, GuardConfig, Join, RejectReason, WaitOutcome};
 use olab_obs::{JsonlProgress, ObsEvent};
 
 use crate::http::{read_request, write_response, Request};
@@ -244,7 +244,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
 
-    let mut engine = Sweep::new();
+    let mut engine = Executor::new();
     if cfg.jobs > 0 {
         engine = engine.with_jobs(cfg.jobs);
     }
@@ -267,6 +267,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     if let Some(plan) = cfg.chaos {
         engine = engine.with_chaos(plan);
     }
+    let engine = Sweep::from(engine);
 
     let log = match &cfg.log {
         Some(path) => Some(JsonlProgress::new(BufWriter::new(File::create(path)?))),
@@ -404,7 +405,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             let _ = write_response(&stream, 200, "application/json", &[], &health_body(shared));
         }
         ("GET", "/readyz") => {
-            let health = shared.engine.cache_health();
+            let health = shared.engine.executor().cache().health();
             if shared.draining.load(Ordering::SeqCst) {
                 let _ = write_response(&stream, 503, "text/plain", &[], "draining\n");
             } else if health.degraded {
@@ -442,7 +443,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 }
 
 fn health_body(shared: &Shared) -> String {
-    let health = shared.engine.cache_health();
+    let health = shared.engine.executor().cache().health();
     let draining = shared.draining.load(Ordering::SeqCst);
     let status = if draining {
         "draining"
@@ -488,7 +489,7 @@ fn handle_cell(shared: &Shared, stream: TcpStream, req: &Request, request_id: u6
     for _ in 0..2 {
         match shared.coalesce.join(key) {
             Join::Leader(leader) => {
-                let mut guard = *shared.engine.guard();
+                let mut guard = *shared.engine.executor().guard();
                 if let Some(ms) = cell.timeout_ms {
                     let budget_s = ms as f64 / 1000.0;
                     guard.cell_timeout_s = Some(match guard.cell_timeout_s {
@@ -498,7 +499,7 @@ fn handle_cell(shared: &Shared, stream: TcpStream, req: &Request, request_id: u6
                 }
                 let outcome = shared
                     .engine
-                    .run_guarded(std::slice::from_ref(&cell.experiment), guard, None)
+                    .run_guarded(std::slice::from_ref(&cell.experiment), &guard, None)
                     .cells
                     .remove(0);
                 let status = match &outcome {

@@ -5,6 +5,7 @@
 use olab_core::sweep::{cell_descriptor, cell_descriptor_versioned, cell_key, CELL_SCHEMA_VERSION};
 use olab_core::{registry, Experiment, Strategy, Sweep};
 use olab_gpu::SkuKind;
+use olab_grid::Executor;
 use olab_models::ModelPreset;
 
 /// The paper's main grid, shrunk to a fast sequence length so the full
@@ -94,18 +95,22 @@ fn disk_cache_survives_engine_restarts() {
         Experiment::new(SkuKind::H100, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(256);
     let grid = vec![cell];
 
-    let first = Sweep::new()
-        .with_jobs(2)
-        .with_disk_cache(&dir)
-        .expect("cache dir creatable");
+    let first = Sweep::from(
+        Executor::new()
+            .with_jobs(2)
+            .with_disk_cache(&dir)
+            .expect("cache dir creatable"),
+    );
     let cold = first.run(&grid);
     assert_eq!(cold.stats.simulated, 1);
 
     // A fresh engine (empty memory tier) must hit the disk tier.
-    let second = Sweep::new()
-        .with_jobs(2)
-        .with_disk_cache(&dir)
-        .expect("cache dir reusable");
+    let second = Sweep::from(
+        Executor::new()
+            .with_jobs(2)
+            .with_disk_cache(&dir)
+            .expect("cache dir reusable"),
+    );
     let warm = second.run(&grid);
     assert_eq!(warm.stats.simulated, 0, "disk hit, no simulation");
     assert_eq!(warm.stats.disk_hits, 1);
