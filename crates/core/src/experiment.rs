@@ -392,20 +392,21 @@ impl Experiment {
     }
 
     /// The three legs and the derived metrics of a validated experiment
-    /// on `machine`.
+    /// on `machine`. The schedule is lowered once: the ideal leg reruns the
+    /// overlapped schedule on the uncontended machine, and the sequential
+    /// leg then chains that same schedule per GPU in place, so only one
+    /// workload is ever alive.
     fn run_on(
         &self,
         policy: ActivationPolicy,
         machine: &Machine,
     ) -> Result<ExperimentReport, ExperimentError> {
-        let overlapped = execute(&self.timeline(ExecutionMode::Overlapped, policy)?, machine)?;
-        let sequential = execute(&self.timeline(ExecutionMode::Sequential, policy)?, machine)?;
+        let workload = self.timeline(ExecutionMode::Overlapped, policy)?;
+        let overlapped = execute(&workload, machine)?;
         // Only the ideal leg's end-to-end time is reported, so the lean
         // executor serves it without materializing a trace.
-        let ideal = execute_lean(
-            &self.timeline(ExecutionMode::Overlapped, policy)?,
-            &machine.uncontended(),
-        )?;
+        let ideal = execute_lean(&workload, &machine.uncontended())?;
+        let sequential = execute(&workload.into_sequential(), machine)?;
 
         let metrics = OverlapMetrics::derive(&overlapped, &sequential);
         let sampled = overlapped.gpus[0].power.sample(self.sampler());

@@ -65,22 +65,14 @@ pub fn observe_cell(exp: &Experiment, cfg: &ObserveConfig) -> Result<RunArtifact
     let machine = exp.machine();
 
     let (mut recorder, events) = recorder_with_log();
-    let overlapped = execute_model(
-        &exp.timeline(ExecutionMode::Overlapped, policy)?,
-        machine.clone(),
-        &mut recorder,
-    )?;
+    let workload = exp.timeline(ExecutionMode::Overlapped, policy)?;
+    let overlapped = execute_model(&workload, machine.clone(), &mut recorder)?;
 
-    // The unobserved auxiliary runs are independent: fan out.
+    // The unobserved auxiliary runs are independent: fan out. Both reuse
+    // the one lowered schedule; the sequential run chains a copy per GPU.
     let aux: Vec<(Workload<Op>, Machine)> = vec![
-        (
-            exp.timeline(ExecutionMode::Sequential, policy)?,
-            machine.clone(),
-        ),
-        (
-            exp.timeline(ExecutionMode::Overlapped, policy)?,
-            machine.uncontended(),
-        ),
+        (workload.clone().into_sequential(), machine.clone()),
+        (workload, machine.uncontended()),
     ];
     let mut aux_runs = Pool::new(cfg.jobs).map(&aux, |(w, m)| execute(w, m));
     let ideal = aux_runs.pop().expect("ideal run present")?;

@@ -1,21 +1,22 @@
 //! Schedule construction with optional sequential serialization.
 
 use crate::{ExecutionMode, Op};
-use olab_sim::{GpuId, TaskId, TaskSpec, Workload};
+use olab_sim::{TaskId, TaskSpec, Workload};
 
-/// Builds a [`Workload`] of [`Op`]s, optionally serializing communication
-/// against computation per GPU.
+/// Builds a [`Workload`] of [`Op`]s in program order.
 ///
-/// In [`ExecutionMode::Sequential`], every pushed task additionally depends
-/// on the previously pushed task of *every* participant GPU, regardless of
-/// stream — so nothing on a GPU ever runs concurrently with anything else on
-/// that GPU. Tasks must therefore be pushed in a valid execution order
-/// (schedules here always are: they are emitted in program order).
+/// Tasks are pushed exactly as the overlapped schedule issues them. In
+/// [`ExecutionMode::Sequential`], [`ScheduleBuilder::build`] serializes the
+/// finished schedule with [`Workload::into_sequential`]: every task then
+/// also depends on the previously pushed task of *every* participant GPU,
+/// regardless of stream, so nothing on a GPU ever runs concurrently with
+/// anything else on that GPU. Tasks must therefore be pushed in a valid
+/// execution order (schedules here always are: they are emitted in program
+/// order).
 #[derive(Debug)]
 pub struct ScheduleBuilder {
     workload: Workload<Op>,
     mode: ExecutionMode,
-    last_on_gpu: Vec<Option<TaskId>>,
 }
 
 impl ScheduleBuilder {
@@ -24,7 +25,6 @@ impl ScheduleBuilder {
         ScheduleBuilder {
             workload: Workload::new(n_gpus),
             mode,
-            last_on_gpu: vec![None; n_gpus],
         }
     }
 
@@ -33,32 +33,17 @@ impl ScheduleBuilder {
         self.mode
     }
 
-    /// Pushes a task, applying sequential-mode serialization.
-    pub fn push(&mut self, mut spec: TaskSpec<Op>) -> TaskId {
-        if self.mode == ExecutionMode::Sequential {
-            for gpu in spec.participants.clone() {
-                if let Some(prev) = self.last_on_gpu[gpu.index()] {
-                    if !spec.deps.contains(&prev) {
-                        spec.deps.push(prev);
-                    }
-                }
-            }
-        }
-        let id = self.workload.push(spec);
-        for gpu in self.workload.tasks()[id.index()].participants.clone() {
-            self.last_on_gpu[gpu.index()] = Some(id);
-        }
-        id
+    /// Pushes a task.
+    pub fn push(&mut self, spec: TaskSpec<Op>) -> TaskId {
+        self.workload.push(spec)
     }
 
-    /// The most recently pushed task on a GPU, if any.
-    pub fn last_on(&self, gpu: GpuId) -> Option<TaskId> {
-        self.last_on_gpu[gpu.index()]
-    }
-
-    /// Finishes construction.
+    /// Finishes construction, serializing per GPU in sequential mode.
     pub fn build(self) -> Workload<Op> {
-        self.workload
+        match self.mode {
+            ExecutionMode::Overlapped => self.workload,
+            ExecutionMode::Sequential => self.workload.into_sequential(),
+        }
     }
 
     /// Number of tasks pushed so far.
@@ -77,7 +62,7 @@ mod tests {
     use super::*;
     use crate::ComputeOp;
     use olab_gpu::{Datapath, KernelKind, Precision};
-    use olab_sim::StreamKind;
+    use olab_sim::{GpuId, StreamKind};
 
     fn op() -> Op {
         Op::Compute(ComputeOp::new(
@@ -119,18 +104,5 @@ mod tests {
         let w = b.build();
         let deps = &w.tasks()[coll.index()].deps;
         assert!(deps.contains(&a0) && deps.contains(&a1));
-    }
-
-    #[test]
-    fn last_on_tracks_collective_participants() {
-        let mut b = ScheduleBuilder::new(2, ExecutionMode::Overlapped);
-        let coll = b.push(TaskSpec::new(
-            "ar",
-            vec![GpuId(0), GpuId(1)],
-            StreamKind::Comm,
-            op(),
-        ));
-        assert_eq!(b.last_on(GpuId(0)), Some(coll));
-        assert_eq!(b.last_on(GpuId(1)), Some(coll));
     }
 }

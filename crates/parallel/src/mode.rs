@@ -11,7 +11,9 @@ use std::fmt;
 /// * [`ExecutionMode::Overlapped`] — the framework's natural schedule:
 ///   collectives run on the comm stream concurrently with compute.
 /// * [`ExecutionMode::Sequential`] — every communication task is serialized
-///   against computation on its GPUs (no concurrency, no contention).
+///   against computation on its GPUs (no concurrency, no contention). The
+///   schedule is the overlapped one chained per GPU by
+///   [`Workload::into_sequential`](olab_sim::Workload::into_sequential).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
     /// Communication overlaps computation (default framework behaviour).

@@ -149,6 +149,29 @@ impl<P> Workload<P> {
         self.tasks.get(id.index())
     }
 
+    /// Serializes the workload per device, in place: each task additionally
+    /// depends on the previous task, in push order, of every one of its
+    /// participants, regardless of stream. Chaining deps are appended after
+    /// the explicit ones in sorted participant order, and a predecessor that
+    /// is already a dep is not repeated. Nothing on a device can then run
+    /// concurrently with anything else on it, which is the paper's
+    /// sequential execution; labels and payloads are moved, not cloned.
+    pub fn into_sequential(mut self) -> Self {
+        let mut last_on_gpu: Vec<Option<TaskId>> = vec![None; self.n_gpus];
+        for (i, task) in self.tasks.iter_mut().enumerate() {
+            let id = TaskId(i as u32);
+            for gpu in &task.participants {
+                let last = &mut last_on_gpu[gpu.index()];
+                if let Some(prev) = last.replace(id) {
+                    if !task.deps.contains(&prev) {
+                        task.deps.push(prev);
+                    }
+                }
+            }
+        }
+        self
+    }
+
     /// Validates structural invariants (dependency ids in range, no
     /// self-dependency). Called by the engine before running.
     pub fn validate(&self) -> Result<(), SimError> {
@@ -216,6 +239,78 @@ mod tests {
     fn out_of_range_device_panics() {
         let mut w = Workload::new(2);
         w.push(TaskSpec::compute("a", GpuId(2), ()));
+    }
+
+    fn deps<P>(w: &Workload<P>) -> Vec<Vec<TaskId>> {
+        w.tasks().iter().map(|t| t.deps.clone()).collect()
+    }
+
+    #[test]
+    fn into_sequential_chains_across_streams() {
+        let mut w = Workload::new(1);
+        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
+        let b = w.push(TaskSpec::comm("b", GpuId(0), ()));
+        let c = w.push(TaskSpec::compute("c", GpuId(0), ()));
+        let w = w.into_sequential();
+        assert_eq!(deps(&w), vec![vec![], vec![a], vec![b]]);
+        assert_eq!(w.get(c).unwrap().label, "c");
+        w.validate().unwrap();
+    }
+
+    #[test]
+    fn into_sequential_chains_a_collective_on_every_participant() {
+        let mut w = Workload::new(3);
+        let a0 = w.push(TaskSpec::compute("a0", GpuId(0), ()));
+        let a2 = w.push(TaskSpec::compute("a2", GpuId(2), ()));
+        let ar = w.push(TaskSpec::collective(
+            "ar",
+            vec![GpuId(2), GpuId(1), GpuId(0)],
+            (),
+        ));
+        let b1 = w.push(TaskSpec::compute("b1", GpuId(1), ()));
+        let w = w.into_sequential();
+        assert_eq!(deps(&w), vec![vec![], vec![], vec![a0, a2], vec![ar]]);
+        assert_eq!(w.get(b1).unwrap().deps, vec![ar]);
+        w.validate().unwrap();
+    }
+
+    #[test]
+    fn into_sequential_does_not_duplicate_an_explicit_predecessor() {
+        let mut w = Workload::new(2);
+        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
+        let ar = w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], ()).after(a));
+        let b = w.push(TaskSpec::compute("b", GpuId(1), ()).after(ar));
+        let w = w.into_sequential();
+        assert_eq!(w.get(ar).unwrap().deps, vec![a]);
+        assert_eq!(w.get(b).unwrap().deps, vec![ar]);
+        w.validate().unwrap();
+    }
+
+    #[test]
+    fn into_sequential_appends_chaining_deps_after_explicit_ones() {
+        let mut w = Workload::new(3);
+        let x = w.push(TaskSpec::compute("x", GpuId(2), ()));
+        let p1 = w.push(TaskSpec::comm("p1", GpuId(1), ()));
+        let p0 = w.push(TaskSpec::compute("p0", GpuId(0), ()));
+        let ar = w.push(TaskSpec::collective("ar", vec![GpuId(1), GpuId(0)], ()).after(x));
+        let w = w.into_sequential();
+        assert_eq!(w.get(ar).unwrap().deps, vec![x, p0, p1]);
+        w.validate().unwrap();
+    }
+
+    #[test]
+    fn into_sequential_leaves_empty_and_single_task_workloads_unchanged() {
+        let w: Workload<()> = Workload::new(2).into_sequential();
+        assert!(w.is_empty());
+        assert_eq!(w.n_gpus(), 2);
+
+        let mut w = Workload::new(2);
+        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], 7u8));
+        let w = w.into_sequential();
+        assert_eq!(w.len(), 1);
+        assert!(w.tasks()[0].deps.is_empty());
+        assert_eq!(w.tasks()[0].payload, 7);
+        w.validate().unwrap();
     }
 
     #[test]

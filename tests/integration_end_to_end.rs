@@ -1,9 +1,15 @@
 //! Cross-crate integration: full experiments on every SKU and strategy,
 //! checking structural invariants of the three execution modes.
 
-use olab_core::{execute, Experiment, Machine, Strategy};
+use olab_core::{
+    execute, execute_lean, Experiment, ExperimentReport, Jitter, Machine, OverlapMetrics,
+    RunResult, Strategy,
+};
 use olab_gpu::SkuKind;
+use olab_models::memory::ActivationPolicy;
 use olab_models::ModelPreset;
+use olab_parallel::fsdp::FsdpOverlap;
+use olab_parallel::pipeline::PipelineSchedule;
 use olab_parallel::ExecutionMode;
 
 /// A fast experiment cell (small sequence keeps debug-mode runtimes low).
@@ -113,4 +119,153 @@ fn machine_debug_and_clone_are_usable() {
     let m = Machine::stock(SkuKind::H100.sku(), 4);
     let m2 = m.clone();
     assert!(format!("{m2:?}").contains("Machine"));
+}
+
+/// `Experiment::run_on` composed from public calls with one lowering per
+/// leg: the overlapped, sequential and ideal schedules each built by
+/// `timeline`, in that order.
+fn three_lowerings(exp: &Experiment, jitter: Option<Jitter>) -> ExperimentReport {
+    let policy = exp.validate().unwrap();
+    let machine = match jitter {
+        Some(j) => exp.machine().with_jitter(j),
+        None => exp.machine(),
+    };
+    let lower = |mode| exp.timeline(mode, policy).unwrap();
+    let overlapped = execute(&lower(ExecutionMode::Overlapped), &machine).unwrap();
+    let sequential = execute(&lower(ExecutionMode::Sequential), &machine).unwrap();
+    let ideal = execute_lean(&lower(ExecutionMode::Overlapped), &machine.uncontended()).unwrap();
+    let metrics = OverlapMetrics::derive(&overlapped, &sequential);
+    let sampled = overlapped.gpus[0].power.sample(exp.sampler());
+    ExperimentReport {
+        experiment: exp.clone(),
+        activation_policy: policy,
+        metrics,
+        sampled_avg_w: sampled.average().unwrap_or(0.0),
+        sampled_peak_w: sampled.peak().unwrap_or(0.0),
+        ideal_simulated_e2e_s: ideal.e2e_s,
+        overlapped,
+        sequential,
+    }
+}
+
+/// Every number of a run as bits: scalars, per-GPU statistics, overlap
+/// windows, the engine's power segments and every task record's timing.
+fn run_bits(run: &RunResult, out: &mut Vec<u64>) {
+    out.push(run.e2e_s.to_bits());
+    for g in &run.gpus {
+        out.extend(
+            [
+                g.compute_s,
+                g.comm_s,
+                g.overlapped_compute_s,
+                g.hidden_comm_s,
+            ]
+            .map(f64::to_bits),
+        );
+        out.extend(
+            [
+                g.power.average(),
+                g.power.peak_instantaneous(),
+                g.power.energy_j(),
+            ]
+            .map(f64::to_bits),
+        );
+        for (a, b) in &g.overlap_windows {
+            out.extend([a.to_bits(), b.to_bits()]);
+        }
+    }
+    for gpu in run.trace.gpus() {
+        for seg in &gpu.power {
+            out.extend(
+                [
+                    seg.window.start.as_secs(),
+                    seg.window.end.as_secs(),
+                    seg.watts,
+                ]
+                .map(f64::to_bits),
+            );
+        }
+    }
+    for r in run.trace.records() {
+        out.extend([r.start, r.end, r.coactive].map(|t| t.as_secs().to_bits()));
+    }
+}
+
+fn report_bits(r: &ExperimentReport) -> Vec<u64> {
+    let m = &r.metrics;
+    let mut out: Vec<u64> = [
+        m.compute_slowdown,
+        m.overlap_ratio,
+        m.e2e_overlapped_s,
+        m.e2e_ideal_s,
+        m.e2e_sequential_derived_s,
+        m.e2e_sequential_measured_s,
+        m.avg_power_w,
+        m.peak_power_w,
+        m.avg_power_sequential_w,
+        m.peak_power_sequential_w,
+        m.energy_j,
+        r.ideal_simulated_e2e_s,
+        r.sampled_avg_w,
+        r.sampled_peak_w,
+    ]
+    .map(f64::to_bits)
+    .to_vec();
+    run_bits(&r.overlapped, &mut out);
+    run_bits(&r.sequential, &mut out);
+    out
+}
+
+#[test]
+fn one_lowering_per_cell_matches_three_lowerings_bit_for_bit() {
+    let fsdp = small(SkuKind::H100, Strategy::Fsdp);
+    let pipeline = small(SkuKind::A100, Strategy::Pipeline { microbatch_size: 2 });
+    let mut cells: Vec<Experiment> = FsdpOverlap::all_policies()
+        .into_iter()
+        .map(|p| fsdp.clone().with_fsdp_overlap(p))
+        .collect();
+    cells.extend([
+        fsdp.clone().with_grad_accum(2),
+        // The paper-default sequence length is what forces recomputation
+        // on an A100 (checked below).
+        Experiment::new(SkuKind::A100, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8),
+        small(SkuKind::Mi250, Strategy::TensorParallel),
+        pipeline
+            .clone()
+            .with_pipeline_schedule(PipelineSchedule::OneFOneB),
+        pipeline.with_pipeline_schedule(PipelineSchedule::GPipe),
+        small(SkuKind::A100, Strategy::Fsdp).with_power_cap(150.0),
+    ]);
+    let mut recompute = 0;
+    for exp in &cells {
+        let label = exp.label();
+        let run = exp.run().unwrap();
+        let reference = three_lowerings(exp, None);
+        assert_eq!(
+            run.activation_policy, reference.activation_policy,
+            "{label}"
+        );
+        assert_eq!(report_bits(&run), report_bits(&reference), "{label}");
+        assert_eq!(
+            (run.overlapped.route, run.sequential.route),
+            (reference.overlapped.route, reference.sequential.route),
+            "{label}"
+        );
+        recompute += usize::from(run.activation_policy == ActivationPolicy::Recompute);
+
+        let jittered = exp.run_jittered(7, 0.05).unwrap();
+        let reference = three_lowerings(
+            exp,
+            Some(Jitter {
+                seed: 7,
+                sigma: 0.05,
+            }),
+        );
+        assert_eq!(
+            report_bits(&jittered),
+            report_bits(&reference),
+            "{label} jittered"
+        );
+    }
+    assert_eq!(recompute, 1, "exactly one cell exercises recomputation");
 }
