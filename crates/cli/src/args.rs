@@ -1,4 +1,10 @@
 //! Hand-rolled argument parsing.
+//!
+//! [`FLAGS`] is the one place that says which subcommand accepts which
+//! flag. [`parse`] works in three steps: it splits argv into flag/value
+//! pairs (the table names the bare switches), checks every flag against
+//! the subcommand in argv order, and only then parses the values into the
+//! per-subcommand structs.
 
 use olab_core::adaptive::Objective;
 use olab_core::Strategy;
@@ -19,11 +25,175 @@ impl fmt::Display for CliError {
 
 impl Error for CliError {}
 
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError(message)
+    }
+}
+
 impl From<olab_core::ExperimentError> for CliError {
     fn from(e: olab_core::ExperimentError) -> Self {
         CliError(format!("experiment failed: {e}"))
     }
 }
+
+/// A subcommand that takes flags. `help` is not one: it ignores its flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sub {
+    /// `olab list`.
+    List,
+    /// `olab run`.
+    Run,
+    /// `olab sweep`.
+    Sweep,
+    /// `olab trace`.
+    Trace,
+    /// `olab tune`.
+    Tune,
+    /// `olab chrome`.
+    Chrome,
+    /// `olab faults`.
+    Faults,
+    /// `olab resilience`.
+    Resilience,
+    /// `olab observe`.
+    Observe,
+    /// `olab serve`.
+    Serve,
+}
+
+impl Sub {
+    /// Every subcommand that takes flags.
+    pub const ALL: [Sub; 10] = [
+        Sub::List,
+        Sub::Run,
+        Sub::Sweep,
+        Sub::Trace,
+        Sub::Tune,
+        Sub::Chrome,
+        Sub::Faults,
+        Sub::Resilience,
+        Sub::Observe,
+        Sub::Serve,
+    ];
+
+    /// The subcommand as typed.
+    pub fn name(self) -> &'static str {
+        match self {
+            Sub::List => "list",
+            Sub::Run => "run",
+            Sub::Sweep => "sweep",
+            Sub::Trace => "trace",
+            Sub::Tune => "tune",
+            Sub::Chrome => "chrome",
+            Sub::Faults => "faults",
+            Sub::Resilience => "resilience",
+            Sub::Observe => "observe",
+            Sub::Serve => "serve",
+        }
+    }
+}
+
+/// One row of [`FLAGS`].
+#[derive(Debug)]
+pub struct Flag {
+    /// The flag as typed.
+    pub name: &'static str,
+    /// Whether the next word is its value; `false` for a bare switch.
+    pub takes_value: bool,
+    /// The subcommands that accept it.
+    pub accepted_by: &'static [Sub],
+    /// How every other subcommand rejects it. The first entry that lists
+    /// the subcommand gives the hint in `{flag} is not supported by
+    /// '{sub}' {hint}`; a subcommand no entry lists reports
+    /// `unknown flag '{flag}'`.
+    pub hints: &'static [Hint],
+}
+
+/// The subcommands a rejection hint applies to, and the hint.
+pub type Hint = (&'static [Sub], &'static str);
+
+use Sub::{Chrome, Faults, List, Observe, Resilience, Run, Serve, Sweep, Trace, Tune};
+
+/// The subcommands that describe a cell with the shared flags.
+const CELL: &[Sub] = &[Run, Sweep, Trace, Tune, Chrome, Faults, Resilience, Observe];
+/// The subcommands that run cells under the engine's guard, long enough
+/// to expose telemetry.
+const GUARDED: &[Sub] = &[Sweep, Faults, Observe, Serve];
+const OBSERVE_HINT: Hint = (&Sub::ALL, "(use sweep, faults, or the observe subcommand)");
+const GUARD_HINT: Hint = (&Sub::ALL, "(use sweep, faults, or observe)");
+const METRICS_HINT: Hint = (&Sub::ALL, "(use sweep, faults, observe, or serve)");
+const RECOVERY_HINT: Hint = (
+    &Sub::ALL,
+    "(use the faults subcommand; 'resilience' compares every policy)",
+);
+const CAP_HINT: Hint = (&[Observe], "(the cap applies to sweep/faults disk caches)");
+const CSV_HINT: Hint = (&[Serve], "(responses are JSON lines)");
+
+const fn value(name: &'static str, accepted_by: &'static [Sub], hints: &'static [Hint]) -> Flag {
+    Flag {
+        name,
+        takes_value: true,
+        accepted_by,
+        hints,
+    }
+}
+
+const fn switch(name: &'static str, accepted_by: &'static [Sub], hints: &'static [Hint]) -> Flag {
+    Flag {
+        name,
+        takes_value: false,
+        accepted_by,
+        hints,
+    }
+}
+
+/// Which subcommand accepts which flag, and how the others reject it.
+#[rustfmt::skip]
+pub const FLAGS: &[Flag] = &[
+    value("--sku", CELL, &[]),
+    value("--gpus", CELL, &[]),
+    value("--model", CELL, &[]),
+    value("--strategy", CELL, &[]),
+    value("--microbatch", CELL, &[]),
+    value("--batch", CELL, &[]),
+    value("--seq", CELL, &[]),
+    value("--precision", CELL, &[]),
+    value("--datapath", CELL, &[]),
+    value("--power-cap", CELL, &[]),
+    value("--freq-cap", CELL, &[]),
+    value("--grad-accum", CELL, &[]),
+    switch("--csv", CELL, &[CSV_HINT]),
+    value("--jobs", &[Sweep, Faults, Resilience, Observe, Serve], &[]),
+    value("--cache", &[Sweep, Faults, Serve], &[]),
+    value("--cache-max-bytes", &[Sweep, Faults, Serve], &[CAP_HINT, GUARD_HINT]),
+    value("--cell-timeout-s", GUARDED, &[GUARD_HINT]),
+    value("--retries", GUARDED, &[GUARD_HINT]),
+    value("--metrics", GUARDED, &[METRICS_HINT]),
+    switch("--metrics-deterministic", GUARDED, &[METRICS_HINT]),
+    value("--batches", &[Sweep], &[]),
+    // `observe` always observes, so the switch is a no-op there.
+    switch("--observe", &[Sweep, Faults, Observe], &[OBSERVE_HINT]),
+    value("--out-dir", &[Sweep, Faults, Observe], &[]),
+    value("--sample-ms", &[Sweep, Faults, Observe], &[]),
+    value("--interval-ms", &[Trace], &[]),
+    value("--objective", &[Tune], &[]),
+    value("--seed", &[Faults, Resilience], &[]),
+    value("--seeds", &[Faults, Resilience], &[]),
+    value("--severity", &[Faults, Resilience, Observe], &[]),
+    value("--action", &[Faults, Observe], &[]),
+    value("--recovery", &[Faults], &[RECOVERY_HINT]),
+    value("--ckpt-interval-s", &[Faults], &[RECOVERY_HINT]),
+    value("--cell", &[Observe], &[]),
+    value("--fault-seed", &[Observe], &[]),
+    value("--addr", &[Serve], &[]),
+    value("--max-queue", &[Serve], &[]),
+    value("--http-workers", &[Serve], &[]),
+    value("--drain-timeout-s", &[Serve], &[]),
+    value("--coalesce-hold-ms", &[Serve], &[]),
+    value("--log", &[Serve], &[]),
+    value("--oneshot", &[Serve], &[]),
+];
 
 /// Shared experiment arguments.
 #[derive(Debug, Clone)]
@@ -90,10 +260,36 @@ impl RunArgs {
         }
         e
     }
+
+    /// Parses one cell flag (or `--csv`) into its field; `false` when
+    /// `flag` is not one of them.
+    fn set(&mut self, flag: &str, value: &str) -> Result<bool, CliError> {
+        match flag {
+            "--sku" => self.sku = value.parse()?,
+            "--gpus" => self.gpus = num(flag, value)?,
+            "--model" => self.model = value.parse()?,
+            "--strategy" => self.strategy = value.parse()?,
+            "--batch" => self.batch = num(flag, value)?,
+            "--seq" => self.seq = num(flag, value)?,
+            "--precision" => self.precision = value.parse()?,
+            "--datapath" => self.datapath = value.parse()?,
+            "--power-cap" => self.power_cap = Some(num(flag, value)?),
+            "--freq-cap" => self.freq_cap = Some(num(flag, value)?),
+            "--grad-accum" => self.grad_accum = num(flag, value)?,
+            "--microbatch" => {
+                self.strategy = Strategy::Pipeline {
+                    microbatch_size: num(flag, value)?,
+                }
+            }
+            "--csv" => self.csv = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
 }
 
-/// The grid-engine flags `sweep`, `faults` and `serve` share, parsed by
-/// one helper.
+/// The grid-engine flags. `sweep`, `faults` and `serve` embed them;
+/// `resilience` and `observe` take the fields they accept from here.
 #[derive(Debug, Clone, Default)]
 pub struct EngineArgs {
     /// Worker threads (`--jobs N`; `1` forces a serial sweep). `None`
@@ -113,6 +309,72 @@ pub struct EngineArgs {
     pub retries: Option<u32>,
 }
 
+impl EngineArgs {
+    /// Parses one engine flag into its field; `false` when `flag` is not
+    /// one of them.
+    fn set(&mut self, flag: &str, value: &str) -> Result<bool, CliError> {
+        match flag {
+            "--jobs" => self.jobs = Some(num(flag, value)?),
+            "--cache" => self.cache = Some(value.to_string()),
+            "--cache-max-bytes" => self.cache_max_bytes = Some(num(flag, value)?),
+            "--cell-timeout-s" => self.cell_timeout_s = Some(positive(flag, value)?),
+            "--retries" => self.retries = Some(num(flag, value)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// A disk-cache byte cap with nothing on disk to cap is a
+    /// configuration mistake, not a no-op: `--cache-max-bytes` requires
+    /// `--cache DIR`.
+    fn require_cache_for_cap(&self) -> Result<(), CliError> {
+        if self.cache_max_bytes.is_some() && self.cache.is_none() {
+            return Err(CliError(
+                "--cache-max-bytes requires a disk cache (--cache DIR)".to_string(),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The engine self-telemetry flags `sweep`, `faults`, `observe` and
+/// `serve` share.
+#[derive(Debug, Clone, Default)]
+pub struct MetricsArgs {
+    /// Exposition directory (`--metrics DIR`): enables the `olab-metrics`
+    /// registry and writes `metrics.prom` + `metrics.json` there when the
+    /// command finishes.
+    pub dir: Option<String>,
+    /// Restrict the written expositions to deterministic (cross-run)
+    /// families only (`--metrics-deterministic`), so CI can byte-compare
+    /// the files across schedules directly.
+    pub deterministic: bool,
+}
+
+impl MetricsArgs {
+    /// Parses one telemetry flag into its field; `false` when `flag` is
+    /// not one of them.
+    fn set(&mut self, flag: &str, value: &str) -> bool {
+        match flag {
+            "--metrics" => self.dir = Some(value.to_string()),
+            "--metrics-deterministic" => self.deterministic = true,
+            _ => return false,
+        }
+        true
+    }
+
+    /// `--metrics-deterministic` narrows what `--metrics` writes; alone it
+    /// would be a silent no-op, so it requires an exposition directory.
+    fn require_dir(&self) -> Result<(), CliError> {
+        if self.deterministic && self.dir.is_none() {
+            return Err(CliError(
+                "--metrics-deterministic requires '--metrics DIR'".to_string(),
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Sweep-specific arguments: the batch list plus the grid-engine knobs.
 #[derive(Debug, Clone)]
 pub struct SweepArgs {
@@ -127,14 +389,8 @@ pub struct SweepArgs {
     /// Counter sampling cadence for artifacts, ms of simulated time
     /// (`--sample-ms X`).
     pub sample_ms: f64,
-    /// Engine self-telemetry exposition directory (`--metrics DIR`):
-    /// enables the `olab-metrics` registry and writes `metrics.prom` +
-    /// `metrics.json` there after the sweep.
-    pub metrics: Option<String>,
-    /// Restrict the written expositions to deterministic (cross-run)
-    /// families only (`--metrics-deterministic`), so CI can byte-compare
-    /// the files across schedules directly.
-    pub metrics_deterministic: bool,
+    /// Engine self-telemetry flags.
+    pub metrics: MetricsArgs,
 }
 
 impl Default for SweepArgs {
@@ -145,8 +401,7 @@ impl Default for SweepArgs {
             observe: false,
             out_dir: None,
             sample_ms: 100.0,
-            metrics: None,
-            metrics_deterministic: false,
+            metrics: MetricsArgs::default(),
         }
     }
 }
@@ -174,10 +429,8 @@ pub struct FaultsArgs {
     /// (`--recovery failfast|ckpt|elastic`; `--ckpt-interval-s X` pins the
     /// checkpoint interval). `None` keeps the plain fault scorecard.
     pub recovery: Option<olab_resilience::RecoveryPolicy>,
-    /// Engine self-telemetry exposition directory (`--metrics DIR`).
-    pub metrics: Option<String>,
-    /// Deterministic-families-only expositions (`--metrics-deterministic`).
-    pub metrics_deterministic: bool,
+    /// Engine self-telemetry flags.
+    pub metrics: MetricsArgs,
 }
 
 impl FaultsArgs {
@@ -210,8 +463,7 @@ impl Default for FaultsArgs {
             out_dir: None,
             sample_ms: 100.0,
             recovery: None,
-            metrics: None,
-            metrics_deterministic: false,
+            metrics: MetricsArgs::default(),
         }
     }
 }
@@ -263,10 +515,8 @@ pub struct ObserveArgs {
     pub cell_timeout_s: Option<f64>,
     /// Retry budget for the observed run (`--retries N`).
     pub retries: Option<u32>,
-    /// Engine self-telemetry exposition directory (`--metrics DIR`).
-    pub metrics: Option<String>,
-    /// Deterministic-families-only expositions (`--metrics-deterministic`).
-    pub metrics_deterministic: bool,
+    /// Engine self-telemetry flags.
+    pub metrics: MetricsArgs,
 }
 
 impl Default for ObserveArgs {
@@ -281,8 +531,7 @@ impl Default for ObserveArgs {
             abort: false,
             cell_timeout_s: None,
             retries: None,
-            metrics: None,
-            metrics_deterministic: false,
+            metrics: MetricsArgs::default(),
         }
     }
 }
@@ -305,10 +554,8 @@ pub struct ServeArgs {
     /// Coalescing-window hold, ms (`--coalesce-hold-ms N`) — soak/test
     /// instrumentation that keeps a finished flight joinable briefly.
     pub coalesce_hold_ms: Option<u64>,
-    /// Metrics exposition directory flushed on drain (`--metrics DIR`).
-    pub metrics: Option<String>,
-    /// Deterministic-families-only expositions (`--metrics-deterministic`).
-    pub metrics_deterministic: bool,
+    /// Metrics expositions, flushed on drain.
+    pub metrics: MetricsArgs,
     /// JSONL request-lifecycle log path (`--log FILE`).
     pub log: Option<String>,
     /// Render one cell offline and exit (`--oneshot QUERY`): prints the
@@ -325,8 +572,7 @@ impl Default for ServeArgs {
             http_workers: None,
             drain_timeout_s: None,
             coalesce_hold_ms: None,
-            metrics: None,
-            metrics_deterministic: false,
+            metrics: MetricsArgs::default(),
             log: None,
             oneshot: None,
         }
@@ -363,63 +609,6 @@ pub enum Command {
     Help,
 }
 
-/// Parses a SKU name (case-insensitive).
-pub fn parse_sku(s: &str) -> Result<SkuKind, CliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "a100" => Ok(SkuKind::A100),
-        "h100" => Ok(SkuKind::H100),
-        "mi210" => Ok(SkuKind::Mi210),
-        "mi250" => Ok(SkuKind::Mi250),
-        other => Err(CliError(format!(
-            "unknown sku '{other}' (expected a100|h100|mi210|mi250)"
-        ))),
-    }
-}
-
-/// Parses a model name.
-pub fn parse_model(s: &str) -> Result<ModelPreset, CliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "gpt3-xl" | "gpt3-1.3b" => Ok(ModelPreset::Gpt3Xl),
-        "gpt3-2.7b" => Ok(ModelPreset::Gpt3_2_7B),
-        "gpt3-6.7b" => Ok(ModelPreset::Gpt3_6_7B),
-        "gpt3-13b" => Ok(ModelPreset::Gpt3_13B),
-        "llama2-13b" => Ok(ModelPreset::Llama2_13B),
-        other => Err(CliError(format!(
-            "unknown model '{other}' (expected gpt3-xl|gpt3-2.7b|gpt3-6.7b|gpt3-13b|llama2-13b)"
-        ))),
-    }
-}
-
-/// Parses a strategy name.
-pub fn parse_strategy(s: &str) -> Result<Strategy, CliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "fsdp" => Ok(Strategy::Fsdp),
-        "pp" | "pipeline" => Ok(Strategy::Pipeline { microbatch_size: 8 }),
-        "tp" | "tensor" => Ok(Strategy::TensorParallel),
-        other => Err(CliError(format!(
-            "unknown strategy '{other}' (expected fsdp|pp|tp)"
-        ))),
-    }
-}
-
-fn parse_precision(s: &str) -> Result<Precision, CliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "fp16" => Ok(Precision::Fp16),
-        "bf16" => Ok(Precision::Bf16),
-        "fp32" => Ok(Precision::Fp32),
-        "tf32" => Ok(Precision::Tf32),
-        other => Err(CliError(format!("unknown precision '{other}'"))),
-    }
-}
-
-fn parse_datapath(s: &str) -> Result<Datapath, CliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "tensor" | "tensorcore" => Ok(Datapath::TensorCore),
-        "vector" => Ok(Datapath::Vector),
-        other => Err(CliError(format!("unknown datapath '{other}'"))),
-    }
-}
-
 fn parse_severities(s: &str) -> Result<Vec<olab_faults::Severity>, CliError> {
     use olab_faults::Severity;
     match s.to_ascii_lowercase().as_str() {
@@ -429,6 +618,17 @@ fn parse_severities(s: &str) -> Result<Vec<olab_faults::Severity>, CliError> {
         "all" => Ok(Severity::ALL.to_vec()),
         other => Err(CliError(format!(
             "unknown severity '{other}' (expected mild|moderate|severe|all)"
+        ))),
+    }
+}
+
+/// Parses the `--severity` of a subcommand that takes exactly one.
+fn parse_severity(sub: Sub, value: &str) -> Result<olab_faults::Severity, CliError> {
+    match parse_severities(value)?.as_slice() {
+        [one] => Ok(*one),
+        _ => Err(CliError(format!(
+            "--severity: {} takes a single severity, not 'all'",
+            sub.name()
         ))),
     }
 }
@@ -444,381 +644,6 @@ fn parse_objective(s: &str) -> Result<Objective, CliError> {
     }
 }
 
-fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
-    value
-        .parse()
-        .map_err(|_| CliError(format!("{flag}: cannot parse '{value}'")))
-}
-
-/// Flag/value pairs left unconsumed by [`parse_run_args`].
-type RestPairs<'a> = Vec<(&'a str, &'a str)>;
-
-/// Parses common flags into `RunArgs`, returning unconsumed (flag, value)
-/// pairs to the caller.
-fn parse_run_args<'a>(pairs: &[(&'a str, &'a str)]) -> Result<(RunArgs, RestPairs<'a>), CliError> {
-    let mut args = RunArgs::default();
-    let mut rest = Vec::new();
-    for &(flag, value) in pairs {
-        match flag {
-            "--sku" => args.sku = parse_sku(value)?,
-            "--gpus" => args.gpus = num(flag, value)?,
-            "--model" => args.model = parse_model(value)?,
-            "--strategy" => args.strategy = parse_strategy(value)?,
-            "--batch" => args.batch = num(flag, value)?,
-            "--seq" => args.seq = num(flag, value)?,
-            "--precision" => args.precision = parse_precision(value)?,
-            "--datapath" => args.datapath = parse_datapath(value)?,
-            "--power-cap" => args.power_cap = Some(num(flag, value)?),
-            "--freq-cap" => args.freq_cap = Some(num(flag, value)?),
-            "--grad-accum" => args.grad_accum = num(flag, value)?,
-            "--microbatch" => {
-                let size = num(flag, value)?;
-                args.strategy = Strategy::Pipeline {
-                    microbatch_size: size,
-                };
-            }
-            _ => rest.push((flag, value)),
-        }
-    }
-    Ok((args, rest))
-}
-
-/// Parses the grid-engine flags into `EngineArgs`, returning unconsumed
-/// (flag, value) pairs to the caller.
-fn parse_engine_args<'a>(
-    pairs: &[(&'a str, &'a str)],
-) -> Result<(EngineArgs, RestPairs<'a>), CliError> {
-    let mut engine = EngineArgs::default();
-    let mut rest = Vec::new();
-    for &(flag, value) in pairs {
-        match flag {
-            "--jobs" => engine.jobs = Some(num(flag, value)?),
-            "--cache" => engine.cache = Some(value.to_string()),
-            "--cache-max-bytes" => engine.cache_max_bytes = Some(num(flag, value)?),
-            "--cell-timeout-s" => engine.cell_timeout_s = Some(positive_secs(flag, value)?),
-            "--retries" => engine.retries = Some(num(flag, value)?),
-            _ => rest.push((flag, value)),
-        }
-    }
-    Ok((engine, rest))
-}
-
-/// Parses a full command line (without the program name).
-///
-/// # Errors
-///
-/// Returns a [`CliError`] describing the offending flag or value.
-pub fn parse(argv: &[String]) -> Result<Command, CliError> {
-    let Some(sub) = argv.first() else {
-        return Ok(Command::Help);
-    };
-
-    // Split "--flag value" pairs; "--csv", "--observe", and
-    // "--metrics-deterministic" are bare flags.
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
-    let mut csv = false;
-    let mut observe = false;
-    let mut metrics_deterministic = false;
-    let mut i = 1;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        if flag == "--csv" {
-            csv = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--observe" {
-            observe = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--metrics-deterministic" {
-            metrics_deterministic = true;
-            i += 1;
-            continue;
-        }
-        if !flag.starts_with("--") {
-            return Err(CliError(format!("expected a --flag, got '{flag}'")));
-        }
-        let Some(value) = argv.get(i + 1) else {
-            return Err(CliError(format!("{flag} needs a value")));
-        };
-        pairs.push((flag, value.as_str()));
-        i += 2;
-    }
-
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "list" => {
-            reject_observe("list", observe)?;
-            reject_recovery("list", &pairs)?;
-            reject_guard("list", &pairs)?;
-            reject_metrics("list", &pairs, metrics_deterministic)?;
-            Ok(Command::List)
-        }
-        "run" => {
-            reject_observe("run", observe)?;
-            reject_recovery("run", &pairs)?;
-            reject_guard("run", &pairs)?;
-            reject_metrics("run", &pairs, metrics_deterministic)?;
-            let (mut args, rest) = parse_run_args(&pairs)?;
-            args.csv = csv;
-            reject_unknown(&rest)?;
-            Ok(Command::Run(args))
-        }
-        "sweep" => {
-            reject_recovery("sweep", &pairs)?;
-            let (mut args, rest) = parse_run_args(&pairs)?;
-            args.csv = csv;
-            let (engine, rest) = parse_engine_args(&rest)?;
-            let mut sweep = SweepArgs {
-                batches: vec![8, 16, 32],
-                engine,
-                observe,
-                ..SweepArgs::default()
-            };
-            let mut unknown = Vec::new();
-            for (flag, value) in rest {
-                match flag {
-                    "--batches" => {
-                        sweep.batches = value
-                            .split(',')
-                            .map(|v| num("--batches", v.trim()))
-                            .collect::<Result<Vec<u64>, _>>()?;
-                    }
-                    "--out-dir" => sweep.out_dir = Some(value.to_string()),
-                    "--sample-ms" => sweep.sample_ms = positive_ms(flag, value)?,
-                    "--metrics" => sweep.metrics = Some(value.to_string()),
-                    _ => unknown.push((flag, value)),
-                }
-            }
-            reject_unknown(&unknown)?;
-            require_cache_for_cap(&sweep.engine)?;
-            sweep.metrics_deterministic = metrics_deterministic;
-            require_metrics_for_deterministic(metrics_deterministic, &sweep.metrics)?;
-            Ok(Command::Sweep(args, sweep))
-        }
-        "trace" => {
-            reject_observe("trace", observe)?;
-            reject_recovery("trace", &pairs)?;
-            reject_guard("trace", &pairs)?;
-            reject_metrics("trace", &pairs, metrics_deterministic)?;
-            let (mut args, rest) = parse_run_args(&pairs)?;
-            args.csv = csv;
-            let mut interval = 1.0;
-            let mut unknown = Vec::new();
-            for (flag, value) in rest {
-                if flag == "--interval-ms" {
-                    interval = num("--interval-ms", value)?;
-                } else {
-                    unknown.push((flag, value));
-                }
-            }
-            reject_unknown(&unknown)?;
-            Ok(Command::Trace(args, interval))
-        }
-        "chrome" => {
-            reject_observe("chrome", observe)?;
-            reject_recovery("chrome", &pairs)?;
-            reject_guard("chrome", &pairs)?;
-            reject_metrics("chrome", &pairs, metrics_deterministic)?;
-            let (mut args, rest) = parse_run_args(&pairs)?;
-            args.csv = csv;
-            reject_unknown(&rest)?;
-            Ok(Command::Chrome(args))
-        }
-        "faults" => {
-            let (mut args, rest) = parse_run_args(&pairs)?;
-            args.csv = csv;
-            let (engine, rest) = parse_engine_args(&rest)?;
-            let mut faults = FaultsArgs {
-                engine,
-                observe,
-                ..FaultsArgs::default()
-            };
-            let mut unknown = Vec::new();
-            let mut recovery = None;
-            let mut ckpt_interval_s = None;
-            for (flag, value) in rest {
-                match flag {
-                    "--seed" => faults.seeds = vec![num(flag, value)?],
-                    "--seeds" => {
-                        faults.seeds = value
-                            .split(',')
-                            .map(|v| num("--seeds", v.trim()))
-                            .collect::<Result<Vec<u64>, _>>()?;
-                    }
-                    "--severity" => faults.severities = parse_severities(value)?,
-                    "--action" => faults.abort = parse_action(value)?,
-                    "--out-dir" => faults.out_dir = Some(value.to_string()),
-                    "--sample-ms" => faults.sample_ms = positive_ms(flag, value)?,
-                    "--recovery" => recovery = Some(value),
-                    "--ckpt-interval-s" => ckpt_interval_s = Some(positive_secs(flag, value)?),
-                    "--metrics" => faults.metrics = Some(value.to_string()),
-                    _ => unknown.push((flag, value)),
-                }
-            }
-            reject_unknown(&unknown)?;
-            faults.recovery = parse_recovery(recovery, ckpt_interval_s)?;
-            require_cache_for_cap(&faults.engine)?;
-            faults.metrics_deterministic = metrics_deterministic;
-            require_metrics_for_deterministic(metrics_deterministic, &faults.metrics)?;
-            Ok(Command::Faults(args, faults))
-        }
-        "resilience" => {
-            reject_observe("resilience", observe)?;
-            reject_recovery("resilience", &pairs)?;
-            reject_guard("resilience", &pairs)?;
-            reject_metrics("resilience", &pairs, metrics_deterministic)?;
-            let (mut args, rest) = parse_run_args(&pairs)?;
-            args.csv = csv;
-            let mut res = ResilienceArgs::default();
-            let mut unknown = Vec::new();
-            for (flag, value) in rest {
-                match flag {
-                    "--seed" => res.seeds = vec![num(flag, value)?],
-                    "--seeds" => {
-                        res.seeds = value
-                            .split(',')
-                            .map(|v| num("--seeds", v.trim()))
-                            .collect::<Result<Vec<u64>, _>>()?;
-                    }
-                    "--severity" => {
-                        let all = parse_severities(value)?;
-                        let [one] = all.as_slice() else {
-                            return Err(CliError(
-                                "--severity: resilience takes a single severity, not 'all'"
-                                    .to_string(),
-                            ));
-                        };
-                        res.severity = *one;
-                    }
-                    "--jobs" => res.jobs = Some(num(flag, value)?),
-                    _ => unknown.push((flag, value)),
-                }
-            }
-            reject_unknown(&unknown)?;
-            Ok(Command::Resilience(args, res))
-        }
-        "observe" => {
-            reject_recovery("observe", &pairs)?;
-            let (mut args, rest) = parse_run_args(&pairs)?;
-            args.csv = csv;
-            let mut obs = ObserveArgs::default();
-            let mut unknown = Vec::new();
-            for (flag, value) in rest {
-                match flag {
-                    "--cell" => obs.cell = Some(value.to_ascii_lowercase()),
-                    "--out-dir" => obs.out_dir = Some(value.to_string()),
-                    "--sample-ms" => obs.sample_ms = positive_ms(flag, value)?,
-                    "--jobs" => obs.jobs = Some(num(flag, value)?),
-                    "--fault-seed" => obs.fault_seed = Some(num(flag, value)?),
-                    "--severity" => {
-                        let all = parse_severities(value)?;
-                        let [one] = all.as_slice() else {
-                            return Err(CliError(
-                                "--severity: observe takes a single severity, not 'all'"
-                                    .to_string(),
-                            ));
-                        };
-                        obs.severity = *one;
-                    }
-                    "--action" => obs.abort = parse_action(value)?,
-                    "--cell-timeout-s" => obs.cell_timeout_s = Some(positive_secs(flag, value)?),
-                    "--retries" => obs.retries = Some(num(flag, value)?),
-                    "--metrics" => obs.metrics = Some(value.to_string()),
-                    "--cache-max-bytes" => {
-                        return Err(CliError(
-                            "--cache-max-bytes is not supported by 'observe' \
-                             (the cap applies to sweep/faults disk caches)"
-                                .to_string(),
-                        ))
-                    }
-                    _ => unknown.push((flag, value)),
-                }
-            }
-            reject_unknown(&unknown)?;
-            obs.metrics_deterministic = metrics_deterministic;
-            require_metrics_for_deterministic(metrics_deterministic, &obs.metrics)?;
-            Ok(Command::Observe(args, obs))
-        }
-        "tune" => {
-            reject_observe("tune", observe)?;
-            reject_recovery("tune", &pairs)?;
-            reject_guard("tune", &pairs)?;
-            reject_metrics("tune", &pairs, metrics_deterministic)?;
-            let (mut args, rest) = parse_run_args(&pairs)?;
-            args.csv = csv;
-            let mut objective = Objective::Latency;
-            let mut unknown = Vec::new();
-            for (flag, value) in rest {
-                if flag == "--objective" {
-                    objective = parse_objective(value)?;
-                } else {
-                    unknown.push((flag, value));
-                }
-            }
-            reject_unknown(&unknown)?;
-            Ok(Command::Tune(args, objective))
-        }
-        "serve" => {
-            if csv {
-                return Err(CliError(
-                    "--csv is not supported by 'serve' (responses are JSON lines)".to_string(),
-                ));
-            }
-            reject_observe("serve", observe)?;
-            reject_recovery("serve", &pairs)?;
-            let (engine, rest) = parse_engine_args(&pairs)?;
-            let mut serve = ServeArgs {
-                engine,
-                metrics_deterministic,
-                ..ServeArgs::default()
-            };
-            let mut unknown = Vec::new();
-            for (flag, value) in rest {
-                match flag {
-                    "--addr" => serve.addr = value.to_string(),
-                    "--max-queue" => serve.max_queue = Some(num(flag, value)?),
-                    "--http-workers" => serve.http_workers = Some(num(flag, value)?),
-                    "--drain-timeout-s" => {
-                        serve.drain_timeout_s = Some(positive_secs(flag, value)?)
-                    }
-                    "--coalesce-hold-ms" => serve.coalesce_hold_ms = Some(num(flag, value)?),
-                    "--metrics" => serve.metrics = Some(value.to_string()),
-                    "--log" => serve.log = Some(value.to_string()),
-                    "--oneshot" => serve.oneshot = Some(value.to_string()),
-                    _ => unknown.push((flag, value)),
-                }
-            }
-            reject_unknown(&unknown)?;
-            require_cache_for_cap(&serve.engine)?;
-            require_metrics_for_deterministic(metrics_deterministic, &serve.metrics)?;
-            if serve.max_queue == Some(0) {
-                return Err(CliError("--max-queue: must be > 0".to_string()));
-            }
-            if serve.http_workers == Some(0) {
-                return Err(CliError("--http-workers: must be > 0".to_string()));
-            }
-            Ok(Command::Serve(serve))
-        }
-        other => Err(CliError(format!(
-            "unknown command '{other}' \
-             (expected run|sweep|trace|tune|chrome|faults|resilience|observe|serve|list|help)"
-        ))),
-    }
-}
-
-/// `--observe` is only meaningful where a sweep runs (sweep, faults).
-fn reject_observe(sub: &str, observe: bool) -> Result<(), CliError> {
-    if observe {
-        return Err(CliError(format!(
-            "--observe is not supported by '{sub}' (use sweep, faults, or the observe subcommand)"
-        )));
-    }
-    Ok(())
-}
-
 /// Parses `--action degrade|abort` into the `abort` boolean.
 fn parse_action(value: &str) -> Result<bool, CliError> {
     match value.to_ascii_lowercase().as_str() {
@@ -830,74 +655,35 @@ fn parse_action(value: &str) -> Result<bool, CliError> {
     }
 }
 
-/// Guard/cache-hardening flags only make sense where a grid engine runs
-/// (sweep, faults) or a guarded single cell does (observe).
-fn reject_guard(sub: &str, pairs: &[(&str, &str)]) -> Result<(), CliError> {
-    for &(flag, _) in pairs {
-        if flag == "--cell-timeout-s" || flag == "--retries" || flag == "--cache-max-bytes" {
-            return Err(CliError(format!(
-                "{flag} is not supported by '{sub}' (use sweep, faults, or observe)"
-            )));
-        }
-    }
-    Ok(())
+fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
+    value
+        .parse()
+        .map_err(|_| CliError(format!("{flag}: cannot parse '{value}'")))
 }
 
-/// A disk-cache byte cap with nothing on disk to cap is a configuration
-/// mistake, not a no-op: `--cache-max-bytes` requires `--cache DIR`.
-fn require_cache_for_cap(engine: &EngineArgs) -> Result<(), CliError> {
-    if engine.cache_max_bytes.is_some() && engine.cache.is_none() {
-        return Err(CliError(
-            "--cache-max-bytes requires a disk cache (--cache DIR)".to_string(),
-        ));
-    }
-    Ok(())
+/// Parses a comma-separated list of numbers (`--batches`, `--seeds`).
+fn num_list<T: std::str::FromStr>(flag: &str, value: &str) -> Result<Vec<T>, CliError> {
+    value.split(',').map(|v| num(flag, v.trim())).collect()
 }
 
-/// `--metrics` only makes sense where an engine runs long enough to have
-/// telemetry worth exposing (sweep, faults, observe, serve).
-fn reject_metrics(sub: &str, pairs: &[(&str, &str)], deterministic: bool) -> Result<(), CliError> {
-    if deterministic {
-        return Err(CliError(format!(
-            "--metrics-deterministic is not supported by '{sub}' \
-             (use sweep, faults, observe, or serve)"
-        )));
+/// Parses `--seed N` or `--seeds a,b,c` into the seed list.
+fn parse_seeds(flag: &str, value: &str) -> Result<Vec<u64>, CliError> {
+    if flag == "--seed" {
+        Ok(vec![num(flag, value)?])
+    } else {
+        num_list(flag, value)
     }
-    for &(flag, _) in pairs {
-        if flag == "--metrics" {
-            return Err(CliError(format!(
-                "--metrics is not supported by '{sub}' (use sweep, faults, observe, or serve)"
-            )));
-        }
-    }
-    Ok(())
 }
 
-/// `--metrics-deterministic` narrows what `--metrics` writes; alone it
-/// would be a silent no-op, so it requires an exposition directory.
-fn require_metrics_for_deterministic(
-    deterministic: bool,
-    metrics: &Option<String>,
-) -> Result<(), CliError> {
-    if deterministic && metrics.is_none() {
-        return Err(CliError(
-            "--metrics-deterministic requires '--metrics DIR'".to_string(),
-        ));
+/// Parses a strictly-positive, finite number (`--sample-ms`,
+/// `--interval-ms`, `--cell-timeout-s`, `--ckpt-interval-s`,
+/// `--drain-timeout-s`).
+fn positive(flag: &str, value: &str) -> Result<f64, CliError> {
+    let x: f64 = num(flag, value)?;
+    if !x.is_finite() || x <= 0.0 {
+        return Err(CliError(format!("{flag}: '{value}' must be > 0")));
     }
-    Ok(())
-}
-
-/// `--recovery`/`--ckpt-interval-s` only make sense where faults inject.
-fn reject_recovery(sub: &str, pairs: &[(&str, &str)]) -> Result<(), CliError> {
-    for &(flag, _) in pairs {
-        if flag == "--recovery" || flag == "--ckpt-interval-s" {
-            return Err(CliError(format!(
-                "{flag} is not supported by '{sub}' (use the faults subcommand; \
-                 'resilience' compares every policy)"
-            )));
-        }
-    }
-    Ok(())
+    Ok(x)
 }
 
 /// Combines `--recovery` and `--ckpt-interval-s` into a policy. The
@@ -938,29 +724,230 @@ fn parse_recovery(
     Ok(Some(policy))
 }
 
-/// Parses a strictly-positive millisecond value (`--sample-ms`).
-fn positive_ms(flag: &str, value: &str) -> Result<f64, CliError> {
-    let ms: f64 = num(flag, value)?;
-    if !ms.is_finite() || ms <= 0.0 {
-        return Err(CliError(format!("{flag}: '{value}' must be > 0")));
+/// Splits the words after the subcommand into `(flag, value)` pairs. A
+/// switch (a [`FLAGS`] row without a value) pairs with `""`; every other
+/// `--word` takes the next word as its value.
+fn split(words: &[String]) -> Result<Vec<(&str, &str)>, CliError> {
+    let mut pairs = Vec::new();
+    let mut words = words.iter().map(String::as_str);
+    while let Some(flag) = words.next() {
+        if FLAGS.iter().any(|f| f.name == flag && !f.takes_value) {
+            pairs.push((flag, ""));
+            continue;
+        }
+        if !flag.starts_with("--") {
+            return Err(CliError(format!("expected a --flag, got '{flag}'")));
+        }
+        let value = words
+            .next()
+            .ok_or_else(|| CliError(format!("{flag} needs a value")))?;
+        pairs.push((flag, value));
     }
-    Ok(ms)
+    Ok(pairs)
 }
 
-/// Parses a strictly-positive seconds value (`--ckpt-interval-s`).
-fn positive_secs(flag: &str, value: &str) -> Result<f64, CliError> {
-    let s: f64 = num(flag, value)?;
-    if !s.is_finite() || s <= 0.0 {
-        return Err(CliError(format!("{flag}: '{value}' must be > 0")));
-    }
-    Ok(s)
-}
-
-fn reject_unknown(rest: &[(&str, &str)]) -> Result<(), CliError> {
-    if let Some((flag, _)) = rest.first() {
+/// Rejects `flag` unless [`FLAGS`] says `sub` accepts it.
+fn check(sub: Sub, flag: &str) -> Result<(), CliError> {
+    let Some(row) = FLAGS.iter().find(|f| f.name == flag) else {
         return Err(CliError(format!("unknown flag '{flag}'")));
+    };
+    if row.accepted_by.contains(&sub) {
+        return Ok(());
     }
-    Ok(())
+    Err(CliError(
+        match row.hints.iter().find(|(subs, _)| subs.contains(&sub)) {
+            Some((_, hint)) => format!("{flag} is not supported by '{}' {hint}", sub.name()),
+            None => format!("unknown flag '{flag}'"),
+        },
+    ))
+}
+
+/// A flag the table admits on `sub` that no arm below parses: a bug in
+/// this file, which the flag-matrix test catches.
+fn unparsed(sub: Sub, flag: &str) -> ! {
+    unreachable!("the flag table admits {flag} on '{}'", sub.name())
+}
+
+/// Parses a full command line (without the program name).
+///
+/// # Errors
+///
+/// Returns a [`CliError`] describing the offending flag or value.
+pub fn parse(argv: &[String]) -> Result<Command, CliError> {
+    let Some(sub) = argv.first() else {
+        return Ok(Command::Help);
+    };
+    let pairs = split(&argv[1..])?;
+    let sub = match sub.as_str() {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        name => Sub::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| {
+                CliError(format!(
+                    "unknown command '{name}' \
+                     (expected run|sweep|trace|tune|chrome|faults|resilience|observe|serve|list|help)"
+                ))
+            })?,
+    };
+    for &(flag, _) in &pairs {
+        check(sub, flag)?;
+    }
+
+    // Every flag is now one `sub` accepts: parse the shared groups, then
+    // hand the rest to the subcommand's own arm.
+    let mut run = RunArgs::default();
+    let mut engine = EngineArgs::default();
+    let mut metrics = MetricsArgs::default();
+    let mut own = Vec::new();
+    for &(flag, value) in &pairs {
+        if !(run.set(flag, value)? || engine.set(flag, value)? || metrics.set(flag, value)) {
+            own.push((flag, value));
+        }
+    }
+    match sub {
+        List => Ok(Command::List),
+        Run => Ok(Command::Run(run)),
+        Chrome => Ok(Command::Chrome(run)),
+        Trace => {
+            let mut interval_ms = 1.0;
+            for (flag, value) in own {
+                match flag {
+                    "--interval-ms" => interval_ms = positive(flag, value)?,
+                    _ => unparsed(sub, flag),
+                }
+            }
+            Ok(Command::Trace(run, interval_ms))
+        }
+        Tune => {
+            let mut objective = Objective::Latency;
+            for (flag, value) in own {
+                match flag {
+                    "--objective" => objective = parse_objective(value)?,
+                    _ => unparsed(sub, flag),
+                }
+            }
+            Ok(Command::Tune(run, objective))
+        }
+        Sweep => {
+            let mut sweep = SweepArgs {
+                batches: vec![8, 16, 32],
+                ..SweepArgs::default()
+            };
+            for (flag, value) in own {
+                match flag {
+                    "--batches" => sweep.batches = num_list(flag, value)?,
+                    "--observe" => sweep.observe = true,
+                    "--out-dir" => sweep.out_dir = Some(value.to_string()),
+                    "--sample-ms" => sweep.sample_ms = positive(flag, value)?,
+                    _ => unparsed(sub, flag),
+                }
+            }
+            engine.require_cache_for_cap()?;
+            metrics.require_dir()?;
+            Ok(Command::Sweep(
+                run,
+                SweepArgs {
+                    engine,
+                    metrics,
+                    ..sweep
+                },
+            ))
+        }
+        Faults => {
+            let mut faults = FaultsArgs::default();
+            let mut recovery = None;
+            let mut ckpt_interval_s = None;
+            for (flag, value) in own {
+                match flag {
+                    "--seed" | "--seeds" => faults.seeds = parse_seeds(flag, value)?,
+                    "--severity" => faults.severities = parse_severities(value)?,
+                    "--action" => faults.abort = parse_action(value)?,
+                    "--observe" => faults.observe = true,
+                    "--out-dir" => faults.out_dir = Some(value.to_string()),
+                    "--sample-ms" => faults.sample_ms = positive(flag, value)?,
+                    "--recovery" => recovery = Some(value),
+                    "--ckpt-interval-s" => ckpt_interval_s = Some(positive(flag, value)?),
+                    _ => unparsed(sub, flag),
+                }
+            }
+            faults.recovery = parse_recovery(recovery, ckpt_interval_s)?;
+            engine.require_cache_for_cap()?;
+            metrics.require_dir()?;
+            Ok(Command::Faults(
+                run,
+                FaultsArgs {
+                    engine,
+                    metrics,
+                    ..faults
+                },
+            ))
+        }
+        Resilience => {
+            let mut res = ResilienceArgs {
+                jobs: engine.jobs,
+                ..ResilienceArgs::default()
+            };
+            for (flag, value) in own {
+                match flag {
+                    "--seed" | "--seeds" => res.seeds = parse_seeds(flag, value)?,
+                    "--severity" => res.severity = parse_severity(sub, value)?,
+                    _ => unparsed(sub, flag),
+                }
+            }
+            Ok(Command::Resilience(run, res))
+        }
+        Observe => {
+            let mut obs = ObserveArgs {
+                jobs: engine.jobs,
+                cell_timeout_s: engine.cell_timeout_s,
+                retries: engine.retries,
+                ..ObserveArgs::default()
+            };
+            for (flag, value) in own {
+                match flag {
+                    "--cell" => obs.cell = Some(value.to_ascii_lowercase()),
+                    "--out-dir" => obs.out_dir = Some(value.to_string()),
+                    "--sample-ms" => obs.sample_ms = positive(flag, value)?,
+                    "--fault-seed" => obs.fault_seed = Some(num(flag, value)?),
+                    "--severity" => obs.severity = parse_severity(sub, value)?,
+                    "--action" => obs.abort = parse_action(value)?,
+                    "--observe" => {}
+                    _ => unparsed(sub, flag),
+                }
+            }
+            metrics.require_dir()?;
+            Ok(Command::Observe(run, ObserveArgs { metrics, ..obs }))
+        }
+        Serve => {
+            let mut serve = ServeArgs::default();
+            for (flag, value) in own {
+                match flag {
+                    "--addr" => serve.addr = value.to_string(),
+                    "--max-queue" => serve.max_queue = Some(num(flag, value)?),
+                    "--http-workers" => serve.http_workers = Some(num(flag, value)?),
+                    "--drain-timeout-s" => serve.drain_timeout_s = Some(positive(flag, value)?),
+                    "--coalesce-hold-ms" => serve.coalesce_hold_ms = Some(num(flag, value)?),
+                    "--log" => serve.log = Some(value.to_string()),
+                    "--oneshot" => serve.oneshot = Some(value.to_string()),
+                    _ => unparsed(sub, flag),
+                }
+            }
+            engine.require_cache_for_cap()?;
+            metrics.require_dir()?;
+            if serve.max_queue == Some(0) {
+                return Err(CliError("--max-queue: must be > 0".to_string()));
+            }
+            if serve.http_workers == Some(0) {
+                return Err(CliError("--http-workers: must be > 0".to_string()));
+            }
+            Ok(Command::Serve(ServeArgs {
+                engine,
+                metrics,
+                ..serve
+            }))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1028,6 +1015,42 @@ mod tests {
     #[test]
     fn empty_argv_is_help() {
         assert!(matches!(parse(&[]).unwrap(), Command::Help));
+    }
+
+    #[test]
+    fn list_accepts_no_flag() {
+        assert!(matches!(parse(&argv("list")).unwrap(), Command::List));
+        for (words, flag) in [
+            ("list --bogus 1", "--bogus"),
+            ("list --sku h100", "--sku"),
+            ("list --csv", "--csv"),
+        ] {
+            let err = parse(&argv(words)).unwrap_err();
+            assert_eq!(err.0, format!("unknown flag '{flag}'"), "{words}");
+        }
+        // Flags with a hint keep it on `list` too.
+        let err = parse(&argv("list --observe")).unwrap_err();
+        assert!(err.0.contains("use sweep, faults, or the observe"), "{err}");
+    }
+
+    #[test]
+    fn flags_are_checked_against_the_subcommand_before_values_parse() {
+        let err = parse(&argv("run --sku q100 --jobs 2")).unwrap_err();
+        assert_eq!(err.0, "unknown flag '--jobs'");
+        let err = parse(&argv("observe --sku q100 --cache-max-bytes 9")).unwrap_err();
+        assert!(err.0.contains("not supported by 'observe'"), "{err}");
+    }
+
+    #[test]
+    fn trace_interval_must_be_positive() {
+        for bad in ["0", "-1", "nan", "inf"] {
+            let err = parse(&argv(&format!("trace --interval-ms {bad}"))).unwrap_err();
+            assert_eq!(err.0, format!("--interval-ms: '{bad}' must be > 0"));
+        }
+        assert!(matches!(
+            parse(&argv("trace --interval-ms 2.5")).unwrap(),
+            Command::Trace(_, ms) if ms == 2.5
+        ));
     }
 
     #[test]
@@ -1202,19 +1225,19 @@ mod tests {
         let Command::Sweep(_, sweep) = cmd else {
             panic!("expected sweep");
         };
-        assert_eq!(sweep.metrics.as_deref(), Some("/tmp/m"));
+        assert_eq!(sweep.metrics.dir.as_deref(), Some("/tmp/m"));
 
         let cmd = parse(&argv("faults --metrics out")).unwrap();
         let Command::Faults(_, faults) = cmd else {
             panic!("expected faults");
         };
-        assert_eq!(faults.metrics.as_deref(), Some("out"));
+        assert_eq!(faults.metrics.dir.as_deref(), Some("out"));
 
         let cmd = parse(&argv("observe --metrics m")).unwrap();
         let Command::Observe(_, obs) = cmd else {
             panic!("expected observe");
         };
-        assert_eq!(obs.metrics.as_deref(), Some("m"));
+        assert_eq!(obs.metrics.dir.as_deref(), Some("m"));
         assert!(parse(&argv("sweep --metrics")).is_err(), "needs a value");
     }
 
@@ -1236,25 +1259,25 @@ mod tests {
         let Command::Sweep(_, sweep) = cmd else {
             panic!("expected sweep");
         };
-        assert!(sweep.metrics_deterministic);
+        assert!(sweep.metrics.deterministic);
 
         let cmd = parse(&argv("faults --metrics-deterministic --metrics m")).unwrap();
         let Command::Faults(_, faults) = cmd else {
             panic!("expected faults");
         };
-        assert!(faults.metrics_deterministic);
+        assert!(faults.metrics.deterministic);
 
         let cmd = parse(&argv("observe --metrics m --metrics-deterministic")).unwrap();
         let Command::Observe(_, obs) = cmd else {
             panic!("expected observe");
         };
-        assert!(obs.metrics_deterministic);
+        assert!(obs.metrics.deterministic);
 
         // Without it, the flag stays off.
         let Command::Sweep(_, sweep) = parse(&argv("sweep --metrics m")).unwrap() else {
             panic!("expected sweep");
         };
-        assert!(!sweep.metrics_deterministic);
+        assert!(!sweep.metrics.deterministic);
     }
 
     #[test]
@@ -1295,8 +1318,8 @@ mod tests {
         assert_eq!(serve.http_workers, Some(8));
         assert_eq!(serve.drain_timeout_s, Some(10.0));
         assert_eq!(serve.coalesce_hold_ms, Some(250));
-        assert_eq!(serve.metrics.as_deref(), Some("/tmp/m"));
-        assert!(serve.metrics_deterministic);
+        assert_eq!(serve.metrics.dir.as_deref(), Some("/tmp/m"));
+        assert!(serve.metrics.deterministic);
         assert_eq!(serve.log.as_deref(), Some("/tmp/serve.jsonl"));
         assert_eq!(serve.oneshot, None);
     }
@@ -1308,7 +1331,7 @@ mod tests {
         };
         assert_eq!(serve.addr, "127.0.0.1:7979");
         assert_eq!(serve.engine.jobs, None);
-        assert!(!serve.metrics_deterministic);
+        assert!(!serve.metrics.deterministic);
 
         let Command::Serve(serve) = parse(&argv("serve --oneshot seq=128&batch=2")).unwrap() else {
             panic!("expected serve");

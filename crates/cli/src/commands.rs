@@ -1,7 +1,8 @@
 //! Subcommand implementations (each returns the text to print).
 
 use crate::args::{
-    CliError, EngineArgs, FaultsArgs, ObserveArgs, ResilienceArgs, RunArgs, ServeArgs, SweepArgs,
+    CliError, EngineArgs, FaultsArgs, MetricsArgs, ObserveArgs, ResilienceArgs, RunArgs, ServeArgs,
+    SweepArgs,
 };
 use olab_core::adaptive::{tune_fsdp, Objective};
 use olab_core::report::{ms, pct, Table};
@@ -166,18 +167,14 @@ pub fn sweep(args: &RunArgs, sweep_args: &SweepArgs) -> Result<String, CliError>
     let outcome = engine.run_guarded(&grid, engine.executor().guard(), sinks.as_deref());
     outcome.stats.log();
     if sweep_args.observe {
-        if let Some(dir) = &sweep_args.out_dir {
-            let cfg = ObserveConfig {
-                sample_ms: sweep_args.sample_ms,
-                jobs: 1,
-            };
-            for (i, exp) in grid.iter().enumerate() {
-                match olab_obs::observe_cell(exp, &cfg) {
-                    Ok(artifact) => write_artifact(dir, i, &artifact)?,
-                    Err(e) => eprintln!("[olab] cell {i} ({}) not observed: {e}", exp.label()),
-                }
-            }
-        }
+        write_cell_artifacts(
+            sweep_args.out_dir.as_deref(),
+            sweep_args.sample_ms,
+            &grid,
+            "cell",
+            |exp| exp.label(),
+            olab_obs::observe_cell,
+        )?;
     }
 
     let mut table = Table::new([
@@ -213,7 +210,7 @@ pub fn sweep(args: &RunArgs, sweep_args: &SweepArgs) -> Result<String, CliError>
             }
         }
     }
-    write_metrics(&sweep_args.metrics, sweep_args.metrics_deterministic)?;
+    write_metrics(&sweep_args.metrics)?;
     Ok(if args.csv {
         table.to_csv()
     } else {
@@ -272,23 +269,14 @@ pub fn faults(args: &RunArgs, faults_args: &FaultsArgs) -> Result<String, CliErr
         .collect();
     let outcome = run_fault_sweep(faults_args, &cells)?;
     if faults_args.observe {
-        if let Some(dir) = &faults_args.out_dir {
-            let cfg = ObserveConfig {
-                sample_ms: faults_args.sample_ms,
-                jobs: 1,
-            };
-            for (i, cell) in cells.iter().enumerate() {
-                match olab_obs::observe_fault_cell(&base, &cell.spec, &cfg) {
-                    Ok(artifact) => write_artifact(dir, i, &artifact)?,
-                    Err(e) => {
-                        eprintln!(
-                            "[olab] fault cell {i} ({}) not observed: {e}",
-                            cell.spec.descriptor()
-                        )
-                    }
-                }
-            }
-        }
+        write_cell_artifacts(
+            faults_args.out_dir.as_deref(),
+            faults_args.sample_ms,
+            &cells,
+            "fault cell",
+            |cell| cell.spec.descriptor(),
+            |cell, cfg| olab_obs::observe_fault_cell(&base, &cell.spec, cfg),
+        )?;
     }
 
     let mut table = Table::new([
@@ -350,7 +338,7 @@ pub fn faults(args: &RunArgs, faults_args: &FaultsArgs) -> Result<String, CliErr
             ]),
         };
     }
-    write_metrics(&faults_args.metrics, faults_args.metrics_deterministic)?;
+    write_metrics(&faults_args.metrics)?;
     Ok(if args.csv {
         table.to_csv()
     } else {
@@ -410,21 +398,14 @@ fn faults_with_recovery(
         .collect();
     let outcome = run_fault_sweep(faults_args, &cells)?;
     if faults_args.observe {
-        if let Some(dir) = &faults_args.out_dir {
-            let cfg = ObserveConfig {
-                sample_ms: faults_args.sample_ms,
-                jobs: 1,
-            };
-            for (i, cell) in cells.iter().enumerate() {
-                match olab_obs::observe_recovery_cell(&base, &cell.spec, policy, &cfg) {
-                    Ok(artifact) => write_artifact(dir, i, &artifact)?,
-                    Err(e) => eprintln!(
-                        "[olab] recovery cell {i} ({}) not observed: {e}",
-                        cell.spec.descriptor()
-                    ),
-                }
-            }
-        }
+        write_cell_artifacts(
+            faults_args.out_dir.as_deref(),
+            faults_args.sample_ms,
+            &cells,
+            "recovery cell",
+            |cell| cell.spec.descriptor(),
+            |cell, cfg| olab_obs::observe_recovery_cell(&base, &cell.spec, policy, cfg),
+        )?;
     }
 
     let mut headers = vec!["Seed", "Severity", "Policy"];
@@ -440,7 +421,7 @@ fn faults_with_recovery(
         row.extend(recovery_columns(&cached));
         table.row(row);
     }
-    write_metrics(&faults_args.metrics, faults_args.metrics_deterministic)?;
+    write_metrics(&faults_args.metrics)?;
     Ok(if args.csv {
         table.to_csv()
     } else {
@@ -572,7 +553,7 @@ pub fn observe(args: &RunArgs, obs: &ObserveArgs) -> Result<String, CliError> {
         Ok(run) => run?,
         Err(failure) => return Err(CliError(format!("observed run failed: {failure}"))),
     };
-    write_metrics(&obs.metrics, obs.metrics_deterministic)?;
+    write_metrics(&obs.metrics)?;
     match &obs.out_dir {
         Some(dir) => {
             let paths = artifact
@@ -591,8 +572,8 @@ pub fn observe(args: &RunArgs, obs: &ObserveArgs) -> Result<String, CliError> {
 /// Turns on the `olab-metrics` registry when `--metrics DIR` was given,
 /// forcing registration of every engine family so the expositions are
 /// complete (zeros included) regardless of which paths end up running.
-fn enable_metrics(metrics: &Option<String>) {
-    if metrics.is_some() {
+fn enable_metrics(metrics: &MetricsArgs) {
+    if metrics.dir.is_some() {
         olab_metrics::set_enabled(true);
         olab_core::fastpath::touch_metrics();
     }
@@ -604,14 +585,14 @@ fn enable_metrics(metrics: &Option<String>) {
 /// well-formedness check lives here). A no-op when the flag was absent.
 /// With `--metrics-deterministic` only cross-run-stable families are
 /// written, so CI can byte-compare the files across schedules.
-fn write_metrics(metrics: &Option<String>, deterministic: bool) -> Result<(), CliError> {
-    let Some(dir) = metrics else {
+fn write_metrics(metrics: &MetricsArgs) -> Result<(), CliError> {
+    let Some(dir) = &metrics.dir else {
         return Ok(());
     };
     olab_core::fmtutil::validate_json(&olab_metrics::render_json())
         .map_err(|e| CliError(format!("--metrics: malformed exposition: {e}")))?;
     std::fs::create_dir_all(dir).map_err(|e| CliError(format!("--metrics {dir}: {e}")))?;
-    let result = if deterministic {
+    let result = if metrics.deterministic {
         olab_metrics::write_files_deterministic(Path::new(dir))
     } else {
         olab_metrics::write_files(Path::new(dir))
@@ -643,16 +624,33 @@ fn progress_sinks(
     Ok(Some(Box::new(sinks)))
 }
 
-/// Writes one cell's artifact under `DIR/cell-NNN/`.
-fn write_artifact(
-    dir: &str,
-    index: usize,
-    artifact: &olab_obs::RunArtifact,
+/// The per-cell artifacts of `--observe --out-dir DIR`: observes every
+/// cell again and writes its run artifact under `DIR/cell-NNN/`. A cell
+/// that cannot be observed is reported on stderr and skipped. A no-op
+/// without `--out-dir`.
+fn write_cell_artifacts<C, E: std::fmt::Display>(
+    out_dir: Option<&str>,
+    sample_ms: f64,
+    cells: &[C],
+    kind: &str,
+    describe: impl Fn(&C) -> String,
+    observe: impl Fn(&C, &ObserveConfig) -> Result<olab_obs::RunArtifact, E>,
 ) -> Result<(), CliError> {
-    let cell_dir = Path::new(dir).join(format!("cell-{index:03}"));
-    artifact
-        .write_to(&cell_dir)
-        .map_err(|e| CliError(format!("{}: {e}", cell_dir.display())))?;
+    let Some(dir) = out_dir else {
+        return Ok(());
+    };
+    let cfg = ObserveConfig { sample_ms, jobs: 1 };
+    for (i, cell) in cells.iter().enumerate() {
+        match observe(cell, &cfg) {
+            Ok(artifact) => {
+                let cell_dir = Path::new(dir).join(format!("cell-{i:03}"));
+                artifact
+                    .write_to(&cell_dir)
+                    .map_err(|e| CliError(format!("{}: {e}", cell_dir.display())))?;
+            }
+            Err(e) => eprintln!("[olab] {kind} {i} ({}) not observed: {e}", describe(cell)),
+        }
+    }
     Ok(())
 }
 
@@ -668,7 +666,7 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     }
     let mut cfg = olab_serve::ServeConfig {
         addr: args.addr.clone(),
-        metrics_deterministic: args.metrics_deterministic,
+        metrics_deterministic: args.metrics.deterministic,
         ..olab_serve::ServeConfig::default()
     };
     let engine = &args.engine;
@@ -677,7 +675,7 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     cfg.cache_max_bytes = engine.cache_max_bytes;
     cfg.cell_timeout_s = engine.cell_timeout_s;
     cfg.retries = engine.retries.unwrap_or(cfg.retries);
-    cfg.metrics_out = args.metrics.as_ref().map(std::path::PathBuf::from);
+    cfg.metrics_out = args.metrics.dir.as_ref().map(std::path::PathBuf::from);
     cfg.log = args.log.as_ref().map(std::path::PathBuf::from);
     if let Some(depth) = args.max_queue {
         cfg.max_queue = depth;
@@ -741,38 +739,11 @@ mod tests {
     #[test]
     fn help_mentions_every_subcommand() {
         let h = help();
-        for cmd in [
-            "run",
-            "sweep",
-            "trace",
-            "tune",
-            "faults",
-            "resilience",
-            "observe",
-            "serve",
-            "list",
-        ] {
-            assert!(h.contains(cmd), "{cmd}");
+        for sub in crate::args::Sub::ALL {
+            assert!(h.contains(&format!("olab {}", sub.name())), "{sub:?}");
         }
-        for flag in [
-            "--observe",
-            "--out-dir",
-            "--sample-ms",
-            "--fault-seed",
-            "--recovery",
-            "--ckpt-interval-s",
-            "--cell-timeout-s",
-            "--retries",
-            "--cache-max-bytes",
-            "--metrics",
-            "--metrics-deterministic",
-            "--addr",
-            "--max-queue",
-            "--http-workers",
-            "--drain-timeout-s",
-            "--oneshot",
-        ] {
-            assert!(h.contains(flag), "{flag}");
+        for flag in crate::args::FLAGS {
+            assert!(h.contains(flag.name), "{}", flag.name);
         }
     }
 
@@ -793,6 +764,15 @@ mod tests {
         let out = run(&args).unwrap();
         assert!(out.contains("compute slowdown"));
         assert!(out.contains("x TDP"));
+    }
+
+    #[test]
+    fn invalid_cells_are_typed_errors() {
+        for words in ["run --grad-accum 0 --seq 128", "run --gpus 1 --seq 128"] {
+            let argv: Vec<String> = words.split_whitespace().map(String::from).collect();
+            let err = crate::main_with(&argv).unwrap_err();
+            assert!(err.0.contains("invalid configuration"), "{words}: {err}");
+        }
     }
 
     fn jobs(n: usize) -> EngineArgs {

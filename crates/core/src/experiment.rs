@@ -37,6 +37,22 @@ impl fmt::Display for Strategy {
     }
 }
 
+/// Parses the CLI and query spelling (`fsdp`, `pp` or `pipeline`, `tp`
+/// or `tensor`; any case). A pipeline starts at microbatch size 8; the
+/// CLI's `--microbatch` and the query's `microbatch=` override it.
+impl std::str::FromStr for Strategy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "fsdp" => Ok(Strategy::Fsdp),
+            "pp" | "pipeline" => Ok(Strategy::Pipeline { microbatch_size: 8 }),
+            "tp" | "tensor" => Ok(Strategy::TensorParallel),
+            other => Err(format!("unknown strategy '{other}' (expected fsdp|pp|tp)")),
+        }
+    }
+}
+
 /// Errors from configuring or running an experiment.
 #[derive(Debug)]
 pub enum ExperimentError {
@@ -252,6 +268,17 @@ impl Experiment {
         if self.n_gpus == 0 {
             return Err(ExperimentError::InvalidConfig(
                 "node must have at least one GPU".into(),
+            ));
+        }
+        if self.n_gpus < 2 {
+            return Err(ExperimentError::InvalidConfig(format!(
+                "{} needs at least two GPUs, got {}",
+                self.strategy, self.n_gpus
+            )));
+        }
+        if self.grad_accum_steps == 0 && self.strategy == Strategy::Fsdp {
+            return Err(ExperimentError::InvalidConfig(
+                "gradient accumulation needs at least one micro-step".into(),
             ));
         }
         if self.batch == 0 {
@@ -663,6 +690,37 @@ mod tests {
     fn zero_gpus_is_a_typed_error() {
         let e = Experiment::new(SkuKind::A100, 0, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8);
         assert!(matches!(e.run(), Err(ExperimentError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn one_gpu_is_a_typed_error_for_every_strategy() {
+        for strategy in [
+            Strategy::Fsdp,
+            Strategy::TensorParallel,
+            Strategy::Pipeline { microbatch_size: 2 },
+        ] {
+            let e = Experiment::new(SkuKind::H100, 1, ModelPreset::Gpt3Xl, strategy, 8);
+            match e.run() {
+                Err(ExperimentError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("at least two GPUs"), "{strategy:?}: {msg}");
+                }
+                other => panic!("{strategy:?}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn zero_grad_accum_is_a_typed_error_for_fsdp_only() {
+        let fsdp = small(SkuKind::H100, Strategy::Fsdp).with_grad_accum(0);
+        assert!(matches!(fsdp.run(), Err(ExperimentError::InvalidConfig(_))));
+        // Tensor and pipeline parallelism ignore the field.
+        for strategy in [
+            Strategy::TensorParallel,
+            Strategy::Pipeline { microbatch_size: 2 },
+        ] {
+            let e = small(SkuKind::H100, strategy).with_grad_accum(0);
+            assert!(e.run().is_ok(), "{strategy:?}");
+        }
     }
 
     #[test]

@@ -62,6 +62,21 @@ impl fmt::Display for Precision {
     }
 }
 
+/// Parses the CLI and query spelling (`fp16|bf16|fp32|tf32`, any case).
+impl std::str::FromStr for Precision {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "fp16" => Ok(Precision::Fp16),
+            "bf16" => Ok(Precision::Bf16),
+            "fp32" => Ok(Precision::Fp32),
+            "tf32" => Ok(Precision::Tf32),
+            other => Err(format!("unknown precision '{other}'")),
+        }
+    }
+}
+
 /// Which hardware datapath executes matrix math.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Datapath {
@@ -81,6 +96,19 @@ impl fmt::Display for Datapath {
         match self {
             Datapath::Vector => write!(f, "vector"),
             Datapath::TensorCore => write!(f, "tensor-core"),
+        }
+    }
+}
+
+/// Parses the CLI and query spelling (`tensor|tensorcore|vector`, any case).
+impl std::str::FromStr for Datapath {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "tensor" | "tensorcore" => Ok(Datapath::TensorCore),
+            "vector" => Ok(Datapath::Vector),
+            other => Err(format!("unknown datapath '{other}'")),
         }
     }
 }

@@ -60,6 +60,23 @@ impl fmt::Display for SkuKind {
     }
 }
 
+/// Parses the CLI and query spelling (`a100|h100|mi210|mi250`, any case).
+impl std::str::FromStr for SkuKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "a100" => Ok(SkuKind::A100),
+            "h100" => Ok(SkuKind::H100),
+            "mi210" => Ok(SkuKind::Mi210),
+            "mi250" => Ok(SkuKind::Mi250),
+            other => Err(format!(
+                "unknown sku '{other}' (expected a100|h100|mi210|mi250)"
+            )),
+        }
+    }
+}
+
 /// Datasheet and simulator parameters for one GPU SKU.
 ///
 /// Throughput fields are *achievable-dense* peaks (no structured sparsity) —

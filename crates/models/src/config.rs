@@ -56,6 +56,25 @@ impl fmt::Display for ModelPreset {
     }
 }
 
+/// Parses the CLI and query spelling (`gpt3-xl` or `gpt3-1.3b`,
+/// `gpt3-2.7b`, `gpt3-6.7b`, `gpt3-13b`, `llama2-13b`; any case).
+impl std::str::FromStr for ModelPreset {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "gpt3-xl" | "gpt3-1.3b" => Ok(ModelPreset::Gpt3Xl),
+            "gpt3-2.7b" => Ok(ModelPreset::Gpt3_2_7B),
+            "gpt3-6.7b" => Ok(ModelPreset::Gpt3_6_7B),
+            "gpt3-13b" => Ok(ModelPreset::Gpt3_13B),
+            "llama2-13b" => Ok(ModelPreset::Llama2_13B),
+            other => Err(format!(
+                "unknown model '{other}' (expected gpt3-xl|gpt3-2.7b|gpt3-6.7b|gpt3-13b|llama2-13b)"
+            )),
+        }
+    }
+}
+
 /// Architecture family, which changes the MLP block shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {

@@ -80,6 +80,18 @@ mod tests {
     }
 
     #[test]
+    fn oneshot_renders_invalid_cells_as_typed_errors() {
+        for query in ["grad_accum=0&seq=128", "gpus=1&seq=128"] {
+            let body = oneshot(query).expect("the query parses");
+            assert!(body.contains("\"ok\": false"), "{query}: {body}");
+            assert!(
+                body.contains("\"error_kind\": \"invalid_config\""),
+                "{query}: {body}"
+            );
+        }
+    }
+
+    #[test]
     fn oneshot_propagates_parse_errors() {
         let err = oneshot("model=unknown-model").unwrap_err();
         assert!(err.contains("unknown model"), "{err}");

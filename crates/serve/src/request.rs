@@ -1,9 +1,13 @@
 //! Query-string → [`Experiment`] decoding for the `/v1/cell` route.
 //!
 //! The wire format is a plain `k=v&k=v` query string (percent-encoding
-//! honoured) — no JSON parser enters the request path. Parameter names
-//! and accepted values mirror the `olab` CLI flags one-for-one, so a cell
-//! is addressed identically from the command line and over HTTP:
+//! honoured) — no JSON parser enters the request path. The keys are the
+//! CLI's cell flags spelled with `_` (`power_cap` for `--power-cap`), plus
+//! the request's own `timeout_ms`. The sku,
+//! model, strategy, precision and datapath values go through the same
+//! `FromStr` parsers as the CLI's. Two things differ from the CLI: the
+//! default model is gpt3-xl (the CLI's is gpt3-2.7b), and `microbatch=`
+//! applies only with `strategy=pp` (`--microbatch` forces a pipeline).
 //!
 //! ```text
 //! /v1/cell?sku=h100&gpus=4&model=gpt3-xl&strategy=fsdp&batch=8&seq=256
@@ -13,7 +17,7 @@
 //! default cell), and every value error names the offending key.
 
 use olab_core::{Experiment, Strategy};
-use olab_gpu::{Datapath, Precision, SkuKind};
+use olab_gpu::SkuKind;
 use olab_models::ModelPreset;
 
 /// One decoded cell request: the experiment plus the caller's own
@@ -56,58 +60,6 @@ fn percent_decode(s: &str) -> Result<String, String> {
     String::from_utf8(out).map_err(|_| format!("query component '{s}' is not UTF-8"))
 }
 
-fn parse_sku(s: &str) -> Result<SkuKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "a100" => Ok(SkuKind::A100),
-        "h100" => Ok(SkuKind::H100),
-        "mi210" => Ok(SkuKind::Mi210),
-        "mi250" => Ok(SkuKind::Mi250),
-        other => Err(format!(
-            "unknown sku '{other}' (expected a100|h100|mi210|mi250)"
-        )),
-    }
-}
-
-fn parse_model(s: &str) -> Result<ModelPreset, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "gpt3-xl" | "gpt3-1.3b" => Ok(ModelPreset::Gpt3Xl),
-        "gpt3-2.7b" => Ok(ModelPreset::Gpt3_2_7B),
-        "gpt3-6.7b" => Ok(ModelPreset::Gpt3_6_7B),
-        "gpt3-13b" => Ok(ModelPreset::Gpt3_13B),
-        "llama2-13b" => Ok(ModelPreset::Llama2_13B),
-        other => Err(format!(
-            "unknown model '{other}' (expected gpt3-xl|gpt3-2.7b|gpt3-6.7b|gpt3-13b|llama2-13b)"
-        )),
-    }
-}
-
-fn parse_strategy(s: &str) -> Result<Strategy, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "fsdp" => Ok(Strategy::Fsdp),
-        "pp" | "pipeline" => Ok(Strategy::Pipeline { microbatch_size: 8 }),
-        "tp" | "tensor" => Ok(Strategy::TensorParallel),
-        other => Err(format!("unknown strategy '{other}' (expected fsdp|pp|tp)")),
-    }
-}
-
-fn parse_precision(s: &str) -> Result<Precision, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "fp16" => Ok(Precision::Fp16),
-        "bf16" => Ok(Precision::Bf16),
-        "fp32" => Ok(Precision::Fp32),
-        "tf32" => Ok(Precision::Tf32),
-        other => Err(format!("unknown precision '{other}'")),
-    }
-}
-
-fn parse_datapath(s: &str) -> Result<Datapath, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "tensor" | "tensorcore" => Ok(Datapath::TensorCore),
-        "vector" => Ok(Datapath::Vector),
-        other => Err(format!("unknown datapath '{other}'")),
-    }
-}
-
 fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
     value
         .parse()
@@ -116,9 +68,12 @@ fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
 
 /// Decodes a `/v1/cell` query string into a [`CellRequest`].
 ///
-/// Missing parameters take the CLI's defaults (`sku=h100`, `gpus=4`,
-/// `model=gpt3-xl`, `strategy=fsdp`, `batch=8`; the rest from
-/// [`Experiment::new`]).
+/// Missing parameters default to `sku=h100`, `gpus=4`, `model=gpt3-xl`,
+/// `strategy=fsdp`, `batch=8`, and the rest to [`Experiment::new`]'s
+/// values. That is the CLI's cell except for the model (the CLI defaults
+/// to gpt3-2.7b). `microbatch=` sets the pipeline's microbatch size and
+/// is ignored under any other strategy, where the CLI's `--microbatch`
+/// switches the strategy to pipeline.
 ///
 /// # Errors
 ///
@@ -146,15 +101,15 @@ pub fn parse_query(query: &str) -> Result<CellRequest, String> {
         let key = percent_decode(raw_key)?;
         let value = percent_decode(raw_value)?;
         match key.as_str() {
-            "sku" => sku = parse_sku(&value)?,
+            "sku" => sku = value.parse()?,
             "gpus" => gpus = num(&key, &value)?,
-            "model" => model = parse_model(&value)?,
-            "strategy" => strategy = parse_strategy(&value)?,
+            "model" => model = value.parse()?,
+            "strategy" => strategy = value.parse()?,
             "batch" => batch = num(&key, &value)?,
             "seq" => seq = Some(num(&key, &value)?),
             "microbatch" => microbatch = Some(num(&key, &value)?),
-            "precision" => precision = Some(parse_precision(&value)?),
-            "datapath" => datapath = Some(parse_datapath(&value)?),
+            "precision" => precision = Some(value.parse()?),
+            "datapath" => datapath = Some(value.parse()?),
             "power_cap" => power_cap = Some(num::<f64>(&key, &value)?),
             "freq_cap" => freq_cap = Some(num::<f64>(&key, &value)?),
             "grad_accum" => grad_accum = Some(num(&key, &value)?),
@@ -195,6 +150,7 @@ pub fn parse_query(query: &str) -> Result<CellRequest, String> {
 mod tests {
     use super::*;
     use olab_core::sweep::cell_key;
+    use olab_gpu::{Datapath, Precision};
 
     #[test]
     fn an_empty_query_is_the_default_cell() {
