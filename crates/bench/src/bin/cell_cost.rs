@@ -8,10 +8,11 @@
 //!   configuration of [`olab_core::execute_model`]);
 //! * `event_loop_full_stats` — the engine plus the full per-GPU statistics
 //!   derivation ([`olab_core::execute_model`]);
-//! * `event_loop_lean` — the engine plus the scalar-only reduction
-//!   ([`olab_core::LeanRun::summarize`]): the cheapest the event loop can
-//!   deliver metrics, since it must run every epoch before any statistic
-//!   exists;
+//! * `event_loop_lean` — the record-free event-loop route of
+//!   [`olab_core::execute_lean`] ([`olab_core::execute_model_lean`]): the
+//!   engine without task records plus the scalar statistics, the cheapest
+//!   the event loop can deliver metrics, since it must run every epoch
+//!   before any statistic exists;
 //! * `fast_path_full` — [`olab_core::execute`] routed through the
 //!   contention-free analytic closed form, materializing the same full
 //!   [`RunResult`](olab_core::RunResult);
@@ -32,7 +33,7 @@
 
 use olab_core::fastpath::Route;
 use olab_core::fmtutil::{json_escape, validate_json};
-use olab_core::{execute, execute_lean, execute_model, Experiment, LeanRun, Strategy};
+use olab_core::{execute, execute_lean, execute_model, execute_model_lean, Experiment, Strategy};
 use olab_gpu::SkuKind;
 use olab_models::ModelPreset;
 use olab_parallel::ExecutionMode;
@@ -136,9 +137,7 @@ fn main() {
         loop_full.push(t.elapsed().as_nanos());
 
         let t = Instant::now();
-        let full =
-            execute_model(&workload, machine.clone(), &mut NullObserver).expect("workload runs");
-        let lean = LeanRun::summarize(&full);
+        let lean = execute_model_lean(&workload, machine.clone()).expect("workload runs");
         loop_lean.push(t.elapsed().as_nanos());
         assert!(lean.e2e_s > 0.0);
     }

@@ -23,8 +23,9 @@ use olab_models::ops;
 use olab_net::Topology;
 use olab_parallel::fsdp::FsdpPlan;
 use olab_parallel::{ComputeOp, Op};
+use olab_power::{PowerFold, PowerStats, PowerTrace};
 use olab_sim::{
-    GpuActivity, PowerSegment, SimTime, SimTrace, StreamKind, TaskId, TaskRecord, Window, Workload,
+    GpuActivity, SimTime, SimTrace, StreamKind, StreamTotals, TaskId, TaskRecord, Workload,
 };
 use std::collections::HashMap;
 
@@ -437,6 +438,27 @@ fn sweep_power_segments(
     }
 }
 
+/// Feeds GPU `g`'s overlap intervals — the intersections of its two
+/// lanes, in time order — to `emit`; [`GpuActivity::push_overlap`] merges
+/// them into the engine's windows.
+fn lane_intersections(s: &FastSchedule<'_>, g: usize, mut emit: impl FnMut(SimTime, SimTime)) {
+    let [compute_lane, comm_lane] = &s.lanes[g];
+    let (mut i, mut j) = (0, 0);
+    while i < compute_lane.len() && j < comm_lane.len() {
+        let (a, b) = (compute_lane[i], comm_lane[j]);
+        let lo = s.start[a].max(s.start[b]);
+        let hi = s.end[a].min(s.end[b]);
+        if hi > lo {
+            emit(SimTime::from_secs(lo), SimTime::from_secs(hi));
+        }
+        if s.end[a] <= s.end[b] {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+}
+
 /// Co-active time per task: measure of the union, over its participants,
 /// of other-stream busy intervals clipped to the task's own interval.
 /// Any such clip is by definition inside one of the participant's overlap
@@ -520,34 +542,13 @@ pub(crate) fn execute_fast(workload: &Workload<Op>, machine: &Machine) -> Option
     let mut gpus: Vec<GpuActivity> = vec![GpuActivity::default(); n_gpus];
     let mut bounds: Vec<f64> = Vec::new();
     for (g, activity) in gpus.iter_mut().enumerate() {
-        let compute_lane = &s.lanes[g][0];
-        let comm_lane = &s.lanes[g][1];
-
-        for (lane_ix, lane) in [compute_lane, comm_lane].into_iter().enumerate() {
+        for (lane_ix, lane) in s.lanes[g].iter().enumerate() {
             let total: f64 = lane.iter().map(|&i| s.end[i] - s.start[i]).sum();
             activity.busy[lane_ix] = SimTime::from_secs(total);
         }
-
-        // Overlap windows: intersections of the two lanes, merged with the
-        // engine's contiguity rule.
-        let (mut i, mut j) = (0, 0);
-        while i < compute_lane.len() && j < comm_lane.len() {
-            let (a, b) = (compute_lane[i], comm_lane[j]);
-            let lo = s.start[a].max(s.start[b]);
-            let hi = s.end[a].min(s.end[b]);
-            if hi > lo {
-                push_window(&mut activity.overlap_windows, lo, hi);
-            }
-            if s.end[a] <= s.end[b] {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-
-        let power = &mut activity.power;
+        lane_intersections(&s, g, |lo, hi| activity.push_overlap(lo, hi));
         sweep_power_segments(&s, machine, g, &mut bounds, &mut power_memo, |t0, t1, w| {
-            push_power(power, t0, t1, w);
+            activity.push_power(SimTime::from_secs(t0), SimTime::from_secs(t1), w);
         });
     }
 
@@ -572,62 +573,79 @@ pub(crate) fn execute_fast(workload: &Workload<Op>, machine: &Machine) -> Option
 }
 
 /// Executes a fast-path-eligible workload analytically, producing only the
-/// scalar metrics of [`LeanRun`] — no task records, no power segments, no
-/// trace. This is where the closed form's asymmetry over the event loop is
-/// largest: the engine *must* run every epoch and materialize its trace
-/// before any statistic exists, while the closed form integrates the same
-/// quantities directly. Agrees with
-/// [`LeanRun::summarize`](crate::LeanRun::summarize) of the event loop's
-/// result to floating-point rounding (the differential suite in
-/// `olab-oracle` pins this). Returns `None` exactly when [`execute_fast`]
-/// would (the bail conditions are the same).
+/// scalar metrics of [`LeanRun`] — no task records and no trace — and,
+/// with `keep_gpu0`, GPU 0's power trace. This is where the
+/// closed form's asymmetry over the event loop is largest: the engine
+/// *must* run every epoch before any statistic exists, while the closed
+/// form integrates the same quantities directly. Returns `None` exactly
+/// when [`execute_fast`] would (the bail conditions are the same).
+///
+/// The result equals [`LeanRun::summarize`](crate::LeanRun::summarize) of
+/// [`execute_fast`] bit for bit: every sum adds the same terms in the same
+/// order as the full path's statistics derivation. Task time is summed as
+/// `end − start` per task in task order, and power goes through
+/// [`PowerFold`], which merges segments by the engine's rule and folds
+/// them exactly as [`olab_power::PowerStats`] does over the full trace.
 ///
 /// Two regimes:
 ///
 /// * **no cross-stream co-residency** (every sequential schedule): one
-///   fused pass computes the schedule and every scalar together — each
-///   instant is kernel-only, comm-only, or idle, so energy is the sum of
-///   per-task `watts × duration` plus idle draw over the remaining
-///   `makespan − busy`, and windows and co-activity are zero;
-/// * **overlapping streams** (uncontended machines only): the generic
-///   lanes-based derivation ([`lean_from_lanes`]), which counts merged
-///   windows, accumulates co-activity, and integrates power with the same
-///   boundary sweep as [`execute_fast`] — without materializing segments.
+///   fused pass ([`single_pass`]) computes the schedule and every scalar
+///   together;
+/// * **overlapping streams** (uncontended machines only), or a kept
+///   trace: the full schedule with its per-(GPU, stream) lanes
+///   ([`lean_from_lanes`]).
+pub(crate) fn execute_fast_lean(
+    workload: &Workload<Op>,
+    machine: &Machine,
+    keep_gpu0: bool,
+) -> Option<(LeanRun, Option<PowerTrace>)> {
+    if !keep_gpu0 {
+        if let SinglePass::Done(run) = single_pass(workload, machine)? {
+            return Some((run, None));
+        }
+    }
+    lean_from_lanes(workload, machine, keep_gpu0)
+}
+
+/// Outcome of [`single_pass`] on a fast-path-eligible schedule.
+enum SinglePass {
+    /// The schedule has no cross-stream co-residency: here is its result.
+    Done(LeanRun),
+    /// Compute and communication may overlap somewhere: use the lanes.
+    Overlapping,
+}
+
+/// The fused single pass for schedules without cross-stream co-residency:
+/// the schedule and its scalar statistics together, with no lanes and no
+/// per-task id tables, or `None` where [`build_schedule`] bails.
 ///
-/// Average power is `energy / makespan`: both paths' segments cover
-/// `[0, makespan]` per GPU, so the time-weighted average divides by the
-/// makespan exactly as [`olab_power::PowerTrace::average`] does.
-pub(crate) fn execute_fast_lean(workload: &Workload<Op>, machine: &Machine) -> Option<LeanRun> {
+/// Co-residency is detected on the fly: a task starting before the other
+/// stream's latest end on any participant *may* overlap an earlier
+/// interval (it may also land in a gap), and any actual overlap pair is
+/// caught this way on its later-pushed member — so finishing the pass
+/// proves the schedule has no co-residency on any GPU. Then every task
+/// starts after all earlier-pushed tasks on its GPUs have ended, so each
+/// GPU's tasks arrive in time order and its elementary power segments —
+/// idle gap, task, idle gap, … — are exactly those of the boundary sweep;
+/// they stream straight into the GPU's fold. Windows and co-activity are
+/// zero.
+fn single_pass(workload: &Workload<Op>, machine: &Machine) -> Option<SinglePass> {
     let n = workload.len();
     let n_gpus = workload.n_gpus();
     let tasks = workload.tasks();
 
-    if n == 0 {
-        return Some(LeanRun {
-            e2e_s: 0.0,
-            gpus: vec![LeanGpuStats::default(); n_gpus],
-            route: Route::FastPath,
-        });
-    }
-
-    // Specialized single pass for the common case: schedule and scalar
-    // statistics together, with no lanes, no start array, and no
-    // per-task id tables. Cross-stream co-residency is detected on the
-    // fly: a task starting before the other stream's latest end on any
-    // participant *may* overlap an earlier interval (it may also land in
-    // a gap), and any actual overlap pair is caught this way on its
-    // later-pushed member — so `clean == true` proves the schedule has no
-    // co-residency at all, on any GPU. Clean schedules finish right here;
-    // flagged ones redo through the generic lanes-based path below.
     let mut interner = Interner::default();
     let mut kernel_watts: Vec<f64> = Vec::new();
     let mut comm_watts: Vec<f64> = Vec::new();
+    let idle_w = machine.segment_power_w(0, None, None);
     let mut end = vec![0.0f64; n];
     let mut queue_last = vec![0.0f64; n_gpus * 2];
+    // Task time per GPU and stream. A task's `end - start` here equals its
+    // record's `SimTime` difference (`end >= start`), so these sums match
+    // the full path's totals.
     let mut busy = vec![[0.0f64; 2]; n_gpus];
-    let mut energy = vec![0.0f64; n_gpus];
-    let mut peak = vec![0.0f64; n_gpus];
-    let mut clean = true;
+    let mut folds = vec![PowerFold::default(); n_gpus];
     for (i, task) in tasks.iter().enumerate() {
         let mut t = 0.0f64;
         for dep in &task.deps {
@@ -669,170 +687,107 @@ pub(crate) fn execute_fast_lean(workload: &Workload<Op>, machine: &Machine) -> O
         };
         let e = t + duration;
         end[i] = e;
-        let task_energy = w * duration;
         for g in &task.participants {
             let gi = g.index();
-            if t < queue_last[gi * 2 + oi] {
-                clean = false;
+            let other_last = queue_last[gi * 2 + oi];
+            if t < other_last {
+                return Some(SinglePass::Overlapping);
             }
+            // Clean so far: the GPU's latest task ended at the later of
+            // its two queues' last ends.
+            let last_end = queue_last[gi * 2 + si].max(other_last);
             queue_last[gi * 2 + si] = e;
-            busy[gi][si] += duration;
-            energy[gi] += task_energy;
-            peak[gi] = peak[gi].max(w);
+            let fold = &mut folds[gi];
+            if t > last_end {
+                fold.push(last_end, t, idle_w);
+            }
+            if e > t {
+                fold.push(t, e, w);
+            }
+            busy[gi][si] += e - t;
         }
     }
-    if !clean {
-        return lean_from_lanes(workload, machine);
-    }
-
     let makespan = end.iter().copied().fold(0.0f64, f64::max);
-    let mut gpus = Vec::with_capacity(n_gpus);
-    for g in 0..n_gpus {
-        let compute_s = busy[g][StreamKind::Compute.index()];
-        let comm_s = busy[g][StreamKind::Comm.index()];
-        let mut energy_j = energy[g];
-        let mut peak_w = peak[g];
-        // With no co-residency, each instant is kernel-only, comm-only, or
-        // idle; the idle remainder draws the floor (the full path emits
-        // idle segments only over genuine gaps, so `idle == 0` means it
-        // emitted none).
-        let idle = makespan - compute_s - comm_s;
-        if idle > 0.0 {
-            let w = machine.segment_power_w(g, None, None);
-            energy_j += w * idle;
-            peak_w = peak_w.max(w);
-        }
-        gpus.push(LeanGpuStats {
-            compute_s,
-            comm_s,
-            overlapped_compute_s: 0.0,
-            hidden_comm_s: 0.0,
-            average_power_w: if makespan > 0.0 {
-                energy_j / makespan
-            } else {
-                0.0
-            },
-            peak_power_w: peak_w,
-            energy_j,
-            overlap_windows: 0,
-        });
-    }
-    Some(LeanRun {
+    let gpus = (0..n_gpus)
+        .map(|g| {
+            let mut fold = folds[g];
+            let last_end = queue_last[g * 2].max(queue_last[g * 2 + 1]);
+            if makespan > last_end {
+                fold.push(last_end, makespan, idle_w);
+            }
+            let zero = [SimTime::ZERO; 2];
+            LeanGpuStats::new(busy[g].map(SimTime::from_secs), zero, fold.finish(), 0)
+        })
+        .collect();
+    Some(SinglePass::Done(LeanRun {
         e2e_s: makespan,
         gpus,
         route: Route::FastPath,
-    })
+    }))
 }
 
-/// The generic lanes-based lean evaluation: builds the full
-/// [`FastSchedule`] and derives the [`LeanRun`] scalars from its lanes —
-/// overlap window counts under the engine's merge rule, energy/peak via the
-/// boundary sweep where streams overlap, and co-activity per participant.
-/// [`execute_fast_lean`] reaches this only when its single-pass scan flags
-/// potential cross-stream co-residency.
-fn lean_from_lanes(workload: &Workload<Op>, machine: &Machine) -> Option<LeanRun> {
+/// The lanes-based lean evaluation: builds the full [`FastSchedule`] and
+/// derives the [`LeanRun`] scalars from it exactly as [`execute_fast`] and
+/// the statistics derivation do — merged-window counts, power through the
+/// boundary sweep, and task and co-active time summed per task in task
+/// order. Power streams into a [`PowerFold`], except on GPU 0 with
+/// `keep_gpu0`, whose merged segments are kept as its trace.
+fn lean_from_lanes(
+    workload: &Workload<Op>,
+    machine: &Machine,
+    keep_gpu0: bool,
+) -> Option<(LeanRun, Option<PowerTrace>)> {
     let n_gpus = workload.n_gpus();
     let tasks = workload.tasks();
     let s = build_schedule(workload, machine)?;
 
     let cslots = s.comm_interned.len() + 1;
     let mut power_memo: Vec<f64> = vec![f64::NAN; (s.kernel_ops.len() + 1) * cslots];
-    let mut gpus: Vec<LeanGpuStats> = Vec::with_capacity(n_gpus);
-    let mut has_overlap = vec![false; n_gpus];
+    let mut power = Vec::with_capacity(n_gpus);
+    let mut windows = Vec::with_capacity(n_gpus);
+    let mut kept = None;
     let mut bounds: Vec<f64> = Vec::new();
-    for (g, gpu_overlaps) in has_overlap.iter_mut().enumerate() {
-        let compute_lane = &s.lanes[g][0];
-        let comm_lane = &s.lanes[g][1];
-        let compute_s: f64 = compute_lane.iter().map(|&i| s.end[i] - s.start[i]).sum();
-        let comm_s: f64 = comm_lane.iter().map(|&i| s.end[i] - s.start[i]).sum();
-
-        // Window count under the engine's contiguity merge rule.
-        let mut overlap_windows = 0usize;
-        let mut last_end = f64::NEG_INFINITY;
-        let (mut i, mut j) = (0, 0);
-        while i < compute_lane.len() && j < comm_lane.len() {
-            let (a, b) = (compute_lane[i], comm_lane[j]);
-            let lo = s.start[a].max(s.start[b]);
-            let hi = s.end[a].min(s.end[b]);
-            if hi > lo {
-                if (last_end - lo).abs() >= 1e-12 {
-                    overlap_windows += 1;
-                }
-                last_end = hi;
-            }
-            if s.end[a] <= s.end[b] {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        *gpu_overlaps = overlap_windows > 0;
-
-        let (mut energy_j, mut peak_w) = (0.0f64, 0.0f64);
-        if overlap_windows == 0 {
-            for &t in compute_lane {
-                let w = priced(&s, machine, &mut power_memo, g, s.task_kernel[t], NONE);
-                energy_j += w * (s.end[t] - s.start[t]);
-                peak_w = peak_w.max(w);
-            }
-            for &t in comm_lane {
-                let w = priced(&s, machine, &mut power_memo, g, NONE, s.task_comm[t]);
-                energy_j += w * (s.end[t] - s.start[t]);
-                peak_w = peak_w.max(w);
-            }
-            let idle = s.makespan - compute_s - comm_s;
-            if idle > 0.0 {
-                let w = priced(&s, machine, &mut power_memo, g, NONE, NONE);
-                energy_j += w * idle;
-                peak_w = peak_w.max(w);
-            }
-        } else {
+    let mut scratch = GpuActivity::default();
+    for g in 0..n_gpus {
+        scratch.overlap_windows.clear();
+        lane_intersections(&s, g, |lo, hi| scratch.push_overlap(lo, hi));
+        windows.push(scratch.overlap_windows.len());
+        if keep_gpu0 && g == 0 {
+            scratch.power.clear();
             sweep_power_segments(&s, machine, g, &mut bounds, &mut power_memo, |t0, t1, w| {
-                energy_j += w * (t1 - t0);
-                peak_w = peak_w.max(w);
+                scratch.push_power(SimTime::from_secs(t0), SimTime::from_secs(t1), w);
             });
-        }
-
-        gpus.push(LeanGpuStats {
-            compute_s,
-            comm_s,
-            overlapped_compute_s: 0.0,
-            hidden_comm_s: 0.0,
-            average_power_w: if s.makespan > 0.0 {
-                energy_j / s.makespan
-            } else {
-                0.0
-            },
-            peak_power_w: peak_w,
-            energy_j,
-            overlap_windows,
-        });
-    }
-
-    // Co-activity, accumulated per (GPU, stream) exactly as the full
-    // statistics derivation does (each participant is credited the task's
-    // whole union measure).
-    if has_overlap.iter().any(|&h| h) {
-        let coactive = coactive_times(tasks, &s, &has_overlap);
-        for (i, task) in tasks.iter().enumerate() {
-            if coactive[i] == 0.0 {
-                continue;
-            }
-            for g in &task.participants {
-                let stats = &mut gpus[g.index()];
-                match task.stream {
-                    StreamKind::Compute => stats.overlapped_compute_s += coactive[i],
-                    StreamKind::Comm => stats.hidden_comm_s += coactive[i],
-                }
-            }
+            power.push(PowerStats::from_segments(&scratch.power));
+            kept = Some(PowerTrace::from_segments(&scratch.power));
+        } else {
+            let mut fold = PowerFold::default();
+            sweep_power_segments(&s, machine, g, &mut bounds, &mut power_memo, |t0, t1, w| {
+                fold.push(t0, t1, w);
+            });
+            power.push(fold.finish());
         }
     }
 
-    Some(LeanRun {
+    let has_overlap: Vec<bool> = windows.iter().map(|&w| w > 0).collect();
+    let coactive = coactive_times(tasks, &s, &has_overlap);
+    let mut totals = StreamTotals::new(n_gpus);
+    for (i, task) in tasks.iter().enumerate() {
+        totals.add(
+            &task.participants,
+            task.stream,
+            SimTime::from_secs(s.end[i]) - SimTime::from_secs(s.start[i]),
+            SimTime::from_secs(coactive[i]),
+        );
+    }
+    let gpus = (0..n_gpus)
+        .map(|g| LeanGpuStats::new(totals.busy[g], totals.coactive[g], power[g], windows[g]))
+        .collect();
+    let run = LeanRun {
         e2e_s: s.makespan,
         gpus,
         route: Route::FastPath,
-    })
+    };
+    Some((run, kept))
 }
 
 /// A multiply-xor hasher (FxHash-style) for the payload-interning map: the
@@ -900,40 +855,6 @@ fn lanes_intersect(a: &[usize], b: &[usize], start: &[f64], end: &[f64]) -> bool
         }
     }
     false
-}
-
-/// The engine's window-merge rule: append, coalescing with the previous
-/// window when contiguous within 1e-12 s.
-fn push_window(windows: &mut Vec<Window>, lo: f64, hi: f64) {
-    if let Some(last) = windows.last_mut() {
-        if (last.end.as_secs() - lo).abs() < 1e-12 {
-            last.end = SimTime::from_secs(hi);
-            return;
-        }
-    }
-    windows.push(Window {
-        start: SimTime::from_secs(lo),
-        end: SimTime::from_secs(hi),
-    });
-}
-
-/// The engine's power-merge rule: append, coalescing when contiguous within
-/// 1e-12 s and equal draw within 1e-9 W.
-fn push_power(segments: &mut Vec<PowerSegment>, lo: f64, hi: f64, watts: f64) {
-    if let Some(last) = segments.last_mut() {
-        let contiguous = (last.window.end.as_secs() - lo).abs() < 1e-12;
-        if contiguous && (last.watts - watts).abs() < 1e-9 {
-            last.window.end = SimTime::from_secs(hi);
-            return;
-        }
-    }
-    segments.push(PowerSegment {
-        window: Window {
-            start: SimTime::from_secs(lo),
-            end: SimTime::from_secs(hi),
-        },
-        watts,
-    });
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 use crate::fastpath::Route;
 use crate::Machine;
 use olab_parallel::Op;
-use olab_power::PowerTrace;
+use olab_power::{PowerStats, PowerTrace};
 use olab_sim::{
-    Engine, EngineObserver, GpuId, NullObserver, SimError, SimTrace, StreamKind, Workload,
+    Engine, EngineObserver, GpuId, NullObserver, SimError, SimTime, SimTrace, StreamKind,
+    StreamTotals, Workload,
 };
 
 /// Per-GPU statistics of one run.
@@ -77,27 +78,6 @@ impl RunResult {
         self.gpus.iter().map(|g| g.power.average()).sum::<f64>() / self.gpus.len() as f64
     }
 
-    /// One-pass power summary: (mean average watts, peak watts, total
-    /// joules). Matches [`average_power_w`](RunResult::average_power_w),
-    /// [`peak_power_w`](RunResult::peak_power_w) and
-    /// [`energy_j`](RunResult::energy_j) bit-for-bit while walking each
-    /// GPU's segments once instead of three times.
-    pub fn power_summary(&self) -> (f64, f64, f64) {
-        let (mut avg, mut peak, mut energy) = (0.0f64, 0.0f64, 0.0f64);
-        for g in &self.gpus {
-            let s = g.power.stats();
-            avg += s.average_w;
-            peak = peak.max(s.peak_w);
-            energy += s.energy_j;
-        }
-        let avg = if self.gpus.is_empty() {
-            0.0
-        } else {
-            avg / self.gpus.len() as f64
-        };
-        (avg, peak, energy)
-    }
-
     /// Highest instantaneous draw across GPUs, watts.
     pub fn peak_power_w(&self) -> f64 {
         self.gpus
@@ -134,14 +114,36 @@ pub struct LeanGpuStats {
     pub overlap_windows: usize,
 }
 
+impl LeanGpuStats {
+    /// One GPU's statistics from its per-stream task totals (indexed by
+    /// [`StreamKind::index`]), power statistics and overlap-window count.
+    pub(crate) fn new(
+        busy: [SimTime; 2],
+        coactive: [SimTime; 2],
+        power: PowerStats,
+        overlap_windows: usize,
+    ) -> Self {
+        LeanGpuStats {
+            compute_s: busy[StreamKind::Compute.index()].as_secs(),
+            comm_s: busy[StreamKind::Comm.index()].as_secs(),
+            overlapped_compute_s: coactive[StreamKind::Compute.index()].as_secs(),
+            hidden_comm_s: coactive[StreamKind::Comm.index()].as_secs(),
+            average_power_w: power.average_w,
+            peak_power_w: power.peak_w,
+            energy_j: power.energy_j,
+            overlap_windows,
+        }
+    }
+}
+
 /// Scalar-only output of executing one schedule: everything a metrics
 /// consumer reads from a [`RunResult`], with no trace, task records, or
 /// power segments behind it.
 ///
-/// Produced either by [`execute_lean`] (where the analytic fast path can
-/// compute these quantities directly, without materializing a trace at
-/// all — its cheapest mode) or from an existing full result via
-/// [`LeanRun::summarize`].
+/// Produced either by [`execute_lean`] (the analytic fast path computes
+/// these quantities directly, and the event loop runs without task
+/// records) or from an existing full result via [`LeanRun::summarize`].
+/// Both give the same value, bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeanRun {
     /// End-to-end iteration time, seconds.
@@ -155,9 +157,9 @@ pub struct LeanRun {
 impl LeanRun {
     /// Reduces a full [`RunResult`] to its scalar statistics. Each quantity
     /// equals the corresponding [`RunResult`] / [`GpuRunStats`] accessor
-    /// bit-for-bit; the differential suite in `olab-oracle` pins that the
-    /// fast path's directly-computed [`execute_lean`] output agrees with
-    /// this reduction of the event loop's result.
+    /// bit-for-bit, and [`execute_lean`] equals this reduction of
+    /// [`execute`] on the same workload and machine exactly (the oracle's
+    /// fast-path pillar pins both routes).
     pub fn summarize(full: &RunResult) -> LeanRun {
         LeanRun {
             e2e_s: full.e2e_s,
@@ -229,6 +231,23 @@ impl LeanRun {
     pub fn energy_j(&self) -> f64 {
         self.gpus.iter().map(|g| g.energy_j).sum()
     }
+
+    /// One-pass power summary: (mean average watts, peak watts, total
+    /// joules), folded GPU by GPU in index order.
+    pub fn power_summary(&self) -> (f64, f64, f64) {
+        let (mut avg, mut peak, mut energy) = (0.0f64, 0.0f64, 0.0f64);
+        for g in &self.gpus {
+            avg += g.average_power_w;
+            peak = peak.max(g.peak_power_w);
+            energy += g.energy_j;
+        }
+        let avg = if self.gpus.is_empty() {
+            0.0
+        } else {
+            avg / self.gpus.len() as f64
+        };
+        (avg, peak, energy)
+    }
 }
 
 /// Runs a schedule on a machine.
@@ -268,28 +287,91 @@ pub fn execute(workload: &Workload<Op>, machine: &Machine) -> Result<RunResult, 
 /// This is the cheapest way to evaluate a cell when the caller needs
 /// numbers, not traces: a fast-path-eligible run computes the statistics in
 /// closed form without materializing task records or power segments at all,
-/// while an ineligible run falls back to the event loop and reduces its
-/// full result with [`LeanRun::summarize`]. Path routing and counters match
-/// [`execute`] exactly, and [`LeanRun::route`] records which path ran.
+/// while an ineligible run takes the event loop without task records
+/// ([`execute_model_lean`]). Either way the result is bit-identical to
+/// [`LeanRun::summarize`] of [`execute`] on the same inputs. Path routing
+/// and counters match [`execute`] exactly, and [`LeanRun::route`] records
+/// which path ran.
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`] from the engine (malformed DAG, deadlock, or a
 /// misbehaving rate model).
 pub fn execute_lean(workload: &Workload<Op>, machine: &Machine) -> Result<LeanRun, SimError> {
+    execute_lean_keeping(workload, machine, false).map(|(run, _)| run)
+}
+
+/// [`execute_lean`] that, with `keep_gpu0`, also returns GPU 0's power
+/// trace — the one per-GPU series a grid cell reports, for the vendor
+/// sampler.
+pub(crate) fn execute_lean_keeping(
+    workload: &Workload<Op>,
+    machine: &Machine,
+    keep_gpu0: bool,
+) -> Result<(LeanRun, Option<PowerTrace>), SimError> {
     let start = olab_metrics::now_if_enabled();
     let m = crate::fastpath::route_metrics();
     if crate::fastpath::machine_eligible(machine) {
-        if let Some(result) = crate::analytic::execute_fast_lean(workload, machine) {
+        if let Some(result) = crate::analytic::execute_fast_lean(workload, machine, keep_gpu0) {
             m.fast_lean.inc();
             m.fast_lean_ns.observe_since(start);
             return Ok(result);
         }
     }
-    let result = execute_model(workload, machine.clone(), &mut NullObserver)?;
+    let result = lean_event_loop(workload, machine.clone(), keep_gpu0)?;
     m.event_loop_lean.inc();
     m.event_loop_lean_ns.observe_since(start);
-    Ok(LeanRun::summarize(&result))
+    Ok(result)
+}
+
+/// Runs a schedule through the event loop on any [`RateModel`] pricing
+/// [`Op`] payloads, producing only the scalar [`LeanRun`] metrics: the
+/// engine runs without task records ([`Engine::run_summary`]), and the
+/// result is bit-identical to [`LeanRun::summarize`] of [`execute_model`].
+/// This is the event-loop route of [`execute_lean`]; the route is always
+/// [`Route::EventLoop`].
+///
+/// [`RateModel`]: olab_sim::RateModel
+///
+/// # Errors
+///
+/// Propagates [`SimError`] from the engine.
+pub fn execute_model_lean<M>(workload: &Workload<Op>, model: M) -> Result<LeanRun, SimError>
+where
+    M: olab_sim::RateModel<Payload = Op>,
+{
+    lean_event_loop(workload, model, false).map(|(run, _)| run)
+}
+
+fn lean_event_loop<M>(
+    workload: &Workload<Op>,
+    model: M,
+    keep_gpu0: bool,
+) -> Result<(LeanRun, Option<PowerTrace>), SimError>
+where
+    M: olab_sim::RateModel<Payload = Op>,
+{
+    let summary = Engine::new(model).run_summary(workload)?;
+    let gpus = summary
+        .gpus
+        .iter()
+        .enumerate()
+        .map(|(g, activity)| {
+            LeanGpuStats::new(
+                summary.totals.busy[g],
+                summary.totals.coactive[g],
+                PowerStats::from_segments(&activity.power),
+                activity.overlap_windows.len(),
+            )
+        })
+        .collect();
+    let kept = summary.gpus.first().filter(|_| keep_gpu0);
+    let run = LeanRun {
+        e2e_s: summary.makespan.as_secs(),
+        gpus,
+        route: Route::EventLoop,
+    };
+    Ok((run, kept.map(|a| PowerTrace::from_segments(&a.power))))
 }
 
 /// Runs a schedule through the event loop on any [`RateModel`] pricing
@@ -327,20 +409,9 @@ where
 /// execution paths (event loop and analytic fast path) funnel through this,
 /// so the statistics derivation is shared by construction.
 pub(crate) fn run_result_from_trace(trace: SimTrace, n_gpus: usize, route: Route) -> RunResult {
-    // One pass over the records accumulates all four per-(GPU, stream)
-    // sums. Each (gpu, stream) bucket sees its records in the same order
-    // `SimTrace::stream_time_on`/`coactive_time_on` would visit them, so
-    // the totals are bit-identical to the accessor-per-quantity derivation
-    // this replaces — at 2×streams×gpus fewer record walks.
-    let mut busy = vec![[olab_sim::SimTime::ZERO; 2]; n_gpus];
-    let mut coactive = vec![[olab_sim::SimTime::ZERO; 2]; n_gpus];
-    for r in trace.records() {
-        let s = r.stream.index();
-        for g in &r.participants {
-            busy[g.index()][s] += r.duration();
-            coactive[g.index()][s] += r.coactive;
-        }
-    }
+    // One pass over the records, in task order — the order the record-free
+    // engine run sums in, so both give the same totals bit for bit.
+    let StreamTotals { busy, coactive } = trace.stream_totals();
     let mut gpus = Vec::with_capacity(n_gpus);
     for g in 0..n_gpus {
         let activity = trace.gpu(GpuId(g as u16));
@@ -373,6 +444,11 @@ mod tests {
     use olab_parallel::{fsdp, ExecutionMode};
 
     fn tiny_fsdp(mode: ExecutionMode) -> RunResult {
+        let (w, machine) = tiny_fsdp_workload(mode);
+        execute(&w, &machine).expect("fsdp executes")
+    }
+
+    fn tiny_fsdp_workload(mode: ExecutionMode) -> (Workload<Op>, Machine) {
         let sku = GpuSku::h100();
         let machine = Machine::stock(sku.clone(), 4);
         let plan = fsdp::FsdpPlan {
@@ -387,7 +463,34 @@ mod tests {
             overlap: Default::default(),
         };
         let w = fsdp::fsdp_timeline(&plan, &sku, &machine.config().topology, mode);
-        execute(&w, &machine).expect("fsdp executes")
+        (w, machine)
+    }
+
+    /// The grid path's overlapped leg: on every route — the clean single
+    /// pass, the lanes and the event loop — the lean scalars are the
+    /// summarized full run, and the kept trace is the full run's GPU 0
+    /// trace, bit for bit.
+    #[test]
+    fn lean_runs_equal_the_summarized_full_run_on_every_route() {
+        let mut routes = Vec::new();
+        for mode in [ExecutionMode::Sequential, ExecutionMode::Overlapped] {
+            let (w, stock) = tiny_fsdp_workload(mode);
+            let jittered = stock.clone().with_jitter(crate::Jitter {
+                seed: 3,
+                sigma: 0.05,
+            });
+            for machine in [stock.uncontended(), stock, jittered] {
+                let full = execute(&w, &machine).expect("runs");
+                let summary = LeanRun::summarize(&full);
+                let lean = execute_lean(&w, &machine).expect("runs");
+                assert_eq!(lean, summary, "{mode:?} on {:?}", full.route);
+                let (kept, power) = execute_lean_keeping(&w, &machine, true).expect("runs");
+                assert_eq!(kept, summary, "{mode:?} on {:?}", full.route);
+                assert_eq!(power, Some(full.gpus[0].power.clone()), "{mode:?}");
+                routes.push(full.route);
+            }
+        }
+        assert!(routes.contains(&Route::FastPath) && routes.contains(&Route::EventLoop));
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! One cell of the paper's evaluation grid.
 
-use crate::{execute, execute_lean, Jitter, Machine, MachineConfig, OverlapMetrics, RunResult};
+use crate::executor::execute_lean_keeping;
+use crate::{
+    execute, execute_lean, CellMetrics, Jitter, Machine, MachineConfig, OverlapMetrics, RunResult,
+};
 use olab_gpu::{Datapath, PowerLimit, Precision, SkuKind};
 use olab_models::memory::{self, ActivationPolicy, Sharding};
 use olab_models::ModelPreset;
@@ -418,6 +421,46 @@ impl Experiment {
         self.run_on(policy, &self.machine().with_jitter(Jitter { seed, sigma }))
     }
 
+    /// Runs the experiment on the grid path: the same three legs and the
+    /// same metrics as [`Experiment::run`], keeping only the scalars a
+    /// sweep caches. No leg builds task records or a full [`RunResult`]:
+    /// every leg goes through [`execute_lean`], and the overlapped leg
+    /// keeps only GPU 0's power trace, for the vendor sampler. The result
+    /// is bit-identical to [`CellMetrics::from_report`] of
+    /// [`Experiment::run`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Experiment::run`].
+    pub fn run_cell(&self) -> Result<CellMetrics, ExperimentError> {
+        let policy = self.validate()?;
+        self.cell_on(policy, &self.machine())
+    }
+
+    /// The grid path of [`Experiment::run_on`]: the same legs, lowered
+    /// once, through the scalar-only executor.
+    fn cell_on(
+        &self,
+        policy: ActivationPolicy,
+        machine: &Machine,
+    ) -> Result<CellMetrics, ExperimentError> {
+        let workload = self.timeline(ExecutionMode::Overlapped, policy)?;
+        let (overlapped, power) = execute_lean_keeping(&workload, machine, true)?;
+        let ideal = execute_lean(&workload, &machine.uncontended())?;
+        let sequential = execute_lean(&workload.into_sequential(), machine)?;
+        let sampled = power.unwrap_or_default().sample(self.sampler());
+        Ok(CellMetrics {
+            metrics: OverlapMetrics::derive_lean(&overlapped, &sequential),
+            activation_policy: policy,
+            sampled_avg_w: sampled.average().unwrap_or(0.0),
+            sampled_peak_w: sampled.peak().unwrap_or(0.0),
+            ideal_simulated_e2e_s: ideal.e2e_s,
+            comm_s: overlapped.comm_s(),
+            overlapped_compute_s: overlapped.overlapped_compute_s(),
+            hidden_comm_s: overlapped.hidden_comm_s(),
+        })
+    }
+
     /// The three legs and the derived metrics of a validated experiment
     /// on `machine`. The schedule is lowered once: the ideal leg reruns the
     /// overlapped schedule on the uncontended machine, and the sequential
@@ -497,7 +540,9 @@ impl Experiment {
     ///
     /// The seeds fan out across the `olab-grid` worker pool; results come
     /// back in seed order (seed `i` is always `runs[i]`) because the pool
-    /// collects by input index, and each seeded run is deterministic.
+    /// collects by input index, and each seeded run is deterministic. Each
+    /// run takes the grid path, so `runs[i]` equals
+    /// `run_jittered(i, sigma)?.metrics` bit for bit.
     ///
     /// # Errors
     ///
@@ -505,7 +550,9 @@ impl Experiment {
     pub fn run_n(&self, n: usize, sigma: f64) -> Result<MultiRunStats, ExperimentError> {
         let seeds: Vec<u64> = (0..n as u64).collect();
         let results = olab_grid::Pool::with_available_parallelism().map(&seeds, |&seed| {
-            self.run_jittered(seed, sigma).map(|r| r.metrics)
+            let policy = self.validate()?;
+            let machine = self.machine().with_jitter(Jitter { seed, sigma });
+            self.cell_on(policy, &machine).map(|c| c.metrics)
         });
         let mut runs = Vec::with_capacity(n);
         for result in results {

@@ -1,6 +1,6 @@
 //! The paper's metrics (Section IV-D, Eqs. 1–5).
 
-use crate::RunResult;
+use crate::{LeanRun, RunResult};
 
 /// All metrics for one experiment cell, derived exactly as the paper
 /// derives them from measured quantities.
@@ -34,11 +34,23 @@ pub struct OverlapMetrics {
 }
 
 impl OverlapMetrics {
-    /// Derives all metrics from the overlapped and sequential runs.
+    /// Derives all metrics from the overlapped and sequential runs: the
+    /// [`derive_lean`](OverlapMetrics::derive_lean) of their scalar
+    /// reductions.
+    pub fn derive(overlapped: &RunResult, sequential: &RunResult) -> Self {
+        Self::derive_lean(
+            &LeanRun::summarize(overlapped),
+            &LeanRun::summarize(sequential),
+        )
+    }
+
+    /// Derives all metrics from the scalar statistics of the overlapped
+    /// and sequential runs. This is the one formula: the report path
+    /// ([`derive`](OverlapMetrics::derive)) and the grid path both use it.
     ///
     /// Per-GPU sums are averaged over GPUs (the node is symmetric), matching
     /// the paper's per-device measurement methodology.
-    pub fn derive(overlapped: &RunResult, sequential: &RunResult) -> Self {
+    pub fn derive_lean(overlapped: &LeanRun, sequential: &LeanRun) -> Self {
         let n = overlapped.gpus.len().max(1) as f64;
         let compute_ovl = overlapped.compute_s() / n;
         let compute_seq = sequential.compute_s() / n;

@@ -357,11 +357,7 @@ impl GridJob for Experiment {
     }
 
     fn execute(&self) -> CachedCell {
-        CachedCell(
-            self.run()
-                .map(|report| CellMetrics::from_report(&report))
-                .map_err(CellError::from),
-        )
+        CachedCell(self.run_cell().map_err(CellError::from))
     }
 
     /// Cost class for the capped disk cache: a feasible cell is

@@ -9,7 +9,7 @@
 
 use olab_ccl::{lower, Algorithm, Collective, CollectiveKind};
 use olab_core::fastpath::Route;
-use olab_core::{Experiment, ExperimentError, ExperimentReport, RunResult};
+use olab_core::{Experiment, ExperimentError, ExperimentReport, LeanRun, RunResult};
 use olab_gpu::{roofline, Datapath, GpuSku, KernelKind, Precision};
 use olab_net::Topology;
 use olab_parallel::{ExecutionMode, Op};
@@ -665,7 +665,8 @@ fn check_report(
 /// Pillar D: differential check of the analytic fast path against the
 /// event loop on the two fast-path-eligible execution shapes of a cell —
 /// the sequential schedule on the contended machine and the overlapped
-/// schedule on the uncontended (ideal) machine.
+/// schedule on the uncontended (ideal) machine — plus exactness of the
+/// scalar-only executor on all four (schedule, machine) shapes.
 ///
 /// [`execute`](olab_core::execute) routes eligible cells through the
 /// closed form while [`execute_model`](olab_core::execute_model) always
@@ -676,12 +677,20 @@ fn check_report(
 /// trace additionally has to satisfy the same structural invariants
 /// ([`verify_trace`]) as an engine trace.
 ///
+/// The scalar-only executor has no tolerance: on every shape,
+/// [`execute_lean`](olab_core::execute_lean) must equal
+/// [`LeanRun::summarize`] of [`execute`](olab_core::execute) exactly, and
+/// where that route is the fast path, the event loop's record-free run
+/// ([`execute_model_lean`](olab_core::execute_model_lean)) must equal the
+/// summarized [`execute_model`](olab_core::execute_model) exactly too.
+/// A mismatch is a violation.
+///
 /// Returns the report together with how many of the cell's four routed
-/// legs (full and lean, for each shape) the fast path served, read from
-/// each result's [`route`](olab_core::RunResult::route). If the fast path
-/// declines a leg, both runs of that leg take the event loop and its
-/// comparison is trivially clean, so a caller proving the fast path fired
-/// checks the count.
+/// legs (full and lean, for each eligible shape) the fast path served,
+/// read from each result's [`route`](olab_core::RunResult::route). If the
+/// fast path declines a leg, both runs of that leg take the event loop and
+/// its comparison is trivially clean, so a caller proving the fast path
+/// fired checks the count.
 ///
 /// # Errors
 ///
@@ -691,34 +700,67 @@ pub fn check_fastpath_equivalence(
     exp: &Experiment,
 ) -> Result<(DivergenceReport, usize), ExperimentError> {
     let policy = exp.validate()?;
-    let machine = exp.machine();
+    let contended = exp.machine();
+    let uncontended = contended.uncontended();
     let mut report = DivergenceReport::new(format!("fastpath {}", exp.label()));
 
     let sequential_w = exp.timeline(ExecutionMode::Sequential, policy)?;
-    let mut fast_served =
-        compare_paths(&mut report, "sequential/contended", &sequential_w, &machine)?;
     let overlapped_w = exp.timeline(ExecutionMode::Overlapped, policy)?;
-    fast_served += compare_paths(
-        &mut report,
-        "overlapped/uncontended",
-        &overlapped_w,
-        &machine.uncontended(),
-    )?;
+    let mut fast_served = 0;
+    for (tag, workload, machine, band) in [
+        ("sequential/contended", &sequential_w, &contended, true),
+        ("overlapped/uncontended", &overlapped_w, &uncontended, true),
+        ("overlapped/contended", &overlapped_w, &contended, false),
+        ("sequential/uncontended", &sequential_w, &uncontended, false),
+    ] {
+        let routed = olab_core::execute(workload, machine)?;
+        let lean = olab_core::execute_lean(workload, machine)?;
+        require_equal(&mut report, tag, "execute_lean", &lean, &routed);
+        if routed.route == Route::EventLoop && !band {
+            continue;
+        }
+        // The event loop's record-free run, against its own full run.
+        let reference = olab_core::execute_model(workload, machine.clone(), &mut NullObserver)?;
+        let looped = olab_core::execute_model_lean(workload, machine.clone())?;
+        require_equal(&mut report, tag, "execute_model_lean", &looped, &reference);
+        if band {
+            compare_paths(&mut report, tag, workload, &routed, &reference);
+            fast_served += [routed.route, lean.route]
+                .iter()
+                .filter(|&&r| r == Route::FastPath)
+                .count();
+        }
+    }
     Ok((report, fast_served))
 }
 
-/// Compares one shape's routed full and lean runs against the reference
-/// event loop; returns how many of the two routed runs the fast path
-/// served.
+/// Records a violation unless `lean` equals the summarized `full` run
+/// exactly.
+fn require_equal(
+    report: &mut DivergenceReport,
+    tag: &str,
+    what: &str,
+    lean: &LeanRun,
+    full: &RunResult,
+) {
+    let expected = LeanRun::summarize(full);
+    if *lean != expected {
+        report.violation(format!(
+            "{tag}: {what} ({:?}) is not the summarized full run ({:?}): makespan {} vs {}",
+            lean.route, expected.route, lean.e2e_s, expected.e2e_s
+        ));
+    }
+}
+
+/// Compares one shape's routed full run against the reference event loop
+/// within [`Tolerance::BAND`].
 fn compare_paths(
     report: &mut DivergenceReport,
     tag: &str,
     workload: &olab_sim::Workload<Op>,
-    machine: &olab_core::Machine,
-) -> Result<usize, ExperimentError> {
-    let fast = olab_core::execute(workload, machine)?;
-    let reference = olab_core::execute_model(workload, machine.clone(), &mut NullObserver)?;
-
+    fast: &RunResult,
+    reference: &RunResult,
+) {
     for v in verify_trace(workload, &fast.trace) {
         report.violation(format!("{tag} (routed): {v}"));
     }
@@ -779,72 +821,6 @@ fn compare_paths(
             Tolerance::TIGHT,
         );
     }
-
-    // Third leg: the scalar-only lean executor, which the fast path serves
-    // without materializing a trace, must agree with the reduction of the
-    // reference result quantity by quantity.
-    let lean = olab_core::execute_lean(workload, machine)?;
-    let lean_ref = olab_core::LeanRun::summarize(&reference);
-    report.compare(
-        &format!("{tag} lean makespan"),
-        lean.e2e_s,
-        lean_ref.e2e_s,
-        Tolerance::BAND,
-    );
-    for (g, (f, r)) in lean.gpus.iter().zip(&lean_ref.gpus).enumerate() {
-        report.compare(
-            &format!("{tag} lean gpu{g} compute_s"),
-            f.compute_s,
-            r.compute_s,
-            Tolerance::BAND,
-        );
-        report.compare(
-            &format!("{tag} lean gpu{g} comm_s"),
-            f.comm_s,
-            r.comm_s,
-            Tolerance::BAND,
-        );
-        report.compare(
-            &format!("{tag} lean gpu{g} overlapped_compute_s"),
-            f.overlapped_compute_s,
-            r.overlapped_compute_s,
-            Tolerance::BAND,
-        );
-        report.compare(
-            &format!("{tag} lean gpu{g} hidden_comm_s"),
-            f.hidden_comm_s,
-            r.hidden_comm_s,
-            Tolerance::BAND,
-        );
-        report.compare(
-            &format!("{tag} lean gpu{g} energy_j"),
-            f.energy_j,
-            r.energy_j,
-            Tolerance::BAND,
-        );
-        report.compare(
-            &format!("{tag} lean gpu{g} avg power"),
-            f.average_power_w,
-            r.average_power_w,
-            Tolerance::BAND,
-        );
-        report.compare(
-            &format!("{tag} lean gpu{g} peak power"),
-            f.peak_power_w,
-            r.peak_power_w,
-            Tolerance::BAND,
-        );
-        report.compare(
-            &format!("{tag} lean gpu{g} overlap window count"),
-            f.overlap_windows as f64,
-            r.overlap_windows as f64,
-            Tolerance::TIGHT,
-        );
-    }
-    Ok([fast.route, lean.route]
-        .iter()
-        .filter(|&&r| r == Route::FastPath)
-        .count())
 }
 
 #[cfg(test)]

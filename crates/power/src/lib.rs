@@ -34,4 +34,4 @@ mod sampler;
 mod trace;
 
 pub use sampler::Sampler;
-pub use trace::{PowerSample, PowerStats, PowerTrace, SampledTrace};
+pub use trace::{PowerFold, PowerSample, PowerStats, PowerTrace, SampledTrace};

@@ -1,7 +1,7 @@
 //! Power traces and sampled telemetry.
 
 use crate::Sampler;
-use olab_sim::PowerSegment;
+use olab_sim::{power_continues, PowerSegment};
 
 /// One telemetry reading.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,20 +34,90 @@ pub struct PowerStats {
 impl PowerStats {
     /// Summarizes engine power segments in one pass without copying them.
     pub fn from_segments(segments: &[PowerSegment]) -> Self {
-        let (mut energy, mut span, mut peak) = (0.0f64, 0.0f64, 0.0f64);
+        let mut acc = StatsAcc::default();
         for seg in segments {
-            let t0 = seg.window.start.as_secs();
-            let t1 = seg.window.end.as_secs();
-            energy += seg.watts * (t1 - t0);
-            span += t1 - t0;
-            peak = peak.max(seg.watts);
+            acc.add(
+                seg.window.start.as_secs(),
+                seg.window.end.as_secs(),
+                seg.watts,
+            );
         }
+        acc.finish(segments.last().map_or(0.0, |s| s.window.end.as_secs()))
+    }
+}
+
+/// The one accumulation order behind every [`PowerStats`]: segments are
+/// folded in time order, energy and span as running sums.
+#[derive(Debug, Clone, Copy, Default)]
+struct StatsAcc {
+    energy: f64,
+    span: f64,
+    peak: f64,
+}
+
+impl StatsAcc {
+    #[inline]
+    fn add(&mut self, t0: f64, t1: f64, watts: f64) {
+        self.energy += watts * (t1 - t0);
+        self.span += t1 - t0;
+        self.peak = self.peak.max(watts);
+    }
+
+    /// The statistics of a trace ending at `duration_s`.
+    fn finish(self, duration_s: f64) -> PowerStats {
         PowerStats {
-            average_w: if span > 0.0 { energy / span } else { 0.0 },
-            peak_w: peak,
-            energy_j: energy,
-            duration_s: segments.last().map_or(0.0, |s| s.window.end.as_secs()),
+            average_w: if self.span > 0.0 {
+                self.energy / self.span
+            } else {
+                0.0
+            },
+            peak_w: self.peak,
+            energy_j: self.energy,
+            duration_s,
         }
+    }
+}
+
+/// Power statistics of a trace that is never materialized.
+///
+/// Segments pushed in time order are merged by the engine's rule
+/// ([`power_continues`]); each merged segment is folded into the
+/// statistics as soon as the next one cannot join it. The merged segments and their order are the ones the trace
+/// would hold, so [`PowerFold::finish`] equals
+/// [`PowerStats::from_segments`] of that trace bit for bit.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PowerFold {
+    /// Whether a segment is open to merging.
+    open: bool,
+    /// The open segment: start, end (seconds) and draw.
+    start: f64,
+    end: f64,
+    watts: f64,
+    acc: StatsAcc,
+}
+
+impl PowerFold {
+    /// Pushes the draw over `[start_s, end_s)` seconds; segments must
+    /// arrive in time order.
+    #[inline]
+    pub fn push(&mut self, start_s: f64, end_s: f64, watts: f64) {
+        if self.open && power_continues(self.end, self.watts, start_s, watts) {
+            self.end = end_s;
+            return;
+        }
+        if self.open {
+            self.acc.add(self.start, self.end, self.watts);
+        }
+        (self.open, self.start, self.end, self.watts) = (true, start_s, end_s, watts);
+    }
+
+    /// The statistics of everything pushed.
+    pub fn finish(mut self) -> PowerStats {
+        if !self.open {
+            return self.acc.finish(0.0);
+        }
+        self.acc.add(self.start, self.end, self.watts);
+        self.acc.finish(self.end)
     }
 }
 
@@ -100,34 +170,16 @@ impl PowerTrace {
     /// One-pass summary: average, peak, energy, and duration together,
     /// matching the individual accessors bit-for-bit.
     pub fn stats(&self) -> PowerStats {
-        let (mut energy, mut span, mut peak) = (0.0f64, 0.0f64, 0.0f64);
-        for (t0, t1, w) in &self.segments {
-            energy += w * (t1 - t0);
-            span += t1 - t0;
-            peak = peak.max(*w);
+        let mut acc = StatsAcc::default();
+        for &(t0, t1, w) in &self.segments {
+            acc.add(t0, t1, w);
         }
-        PowerStats {
-            average_w: if span > 0.0 { energy / span } else { 0.0 },
-            peak_w: peak,
-            energy_j: energy,
-            duration_s: self.duration_s(),
-        }
+        acc.finish(self.duration_s())
     }
 
     /// Average draw over `[a, b)`, watts (0 if the interval is empty).
     pub fn average_over(&self, a: f64, b: f64) -> f64 {
-        if b <= a {
-            return 0.0;
-        }
-        let mut energy = 0.0;
-        for (t0, t1, w) in &self.segments {
-            let lo = t0.max(a);
-            let hi = t1.min(b);
-            if hi > lo {
-                energy += w * (hi - lo);
-            }
-        }
-        energy / (b - a)
+        average_within(&self.segments, a, b)
     }
 
     /// Energy delivered within `[a, b)`, joules (0 if the interval is
@@ -138,15 +190,7 @@ impl PowerTrace {
         if b <= a {
             return 0.0;
         }
-        let mut energy = 0.0;
-        for (t0, t1, w) in &self.segments {
-            let lo = t0.max(a);
-            let hi = t1.min(b);
-            if hi > lo {
-                energy += w * (hi - lo);
-            }
-        }
-        energy
+        energy_within(&self.segments, a, b)
     }
 
     /// Peak instantaneous draw within `[a, b)`, watts.
@@ -173,7 +217,16 @@ impl PowerTrace {
     /// * each reading is stamped at the center of its (possibly partial)
     ///   window;
     /// * zero-duration segments carry no energy and never affect samples;
-    /// * an empty trace yields no samples.
+    /// * an empty trace yields no samples;
+    /// * each reading is [`average_over`](PowerTrace::average_over) its
+    ///   window, bit for bit.
+    ///
+    /// The windows are read in one sweep: a cursor skips the segments that
+    /// ended before the current window, and each window stops at the
+    /// first segment starting after it. Both skipped groups add nothing to
+    /// `average_over`'s sum, so every reading adds the same terms in the
+    /// same order. The early stop needs segment starts in time order, which
+    /// every engine trace has; a trace without it is read window by window.
     ///
     /// # Panics
     ///
@@ -183,7 +236,9 @@ impl PowerTrace {
         let dur = self.duration_s();
         let dt = sampler.interval_s;
         assert!(dt.is_finite() && dt > 0.0, "invalid sampling interval {dt}");
+        let sorted = self.segments.windows(2).all(|p| p[0].0 <= p[1].0);
         let mut samples = Vec::new();
+        let mut cursor = 0usize;
         let mut k = 0u64;
         loop {
             let t = k as f64 * dt;
@@ -191,14 +246,46 @@ impl PowerTrace {
                 break;
             }
             let end = (t + dt).min(dur);
+            let window = if sorted {
+                while cursor < self.segments.len() && self.segments[cursor].1 <= t {
+                    cursor += 1;
+                }
+                let rest = &self.segments[cursor..];
+                &rest[..rest.partition_point(|s| s.0 < end)]
+            } else {
+                &self.segments[..]
+            };
             samples.push(PowerSample {
                 time_s: (t + end) / 2.0,
-                watts: self.average_over(t, end),
+                watts: average_within(window, t, end),
             });
             k += 1;
         }
         SampledTrace { sampler, samples }
     }
+}
+
+/// Average draw of `segments` over `[a, b)`, watts (0 if the interval is
+/// empty).
+fn average_within(segments: &[(f64, f64, f64)], a: f64, b: f64) -> f64 {
+    if b <= a {
+        return 0.0;
+    }
+    energy_within(segments, a, b) / (b - a)
+}
+
+/// Energy of `segments` within `[a, b)`, summed in segment order over the
+/// segments that overlap it.
+fn energy_within(segments: &[(f64, f64, f64)], a: f64, b: f64) -> f64 {
+    let mut energy = 0.0;
+    for &(t0, t1, w) in segments {
+        let lo = t0.max(a);
+        let hi = t1.min(b);
+        if hi > lo {
+            energy += w * (hi - lo);
+        }
+    }
+    energy
 }
 
 /// A sequence of telemetry readings from one sampler.
@@ -382,6 +469,112 @@ mod tests {
         let norm = t.normalized(400.0);
         let peak = norm.iter().map(|s| s.watts).fold(0.0, f64::max);
         assert!((peak - 1.5).abs() < 1e-9);
+    }
+
+    /// A random sorted trace: contiguous segments with random widths (some
+    /// zero), random draws (some repeated), and random gaps between runs.
+    fn random_trace(rng: &mut olab_sim::SeededRng) -> PowerTrace {
+        let n = (rng.next_u64() % 40) as usize;
+        let mut t = 0.0f64;
+        let mut segments = Vec::with_capacity(n);
+        for _ in 0..n {
+            if rng.next_u64().is_multiple_of(5) {
+                t += rng.next_f64() * 0.05;
+            }
+            let width = match rng.next_u64() % 6 {
+                0 => 0.0,
+                1 => rng.next_f64() * 1e-4,
+                _ => rng.next_f64() * 0.3,
+            };
+            let watts = [100.0, 250.0, 400.0][(rng.next_u64() % 3) as usize]
+                + (rng.next_u64() % 2) as f64 * rng.next_f64() * 50.0;
+            segments.push(seg(t, t + width, watts));
+            t += width;
+        }
+        PowerTrace::from_segments(&segments)
+    }
+
+    /// The one-sweep sampler against its definition: every reading is
+    /// `average_over` its window, bit for bit, for every vendor cadence and
+    /// an odd one, on random sorted traces with partial final windows,
+    /// zero-length segments and gaps.
+    #[test]
+    fn sweep_readings_equal_the_per_window_definition() {
+        let mut rng = olab_sim::SeededRng::seed_from_u64(7);
+        let samplers = [
+            Sampler::nvml(),
+            Sampler::amd_smi(),
+            Sampler::rocm_smi_fine(),
+            Sampler::with_interval("odd", 0.037),
+        ];
+        for case in 0..300 {
+            let trace = random_trace(&mut rng);
+            for sampler in samplers {
+                let sampled = trace.sample(sampler);
+                let dt = sampler.interval_s;
+                let dur = trace.duration_s();
+                let expected = (dur / dt).ceil().max(0.0) as usize;
+                assert_eq!(sampled.samples.len(), expected, "case {case}");
+                for (k, sample) in sampled.samples.iter().enumerate() {
+                    let t = k as f64 * dt;
+                    let end = (t + dt).min(dur);
+                    assert_eq!(
+                        sample.watts.to_bits(),
+                        trace.average_over(t, end).to_bits(),
+                        "case {case}, {} window {k}",
+                        sampler.name
+                    );
+                }
+            }
+        }
+        assert!(PowerTrace::default()
+            .sample(Sampler::nvml())
+            .samples
+            .is_empty());
+    }
+
+    /// A trace whose starts are out of order is read window by window.
+    #[test]
+    fn unsorted_traces_are_sampled_by_the_definition() {
+        let t = PowerTrace::from_segments(&[
+            seg(0.1, 0.2, 400.0),
+            seg(0.0, 0.1, 100.0),
+            seg(0.2, 0.3, 200.0),
+        ]);
+        let s = t.sample(Sampler::with_interval("t", 0.05));
+        assert_eq!(s.samples.len(), 6);
+        for (k, sample) in s.samples.iter().enumerate() {
+            let a = k as f64 * 0.05;
+            assert_eq!(sample.watts, t.average_over(a, (a + 0.05).min(0.3)));
+            assert!(sample.watts > 0.0);
+        }
+    }
+
+    /// Pushing elementary segments through a fold gives the statistics of
+    /// the trace the engine's merge rule builds from them, bit for bit.
+    #[test]
+    fn fold_equals_the_statistics_of_the_merged_trace() {
+        let mut rng = olab_sim::SeededRng::seed_from_u64(11);
+        for case in 0..300 {
+            let mut merged = olab_sim::GpuActivity::default();
+            let mut fold = PowerFold::default();
+            let mut t = 0.0f64;
+            for _ in 0..(rng.next_u64() % 60) {
+                let width = rng.next_f64() * 0.01;
+                let watts = [90.0, 90.0 + 5e-10, 300.0][(rng.next_u64() % 3) as usize];
+                // Gaps break contiguity; tiny ones stay within the rule.
+                t += [0.0, 5e-13, 1e-3][(rng.next_u64() % 3) as usize];
+                merged.push_power(SimTime::from_secs(t), SimTime::from_secs(t + width), watts);
+                fold.push(t, t + width, watts);
+                t += width;
+            }
+            assert_eq!(
+                fold.finish(),
+                PowerStats::from_segments(&merged.power),
+                "case {case}"
+            );
+        }
+        assert_eq!(PowerFold::default().finish(), PowerStats::default());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::obs::{EngineObserver, GpuCounters, NullObserver};
 use crate::rate::{RateModel, RunningTask};
-use crate::trace::{GpuActivity, PowerSegment, SimTrace, TaskRecord, Window};
+use crate::trace::{GpuActivity, SimSummary, SimTrace, StreamTotals, TaskRecord};
 use crate::{SimError, SimTime, StreamKind, TaskId, Workload};
 use std::cell::RefCell;
 
@@ -23,16 +23,17 @@ enum Status {
 /// scratch) and drop them all at the end of the run. An arena keeps those
 /// buffers alive between runs: [`SimArena::reset`] rewinds lengths without
 /// releasing capacity, so a steady-state sweep performs no per-cell
-/// allocations for engine bookkeeping at all (the returned [`SimTrace`]
-/// still owns its records).
+/// allocations for engine bookkeeping at all (a returned [`SimTrace`]
+/// still owns its records; a [`SimSummary`] has none).
 ///
 /// The dependency graph and the per-(device, stream) FIFO queues are stored
 /// in CSR form (offset table + one flat array); queue contents never change
 /// during a run — only a head cursor advances — so "pop front" is an index
 /// increment instead of a `VecDeque` rotation.
 ///
-/// [`Engine::run`] and [`Engine::run_observed`] draw an arena from a
-/// thread-local pool automatically; [`Engine::run_observed_in`] takes an
+/// [`Engine::run`], [`Engine::run_observed`] and [`Engine::run_summary`]
+/// draw an arena from a thread-local pool automatically;
+/// [`Engine::run_observed_in`] and [`Engine::run_summary_in`] take an
 /// explicit arena for callers (benchmarks, allocation tests) that want to
 /// control reuse.
 #[derive(Debug, Default)]
@@ -158,8 +159,8 @@ impl SimArena {
 }
 
 thread_local! {
-    /// Per-thread arena backing [`Engine::run`] / [`Engine::run_observed`],
-    /// so back-to-back cells on one worker reuse the same buffers.
+    /// Per-thread arena backing the engine's arena-less entry points, so
+    /// back-to-back cells on one worker reuse the same buffers.
     static SCRATCH: RefCell<SimArena> = RefCell::new(SimArena::new());
 }
 
@@ -215,12 +216,7 @@ impl<M: RateModel> Engine<M> {
         workload: &Workload<M::Payload>,
         obs: &mut O,
     ) -> Result<SimTrace, SimError> {
-        SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut arena) => self.run_observed_in(workload, obs, &mut arena),
-            // A rate model or observer that itself runs an engine would find
-            // the thread-local arena busy; give the nested run a fresh one.
-            Err(_) => self.run_observed_in(workload, obs, &mut SimArena::new()),
-        })
+        with_scratch(|arena| self.run_observed_in(workload, obs, arena))
     }
 
     /// [`run_observed`](Engine::run_observed) with an explicit [`SimArena`]:
@@ -237,6 +233,72 @@ impl<M: RateModel> Engine<M> {
         obs: &mut O,
         arena: &mut SimArena,
     ) -> Result<SimTrace, SimError> {
+        let (gpus, makespan) = self.run_loop(workload, obs, arena)?;
+        let records = workload
+            .tasks()
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| TaskRecord {
+                id: TaskId(i as u32),
+                label: spec.label.clone(),
+                participants: spec.participants.clone(),
+                stream: spec.stream,
+                start: arena.start[i],
+                end: arena.end[i],
+                coactive: arena.coactive[i],
+            })
+            .collect();
+        Ok(SimTrace::new(records, gpus, makespan))
+    }
+
+    /// Runs the workload to completion without building task records:
+    /// returns the per-device activity and the per-(device, stream) task
+    /// totals a trace's [`SimTrace::stream_totals`] would give, bit for
+    /// bit. This is the event loop for callers that need statistics, not
+    /// a timeline; it draws its arena like [`run`](Engine::run).
+    ///
+    /// # Errors
+    ///
+    /// As for [`run`](Engine::run).
+    pub fn run_summary(&mut self, workload: &Workload<M::Payload>) -> Result<SimSummary, SimError> {
+        with_scratch(|arena| self.run_summary_in(workload, arena))
+    }
+
+    /// [`run_summary`](Engine::run_summary) with an explicit [`SimArena`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`run`](Engine::run).
+    pub fn run_summary_in(
+        &mut self,
+        workload: &Workload<M::Payload>,
+        arena: &mut SimArena,
+    ) -> Result<SimSummary, SimError> {
+        let (gpus, makespan) = self.run_loop(workload, &mut NullObserver, arena)?;
+        let mut totals = StreamTotals::new(workload.n_gpus());
+        for (i, spec) in workload.tasks().iter().enumerate() {
+            totals.add(
+                &spec.participants,
+                spec.stream,
+                arena.end[i] - arena.start[i],
+                arena.coactive[i],
+            );
+        }
+        Ok(SimSummary {
+            gpus,
+            totals,
+            makespan,
+        })
+    }
+
+    /// The event loop. Leaves each task's start, end and co-active time
+    /// in the arena and returns the per-device activity and the makespan.
+    fn run_loop<O: EngineObserver>(
+        &mut self,
+        workload: &Workload<M::Payload>,
+        obs: &mut O,
+        arena: &mut SimArena,
+    ) -> Result<(Vec<GpuActivity>, SimTime), SimError> {
         workload.validate()?;
 
         let n = workload.len();
@@ -414,9 +476,9 @@ impl<M: RateModel> Engine<M> {
                     }
                 }
                 if busy[0] && busy[1] {
-                    push_window(&mut gpus[g].overlap_windows, now, epoch_end);
+                    gpus[g].push_overlap(now, epoch_end);
                 }
-                push_power(&mut gpus[g].power, now, epoch_end, power[g]);
+                gpus[g].push_power(now, epoch_end, power[g]);
             }
 
             for (i, &id) in running.iter().enumerate() {
@@ -469,52 +531,18 @@ impl<M: RateModel> Engine<M> {
             });
         }
 
-        let records = (0..n)
-            .map(|i| {
-                let spec = &tasks[i];
-                TaskRecord {
-                    id: TaskId(i as u32),
-                    label: spec.label.clone(),
-                    participants: spec.participants.clone(),
-                    stream: spec.stream,
-                    start: start[i],
-                    end: end[i],
-                    coactive: coactive[i],
-                }
-            })
-            .collect();
-
         crate::metrics::sim_metrics().engine_runs.inc();
-        Ok(SimTrace::new(records, gpus, now))
+        Ok((gpus, now))
     }
 }
 
-/// Appends `[start, end)` to the window list, merging with the previous
-/// window when contiguous.
-fn push_window(windows: &mut Vec<Window>, start: SimTime, end: SimTime) {
-    if let Some(last) = windows.last_mut() {
-        if (last.end.as_secs() - start.as_secs()).abs() < 1e-12 {
-            last.end = end;
-            return;
-        }
-    }
-    windows.push(Window { start, end });
-}
-
-/// Appends a power segment, merging with the previous segment when the draw
-/// is identical and the windows are contiguous.
-fn push_power(segments: &mut Vec<PowerSegment>, start: SimTime, end: SimTime, watts: f64) {
-    if let Some(last) = segments.last_mut() {
-        let contiguous = (last.window.end.as_secs() - start.as_secs()).abs() < 1e-12;
-        if contiguous && (last.watts - watts).abs() < 1e-9 {
-            last.window.end = end;
-            return;
-        }
-    }
-    segments.push(PowerSegment {
-        window: Window { start, end },
-        watts,
-    });
+/// Runs `f` on this thread's scratch arena, or on a fresh one when a rate
+/// model or observer that itself runs an engine finds it busy.
+fn with_scratch<R>(f: impl FnOnce(&mut SimArena) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut arena) => f(&mut arena),
+        Err(_) => f(&mut SimArena::new()),
+    })
 }
 
 #[cfg(test)]
@@ -812,6 +840,31 @@ mod tests {
         // Epoch counters carry the engine's power and the model default
         // clock, so the observer's integral matches the trace's.
         assert!(obs.epochs > 0);
+    }
+
+    /// The record-free run is the trace run without records: the same
+    /// activity, makespan, and the trace's task totals bit for bit.
+    #[test]
+    fn summary_is_the_trace_without_records() {
+        let mut w = unit_workload();
+        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
+        w.push(TaskSpec::comm("c", GpuId(0), ()));
+        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], ()).after(a));
+        w.push(TaskSpec::compute("b", GpuId(1), ()));
+        let model = || ConstantRate {
+            duration_secs: 0.3,
+            busy_watts: 250.0,
+        };
+        let trace = Engine::new(model()).run(&w).unwrap();
+        let summary = Engine::new(model()).run_summary(&w).unwrap();
+        assert_eq!(summary.makespan, trace.makespan());
+        assert_eq!(summary.totals, trace.stream_totals());
+        assert!(summary.totals.coactive[0][StreamKind::Compute.index()] > SimTime::ZERO);
+        for (s, t) in summary.gpus.iter().zip(trace.gpus()) {
+            assert_eq!(s.power, t.power);
+            assert_eq!(s.overlap_windows, t.overlap_windows);
+            assert_eq!(s.busy, t.busy);
+        }
     }
 
     #[test]

@@ -88,5 +88,8 @@ pub use rate::{ConstantRate, RateModel, RunningTask};
 pub use rng::SeededRng;
 pub use task::{TaskSpec, Workload};
 pub use time::SimTime;
-pub use trace::{GpuActivity, PowerSegment, SimTrace, TaskRecord, Window};
+pub use trace::{
+    power_continues, GpuActivity, PowerSegment, SimSummary, SimTrace, StreamTotals, TaskRecord,
+    Window,
+};
 pub use verify::{verify_trace, Violation};

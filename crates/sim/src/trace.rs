@@ -11,6 +11,9 @@ pub struct Window {
     pub end: SimTime,
 }
 
+/// Two edges closer than this are contiguous under the merge rules.
+const CONTIGUOUS_S: f64 = 1e-12;
+
 impl Window {
     /// Duration of the window.
     pub fn duration(&self) -> SimTime {
@@ -25,6 +28,21 @@ pub struct PowerSegment {
     pub window: Window,
     /// Instantaneous draw in watts, constant over the window.
     pub watts: f64,
+}
+
+/// The engine's power-merge rule: a segment starting at `start_s` seconds
+/// with draw `watts` extends a segment ending at `end_s` with draw
+/// `segment_watts` — instead of starting a new one — when it starts where
+/// that one ends (within 1e-12 s) at the same draw (within 1e-9 W). The
+/// merged segment keeps its first draw.
+///
+/// Every producer of power segments — the event loop and the analytic
+/// fast path through [`GpuActivity::push_power`], and the streaming
+/// statistics of the lean path — merges by this one rule, so they agree
+/// segment for segment.
+#[inline]
+pub fn power_continues(end_s: f64, segment_watts: f64, start_s: f64, watts: f64) -> bool {
+    (end_s - start_s).abs() < CONTIGUOUS_S && (segment_watts - watts).abs() < 1e-9
 }
 
 /// Completion record for one task.
@@ -67,6 +85,39 @@ pub struct GpuActivity {
 }
 
 impl GpuActivity {
+    /// Appends a power segment, merging it into the previous one by
+    /// [`power_continues`].
+    pub fn push_power(&mut self, start: SimTime, end: SimTime, watts: f64) {
+        if let Some(last) = self.power.last_mut() {
+            if power_continues(
+                last.window.end.as_secs(),
+                last.watts,
+                start.as_secs(),
+                watts,
+            ) {
+                last.window.end = end;
+                return;
+            }
+        }
+        self.power.push(PowerSegment {
+            window: Window { start, end },
+            watts,
+        });
+    }
+
+    /// Appends an overlap window — the engine's window-merge rule: a
+    /// window starting where the previous one ends (within 1e-12 s)
+    /// extends it instead.
+    pub fn push_overlap(&mut self, start: SimTime, end: SimTime) {
+        if let Some(last) = self.overlap_windows.last_mut() {
+            if (last.end.as_secs() - start.as_secs()).abs() < CONTIGUOUS_S {
+                last.end = end;
+                return;
+            }
+        }
+        self.overlap_windows.push(Window { start, end });
+    }
+
     /// Total busy time of a stream on this device.
     pub fn busy_time(&self, stream: StreamKind) -> SimTime {
         self.busy[stream.index()]
@@ -101,6 +152,59 @@ impl GpuActivity {
             .map(|seg| seg.watts * seg.window.duration().as_secs())
             .sum()
     }
+}
+
+/// Per-(device, stream) sums over a run's tasks: task time (`end − start`)
+/// and co-active time, indexed `[device][stream]`.
+///
+/// Each sum visits the tasks in task-id order, so a trace's
+/// [`SimTrace::stream_totals`] and a record-free [`SimSummary`] of the same
+/// run are bit-identical.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StreamTotals {
+    /// Sum of task durations per device and stream.
+    pub busy: Vec<[SimTime; 2]>,
+    /// Sum of task co-active times per device and stream.
+    pub coactive: Vec<[SimTime; 2]>,
+}
+
+impl StreamTotals {
+    /// All-zero totals for `n_gpus` devices.
+    pub fn new(n_gpus: usize) -> Self {
+        StreamTotals {
+            busy: vec![[SimTime::ZERO; 2]; n_gpus],
+            coactive: vec![[SimTime::ZERO; 2]; n_gpus],
+        }
+    }
+
+    /// Credits one task to every participant. Call in task-id order.
+    pub fn add(
+        &mut self,
+        participants: &[GpuId],
+        stream: StreamKind,
+        duration: SimTime,
+        coactive: SimTime,
+    ) {
+        let s = stream.index();
+        for g in participants {
+            self.busy[g.index()][s] += duration;
+            self.coactive[g.index()][s] += coactive;
+        }
+    }
+}
+
+/// Output of a record-free engine run
+/// ([`Engine::run_summary`](crate::Engine::run_summary)): the per-device
+/// activity and the per-(device, stream) task totals, without one record
+/// per task.
+#[derive(Debug, Clone)]
+pub struct SimSummary {
+    /// Per-device activity, indexed by device.
+    pub gpus: Vec<GpuActivity>,
+    /// Task totals, summed in task-id order.
+    pub totals: StreamTotals,
+    /// Time at which the last task completed.
+    pub makespan: SimTime,
 }
 
 /// Full output of one engine run.
@@ -153,6 +257,16 @@ impl SimTrace {
     /// Time at which the last task completed.
     pub fn makespan(&self) -> SimTime {
         self.makespan
+    }
+
+    /// Per-(device, stream) task and co-active time, summed over the
+    /// records in task-id order.
+    pub fn stream_totals(&self) -> StreamTotals {
+        let mut totals = StreamTotals::new(self.gpus.len());
+        for r in &self.records {
+            totals.add(&r.participants, r.stream, r.duration(), r.coactive);
+        }
+        totals
     }
 
     /// Sum of task durations on a given stream across all devices,
@@ -376,6 +490,42 @@ mod tests {
         assert_eq!(
             activity.busy_time(StreamKind::Comm),
             SimTime::from_secs(1.0)
+        );
+    }
+
+    /// The merge rules: contiguous within 1e-12 s, and for power the same
+    /// draw within 1e-9 W; a merged segment keeps its first draw.
+    #[test]
+    fn pushes_merge_contiguous_equal_segments_only() {
+        let t = SimTime::from_secs;
+        let mut activity = GpuActivity::default();
+        activity.push_power(t(0.0), t(1.0), 100.0);
+        activity.push_power(t(1.0 + 5e-13), t(2.0), 100.0 + 5e-10);
+        activity.push_power(t(2.0), t(3.0), 200.0);
+        activity.push_power(t(3.5), t(4.0), 200.0);
+        assert_eq!(
+            activity.power,
+            vec![
+                PowerSegment {
+                    window: window(0.0, 2.0),
+                    watts: 100.0,
+                },
+                PowerSegment {
+                    window: window(2.0, 3.0),
+                    watts: 200.0,
+                },
+                PowerSegment {
+                    window: window(3.5, 4.0),
+                    watts: 200.0,
+                },
+            ]
+        );
+        activity.push_overlap(t(0.0), t(1.0));
+        activity.push_overlap(t(1.0), t(1.5));
+        activity.push_overlap(t(2.0), t(3.0));
+        assert_eq!(
+            activity.overlap_windows,
+            vec![window(0.0, 1.5), window(2.0, 3.0)]
         );
     }
 

@@ -1,6 +1,9 @@
 //! The arena contract of the engine hot path: once a [`SimArena`] is warm,
 //! a run allocates only for the *output* it hands back (the `SimTrace` and
 //! its per-task/per-GPU vectors) — the event loop itself is allocation-free.
+//! A record-free run ([`Engine::run_summary_in`]) hands back no per-task
+//! output at all, so its allocation count does not grow with the task
+//! count.
 //!
 //! Pinned with a counting global allocator, like `olab-obs/tests/alloc.rs`
 //! (the library forbids unsafe code; a separate integration-test crate is
@@ -55,9 +58,13 @@ const N_TASKS: usize = N_GPUS * TASKS_PER_GPU;
 /// with a cross-GPU dependency every fourth task so promotion and retire
 /// both do real work.
 fn workload() -> Workload<()> {
+    workload_of(N_TASKS)
+}
+
+fn workload_of(n_tasks: usize) -> Workload<()> {
     let mut w = Workload::new(N_GPUS);
     let mut ids = Vec::new();
-    for i in 0..N_TASKS {
+    for i in 0..n_tasks {
         let gpu = GpuId((i % N_GPUS) as u16);
         let mut spec = if i % 2 == 0 {
             TaskSpec::compute(format!("k{i}"), gpu, ())
@@ -148,6 +155,43 @@ fn metrics_recording_stays_within_the_warm_budget() {
         disabled <= WARM_BUDGET,
         "warm run with metrics disabled allocates {disabled} times \
          (budget {WARM_BUDGET}) — the disabled path regressed"
+    );
+}
+
+/// The budget of a warm record-free run, whatever its task count: the
+/// per-GPU activity vec and each GPU's power and window vecs, the task
+/// totals, and the per-epoch view buffer. This workload's constant-power
+/// segments merge into one per GPU, so nothing grows with the tasks.
+const RECORD_FREE_BUDGET: usize = 16;
+
+fn record_free_allocations_per_run(w: &Workload<()>) -> usize {
+    const RUNS: usize = 10;
+    let mut engine = Engine::new(ConstantRate::default());
+    let mut arena = SimArena::new();
+    engine.run_summary_in(w, &mut arena).expect("workload runs");
+    let before = allocations();
+    for _ in 0..RUNS {
+        engine.run_summary_in(w, &mut arena).expect("workload runs");
+    }
+    (allocations() - before) / RUNS
+}
+
+#[test]
+fn warm_record_free_runs_allocate_independently_of_the_task_count() {
+    olab_sim::metrics::touch();
+    let small = record_free_allocations_per_run(&workload());
+    let large = record_free_allocations_per_run(&workload_of(16 * N_TASKS));
+    assert!(
+        small <= RECORD_FREE_BUDGET,
+        "warm record-free run allocates {small} times for {N_TASKS} tasks \
+         (budget {RECORD_FREE_BUDGET})"
+    );
+    assert_eq!(
+        small,
+        large,
+        "a record-free run must not allocate per task: {small} allocations for \
+         {N_TASKS} tasks, {large} for {}",
+        16 * N_TASKS
     );
 }
 

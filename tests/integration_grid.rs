@@ -2,10 +2,12 @@
 //! execution is bit-identical to serial, warm caches re-simulate nothing,
 //! and cache keys cover the full cell configuration.
 
-use olab_core::sweep::{cell_descriptor, cell_descriptor_versioned, cell_key, CELL_SCHEMA_VERSION};
-use olab_core::{registry, Experiment, Strategy, Sweep};
+use olab_core::sweep::{
+    cell_descriptor, cell_descriptor_versioned, cell_key, CachedCell, CELL_SCHEMA_VERSION,
+};
+use olab_core::{registry, CellError, CellMetrics, Experiment, Strategy, Sweep};
 use olab_gpu::SkuKind;
-use olab_grid::Executor;
+use olab_grid::{CacheValue, Executor, GridJob, Pool, Writer};
 use olab_models::ModelPreset;
 
 /// The paper's main grid, shrunk to a fast sequence length so the full
@@ -158,4 +160,82 @@ fn run_n_is_deterministic_and_seed_ordered() {
             .any(|r| r.e2e_overlapped_s.to_bits() != a.runs[0].e2e_overlapped_s.to_bits()),
         "jitter must vary across seeds"
     );
+}
+
+/// Every cell of the figure registry: the main grid and the Fig. 1a, 1b,
+/// 7, 9, 10 and 11 grids.
+fn registry_cells() -> Vec<Experiment> {
+    let mut cells = registry::main_grid();
+    cells.extend(registry::fig1a());
+    cells.extend(registry::fig1b());
+    cells.push(registry::fig7());
+    cells.extend(registry::fig9());
+    for (a, b) in registry::fig10().into_iter().chain(registry::fig11()) {
+        cells.push(a);
+        cells.push(b);
+    }
+    cells
+}
+
+fn encoded(cell: &CachedCell) -> Vec<u8> {
+    let mut w = Writer::new();
+    cell.encode(&mut w);
+    w.into_bytes()
+}
+
+/// The grid path (`GridJob::execute`, scalars only) and the report path
+/// (`Experiment::run`, full traces) must cache the same bytes for every
+/// registry cell, feasible or not.
+#[test]
+fn grid_path_caches_the_report_paths_bytes_on_every_registry_cell() {
+    let cells = registry_cells();
+    let mismatches: Vec<String> = Pool::with_available_parallelism()
+        .map(&cells, |exp| {
+            let report = CachedCell(
+                exp.run()
+                    .map(|r| CellMetrics::from_report(&r))
+                    .map_err(CellError::from),
+            );
+            (encoded(&exp.execute()) != encoded(&report)).then(|| exp.label())
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} registry cells differ between the grid and report paths, first: {:?}",
+        mismatches.len(),
+        cells.len(),
+        &mismatches[..mismatches.len().min(10)]
+    );
+}
+
+#[test]
+fn run_n_equals_the_jittered_reports() {
+    let cells = [
+        Experiment::new(SkuKind::H100, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(256),
+        Experiment::new(
+            SkuKind::Mi250,
+            4,
+            ModelPreset::Gpt3Xl,
+            Strategy::Pipeline { microbatch_size: 2 },
+            8,
+        )
+        .with_seq(256),
+        Experiment::new(
+            SkuKind::A100,
+            4,
+            ModelPreset::Gpt3Xl,
+            Strategy::TensorParallel,
+            4,
+        )
+        .with_seq(256),
+    ];
+    for exp in &cells {
+        let stats = exp.run_n(3, 0.05).expect("jittered runs succeed");
+        for (seed, run) in stats.runs.iter().enumerate() {
+            let report = exp.run_jittered(seed as u64, 0.05).expect("runs");
+            assert_eq!(run, &report.metrics, "{} seed {seed}", exp.label());
+        }
+    }
 }
