@@ -128,7 +128,12 @@ const RECOVERY_HINT: Hint = (
     "(use the faults subcommand; 'resilience' compares every policy)",
 );
 const CAP_HINT: Hint = (&[Observe], "(the cap applies to sweep/faults disk caches)");
-const CSV_HINT: Hint = (&[Serve], "(responses are JSON lines)");
+const CSV_HINTS: &[Hint] = &[
+    (&[Serve], "(responses are JSON lines)"),
+    (&[Observe], "(it writes artifact files, not a table)"),
+];
+const JOBS_HINT: Hint = (&[Observe], "(it runs one cell)");
+const ALWAYS_OBSERVES_HINT: Hint = (&[Observe], "(it always observes)");
 
 const fn value(name: &'static str, accepted_by: &'static [Sub], hints: &'static [Hint]) -> Flag {
     Flag {
@@ -163,8 +168,8 @@ pub const FLAGS: &[Flag] = &[
     value("--power-cap", CELL, &[]),
     value("--freq-cap", CELL, &[]),
     value("--grad-accum", CELL, &[]),
-    switch("--csv", CELL, &[CSV_HINT]),
-    value("--jobs", &[Sweep, Faults, Resilience, Observe, Serve], &[]),
+    switch("--csv", &[Run, Sweep, Trace, Tune, Chrome, Faults, Resilience], CSV_HINTS),
+    value("--jobs", &[Sweep, Faults, Resilience, Serve], &[JOBS_HINT]),
     value("--cache", &[Sweep, Faults, Serve], &[]),
     value("--cache-max-bytes", &[Sweep, Faults, Serve], &[CAP_HINT, GUARD_HINT]),
     value("--cell-timeout-s", GUARDED, &[GUARD_HINT]),
@@ -172,8 +177,7 @@ pub const FLAGS: &[Flag] = &[
     value("--metrics", GUARDED, &[METRICS_HINT]),
     switch("--metrics-deterministic", GUARDED, &[METRICS_HINT]),
     value("--batches", &[Sweep], &[]),
-    // `observe` always observes, so the switch is a no-op there.
-    switch("--observe", &[Sweep, Faults, Observe], &[OBSERVE_HINT]),
+    switch("--observe", &[Sweep, Faults], &[ALWAYS_OBSERVES_HINT, OBSERVE_HINT]),
     value("--out-dir", &[Sweep, Faults, Observe], &[]),
     value("--sample-ms", &[Sweep, Faults, Observe], &[]),
     value("--interval-ms", &[Trace], &[]),
@@ -500,8 +504,6 @@ pub struct ObserveArgs {
     pub out_dir: Option<String>,
     /// Counter sampling cadence, ms of simulated time (`--sample-ms X`).
     pub sample_ms: f64,
-    /// Worker threads for the auxiliary runs (`--jobs N`).
-    pub jobs: Option<usize>,
     /// Observe the cell under an injected fault scenario
     /// (`--fault-seed N`).
     pub fault_seed: Option<u64>,
@@ -525,7 +527,6 @@ impl Default for ObserveArgs {
             cell: None,
             out_dir: None,
             sample_ms: 100.0,
-            jobs: None,
             fault_seed: None,
             severity: olab_faults::Severity::Moderate,
             abort: false,
@@ -800,8 +801,11 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
     let mut engine = EngineArgs::default();
     let mut metrics = MetricsArgs::default();
     let mut own = Vec::new();
+    let mut cell_flag = None;
     for &(flag, value) in &pairs {
-        if !(run.set(flag, value)? || engine.set(flag, value)? || metrics.set(flag, value)) {
+        if run.set(flag, value)? {
+            cell_flag = cell_flag.or(Some(flag));
+        } else if !(engine.set(flag, value)? || metrics.set(flag, value)) {
             own.push((flag, value));
         }
     }
@@ -899,22 +903,38 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         }
         Observe => {
             let mut obs = ObserveArgs {
-                jobs: engine.jobs,
                 cell_timeout_s: engine.cell_timeout_s,
                 retries: engine.retries,
                 ..ObserveArgs::default()
             };
+            let mut scenario_flag = None;
             for (flag, value) in own {
                 match flag {
                     "--cell" => obs.cell = Some(value.to_ascii_lowercase()),
                     "--out-dir" => obs.out_dir = Some(value.to_string()),
                     "--sample-ms" => obs.sample_ms = positive(flag, value)?,
                     "--fault-seed" => obs.fault_seed = Some(num(flag, value)?),
-                    "--severity" => obs.severity = parse_severity(sub, value)?,
-                    "--action" => obs.abort = parse_action(value)?,
-                    "--observe" => {}
+                    "--severity" => {
+                        obs.severity = parse_severity(sub, value)?;
+                        scenario_flag = Some(flag);
+                    }
+                    "--action" => {
+                        obs.abort = parse_action(value)?;
+                        scenario_flag = Some(flag);
+                    }
                     _ => unparsed(sub, flag),
                 }
+            }
+            // A scenario flag without a scenario, or a cell flag next to a
+            // named cell, would be silently ignored: reject both.
+            if let (Some(flag), None) = (scenario_flag, obs.fault_seed) {
+                return Err(CliError(format!("{flag} requires '--fault-seed N'")));
+            }
+            if let (Some(cell), Some(flag)) = (&obs.cell, cell_flag) {
+                return Err(CliError(format!(
+                    "{flag} cannot be combined with '--cell {cell}' \
+                     (the named cell fixes every cell flag)"
+                )));
             }
             metrics.require_dir()?;
             Ok(Command::Observe(run, ObserveArgs { metrics, ..obs }))
@@ -1092,18 +1112,81 @@ mod tests {
 
     #[test]
     fn observe_parses_cell_and_artifact_flags() {
-        let cmd = parse(&argv(
-            "observe --cell fig7 --out-dir /tmp/x --sample-ms 50 --jobs 2",
-        ))
-        .unwrap();
+        let cmd = parse(&argv("observe --cell fig7 --out-dir /tmp/x --sample-ms 50")).unwrap();
         let Command::Observe(_, obs) = cmd else {
             panic!("expected observe");
         };
         assert_eq!(obs.cell.as_deref(), Some("fig7"));
         assert_eq!(obs.out_dir.as_deref(), Some("/tmp/x"));
         assert_eq!(obs.sample_ms, 50.0);
-        assert_eq!(obs.jobs, Some(2));
         assert!(obs.fault_seed.is_none());
+    }
+
+    #[test]
+    fn observe_rejects_cell_flags_next_to_a_named_cell() {
+        for (flags, flag) in [
+            ("--sku a100 --batch 4", "--sku"),
+            ("--batch 4", "--batch"),
+            ("--seq 256", "--seq"),
+            ("--microbatch 2", "--microbatch"),
+            ("--power-cap 300", "--power-cap"),
+        ] {
+            for line in [
+                format!("observe --cell fig7 {flags}"),
+                format!("observe {flags} --cell fig7"),
+            ] {
+                let err = parse(&argv(&line)).unwrap_err();
+                assert_eq!(
+                    err.0,
+                    format!(
+                        "{flag} cannot be combined with '--cell fig7' \
+                         (the named cell fixes every cell flag)"
+                    ),
+                    "{line}"
+                );
+            }
+        }
+        // The named cell combines with every flag that is not a cell flag.
+        let cmd = parse(&argv(
+            "observe --cell FIG7 --fault-seed 2 --severity severe --action abort \
+             --out-dir /tmp/x --sample-ms 50 --cell-timeout-s 4 --retries 1 --metrics m",
+        ))
+        .unwrap();
+        let Command::Observe(_, obs) = cmd else {
+            panic!("expected observe");
+        };
+        assert_eq!(obs.cell.as_deref(), Some("fig7"));
+        assert_eq!(obs.fault_seed, Some(2));
+        // Without --cell the shared flags describe the cell.
+        assert!(parse(&argv("observe --sku a100 --batch 4")).is_ok());
+    }
+
+    #[test]
+    fn observe_rejects_every_flag_it_would_ignore() {
+        for (line, want) in [
+            (
+                "observe --cell fig7 --jobs 4",
+                "--jobs is not supported by 'observe' (it runs one cell)",
+            ),
+            (
+                "observe --observe",
+                "--observe is not supported by 'observe' (it always observes)",
+            ),
+            (
+                "observe --csv",
+                "--csv is not supported by 'observe' (it writes artifact files, not a table)",
+            ),
+            (
+                "observe --severity mild",
+                "--severity requires '--fault-seed N'",
+            ),
+            (
+                "observe --action abort",
+                "--action requires '--fault-seed N'",
+            ),
+        ] {
+            assert_eq!(parse(&argv(line)).unwrap_err().0, want, "{line}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use olab_core::Sweep;
 use olab_gpu::GpuSku;
 use olab_grid::{CacheValue, Executor, GridJob, GuardConfig, ProgressSink, SweepRun};
 use olab_models::ModelPreset;
-use olab_obs::{JsonlProgress, MultiSink, ObserveConfig, StderrProgress};
+use olab_obs::{JsonlProgress, MultiSink, StderrProgress};
 use olab_power::Sampler;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -43,9 +43,9 @@ USAGE:
   olab resilience [flags] [--seeds 3]          three-policy recovery comparison
               [--severity mild|moderate|severe] (fail-fast vs checkpoint vs elastic)
               [--jobs N]
-  olab observe [flags] [--cell fig7]           one observed cell, full run artifact
-               [--out-dir DIR] [--sample-ms 100] [--jobs N]
-               [--fault-seed N] [--severity mild|moderate|severe] [--action degrade|abort]
+  olab observe [flags] | --cell fig7           one observed cell, full run artifact
+               [--out-dir DIR] [--sample-ms 100] (a named cell takes no shared flags)
+               [--fault-seed N [--severity mild|moderate|severe] [--action degrade|abort]]
                [--cell-timeout-s X] [--retries N] guarded observed run
                [--metrics DIR]                 engine self-telemetry (metrics.prom/.json)
   olab serve [--addr 127.0.0.1:7979]           sweep-as-a-service daemon (HTTP/1.1)
@@ -275,7 +275,7 @@ pub fn faults(args: &RunArgs, faults_args: &FaultsArgs) -> Result<String, CliErr
             &cells,
             "fault cell",
             |cell| cell.spec.descriptor(),
-            |cell, cfg| olab_obs::observe_fault_cell(&base, &cell.spec, cfg),
+            |cell, sample_ms| olab_obs::observe_fault_cell(&base, &cell.spec, sample_ms),
         )?;
     }
 
@@ -404,7 +404,7 @@ fn faults_with_recovery(
             &cells,
             "recovery cell",
             |cell| cell.spec.descriptor(),
-            |cell, cfg| olab_obs::observe_recovery_cell(&base, &cell.spec, policy, cfg),
+            |cell, sample_ms| olab_obs::observe_recovery_cell(&base, &cell.spec, policy, sample_ms),
         )?;
     }
 
@@ -525,10 +525,6 @@ pub fn observe(args: &RunArgs, obs: &ObserveArgs) -> Result<String, CliError> {
             )))
         }
     };
-    let cfg = ObserveConfig {
-        sample_ms: obs.sample_ms,
-        jobs: obs.jobs.unwrap_or(1),
-    };
     // The observed run executes under the same execution guard as sweep
     // cells: `--cell-timeout-s` bounds it, `--retries` reruns transient
     // failures, and a panic is reported instead of crashing the CLI.
@@ -538,14 +534,14 @@ pub fn observe(args: &RunArgs, obs: &ObserveArgs) -> Result<String, CliError> {
         ..olab_grid::GuardConfig::default()
     };
     let report = olab_grid::guard::run_cell(&guard, |_ctx| match obs.fault_seed {
-        None => olab_obs::observe_cell(&exp, &cfg).map_err(CliError::from),
+        None => olab_obs::observe_cell(&exp, obs.sample_ms).map_err(CliError::from),
         Some(seed) => {
             let spec = if obs.abort {
                 FaultScenarioSpec::abort(seed, obs.severity)
             } else {
                 FaultScenarioSpec::degrade(seed, obs.severity)
             };
-            olab_obs::observe_fault_cell(&exp, &spec, &cfg)
+            olab_obs::observe_fault_cell(&exp, &spec, obs.sample_ms)
                 .map_err(|e| CliError(format!("fault cell failed: {e}")))
         }
     });
@@ -634,14 +630,13 @@ fn write_cell_artifacts<C, E: std::fmt::Display>(
     cells: &[C],
     kind: &str,
     describe: impl Fn(&C) -> String,
-    observe: impl Fn(&C, &ObserveConfig) -> Result<olab_obs::RunArtifact, E>,
+    observe: impl Fn(&C, f64) -> Result<olab_obs::RunArtifact, E>,
 ) -> Result<(), CliError> {
     let Some(dir) = out_dir else {
         return Ok(());
     };
-    let cfg = ObserveConfig { sample_ms, jobs: 1 };
     for (i, cell) in cells.iter().enumerate() {
-        match observe(cell, &cfg) {
+        match observe(cell, sample_ms) {
             Ok(artifact) => {
                 let cell_dir = Path::new(dir).join(format!("cell-{i:03}"));
                 artifact

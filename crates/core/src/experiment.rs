@@ -2,7 +2,8 @@
 
 use crate::executor::execute_lean_keeping;
 use crate::{
-    execute, execute_lean, CellMetrics, Jitter, Machine, MachineConfig, OverlapMetrics, RunResult,
+    execute, execute_lean, execute_model, CellMetrics, Jitter, Machine, MachineConfig,
+    OverlapMetrics, RunResult,
 };
 use olab_gpu::{Datapath, PowerLimit, Precision, SkuKind};
 use olab_models::memory::{self, ActivationPolicy, Sharding};
@@ -10,7 +11,7 @@ use olab_models::ModelPreset;
 use olab_parallel::pipeline::PipelineSchedule;
 use olab_parallel::{fsdp, pipeline, tensor, ExecutionMode, Op};
 use olab_power::Sampler;
-use olab_sim::{SimError, Workload};
+use olab_sim::{EngineObserver, NullObserver, SimError, Workload};
 use std::error::Error;
 use std::fmt;
 
@@ -407,8 +408,24 @@ impl Experiment {
     /// [`ExperimentError::InvalidConfig`] for bad batch/microbatch splits,
     /// [`ExperimentError::Sim`] if the engine rejects the schedule.
     pub fn run(&self) -> Result<ExperimentReport, ExperimentError> {
+        self.run_observed(&mut NullObserver)
+    }
+
+    /// [`Experiment::run`] with `obs` driven through every task edge and
+    /// epoch of the overlapped leg — the run an observability artifact
+    /// records. An enabled observer sends that leg through the event loop
+    /// (the analytic fast path has no epochs to report), which gives the
+    /// same result; `NullObserver` compiles the branch away.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Experiment::run`].
+    pub fn run_observed<O: EngineObserver>(
+        &self,
+        obs: &mut O,
+    ) -> Result<ExperimentReport, ExperimentError> {
         let policy = self.validate()?;
-        self.run_on(policy, &self.machine())
+        self.run_on(policy, &self.machine(), obs)
     }
 
     /// Runs the experiment once with measurement noise.
@@ -418,7 +435,8 @@ impl Experiment {
     /// Same as [`Experiment::run`].
     pub fn run_jittered(&self, seed: u64, sigma: f64) -> Result<ExperimentReport, ExperimentError> {
         let policy = self.validate()?;
-        self.run_on(policy, &self.machine().with_jitter(Jitter { seed, sigma }))
+        let machine = self.machine().with_jitter(Jitter { seed, sigma });
+        self.run_on(policy, &machine, &mut NullObserver)
     }
 
     /// Runs the experiment on the grid path: the same three legs and the
@@ -465,14 +483,19 @@ impl Experiment {
     /// on `machine`. The schedule is lowered once: the ideal leg reruns the
     /// overlapped schedule on the uncontended machine, and the sequential
     /// leg then chains that same schedule per GPU in place, so only one
-    /// workload is ever alive.
-    fn run_on(
+    /// workload is ever alive. `obs` watches the overlapped leg.
+    fn run_on<O: EngineObserver>(
         &self,
         policy: ActivationPolicy,
         machine: &Machine,
+        obs: &mut O,
     ) -> Result<ExperimentReport, ExperimentError> {
         let workload = self.timeline(ExecutionMode::Overlapped, policy)?;
-        let overlapped = execute(&workload, machine)?;
+        let overlapped = if O::ENABLED {
+            execute_model(&workload, machine.clone(), obs)?
+        } else {
+            execute(&workload, machine)?
+        };
         // Only the ideal leg's end-to-end time is reported, so the lean
         // executor serves it without materializing a trace.
         let ideal = execute_lean(&workload, &machine.uncontended())?;

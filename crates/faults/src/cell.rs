@@ -6,11 +6,12 @@
 //! version, seed, severity and exhaustion policy) — so a faulty cell can
 //! never collide with its fault-free twin or with a different scenario.
 
-use crate::run::{run_with_faults, FaultError, ResilienceMetrics};
+use crate::run::{run_under_faults, ResilienceMetrics};
 use crate::scenario::FaultScenarioSpec;
 use olab_core::sweep::cell_descriptor;
 use olab_core::Experiment;
 use olab_grid::{CacheValue, GridJob, Reader, Writer};
+use olab_sim::NullObserver;
 
 /// One cell of a faults sweep.
 #[derive(Debug, Clone)]
@@ -116,14 +117,16 @@ impl GridJob for FaultCell {
     }
 
     fn execute(&self) -> CachedFaultCell {
-        match run_with_faults(&self.experiment, &self.spec) {
-            Ok(report) => CachedFaultCell::Ok(report.metrics),
-            Err(FaultError::Aborted(info)) => CachedFaultCell::Aborted {
-                at_s: info.at_s,
-                collective: info.collective,
-                retries: info.retries,
+        match run_under_faults(&self.experiment, &self.spec, &mut NullObserver) {
+            Ok(run) => match run.abort {
+                None => CachedFaultCell::Ok(run.metrics()),
+                Some(info) => CachedFaultCell::Aborted {
+                    at_s: info.at_s,
+                    collective: info.collective,
+                    retries: info.retries,
+                },
             },
-            Err(FaultError::Experiment(e)) => CachedFaultCell::Infeasible(e.to_string()),
+            Err(e) => CachedFaultCell::Infeasible(e.to_string()),
         }
     }
 }

@@ -25,10 +25,7 @@ mod scenario;
 
 pub use cell::{CachedFaultCell, FaultCell};
 pub use machine::{AbortInfo, FaultEvent, FaultEventKind, FaultStats, FaultyMachine};
-pub use run::{
-    fault_annotations, run_under_faults, run_with_faults, FaultError, FaultReport, FaultRun,
-    ResilienceMetrics,
-};
+pub use run::{run_under_faults, FaultRun, ResilienceMetrics};
 pub use scenario::{
     EccFaults, FaultScenarioSpec, FaultTimeline, LinkFault, Severity, ThrottleWindow,
     FAULT_SCHEMA_VERSION,

@@ -72,7 +72,7 @@ pub enum ObsEvent<'a> {
         to: f64,
     },
     /// A straggler throttle window of the fault timeline (known up front,
-    /// emitted as a prologue before the run).
+    /// so it leads the event log, ahead of the run's events).
     FaultThrottle {
         /// Window open, seconds.
         start_s: f64,

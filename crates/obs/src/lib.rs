@@ -27,11 +27,16 @@
 //! * **live sweep progress** ([`StderrProgress`], [`JsonlProgress`])
 //!   behind `olab_grid::ProgressSink`.
 //!
+//! Observation is a parameter of the product's run functions
+//! (`Experiment::run_observed`, `olab_faults::run_under_faults`), never a
+//! copy of them: a recovery cell's one faulted run is both observed and
+//! handed to `olab_resilience::recover`.
+//!
 //! Determinism is a hard requirement throughout: no wall-clock value
-//! reaches any artifact, so `--jobs 1` and `--jobs N` produce
-//! byte-identical bytes (pinned by `tests/determinism.rs`). The progress
-//! feed is the one deliberate exception — it reports wall-clock pacing
-//! and completion order, and says so.
+//! reaches any artifact, which is a pure function of the cell and the
+//! sampling cadence (pinned by digest in `tests/artifact_golden.rs`). The
+//! progress feed is the one deliberate exception — it reports wall-clock
+//! pacing and completion order, and says so.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,4 +58,4 @@ pub use counters::{
 pub use event::{to_jsonl, EventBus, JsonlSink, ObsEvent, Observer};
 pub use progress::{JsonlProgress, MultiSink, StderrProgress};
 pub use record::{CounterEpoch, Recorder};
-pub use run::{observe_cell, observe_fault_cell, observe_recovery_cell, ObserveConfig};
+pub use run::{observe_cell, observe_fault_cell, observe_recovery_cell};

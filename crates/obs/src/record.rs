@@ -53,8 +53,8 @@ impl Recorder {
         self.epochs.last().map_or(0.0, |e| e.end_s)
     }
 
-    /// Mutable access to the bus, for emitting prologue/epilogue events
-    /// (fault windows, watchdog episodes) around the engine run.
+    /// Mutable access to the bus, for emitting epilogue events (watchdog
+    /// episodes, the recovery lifecycle) after the engine run.
     pub fn bus(&mut self) -> &mut EventBus {
         &mut self.bus
     }

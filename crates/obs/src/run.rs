@@ -1,133 +1,155 @@
-//! Observed cell execution: run one experiment (or fault scenario) with
-//! full instrumentation and assemble the run artifact.
+//! Observed cell execution: run one experiment (or fault scenario) through
+//! the product's own run function with a [`Recorder`] attached, and
+//! assemble the run artifact from what it recorded.
 //!
-//! Everything here is a pure function of the cell configuration plus the
-//! [`ObserveConfig`]: no wall-clock, no environment, no thread-count
-//! dependence leaks into the artifact, so the same cell observed with
-//! `jobs = 1` and `jobs = N` produces byte-identical bytes in every file.
+//! Observation is a parameter of the run, not a second implementation of
+//! it: [`observe_cell`] calls `Experiment::run_observed`,
+//! [`observe_fault_cell`] and [`observe_recovery_cell`] call
+//! `olab_faults::run_under_faults` (the latter then `olab_resilience::
+//! recover`), so an artifact always describes the run that produced the
+//! numbers next to it. Everything here is a pure function of the cell and
+//! the sampling cadence: no wall-clock, environment or thread count leaks
+//! into the artifact.
 
 use crate::artifact::{metrics_csv, FaultManifest, Manifest, RecoveryManifest, RunArtifact};
 use crate::counters::{counter_tracks, counters_csv, sample_epochs};
-use crate::event::{EventBus, JsonlSink, ObsEvent};
+use crate::event::{to_jsonl, EventBus, JsonlSink, ObsEvent};
 use crate::record::Recorder;
-use olab_core::sweep::{cell_descriptor, cell_key, CELL_SCHEMA_VERSION};
-use olab_core::{
-    execute, execute_model, to_chrome_trace_full, Experiment, ExperimentError, Machine,
-    OverlapMetrics, RunResult,
-};
-use olab_faults::{
-    fault_annotations, FaultCell, FaultError, FaultScenarioSpec, FaultTimeline, FaultyMachine,
-};
-use olab_grid::{GridJob, Pool};
-use olab_parallel::{ExecutionMode, Op};
+use olab_core::sweep::{cell_descriptor, CELL_SCHEMA_VERSION};
+use olab_core::{to_chrome_trace_full, Experiment, ExperimentError, TraceAnnotation};
+use olab_faults::{run_under_faults, FaultCell, FaultRun, FaultScenarioSpec, FaultTimeline};
+use olab_grid::GridJob;
 use olab_resilience::{
-    run_with_recovery, RecoveryError, RecoveryPolicy, RecoveryReport, ResilienceCell,
-    RECOVERY_SCHEMA_VERSION,
+    recover, RecoveryError, RecoveryPolicy, RecoveryReport, ResilienceCell, RECOVERY_SCHEMA_VERSION,
 };
-use olab_sim::Workload;
+use olab_sim::SimTrace;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-/// How to observe a cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObserveConfig {
-    /// Counter sampling cadence, milliseconds of simulated time.
-    pub sample_ms: f64,
-    /// Worker threads for the auxiliary (sequential/ideal) runs. Purely a
-    /// wall-clock knob: the artifact is byte-identical for any value.
-    pub jobs: usize,
+/// One observed run in progress: the recorder the engine drives and the
+/// event log its bus appends to.
+struct Observation {
+    recorder: Recorder,
+    log: Rc<RefCell<String>>,
 }
 
-impl Default for ObserveConfig {
-    fn default() -> Self {
-        ObserveConfig {
-            sample_ms: 100.0,
-            jobs: 1,
+impl Observation {
+    fn new() -> Self {
+        let (sink, log) = JsonlSink::new();
+        let mut bus = EventBus::new();
+        bus.subscribe(Box::new(sink));
+        Observation {
+            recorder: Recorder::new(bus),
+            log,
+        }
+    }
+
+    fn emit(&mut self, event: &ObsEvent<'_>) {
+        self.recorder.bus().emit(event);
+    }
+
+    /// The artifact: the recorded counters sampled at the manifest's
+    /// cadence, `trace` with `notes` and the counter tracks, and the
+    /// event log behind `prologue`.
+    fn finish(
+        self,
+        manifest: Manifest,
+        metrics: &[(&str, f64)],
+        trace: &SimTrace,
+        notes: &[TraceAnnotation],
+        prologue: String,
+    ) -> RunArtifact {
+        let series = sample_epochs(
+            self.recorder.epochs(),
+            manifest.n_gpus,
+            manifest.sample_ms / 1e3,
+        );
+        let mut events_jsonl = prologue;
+        events_jsonl.push_str(&self.log.borrow());
+        RunArtifact {
+            manifest,
+            metrics_csv: metrics_csv(metrics),
+            counters_csv: counters_csv(&series),
+            trace_json: to_chrome_trace_full(trace, notes, &counter_tracks(&series)),
+            events_jsonl,
         }
     }
 }
 
-fn recorder_with_log() -> (Recorder, std::rc::Rc<std::cell::RefCell<String>>) {
-    let (sink, buf) = JsonlSink::new();
-    let mut bus = EventBus::new();
-    bus.subscribe(Box::new(sink));
-    (Recorder::new(bus), buf)
+/// The manifest fields every kind of cell shares; the cell key is the
+/// content address of `descriptor`.
+fn manifest(
+    kind: &'static str,
+    exp: &Experiment,
+    descriptor: String,
+    sample_ms: f64,
+    makespan_s: f64,
+) -> Manifest {
+    Manifest {
+        kind,
+        label: exp.label(),
+        cell_key: olab_grid::fnv1a_64(descriptor.as_bytes()),
+        descriptor,
+        cell_schema_version: CELL_SCHEMA_VERSION,
+        calibration_version: olab_gpu::CALIBRATION_VERSION,
+        sample_ms,
+        n_gpus: exp.n_gpus,
+        makespan_s,
+        fault: None,
+        recovery: None,
+    }
 }
 
 /// Runs `exp` fully instrumented and assembles its artifact: the
-/// overlapped run drives the recorder (events + counters), while the
-/// sequential and contention-free runs — needed only for derived metrics —
-/// fan out across `cfg.jobs` workers.
+/// overlapped leg of [`Experiment::run_observed`] drives the recorder
+/// (events + counters), sampled every `sample_ms` of simulated time.
 ///
 /// # Errors
 ///
 /// Same as [`Experiment::run`].
-pub fn observe_cell(exp: &Experiment, cfg: &ObserveConfig) -> Result<RunArtifact, ExperimentError> {
-    let policy = exp.validate()?;
-    let machine = exp.machine();
-
-    let (mut recorder, events) = recorder_with_log();
-    let workload = exp.timeline(ExecutionMode::Overlapped, policy)?;
-    let overlapped = execute_model(&workload, machine.clone(), &mut recorder)?;
-
-    // The unobserved auxiliary runs are independent: fan out. Both reuse
-    // the one lowered schedule; the sequential run chains a copy per GPU.
-    let aux: Vec<(Workload<Op>, Machine)> = vec![
-        (workload.clone().into_sequential(), machine.clone()),
-        (workload, machine.uncontended()),
+pub fn observe_cell(exp: &Experiment, sample_ms: f64) -> Result<RunArtifact, ExperimentError> {
+    let mut obs = Observation::new();
+    let report = exp.run_observed(&mut obs.recorder)?;
+    let (m, overlapped) = (&report.metrics, &report.overlapped);
+    let manifest = manifest(
+        "experiment",
+        exp,
+        cell_descriptor(exp),
+        sample_ms,
+        overlapped.e2e_s,
+    );
+    let metrics = [
+        ("compute_slowdown", m.compute_slowdown),
+        ("overlap_ratio", m.overlap_ratio),
+        ("e2e_overlapped_s", m.e2e_overlapped_s),
+        ("e2e_ideal_s", m.e2e_ideal_s),
+        ("e2e_sequential_derived_s", m.e2e_sequential_derived_s),
+        ("e2e_sequential_measured_s", m.e2e_sequential_measured_s),
+        ("avg_power_w", m.avg_power_w),
+        ("peak_power_w", m.peak_power_w),
+        ("avg_power_sequential_w", m.avg_power_sequential_w),
+        ("peak_power_sequential_w", m.peak_power_sequential_w),
+        ("energy_j", m.energy_j),
+        ("ideal_simulated_e2e_s", report.ideal_simulated_e2e_s),
+        ("comm_s", overlapped.comm_s()),
+        ("overlapped_compute_s", overlapped.overlapped_compute_s()),
+        ("hidden_comm_s", overlapped.hidden_comm_s()),
     ];
-    let mut aux_runs = Pool::new(cfg.jobs).map(&aux, |(w, m)| execute(w, m));
-    let ideal = aux_runs.pop().expect("ideal run present")?;
-    let sequential = aux_runs.pop().expect("sequential run present")?;
-
-    let metrics = OverlapMetrics::derive(&overlapped, &sequential);
-    let series = sample_epochs(recorder.epochs(), exp.n_gpus, cfg.sample_ms / 1e3);
-    let tracks = counter_tracks(&series);
-    let events_jsonl = events.borrow().clone();
-
-    Ok(RunArtifact {
-        manifest: Manifest {
-            kind: "experiment",
-            label: exp.label(),
-            descriptor: cell_descriptor(exp),
-            cell_key: cell_key(exp),
-            cell_schema_version: CELL_SCHEMA_VERSION,
-            calibration_version: olab_gpu::CALIBRATION_VERSION,
-            sample_ms: cfg.sample_ms,
-            n_gpus: exp.n_gpus,
-            makespan_s: overlapped.e2e_s,
-            fault: None,
-            recovery: None,
-        },
-        metrics_csv: metrics_csv(&[
-            ("compute_slowdown", metrics.compute_slowdown),
-            ("overlap_ratio", metrics.overlap_ratio),
-            ("e2e_overlapped_s", metrics.e2e_overlapped_s),
-            ("e2e_ideal_s", metrics.e2e_ideal_s),
-            ("e2e_sequential_derived_s", metrics.e2e_sequential_derived_s),
-            (
-                "e2e_sequential_measured_s",
-                metrics.e2e_sequential_measured_s,
-            ),
-            ("avg_power_w", metrics.avg_power_w),
-            ("peak_power_w", metrics.peak_power_w),
-            ("avg_power_sequential_w", metrics.avg_power_sequential_w),
-            ("peak_power_sequential_w", metrics.peak_power_sequential_w),
-            ("energy_j", metrics.energy_j),
-            ("ideal_simulated_e2e_s", ideal.e2e_s),
-            ("comm_s", overlapped.comm_s()),
-            ("overlapped_compute_s", overlapped.overlapped_compute_s()),
-            ("hidden_comm_s", overlapped.hidden_comm_s()),
-        ]),
-        counters_csv: counters_csv(&series),
-        trace_json: to_chrome_trace_full(&overlapped.trace, &[], &tracks),
-        events_jsonl,
-    })
+    Ok(obs.finish(manifest, &metrics, &overlapped.trace, &[], String::new()))
 }
 
-fn emit_fault_prologue(recorder: &mut Recorder, timeline: &FaultTimeline) {
-    // Fault windows are known before the run starts: emit them up front so
-    // the event log reads prologue -> engine events -> watchdog epilogue.
+/// The fault windows as event-log lines. They are known before the faulty
+/// leg starts, so they lead the log (prologue -> engine events ->
+/// watchdog epilogue); the timeline is sized on the fault-free leg inside
+/// the run, so they are rendered after it.
+fn fault_prologue(timeline: &FaultTimeline) -> String {
+    let mut out = String::new();
+    let mut line = |event: &ObsEvent<'_>| {
+        out.push_str(&to_jsonl(event));
+        out.push('\n');
+    };
     for w in &timeline.throttles {
-        recorder.bus().emit(&ObsEvent::FaultThrottle {
+        line(&ObsEvent::FaultThrottle {
             start_s: w.start_s,
             end_s: w.end_s,
             gpu: w.gpu,
@@ -135,19 +157,21 @@ fn emit_fault_prologue(recorder: &mut Recorder, timeline: &FaultTimeline) {
         });
     }
     for l in &timeline.link_faults {
-        let link = l.link.to_string();
-        recorder.bus().emit(&ObsEvent::FaultLink {
+        line(&ObsEvent::FaultLink {
             start_s: l.start_s,
             end_s: l.end_s,
-            link: &link,
+            link: &l.link.to_string(),
             bw_factor: l.bw_factor,
         });
     }
+    out
 }
 
-fn emit_fault_epilogue(recorder: &mut Recorder, injected: &FaultyMachine) {
-    for e in &injected.stats().events {
-        let event = match e.kind {
+/// The watchdog episodes and any abort of the faulty leg, after its
+/// engine events.
+fn emit_fault_epilogue(obs: &mut Observation, run: &FaultRun) {
+    for e in &run.stats.events {
+        obs.emit(&match e.kind {
             olab_faults::FaultEventKind::Stall => ObsEvent::WatchdogStall {
                 start_s: e.start_s,
                 end_s: e.end_s,
@@ -158,11 +182,10 @@ fn emit_fault_epilogue(recorder: &mut Recorder, injected: &FaultyMachine) {
                 end_s: e.end_s,
                 label: &e.label,
             },
-        };
-        recorder.bus().emit(&event);
+        });
     }
-    if let Some(abort) = injected.abort() {
-        recorder.bus().emit(&ObsEvent::WatchdogAbort {
+    if let Some(abort) = &run.abort {
+        obs.emit(&ObsEvent::WatchdogAbort {
             t_s: abort.at_s,
             label: &abort.collective,
             retries: abort.retries,
@@ -170,104 +193,73 @@ fn emit_fault_epilogue(recorder: &mut Recorder, injected: &FaultyMachine) {
     }
 }
 
-/// Runs `exp` under the fault scenario `spec`, fully instrumented.
+fn fault_manifest(run: &FaultRun) -> FaultManifest {
+    FaultManifest {
+        seed: run.spec.seed,
+        severity: format!("{:?}", run.spec.severity),
+        fault_schema_version: olab_faults::FAULT_SCHEMA_VERSION,
+        aborted: run.abort.as_ref().map(|a| {
+            format!(
+                "collective '{}' unreachable after {} retries at {:.3}s",
+                a.collective, a.retries, a.at_s
+            )
+        }),
+    }
+}
+
+/// Runs `exp` under the fault scenario `spec`, fully instrumented: the
+/// faulty leg of `olab_faults::run_under_faults` drives the recorder.
 ///
-/// Unlike `olab_faults::run_with_faults`, a watchdog abort is *not* an
-/// error here: the whole point of observability is that failed cells
-/// leave a record too. The abort lands in the event log and in
-/// `manifest.fault.aborted`.
+/// A watchdog abort is *not* an error here: the whole point of
+/// observability is that failed cells leave a record too. The abort lands
+/// in the event log and in `manifest.fault.aborted`.
 ///
 /// # Errors
 ///
-/// [`FaultError::Experiment`] when the experiment is infeasible or fails
-/// to simulate.
+/// When the experiment is infeasible or fails to simulate.
 pub fn observe_fault_cell(
     exp: &Experiment,
     spec: &FaultScenarioSpec,
-    cfg: &ObserveConfig,
-) -> Result<RunArtifact, FaultError> {
-    let policy = exp.validate().map_err(FaultError::Experiment)?;
-    let machine = exp.machine();
-    let workload = exp.timeline(ExecutionMode::Overlapped, policy)?;
-    let fault_free: RunResult = execute(&workload, &machine).map_err(ExperimentError::from)?;
+    sample_ms: f64,
+) -> Result<RunArtifact, ExperimentError> {
+    let mut obs = Observation::new();
+    let run = run_under_faults(exp, spec, &mut obs.recorder)?;
+    emit_fault_epilogue(&mut obs, &run);
 
-    let timeline = FaultTimeline::generate(spec, exp.n_gpus, fault_free.e2e_s);
-    let (mut recorder, events) = recorder_with_log();
-    emit_fault_prologue(&mut recorder, &timeline);
-
-    let mut injected = FaultyMachine::new(machine, timeline.clone());
-    let faulty =
-        execute_model(&workload, &mut injected, &mut recorder).map_err(ExperimentError::from)?;
-    emit_fault_epilogue(&mut recorder, &injected);
-
-    let stats = injected.stats();
-    let base_overlap = fault_free.overlap_ratio();
-    let faulty_overlap = faulty.overlap_ratio();
-    let series = sample_epochs(recorder.epochs(), exp.n_gpus, cfg.sample_ms / 1e3);
-    let tracks = counter_tracks(&series);
-    let notes = fault_annotations(&timeline, stats, faulty.e2e_s);
+    let m = run.metrics();
     let descriptor = FaultCell::new(exp.clone(), *spec).descriptor();
-    let events_jsonl = events.borrow().clone();
-
-    Ok(RunArtifact {
-        manifest: Manifest {
-            kind: "fault",
-            label: exp.label(),
-            cell_key: olab_grid::fnv1a_64(descriptor.as_bytes()),
-            descriptor,
-            cell_schema_version: CELL_SCHEMA_VERSION,
-            calibration_version: olab_gpu::CALIBRATION_VERSION,
-            sample_ms: cfg.sample_ms,
-            n_gpus: exp.n_gpus,
-            makespan_s: faulty.e2e_s,
-            fault: Some(FaultManifest {
-                seed: spec.seed,
-                severity: format!("{:?}", spec.severity),
-                fault_schema_version: olab_faults::FAULT_SCHEMA_VERSION,
-                aborted: injected.abort().map(|a| {
-                    format!(
-                        "collective '{}' unreachable after {} retries at {:.3}s",
-                        a.collective, a.retries, a.at_s
-                    )
-                }),
-            }),
-            recovery: None,
-        },
-        metrics_csv: metrics_csv(&[
-            ("fault_free_e2e_s", fault_free.e2e_s),
-            ("faulty_e2e_s", faulty.e2e_s),
-            ("time_lost_s", faulty.e2e_s - fault_free.e2e_s),
-            ("stall_s", stats.stall_s),
-            ("retries", f64::from(stats.retries)),
-            (
-                "degraded_collectives",
-                f64::from(stats.degraded_collectives),
-            ),
-            ("ecc_kernels", f64::from(stats.ecc_kernels)),
-            ("fault_free_overlap_ratio", base_overlap),
-            ("faulty_overlap_ratio", faulty_overlap),
-            (
-                "overlap_efficiency",
-                if base_overlap > 0.0 {
-                    faulty_overlap / base_overlap
-                } else {
-                    1.0
-                },
-            ),
-        ]),
-        counters_csv: counters_csv(&series),
-        trace_json: to_chrome_trace_full(&faulty.trace, &notes, &tracks),
-        events_jsonl,
-    })
+    let manifest = Manifest {
+        fault: Some(fault_manifest(&run)),
+        ..manifest("fault", exp, descriptor, sample_ms, run.faulty.e2e_s)
+    };
+    let metrics = [
+        ("fault_free_e2e_s", m.fault_free_e2e_s),
+        ("faulty_e2e_s", m.faulty_e2e_s),
+        ("time_lost_s", m.time_lost_s),
+        ("stall_s", m.stall_s),
+        ("retries", f64::from(m.retries)),
+        ("degraded_collectives", f64::from(m.degraded_collectives)),
+        ("ecc_kernels", f64::from(m.ecc_kernels)),
+        ("fault_free_overlap_ratio", m.fault_free_overlap_ratio),
+        ("faulty_overlap_ratio", m.faulty_overlap_ratio),
+        ("overlap_efficiency", m.overlap_efficiency),
+    ];
+    Ok(obs.finish(
+        manifest,
+        &metrics,
+        &run.faulty.trace,
+        &run.annotations(),
+        fault_prologue(&run.timeline),
+    ))
 }
 
-fn emit_recovery_epilogue(recorder: &mut Recorder, report: &RecoveryReport) {
+fn emit_recovery_epilogue(obs: &mut Observation, report: &RecoveryReport) {
     // Checkpoint writes pace the job every `interval` seconds of progress;
     // the event log places each back-to-back with its write cost.
     if let (Some(model), Some(interval)) = (&report.checkpoint, report.interval_s) {
         for seq in 1..=report.metrics.checkpoints_written {
             let start = f64::from(seq) * interval + f64::from(seq - 1) * model.write_s;
-            recorder.bus().emit(&ObsEvent::Checkpoint {
+            obs.emit(&ObsEvent::Checkpoint {
                 start_s: start,
                 end_s: start + model.write_s,
                 sequence: seq,
@@ -282,7 +274,7 @@ fn emit_recovery_epilogue(recorder: &mut Recorder, report: &RecoveryReport) {
             let restored = report
                 .interval_s
                 .map_or(0, |t| (report.run.useful_s() / t).floor() as u32);
-            recorder.bus().emit(&ObsEvent::Restore {
+            obs.emit(&ObsEvent::Restore {
                 t_s: abort.at_s,
                 sequence: restored,
                 ttr_s: report.metrics.time_to_recover_s,
@@ -290,7 +282,7 @@ fn emit_recovery_epilogue(recorder: &mut Recorder, report: &RecoveryReport) {
         }
     }
     if let Some(r) = &report.reshard {
-        recorder.bus().emit(&ObsEvent::Reshard {
+        obs.emit(&ObsEvent::Reshard {
             t_s: report.run.abort.as_ref().map_or(0.0, |a| a.at_s),
             evicted: usize::from(r.evicted.0),
             from_ranks: r.from_ranks as usize,
@@ -304,13 +296,14 @@ fn emit_recovery_epilogue(recorder: &mut Recorder, report: &RecoveryReport) {
 /// Runs `exp` under the fault scenario `spec` with the recovery policy
 /// `policy` in force, fully instrumented.
 ///
-/// The faulted phase is re-driven through the observed engine so the
-/// event log and counter series carry its real lifecycle edges; the
-/// recovery lifecycle (checkpoint writes, the restore, the elastic
-/// re-shard) lands as an epilogue derived from the recovery report. The
-/// trace covers the whole recovered job — including the mid-run
-/// world-size transition for an elastic shrink — while the counter
-/// series covers the faulted phase.
+/// The faulted phase runs once, through `olab_faults::run_under_faults`
+/// with the recorder attached, and `olab_resilience::recover` applies the
+/// policy to that same run, so the event log and counter series carry the
+/// faulted phase's real lifecycle edges. The recovery lifecycle
+/// (checkpoint writes, the restore, the elastic re-shard) lands as an
+/// epilogue derived from the recovery report. The trace covers the whole
+/// recovered job — including the mid-run world-size transition for an
+/// elastic shrink — while the counter series covers the faulted phase.
 ///
 /// # Errors
 ///
@@ -322,79 +315,49 @@ pub fn observe_recovery_cell(
     exp: &Experiment,
     spec: &FaultScenarioSpec,
     policy: RecoveryPolicy,
-    cfg: &ObserveConfig,
+    sample_ms: f64,
 ) -> Result<RunArtifact, RecoveryError> {
-    let report = run_with_recovery(exp, spec, policy)?;
-
-    let activation = exp.validate()?;
-    let machine = exp.machine();
-    let workload = exp.timeline(ExecutionMode::Overlapped, activation)?;
-    let (mut recorder, events) = recorder_with_log();
-    emit_fault_prologue(&mut recorder, &report.run.timeline);
-    let mut injected = FaultyMachine::new(machine, report.run.timeline.clone());
-    execute_model(&workload, &mut injected, &mut recorder).map_err(ExperimentError::from)?;
-    emit_fault_epilogue(&mut recorder, &injected);
-    emit_recovery_epilogue(&mut recorder, &report);
+    let mut obs = Observation::new();
+    let run = run_under_faults(exp, spec, &mut obs.recorder)?;
+    emit_fault_epilogue(&mut obs, &run);
+    let prologue = fault_prologue(&run.timeline);
+    let report = recover(run, policy)?;
+    emit_recovery_epilogue(&mut obs, &report);
 
     let m = &report.metrics;
-    let series = sample_epochs(recorder.epochs(), exp.n_gpus, cfg.sample_ms / 1e3);
-    let tracks = counter_tracks(&series);
-    let notes = fault_annotations(
-        &report.run.timeline,
-        &report.run.stats,
-        report.run.faulty.e2e_s,
-    );
     let descriptor = ResilienceCell::new(exp.clone(), *spec, policy).descriptor();
-    let events_jsonl = events.borrow().clone();
-
-    Ok(RunArtifact {
-        manifest: Manifest {
-            kind: "resilience",
-            label: exp.label(),
-            cell_key: olab_grid::fnv1a_64(descriptor.as_bytes()),
-            descriptor,
-            cell_schema_version: CELL_SCHEMA_VERSION,
-            calibration_version: olab_gpu::CALIBRATION_VERSION,
-            sample_ms: cfg.sample_ms,
-            n_gpus: exp.n_gpus,
-            makespan_s: m.wall_s,
-            fault: Some(FaultManifest {
-                seed: spec.seed,
-                severity: format!("{:?}", spec.severity),
-                fault_schema_version: olab_faults::FAULT_SCHEMA_VERSION,
-                aborted: report.run.abort.as_ref().map(|a| {
-                    format!(
-                        "collective '{}' unreachable after {} retries at {:.3}s",
-                        a.collective, a.retries, a.at_s
-                    )
-                }),
-            }),
-            recovery: Some(RecoveryManifest {
-                policy: policy.descriptor(),
-                completed: m.completed,
-                final_world_size: m.final_world_size,
-                checkpoints_written: m.checkpoints_written,
-                recovery_schema_version: RECOVERY_SCHEMA_VERSION,
-            }),
-        },
-        metrics_csv: metrics_csv(&[
-            ("fault_free_e2e_s", m.fault_free_e2e_s),
-            ("wall_s", m.wall_s),
-            ("committed_samples", m.committed_samples),
-            ("goodput_samples_per_s", m.goodput_samples_per_s),
-            ("lost_work_s", m.lost_work_s),
-            ("time_to_recover_s", m.time_to_recover_s),
-            ("checkpoints_written", f64::from(m.checkpoints_written)),
-            ("checkpoint_overhead_s", m.checkpoint_overhead_s),
-            ("recovery_energy_j", m.recovery_energy_j),
-            ("final_world_size", f64::from(m.final_world_size)),
-            ("stall_s", report.run.stats.stall_s),
-            ("retries", f64::from(report.run.stats.retries)),
-        ]),
-        counters_csv: counters_csv(&series),
-        trace_json: to_chrome_trace_full(&report.trace, &notes, &tracks),
-        events_jsonl,
-    })
+    let manifest = Manifest {
+        fault: Some(fault_manifest(&report.run)),
+        recovery: Some(RecoveryManifest {
+            policy: policy.descriptor(),
+            completed: m.completed,
+            final_world_size: m.final_world_size,
+            checkpoints_written: m.checkpoints_written,
+            recovery_schema_version: RECOVERY_SCHEMA_VERSION,
+        }),
+        ..manifest("resilience", exp, descriptor, sample_ms, m.wall_s)
+    };
+    let metrics = [
+        ("fault_free_e2e_s", m.fault_free_e2e_s),
+        ("wall_s", m.wall_s),
+        ("committed_samples", m.committed_samples),
+        ("goodput_samples_per_s", m.goodput_samples_per_s),
+        ("lost_work_s", m.lost_work_s),
+        ("time_to_recover_s", m.time_to_recover_s),
+        ("checkpoints_written", f64::from(m.checkpoints_written)),
+        ("checkpoint_overhead_s", m.checkpoint_overhead_s),
+        ("recovery_energy_j", m.recovery_energy_j),
+        ("final_world_size", f64::from(m.final_world_size)),
+        ("stall_s", report.run.stats.stall_s),
+        ("retries", f64::from(report.run.stats.retries)),
+    ];
+    Ok(obs.finish(
+        manifest,
+        &metrics,
+        &report.trace,
+        &report.run.annotations(),
+        prologue,
+    ))
 }
 
 #[cfg(test)]
@@ -407,13 +370,15 @@ mod tests {
     use olab_gpu::SkuKind;
     use olab_models::ModelPreset;
 
+    const SAMPLE_MS: f64 = 100.0;
+
     fn small() -> Experiment {
         Experiment::new(SkuKind::H100, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(256)
     }
 
     #[test]
     fn observe_cell_produces_a_complete_consistent_artifact() {
-        let artifact = observe_cell(&small(), &ObserveConfig::default()).expect("observes");
+        let artifact = observe_cell(&small(), SAMPLE_MS).expect("observes");
         validate_json(&artifact.manifest.to_json()).expect("manifest JSON");
         validate_json(&artifact.trace_json).expect("trace JSON");
         assert!(artifact.manifest.makespan_s > 0.0);
@@ -449,31 +414,9 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_are_byte_identical_across_jobs_counts() {
-        let exp = small();
-        let serial = observe_cell(
-            &exp,
-            &ObserveConfig {
-                jobs: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let parallel = observe_cell(
-            &exp,
-            &ObserveConfig {
-                jobs: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn observed_metrics_match_the_unobserved_run() {
         let exp = small();
-        let artifact = observe_cell(&exp, &ObserveConfig::default()).unwrap();
+        let artifact = observe_cell(&exp, SAMPLE_MS).unwrap();
         let report = exp.run().unwrap();
         let row = format!("e2e_overlapped_s,{:.9}", report.metrics.e2e_overlapped_s);
         assert!(
@@ -486,8 +429,7 @@ mod tests {
     #[test]
     fn fault_cells_record_windows_watchdog_episodes_and_metrics() {
         let spec = FaultScenarioSpec::degrade(3, Severity::Severe);
-        let artifact =
-            observe_fault_cell(&small(), &spec, &ObserveConfig::default()).expect("observes");
+        let artifact = observe_fault_cell(&small(), &spec, SAMPLE_MS).expect("observes");
         assert_eq!(artifact.manifest.kind, "fault");
         let fault = artifact.manifest.fault.as_ref().expect("fault block");
         assert_eq!(fault.seed, 3);
@@ -513,8 +455,7 @@ mod tests {
         let exp = small();
         let aborted = (1..=6).find_map(|seed| {
             let spec = FaultScenarioSpec::abort(seed, Severity::Severe);
-            let artifact = observe_fault_cell(&exp, &spec, &ObserveConfig::default())
-                .expect("record, not error");
+            let artifact = observe_fault_cell(&exp, &spec, SAMPLE_MS).expect("record, not error");
             artifact
                 .manifest
                 .fault
@@ -533,13 +474,9 @@ mod tests {
     #[test]
     fn elastic_recovery_cells_record_the_shrink() {
         let spec = FaultScenarioSpec::abort(3, Severity::Severe);
-        let artifact = observe_recovery_cell(
-            &small(),
-            &spec,
-            RecoveryPolicy::ElasticContinue,
-            &ObserveConfig::default(),
-        )
-        .expect("recovers");
+        let artifact =
+            observe_recovery_cell(&small(), &spec, RecoveryPolicy::ElasticContinue, SAMPLE_MS)
+                .expect("recovers");
         assert_eq!(artifact.manifest.kind, "resilience");
         let rec = artifact.manifest.recovery.as_ref().expect("recovery block");
         assert!(rec.completed);
@@ -582,7 +519,7 @@ mod tests {
             RecoveryPolicy::CheckpointRestart {
                 interval_s: Some(interval),
             },
-            &ObserveConfig::default(),
+            SAMPLE_MS,
         )
         .expect("recovers");
         let rec = artifact.manifest.recovery.as_ref().expect("recovery block");
@@ -602,25 +539,23 @@ mod tests {
     #[test]
     fn recovery_artifacts_are_deterministic() {
         let spec = FaultScenarioSpec::abort(3, Severity::Severe);
-        let cfg = ObserveConfig::default();
-        let a =
-            observe_recovery_cell(&small(), &spec, RecoveryPolicy::ElasticContinue, &cfg).unwrap();
-        let b =
-            observe_recovery_cell(&small(), &spec, RecoveryPolicy::ElasticContinue, &cfg).unwrap();
+        let a = observe_recovery_cell(&small(), &spec, RecoveryPolicy::ElasticContinue, SAMPLE_MS)
+            .unwrap();
+        let b = observe_recovery_cell(&small(), &spec, RecoveryPolicy::ElasticContinue, SAMPLE_MS)
+            .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn fault_artifacts_are_deterministic_per_seed() {
         let spec = FaultScenarioSpec::degrade(11, Severity::Moderate);
-        let cfg = ObserveConfig::default();
-        let a = observe_fault_cell(&small(), &spec, &cfg).unwrap();
-        let b = observe_fault_cell(&small(), &spec, &cfg).unwrap();
+        let a = observe_fault_cell(&small(), &spec, SAMPLE_MS).unwrap();
+        let b = observe_fault_cell(&small(), &spec, SAMPLE_MS).unwrap();
         assert_eq!(a, b);
         let c = observe_fault_cell(
             &small(),
             &FaultScenarioSpec::degrade(12, Severity::Moderate),
-            &cfg,
+            SAMPLE_MS,
         )
         .unwrap();
         assert_ne!(a.events_jsonl, c.events_jsonl);

@@ -1,13 +1,13 @@
-//! End-to-end determinism of observed runs: the artifact a cell leaves is
-//! a pure function of the cell, never of sweep parallelism, and the trace
-//! it contains is well-formed JSON with full counter coverage.
+//! End-to-end checks of observed runs: the trace an artifact contains is
+//! well-formed JSON with full counter coverage, and live sweep progress
+//! never perturbs outcomes. The artifact bytes themselves are pinned in
+//! `artifact_golden.rs`.
 
 use olab_core::fmtutil::validate_json;
 use olab_core::{Experiment, Strategy, Sweep};
 use olab_gpu::SkuKind;
 use olab_models::ModelPreset;
-use olab_obs::{observe_cell, JsonlProgress, ObserveConfig, ARTIFACT_FILES, COUNTER_NAMES};
-use std::fs;
+use olab_obs::{observe_cell, JsonlProgress, COUNTER_NAMES};
 
 fn cell() -> Experiment {
     // A shrunk fig. 7 shape (MI250, LLaMA-2 13B is too heavy for a unit
@@ -16,43 +16,8 @@ fn cell() -> Experiment {
 }
 
 #[test]
-fn artifact_directories_are_byte_identical_serial_vs_parallel() {
-    let base = std::env::temp_dir().join(format!("olab-obs-det-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&base);
-
-    let serial = observe_cell(
-        &cell(),
-        &ObserveConfig {
-            jobs: 1,
-            ..Default::default()
-        },
-    )
-    .expect("serial observe");
-    let parallel = observe_cell(
-        &cell(),
-        &ObserveConfig {
-            jobs: 4,
-            ..Default::default()
-        },
-    )
-    .expect("parallel observe");
-
-    let dir_a = base.join("serial");
-    let dir_b = base.join("parallel");
-    serial.write_to(&dir_a).expect("write serial");
-    parallel.write_to(&dir_b).expect("write parallel");
-    for name in ARTIFACT_FILES {
-        let a = fs::read(dir_a.join(name)).expect(name);
-        let b = fs::read(dir_b.join(name)).expect(name);
-        assert_eq!(a, b, "{name} differs between --jobs 1 and --jobs 4");
-        assert!(!a.is_empty() || name == "events.jsonl", "{name} is empty");
-    }
-    let _ = fs::remove_dir_all(&base);
-}
-
-#[test]
 fn trace_is_valid_json_with_all_counter_tracks_per_gpu() {
-    let artifact = observe_cell(&cell(), &ObserveConfig::default()).expect("observes");
+    let artifact = observe_cell(&cell(), 100.0).expect("observes");
     validate_json(&artifact.trace_json)
         .unwrap_or_else(|e| panic!("trace.json is not valid JSON: {e}"));
     // The acceptance bar is >= 3 counter tracks per GPU; we ship 5.

@@ -230,7 +230,7 @@ pub fn check_experiment_relations(seed: u64) -> RelationOutcome {
 pub fn check_fault_relations(seed: u64) -> RelationOutcome {
     use olab_core::execute_model;
     use olab_faults::{
-        run_with_faults, FaultError, FaultScenarioSpec, FaultTimeline, FaultyMachine, Severity,
+        run_under_faults, FaultScenarioSpec, FaultTimeline, FaultyMachine, Severity,
     };
     use olab_sim::NullObserver;
 
@@ -244,9 +244,11 @@ pub fn check_fault_relations(seed: u64) -> RelationOutcome {
 
     // F1: fault-free lower-bounds every severity of the seed's scenario.
     for severity in Severity::ALL {
-        match run_with_faults(&exp, &FaultScenarioSpec::degrade(seed, severity)) {
-            Ok(report) => {
-                let m = &report.metrics;
+        let spec = FaultScenarioSpec::degrade(seed, severity);
+        match run_under_faults(&exp, &spec, &mut NullObserver) {
+            Ok(run) if run.abort.is_some() => {} // no surviving path: no makespan to bound
+            Ok(run) => {
+                let m = run.metrics();
                 if m.faulty_e2e_s + tol.allowance(m.fault_free_e2e_s) < m.fault_free_e2e_s {
                     failures.push(format!(
                         "seed {seed}: F1 broken for {} at {severity}: faults sped the \
@@ -257,8 +259,7 @@ pub fn check_fault_relations(seed: u64) -> RelationOutcome {
                     ));
                 }
             }
-            Err(FaultError::Aborted(_)) => {} // no surviving path: no makespan to bound
-            Err(FaultError::Experiment(e)) => {
+            Err(e) => {
                 failures.push(format!(
                     "seed {seed}: F1 could not run: a feasible cell failed under faults: {e}"
                 ));

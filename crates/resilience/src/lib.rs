@@ -37,5 +37,5 @@ pub use checkpoint::{
 };
 pub use policy::{RecoveryPolicy, RECOVERY_SCHEMA_VERSION};
 pub use recover::{
-    run_with_recovery, RecoveryError, RecoveryMetrics, RecoveryReport, ReshardSummary,
+    recover, run_with_recovery, RecoveryError, RecoveryMetrics, RecoveryReport, ReshardSummary,
 };

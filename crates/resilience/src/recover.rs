@@ -1,7 +1,7 @@
 //! Running an experiment under a fault scenario *and* a recovery policy.
 //!
 //! [`run_with_recovery`] drives `olab_faults::run_under_faults` and then
-//! decides what an abort means:
+//! [`recover`] decides what an abort means:
 //!
 //! * **fail-fast** — the job dies; all work since launch is lost and the
 //!   goodput is zero,
@@ -21,7 +21,7 @@ use olab_ccl::{relower_surviving, try_lower, Algorithm, Collective};
 use olab_core::{execute, goodput_samples_per_s, Experiment, ExperimentError};
 use olab_faults::{run_under_faults, FaultRun, FaultScenarioSpec};
 use olab_parallel::ExecutionMode;
-use olab_sim::{GpuId, SimTime, SimTrace};
+use olab_sim::{GpuId, NullObserver, SimTime, SimTrace};
 use std::error::Error;
 use std::fmt;
 
@@ -125,13 +125,10 @@ pub struct ReshardSummary {
 /// Everything one recovery run produced.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
-    /// The experiment that ran.
-    pub experiment: Experiment,
-    /// The fault scenario it ran under.
-    pub spec: FaultScenarioSpec,
     /// The recovery policy in force.
     pub policy: RecoveryPolicy,
-    /// The underlying faulted execution (abort surfaced as data).
+    /// The underlying faulted execution (abort surfaced as data): the
+    /// experiment, the scenario, and the faulted phase.
     pub run: FaultRun,
     /// The recovery scorecard.
     pub metrics: RecoveryMetrics,
@@ -163,7 +160,18 @@ pub fn run_with_recovery(
     spec: &FaultScenarioSpec,
     policy: RecoveryPolicy,
 ) -> Result<RecoveryReport, RecoveryError> {
-    let run = run_under_faults(exp, spec)?;
+    recover(run_under_faults(exp, spec, &mut NullObserver)?, policy)
+}
+
+/// Applies `policy` to a finished faulted run: the policy step of
+/// [`run_with_recovery`], for callers that ran (and perhaps observed) the
+/// faulted phase themselves.
+///
+/// # Errors
+///
+/// As [`run_with_recovery`], less the faulted phase's own failures.
+pub fn recover(run: FaultRun, policy: RecoveryPolicy) -> Result<RecoveryReport, RecoveryError> {
+    let exp = run.experiment.clone();
     let ff = run.fault_free.e2e_s;
     let ff_energy = run.fault_free.energy_j();
     let total_samples = exp.samples_per_iteration() as f64;
@@ -173,7 +181,7 @@ pub fn run_with_recovery(
     match policy {
         RecoveryPolicy::FailFast => {
             let report = match &run.abort {
-                None => completed_report(exp, spec, policy, run, total_samples, 0, 0.0, 0.0),
+                None => completed_report(policy, run, total_samples, 0, 0.0, 0.0),
                 Some(info) => {
                     let at = info.at_s;
                     let trace = run.faulty.trace.truncated(SimTime::from_secs(at));
@@ -192,8 +200,6 @@ pub fn run_with_recovery(
                         final_world_size: exp.n_gpus as u32,
                     };
                     RecoveryReport {
-                        experiment: exp.clone(),
-                        spec: *spec,
                         policy,
                         run,
                         metrics,
@@ -208,7 +214,7 @@ pub fn run_with_recovery(
         }
 
         RecoveryPolicy::CheckpointRestart { interval_s } => {
-            let model = CheckpointModel::for_experiment(exp);
+            let model = CheckpointModel::for_experiment(&exp);
             let interval = match interval_s {
                 Some(t) => Some(t),
                 None => model.young_daly_interval_s(mtbf_s(&run.timeline)),
@@ -221,8 +227,6 @@ pub fn run_with_recovery(
                     let ckpts = interval.map_or(0, |t| (run.faulty.e2e_s / t).floor() as u32);
                     let overhead_s = f64::from(ckpts) * model.write_s;
                     let mut report = completed_report(
-                        exp,
-                        spec,
                         policy,
                         run,
                         total_samples,
@@ -284,8 +288,6 @@ pub fn run_with_recovery(
                         final_world_size: exp.n_gpus as u32,
                     };
                     Ok(RecoveryReport {
-                        experiment: exp.clone(),
-                        spec: *spec,
                         policy,
                         run,
                         metrics,
@@ -299,27 +301,15 @@ pub fn run_with_recovery(
         }
 
         RecoveryPolicy::ElasticContinue => match run.abort.clone() {
-            None => Ok(completed_report(
-                exp,
-                spec,
-                policy,
-                run,
-                total_samples,
-                0,
-                0.0,
-                0.0,
-            )),
-            Some(info) => elastic_recover(exp, spec, run, &info.at_s, useful, idle_w),
+            None => Ok(completed_report(policy, run, total_samples, 0, 0.0, 0.0)),
+            Some(info) => elastic_recover(&exp, run, &info.at_s, useful, idle_w),
         },
     }
 }
 
 /// A job that finished without needing its recovery policy: the wall-clock
 /// is the faulted run (plus any checkpoint overhead) and nothing was lost.
-#[allow(clippy::too_many_arguments)]
 fn completed_report(
-    exp: &Experiment,
-    spec: &FaultScenarioSpec,
     policy: RecoveryPolicy,
     run: FaultRun,
     total_samples: f64,
@@ -339,12 +329,10 @@ fn completed_report(
         checkpoints_written: ckpts,
         checkpoint_overhead_s: ckpt_overhead_s,
         recovery_energy_j: run.faulty.energy_j() + ckpt_energy_j - run.fault_free.energy_j(),
-        final_world_size: exp.n_gpus as u32,
+        final_world_size: run.experiment.n_gpus as u32,
     };
     let trace = run.faulty.trace.clone();
     RecoveryReport {
-        experiment: exp.clone(),
-        spec: *spec,
         policy,
         run,
         metrics,
@@ -360,7 +348,6 @@ fn completed_report(
 /// shrunken world, and finish the remaining samples at world size N−1.
 fn elastic_recover(
     exp: &Experiment,
-    spec: &FaultScenarioSpec,
     run: FaultRun,
     at_s: &f64,
     useful: f64,
@@ -478,8 +465,6 @@ fn elastic_recover(
         final_world_size: survivors.len() as u32,
     };
     Ok(RecoveryReport {
-        experiment: exp.clone(),
-        spec: *spec,
         policy: RecoveryPolicy::ElasticContinue,
         run,
         metrics,
