@@ -19,13 +19,12 @@
 //! * **eviction** — a byte-capped cache filled serially and in parallel
 //!   must evict to the identical set of surviving entries.
 //!
-//! Writes a single snapshot (override the path with `--out <path>`) and
-//! prints the same JSON to stdout; `--smoke` shrinks the grid for CI (the
-//! full run soaks >= 1000 cells). The soak runs with the `olab-metrics`
+//! Prints one JSON snapshot to stdout, and also writes it to `<path>`
+//! when given `--out <path>`; `--smoke` shrinks the grid for CI (the full
+//! run soaks >= 1000 cells). The soak runs with the `olab-metrics`
 //! registry enabled and reports its per-cell execution-latency quantiles
 //! straight from the `olab_grid_cell_exec_ns` histogram; each snapshot is
-//! stamped with the commit and mode so the `trend` binary can append it
-//! to the `BENCH_soak.json` trajectory.
+//! stamped with the commit and mode.
 
 use olab_core::fmtutil::validate_json;
 use olab_grid::{
@@ -167,8 +166,7 @@ fn main() {
     let out_path = args
         .iter()
         .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_soak.json".to_string());
+        .and_then(|i| args.get(i + 1).cloned());
 
     silence_chaos_panics();
 
@@ -372,7 +370,7 @@ fn main() {
     )
     .snapshot();
     let mode = if smoke { "smoke" } else { "full" };
-    let commit = olab_bench::trend::current_commit();
+    let commit = olab_bench::current_commit();
 
     let json = format!(
         "{{\n  \"bench\": \"grid_soak\",\n  \"commit\": \"{}\",\n  \"mode\": \"{}\",\n  \"cells\": {},\n  \"chaos_identical\": true,\n  \"cell_exec_ns\": {{\n    \"count\": {},\n    \"p50\": {},\n    \"p99\": {},\n    \"max\": {}\n  }},\n  \"pool_chaos\": {{\n    \"retries\": {},\n    \"timeouts\": {},\n    \"failed_cells\": {}\n  }},\n  \"cache_chaos\": {{\n    \"quarantined\": {},\n    \"tmp_reaped\": {},\n    \"leaked_tmps\": {}\n  }},\n  \"degradation\": {{\n    \"latched\": {}\n  }},\n  \"eviction\": {{\n    \"cap_bytes\": {},\n    \"evicted\": {},\n    \"surviving_entries\": {},\n    \"surviving_bytes\": {},\n    \"deterministic\": true\n  }}\n}}\n",
@@ -396,11 +394,13 @@ fn main() {
         survivor_bytes,
     );
     validate_json(&json).expect("benchmark JSON is well-formed");
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
+    if let Some(path) = &out_path {
+        std::fs::write(path, &json).expect("write benchmark JSON");
+    }
     print!("{json}");
     eprintln!(
         "grid_soak: {n_cells} cells, chaos run bit-identical to clean ({} retries, {} timeouts, \
-         {} quarantined, {} evicted) -> {out_path}",
+         {} quarantined, {} evicted)",
         chaos_run.stats.retries, chaos_run.stats.timeouts, quarantined, evicted
     );
 }

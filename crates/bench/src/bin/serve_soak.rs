@@ -23,11 +23,9 @@
 //! * **drain** — `POST /v1/drain` stops admissions; the shutdown must
 //!   strand zero workers.
 //!
-//! Writes a single snapshot (override the path with `--out <path>`) and
-//! prints the same JSON to stdout; `--smoke` shrinks the client counts
-//! for CI. Each snapshot is stamped with the commit and `"mode": "serve"`
-//! so the `trend` binary can append it to the `BENCH_soak.json`
-//! trajectory alongside the grid-soak entries.
+//! Prints one JSON snapshot to stdout, and also writes it to `<path>`
+//! when given `--out <path>`; `--smoke` shrinks the client counts for CI.
+//! Each snapshot is stamped with the commit and `"mode": "serve"`.
 
 use olab_core::fmtutil::validate_json;
 use olab_grid::ChaosPlan;
@@ -102,8 +100,7 @@ fn main() {
     let out_path = args
         .iter()
         .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
+        .and_then(|i| args.get(i + 1).cloned());
 
     let m = serve_metrics();
 
@@ -307,7 +304,7 @@ fn main() {
     let latency = m.request_ns.snapshot();
     let mode = "serve";
     let run_kind = if smoke { "smoke" } else { "full" };
-    let commit = olab_bench::trend::current_commit();
+    let commit = olab_bench::current_commit();
 
     let json = format!(
         "{{\n  \"bench\": \"serve_soak\",\n  \"commit\": \"{}\",\n  \"mode\": \"{}\",\n  \"run\": \"{}\",\n  \"storm\": {{\n    \"clients\": {},\n    \"executed\": {},\n    \"coalesced\": {},\n    \"byte_identical\": true\n  }},\n  \"mixed_load\": {{\n    \"requests\": {},\n    \"divergent\": 0\n  }},\n  \"shed\": {{\n    \"shed_responses\": {},\n    \"retry_after_s\": {}\n  }},\n  \"deadline\": {{\n    \"status\": 504\n  }},\n  \"client_chaos\": {{\n    \"requests\": {},\n    \"dropped\": {},\n    \"survived\": true\n  }},\n  \"degradation\": {{\n    \"ready_status\": {}\n  }},\n  \"drain\": {{\n    \"stranded_workers\": 0\n  }},\n  \"request_ns\": {{\n    \"count\": {},\n    \"p50\": {},\n    \"p99\": {},\n    \"max\": {}\n  }}\n}}\n",
@@ -329,11 +326,13 @@ fn main() {
         latency.max,
     );
     validate_json(&json).expect("benchmark JSON is well-formed");
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
+    if let Some(path) = &out_path {
+        std::fs::write(path, &json).expect("write benchmark JSON");
+    }
     print!("{json}");
     eprintln!(
         "serve_soak: storm {STORM_CLIENTS} clients -> 1 execution / {storm_coalesced} coalesced, \
          {shed_seen} shed (Retry-After {retry_after_s}s), {chaos_dropped}/{chaos_requests} \
-         chaos drops survived, readyz {degrade_ready_status} when degraded -> {out_path}"
+         chaos drops survived, readyz {degrade_ready_status} when degraded"
     );
 }

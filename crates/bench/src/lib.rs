@@ -33,19 +33,32 @@
 //! | binary    | purpose |
 //! |-----------|---------|
 //! | `conformance` | closed-form-oracle gate over every registry grid (exits 1 on divergence) |
-//! | `cell_cost` | per-path cost of one paper cell (`BENCH_cell.json` snapshots) |
 //! | `grid_soak` | chaos soak of the sweep engine: a faulted run must be bit-identical to a clean one |
 //! | `serve_soak` | live-socket soak of `olab serve`: coalescing storm, shed, deadline, client chaos, degradation, drain |
-//! | `trend`   | perf-trajectory tooling: appends `cell_cost`/`grid_soak`/`serve_soak` snapshots to the `BENCH_*.json` trajectories and gates candidates against them (exits 1 on regression) |
 //!
-//! Criterion benches (`cargo bench`) measure the simulator itself.
+//! The soaks print their JSON snapshot to stdout and write it to a file
+//! only when given `--out <path>`. Timing the simulator is the job of the
+//! repository's `benchmark/` package (see `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ablations;
 pub mod figures;
-pub mod trend;
 
 /// The checked-in `results/` directory that `regen` rewrites.
 pub const RESULTS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+
+/// The short hash of the commit being benchmarked, or `"unknown"` outside
+/// a git checkout (tarball builds, vendored sources).
+pub fn current_commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}

@@ -31,13 +31,10 @@ enum Status {
 /// during a run — only a head cursor advances — so "pop front" is an index
 /// increment instead of a `VecDeque` rotation.
 ///
-/// [`Engine::run`], [`Engine::run_observed`] and [`Engine::run_summary`]
-/// draw an arena from a thread-local pool automatically;
-/// [`Engine::run_observed_in`] and [`Engine::run_summary_in`] take an
-/// explicit arena for callers (benchmarks, allocation tests) that want to
-/// control reuse.
+/// Every [`Engine`] run draws its arena from a per-thread slot (see
+/// [`with_scratch`]), so back-to-back runs on one thread are warm.
 #[derive(Debug, Default)]
-pub struct SimArena {
+struct SimArena {
     /// Unsatisfied dependency count per task.
     deps_left: Vec<u32>,
     /// CSR offsets into `dep_edges`: task `i`'s dependents occupy
@@ -65,11 +62,6 @@ pub struct SimArena {
 }
 
 impl SimArena {
-    /// An empty arena; buffers grow on first use and persist afterwards.
-    pub fn new() -> Self {
-        SimArena::default()
-    }
-
     /// Rewinds every buffer for a workload of `n` tasks on `n_gpus`
     /// devices, building the CSR dependency and queue tables. Capacity from
     /// earlier runs is retained.
@@ -159,9 +151,9 @@ impl SimArena {
 }
 
 thread_local! {
-    /// Per-thread arena backing the engine's arena-less entry points, so
-    /// back-to-back cells on one worker reuse the same buffers.
-    static SCRATCH: RefCell<SimArena> = RefCell::new(SimArena::new());
+    /// Per-thread arena behind every engine run, so back-to-back cells on
+    /// one worker reuse the same buffers.
+    static SCRATCH: RefCell<SimArena> = RefCell::new(SimArena::default());
 }
 
 /// Executes a [`Workload`] under a [`RateModel`].
@@ -216,39 +208,24 @@ impl<M: RateModel> Engine<M> {
         workload: &Workload<M::Payload>,
         obs: &mut O,
     ) -> Result<SimTrace, SimError> {
-        with_scratch(|arena| self.run_observed_in(workload, obs, arena))
-    }
-
-    /// [`run_observed`](Engine::run_observed) with an explicit [`SimArena`]:
-    /// the caller controls scratch reuse — benchmarks and allocation tests
-    /// use this to compare cold (fresh arena each run) against warm (one
-    /// arena across runs) cost.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](Engine::run).
-    pub fn run_observed_in<O: EngineObserver>(
-        &mut self,
-        workload: &Workload<M::Payload>,
-        obs: &mut O,
-        arena: &mut SimArena,
-    ) -> Result<SimTrace, SimError> {
-        let (gpus, makespan) = self.run_loop(workload, obs, arena)?;
-        let records = workload
-            .tasks()
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| TaskRecord {
-                id: TaskId(i as u32),
-                label: spec.label.clone(),
-                participants: spec.participants.clone(),
-                stream: spec.stream,
-                start: arena.start[i],
-                end: arena.end[i],
-                coactive: arena.coactive[i],
-            })
-            .collect();
-        Ok(SimTrace::new(records, gpus, makespan))
+        with_scratch(|arena| {
+            let (gpus, makespan) = self.run_loop(workload, obs, arena)?;
+            let records = workload
+                .tasks()
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| TaskRecord {
+                    id: TaskId(i as u32),
+                    label: spec.label.clone(),
+                    participants: spec.participants.clone(),
+                    stream: spec.stream,
+                    start: arena.start[i],
+                    end: arena.end[i],
+                    coactive: arena.coactive[i],
+                })
+                .collect();
+            Ok(SimTrace::new(records, gpus, makespan))
+        })
     }
 
     /// Runs the workload to completion without building task records:
@@ -261,33 +238,22 @@ impl<M: RateModel> Engine<M> {
     ///
     /// As for [`run`](Engine::run).
     pub fn run_summary(&mut self, workload: &Workload<M::Payload>) -> Result<SimSummary, SimError> {
-        with_scratch(|arena| self.run_summary_in(workload, arena))
-    }
-
-    /// [`run_summary`](Engine::run_summary) with an explicit [`SimArena`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](Engine::run).
-    pub fn run_summary_in(
-        &mut self,
-        workload: &Workload<M::Payload>,
-        arena: &mut SimArena,
-    ) -> Result<SimSummary, SimError> {
-        let (gpus, makespan) = self.run_loop(workload, &mut NullObserver, arena)?;
-        let mut totals = StreamTotals::new(workload.n_gpus());
-        for (i, spec) in workload.tasks().iter().enumerate() {
-            totals.add(
-                &spec.participants,
-                spec.stream,
-                arena.end[i] - arena.start[i],
-                arena.coactive[i],
-            );
-        }
-        Ok(SimSummary {
-            gpus,
-            totals,
-            makespan,
+        with_scratch(|arena| {
+            let (gpus, makespan) = self.run_loop(workload, &mut NullObserver, arena)?;
+            let mut totals = StreamTotals::new(workload.n_gpus());
+            for (i, spec) in workload.tasks().iter().enumerate() {
+                totals.add(
+                    &spec.participants,
+                    spec.stream,
+                    arena.end[i] - arena.start[i],
+                    arena.coactive[i],
+                );
+            }
+            Ok(SimSummary {
+                gpus,
+                totals,
+                makespan,
+            })
         })
     }
 
@@ -541,7 +507,7 @@ impl<M: RateModel> Engine<M> {
 fn with_scratch<R>(f: impl FnOnce(&mut SimArena) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut arena) => f(&mut arena),
-        Err(_) => f(&mut SimArena::new()),
+        Err(_) => f(&mut SimArena::default()),
     })
 }
 
@@ -864,6 +830,67 @@ mod tests {
             assert_eq!(s.power, t.power);
             assert_eq!(s.overlap_windows, t.overlap_windows);
             assert_eq!(s.busy, t.busy);
+        }
+    }
+
+    /// A model that runs a whole inner engine every time it prices an
+    /// epoch, on the same thread, while the outer run holds the scratch
+    /// arena.
+    struct Nesting {
+        inner_runs: usize,
+    }
+
+    impl RateModel for Nesting {
+        type Payload = ();
+        fn assign_rates(
+            &mut self,
+            running: &[RunningTask<'_, ()>],
+            rates: &mut [f64],
+            power: &mut [f64],
+        ) {
+            ConstantRate::default().assign_rates(running, rates, power);
+        }
+        fn assign_rates_at(
+            &mut self,
+            _now: f64,
+            running: &[RunningTask<'_, ()>],
+            rates: &mut [f64],
+            power: &mut [f64],
+        ) {
+            let mut inner = unit_workload();
+            let k = inner.push(TaskSpec::compute("inner-k", GpuId(1), ()));
+            inner.push(TaskSpec::comm("inner-c", GpuId(1), ()).after(k));
+            let trace = Engine::new(ConstantRate::default()).run(&inner).unwrap();
+            assert!((trace.makespan().as_secs() - 2.0).abs() < 1e-9);
+            self.inner_runs += 1;
+            self.assign_rates(running, rates, power);
+        }
+    }
+
+    /// A nested run finds this thread's scratch busy and falls back to a
+    /// fresh arena; the outer run's state is untouched by it.
+    #[test]
+    fn a_nested_run_on_a_busy_scratch_leaves_the_outer_run_intact() {
+        let mut w = unit_workload();
+        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
+        w.push(TaskSpec::comm("c", GpuId(0), ()));
+        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], ()).after(a));
+        w.push(TaskSpec::compute("b", GpuId(1), ()));
+        let plain = Engine::new(ConstantRate::default()).run(&w).unwrap();
+        let mut engine = Engine::new(Nesting { inner_runs: 0 });
+        let nested = engine.run(&w).unwrap();
+        assert!(engine.into_model().inner_runs > 0, "the model never nested");
+        assert_eq!(nested.makespan(), plain.makespan());
+        assert_eq!(nested.stream_totals(), plain.stream_totals());
+        for (n, p) in nested.records().iter().zip(plain.records()) {
+            assert_eq!((n.id, &n.label), (p.id, &p.label));
+            assert_eq!((n.start, n.end, n.coactive), (p.start, p.end, p.coactive));
+        }
+        assert_eq!(nested.records().len(), plain.records().len());
+        for (n, p) in nested.gpus().iter().zip(plain.gpus()) {
+            assert_eq!(n.power, p.power);
+            assert_eq!(n.overlap_windows, p.overlap_windows);
+            assert_eq!(n.busy, p.busy);
         }
     }
 

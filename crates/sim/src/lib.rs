@@ -80,7 +80,7 @@ mod trace;
 pub mod verify;
 
 pub use critical::{critical_path, CriticalPath, CriticalStep};
-pub use engine::{Engine, SimArena};
+pub use engine::Engine;
 pub use error::SimError;
 pub use ids::{GpuId, StreamKind, TaskId};
 pub use obs::{EngineObserver, GpuCounters, NullObserver};

@@ -1,15 +1,19 @@
-//! The arena contract of the engine hot path: once a [`SimArena`] is warm,
-//! a run allocates only for the *output* it hands back (the `SimTrace` and
-//! its per-task/per-GPU vectors) — the event loop itself is allocation-free.
-//! A record-free run ([`Engine::run_summary_in`]) hands back no per-task
-//! output at all, so its allocation count does not grow with the task
-//! count.
+//! The arena contract of the engine hot path: once this thread's scratch
+//! arena is warm, a run allocates only for the *output* it hands back (the
+//! `SimTrace` and its per-task/per-GPU vectors) — the event loop itself is
+//! allocation-free. A record-free run ([`Engine::run_summary`]) hands back
+//! no per-task output at all, so its allocation count does not grow with
+//! the task count.
+//!
+//! Every engine run draws its arena from a per-thread slot, so a warm run
+//! is a warm-up run followed by counted runs on the same thread, and a
+//! cold run is one counted inside a fresh thread.
 //!
 //! Pinned with a counting global allocator, like `olab-obs/tests/alloc.rs`
 //! (the library forbids unsafe code; a separate integration-test crate is
 //! the only place Rust lets us count).
 
-use olab_sim::{ConstantRate, Engine, GpuId, NullObserver, SimArena, TaskSpec, Workload};
+use olab_sim::{ConstantRate, Engine, GpuId, TaskSpec, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -79,26 +83,34 @@ fn workload_of(n_tasks: usize) -> Workload<()> {
     w
 }
 
+const RUNS: usize = 10;
+
 fn allocations_per_run(engine: &mut Engine<ConstantRate>, w: &Workload<()>, warm: bool) -> usize {
-    const RUNS: usize = 10;
-    let mut arena = SimArena::new();
-    // Warm-up: grow the arena (and the trace-side capacities) to steady state.
-    engine
-        .run_observed_in(w, &mut NullObserver, &mut arena)
-        .expect("workload runs");
-    let before = allocations();
-    for _ in 0..RUNS {
-        if warm {
-            engine
-                .run_observed_in(w, &mut NullObserver, &mut arena)
-                .expect("workload runs");
-        } else {
-            engine
-                .run_observed_in(w, &mut NullObserver, &mut SimArena::new())
-                .expect("workload runs");
+    let total: usize = if warm {
+        // Warm-up: grow this thread's arena (and the trace-side
+        // capacities) to steady state.
+        engine.run(w).expect("workload runs");
+        let before = allocations();
+        for _ in 0..RUNS {
+            engine.run(w).expect("workload runs");
         }
-    }
-    (allocations() - before) / RUNS
+        allocations() - before
+    } else {
+        (0..RUNS)
+            .map(|_| {
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        let before = allocations();
+                        engine.run(w).expect("workload runs");
+                        allocations() - before
+                    })
+                    .join()
+                    .expect("cold run thread")
+                })
+            })
+            .sum()
+    };
+    total / RUNS
 }
 
 /// The documented steady-state budget, derived from what legitimately
@@ -165,13 +177,11 @@ fn metrics_recording_stays_within_the_warm_budget() {
 const RECORD_FREE_BUDGET: usize = 16;
 
 fn record_free_allocations_per_run(w: &Workload<()>) -> usize {
-    const RUNS: usize = 10;
     let mut engine = Engine::new(ConstantRate::default());
-    let mut arena = SimArena::new();
-    engine.run_summary_in(w, &mut arena).expect("workload runs");
+    engine.run_summary(w).expect("workload runs");
     let before = allocations();
     for _ in 0..RUNS {
-        engine.run_summary_in(w, &mut arena).expect("workload runs");
+        engine.run_summary(w).expect("workload runs");
     }
     (allocations() - before) / RUNS
 }
