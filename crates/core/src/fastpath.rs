@@ -35,7 +35,8 @@ pub enum Route {
 
 /// Registry-backed route attribution: per-route cell counts (cross-run
 /// deterministic) and per-route cell-latency histograms (wall-clock), for
-/// the `olab-metrics` expositions.
+/// the `olab-metrics` expositions — plus the event loop's per-GPU pricing
+/// outcomes, which share `Machine::gpu_epoch` with the fast path.
 pub(crate) struct RouteMetrics {
     pub fast_full: &'static Counter,
     pub fast_lean: &'static Counter,
@@ -45,6 +46,8 @@ pub(crate) struct RouteMetrics {
     pub fast_lean_ns: &'static Histogram,
     pub event_loop_full_ns: &'static Histogram,
     pub event_loop_lean_ns: &'static Histogram,
+    pub pricing_reused: &'static Counter,
+    pub pricing_priced: &'static Counter,
 }
 
 pub(crate) fn route_metrics() -> &'static RouteMetrics {
@@ -85,6 +88,16 @@ pub(crate) fn route_metrics() -> &'static RouteMetrics {
         event_loop_lean_ns: olab_metrics::histogram(
             "olab_core_cell_event_loop_lean_ns",
             "Cell latency through the event loop, lean statistics.",
+        ),
+        pricing_reused: counter(
+            "olab_core_pricing_reused_total",
+            Determinism::CrossRun,
+            "GPU-epochs the event loop reused a pricing for (the GPU's own or its neighbour's).",
+        ),
+        pricing_priced: counter(
+            "olab_core_pricing_priced_total",
+            Determinism::CrossRun,
+            "GPU-epochs the event loop priced afresh.",
         ),
     })
 }

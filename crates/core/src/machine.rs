@@ -18,6 +18,16 @@
 //!
 //! With `contended = false` the model prices every task as if it ran alone
 //! (used to cross-check the paper's Eq. 4 "ideal" derivation).
+//!
+//! Pricing one GPU is a pure function of its compute kernel, its
+//! collective and its clock cap, and most epochs leave most GPUs' triple
+//! unchanged: an epoch ends when *one* task finishes. So the machine keeps
+//! each GPU's last pricing, keyed by (compute task, comm task, cap), and
+//! re-prices a GPU only when its key changes. A GPU whose new key misses
+//! copies its lower neighbour's fresh pricing when both run equal kernels
+//! under the same collective and cap — FSDP ranks are symmetric — so most
+//! epochs price a GPU or two, not the node. Both reuses return exactly
+//! what re-pricing would, bit for bit.
 
 use olab_ccl::CommOp;
 use olab_gpu::power::Utilization;
@@ -25,7 +35,7 @@ use olab_gpu::roofline::KernelDemand;
 use olab_gpu::{roofline, ContentionProfile, DvfsGovernor, GpuSku, PowerProfile};
 use olab_net::Topology;
 use olab_parallel::{ComputeOp, Op};
-use olab_sim::{GpuCounters, GpuId, RateModel, RunningTask, SeededRng};
+use olab_sim::{GpuCounters, GpuId, RateModel, RunningTask, SeededRng, TaskId};
 
 /// Fraction of datasheet HBM bandwidth usable when compute and
 /// communication interleave access streams.
@@ -92,15 +102,42 @@ pub struct Machine {
     /// windows; the governor then prices both the slower clock and its
     /// lower dynamic power.
     gpu_freq_caps: Vec<f64>,
-    /// Telemetry for the epoch whose rates were last assigned, indexed by
-    /// GPU — what the simulated NVML poll reads through
-    /// [`RateModel::counters`].
-    last_counters: Vec<GpuCounters>,
+    /// Each GPU's pricing for the epoch whose rates were last assigned,
+    /// indexed by GPU: the memo [`RateModel::assign_rates`] re-prices
+    /// from, and the telemetry the simulated NVML poll reads through
+    /// [`RateModel::counters`]. Cleared by [`RateModel::begin_run`].
+    priced: Vec<Priced>,
     /// Per-epoch scratch (reused across epochs to keep the rate-assignment
     /// hot path allocation-free once warm).
     scratch_compute_on: Vec<Option<usize>>,
     scratch_comm_on: Vec<Option<usize>>,
-    scratch_epochs: Vec<GpuEpoch>,
+}
+
+/// What one GPU was priced for in an epoch: its running compute and comm
+/// tasks and its clock cap. Task ids name payloads only within one run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PriceKey {
+    compute: Option<TaskId>,
+    comm: Option<TaskId>,
+    /// `to_bits` of the active clock cap, if any.
+    cap: Option<u64>,
+}
+
+/// One GPU's memoized pricing.
+#[derive(Debug, Clone, Copy, Default)]
+struct Priced {
+    /// What `epoch` and `counters` were priced for (`None`: nothing yet).
+    key: Option<PriceKey>,
+    epoch: GpuEpoch,
+    counters: GpuCounters,
+}
+
+impl Priced {
+    /// Whether any task ran on the GPU when it was priced.
+    fn busy(&self) -> bool {
+        self.key
+            .is_some_and(|k| k.compute.is_some() || k.comm.is_some())
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -148,18 +185,24 @@ impl Machine {
             contention,
             rng,
             gpu_freq_caps: Vec::new(),
-            last_counters: Vec::new(),
+            priced: Vec::new(),
             scratch_compute_on: Vec::new(),
             scratch_comm_on: Vec::new(),
-            scratch_epochs: Vec::new(),
         }
     }
 
-    /// Replaces the transient per-GPU frequency caps: `caps[g]` caps GPU
-    /// `g`'s clock factor this epoch (values `>= 1.0` and missing entries
-    /// mean uncapped; an empty vector clears all caps).
-    pub fn set_gpu_freq_caps(&mut self, caps: Vec<f64>) {
-        self.gpu_freq_caps = caps;
+    /// Replaces the transient per-GPU frequency caps in place: the `g`-th
+    /// item caps GPU `g`'s clock factor from the next epoch on (values
+    /// `>= 1.0` and missing entries mean uncapped; no items clears all
+    /// caps). Only GPUs whose cap changed are re-priced.
+    pub fn set_gpu_freq_caps(&mut self, caps: impl IntoIterator<Item = f64>) {
+        self.gpu_freq_caps.clear();
+        self.gpu_freq_caps.extend(caps);
+    }
+
+    /// The transient clock cap on GPU `g`, if one is active.
+    fn freq_cap(&self, g: usize) -> Option<f64> {
+        self.gpu_freq_caps.get(g).copied().filter(|&cap| cap < 1.0)
     }
 
     /// The same machine with per-epoch measurement noise.
@@ -201,9 +244,11 @@ impl Machine {
     /// and telemetry counters.
     ///
     /// This is the single source of pricing truth. [`Machine::assign_rates`]
-    /// calls it per GPU per epoch; the analytic fast path
-    /// (`olab_core::analytic`) calls it per schedule segment, which is what
-    /// guarantees the two execution paths agree by construction.
+    /// calls it for each GPU whose (kernel, comm, cap) key changed since
+    /// its last pricing and that cannot copy its neighbour's; the analytic
+    /// fast path (`olab_core::analytic`) calls it per schedule segment,
+    /// which is what guarantees the two execution paths agree by
+    /// construction. It depends on `g` only through `g`'s clock cap.
     fn gpu_epoch(
         &self,
         g: usize,
@@ -263,9 +308,9 @@ impl Machine {
         }
         util.mem = util.mem.clamp(0.0, 1.0);
 
-        let governor = match self.gpu_freq_caps.get(g) {
-            Some(&cap) if cap < 1.0 => self.config.governor.capped(cap),
-            _ => self.config.governor,
+        let governor = match self.freq_cap(g) {
+            Some(cap) => self.config.governor.capped(cap),
+            None => self.config.governor,
         };
         if contended {
             let decision = governor.decide(&self.power_profile, &util);
@@ -350,6 +395,10 @@ impl Machine {
 impl RateModel for Machine {
     type Payload = Op;
 
+    fn begin_run(&mut self) {
+        self.priced.clear();
+    }
+
     fn assign_rates(
         &mut self,
         running: &[RunningTask<'_, Op>],
@@ -359,16 +408,13 @@ impl RateModel for Machine {
         let n_gpus = power.len();
 
         // Index the (at most one) compute and comm task per GPU. The index
-        // and epoch buffers are machine-owned scratch, reused every epoch.
+        // buffers are machine-owned scratch, reused every epoch.
         let mut compute_on = std::mem::take(&mut self.scratch_compute_on);
         let mut comm_on = std::mem::take(&mut self.scratch_comm_on);
-        let mut epochs = std::mem::take(&mut self.scratch_epochs);
         compute_on.clear();
         compute_on.resize(n_gpus, None);
         comm_on.clear();
         comm_on.resize(n_gpus, None);
-        epochs.clear();
-        epochs.resize(n_gpus, GpuEpoch::default());
         for (i, task) in running.iter().enumerate() {
             match task.payload {
                 Op::Compute(_) => {
@@ -386,68 +432,119 @@ impl RateModel for Machine {
             }
         }
 
-        // Per-GPU epoch state: contention factors, frequency, power.
-        self.last_counters.clear();
-        self.last_counters.resize(n_gpus, GpuCounters::default());
+        // Per-GPU epoch state, re-priced only where the key changed.
+        let kernel_on = |g: usize| compute_on[g].and_then(|i| running[i].payload.as_compute());
+        self.priced.resize(n_gpus, Priced::default());
+        let mut reused = 0u64;
         for g in 0..n_gpus {
-            let comm = comm_on[g].and_then(|i| running[i].payload.as_comm());
-            let kernel = compute_on[g].and_then(|i| running[i].payload.as_compute());
-            let (epoch, counters) = self.gpu_epoch(g, kernel, comm);
-            self.last_counters[g] = counters;
-            epochs[g] = epoch;
-        }
-
-        // Rates.
-        for (i, task) in running.iter().enumerate() {
-            rates[i] = match task.payload {
-                Op::Compute(_) => {
-                    let g = task.participants[0].index();
-                    let epoch = &epochs[g];
-                    let d = epoch.demand.expect("kernel demand computed");
-                    let t_flop = d.compute_time(epoch.freq) / epoch.sm_avail;
-                    let t_mem = d.memory_time(epoch.compute_bw_fraction);
-                    let duration = (t_flop.max(t_mem) + d.launch_s) * epoch.l2;
-                    1.0 / duration
-                }
-                Op::Comm(ref op) => {
-                    let factor = task
-                        .participants
-                        .iter()
-                        .map(|g| epochs[g.index()].comm_factor)
-                        .fold(1.0_f64, f64::min);
-                    let duration = op.latency_s
-                        + op.wire_bytes_per_rank / (op.wire_rate_bytes_per_sec * factor.max(0.05));
-                    1.0 / duration
-                }
+            let key = PriceKey {
+                compute: compute_on[g].map(|i| running[i].id),
+                comm: comm_on[g].map(|i| running[i].id),
+                cap: self.freq_cap(g).map(f64::to_bits),
             };
-        }
-
-        // Measurement noise: an approximately-Gaussian multiplicative
-        // factor per task-epoch (sum of four uniforms), clamped so rates
-        // stay positive.
-        if let Some(rng) = &mut self.rng {
-            let sigma = self.config.jitter.map(|j| j.sigma).unwrap_or(0.0);
-            for rate in rates.iter_mut() {
-                let u: f64 = (0..4).map(|_| rng.next_f64() - 0.5).sum::<f64>() / 2.0;
-                *rate *= (1.0 + sigma * u * 3.464).clamp(0.7, 1.3);
+            if self.priced[g].key == Some(key) {
+                reused += 1;
+                continue;
             }
-        }
-
-        for g in 0..n_gpus {
-            power[g] = if compute_on[g].is_some() || comm_on[g].is_some() {
-                epochs[g].power_w
-            } else {
-                self.power_profile.idle_w
+            let kernel = kernel_on(g);
+            // Symmetric ranks: the lower neighbour was just priced for an
+            // equal kernel under the same collective and cap.
+            let twin = g.checked_sub(1).filter(|&h| {
+                self.priced[h]
+                    .key
+                    .is_some_and(|k| k.comm == key.comm && k.cap == key.cap)
+                    && kernel_on(h) == kernel
+            });
+            self.priced[g] = match twin {
+                Some(h) => {
+                    reused += 1;
+                    Priced {
+                        key: Some(key),
+                        ..self.priced[h]
+                    }
+                }
+                None => {
+                    let comm = comm_on[g].and_then(|i| running[i].payload.as_comm());
+                    let (epoch, counters) = self.gpu_epoch(g, kernel, comm);
+                    Priced {
+                        key: Some(key),
+                        epoch,
+                        counters,
+                    }
+                }
             };
         }
+        if olab_metrics::enabled() {
+            let m = crate::fastpath::route_metrics();
+            m.pricing_reused.add(reused);
+            m.pricing_priced.add(n_gpus as u64 - reused);
+        }
+
+        let sigma = self.config.jitter.map_or(0.0, |j| j.sigma);
+        settle(
+            running,
+            &self.priced,
+            self.rng.as_mut().map(|rng| (rng, sigma)),
+            self.power_profile.idle_w,
+            rates,
+            power,
+        );
 
         self.scratch_compute_on = compute_on;
         self.scratch_comm_on = comm_on;
-        self.scratch_epochs = epochs;
     }
 
     fn counters(&self, gpu: usize) -> GpuCounters {
-        self.last_counters.get(gpu).copied().unwrap_or_default()
+        self.priced.get(gpu).map(|p| p.counters).unwrap_or_default()
+    }
+}
+
+/// Turns one epoch's per-GPU pricing into task rates (with measurement
+/// noise drawn from `noise`, if any) and per-GPU board power.
+fn settle(
+    running: &[RunningTask<'_, Op>],
+    priced: &[Priced],
+    noise: Option<(&mut SeededRng, f64)>,
+    idle_w: f64,
+    rates: &mut [f64],
+    power: &mut [f64],
+) {
+    for (i, task) in running.iter().enumerate() {
+        rates[i] = match task.payload {
+            Op::Compute(_) => {
+                let g = task.participants[0].index();
+                let epoch = &priced[g].epoch;
+                let d = epoch.demand.expect("kernel demand computed");
+                let t_flop = d.compute_time(epoch.freq) / epoch.sm_avail;
+                let t_mem = d.memory_time(epoch.compute_bw_fraction);
+                let duration = (t_flop.max(t_mem) + d.launch_s) * epoch.l2;
+                1.0 / duration
+            }
+            Op::Comm(ref op) => {
+                let factor = task
+                    .participants
+                    .iter()
+                    .map(|g| priced[g.index()].epoch.comm_factor)
+                    .fold(1.0_f64, f64::min);
+                let duration = op.latency_s
+                    + op.wire_bytes_per_rank / (op.wire_rate_bytes_per_sec * factor.max(0.05));
+                1.0 / duration
+            }
+        };
+    }
+
+    // Measurement noise: an approximately-Gaussian multiplicative factor
+    // per task-epoch (sum of four uniforms), clamped so rates stay
+    // positive. It scales rates after pricing, so the memo stays valid.
+    if let Some((rng, sigma)) = noise {
+        for rate in rates.iter_mut() {
+            let u: f64 = (0..4).map(|_| rng.next_f64() - 0.5).sum::<f64>() / 2.0;
+            *rate *= (1.0 + sigma * u * 3.464).clamp(0.7, 1.3);
+        }
+    }
+
+    for (watts, p) in power.iter_mut().zip(priced) {
+        *watts = if p.busy() { p.epoch.power_w } else { idle_w };
     }
 }
 
@@ -762,5 +859,202 @@ mod tests {
         let trace = Engine::new(m.clone()).run(&w).unwrap();
         let simulated = trace.records()[0].duration().as_secs();
         assert!((simulated / isolated - 1.0).abs() < 1e-6);
+    }
+
+    fn counter_bits(c: &GpuCounters) -> [u64; 5] {
+        [
+            c.sm_occupancy.to_bits(),
+            c.hbm_util.to_bits(),
+            c.link_util.to_bits(),
+            c.freq_factor.to_bits(),
+            c.power_w.to_bits(),
+        ]
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The memo-free reference: on every epoch it re-prices every GPU
+    /// with `gpu_epoch` — no memo, no neighbour copy — draws noise from a
+    /// clone of the wrapped machine's RNG, and asserts that the memoized
+    /// machine assigns bit-identical rates, power and counters.
+    struct Reference {
+        memo: Machine,
+        epochs: usize,
+    }
+
+    impl RateModel for Reference {
+        type Payload = Op;
+
+        fn begin_run(&mut self) {
+            self.memo.begin_run();
+        }
+
+        fn assign_rates(
+            &mut self,
+            running: &[RunningTask<'_, Op>],
+            rates: &mut [f64],
+            power: &mut [f64],
+        ) {
+            let m = &self.memo;
+            let n_gpus = power.len();
+            let mut kernel = vec![None; n_gpus];
+            let mut comm = vec![None; n_gpus];
+            for task in running {
+                for g in task.participants {
+                    match task.payload {
+                        Op::Compute(c) => kernel[g.index()] = Some((task.id, c)),
+                        Op::Comm(c) => comm[g.index()] = Some((task.id, c)),
+                    }
+                }
+            }
+            let fresh: Vec<Priced> = (0..n_gpus)
+                .map(|g| {
+                    let (epoch, counters) =
+                        m.gpu_epoch(g, kernel[g].map(|(_, c)| c), comm[g].map(|(_, c)| c));
+                    let key = PriceKey {
+                        compute: kernel[g].map(|(id, _)| id),
+                        comm: comm[g].map(|(id, _)| id),
+                        cap: m.freq_cap(g).map(f64::to_bits),
+                    };
+                    Priced {
+                        key: Some(key),
+                        epoch,
+                        counters,
+                    }
+                })
+                .collect();
+            let mut rng = m.rng.clone();
+            let sigma = m.config.jitter.map_or(0.0, |j| j.sigma);
+            let mut want_rates = vec![0.0; rates.len()];
+            let mut want_power = vec![0.0; n_gpus];
+            settle(
+                running,
+                &fresh,
+                rng.as_mut().map(|rng| (rng, sigma)),
+                m.power_profile.idle_w,
+                &mut want_rates,
+                &mut want_power,
+            );
+
+            self.memo.assign_rates(running, rates, power);
+            let epoch = self.epochs;
+            assert_eq!(bits(rates), bits(&want_rates), "rates, epoch {epoch}");
+            assert_eq!(bits(power), bits(&want_power), "power, epoch {epoch}");
+            for (g, p) in fresh.iter().enumerate() {
+                assert_eq!(
+                    counter_bits(&self.memo.counters(g)),
+                    counter_bits(&p.counters),
+                    "counters of gpu {g}, epoch {epoch}"
+                );
+            }
+            assert_eq!(self.memo.rng, rng, "noise draws, epoch {epoch}");
+            self.epochs += 1;
+        }
+
+        fn counters(&self, gpu: usize) -> GpuCounters {
+            self.memo.counters(gpu)
+        }
+    }
+
+    #[test]
+    fn memoized_pricing_is_bit_identical_to_repricing_every_gpu_on_the_main_grid() {
+        use crate::registry;
+        use olab_parallel::ExecutionMode;
+
+        let cells: Vec<_> = registry::main_grid()
+            .into_iter()
+            .filter_map(|exp| exp.validate().ok().map(|policy| (exp, policy)))
+            .collect();
+        let runs = olab_grid::Pool::with_available_parallelism().map(&cells, |(exp, policy)| {
+            let workload = exp
+                .timeline(ExecutionMode::Overlapped, *policy)
+                .expect("timeline builds");
+            let plain = exp.machine();
+            let jittered = plain.with_jitter(Jitter {
+                seed: 7,
+                sigma: 0.05,
+            });
+            [plain, jittered].map(|memo| {
+                let mut engine = Engine::new(Reference { memo, epochs: 0 });
+                engine.run_summary(&workload).expect("cell runs");
+                engine.into_model().epochs
+            })
+        });
+        let contended_runs = 2 * runs.len();
+        assert!(contended_runs >= 200, "only {contended_runs} runs");
+        assert!(
+            runs.iter().flatten().all(|&epochs| epochs > 0),
+            "every run prices at least one epoch"
+        );
+    }
+
+    #[test]
+    fn one_machine_through_two_workloads_equals_two_fresh_machines() {
+        use crate::{execute_model, LeanRun};
+        use olab_sim::NullObserver;
+
+        // Both workloads end, and start, with task 0 alone on gpu0, but
+        // task 0 is a different kernel in each: a memo that outlived the
+        // first run would price the second run's first epoch stale.
+        let gemm = |n: u64| {
+            Op::Compute(ComputeOp::new(
+                KernelKind::gemm(n, n, n),
+                Precision::Fp16,
+                Datapath::TensorCore,
+            ))
+        };
+        let workloads = [4096, 8192].map(|n| {
+            let mut w = Workload::new(4);
+            w.push(TaskSpec::compute("gemm", GpuId(0), gemm(n)));
+            w
+        });
+
+        let mut shared = h100_machine();
+        for w in &workloads {
+            let reused = execute_model(w, &mut shared, &mut NullObserver).expect("runs");
+            let fresh = execute_model(w, h100_machine(), &mut NullObserver).expect("runs");
+            assert_eq!(LeanRun::summarize(&reused), LeanRun::summarize(&fresh));
+        }
+    }
+
+    #[test]
+    fn a_cap_change_between_epochs_reprices_that_gpu() {
+        let op = gemm_op();
+        let gpus = [GpuId(0), GpuId(1)];
+        let running: Vec<RunningTask<'_, Op>> = (0..2u32)
+            .map(|g| RunningTask {
+                id: TaskId(g),
+                label: "gemm",
+                participants: std::slice::from_ref(&gpus[g as usize]),
+                stream: StreamKind::Compute,
+                remaining: 1.0,
+                payload: &op,
+            })
+            .collect();
+        let assign = |m: &mut Machine| {
+            let (mut rates, mut power) = ([0.0; 2], [0.0; 4]);
+            m.assign_rates(&running, &mut rates, &mut power);
+            (rates, power, m.counters(0))
+        };
+
+        let mut m = h100_machine();
+        m.begin_run();
+        let (before, ..) = assign(&mut m);
+        assert_eq!(before[0].to_bits(), before[1].to_bits(), "symmetric ranks");
+
+        // Same tasks, new cap on gpu0 only.
+        m.set_gpu_freq_caps([0.5, 1.0, 1.0, 1.0]);
+        let (after, power, counters) = assign(&mut m);
+        assert!(after[0] < before[0], "capped gpu0 must slow down");
+        assert_eq!(after[1].to_bits(), before[1].to_bits());
+
+        let mut capped = h100_machine();
+        capped.set_gpu_freq_caps([0.5, 1.0, 1.0, 1.0]);
+        let (want, want_power, want_counters) = assign(&mut capped);
+        assert_eq!(bits(&after), bits(&want));
+        assert_eq!(bits(&power), bits(&want_power));
+        assert_eq!(counter_bits(&counters), counter_bits(&want_counters));
     }
 }

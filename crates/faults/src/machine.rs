@@ -324,6 +324,10 @@ impl FaultyMachine {
 impl RateModel for FaultyMachine {
     type Payload = Op;
 
+    fn begin_run(&mut self) {
+        self.base.begin_run();
+    }
+
     fn assign_rates(
         &mut self,
         running: &[RunningTask<'_, Op>],
@@ -344,10 +348,9 @@ impl RateModel for FaultyMachine {
     ) {
         // Straggler windows become per-GPU clock caps on the real machine,
         // so throttled rate and throttled power stay consistent.
-        let caps: Vec<f64> = (0..self.n_gpus)
-            .map(|g| self.timeline.freq_cap_at(g, now))
-            .collect();
-        self.base.set_gpu_freq_caps(caps);
+        let timeline = &self.timeline;
+        self.base
+            .set_gpu_freq_caps((0..self.n_gpus).map(|g| timeline.freq_cap_at(g, now)));
         self.base.assign_rates_at(now, running, rates, power);
 
         if self.abort.is_some() {

@@ -266,6 +266,7 @@ impl<M: RateModel> Engine<M> {
         arena: &mut SimArena,
     ) -> Result<(Vec<GpuActivity>, SimTime), SimError> {
         workload.validate()?;
+        self.model.begin_run();
 
         let n = workload.len();
         let n_gpus = workload.n_gpus();

@@ -34,6 +34,18 @@ pub trait RateModel {
     /// Payload type the model can interpret.
     type Payload;
 
+    /// Called by the engine once per run, after the workload validated and
+    /// before the first epoch.
+    ///
+    /// Task ids are only unique within one workload, so a model that
+    /// memoizes anything keyed on them — [`RunningTask::id`] or the payload
+    /// a running task carries — must drop it here: the same `&mut` model
+    /// may be driven through several workloads in turn. The hook is for
+    /// memoized state only: stochastic state such as a seeded noise stream
+    /// carries on across runs. The default does nothing, so stateless
+    /// models need not change.
+    fn begin_run(&mut self) {}
+
     /// Assigns a rate to every running task and a power draw to every device.
     ///
     /// * `rates[i]` must be set to the progress rate of `running[i]` in
@@ -100,6 +112,10 @@ pub trait RateModel {
 
 impl<M: RateModel + ?Sized> RateModel for &mut M {
     type Payload = M::Payload;
+
+    fn begin_run(&mut self) {
+        (**self).begin_run()
+    }
 
     fn assign_rates(
         &mut self,

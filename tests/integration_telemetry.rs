@@ -99,6 +99,8 @@ fn deterministic_metric_fields_are_identical_across_schedules() {
         "olab_core_route_fast_lean_total",
         "olab_core_route_event_loop_full_total",
         "olab_core_cell_fast_lean_ns",
+        "olab_core_pricing_reused_total",
+        "olab_core_pricing_priced_total",
         "olab_sim_engine_runs_total",
         "olab_sim_arena_warm_resets_total",
         "olab_grid_cell_exec_ns",
