@@ -223,6 +223,47 @@ impl<'w> Interner<'w> {
     }
 }
 
+/// When task `i` becomes ready at solo prices: the latest end among its
+/// dependencies, then among its queue predecessors on every participant's
+/// stream — or `None` for a dependency that does not point strictly
+/// backward in push order. Every schedule pass of the fast path starts
+/// its tasks here, so they all do the same arithmetic in the same order.
+#[inline]
+fn ready_at(
+    task: &olab_sim::TaskSpec<Op>,
+    i: usize,
+    end: &[f64],
+    queue_last: &[f64],
+) -> Option<f64> {
+    let mut t = 0.0f64;
+    for dep in &task.deps {
+        if dep.index() >= i {
+            return None;
+        }
+        t = t.max(end[dep.index()]);
+    }
+    let si = task.stream.index();
+    for g in &task.participants {
+        t = t.max(queue_last[g.index() * 2 + si]);
+    }
+    Some(t)
+}
+
+/// Whether the interval `[t, e)` shares positive measure with an interval
+/// of `lane` (task ids into `start`/`end`). A lane's queue serializes its
+/// tasks, so its ends never decrease: only the suffix ending after `t`
+/// can intersect, and the scan stops at the first earlier end. Each
+/// intersecting pair of a schedule is caught when its later-pushed member
+/// is pushed, so checking every task against the other stream's lane on
+/// each participant finds a co-residency exactly when one exists.
+#[inline]
+fn overlaps_lane(lane: &[usize], start: &[f64], end: &[f64], t: f64, e: f64) -> bool {
+    lane.iter()
+        .rev()
+        .take_while(|&&j| end[j] > t)
+        .any(|&j| end[j].min(e) > start[j].max(t))
+}
+
 /// Builds the one-pass speculative schedule at solo prices, or `None` when
 /// the cell needs the event loop after all:
 ///
@@ -238,7 +279,9 @@ impl<'w> Interner<'w> {
 ///   resulting schedule: co-resident pairs are priced differently there —
 ///   exactly the paper's phenomenon — and only the event loop prices that
 ///   epoch by epoch. On an uncontended machine overlap is fine: rates are
-///   co-residency independent.
+///   co-residency independent. The check runs as each task is pushed, so
+///   a schedule that overlaps stops at its first co-resident task (see
+///   [`overlaps_lane`]).
 ///
 /// The engine with constant rates admits this closed form: a task starts at
 /// the max of (a) its queue predecessors' ends on every participant stream
@@ -274,25 +317,25 @@ fn build_schedule<'w>(workload: &'w Workload<Op>, machine: &Machine) -> Option<F
     let mut start = vec![0.0f64; n];
     let mut end = vec![0.0f64; n];
     let mut queue_last = vec![0.0f64; n_gpus * 2];
+    let contended = machine.is_contended();
     for (i, task) in tasks.iter().enumerate() {
-        let mut t = 0.0f64;
-        for dep in &task.deps {
-            if dep.index() >= i {
-                return None;
-            }
-            t = t.max(end[dep.index()]);
-        }
-        for g in &task.participants {
-            t = t.max(queue_last[g.index() * 2 + task.stream.index()]);
-        }
+        let t = ready_at(task, i, &end, &queue_last)?;
         let (duration, kid, cid) = interner.intern(task, machine)?;
+        let e = t + duration;
         task_kernel[i] = kid;
         task_comm[i] = cid;
         start[i] = t;
-        end[i] = t + duration;
+        end[i] = e;
+        let (si, oi) = (task.stream.index(), task.stream.other().index());
         for g in &task.participants {
-            queue_last[g.index() * 2 + task.stream.index()] = end[i];
-            lanes[g.index()][task.stream.index()].push(i);
+            let lane = &mut lanes[g.index()];
+            // On a contended machine any compute/comm co-residency
+            // invalidates solo pricing — fall back to the event loop.
+            if contended && overlaps_lane(&lane[oi], &start, &end, t, e) {
+                return None;
+            }
+            queue_last[g.index() * 2 + si] = e;
+            lane[si].push(i);
         }
     }
     let makespan = end.iter().copied().fold(0.0f64, f64::max);
@@ -301,16 +344,6 @@ fn build_schedule<'w>(workload: &'w Workload<Op>, machine: &Machine) -> Option<F
         comm_interned,
         ..
     } = interner;
-
-    // A posteriori validation: on a contended machine any compute/comm
-    // co-residency invalidates solo pricing — fall back to the event loop.
-    if machine.is_contended() {
-        for lane in &lanes {
-            if lanes_intersect(&lane[0], &lane[1], &start, &end) {
-                return None;
-            }
-        }
-    }
 
     Some(FastSchedule {
         start,
@@ -608,6 +641,36 @@ pub(crate) fn execute_fast_lean(
     lean_from_lanes(workload, machine, keep_gpu0)
 }
 
+/// The makespan of a fast-path-eligible schedule on an **uncontended**
+/// machine — the one number the ideal leg reports — or `None` where
+/// [`build_schedule`] bails. This is [`build_schedule`]'s task loop and
+/// nothing else: the same interning, the same [`ready_at`] and
+/// `t + duration` arithmetic in the same order, and the same fold over the
+/// task ends, so it equals the `e2e_s` of [`execute_fast_lean`] bit for
+/// bit. It builds no lanes, power segments, co-activity or per-GPU
+/// statistics. (Uncontended, because co-residency is only checkable
+/// against lanes.)
+pub(crate) fn fast_makespan(workload: &Workload<Op>, machine: &Machine) -> Option<f64> {
+    debug_assert!(
+        !machine.is_contended() && !machine.has_jitter() && !machine.has_gpu_freq_caps(),
+        "fast_makespan requires an uncontended deterministic machine"
+    );
+    let tasks = workload.tasks();
+    let mut interner = Interner::default();
+    let mut end = vec![0.0f64; tasks.len()];
+    let mut queue_last = vec![0.0f64; workload.n_gpus() * 2];
+    for (i, task) in tasks.iter().enumerate() {
+        let t = ready_at(task, i, &end, &queue_last)?;
+        let (duration, _, _) = interner.intern(task, machine)?;
+        end[i] = t + duration;
+        let si = task.stream.index();
+        for g in &task.participants {
+            queue_last[g.index() * 2 + si] = end[i];
+        }
+    }
+    Some(end.iter().copied().fold(0.0f64, f64::max))
+}
+
 /// Outcome of [`single_pass`] on a fast-path-eligible schedule.
 enum SinglePass {
     /// The schedule has no cross-stream co-residency: here is its result.
@@ -647,18 +710,9 @@ fn single_pass(workload: &Workload<Op>, machine: &Machine) -> Option<SinglePass>
     let mut busy = vec![[0.0f64; 2]; n_gpus];
     let mut folds = vec![PowerFold::default(); n_gpus];
     for (i, task) in tasks.iter().enumerate() {
-        let mut t = 0.0f64;
-        for dep in &task.deps {
-            if dep.index() >= i {
-                return None;
-            }
-            t = t.max(end[dep.index()]);
-        }
+        let t = ready_at(task, i, &end, &queue_last)?;
         let si = task.stream.index();
         let oi = task.stream.other().index();
-        for g in &task.participants {
-            t = t.max(queue_last[g.index() * 2 + si]);
-        }
         let (duration, kid, cid) = interner.intern(task, machine)?;
         // Solo draw, memoized per interned payload (new ids are appended
         // sequentially, so a fresh id is priced exactly once). Like the
@@ -839,7 +893,10 @@ impl std::hash::Hasher for FxHasher {
 type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 
 /// Whether two sorted, internally non-overlapping interval lists share any
-/// positive-measure intersection.
+/// positive-measure intersection: the co-residency check over a finished
+/// schedule, the reference the push-time [`overlaps_lane`] is tested
+/// against.
+#[cfg(test)]
 fn lanes_intersect(a: &[usize], b: &[usize], start: &[f64], end: &[f64]) -> bool {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -861,8 +918,144 @@ fn lanes_intersect(a: &[usize], b: &[usize], start: &[f64], end: &[f64]) -> bool
 mod tests {
     use super::*;
     use crate::{Experiment, Strategy};
-    use olab_gpu::{Datapath, Precision, SkuKind};
+    use olab_gpu::{Datapath, KernelKind, Precision, SkuKind};
     use olab_models::ModelPreset;
+    use olab_parallel::ExecutionMode;
+    use olab_sim::{GpuId, TaskSpec};
+
+    /// The decision of the a-posteriori check the schedule builder used to
+    /// make: the whole schedule with no co-residency check, then
+    /// [`lanes_intersect`] on every GPU of a contended machine. `true`
+    /// keeps the fast path.
+    fn a_posteriori_keeps(w: &Workload<Op>, machine: &Machine) -> bool {
+        let n = w.len();
+        let mut interner = Interner::default();
+        let mut lanes: Vec<[Vec<usize>; 2]> = vec![[Vec::new(), Vec::new()]; w.n_gpus()];
+        let (mut start, mut end) = (vec![0.0f64; n], vec![0.0f64; n]);
+        let mut queue_last = vec![0.0f64; w.n_gpus() * 2];
+        for (i, task) in w.tasks().iter().enumerate() {
+            let Some(t) = ready_at(task, i, &end, &queue_last) else {
+                return false;
+            };
+            let Some((duration, _, _)) = interner.intern(task, machine) else {
+                return false;
+            };
+            start[i] = t;
+            end[i] = t + duration;
+            for g in &task.participants {
+                queue_last[g.index() * 2 + task.stream.index()] = end[i];
+                lanes[g.index()][task.stream.index()].push(i);
+            }
+        }
+        !machine.is_contended()
+            || lanes
+                .iter()
+                .all(|lane| !lanes_intersect(&lane[0], &lane[1], &start, &end))
+    }
+
+    fn gemm() -> Op {
+        Op::Compute(ComputeOp::new(
+            KernelKind::gemm(1024, 1024, 1024),
+            Precision::Fp16,
+            Datapath::TensorCore,
+        ))
+    }
+
+    fn all_reduce(machine: &Machine) -> Op {
+        let group = vec![GpuId(0), GpuId(1)];
+        Op::Comm(lower(
+            &Collective::all_reduce(1 << 16, group),
+            Algorithm::Ring,
+            &machine.config().sku,
+            &machine.config().topology,
+            Precision::Fp16,
+        ))
+    }
+
+    fn ar(machine: &Machine) -> TaskSpec<Op> {
+        TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], all_reduce(machine))
+    }
+
+    /// Both checks decide `keeps` on `w` on the contended machine, and the
+    /// uncontended machine always keeps the fast path.
+    fn assert_decision(w: &Workload<Op>, stock: &Machine, keeps: bool) {
+        assert_eq!(build_schedule(w, stock).is_some(), keeps);
+        assert_eq!(a_posteriori_keeps(w, stock), keeps);
+        assert!(build_schedule(w, &stock.uncontended()).is_some());
+    }
+
+    #[test]
+    fn co_residency_in_the_last_pushed_task_still_bails() {
+        let stock = Machine::stock(olab_gpu::GpuSku::h100(), 2);
+        let mut w = Workload::new(2);
+        let mut prev = None;
+        for _ in 0..3 {
+            let k = w.push(TaskSpec::compute("k", GpuId(0), gemm()).after_all(prev));
+            prev = Some(w.push(ar(&stock).after(k)));
+        }
+        assert_decision(&w, &stock, true);
+        // No dependency: the last kernel starts with the last collective.
+        w.push(TaskSpec::compute("last", GpuId(0), gemm()));
+        assert_decision(&w, &stock, false);
+    }
+
+    #[test]
+    fn a_task_landing_in_a_gap_of_the_other_lane_keeps_the_fast_path() {
+        let stock = Machine::stock(olab_gpu::GpuSku::h100(), 2);
+        let mut w = Workload::new(2);
+        let first = w.push(ar(&stock));
+        let mut chain = first;
+        for _ in 0..5 {
+            chain = w.push(TaskSpec::compute("g1", GpuId(1), gemm()).after(chain));
+        }
+        let second = w.push(ar(&stock).after(chain));
+        let k = w.push(TaskSpec::compute("k", GpuId(0), gemm()).after(first));
+        assert_decision(&w, &stock, true);
+        let s = build_schedule(&w, &stock).expect("fast path");
+        let (k, second) = (k.index(), second.index());
+        assert!(
+            s.start[k] < s.end[second],
+            "k starts before the lane's last end"
+        );
+        assert!(s.end[k] <= s.start[second], "k ends in the gap");
+    }
+
+    #[test]
+    fn touching_intervals_are_not_co_residency() {
+        let stock = Machine::stock(olab_gpu::GpuSku::h100(), 2);
+        let mut w = Workload::new(2);
+        let k0 = w.push(TaskSpec::compute("k0", GpuId(0), gemm()));
+        let ar = w.push(ar(&stock).after(k0));
+        let k1 = w.push(TaskSpec::compute("k1", GpuId(0), gemm()).after(ar));
+        assert_decision(&w, &stock, true);
+        let s = build_schedule(&w, &stock).expect("fast path");
+        assert_eq!(s.end[k0.index()], s.start[ar.index()]);
+        assert_eq!(s.end[ar.index()], s.start[k1.index()]);
+    }
+
+    /// The check made while pushing decides exactly what the a-posteriori
+    /// reference decides, on every feasible main-grid cell in both modes,
+    /// on the contended and the uncontended machine.
+    #[test]
+    fn the_push_time_check_matches_the_a_posteriori_reference_on_the_main_grid() {
+        let mut decisions = [0usize; 2];
+        for exp in crate::registry::main_grid() {
+            let Ok(policy) = exp.validate() else {
+                continue;
+            };
+            let stock = exp.machine();
+            for mode in [ExecutionMode::Overlapped, ExecutionMode::Sequential] {
+                let w = exp.timeline(mode, policy).expect("lowers");
+                for machine in [stock.uncontended(), stock.clone()] {
+                    let keeps = build_schedule(&w, &machine).is_some();
+                    assert_eq!(keeps, a_posteriori_keeps(&w, &machine), "{exp} {mode:?}");
+                    decisions[usize::from(keeps)] += 1;
+                }
+            }
+        }
+        // Only the contended overlapped schedules co-reside.
+        assert_eq!(decisions, [107, 3 * 107]);
+    }
 
     fn estimate_and_simulate(sku: SkuKind) -> (AnalyticEstimate, crate::ExperimentReport) {
         let exp = Experiment::new(sku, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(512);

@@ -62,6 +62,7 @@ pub fn to_chrome_trace_full(
     let mut out = String::from("[\n");
     let mut first = true;
     for record in trace.records() {
+        let name = escape(&record.label.to_string());
         for gpu in &record.participants {
             if !first {
                 out.push_str(",\n");
@@ -75,7 +76,7 @@ pub fn to_chrome_trace_full(
                 out,
                 "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \
                  \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": {}, \"tid\": {}}}",
-                escape(&record.label),
+                name,
                 record.stream,
                 record.start.as_micros(),
                 record.duration().as_micros(),

@@ -324,6 +324,31 @@ pub(crate) fn execute_lean_keeping(
     Ok(result)
 }
 
+/// The ideal leg of a cell: the end-to-end time of `workload` on
+/// `machine.uncontended()`, the one number a report reads from that leg
+/// (the Eq. 4 cross-check). It equals
+/// `execute_lean(workload, &machine.uncontended())?.e2e_s` bit for bit and
+/// takes the same route under the same counters, but computes nothing
+/// else: the fast path runs only the makespan pass
+/// ([`fast_makespan`](crate::analytic::fast_makespan)), and an ineligible
+/// (jittered) machine keeps only the event loop's makespan.
+pub(crate) fn ideal_e2e_s(workload: &Workload<Op>, machine: &Machine) -> Result<f64, SimError> {
+    let ideal = machine.uncontended();
+    let start = olab_metrics::now_if_enabled();
+    let m = crate::fastpath::route_metrics();
+    if crate::fastpath::machine_eligible(&ideal) {
+        if let Some(e2e) = crate::analytic::fast_makespan(workload, &ideal) {
+            m.fast_lean.inc();
+            m.fast_lean_ns.observe_since(start);
+            return Ok(e2e);
+        }
+    }
+    let makespan = Engine::new(ideal).run_summary(workload)?.makespan;
+    m.event_loop_lean.inc();
+    m.event_loop_lean_ns.observe_since(start);
+    Ok(makespan.as_secs())
+}
+
 /// Runs a schedule through the event loop on any [`RateModel`] pricing
 /// [`Op`] payloads, producing only the scalar [`LeanRun`] metrics: the
 /// engine runs without task records ([`Engine::run_summary`]), and the
@@ -491,6 +516,39 @@ mod tests {
             }
         }
         assert!(routes.contains(&Route::FastPath) && routes.contains(&Route::EventLoop));
+    }
+
+    /// The ideal leg's makespan-only route equals the lean run's `e2e_s`
+    /// bit for bit, on the route the lean run takes: the fast path on
+    /// every feasible main-grid cell, the event loop under jitter.
+    #[test]
+    fn ideal_leg_is_the_lean_runs_makespan_on_the_main_grid() {
+        let mut cells = 0;
+        for exp in crate::registry::main_grid() {
+            let Ok(policy) = exp.validate() else {
+                continue;
+            };
+            let w = exp
+                .timeline(ExecutionMode::Overlapped, policy)
+                .expect("lowers");
+            let stock = exp.machine();
+            let jittered = stock.clone().with_jitter(crate::Jitter {
+                seed: 7,
+                sigma: 0.05,
+            });
+            for (machine, route) in [(stock, Route::FastPath), (jittered, Route::EventLoop)] {
+                let ideal = machine.uncontended();
+                let lean = execute_lean(&w, &ideal).expect("runs");
+                assert_eq!(lean.route, route, "{exp}");
+                let fast = crate::fastpath::machine_eligible(&ideal)
+                    && crate::analytic::fast_makespan(&w, &ideal).is_some();
+                assert_eq!(fast, route == Route::FastPath, "{exp}");
+                let e2e = ideal_e2e_s(&w, &machine).expect("runs");
+                assert_eq!(e2e.to_bits(), lean.e2e_s.to_bits(), "{exp} on {route:?}");
+            }
+            cells += 1;
+        }
+        assert_eq!(cells, 107);
     }
 
     #[test]

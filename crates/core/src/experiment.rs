@@ -1,6 +1,6 @@
 //! One cell of the paper's evaluation grid.
 
-use crate::executor::execute_lean_keeping;
+use crate::executor::{execute_lean_keeping, ideal_e2e_s};
 use crate::{
     execute, execute_lean, execute_model, CellMetrics, Jitter, Machine, MachineConfig,
     OverlapMetrics, RunResult,
@@ -442,8 +442,9 @@ impl Experiment {
     /// Runs the experiment on the grid path: the same three legs and the
     /// same metrics as [`Experiment::run`], keeping only the scalars a
     /// sweep caches. No leg builds task records or a full [`RunResult`]:
-    /// every leg goes through [`execute_lean`], and the overlapped leg
-    /// keeps only GPU 0's power trace, for the vendor sampler. The result
+    /// the overlapped and sequential legs go through [`execute_lean`] (the
+    /// overlapped leg keeps only GPU 0's power trace, for the vendor
+    /// sampler), and the ideal leg computes only its makespan. The result
     /// is bit-identical to [`CellMetrics::from_report`] of
     /// [`Experiment::run`].
     ///
@@ -464,15 +465,17 @@ impl Experiment {
     ) -> Result<CellMetrics, ExperimentError> {
         let workload = self.timeline(ExecutionMode::Overlapped, policy)?;
         let (overlapped, power) = execute_lean_keeping(&workload, machine, true)?;
-        let ideal = execute_lean(&workload, &machine.uncontended())?;
-        let sequential = execute_lean(&workload.into_sequential(), machine)?;
+        let ideal_simulated_e2e_s = ideal_e2e_s(&workload, machine)?;
+        let workload = workload.into_sequential();
+        let sequential = execute_lean(&workload, machine)?;
+        olab_parallel::recycle(workload);
         let sampled = power.unwrap_or_default().sample(self.sampler());
         Ok(CellMetrics {
             metrics: OverlapMetrics::derive_lean(&overlapped, &sequential),
             activation_policy: policy,
             sampled_avg_w: sampled.average().unwrap_or(0.0),
             sampled_peak_w: sampled.peak().unwrap_or(0.0),
-            ideal_simulated_e2e_s: ideal.e2e_s,
+            ideal_simulated_e2e_s,
             comm_s: overlapped.comm_s(),
             overlapped_compute_s: overlapped.overlapped_compute_s(),
             hidden_comm_s: overlapped.hidden_comm_s(),
@@ -496,10 +499,12 @@ impl Experiment {
         } else {
             execute(&workload, machine)?
         };
-        // Only the ideal leg's end-to-end time is reported, so the lean
-        // executor serves it without materializing a trace.
-        let ideal = execute_lean(&workload, &machine.uncontended())?;
-        let sequential = execute(&workload.into_sequential(), machine)?;
+        // Only the ideal leg's end-to-end time is reported, so only that
+        // is computed.
+        let ideal_simulated_e2e_s = ideal_e2e_s(&workload, machine)?;
+        let workload = workload.into_sequential();
+        let sequential = execute(&workload, machine)?;
+        olab_parallel::recycle(workload);
 
         let metrics = OverlapMetrics::derive(&overlapped, &sequential);
         let sampled = overlapped.gpus[0].power.sample(self.sampler());
@@ -510,7 +515,7 @@ impl Experiment {
             metrics,
             sampled_avg_w: sampled.average().unwrap_or(0.0),
             sampled_peak_w: sampled.peak().unwrap_or(0.0),
-            ideal_simulated_e2e_s: ideal.e2e_s,
+            ideal_simulated_e2e_s,
             overlapped,
             sequential,
         })

@@ -1023,10 +1023,11 @@ mod tests {
     fn a_cap_change_between_epochs_reprices_that_gpu() {
         let op = gemm_op();
         let gpus = [GpuId(0), GpuId(1)];
+        let label = olab_sim::Label::from("gemm");
         let running: Vec<RunningTask<'_, Op>> = (0..2u32)
             .map(|g| RunningTask {
                 id: TaskId(g),
-                label: "gemm",
+                label: &label,
                 participants: std::slice::from_ref(&gpus[g as usize]),
                 stream: StreamKind::Compute,
                 remaining: 1.0,

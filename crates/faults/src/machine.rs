@@ -24,8 +24,9 @@ use olab_ccl::{adjudicate, relower_degraded, CommOp, FailAction, WatchdogVerdict
 use olab_core::Machine;
 use olab_net::{ring_links, Link};
 use olab_parallel::Op;
-use olab_sim::{GpuCounters, RateModel, RunningTask, TaskId};
+use olab_sim::{GpuCounters, Label, RateModel, RunningTask, TaskId};
 use std::collections::{HashMap, HashSet};
+use std::io::Write as _;
 
 /// Progress rate of a stalled task: effectively zero, but positive so the
 /// engine's invariants hold (the epoch is bounded by the next watchdog
@@ -152,15 +153,16 @@ impl FaultyMachine {
     }
 
     /// Whether the ECC model selects this kernel, by pure hash of
-    /// `(seed, task id, label)` — stable under any epoch interleaving.
-    fn ecc_selects(&self, id: TaskId, label: &str) -> bool {
+    /// `(seed, task id, rendered label)` — stable under any epoch
+    /// interleaving and under how the label is built.
+    fn ecc_selects(&self, id: TaskId, label: &Label) -> bool {
         if self.timeline.ecc.rate <= 0.0 {
             return false;
         }
-        let mut bytes = Vec::with_capacity(label.len() + 12);
+        let mut bytes = Vec::with_capacity(64);
         bytes.extend_from_slice(&self.timeline.ecc.seed.to_le_bytes());
         bytes.extend_from_slice(&id.0.to_le_bytes());
-        bytes.extend_from_slice(label.as_bytes());
+        let _ = write!(bytes, "{label}");
         let hash = olab_grid::fnv1a_64(&bytes);
         (hash as f64 / u64::MAX as f64) < self.timeline.ecc.rate
     }
@@ -180,7 +182,7 @@ impl FaultyMachine {
         &mut self,
         now: f64,
         id: TaskId,
-        label: &str,
+        label: &Label,
         participants: &[olab_sim::GpuId],
         op: &CommOp,
     ) -> Option<f64> {

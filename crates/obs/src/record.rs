@@ -12,7 +12,8 @@
 //! changes between epochs, a [`ObsEvent::DvfsTransition`] is emitted.
 
 use crate::event::{EventBus, ObsEvent};
-use olab_sim::{EngineObserver, GpuCounters, GpuId, StreamKind, TaskId};
+use olab_sim::{EngineObserver, GpuCounters, GpuId, Label, StreamKind, TaskId};
+use std::fmt::Write as _;
 
 /// One maximal run of engine epochs with identical per-GPU counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,6 +32,9 @@ pub struct Recorder {
     bus: EventBus,
     epochs: Vec<CounterEpoch>,
     last_freq: Vec<f64>,
+    /// The current task edge's label, rendered through `Display` into one
+    /// buffer reused across events.
+    label: String,
 }
 
 impl Recorder {
@@ -40,6 +44,7 @@ impl Recorder {
             bus,
             epochs: Vec::new(),
             last_freq: Vec::new(),
+            label: String::new(),
         }
     }
 
@@ -58,6 +63,16 @@ impl Recorder {
     pub fn bus(&mut self) -> &mut EventBus {
         &mut self.bus
     }
+
+    /// Renders `label` into the reused buffer — only when a sink listens.
+    fn render(&mut self, label: &Label) -> bool {
+        if self.bus.sinks() == 0 {
+            return false;
+        }
+        self.label.clear();
+        let _ = write!(self.label, "{label}");
+        true
+    }
 }
 
 impl EngineObserver for Recorder {
@@ -65,10 +80,14 @@ impl EngineObserver for Recorder {
         &mut self,
         now_s: f64,
         id: TaskId,
-        label: &str,
+        label: &Label,
         participants: &[GpuId],
         stream: StreamKind,
     ) {
+        if !self.render(label) {
+            return;
+        }
+        let label = self.label.as_str();
         let event = match stream {
             StreamKind::Compute => ObsEvent::TaskStart {
                 t_s: now_s,
@@ -90,10 +109,14 @@ impl EngineObserver for Recorder {
         &mut self,
         now_s: f64,
         id: TaskId,
-        label: &str,
+        label: &Label,
         participants: &[GpuId],
         stream: StreamKind,
     ) {
+        if !self.render(label) {
+            return;
+        }
+        let label = self.label.as_str();
         let event = match stream {
             StreamKind::Compute => ObsEvent::TaskEnd {
                 t_s: now_s,
@@ -214,10 +237,11 @@ mod tests {
     fn task_edges_route_by_stream_kind() {
         let (mut rec, buf) = recorder_with_log();
         let gpus = [GpuId(0)];
-        rec.on_task_start(0.0, TaskId(0), "gemm", &gpus, StreamKind::Compute);
-        rec.on_task_start(0.0, TaskId(1), "ar", &gpus, StreamKind::Comm);
-        rec.on_task_end(1.0, TaskId(0), "gemm", &gpus, StreamKind::Compute);
-        rec.on_task_end(2.0, TaskId(1), "ar", &gpus, StreamKind::Comm);
+        let (gemm, ar) = (Label::from("gemm"), Label::new("ar.L{}").with(3u32));
+        rec.on_task_start(0.0, TaskId(0), &gemm, &gpus, StreamKind::Compute);
+        rec.on_task_start(0.0, TaskId(1), &ar, &gpus, StreamKind::Comm);
+        rec.on_task_end(1.0, TaskId(0), &gemm, &gpus, StreamKind::Compute);
+        rec.on_task_end(2.0, TaskId(1), &ar, &gpus, StreamKind::Comm);
         let text = buf.borrow();
         let kinds: Vec<&str> = text
             .lines()
@@ -238,6 +262,11 @@ mod tests {
                 "task_end",
                 "collective_end"
             ]
+        );
+        assert!(
+            text.lines()
+                .all(|l| l.contains("\"label\": \"gemm\"") || l.contains("\"label\": \"ar.L3\"")),
+            "{text}"
         );
     }
 }

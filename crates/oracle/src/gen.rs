@@ -8,7 +8,7 @@
 use olab_core::{Experiment, Strategy};
 use olab_gpu::SkuKind;
 use olab_models::ModelPreset;
-use olab_sim::{GpuId, SeededRng, TaskSpec, Workload};
+use olab_sim::{GpuId, Label, SeededRng, TaskSpec, Workload};
 
 /// A small facade over [`SeededRng`] with the draws generators need.
 #[derive(Debug)]
@@ -72,7 +72,7 @@ impl Gen {
 #[derive(Debug, Clone)]
 pub struct PlannedTask {
     /// Display label, `t{index}`.
-    pub label: String,
+    pub label: Label,
     /// Owning GPUs: one for compute/local comm, two or more for collectives.
     pub participants: Vec<GpuId>,
     /// True for comm-stream tasks (local copies and collectives).
@@ -154,7 +154,7 @@ pub fn random_plan(seed: u64) -> WorkloadPlan {
             }
         }
         tasks.push(PlannedTask {
-            label: format!("t{i}"),
+            label: Label::new("t{}").with(i),
             participants,
             comm,
             deps,

@@ -2,6 +2,32 @@
 
 use crate::{ExecutionMode, Op};
 use olab_sim::{TaskId, TaskSpec, Workload};
+use std::cell::RefCell;
+
+thread_local! {
+    /// Task storage handed back by [`recycle`], taken by the next
+    /// [`ScheduleBuilder`] on this thread.
+    static SPARE: RefCell<Vec<TaskSpec<Op>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Hands a finished schedule's task storage to the next
+/// [`ScheduleBuilder`] on this thread.
+///
+/// A paper cell lowers up to ~16k tasks, a few MiB of contiguous storage.
+/// Built afresh for every cell, that storage grows by doubling and is
+/// freed again, and the large holes it leaves behind make the process's
+/// peak memory depend on what else happens to land in them. Kept from one
+/// cell to the next, it is allocated once per thread, at the size of the
+/// largest schedule lowered so far. The tasks themselves are dropped here.
+pub fn recycle(workload: Workload<Op>) {
+    let mut tasks = workload.into_tasks();
+    tasks.clear();
+    SPARE.with_borrow_mut(|spare| {
+        if tasks.capacity() > spare.capacity() {
+            *spare = tasks;
+        }
+    });
+}
 
 /// Builds a [`Workload`] of [`Op`]s in program order.
 ///
@@ -20,10 +46,11 @@ pub struct ScheduleBuilder {
 }
 
 impl ScheduleBuilder {
-    /// Creates a builder for an `n_gpus` node.
+    /// Creates a builder for an `n_gpus` node, pushing into the storage
+    /// [`recycle`] last handed back on this thread, if any.
     pub fn new(n_gpus: usize, mode: ExecutionMode) -> Self {
         ScheduleBuilder {
-            workload: Workload::new(n_gpus),
+            workload: Workload::reusing(n_gpus, SPARE.with_borrow_mut(std::mem::take)),
             mode,
         }
     }
@@ -79,6 +106,22 @@ mod tests {
         let c = b.push(TaskSpec::comm("c", GpuId(0), op()));
         let w = b.build();
         assert_eq!(w.tasks()[c.index()].deps, vec![a]);
+    }
+
+    #[test]
+    fn a_recycled_schedule_lends_its_storage_to_the_next_builder() {
+        let mut b = ScheduleBuilder::new(1, ExecutionMode::Sequential);
+        for _ in 0..100 {
+            b.push(TaskSpec::compute("a", GpuId(0), op()));
+        }
+        recycle(b.build());
+        let next = ScheduleBuilder::new(2, ExecutionMode::Overlapped).build();
+        assert!(next.is_empty());
+        assert_eq!(next.n_gpus(), 2);
+        assert!(next.into_tasks().capacity() >= 100);
+        // The storage was taken: a second builder starts from nothing.
+        let other = ScheduleBuilder::new(1, ExecutionMode::Overlapped).build();
+        assert_eq!(other.into_tasks().capacity(), 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use olab_gpu::{Datapath, GpuSku, Precision};
 use olab_models::memory::ActivationPolicy;
 use olab_models::{ops, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, TaskId, TaskSpec, Workload};
+use olab_sim::{GpuId, Label, TaskId, TaskSpec, Workload};
 
 /// Which communication classes may overlap compute (overlapped mode only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,9 +181,10 @@ pub fn fsdp_timeline(
     let layer_bytes = plan.layer_bytes();
 
     // Pushes one kernel sequence on every rank's compute stream; returns the
-    // last task per rank.
+    // last task per rank. `label` is a pattern ending in the kernel index
+    // and GPU holes (`….k{}.gpu{}`), with its leading holes already filled.
     let push_kernels = |b: &mut ScheduleBuilder,
-                        label: &str,
+                        label: Label,
                         kernels: &[olab_gpu::KernelKind],
                         first_deps: &[TaskId]|
      -> Vec<TaskId> {
@@ -191,7 +192,7 @@ pub fn fsdp_timeline(
         for (g, gpu) in group.iter().enumerate() {
             for (ki, k) in kernels.iter().enumerate() {
                 let mut spec =
-                    TaskSpec::compute(format!("{label}.k{ki}.{gpu}"), *gpu, compute_op(k));
+                    TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, compute_op(k));
                 if ki == 0 {
                     spec.deps.extend_from_slice(first_deps);
                 }
@@ -214,10 +215,10 @@ pub fn fsdp_timeline(
 
     for step in 0..plan.grad_accum_steps {
         let is_last_step = step + 1 == plan.grad_accum_steps;
-        let tag = |s: &str| format!("st{step}.{s}");
+        let tag = |pattern: &'static str| Label::new(pattern).with(step);
 
         // ---- Forward pass ----
-        let _ = push_kernels(&mut b, &tag("emb.f"), &emb, &[]);
+        let _ = push_kernels(&mut b, tag("st{}.emb.f.k{}.gpu{}"), &emb, &[]);
 
         let mut ag_f: Vec<TaskId> = Vec::with_capacity(layers);
         let mut f_last: Vec<Vec<TaskId>> = Vec::with_capacity(layers);
@@ -227,7 +228,7 @@ pub fn fsdp_timeline(
             // two layers unsharded. Without prefetch, AG(i) waits for layer
             // i-1 and is fully exposed.
             let mut spec = TaskSpec::collective(
-                tag(&format!("ag.f.L{i}")),
+                tag("st{}.ag.f.L{}").with(i),
                 group.clone(),
                 collective_op(Collective::all_gather(layer_bytes, group.clone())),
             );
@@ -241,19 +242,24 @@ pub fn fsdp_timeline(
             }
             ag_f.push(b.push(spec));
 
-            let last = push_kernels(&mut b, &tag(&format!("L{i}.f")), &layer.forward, &[ag_f[i]]);
+            let last = push_kernels(
+                &mut b,
+                tag("st{}.L{}.f.k{}.gpu{}").with(i),
+                &layer.forward,
+                &[ag_f[i]],
+            );
             f_last.push(last);
         }
 
         // LM head (local, unsharded in this model) forward + backward.
-        let head_f_last = push_kernels(&mut b, &tag("head.f"), &head.forward, &[]);
-        let head_b_last = push_kernels(&mut b, &tag("head.b"), &head.backward, &[]);
+        let head_f_last = push_kernels(&mut b, tag("st{}.head.f.k{}.gpu{}"), &head.forward, &[]);
+        let head_b_last = push_kernels(&mut b, tag("st{}.head.b.k{}.gpu{}"), &head.backward, &[]);
 
         // ---- Backward pass ----
         let mut ag_b: Vec<Option<TaskId>> = vec![None; layers];
         {
             let mut spec = TaskSpec::collective(
-                tag(&format!("ag.b.L{}", layers - 1)),
+                tag("st{}.ag.b.L{}").with(layers - 1),
                 group.clone(),
                 collective_op(Collective::all_gather(layer_bytes, group.clone())),
             );
@@ -267,7 +273,7 @@ pub fn fsdp_timeline(
             // Prefetch the re-gather of layer i-1 while layer i runs backward.
             if i > 0 {
                 let mut spec = TaskSpec::collective(
-                    tag(&format!("ag.b.L{}", i - 1)),
+                    tag("st{}.ag.b.L{}").with(i - 1),
                     group.clone(),
                     collective_op(Collective::all_gather(layer_bytes, group.clone())),
                 );
@@ -294,12 +300,17 @@ pub fn fsdp_timeline(
                     first_deps.push(rs);
                 }
             }
-            let last = push_kernels(&mut b, &tag(&format!("L{i}.b")), &bwd_kernels, &first_deps);
+            let last = push_kernels(
+                &mut b,
+                tag("st{}.L{}.b.k{}.gpu{}").with(i),
+                &bwd_kernels,
+                &first_deps,
+            );
             b_last[i] = last.clone();
 
             if is_last_step {
                 let mut spec = TaskSpec::collective(
-                    tag(&format!("rs.L{i}")),
+                    tag("st{}.rs.L{}").with(i),
                     group.clone(),
                     collective_op(Collective::reduce_scatter(layer_bytes, group.clone())),
                 );
@@ -317,7 +328,7 @@ pub fn fsdp_timeline(
                 };
                 for gpu in &group {
                     let mut spec = TaskSpec::compute(
-                        tag(&format!("accum.L{i}.{gpu}")),
+                        tag("st{}.accum.L{}.gpu{}").with(i).with(gpu.0),
                         *gpu,
                         compute_op(&accum),
                     );
@@ -332,7 +343,7 @@ pub fn fsdp_timeline(
     let shard_params = plan.model.param_count() / n as u64;
     for gpu in &group {
         let mut spec = TaskSpec::compute(
-            format!("adam.{gpu}"),
+            Label::new("adam.gpu{}").with(gpu.0),
             *gpu,
             compute_op(&ops::optimizer_kernel(shard_params)),
         );
@@ -401,7 +412,7 @@ mod tests {
         let reduces = w
             .tasks()
             .iter()
-            .filter(|t| t.label.contains("rs.L"))
+            .filter(|t| t.label.to_string().contains("rs.L"))
             .count();
         assert_eq!(reduces as u32, p.model.layers, "one RS per layer total");
     }

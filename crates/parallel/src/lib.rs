@@ -49,6 +49,6 @@ mod op;
 pub mod pipeline;
 pub mod tensor;
 
-pub use builder::ScheduleBuilder;
+pub use builder::{recycle, ScheduleBuilder};
 pub use mode::ExecutionMode;
 pub use op::{ComputeOp, Op};

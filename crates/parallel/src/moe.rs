@@ -19,7 +19,7 @@ use olab_ccl::{lower, Algorithm, Collective, CollectiveKind};
 use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_models::{ops, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, TaskId, TaskSpec, Workload};
+use olab_sim::{GpuId, Label, TaskId, TaskSpec, Workload};
 
 /// Configuration of one MoE training iteration.
 #[derive(Debug, Clone)]
@@ -55,6 +55,44 @@ impl MoePlan {
         self.model.layers / self.moe_every
     }
 }
+
+/// The label patterns of one pass over the layers: attention and dense
+/// MLP kernels (`L{layer}.{pass}{rep}…`), the router, the per-chunk
+/// dispatch and combine all-to-alls, the chunk's expert kernels and the
+/// residual.
+struct PassLabels {
+    forward: bool,
+    attn: &'static str,
+    router: &'static str,
+    dispatch: &'static str,
+    expert: &'static str,
+    combine: &'static str,
+    residual: &'static str,
+    mlp: &'static str,
+}
+
+const PASSES: [PassLabels; 2] = [
+    PassLabels {
+        forward: true,
+        attn: "L{}.f{}.attn.k{}.gpu{}",
+        router: "L{}.f.router.k{}.gpu{}",
+        dispatch: "a2a.d.L{}.f.c{}",
+        expert: "L{}.f.exp.c{}.k{}.gpu{}",
+        combine: "a2a.c.L{}.f.c{}",
+        residual: "L{}.f.res.k{}.gpu{}",
+        mlp: "L{}.f{}.mlp.k{}.gpu{}",
+    },
+    PassLabels {
+        forward: false,
+        attn: "L{}.b{}.attn.k{}.gpu{}",
+        router: "L{}.b.router.k{}.gpu{}",
+        dispatch: "a2a.d.L{}.b.c{}",
+        expert: "L{}.b.exp.c{}.k{}.gpu{}",
+        combine: "a2a.c.L{}.b.c{}",
+        residual: "L{}.b.res.k{}.gpu{}",
+        mlp: "L{}.b{}.mlp.k{}.gpu{}",
+    },
+];
 
 /// Builds the task DAG of one MoE iteration.
 ///
@@ -129,8 +167,10 @@ pub fn moe_timeline(
         },
     ];
 
+    // `label` is a pattern ending in the kernel index and GPU holes
+    // (`….k{}.gpu{}`), with its leading holes already filled.
     let push_kernels = |b: &mut ScheduleBuilder,
-                        label: &str,
+                        label: Label,
                         kernels: &[KernelKind],
                         first_deps: &[TaskId]|
      -> Vec<TaskId> {
@@ -138,7 +178,7 @@ pub fn moe_timeline(
         for (g, gpu) in group.iter().enumerate() {
             for (ki, k) in kernels.iter().enumerate() {
                 let mut spec =
-                    TaskSpec::compute(format!("{label}.k{ki}.{gpu}"), *gpu, compute_op(k));
+                    TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, compute_op(k));
                 if ki == 0 {
                     spec.deps.extend_from_slice(first_deps);
                 }
@@ -159,32 +199,32 @@ pub fn moe_timeline(
             .push(plan.moe_every > 0 && (i as u32 + 1).is_multiple_of(plan.moe_every));
     }
 
-    for pass in ["f", "b"] {
-        let layer_order: Vec<usize> = if pass == "f" {
+    for pass in &PASSES {
+        let layer_order: Vec<usize> = if pass.forward {
             (0..layers).collect()
         } else {
             (0..layers).rev().collect()
         };
-        let cost = if pass == "f" { 1 } else { 2 };
+        let cost = if pass.forward { 1 } else { 2 };
         for &i in &layer_order {
             // Attention block (dense backward cost modeled by repetition).
             for rep in 0..cost {
                 barrier = push_kernels(
                     &mut b,
-                    &format!("L{i}.{pass}{rep}.attn"),
+                    Label::new(pass.attn).with(i).with(rep),
                     &attn_fwd,
                     &barrier,
                 );
             }
             if moe_layer_sequence[i] {
-                barrier = push_kernels(&mut b, &format!("L{i}.{pass}.router"), &router, &barrier);
+                barrier = push_kernels(&mut b, Label::new(pass.router).with(i), &router, &barrier);
                 // Chunked dispatch -> expert -> combine pipeline.
                 let mut prev_dispatch: Option<TaskId> = None;
                 let mut expert_done: Vec<Vec<TaskId>> = Vec::new();
                 let mut combines: Vec<TaskId> = Vec::new();
                 for c in 0..plan.chunks {
                     let mut spec = TaskSpec::collective(
-                        format!("a2a.d.L{i}.{pass}.c{c}"),
+                        Label::new(pass.dispatch).with(i).with(c),
                         group.clone(),
                         all_to_all(chunk_bytes),
                     );
@@ -202,7 +242,7 @@ pub fn moe_timeline(
                     }
                     let done = push_kernels(
                         &mut b,
-                        &format!("L{i}.{pass}.exp.c{c}"),
+                        Label::new(pass.expert).with(i).with(c),
                         &expert_kernels,
                         &[dispatch],
                     );
@@ -210,7 +250,7 @@ pub fn moe_timeline(
                 }
                 for (c, done) in expert_done.iter().enumerate() {
                     let mut spec = TaskSpec::collective(
-                        format!("a2a.c.L{i}.{pass}.c{c}"),
+                        Label::new(pass.combine).with(i).with(c),
                         group.clone(),
                         all_to_all(chunk_bytes),
                     );
@@ -224,7 +264,7 @@ pub fn moe_timeline(
                 };
                 barrier = push_kernels(
                     &mut b,
-                    &format!("L{i}.{pass}.res"),
+                    Label::new(pass.residual).with(i),
                     std::slice::from_ref(&residual),
                     &combines,
                 );
@@ -232,8 +272,12 @@ pub fn moe_timeline(
                 // Dense MLP block (remaining forward kernels).
                 let mlp: Vec<KernelKind> = dense.forward[7..].to_vec();
                 for rep in 0..cost {
-                    barrier =
-                        push_kernels(&mut b, &format!("L{i}.{pass}{rep}.mlp"), &mlp, &barrier);
+                    barrier = push_kernels(
+                        &mut b,
+                        Label::new(pass.mlp).with(i).with(rep),
+                        &mlp,
+                        &barrier,
+                    );
                 }
             }
         }
@@ -252,7 +296,7 @@ pub fn moe_timeline(
     let shard_params = plan.model.param_count() / n as u64;
     for gpu in &group {
         let mut opt = TaskSpec::compute(
-            format!("adam.{gpu}"),
+            Label::new("adam.gpu{}").with(gpu.0),
             *gpu,
             compute_op(&KernelKind::AdamStep {
                 params: shard_params,
@@ -299,7 +343,7 @@ mod tests {
             let a2a = w
                 .tasks()
                 .iter()
-                .filter(|t| t.label.starts_with("a2a."))
+                .filter(|t| t.label.to_string().starts_with("a2a."))
                 .count() as u32;
             // dispatch + combine per chunk, forward and backward.
             assert_eq!(a2a, p.moe_layers() * chunks * 2 * 2, "chunks {chunks}");

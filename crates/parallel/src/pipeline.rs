@@ -25,7 +25,7 @@ use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_models::memory::ActivationPolicy;
 use olab_models::{ops, Family, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, TaskId, TaskSpec, Workload};
+use olab_sim::{GpuId, Label, TaskId, TaskSpec, Workload};
 
 /// Which pipeline schedule to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -234,11 +234,13 @@ pub fn pipeline_timeline(
     };
 
     // Pushes the compute of one (stage, microbatch) cell; returns last task.
+    // `label` is the cell's pattern, with stage, microbatch, chunk and
+    // kernel holes.
     let push_cell = |b: &mut ScheduleBuilder,
                      stage: usize,
                      m: usize,
                      chunks: &[&[KernelKind]],
-                     label: &str,
+                     label: &'static str,
                      first_dep: Option<TaskId>|
      -> TaskId {
         let gpu = GpuId(stage as u16);
@@ -247,7 +249,7 @@ pub fn pipeline_timeline(
         for (ci, chunk) in chunks.iter().enumerate() {
             for (ki, k) in chunk.iter().enumerate() {
                 let mut spec = TaskSpec::compute(
-                    format!("s{stage}.m{m}.{label}.c{ci}k{ki}"),
+                    Label::new(label).with(stage).with(m).with(ci).with(ki),
                     gpu,
                     compute_op(k),
                 );
@@ -291,11 +293,12 @@ pub fn pipeline_timeline(
                 match op {
                     StageOp::Forward(m) => {
                         let recv = if s > 0 { fwd_send[s - 1][m] } else { None };
-                        let last = push_cell(&mut b, s, m, &forward_chunks(s), "f", recv);
+                        let last =
+                            push_cell(&mut b, s, m, &forward_chunks(s), "s{}.m{}.f.c{}k{}", recv);
                         fwd_done[s][m] = Some(last);
                         if s + 1 < s_count {
                             let spec = TaskSpec::collective(
-                                format!("x.f.s{s}->s{}.m{m}", s + 1),
+                                Label::new("x.f.s{}->s{}.m{}").with(s).with(s + 1).with(m),
                                 vec![GpuId(s as u16), GpuId((s + 1) as u16)],
                                 p2p_op(act_bytes, GpuId(s as u16), GpuId((s + 1) as u16)),
                             )
@@ -313,11 +316,12 @@ pub fn pipeline_timeline(
                         } else {
                             fwd_done[s][m]
                         };
-                        let last = push_cell(&mut b, s, m, &backward_chunks(s), "b", recv);
+                        let last =
+                            push_cell(&mut b, s, m, &backward_chunks(s), "s{}.m{}.b.c{}k{}", recv);
                         bwd_done[s][m] = Some(last);
                         if s > 0 {
                             let spec = TaskSpec::collective(
-                                format!("x.b.s{s}->s{}.m{m}", s - 1),
+                                Label::new("x.b.s{}->s{}.m{}").with(s).with(s - 1).with(m),
                                 vec![GpuId((s - 1) as u16), GpuId(s as u16)],
                                 p2p_op(act_bytes, GpuId(s as u16), GpuId((s - 1) as u16)),
                             )
@@ -360,7 +364,7 @@ pub fn pipeline_timeline(
     for s in 0..s_count {
         let gpu = GpuId(s as u16);
         let mut spec = TaskSpec::compute(
-            format!("adam.s{s}"),
+            Label::new("adam.s{}").with(s),
             gpu,
             compute_op(&ops::optimizer_kernel(plan.stage_params(s))),
         );
@@ -414,7 +418,7 @@ mod tests {
             let p2ps = w
                 .tasks()
                 .iter()
-                .filter(|t| t.label.starts_with("x."))
+                .filter(|t| t.label.to_string().starts_with("x."))
                 .count();
             // (stages-1) forward + (stages-1) backward transfers per microbatch.
             assert_eq!(p2ps, 2 * 3 * m as usize, "{schedule}");

@@ -20,7 +20,7 @@ use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_models::memory::ActivationPolicy;
 use olab_models::{Family, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, TaskId, TaskSpec, Workload};
+use olab_sim::{GpuId, Label, TaskId, TaskSpec, Workload};
 
 /// Configuration of one tensor-parallel training iteration.
 #[derive(Debug, Clone)]
@@ -232,9 +232,11 @@ pub fn tensor_timeline(
     let layer = tp_layer(&plan.model, ranks, plan.batch, plan.seq);
     let act_bytes = plan.activation_bytes();
 
-    // Pushes kernels on every rank; returns the last task per rank.
+    // Pushes kernels on every rank; returns the last task per rank. `label`
+    // is a pattern ending in the kernel index and GPU holes
+    // (`….k{}.gpu{}`), with its leading holes already filled.
     let push_kernels = |b: &mut ScheduleBuilder,
-                        label: &str,
+                        label: Label,
                         kernels: &[KernelKind],
                         first_deps: &[TaskId]|
      -> Vec<TaskId> {
@@ -242,7 +244,7 @@ pub fn tensor_timeline(
         for (g, gpu) in group.iter().enumerate() {
             for (ki, k) in kernels.iter().enumerate() {
                 let mut spec =
-                    TaskSpec::compute(format!("{label}.k{ki}.{gpu}"), *gpu, compute_op(k));
+                    TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, compute_op(k));
                 if ki == 0 {
                     spec.deps.extend_from_slice(first_deps);
                 }
@@ -251,7 +253,7 @@ pub fn tensor_timeline(
         }
         last
     };
-    let push_allreduce = |b: &mut ScheduleBuilder, label: &str, deps: &[TaskId]| -> TaskId {
+    let push_allreduce = |b: &mut ScheduleBuilder, label: Label, deps: &[TaskId]| -> TaskId {
         let mut spec = TaskSpec::collective(label, group.clone(), allreduce(act_bytes));
         spec.deps.extend_from_slice(deps);
         b.push(spec)
@@ -264,22 +266,27 @@ pub fn tensor_timeline(
     for i in 0..layers {
         let attn = push_kernels(
             &mut b,
-            &format!("L{i}.f.attn"),
+            Label::new("L{}.f.attn.k{}.gpu{}").with(i),
             &layer.attn_forward,
             &fwd_barrier,
         );
-        let ar1 = push_allreduce(&mut b, &format!("ar.f1.L{i}"), &attn);
+        let ar1 = push_allreduce(&mut b, Label::new("ar.f1.L{}").with(i), &attn);
         let res1 = push_kernels(
             &mut b,
-            &format!("L{i}.f.res1"),
+            Label::new("L{}.f.res1.k{}.gpu{}").with(i),
             std::slice::from_ref(&layer.residual),
             &[ar1],
         );
-        let mlp = push_kernels(&mut b, &format!("L{i}.f.mlp"), &layer.mlp_forward, &res1);
-        let ar2 = push_allreduce(&mut b, &format!("ar.f2.L{i}"), &mlp);
+        let mlp = push_kernels(
+            &mut b,
+            Label::new("L{}.f.mlp.k{}.gpu{}").with(i),
+            &layer.mlp_forward,
+            &res1,
+        );
+        let ar2 = push_allreduce(&mut b, Label::new("ar.f2.L{}").with(i), &mlp);
         fwd_barrier = push_kernels(
             &mut b,
-            &format!("L{i}.f.res2"),
+            Label::new("L{}.f.res2.k{}.gpu{}").with(i),
             std::slice::from_ref(&layer.residual),
             &[ar2],
         );
@@ -292,34 +299,44 @@ pub fn tensor_timeline(
         if plan.activation_policy == ActivationPolicy::Recompute {
             let ra = push_kernels(
                 &mut b,
-                &format!("L{i}.rc.attn"),
+                Label::new("L{}.rc.attn.k{}.gpu{}").with(i),
                 &layer.attn_forward,
                 &bwd_barrier,
             );
-            bwd_barrier = push_kernels(&mut b, &format!("L{i}.rc.mlp"), &layer.mlp_forward, &ra);
+            bwd_barrier = push_kernels(
+                &mut b,
+                Label::new("L{}.rc.mlp.k{}.gpu{}").with(i),
+                &layer.mlp_forward,
+                &ra,
+            );
         }
         // MLP backward: dgrads produce the input gradient; the all-reduce
         // of that gradient overlaps the wgrads.
         let mlp_dgrad = push_kernels(
             &mut b,
-            &format!("L{i}.b.mlp.dgrad"),
+            Label::new("L{}.b.mlp.dgrad.k{}.gpu{}").with(i),
             &layer.mlp_dgrad,
             &bwd_barrier,
         );
-        let ar_b2 = push_allreduce(&mut b, &format!("ar.b2.L{i}"), &mlp_dgrad);
-        let _mlp_wgrad = push_kernels(&mut b, &format!("L{i}.b.mlp.wgrad"), &layer.mlp_wgrad, &[]);
+        let ar_b2 = push_allreduce(&mut b, Label::new("ar.b2.L{}").with(i), &mlp_dgrad);
+        let _mlp_wgrad = push_kernels(
+            &mut b,
+            Label::new("L{}.b.mlp.wgrad.k{}.gpu{}").with(i),
+            &layer.mlp_wgrad,
+            &[],
+        );
 
         // Attention backward needs the reduced MLP input gradient.
         let attn_dgrad = push_kernels(
             &mut b,
-            &format!("L{i}.b.attn.dgrad"),
+            Label::new("L{}.b.attn.dgrad.k{}.gpu{}").with(i),
             &layer.attn_dgrad,
             &[ar_b2],
         );
-        let ar_b1 = push_allreduce(&mut b, &format!("ar.b1.L{i}"), &attn_dgrad);
+        let ar_b1 = push_allreduce(&mut b, Label::new("ar.b1.L{}").with(i), &attn_dgrad);
         let _attn_wgrad = push_kernels(
             &mut b,
-            &format!("L{i}.b.attn.wgrad"),
+            Label::new("L{}.b.attn.wgrad.k{}.gpu{}").with(i),
             &layer.attn_wgrad,
             &[],
         );
@@ -332,7 +349,7 @@ pub fn tensor_timeline(
     let shard_params = plan.model.param_count() / ranks;
     for gpu in &group {
         let mut spec = TaskSpec::compute(
-            format!("adam.{gpu}"),
+            Label::new("adam.gpu{}").with(gpu.0),
             *gpu,
             compute_op(&KernelKind::AdamStep {
                 params: shard_params,

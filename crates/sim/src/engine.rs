@@ -747,7 +747,7 @@ mod tests {
             &mut self,
             now_s: f64,
             _id: TaskId,
-            label: &str,
+            label: &crate::Label,
             _participants: &[GpuId],
             _stream: StreamKind,
         ) {
@@ -757,7 +757,7 @@ mod tests {
             &mut self,
             now_s: f64,
             _id: TaskId,
-            label: &str,
+            label: &crate::Label,
             _participants: &[GpuId],
             _stream: StreamKind,
         ) {

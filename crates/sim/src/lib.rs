@@ -70,6 +70,7 @@ pub mod critical;
 mod engine;
 mod error;
 mod ids;
+mod label;
 pub mod metrics;
 mod obs;
 mod rate;
@@ -83,6 +84,7 @@ pub use critical::{critical_path, CriticalPath, CriticalStep};
 pub use engine::Engine;
 pub use error::SimError;
 pub use ids::{GpuId, StreamKind, TaskId};
+pub use label::Label;
 pub use obs::{EngineObserver, GpuCounters, NullObserver};
 pub use rate::{ConstantRate, RateModel, RunningTask};
 pub use rng::SeededRng;

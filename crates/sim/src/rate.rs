@@ -1,6 +1,6 @@
 //! The rate-model trait: where domain physics plugs into the engine.
 
-use crate::{GpuCounters, GpuId, StreamKind, TaskId};
+use crate::{GpuCounters, GpuId, Label, StreamKind, TaskId};
 
 /// A view of one currently-running task handed to the [`RateModel`].
 #[derive(Debug)]
@@ -8,7 +8,7 @@ pub struct RunningTask<'a, P> {
     /// The task's id.
     pub id: TaskId,
     /// The task's label.
-    pub label: &'a str,
+    pub label: &'a Label,
     /// Devices the task occupies.
     pub participants: &'a [GpuId],
     /// The stream it occupies on each device.
@@ -190,9 +190,10 @@ mod tests {
     fn constant_rate_fills_rates_and_power() {
         let mut model = ConstantRate::default();
         let payload = ();
+        let label = Label::from("k");
         let running = [RunningTask {
             id: TaskId(0),
-            label: "k",
+            label: &label,
             participants: &[GpuId(1)],
             stream: StreamKind::Compute,
             remaining: 1.0,

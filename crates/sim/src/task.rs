@@ -1,6 +1,6 @@
 //! Task specifications and workload construction.
 
-use crate::{GpuId, SimError, StreamKind, TaskId};
+use crate::{GpuId, Label, SimError, StreamKind, TaskId};
 
 /// Specification of one task in a [`Workload`].
 ///
@@ -10,8 +10,9 @@ use crate::{GpuId, SimError, StreamKind, TaskId};
 /// participant's queue (rendezvous semantics, like NCCL).
 #[derive(Debug, Clone)]
 pub struct TaskSpec<P> {
-    /// Human-readable label, carried into the trace.
-    pub label: String,
+    /// Human-readable label, carried into the trace and rendered only
+    /// when displayed.
+    pub label: Label,
     /// Devices this task occupies, deduplicated and sorted by [`Workload::push`].
     pub participants: Vec<GpuId>,
     /// The stream the task occupies on each participant.
@@ -25,7 +26,7 @@ pub struct TaskSpec<P> {
 impl<P> TaskSpec<P> {
     /// Creates a task spec with no explicit dependencies.
     pub fn new(
-        label: impl Into<String>,
+        label: impl Into<Label>,
         participants: Vec<GpuId>,
         stream: StreamKind,
         payload: P,
@@ -40,17 +41,17 @@ impl<P> TaskSpec<P> {
     }
 
     /// Convenience constructor for a single-device compute task.
-    pub fn compute(label: impl Into<String>, gpu: GpuId, payload: P) -> Self {
+    pub fn compute(label: impl Into<Label>, gpu: GpuId, payload: P) -> Self {
         Self::new(label, vec![gpu], StreamKind::Compute, payload)
     }
 
     /// Convenience constructor for a single-device communication task.
-    pub fn comm(label: impl Into<String>, gpu: GpuId, payload: P) -> Self {
+    pub fn comm(label: impl Into<Label>, gpu: GpuId, payload: P) -> Self {
         Self::new(label, vec![gpu], StreamKind::Comm, payload)
     }
 
     /// Convenience constructor for a multi-device collective on the comm stream.
-    pub fn collective(label: impl Into<String>, participants: Vec<GpuId>, payload: P) -> Self {
+    pub fn collective(label: impl Into<Label>, participants: Vec<GpuId>, payload: P) -> Self {
         Self::new(label, participants, StreamKind::Comm, payload)
     }
 
@@ -90,6 +91,26 @@ impl<P> Workload<P> {
             n_gpus,
             tasks: Vec::new(),
         }
+    }
+
+    /// Creates an empty workload that pushes into `tasks`' storage: the
+    /// vector is cleared and its capacity kept, so a caller lowering one
+    /// schedule after another can give each the storage of the last (see
+    /// [`Workload::into_tasks`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_gpus` is zero.
+    pub fn reusing(n_gpus: usize, mut tasks: Vec<TaskSpec<P>>) -> Self {
+        assert!(n_gpus > 0, "workload needs at least one device");
+        tasks.clear();
+        Workload { n_gpus, tasks }
+    }
+
+    /// The tasks in push order, by value: the storage a later
+    /// [`Workload::reusing`] can take over.
+    pub fn into_tasks(self) -> Vec<TaskSpec<P>> {
+        self.tasks
     }
 
     /// Number of devices in the node.

@@ -1,6 +1,6 @@
 //! Simulation output: task records, power segments, overlap windows.
 
-use crate::{GpuId, SimTime, StreamKind, TaskId};
+use crate::{GpuId, Label, SimTime, StreamKind, TaskId};
 
 /// A half-open time window `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,7 +51,7 @@ pub struct TaskRecord {
     /// The task's id.
     pub id: TaskId,
     /// The task's label.
-    pub label: String,
+    pub label: Label,
     /// Devices the task occupied.
     pub participants: Vec<GpuId>,
     /// The stream it occupied.

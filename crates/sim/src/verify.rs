@@ -4,7 +4,7 @@
 //! a validator lets downstream users (custom rate models, hand-built
 //! schedules) assert the same invariants over their own runs.
 
-use crate::{GpuId, SimTrace, StreamKind, TaskId, Workload};
+use crate::{GpuId, Label, SimTrace, StreamKind, TaskId, Workload};
 use std::fmt;
 
 /// Absolute slack allowed on every floating-point comparison.
@@ -22,14 +22,14 @@ pub enum Violation {
         /// The offending task (its index is `task.index()`).
         task: TaskId,
         /// The task's label.
-        label: String,
+        label: Label,
     },
     /// A record ends after the trace's makespan.
     EndsAfterMakespan {
         /// The offending task.
         task: TaskId,
         /// The task's label.
-        label: String,
+        label: Label,
         /// When the task ended, seconds.
         end_s: f64,
         /// The trace makespan, seconds.
@@ -40,18 +40,18 @@ pub enum Violation {
         /// The offending task.
         task: TaskId,
         /// The task's label.
-        label: String,
+        label: Label,
     },
     /// A task started before one of its explicit dependencies ended.
     DependencyOrder {
         /// The offending task.
         task: TaskId,
         /// The task's label.
-        label: String,
+        label: Label,
         /// The dependency that had not finished.
         dep: TaskId,
         /// The dependency's label.
-        dep_label: String,
+        dep_label: Label,
         /// When the task started, seconds.
         start_s: f64,
         /// When the dependency ended, seconds.
@@ -66,11 +66,11 @@ pub enum Violation {
         /// The later-pushed task that overlaps.
         task: TaskId,
         /// Its label.
-        label: String,
+        label: Label,
         /// The earlier-pushed task it overlaps with.
         predecessor: TaskId,
         /// The predecessor's label.
-        predecessor_label: String,
+        predecessor_label: Label,
     },
     /// Two tasks sharing a `(device, stream)` queue ran out of push (FIFO)
     /// order: a later-pushed task started strictly before an earlier one.
@@ -88,11 +88,11 @@ pub enum Violation {
         /// The later-pushed task that started early.
         task: TaskId,
         /// Its label.
-        label: String,
+        label: Label,
         /// The earlier-pushed task that started after it.
         predecessor: TaskId,
         /// The predecessor's label.
-        predecessor_label: String,
+        predecessor_label: Label,
     },
     /// A device with a non-empty timeline has no power segments.
     MissingPowerTrace {

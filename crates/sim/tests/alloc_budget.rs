@@ -116,19 +116,21 @@ fn allocations_per_run(engine: &mut Engine<ConstantRate>, w: &Workload<()>, warm
 /// The documented steady-state budget, derived from what legitimately
 /// escapes the run:
 ///
-/// * 2 allocations per task record — its label `String` and participants
-///   `Vec<GpuId>` (the trace owns both);
+/// * 1 allocation per task record — its participants `Vec<GpuId>` (the
+///   trace owns it; a record's [`olab_sim::Label`] is cloned from the spec
+///   without allocating, so a record owns no label `String`);
 /// * ~1 allocation per task of vector *growth* across the records vec, the
 ///   per-GPU window/power/overlap vecs and the per-epoch coactive clips
 ///   (amortized doubling, counted at its worst);
 /// * a constant handful for the trace itself, the per-GPU activity vec and
 ///   the per-epoch view buffer.
 ///
-/// 3 per task is comfortable headroom over the measured ~2.1/task without
+/// 2 per task is comfortable headroom over the measured ~1.1/task without
 /// letting a per-epoch or per-dependency regression (O(epochs × tasks))
 /// hide: the pre-arena engine paid an extra ~1 allocation per task per run
-/// in queue/dependency scaffolding alone, before any growth churn.
-const WARM_BUDGET: usize = 3 * N_TASKS + 32;
+/// in queue/dependency scaffolding alone, before any growth churn, and a
+/// record that owned its label again would add 1 per task.
+const WARM_BUDGET: usize = 2 * N_TASKS + 32;
 
 #[test]
 fn warm_arena_runs_stay_within_the_allocation_budget() {
