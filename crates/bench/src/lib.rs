@@ -28,17 +28,14 @@
 //!
 //! Regenerate everything with `cargo run --release -p olab-bench --bin regen`.
 //!
-//! The other binaries are tools, not regenerators:
+//! The other binary is a tool, not a regenerator:
 //!
 //! | binary    | purpose |
 //! |-----------|---------|
 //! | `conformance` | closed-form-oracle gate over every registry grid (exits 1 on divergence) |
-//! | `grid_soak` | chaos soak of the sweep engine: a faulted run must be bit-identical to a clean one |
-//! | `serve_soak` | live-socket soak of `olab serve`: coalescing storm, shed, deadline, client chaos, degradation, drain |
 //!
-//! The soaks print their JSON snapshot to stdout and write it to a file
-//! only when given `--out <path>`. Timing the simulator is the job of the
-//! repository's `benchmark/` package (see `benchmark/README.md`).
+//! Timing the simulator is the job of the repository's `benchmark/`
+//! package (see `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -173,7 +173,6 @@ pub const FLAGS: &[Flag] = &[
     value("--cache", &[Sweep, Faults, Serve], &[]),
     value("--cache-max-bytes", &[Sweep, Faults, Serve], &[CAP_HINT, GUARD_HINT]),
     value("--cell-timeout-s", GUARDED, &[GUARD_HINT]),
-    value("--retries", GUARDED, &[GUARD_HINT]),
     value("--metrics", GUARDED, &[METRICS_HINT]),
     switch("--metrics-deterministic", GUARDED, &[METRICS_HINT]),
     value("--batches", &[Sweep], &[]),
@@ -194,7 +193,6 @@ pub const FLAGS: &[Flag] = &[
     value("--max-queue", &[Serve], &[]),
     value("--http-workers", &[Serve], &[]),
     value("--drain-timeout-s", &[Serve], &[]),
-    value("--coalesce-hold-ms", &[Serve], &[]),
     value("--log", &[Serve], &[]),
     value("--oneshot", &[Serve], &[]),
 ];
@@ -308,9 +306,6 @@ pub struct EngineArgs {
     /// Per-cell wall-clock deadline, seconds (`--cell-timeout-s X`).
     /// `None` means no deadline.
     pub cell_timeout_s: Option<f64>,
-    /// Per-cell retry budget for transient failures (`--retries N`).
-    /// `None` means no retries.
-    pub retries: Option<u32>,
 }
 
 impl EngineArgs {
@@ -322,7 +317,6 @@ impl EngineArgs {
             "--cache" => self.cache = Some(value.to_string()),
             "--cache-max-bytes" => self.cache_max_bytes = Some(num(flag, value)?),
             "--cell-timeout-s" => self.cell_timeout_s = Some(positive(flag, value)?),
-            "--retries" => self.retries = Some(num(flag, value)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -515,8 +509,6 @@ pub struct ObserveArgs {
     /// Wall-clock deadline for the observed run, seconds
     /// (`--cell-timeout-s X`).
     pub cell_timeout_s: Option<f64>,
-    /// Retry budget for the observed run (`--retries N`).
-    pub retries: Option<u32>,
     /// Engine self-telemetry flags.
     pub metrics: MetricsArgs,
 }
@@ -531,7 +523,6 @@ impl Default for ObserveArgs {
             severity: olab_faults::Severity::Moderate,
             abort: false,
             cell_timeout_s: None,
-            retries: None,
             metrics: MetricsArgs::default(),
         }
     }
@@ -552,9 +543,6 @@ pub struct ServeArgs {
     pub http_workers: Option<usize>,
     /// Drain grace period, seconds (`--drain-timeout-s X`).
     pub drain_timeout_s: Option<f64>,
-    /// Coalescing-window hold, ms (`--coalesce-hold-ms N`) — soak/test
-    /// instrumentation that keeps a finished flight joinable briefly.
-    pub coalesce_hold_ms: Option<u64>,
     /// Metrics expositions, flushed on drain.
     pub metrics: MetricsArgs,
     /// JSONL request-lifecycle log path (`--log FILE`).
@@ -572,7 +560,6 @@ impl Default for ServeArgs {
             max_queue: None,
             http_workers: None,
             drain_timeout_s: None,
-            coalesce_hold_ms: None,
             metrics: MetricsArgs::default(),
             log: None,
             oneshot: None,
@@ -904,7 +891,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         Observe => {
             let mut obs = ObserveArgs {
                 cell_timeout_s: engine.cell_timeout_s,
-                retries: engine.retries,
                 ..ObserveArgs::default()
             };
             let mut scenario_flag = None;
@@ -947,7 +933,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     "--max-queue" => serve.max_queue = Some(num(flag, value)?),
                     "--http-workers" => serve.http_workers = Some(num(flag, value)?),
                     "--drain-timeout-s" => serve.drain_timeout_s = Some(positive(flag, value)?),
-                    "--coalesce-hold-ms" => serve.coalesce_hold_ms = Some(num(flag, value)?),
                     "--log" => serve.log = Some(value.to_string()),
                     "--oneshot" => serve.oneshot = Some(value.to_string()),
                     _ => unparsed(sub, flag),
@@ -1149,7 +1134,7 @@ mod tests {
         // The named cell combines with every flag that is not a cell flag.
         let cmd = parse(&argv(
             "observe --cell FIG7 --fault-seed 2 --severity severe --action abort \
-             --out-dir /tmp/x --sample-ms 50 --cell-timeout-s 4 --retries 1 --metrics m",
+             --out-dir /tmp/x --sample-ms 50 --cell-timeout-s 4 --metrics m",
         ))
         .unwrap();
         let Command::Observe(_, obs) = cmd else {
@@ -1236,18 +1221,17 @@ mod tests {
     #[test]
     fn sweep_and_faults_parse_guard_and_cap_flags() {
         let cmd = parse(&argv(
-            "sweep --cache /tmp/olab-c --cell-timeout-s 2.5 --retries 3 --cache-max-bytes 1048576",
+            "sweep --cache /tmp/olab-c --cell-timeout-s 2.5 --cache-max-bytes 1048576",
         ))
         .unwrap();
         let Command::Sweep(_, sweep) = cmd else {
             panic!("expected sweep");
         };
         assert_eq!(sweep.engine.cell_timeout_s, Some(2.5));
-        assert_eq!(sweep.engine.retries, Some(3));
         assert_eq!(sweep.engine.cache_max_bytes, Some(1_048_576));
 
         let cmd = parse(&argv(
-            "faults --cache /tmp/olab-c --cell-timeout-s 1.5 --retries 2 --cache-max-bytes 4096",
+            "faults --cache /tmp/olab-c --cell-timeout-s 1.5 --cache-max-bytes 4096",
         ))
         .unwrap();
         let Command::Faults(_, faults) = cmd else {
@@ -1255,15 +1239,13 @@ mod tests {
         };
         assert_eq!(faults.engine.cache.as_deref(), Some("/tmp/olab-c"));
         assert_eq!(faults.engine.cell_timeout_s, Some(1.5));
-        assert_eq!(faults.engine.retries, Some(2));
         assert_eq!(faults.engine.cache_max_bytes, Some(4096));
 
-        let cmd = parse(&argv("observe --cell-timeout-s 4 --retries 1")).unwrap();
+        let cmd = parse(&argv("observe --cell-timeout-s 4")).unwrap();
         let Command::Observe(_, obs) = cmd else {
             panic!("expected observe");
         };
         assert_eq!(obs.cell_timeout_s, Some(4.0));
-        assert_eq!(obs.retries, Some(1));
     }
 
     #[test]
@@ -1274,7 +1256,6 @@ mod tests {
                 "{bad}"
             );
         }
-        assert!(parse(&argv("sweep --retries -1")).is_err());
         assert!(parse(&argv("sweep --cache-max-bytes lots")).is_err());
     }
 
@@ -1292,7 +1273,7 @@ mod tests {
     #[test]
     fn guard_flags_are_rejected_on_non_grid_subcommands() {
         for sub in ["run", "trace", "chrome", "tune", "resilience", "list"] {
-            for flag in ["--cell-timeout-s 2", "--retries 1", "--cache-max-bytes 9"] {
+            for flag in ["--cell-timeout-s 2", "--cache-max-bytes 9"] {
                 let err = parse(&argv(&format!("{sub} {flag}"))).unwrap_err();
                 let name = flag.split_whitespace().next().unwrap();
                 assert!(err.0.contains(name), "{sub} {flag}: {err}");
@@ -1383,8 +1364,8 @@ mod tests {
     fn serve_parses_all_flags() {
         let cmd = parse(&argv(
             "serve --addr 0.0.0.0:8080 --jobs 2 --cache /tmp/c --cache-max-bytes 4096 \
-             --cell-timeout-s 2.5 --retries 3 --max-queue 64 --http-workers 8 \
-             --drain-timeout-s 10 --coalesce-hold-ms 250 --metrics /tmp/m \
+             --cell-timeout-s 2.5 --max-queue 64 --http-workers 8 \
+             --drain-timeout-s 10 --metrics /tmp/m \
              --metrics-deterministic --log /tmp/serve.jsonl",
         ))
         .unwrap();
@@ -1396,11 +1377,9 @@ mod tests {
         assert_eq!(serve.engine.cache.as_deref(), Some("/tmp/c"));
         assert_eq!(serve.engine.cache_max_bytes, Some(4096));
         assert_eq!(serve.engine.cell_timeout_s, Some(2.5));
-        assert_eq!(serve.engine.retries, Some(3));
         assert_eq!(serve.max_queue, Some(64));
         assert_eq!(serve.http_workers, Some(8));
         assert_eq!(serve.drain_timeout_s, Some(10.0));
-        assert_eq!(serve.coalesce_hold_ms, Some(250));
         assert_eq!(serve.metrics.dir.as_deref(), Some("/tmp/m"));
         assert!(serve.metrics.deterministic);
         assert_eq!(serve.log.as_deref(), Some("/tmp/serve.jsonl"));

@@ -26,7 +26,7 @@ USAGE:
   olab sweep [flags] --batches 8,16,32         batch sweep table
              [--jobs N] [--cache DIR]          parallel workers, result cache
              [--cache-max-bytes N]             disk-cache cap, deterministic eviction
-             [--cell-timeout-s X] [--retries N] per-cell deadline and retry budget
+             [--cell-timeout-s X]              per-cell deadline
              [--observe] [--out-dir DIR]       live progress, per-cell run artifacts
              [--metrics DIR]                   engine self-telemetry (metrics.prom/.json)
   olab trace [flags] [--interval-ms 1]         sampled power trace (CSV-ish)
@@ -38,7 +38,7 @@ USAGE:
               [--recovery failfast|ckpt|elastic] recovery scorecard instead of the
               [--ckpt-interval-s X]              fault table (X pins the ckpt interval)
               [--cache DIR] [--cache-max-bytes N] persistent capped result cache
-              [--cell-timeout-s X] [--retries N] per-cell deadline and retry budget
+              [--cell-timeout-s X]             per-cell deadline
               [--metrics DIR]                  engine self-telemetry (metrics.prom/.json)
   olab resilience [flags] [--seeds 3]          three-policy recovery comparison
               [--severity mild|moderate|severe] (fail-fast vs checkpoint vs elastic)
@@ -46,15 +46,14 @@ USAGE:
   olab observe [flags] | --cell fig7           one observed cell, full run artifact
                [--out-dir DIR] [--sample-ms 100] (a named cell takes no shared flags)
                [--fault-seed N [--severity mild|moderate|severe] [--action degrade|abort]]
-               [--cell-timeout-s X] [--retries N] guarded observed run
+               [--cell-timeout-s X]            guarded observed run
                [--metrics DIR]                 engine self-telemetry (metrics.prom/.json)
   olab serve [--addr 127.0.0.1:7979]           sweep-as-a-service daemon (HTTP/1.1)
              [--jobs N] [--cache DIR]          engine workers, persistent result cache
              [--cache-max-bytes N]             disk-cache cap, deterministic eviction
-             [--cell-timeout-s X] [--retries N] server-side deadline and retry budget
+             [--cell-timeout-s X]              server-side per-cell deadline
              [--max-queue N] [--http-workers N] admission-queue depth, connection threads
              [--drain-timeout-s X]             graceful-drain grace period
-             [--coalesce-hold-ms N]            soak aid: widen the coalescing window
              [--metrics DIR] [--log FILE]      expositions on drain, JSONL lifecycle log
              [--oneshot QUERY]                 print the body /v1/cell?QUERY would
                                                serve, offline, and exit (CI byte-compare)
@@ -432,7 +431,7 @@ fn faults_with_recovery(
 /// Builds the grid engine the engine flags describe: `--jobs` workers
 /// (default `available_parallelism`), a disk cache tier under `--cache
 /// DIR` (default memory-only) capped at `--cache-max-bytes`, and a guard
-/// from `--cell-timeout-s` and `--retries`. `sweep`, `faults` and
+/// from `--cell-timeout-s`. `sweep`, `faults` and
 /// `resilience` build their engine here; `serve` hands the same fields
 /// to `ServeConfig`.
 fn executor<V: CacheValue>(engine: &EngineArgs) -> Result<Executor<V>, CliError> {
@@ -450,8 +449,6 @@ fn executor<V: CacheValue>(engine: &EngineArgs) -> Result<Executor<V>, CliError>
     }
     Ok(executor.with_guard(GuardConfig {
         cell_timeout_s: engine.cell_timeout_s,
-        retries: engine.retries.unwrap_or(0),
-        ..GuardConfig::default()
     }))
 }
 
@@ -526,14 +523,12 @@ pub fn observe(args: &RunArgs, obs: &ObserveArgs) -> Result<String, CliError> {
         }
     };
     // The observed run executes under the same execution guard as sweep
-    // cells: `--cell-timeout-s` bounds it, `--retries` reruns transient
-    // failures, and a panic is reported instead of crashing the CLI.
+    // cells: `--cell-timeout-s` bounds it, and a panic is reported
+    // instead of crashing the CLI.
     let guard = olab_grid::GuardConfig {
         cell_timeout_s: obs.cell_timeout_s,
-        retries: obs.retries.unwrap_or(0),
-        ..olab_grid::GuardConfig::default()
     };
-    let report = olab_grid::guard::run_cell(&guard, |_ctx| match obs.fault_seed {
+    let result = olab_grid::guard::run_cell(&guard, |_ctx| match obs.fault_seed {
         None => olab_obs::observe_cell(&exp, obs.sample_ms).map_err(CliError::from),
         Some(seed) => {
             let spec = if obs.abort {
@@ -545,7 +540,7 @@ pub fn observe(args: &RunArgs, obs: &ObserveArgs) -> Result<String, CliError> {
                 .map_err(|e| CliError(format!("fault cell failed: {e}")))
         }
     });
-    let artifact = match report.result {
+    let artifact = match result {
         Ok(run) => run?,
         Err(failure) => return Err(CliError(format!("observed run failed: {failure}"))),
     };
@@ -669,7 +664,6 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     cfg.cache_dir = engine.cache.as_ref().map(std::path::PathBuf::from);
     cfg.cache_max_bytes = engine.cache_max_bytes;
     cfg.cell_timeout_s = engine.cell_timeout_s;
-    cfg.retries = engine.retries.unwrap_or(cfg.retries);
     cfg.metrics_out = args.metrics.dir.as_ref().map(std::path::PathBuf::from);
     cfg.log = args.log.as_ref().map(std::path::PathBuf::from);
     if let Some(depth) = args.max_queue {
@@ -680,9 +674,6 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     }
     if let Some(secs) = args.drain_timeout_s {
         cfg.drain_timeout_s = secs;
-    }
-    if let Some(hold) = args.coalesce_hold_ms {
-        cfg.coalesce_hold_ms = hold;
     }
     let handle = olab_serve::start(cfg).map_err(|e| CliError(format!("serve: {e}")))?;
     eprintln!(
@@ -807,7 +798,6 @@ mod tests {
         hardened.engine.cache = Some(dir.display().to_string());
         hardened.engine.cache_max_bytes = Some(1_000_000);
         hardened.engine.cell_timeout_s = Some(120.0);
-        hardened.engine.retries = Some(2);
         assert_eq!(
             sweep(&args, &hardened).unwrap(),
             sweep(&args, &sweep_args(&[4, 8])).unwrap(),

@@ -24,7 +24,6 @@ fn sample(flag: &str) -> &'static str {
         "--cache" => "/tmp/olab-matrix",
         "--cache-max-bytes" => "4096",
         "--cell-timeout-s" => "2.5",
-        "--retries" => "1",
         "--metrics" => "/tmp/olab-metrics",
         "--batches" => "8,16",
         "--out-dir" => "/tmp/olab-out",
@@ -43,7 +42,6 @@ fn sample(flag: &str) -> &'static str {
         "--max-queue" => "8",
         "--http-workers" => "2",
         "--drain-timeout-s" => "1",
-        "--coalesce-hold-ms" => "10",
         "--log" => "/tmp/olab-serve.jsonl",
         "--oneshot" => "seq=128",
         other => panic!("no sample value for {other}"),

@@ -85,21 +85,11 @@ pub enum CellError {
     /// The cell's worker panicked mid-sweep; the panic was isolated to
     /// this slot (and never cached) instead of aborting the sweep.
     Panic(String),
-    /// Every attempt of the cell exceeded its per-attempt wall-clock
-    /// deadline; the late results were discarded, never cached.
+    /// The cell exceeded its wall-clock deadline; the late result was
+    /// discarded, never cached.
     Timeout {
-        /// The per-attempt deadline that was missed, seconds.
+        /// The deadline that was missed, seconds.
         deadline_s: f64,
-        /// Total attempts made.
-        attempts: u32,
-    },
-    /// Retries were configured and every attempt failed; the final
-    /// attempt's panic message is kept.
-    RetriesExhausted {
-        /// Total attempts made.
-        attempts: u32,
-        /// The last attempt's panic, rendered to text.
-        last: String,
     },
 }
 
@@ -118,15 +108,8 @@ impl fmt::Display for CellError {
             CellError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CellError::Sim(msg) => write!(f, "simulation failed: {msg}"),
             CellError::Panic(msg) => write!(f, "cell panicked: {msg}"),
-            CellError::Timeout {
-                deadline_s,
-                attempts,
-            } => write!(
-                f,
-                "cell timed out: {attempts} attempt(s) each exceeded the {deadline_s} s deadline"
-            ),
-            CellError::RetriesExhausted { attempts, last } => {
-                write!(f, "cell failed after {attempts} attempts; last: {last}")
+            CellError::Timeout { deadline_s } => {
+                write!(f, "cell timed out: exceeded the {deadline_s} s deadline")
             }
         }
     }
@@ -136,17 +119,7 @@ impl From<CellFailure> for CellError {
     fn from(failure: CellFailure) -> Self {
         match failure {
             CellFailure::Panic(p) => CellError::Panic(p.message),
-            CellFailure::Timeout {
-                deadline_s,
-                attempts,
-            } => CellError::Timeout {
-                deadline_s,
-                attempts,
-            },
-            CellFailure::RetriesExhausted { attempts, last } => CellError::RetriesExhausted {
-                attempts,
-                last: last.message,
-            },
+            CellFailure::Timeout { deadline_s } => CellError::Timeout { deadline_s },
         }
     }
 }
@@ -262,18 +235,12 @@ impl CacheValue for CachedCell {
                 w.put_u8(4);
                 w.put_str(msg);
             }
-            Err(CellError::Timeout {
-                deadline_s,
-                attempts,
-            }) => {
+            Err(CellError::Timeout { deadline_s }) => {
                 w.put_u8(5);
                 w.put_f64(*deadline_s);
-                w.put_u32(*attempts);
-            }
-            Err(CellError::RetriesExhausted { attempts, last }) => {
-                w.put_u8(6);
-                w.put_u32(*attempts);
-                w.put_str(last);
+                // The attempt count tag 5 has always carried; a cell runs
+                // once, so it is 1, kept so the tag's bytes do not move.
+                w.put_u32(1);
             }
         }
     }
@@ -297,14 +264,11 @@ impl CacheValue for CachedCell {
             2 => Some(Err(CellError::InvalidConfig(r.get_str()?))),
             3 => Some(Err(CellError::Sim(r.get_str()?))),
             4 => Some(Err(CellError::Panic(r.get_str()?))),
-            5 => Some(Err(CellError::Timeout {
-                deadline_s: r.get_f64()?,
-                attempts: r.get_u32()?,
-            })),
-            6 => Some(Err(CellError::RetriesExhausted {
-                attempts: r.get_u32()?,
-                last: r.get_str()?,
-            })),
+            5 => {
+                let deadline_s = r.get_f64()?;
+                r.get_u32()?; // the attempt count, always 1
+                Some(Err(CellError::Timeout { deadline_s }))
+            }
             _ => None,
         };
         outcome.map(CachedCell)
@@ -386,8 +350,8 @@ pub struct SweepOutcome {
 }
 
 /// The sweep front-end: an [`Executor<CachedCell>`] whose outcomes come
-/// back as [`CellOutcome`]s, with a [`CellFailure`] (panic, missed
-/// deadline, exhausted retries) folded into [`CellError`].
+/// back as [`CellOutcome`]s, with a [`CellFailure`] (panic or missed
+/// deadline) folded into [`CellError`].
 ///
 /// Configure the engine with the [`Executor`] builders and wrap it with
 /// [`Sweep::from`]; [`Sweep::executor`] reads the configuration back.
@@ -534,14 +498,7 @@ mod tests {
             ))),
             CachedCell(Err(CellError::Sim("deadlock".into()))),
             CachedCell(Err(CellError::Panic("index out of bounds".into()))),
-            CachedCell(Err(CellError::Timeout {
-                deadline_s: 2.5,
-                attempts: 3,
-            })),
-            CachedCell(Err(CellError::RetriesExhausted {
-                attempts: 4,
-                last: "boom".into(),
-            })),
+            CachedCell(Err(CellError::Timeout { deadline_s: 2.5 })),
         ];
         for outcome in outcomes {
             let mut w = Writer::new();
@@ -552,6 +509,13 @@ mod tests {
             assert_eq!(back, outcome);
             assert!(r.is_empty(), "trailing bytes");
         }
+        // Tag 5 keeps its layout: deadline, then an attempt count of 1.
+        let mut w = Writer::new();
+        CachedCell(Err(CellError::Timeout { deadline_s: 2.5 })).encode(&mut w);
+        let mut expect = vec![5];
+        expect.extend_from_slice(&2.5f64.to_bits().to_le_bytes());
+        expect.extend_from_slice(&1u32.to_le_bytes());
+        assert_eq!(w.into_bytes(), expect);
     }
 
     #[test]

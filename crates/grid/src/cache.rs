@@ -50,9 +50,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-#[cfg(any(test, feature = "chaos"))]
-use crate::chaos::ChaosPlan;
-
 /// Distinguishes instances within one process so their tmp names and
 /// leases never collide.
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
@@ -290,8 +287,6 @@ pub struct ResultCache<V> {
     evicted: AtomicU64,
     tmp_reaped: AtomicU64,
     admission_rejected: AtomicU64,
-    #[cfg(any(test, feature = "chaos"))]
-    chaos: Option<ChaosPlan>,
 }
 
 impl<V: CacheValue> ResultCache<V> {
@@ -315,8 +310,6 @@ impl<V: CacheValue> ResultCache<V> {
             evicted: AtomicU64::new(0),
             tmp_reaped: AtomicU64::new(0),
             admission_rejected: AtomicU64::new(0),
-            #[cfg(any(test, feature = "chaos"))]
-            chaos: None,
         }
     }
 
@@ -368,14 +361,6 @@ impl<V: CacheValue> ResultCache<V> {
         if max_bytes.is_some() {
             self.enforce_disk_cap();
         }
-    }
-
-    /// Arms deterministic fault injection on this instance's disk IO (see
-    /// [`crate::chaos`]). Test/feature-gated; production builds have no
-    /// chaos branches.
-    #[cfg(any(test, feature = "chaos"))]
-    pub fn set_chaos(&mut self, plan: Option<ChaosPlan>) {
-        self.chaos = plan;
     }
 
     /// The key for a descriptor: its FNV-1a 64 digest.
@@ -596,9 +581,7 @@ impl<V: CacheValue> ResultCache<V> {
     }
 
     /// Writes one disk entry atomically: full bytes to a tmp name unique
-    /// per (process, instance, write), then rename. Chaos fault points
-    /// `cache.enospc`, `cache.torn_write`, and `cache.rename_fail` live
-    /// here (test/feature builds only).
+    /// per (process, instance, write), then rename.
     fn write_entry(&self, dir: &Path, key: u64, descriptor: &str, value: &V) -> io::Result<()> {
         let mut w = Writer::new();
         w.buf.extend_from_slice(MAGIC);
@@ -624,14 +607,6 @@ impl<V: CacheValue> ResultCache<V> {
             }
         }
 
-        #[cfg(any(test, feature = "chaos"))]
-        if self.chaos.as_ref().is_some_and(|p| p.enospc(key)) {
-            return Err(io::Error::new(
-                io::ErrorKind::StorageFull,
-                "chaos: injected ENOSPC",
-            ));
-        }
-
         let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
         let tmp = dir.join(format!(
             "{key:016x}.{}.{}.{seq}.tmp",
@@ -639,34 +614,14 @@ impl<V: CacheValue> ResultCache<V> {
             self.instance
         ));
 
-        #[cfg(any(test, feature = "chaos"))]
-        let written: &[u8] = if self.chaos.as_ref().is_some_and(|p| p.torn_write(key)) {
-            // A torn write: only half the entry reaches the disk, as if
-            // power failed mid-write on a filesystem without data
-            // journaling. The trailing checksum must catch it on read.
-            &bytes[..bytes.len() / 2]
-        } else {
-            &bytes
-        };
-        #[cfg(not(any(test, feature = "chaos")))]
-        let written: &[u8] = &bytes;
-
-        fs::write(&tmp, written)?;
-
-        #[cfg(any(test, feature = "chaos"))]
-        if self.chaos.as_ref().is_some_and(|p| p.rename_fail(key)) {
-            // The writer "dies" before the rename: the tmp file leaks, and
-            // a later open must reap it.
-            return Ok(());
-        }
-
+        fs::write(&tmp, &bytes)?;
         fs::rename(&tmp, entry_path(dir, key))
     }
 
     /// Classifies a disk write failure: `ENOSPC`/`EACCES` latch the
     /// memory-only degradation flag (first failure records the reason),
     /// anything else stays a swallowed one-off.
-    fn note_write_failure(&self, err: &io::Error) {
+    pub(crate) fn note_write_failure(&self, err: &io::Error) {
         let fatal = matches!(
             err.kind(),
             io::ErrorKind::StorageFull | io::ErrorKind::PermissionDenied
@@ -1225,15 +1180,12 @@ mod tests {
     #[test]
     fn injected_enospc_latches_memory_only_degradation() {
         let dir = temp_dir("enospc");
-        let mut cache: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
-        cache.set_chaos(Some(crate::chaos::ChaosPlan {
-            seed: 1,
-            enospc_permille: 1000,
-            ..Default::default()
-        }));
+        let cache: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
         assert!(!cache.is_degraded());
-        cache.insert("doomed write", (1, 1.0));
+        let enospc = io::Error::from_raw_os_error(28);
+        cache.note_write_failure(&enospc);
         assert!(cache.is_degraded(), "one ENOSPC latches degradation");
+        cache.insert("doomed write", (1, 1.0));
         // Memory still serves; disk holds nothing.
         assert_eq!(
             cache.lookup("doomed write"),
@@ -1242,46 +1194,7 @@ mod tests {
         assert!(scan_cells(&dir).is_empty());
         let health = cache.health();
         assert!(health.disk_enabled && health.degraded);
-        assert!(health.degraded_reason.unwrap().contains("ENOSPC"));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn an_injected_torn_write_is_caught_never_served() {
-        let dir = temp_dir("torn");
-        {
-            let mut cache: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
-            cache.set_chaos(Some(crate::chaos::ChaosPlan {
-                seed: 1,
-                torn_write_permille: 1000,
-                ..Default::default()
-            }));
-            cache.insert("torn", (7, 7.0));
-        }
-        let fresh: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
-        assert!(fresh.lookup("torn").is_none(), "half an entry is no entry");
-        assert_eq!(fresh.counters().quarantined, 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn an_injected_rename_failure_leaks_a_tmp_the_entry_never_lands() {
-        let dir = temp_dir("renamefail");
-        let mut cache: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
-        cache.set_chaos(Some(crate::chaos::ChaosPlan {
-            seed: 1,
-            rename_fail_permille: 1000,
-            ..Default::default()
-        }));
-        cache.insert("never lands", (2, 2.0));
-        let key = ResultCache::<(u64, f64)>::key_of("never lands");
-        assert!(!entry_path(&dir, key).exists());
-        let tmps = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .count();
-        assert_eq!(tmps, 1, "the tmp leaked, exactly as a dying writer would");
+        assert_eq!(health.degraded_reason, Some(enospc.to_string()));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -330,7 +330,7 @@ mod tests {
             };
             let h = s.spawn(move || {
                 let _hold = leader;
-                panic!("chaos: leader dies mid-flight");
+                panic!("leader dies mid-flight");
             });
             assert_eq!(waiter.wait(Duration::from_secs(5)), WaitOutcome::Abandoned);
             assert!(h.join().is_err(), "the leader thread did panic");

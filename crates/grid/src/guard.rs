@@ -1,66 +1,32 @@
 //! Execution guards: per-cell wall-clock deadlines with cooperative
-//! cancellation and bounded exponential-backoff retries.
+//! cancellation.
 //!
 //! Sweep cells are pure closures — they cannot be preempted, only asked.
 //! The guard therefore runs each cell under a [`CellCtx`] carrying the
-//! attempt's deadline; cooperative code calls [`CellCtx::checkpoint`] at
+//! cell's deadline; cooperative code calls [`CellCtx::checkpoint`] at
 //! natural yield points (the executor does so between simulating a cell
 //! and caching it), which unwinds with a private sentinel payload once the
 //! deadline has passed. Non-cooperative cells are still bounded: a result
-//! that arrives after its deadline is discarded and the attempt counts as
-//! a timeout — a late answer is never served, so enabling a deadline never
+//! that arrives after its deadline is discarded and the cell counts as a
+//! timeout — a late answer is never served, so enabling a deadline never
 //! changes *which* value a sweep returns, only whether it returns one.
 //!
-//! Failed attempts (panics and timeouts alike) are retried up to
-//! [`GuardConfig::retries`] extra times with exponential backoff, then
-//! classified into a typed [`CellFailure`]. With the default config (no
-//! deadline, zero retries) the guard is byte-for-byte the old single-shot
-//! `catch_unwind` behavior.
+//! Each cell runs once: a cell is a deterministic function, so running it
+//! again could only repeat its outcome. With the default config (no
+//! deadline) the guard is byte-for-byte a plain `catch_unwind`.
 
 use crate::pool::WorkerPanic;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::Once;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Deadline and retry policy applied to every cell of a guarded map.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Deadline policy applied to every cell of a guarded map.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GuardConfig {
-    /// Per-attempt wall-clock deadline, seconds. `None` disables deadlines
+    /// Per-cell wall-clock deadline, seconds. `None` disables deadlines
     /// entirely (no sentinel unwinds, no late-result discards).
     pub cell_timeout_s: Option<f64>,
-    /// Extra attempts after a failed first one. `0` keeps the classic
-    /// single-shot behavior.
-    pub retries: u32,
-    /// Backoff before the first retry, seconds (doubles per retry).
-    pub backoff_base_s: f64,
-    /// Ceiling on any single backoff sleep, seconds.
-    pub backoff_cap_s: f64,
-}
-
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            cell_timeout_s: None,
-            retries: 0,
-            backoff_base_s: 0.01,
-            backoff_cap_s: 1.0,
-        }
-    }
-}
-
-impl GuardConfig {
-    /// True when this config can alter single-shot behavior at all.
-    pub fn is_active(&self) -> bool {
-        self.cell_timeout_s.is_some() || self.retries > 0
-    }
-
-    /// The backoff slept before retry number `retry` (1-based), seconds:
-    /// `base * 2^(retry-1)`, capped.
-    pub fn backoff_s(&self, retry: u32) -> f64 {
-        let exp = self.backoff_base_s * f64::powi(2.0, retry.saturating_sub(1) as i32);
-        exp.min(self.backoff_cap_s).max(0.0)
-    }
 }
 
 /// The sentinel payload [`CellCtx::checkpoint`] unwinds with. Private to
@@ -68,37 +34,30 @@ impl GuardConfig {
 /// panic, and the quiet hook suppresses its default stderr report.
 pub(crate) struct DeadlineExceeded;
 
-/// Per-attempt execution context handed to guarded cell closures.
+/// Per-cell execution context handed to guarded cell closures.
 #[derive(Debug, Clone, Copy)]
 pub struct CellCtx {
-    attempt: u32,
     started: Instant,
     timeout_s: Option<f64>,
 }
 
 impl CellCtx {
-    fn new(attempt: u32, timeout_s: Option<f64>) -> Self {
+    fn new(timeout_s: Option<f64>) -> Self {
         CellCtx {
-            attempt,
             started: Instant::now(),
             timeout_s,
         }
     }
 
-    /// Which attempt this is, 0-based (`0` is the first try).
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
-    /// True once this attempt's wall-clock deadline has passed.
+    /// True once this cell's wall-clock deadline has passed.
     pub fn expired(&self) -> bool {
         self.timeout_s
             .is_some_and(|t| self.started.elapsed().as_secs_f64() > t)
     }
 
     /// Cooperative cancellation point: returns immediately while the
-    /// deadline holds, unwinds the attempt with the timeout sentinel once
-    /// it has passed. Call at natural yield points in long cells.
+    /// deadline holds, unwinds the cell with the timeout sentinel once it
+    /// has passed. Call at natural yield points in long cells.
     pub fn checkpoint(&self) {
         if self.expired() {
             std::panic::panic_any(DeadlineExceeded);
@@ -106,27 +65,15 @@ impl CellCtx {
     }
 }
 
-/// Why a guarded cell ultimately failed, after all retries.
+/// Why a guarded cell failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellFailure {
-    /// The closure panicked and no retries were configured (the classic
-    /// single-shot outcome).
+    /// The closure panicked.
     Panic(WorkerPanic),
-    /// Every attempt exceeded the wall-clock deadline (or the last one
-    /// did, after earlier panics).
+    /// The cell exceeded its wall-clock deadline.
     Timeout {
-        /// The per-attempt deadline that was missed, seconds.
+        /// The deadline that was missed, seconds.
         deadline_s: f64,
-        /// Total attempts made.
-        attempts: u32,
-    },
-    /// Retries were configured and every attempt failed; the last failure
-    /// was a panic.
-    RetriesExhausted {
-        /// Total attempts made.
-        attempts: u32,
-        /// The panic from the final attempt.
-        last: WorkerPanic,
     },
 }
 
@@ -134,15 +81,8 @@ impl fmt::Display for CellFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CellFailure::Panic(p) => write!(f, "{p}"),
-            CellFailure::Timeout {
-                deadline_s,
-                attempts,
-            } => write!(
-                f,
-                "cell timed out: {attempts} attempt(s) each exceeded the {deadline_s} s deadline"
-            ),
-            CellFailure::RetriesExhausted { attempts, last } => {
-                write!(f, "cell failed after {attempts} attempts; last: {last}")
+            CellFailure::Timeout { deadline_s } => {
+                write!(f, "cell timed out: exceeded the {deadline_s} s deadline")
             }
         }
     }
@@ -150,82 +90,30 @@ impl fmt::Display for CellFailure {
 
 impl std::error::Error for CellFailure {}
 
-/// The outcome of one guarded cell: its result plus attempt accounting.
-#[derive(Debug, Clone)]
-pub struct CellReport<R> {
-    /// The value, or the typed failure after all retries.
-    pub result: Result<R, CellFailure>,
-    /// Attempts made, `>= 1`.
-    pub attempts: u32,
-    /// Attempts that hit the deadline (including ones later recovered by a
-    /// retry).
-    pub timeouts: u32,
-}
-
-/// Runs one cell under `guard`: attempts the closure up to `retries + 1`
-/// times with exponential backoff between attempts, classifying timeouts
-/// (sentinel unwinds and late results) separately from panics. The closure
-/// receives the attempt's [`CellCtx`] for cooperative cancellation.
-pub fn run_cell<R>(guard: &GuardConfig, f: impl Fn(&CellCtx) -> R) -> CellReport<R> {
+/// Runs one cell under `guard`, classifying timeouts (sentinel unwinds and
+/// late results) separately from panics. The closure receives the cell's
+/// [`CellCtx`] for cooperative cancellation.
+pub fn run_cell<R>(guard: &GuardConfig, f: impl FnOnce(&CellCtx) -> R) -> Result<R, CellFailure> {
     if guard.cell_timeout_s.is_some() {
         install_sentinel_filter();
     }
     let metrics = crate::metrics::grid_metrics();
-    let max_attempts = guard.retries.saturating_add(1);
-    let mut timeouts = 0u32;
-    let mut last_panic: Option<WorkerPanic> = None;
-    for attempt in 0..max_attempts {
-        metrics.guard_attempts.inc();
-        if attempt > 0 {
-            metrics.guard_retries.inc();
-            let backoff = guard.backoff_s(attempt);
-            if backoff > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(backoff));
-            }
-        }
-        let ctx = CellCtx::new(attempt, guard.cell_timeout_s);
-        match std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-            Ok(value) => {
-                if !ctx.expired() {
-                    return CellReport {
-                        result: Ok(value),
-                        attempts: attempt + 1,
-                        timeouts,
-                    };
-                }
-                // A late result is discarded, never served: the deadline
-                // is a contract, and serving it only when the retry budget
-                // happens to be spent would make outputs timing-dependent.
-                timeouts += 1;
-                metrics.guard_timeouts.inc();
-                last_panic = None;
-            }
-            Err(payload) => {
-                if payload.is::<DeadlineExceeded>() {
-                    timeouts += 1;
-                    metrics.guard_timeouts.inc();
-                    last_panic = None;
-                } else {
-                    last_panic = Some(WorkerPanic::from_payload(payload));
-                }
-            }
-        }
-    }
-    let failure = match last_panic {
-        None => CellFailure::Timeout {
+    metrics.guard_attempts.inc();
+    let ctx = CellCtx::new(guard.cell_timeout_s);
+    let timeout = || {
+        metrics.guard_timeouts.inc();
+        Err(CellFailure::Timeout {
             deadline_s: guard.cell_timeout_s.unwrap_or(0.0),
-            attempts: max_attempts,
-        },
-        Some(last) if guard.retries == 0 => CellFailure::Panic(last),
-        Some(last) => CellFailure::RetriesExhausted {
-            attempts: max_attempts,
-            last,
-        },
+        })
     };
-    CellReport {
-        result: Err(failure),
-        attempts: max_attempts,
-        timeouts,
+    match std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+        // A late result is discarded, never served: the deadline is a
+        // contract, and serving late answers would make outputs
+        // timing-dependent.
+        Ok(_) if ctx.expired() => timeout(),
+        Ok(value) => Ok(value),
+        Err(payload) if payload.is::<DeadlineExceeded>() => timeout(),
+        Err(payload) => Err(CellFailure::Panic(WorkerPanic::from_payload(payload))),
     }
 }
 
@@ -249,62 +137,23 @@ pub fn install_sentinel_filter() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn default_guard_is_single_shot_passthrough() {
-        let report = run_cell(&GuardConfig::default(), |ctx| {
-            assert_eq!(ctx.attempt(), 0);
+        let result = run_cell(&GuardConfig::default(), |ctx| {
             ctx.checkpoint(); // no deadline: never unwinds
             41 + 1
         });
-        assert_eq!(report.result.unwrap(), 42);
-        assert_eq!((report.attempts, report.timeouts), (1, 0));
+        assert_eq!(result.unwrap(), 42);
     }
 
     #[test]
-    fn a_panic_without_retries_is_a_plain_panic() {
-        let report = run_cell(&GuardConfig::default(), |_| -> u32 { panic!("boom") });
-        match report.result.unwrap_err() {
+    fn a_panic_is_a_plain_panic() {
+        let result = run_cell(&GuardConfig::default(), |_| -> u32 { panic!("boom") });
+        match result.unwrap_err() {
             CellFailure::Panic(p) => assert!(p.message.contains("boom")),
             other => panic!("expected Panic, got {other}"),
-        }
-        assert_eq!(report.attempts, 1);
-    }
-
-    #[test]
-    fn a_transient_panic_is_healed_by_one_retry() {
-        let calls = AtomicU32::new(0);
-        let guard = GuardConfig {
-            retries: 3,
-            backoff_base_s: 0.0,
-            ..GuardConfig::default()
-        };
-        let report = run_cell(&guard, |ctx| {
-            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient failure on attempt {}", ctx.attempt());
-            }
-            7u32
-        });
-        assert_eq!(report.result.unwrap(), 7);
-        assert_eq!((report.attempts, report.timeouts), (2, 0));
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn persistent_panics_exhaust_retries_with_the_last_panic_kept() {
-        let guard = GuardConfig {
-            retries: 2,
-            backoff_base_s: 0.0,
-            ..GuardConfig::default()
-        };
-        let report = run_cell(&guard, |ctx| -> u32 { panic!("attempt {}", ctx.attempt()) });
-        match report.result.unwrap_err() {
-            CellFailure::RetriesExhausted { attempts, last } => {
-                assert_eq!(attempts, 3);
-                assert!(last.message.contains("attempt 2"), "got {last}");
-            }
-            other => panic!("expected RetriesExhausted, got {other}"),
         }
     }
 
@@ -312,98 +161,37 @@ mod tests {
     fn checkpoint_unwinds_expired_attempts_into_timeouts() {
         let guard = GuardConfig {
             cell_timeout_s: Some(0.005),
-            retries: 1,
-            backoff_base_s: 0.0,
-            ..GuardConfig::default()
         };
-        let report = run_cell(&guard, |ctx| -> u32 {
+        let result = run_cell(&guard, |ctx| -> u32 {
             std::thread::sleep(Duration::from_millis(20));
             ctx.checkpoint();
-            unreachable!("the checkpoint must unwind an expired attempt")
+            unreachable!("the checkpoint must unwind an expired cell")
         });
-        match report.result.unwrap_err() {
-            CellFailure::Timeout {
-                deadline_s,
-                attempts,
-            } => {
-                assert!((deadline_s - 0.005).abs() < 1e-12);
-                assert_eq!(attempts, 2);
-            }
+        match result.unwrap_err() {
+            CellFailure::Timeout { deadline_s } => assert!((deadline_s - 0.005).abs() < 1e-12),
             other => panic!("expected Timeout, got {other}"),
         }
-        assert_eq!(report.timeouts, 2);
     }
 
     #[test]
     fn a_late_result_is_discarded_not_served() {
-        let calls = AtomicU32::new(0);
         let guard = GuardConfig {
             cell_timeout_s: Some(0.005),
-            retries: 2,
-            backoff_base_s: 0.0,
-            ..GuardConfig::default()
         };
-        // Slow only on the first attempt: the retry beats the deadline.
-        let report = run_cell(&guard, |_| {
-            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                std::thread::sleep(Duration::from_millis(25));
-            }
+        let result = run_cell(&guard, |_| {
+            std::thread::sleep(Duration::from_millis(25));
             99u32
         });
-        assert_eq!(report.result.unwrap(), 99);
-        assert_eq!((report.attempts, report.timeouts), (2, 1));
-    }
-
-    #[test]
-    fn a_timeout_after_panics_classifies_as_timeout() {
-        let calls = AtomicU32::new(0);
-        let guard = GuardConfig {
-            cell_timeout_s: Some(0.005),
-            retries: 1,
-            backoff_base_s: 0.0,
-            ..GuardConfig::default()
-        };
-        let report = run_cell(&guard, |_| -> u32 {
-            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("first attempt panics");
-            }
-            std::thread::sleep(Duration::from_millis(25));
-            0
-        });
-        assert!(matches!(
-            report.result.unwrap_err(),
-            CellFailure::Timeout { attempts: 2, .. }
-        ));
-        assert_eq!(report.timeouts, 1);
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let guard = GuardConfig {
-            backoff_base_s: 0.1,
-            backoff_cap_s: 0.35,
-            ..GuardConfig::default()
-        };
-        assert!((guard.backoff_s(1) - 0.1).abs() < 1e-12);
-        assert!((guard.backoff_s(2) - 0.2).abs() < 1e-12);
-        assert!((guard.backoff_s(3) - 0.35).abs() < 1e-12, "capped");
-        assert!((guard.backoff_s(10) - 0.35).abs() < 1e-12);
+        assert!(matches!(result.unwrap_err(), CellFailure::Timeout { .. }));
     }
 
     #[test]
     fn failure_display_is_informative() {
-        let timeout = CellFailure::Timeout {
-            deadline_s: 1.5,
-            attempts: 3,
-        };
+        let timeout = CellFailure::Timeout { deadline_s: 1.5 };
         assert!(timeout.to_string().contains("1.5 s deadline"));
-        let exhausted = CellFailure::RetriesExhausted {
-            attempts: 4,
-            last: WorkerPanic {
-                message: "still broken".into(),
-            },
-        };
-        let text = exhausted.to_string();
-        assert!(text.contains("after 4 attempts") && text.contains("still broken"));
+        let panic = CellFailure::Panic(WorkerPanic {
+            message: "still broken".into(),
+        });
+        assert!(panic.to_string().contains("still broken"));
     }
 }

@@ -37,8 +37,6 @@
 
 pub mod admission;
 pub mod cache;
-#[cfg(any(test, feature = "chaos"))]
-pub mod chaos;
 pub mod coalesce;
 pub mod guard;
 pub mod hash;
@@ -51,10 +49,8 @@ pub use admission::{AdmissionQueue, RejectReason, Rejected};
 pub use cache::{
     CacheCost, CacheCounters, CacheHealth, CacheTier, CacheValue, Reader, ResultCache, Writer,
 };
-#[cfg(any(test, feature = "chaos"))]
-pub use chaos::ChaosPlan;
 pub use coalesce::{CoalesceMap, Join, Leader, WaitOutcome, Waiter};
-pub use guard::{CellCtx, CellFailure, CellReport, GuardConfig};
+pub use guard::{CellCtx, CellFailure, GuardConfig};
 pub use hash::{fnv1a_64, StableHasher};
 pub use pool::{Pool, WorkerPanic};
 pub use progress::{CellProgress, CellResolution, ProgressSink};
@@ -102,10 +98,9 @@ enum CellSource {
 
 /// The outputs of one sweep, in input order, plus its telemetry.
 ///
-/// A cell that ultimately failed — a panic, a missed deadline, or an
-/// exhausted retry budget — occupies its slot with a typed
-/// [`CellFailure`] instead of aborting the sweep; everything else
-/// completes normally.
+/// A cell that failed — a panic or a missed deadline — occupies its slot
+/// with a typed [`CellFailure`] instead of aborting the sweep; everything
+/// else completes normally.
 #[derive(Debug, Clone)]
 pub struct SweepRun<V> {
     /// Per-cell outputs, index-aligned with the submitted jobs.
@@ -114,16 +109,13 @@ pub struct SweepRun<V> {
     pub stats: SweepStats,
 }
 
-/// The sweep engine: a worker pool over a shared result cache, with
-/// optional execution guards (deadlines + retries) and, in test/chaos
-/// builds, deterministic fault injection.
+/// The sweep engine: a worker pool over a shared result cache, with an
+/// optional per-cell deadline.
 #[derive(Debug)]
 pub struct Executor<V> {
     pool: Pool,
     cache: ResultCache<V>,
     guard: GuardConfig,
-    #[cfg(any(test, feature = "chaos"))]
-    chaos: Option<ChaosPlan>,
 }
 
 impl<V: CacheValue> Executor<V> {
@@ -134,8 +126,6 @@ impl<V: CacheValue> Executor<V> {
             pool: Pool::with_available_parallelism(),
             cache: ResultCache::in_memory(),
             guard: GuardConfig::default(),
-            #[cfg(any(test, feature = "chaos"))]
-            chaos: None,
         }
     }
 
@@ -152,8 +142,6 @@ impl<V: CacheValue> Executor<V> {
     /// Fails when the directory cannot be created.
     pub fn with_disk_cache(mut self, dir: impl Into<PathBuf>) -> io::Result<Self> {
         self.cache = ResultCache::with_disk(dir)?;
-        #[cfg(any(test, feature = "chaos"))]
-        self.cache.set_chaos(self.chaos);
         Ok(self)
     }
 
@@ -165,19 +153,10 @@ impl<V: CacheValue> Executor<V> {
         self
     }
 
-    /// Applies per-cell deadlines and retry policy to every subsequent
-    /// run (see [`GuardConfig`]).
+    /// Applies a per-cell deadline to every subsequent run (see
+    /// [`GuardConfig`]).
     pub fn with_guard(mut self, guard: GuardConfig) -> Self {
         self.guard = guard;
-        self
-    }
-
-    /// Arms deterministic fault injection on the executor and its cache
-    /// (see [`chaos`]). Test/feature-gated.
-    #[cfg(any(test, feature = "chaos"))]
-    pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
-        self.chaos = Some(plan);
-        self.cache.set_chaos(Some(plan));
         self
     }
 
@@ -229,40 +208,17 @@ impl<V: CacheValue> Executor<V> {
         let completed = AtomicUsize::new(0);
         let observer_ns = AtomicU64::new(0);
         let indexed: Vec<(usize, &J)> = jobs.iter().enumerate().collect();
-        // `try_map_guarded`: a failing cell (panic, missed deadline,
-        // exhausted retries) fails only its own slot. Failures escape
-        // `execute` before the insert, so the cache never learns a
-        // poisoned descriptor — a retry re-executes the cell.
-        let reports = self
+        // `try_map_guarded`: a failing cell (panic or missed deadline)
+        // fails only its own slot. Failures escape `execute` before the
+        // insert, so the cache never learns a poisoned descriptor — a
+        // later run re-executes the cell.
+        let results = self
             .pool
             .try_map_guarded(&indexed, guard, |&(index, job), ctx| {
                 let descriptor = job.descriptor();
-                if let Some(sink) = sink {
-                    if ctx.attempt() > 0 {
-                        let sink_start = Instant::now();
-                        sink.on_retry(index, &descriptor, ctx.attempt());
-                        observer_ns
-                            .fetch_add(sink_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    }
-                }
                 let (value, source) = match self.cache.lookup(&descriptor) {
                     Some((value, tier)) => (value, CellSource::Hit(tier)),
                     None => {
-                        #[cfg(any(test, feature = "chaos"))]
-                        if let Some(plan) = &self.chaos {
-                            let key = ResultCache::<V>::key_of(&descriptor);
-                            if plan.worker_panic(key, ctx.attempt()) {
-                                panic!(
-                                    "chaos: injected worker panic for cell {key:016x} attempt {}",
-                                    ctx.attempt()
-                                );
-                            }
-                            if plan.slow_cell(key, ctx.attempt()) {
-                                std::thread::sleep(std::time::Duration::from_millis(
-                                    plan.slow_cell_ms,
-                                ));
-                            }
-                        }
                         let cell_start = Instant::now();
                         let value = job.execute();
                         let cell_s = cell_start.elapsed().as_secs_f64();
@@ -271,9 +227,9 @@ impl<V: CacheValue> Executor<V> {
                                 .cell_exec_ns
                                 .observe((cell_s * 1e9) as u64);
                         }
-                        // Cooperative cancellation point: an attempt past
-                        // its deadline unwinds here, *before* the insert —
-                        // a timed-out attempt never populates the cache.
+                        // Cooperative cancellation point: a cell past its
+                        // deadline unwinds here, *before* the insert — a
+                        // timed-out cell never populates the cache.
                         ctx.checkpoint();
                         // The cost hint only matters to the disk tier's
                         // eviction order; memory-only caches skip it.
@@ -301,7 +257,6 @@ impl<V: CacheValue> Executor<V> {
                         index,
                         descriptor: &descriptor,
                         resolution,
-                        attempts: ctx.attempt() + 1,
                         wall_s: start.elapsed().as_secs_f64(),
                     });
                     observer_ns
@@ -335,11 +290,9 @@ impl<V: CacheValue> Executor<V> {
             disk_bytes: health.disk_bytes,
             ..SweepStats::default()
         };
-        let mut outputs = Vec::with_capacity(reports.len());
-        for (index, report) in reports.into_iter().enumerate() {
-            stats.retries += report.attempts.saturating_sub(1) as usize;
-            stats.timeouts += report.timeouts as usize;
-            match report.result {
+        let mut outputs = Vec::with_capacity(results.len());
+        for (index, result) in results.into_iter().enumerate() {
+            match result {
                 Ok((value, source)) => {
                     match source {
                         CellSource::Hit(CacheTier::Memory) => stats.memory_hits += 1,
@@ -353,18 +306,10 @@ impl<V: CacheValue> Executor<V> {
                 }
                 Err(failure) => {
                     stats.panicked += 1;
-                    if let Some(sink) = sink {
-                        if let CellFailure::Timeout {
-                            deadline_s,
-                            attempts,
-                        } = &failure
-                        {
-                            sink.on_timeout(
-                                index,
-                                &jobs[index].descriptor(),
-                                *deadline_s,
-                                *attempts,
-                            );
+                    if let CellFailure::Timeout { deadline_s } = &failure {
+                        stats.timeouts += 1;
+                        if let Some(sink) = sink {
+                            sink.on_timeout(index, &jobs[index].descriptor(), *deadline_s);
                         }
                     }
                     outputs.push(Err(failure));
@@ -564,8 +509,8 @@ mod tests {
         }
         assert!(run.stats.summary().contains("1 panicked"));
 
-        // The panicked descriptor was never cached: a second sweep retries
-        // it (and panics again), while the 15 good cells hit memory.
+        // The panicked descriptor was never cached: a second sweep runs
+        // it again (and panics again), while the 15 good cells hit memory.
         let warm = engine.run(&make());
         assert_eq!(warm.stats.memory_hits, 15);
         assert_eq!(warm.stats.panicked, 1);
@@ -639,39 +584,6 @@ mod tests {
         assert!(!run.stats.summary().contains("observers"));
     }
 
-    #[test]
-    fn retries_heal_chaos_panics_and_outputs_match_a_clean_run() {
-        let executions = AtomicUsize::new(0);
-        let xs: Vec<u64> = (0..64).collect();
-        let clean = Executor::new().with_jobs(1).run(&jobs(&xs, &executions));
-
-        let plan = ChaosPlan {
-            seed: 11,
-            panic_permille: 300,
-            ..ChaosPlan::default()
-        };
-        // With 30% injected panics and 4 retries, no cell can fail every
-        // attempt under this seed; all outputs must match the clean run.
-        let guard = GuardConfig {
-            retries: 4,
-            backoff_base_s: 0.0,
-            ..GuardConfig::default()
-        };
-        let chaotic_executions = AtomicUsize::new(0);
-        let run = Executor::new()
-            .with_jobs(4)
-            .with_guard(guard)
-            .with_chaos(plan)
-            .run(&jobs(&xs, &chaotic_executions));
-        assert_eq!(
-            run.outputs, clean.outputs,
-            "chaos may cost retries, never answers"
-        );
-        assert!(run.stats.retries > 0, "the seed must actually inject");
-        assert_eq!(run.stats.panicked, 0);
-        assert!(run.stats.summary().contains("retries"));
-    }
-
     /// A job that sleeps long enough to blow any millisecond deadline.
     struct Sluggish {
         x: u64,
@@ -695,9 +607,6 @@ mod tests {
         let cells: Vec<Sluggish> = (0..8).map(|x| Sluggish { x }).collect();
         let guard = GuardConfig {
             cell_timeout_s: Some(0.01),
-            retries: 1,
-            backoff_base_s: 0.0,
-            ..GuardConfig::default()
         };
         let engine = Executor::new().with_jobs(4).with_guard(guard);
         let run = engine.run(&cells);
@@ -705,20 +614,20 @@ mod tests {
             if i == 3 {
                 assert!(matches!(
                     slot.as_ref().unwrap_err(),
-                    CellFailure::Timeout { attempts: 2, .. }
+                    CellFailure::Timeout { .. }
                 ));
             } else {
                 assert_eq!(*slot.as_ref().unwrap(), i as u64);
             }
         }
-        assert_eq!(run.stats.timeouts, 2, "both attempts hit the deadline");
+        assert_eq!(run.stats.timeouts, 1, "the slow cell hit the deadline");
         assert_eq!(run.stats.panicked, 1, "the timed-out cell failed its slot");
-        assert!(run.stats.summary().contains("2 timeouts"));
+        assert!(run.stats.summary().contains("1 timeouts"));
 
-        // The timed-out descriptor was never cached: a rerun retries it.
+        // The timed-out descriptor was never cached: a rerun runs it again.
         let warm = engine.run(&cells);
         assert_eq!(warm.stats.memory_hits, 7);
-        assert_eq!(warm.stats.timeouts, 2);
+        assert_eq!(warm.stats.timeouts, 1);
     }
 
     #[test]
@@ -766,16 +675,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let executions = AtomicUsize::new(0);
         let xs: Vec<u64> = (0..16).collect();
-        let plan = ChaosPlan {
-            seed: 5,
-            enospc_permille: 1000,
-            ..ChaosPlan::default()
-        };
-        let engine = Executor::new()
-            .with_jobs(4)
-            .with_disk_cache(&dir)
-            .unwrap()
-            .with_chaos(plan);
+        let engine = Executor::new().with_jobs(4).with_disk_cache(&dir).unwrap();
+        let enospc = io::Error::from_raw_os_error(28);
+        engine.cache().note_write_failure(&enospc);
         let run = engine.run(&jobs(&xs, &executions));
         let expect: Vec<Result<u64, CellFailure>> = xs.iter().map(|x| Ok(x * x)).collect();
         assert_eq!(
@@ -789,11 +691,8 @@ mod tests {
             .contains("cache degraded to memory-only"));
         let health = engine.cache().health();
         assert!(health.degraded);
-        assert!(health
-            .degraded_reason
-            .as_deref()
-            .unwrap()
-            .contains("ENOSPC"));
+        assert_eq!(health.degraded_reason, Some(enospc.to_string()));
+        assert_eq!(health.disk_entries, 0, "a degraded cache writes nothing");
         // Memory tier still serves everything.
         let warm = engine.run(&jobs(&xs, &executions));
         assert_eq!(warm.stats.memory_hits, 16);
@@ -803,7 +702,6 @@ mod tests {
     /// Forwards nothing but counts guard/health hook invocations.
     #[derive(Default)]
     struct HookCounter {
-        retries: AtomicUsize,
         timeouts: AtomicUsize,
         evictions: AtomicUsize,
         degradations: AtomicUsize,
@@ -811,10 +709,7 @@ mod tests {
 
     impl ProgressSink for HookCounter {
         fn on_cell(&self, _p: &CellProgress<'_>) {}
-        fn on_retry(&self, _i: usize, _d: &str, _a: u32) {
-            self.retries.fetch_add(1, Ordering::SeqCst);
-        }
-        fn on_timeout(&self, _i: usize, _d: &str, _s: f64, _a: u32) {
+        fn on_timeout(&self, _i: usize, _d: &str, _s: f64) {
             self.timeouts.fetch_add(1, Ordering::SeqCst);
         }
         fn on_evict(&self, _e: usize, _b: u64, _m: u64) {
@@ -826,21 +721,17 @@ mod tests {
     }
 
     #[test]
-    fn guard_lifecycle_hooks_fire_for_timeouts_and_retries() {
+    fn guard_lifecycle_hooks_fire_for_timeouts() {
         let cells: Vec<Sluggish> = (0..8).map(|x| Sluggish { x }).collect();
         let guard = GuardConfig {
             cell_timeout_s: Some(0.01),
-            retries: 1,
-            backoff_base_s: 0.0,
-            ..GuardConfig::default()
         };
         let sink = HookCounter::default();
         let run = Executor::new()
             .with_jobs(2)
             .run_guarded(&cells, &guard, Some(&sink));
         assert_eq!(run.stats.panicked, 1);
-        assert_eq!(sink.retries.load(Ordering::SeqCst), 1, "one retry started");
-        assert_eq!(sink.timeouts.load(Ordering::SeqCst), 1, "one final timeout");
+        assert_eq!(sink.timeouts.load(Ordering::SeqCst), 1, "one timeout");
         assert_eq!(sink.evictions.load(Ordering::SeqCst), 0);
         assert_eq!(sink.degradations.load(Ordering::SeqCst), 0);
     }

@@ -23,7 +23,6 @@ pub(crate) struct GridMetrics {
     pub pool_worker_idle_ns: &'static Histogram,
     // Guard.
     pub guard_attempts: &'static Counter,
-    pub guard_retries: &'static Counter,
     pub guard_timeouts: &'static Counter,
     // Cache.
     pub cache_memory_hits: &'static Counter,
@@ -75,17 +74,12 @@ pub(crate) fn grid_metrics() -> &'static GridMetrics {
         guard_attempts: counter(
             "olab_guard_attempts_total",
             Determinism::Wall,
-            "Guarded cell attempts, including the first try of every cell.",
-        ),
-        guard_retries: counter(
-            "olab_guard_retries_total",
-            Determinism::Wall,
-            "Guarded cell attempts after a failed first try.",
+            "Guarded cell attempts, one per cell.",
         ),
         guard_timeouts: counter(
             "olab_guard_timeouts_total",
             Determinism::Wall,
-            "Attempts that exceeded the per-cell deadline (including healed ones).",
+            "Cells that exceeded the per-cell deadline.",
         ),
         cache_memory_hits: counter(
             "olab_cache_memory_hits_total",

@@ -13,7 +13,7 @@
 //! input order regardless of which worker computed what — the determinism
 //! anchor the grid executor's bit-identical-to-serial guarantee rests on.
 
-use crate::guard::{run_cell, CellCtx, CellReport, GuardConfig};
+use crate::guard::{run_cell, CellCtx, CellFailure, GuardConfig};
 use std::collections::VecDeque;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -119,17 +119,15 @@ impl Pool {
 
     /// Like [`Pool::try_map`], but every item runs under `guard`: per-cell
     /// deadlines with cooperative cancellation (the closure receives the
-    /// attempt's [`CellCtx`]) and bounded exponential-backoff retries. Each
-    /// slot carries a full [`CellReport`] — the value or a typed
-    /// [`CellFailure`](crate::guard::CellFailure), plus attempt accounting
-    /// — in input order. With the default [`GuardConfig`] this is exactly
-    /// [`Pool::try_map`] wearing a richer return type.
+    /// cell's [`CellCtx`]). Each slot carries the value or a typed
+    /// [`CellFailure`], in input order. With the default [`GuardConfig`]
+    /// this is exactly [`Pool::try_map`] wearing a richer error type.
     pub fn try_map_guarded<T, R, F>(
         &self,
         items: &[T],
         guard: &GuardConfig,
         f: F,
-    ) -> Vec<CellReport<R>>
+    ) -> Vec<Result<R, CellFailure>>
     where
         T: Sync,
         R: Send,
@@ -350,40 +348,12 @@ mod tests {
             let reports = Pool::new(workers).try_map_guarded(
                 &items,
                 &crate::guard::GuardConfig::default(),
-                |&x, ctx| {
-                    assert_eq!(ctx.attempt(), 0);
-                    x * 3
-                },
+                |&x, _| x * 3,
             );
             assert_eq!(reports.len(), items.len());
             for (i, r) in reports.iter().enumerate() {
-                assert_eq!(*r.result.as_ref().unwrap(), i as u64 * 3);
-                assert_eq!((r.attempts, r.timeouts), (1, 0));
+                assert_eq!(*r.as_ref().unwrap(), i as u64 * 3);
             }
-        }
-    }
-
-    #[test]
-    fn guarded_map_retries_transient_panics_in_place() {
-        use std::sync::atomic::AtomicU32;
-        let items: Vec<u64> = (0..16).collect();
-        let first_tries: Vec<AtomicU32> = (0..16).map(|_| AtomicU32::new(0)).collect();
-        let guard = crate::guard::GuardConfig {
-            retries: 2,
-            backoff_base_s: 0.0,
-            ..Default::default()
-        };
-        let reports = Pool::new(4).try_map_guarded(&items, &guard, |&x, _| {
-            // Every odd item panics exactly once, then succeeds.
-            if x % 2 == 1 && first_tries[x as usize].fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient wobble on {x}");
-            }
-            x + 100
-        });
-        for (i, r) in reports.iter().enumerate() {
-            assert_eq!(*r.result.as_ref().unwrap(), i as u64 + 100, "slot {i}");
-            let expected_attempts = if i % 2 == 1 { 2 } else { 1 };
-            assert_eq!(r.attempts, expected_attempts, "slot {i}");
         }
     }
 }

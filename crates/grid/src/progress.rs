@@ -46,9 +46,6 @@ pub struct CellProgress<'a> {
     pub descriptor: &'a str,
     /// How the cell was resolved.
     pub resolution: CellResolution,
-    /// Attempts this cell took to resolve (`1` without guards; more when
-    /// retries recovered a transient failure).
-    pub attempts: u32,
     /// Wall-clock seconds since the sweep started.
     pub wall_s: f64,
 }
@@ -59,21 +56,16 @@ pub struct CellProgress<'a> {
 /// Cells whose closure panics are isolated by the pool and reported only
 /// in the final [`SweepStats`](crate::SweepStats), not through the sink.
 ///
-/// The guard/health hooks (`on_retry`, `on_timeout`, `on_evict`,
-/// `on_degraded`) default to no-ops so existing sinks keep compiling;
-/// `on_retry` arrives from worker threads as retries start, the other
-/// three from the coordinating thread after cells resolve.
+/// The guard/health hooks (`on_timeout`, `on_evict`, `on_degraded`)
+/// default to no-ops so existing sinks keep compiling; they arrive from
+/// the coordinating thread after cells resolve.
 pub trait ProgressSink: Sync {
     /// One cell resolved.
     fn on_cell(&self, progress: &CellProgress<'_>);
 
-    /// A guarded cell is starting retry attempt `attempt` (1-based: the
-    /// first retry is attempt 1) after a failed earlier attempt.
-    fn on_retry(&self, _index: usize, _descriptor: &str, _attempt: u32) {}
-
-    /// A cell exhausted every attempt against its wall-clock deadline and
-    /// failed with [`CellFailure::Timeout`](crate::CellFailure::Timeout).
-    fn on_timeout(&self, _index: usize, _descriptor: &str, _deadline_s: f64, _attempts: u32) {}
+    /// A cell missed its wall-clock deadline and failed with
+    /// [`CellFailure::Timeout`](crate::CellFailure::Timeout).
+    fn on_timeout(&self, _index: usize, _descriptor: &str, _deadline_s: f64) {}
 
     /// The size-cap policy evicted `_evicted` disk entries, leaving
     /// `_disk_bytes` on disk against a `_max_bytes` cap.

@@ -14,17 +14,14 @@ pub struct SweepStats {
     pub memory_hits: usize,
     /// Cells served by the disk cache tier.
     pub disk_hits: usize,
-    /// Cells that ultimately failed — a panic, a missed deadline, or an
-    /// exhausted retry budget (isolated by the pool, never cached).
+    /// Cells that failed — a panic or a missed deadline (isolated by the
+    /// pool, never cached).
     pub panicked: usize,
     /// Disk cache entries that failed integrity verification during this
     /// sweep: quarantined as `*.corrupt` and recomputed.
     pub quarantined: usize,
-    /// Attempts that hit their wall-clock deadline, including ones later
-    /// recovered by a retry.
+    /// Cells that hit their wall-clock deadline.
     pub timeouts: usize,
-    /// Extra attempts made beyond each cell's first (0 without guards).
-    pub retries: usize,
     /// Disk cache entries evicted by the size-cap policy during this
     /// sweep (at open or at end-of-run enforcement).
     pub evicted: usize,
@@ -125,9 +122,6 @@ impl fmt::Display for SweepStats {
         if self.quarantined > 0 {
             write!(f, ", {} quarantined", self.quarantined)?;
         }
-        if self.retries > 0 {
-            write!(f, ", {} retries", self.retries)?;
-        }
         if self.timeouts > 0 {
             write!(f, ", {} timeouts", self.timeouts)?;
         }
@@ -217,23 +211,17 @@ mod tests {
     #[test]
     fn guard_and_cache_health_clauses_appear_only_when_nonzero() {
         let quiet = stats().summary();
-        for absent in ["retries", "timeouts", "evicted", "degraded"] {
+        for absent in ["timeouts", "evicted", "degraded"] {
             assert!(!quiet.contains(absent), "'{absent}' must be quiet: {quiet}");
         }
         let guarded = SweepStats {
-            retries: 5,
             timeouts: 2,
             evicted: 7,
             degraded: true,
             ..stats()
         };
         let text = guarded.summary();
-        for needle in [
-            "5 retries",
-            "2 timeouts",
-            "7 evicted",
-            "cache degraded to memory-only",
-        ] {
+        for needle in ["2 timeouts", "7 evicted", "cache degraded to memory-only"] {
             assert!(text.contains(needle), "missing '{needle}' in '{text}'");
         }
     }

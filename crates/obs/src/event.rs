@@ -173,23 +173,12 @@ pub enum ObsEvent<'a> {
         /// The cell's canonical descriptor.
         descriptor: &'a str,
     },
-    /// A guarded sweep cell is starting a retry attempt after a failed
-    /// earlier attempt.
-    CellRetry {
-        /// The cell's canonical descriptor.
-        descriptor: &'a str,
-        /// 1-based retry attempt (the first retry is 1).
-        attempt: u32,
-    },
-    /// A guarded sweep cell exhausted every attempt against its per-cell
-    /// wall-clock deadline.
+    /// A guarded sweep cell missed its per-cell wall-clock deadline.
     CellTimeout {
         /// The cell's canonical descriptor.
         descriptor: &'a str,
-        /// The per-attempt deadline that was missed, seconds.
+        /// The deadline that was missed, seconds.
         deadline_s: f64,
-        /// Total attempts made.
-        attempts: u32,
     },
     /// The size-cap policy evicted cold entries from the disk cache tier.
     CacheEvict {
@@ -246,7 +235,6 @@ impl ObsEvent<'_> {
             ObsEvent::Reshard { .. } => "reshard",
             ObsEvent::CacheHit { .. } => "cache_hit",
             ObsEvent::CacheMiss { .. } => "cache_miss",
-            ObsEvent::CellRetry { .. } => "cell_retry",
             ObsEvent::CellTimeout { .. } => "cell_timeout",
             ObsEvent::CacheEvict { .. } => "cache_evict",
             ObsEvent::CacheDegraded { .. } => "cache_degraded",
@@ -417,25 +405,13 @@ pub fn to_jsonl(event: &ObsEvent<'_>) -> String {
         ObsEvent::CacheMiss { descriptor } => {
             let _ = write!(out, ", \"descriptor\": \"{}\"", json_escape(descriptor));
         }
-        ObsEvent::CellRetry {
-            descriptor,
-            attempt,
-        } => {
-            let _ = write!(
-                out,
-                ", \"descriptor\": \"{}\", \"attempt\": {attempt}",
-                json_escape(descriptor)
-            );
-        }
         ObsEvent::CellTimeout {
             descriptor,
             deadline_s,
-            attempts,
         } => {
             let _ = write!(
                 out,
-                ", \"descriptor\": \"{}\", \"deadline_s\": {deadline_s:.6}, \
-                 \"attempts\": {attempts}",
+                ", \"descriptor\": \"{}\", \"deadline_s\": {deadline_s:.6}",
                 json_escape(descriptor)
             );
         }
@@ -642,14 +618,9 @@ mod tests {
                 tier: "memory-hit",
                 descriptor: "olab-cell ...",
             },
-            ObsEvent::CellRetry {
-                descriptor: "olab-cell ...",
-                attempt: 2,
-            },
             ObsEvent::CellTimeout {
                 descriptor: "olab-cell ...",
                 deadline_s: 1.5,
-                attempts: 3,
             },
             ObsEvent::CacheEvict {
                 evicted: 7,

@@ -73,9 +73,9 @@ impl ProgressSink for StderrProgress {
 
 /// Appends one JSON object per resolved cell to any writer (typically a
 /// `progress.jsonl` file): completion counter, input index, descriptor,
-/// resolution, attempts, and wall-clock seconds since the sweep started.
+/// resolution, and wall-clock seconds since the sweep started.
 ///
-/// Guard and cache-health lifecycle events (retries, timeouts, evictions,
+/// Guard and cache-health lifecycle events (timeouts, evictions,
 /// degradation) are interleaved into the same stream as typed
 /// [`ObsEvent`] lines, so one file tells the whole story of a hardened
 /// sweep.
@@ -116,13 +116,12 @@ impl<W: std::io::Write + Send> ProgressSink for JsonlProgress<W> {
         let _ = write!(
             line,
             "{{\"completed\": {}, \"total\": {}, \"index\": {}, \"descriptor\": \"{}\", \
-             \"resolution\": \"{}\", \"attempts\": {}, \"wall_s\": {:.3}}}",
+             \"resolution\": \"{}\", \"wall_s\": {:.3}}}",
             p.completed,
             p.total,
             p.index,
             json_escape(p.descriptor),
             p.resolution.label(),
-            p.attempts,
             p.wall_s
         );
         line.push('\n');
@@ -130,18 +129,10 @@ impl<W: std::io::Write + Send> ProgressSink for JsonlProgress<W> {
         let _ = out.write_all(line.as_bytes());
     }
 
-    fn on_retry(&self, _index: usize, descriptor: &str, attempt: u32) {
-        self.write_event(&ObsEvent::CellRetry {
-            descriptor,
-            attempt,
-        });
-    }
-
-    fn on_timeout(&self, _index: usize, descriptor: &str, deadline_s: f64, attempts: u32) {
+    fn on_timeout(&self, _index: usize, descriptor: &str, deadline_s: f64) {
         self.write_event(&ObsEvent::CellTimeout {
             descriptor,
             deadline_s,
-            attempts,
         });
     }
 
@@ -193,15 +184,9 @@ impl ProgressSink for MultiSink {
         }
     }
 
-    fn on_retry(&self, index: usize, descriptor: &str, attempt: u32) {
+    fn on_timeout(&self, index: usize, descriptor: &str, deadline_s: f64) {
         for sink in &self.sinks {
-            sink.on_retry(index, descriptor, attempt);
-        }
-    }
-
-    fn on_timeout(&self, index: usize, descriptor: &str, deadline_s: f64, attempts: u32) {
-        for sink in &self.sinks {
-            sink.on_timeout(index, descriptor, deadline_s, attempts);
+            sink.on_timeout(index, descriptor, deadline_s);
         }
     }
 
@@ -231,7 +216,6 @@ mod tests {
             index: completed - 1,
             descriptor: "olab-cell \"x\"",
             resolution: CellResolution::Simulated,
-            attempts: 1,
             wall_s: 0.5,
         }
     }
@@ -256,22 +240,20 @@ mod tests {
     fn jsonl_progress_interleaves_guard_events_as_typed_lines() {
         let sink = JsonlProgress::new(Vec::new());
         sink.on_cell(&progress(1, 2));
-        sink.on_retry(1, "olab-cell y", 1);
-        sink.on_timeout(1, "olab-cell y", 2.0, 3);
+        sink.on_timeout(1, "olab-cell y", 2.0);
         sink.on_cell(&progress(2, 2));
         sink.on_evict(4, 2048, 4096);
         sink.on_degraded("no space left on device");
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 6);
+        assert_eq!(lines.len(), 5);
         for line in &lines {
             validate_json(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
-        assert!(lines[1].contains("\"event\": \"cell_retry\""));
-        assert!(lines[2].contains("\"event\": \"cell_timeout\""));
-        assert!(lines[2].contains("\"attempts\": 3"));
-        assert!(lines[4].contains("\"event\": \"cache_evict\""));
-        assert!(lines[5].contains("\"event\": \"cache_degraded\""));
+        assert!(lines[1].contains("\"event\": \"cell_timeout\""));
+        assert!(lines[1].contains("\"deadline_s\": 2.000000"));
+        assert!(lines[3].contains("\"event\": \"cache_evict\""));
+        assert!(lines[4].contains("\"event\": \"cache_degraded\""));
     }
 
     #[test]
@@ -280,10 +262,7 @@ mod tests {
         struct Counting(std::sync::Arc<AtomicUsize>);
         impl ProgressSink for Counting {
             fn on_cell(&self, _: &CellProgress<'_>) {}
-            fn on_retry(&self, _: usize, _: &str, _: u32) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-            fn on_timeout(&self, _: usize, _: &str, _: f64, _: u32) {
+            fn on_timeout(&self, _: usize, _: &str, _: f64) {
                 self.0.fetch_add(1, Ordering::SeqCst);
             }
             fn on_evict(&self, _: usize, _: u64, _: u64) {
@@ -297,11 +276,10 @@ mod tests {
         let mut multi = MultiSink::new();
         multi.push(Box::new(Counting(std::sync::Arc::clone(&count))));
         multi.push(Box::new(Counting(std::sync::Arc::clone(&count))));
-        multi.on_retry(0, "d", 1);
-        multi.on_timeout(0, "d", 1.0, 2);
+        multi.on_timeout(0, "d", 1.0);
         multi.on_evict(1, 2, 3);
         multi.on_degraded("r");
-        assert_eq!(count.load(Ordering::SeqCst), 8);
+        assert_eq!(count.load(Ordering::SeqCst), 6);
     }
 
     #[test]

@@ -80,7 +80,6 @@ fn error_kind(err: &CellError) -> &'static str {
         CellError::Sim(_) => "sim",
         CellError::Panic(_) => "panic",
         CellError::Timeout { .. } => "timeout",
-        CellError::RetriesExhausted { .. } => "retries_exhausted",
     }
 }
 

@@ -32,7 +32,7 @@ use std::fs::File;
 use std::io::{self, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -68,8 +68,6 @@ pub struct ServeConfig {
     pub cache_max_bytes: Option<u64>,
     /// The engine's own per-cell deadline, seconds.
     pub cell_timeout_s: Option<f64>,
-    /// Retry budget for failed cells.
-    pub retries: u32,
     /// Admission queue depth; connections beyond it are shed with `429`.
     pub max_queue: usize,
     /// Connection-handling threads.
@@ -83,13 +81,9 @@ pub struct ServeConfig {
     /// Request-lifecycle JSONL log path.
     pub log: Option<PathBuf>,
     /// Holds each coalescing leader's flight open for this long after the
-    /// cell completes — soak/verification instrumentation that widens the
-    /// window duplicate requests must land in. Zero in production.
+    /// cell completes. Tests use it to widen the window duplicate requests
+    /// must land in. Zero in production.
     pub coalesce_hold_ms: u64,
-    /// Deterministic fault plan for the serve-layer chaos points
-    /// (`serve.slow_client`, `serve.conn_reset`).
-    #[cfg(feature = "chaos")]
-    pub chaos: Option<olab_grid::ChaosPlan>,
 }
 
 impl Default for ServeConfig {
@@ -100,7 +94,6 @@ impl Default for ServeConfig {
             cache_dir: None,
             cache_max_bytes: None,
             cell_timeout_s: None,
-            retries: 0,
             max_queue: 32,
             http_workers: 16,
             drain_timeout_s: 5.0,
@@ -108,8 +101,6 @@ impl Default for ServeConfig {
             metrics_deterministic: false,
             log: None,
             coalesce_hold_ms: 0,
-            #[cfg(feature = "chaos")]
-            chaos: None,
         }
     }
 }
@@ -129,7 +120,6 @@ struct Shared {
     queue: AdmissionQueue<TcpStream>,
     coalesce: CoalesceMap<(u16, String)>,
     draining: AtomicBool,
-    request_seq: AtomicU64,
     workers_exited: Mutex<usize>,
     exit_cv: Condvar,
     log: Option<JsonlProgress<BufWriter<File>>>,
@@ -254,19 +244,9 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     if let Some(cap) = cfg.cache_max_bytes {
         engine = engine.with_cache_cap(cap);
     }
-    let guard = GuardConfig {
+    engine = engine.with_guard(GuardConfig {
         cell_timeout_s: cfg.cell_timeout_s,
-        retries: cfg.retries,
-        ..GuardConfig::default()
-    };
-    engine = engine.with_guard(guard);
-    // The chaos plan arms both layers: the serve points (slow clients,
-    // connection resets) fire in the connection handler, the engine
-    // points (ENOSPC, torn writes) inside the cell executor and cache.
-    #[cfg(feature = "chaos")]
-    if let Some(plan) = cfg.chaos {
-        engine = engine.with_chaos(plan);
-    }
+    });
     let engine = Sweep::from(engine);
 
     let log = match &cfg.log {
@@ -288,7 +268,6 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
         queue: AdmissionQueue::new(max_queue),
         coalesce: CoalesceMap::new(),
         draining: AtomicBool::new(false),
-        request_seq: AtomicU64::new(0),
         workers_exited: Mutex::new(0),
         exit_cv: Condvar::new(),
         log,
@@ -392,7 +371,6 @@ fn worker_loop(shared: &Shared) {
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     let start = Instant::now();
-    let request_id = shared.request_seq.fetch_add(1, Ordering::Relaxed);
     let req = match read_request(&stream) {
         Ok(req) => req,
         Err(_) => {
@@ -429,7 +407,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             let body = format!("{{\"draining\": true, \"queued\": {queued}}}\n");
             let _ = write_response(&stream, 200, "application/json", &[], &body);
         }
-        ("GET", "/v1/cell") => handle_cell(shared, stream, &req, request_id, start),
+        ("GET", "/v1/cell") => handle_cell(shared, stream, &req, start),
         ("GET" | "POST", _) => {
             let _ = write_response(&stream, 404, "text/plain", &[], "no such route\n");
         }
@@ -466,7 +444,7 @@ fn health_body(shared: &Shared) -> String {
     )
 }
 
-fn handle_cell(shared: &Shared, stream: TcpStream, req: &Request, request_id: u64, start: Instant) {
+fn handle_cell(shared: &Shared, stream: TcpStream, req: &Request, start: Instant) {
     let m = serve_metrics();
     let cell = match parse_query(&req.query) {
         Ok(cell) => cell,
@@ -509,8 +487,8 @@ fn handle_cell(shared: &Shared, stream: TcpStream, req: &Request, request_id: u6
                 let body = render_cell_body(&descriptor, &outcome);
                 m.executed.inc();
                 if shared.cfg.coalesce_hold_ms > 0 {
-                    // Soak instrumentation: keep the flight open so a
-                    // duplicate storm reliably lands inside it.
+                    // Keep the flight open so a duplicate storm in a test
+                    // reliably lands inside it.
                     thread::sleep(Duration::from_millis(shared.cfg.coalesce_hold_ms));
                 }
                 leader.complete((status, body.clone()));
@@ -557,26 +535,6 @@ fn handle_cell(shared: &Shared, stream: TcpStream, req: &Request, request_id: u6
     } else {
         &[]
     };
-    #[cfg(feature = "chaos")]
-    if let Some(plan) = &shared.cfg.chaos {
-        if plan.slow_client(request_id) {
-            thread::sleep(Duration::from_millis(plan.slow_client_ms));
-        }
-        if plan.conn_reset(request_id) {
-            // The client sees a reset mid-exchange; the flight's result is
-            // published and cached all the same.
-            drop(stream);
-            shared.log_event(&ObsEvent::RequestDone {
-                descriptor: &descriptor,
-                status: 0,
-                outcome: "conn_reset",
-                wall_ms: start.elapsed().as_millis() as u64,
-            });
-            return;
-        }
-    }
-    #[cfg(not(feature = "chaos"))]
-    let _ = request_id;
     let _ = write_response(&stream, status, "application/json", extra, &body);
     shared.log_event(&ObsEvent::RequestDone {
         descriptor: &descriptor,
@@ -634,6 +592,50 @@ mod tests {
         let (status, _, _) = request(addr, "PUT", "/v1/cell");
         assert_eq!(status, 405);
         assert_eq!(handle.shutdown().stranded_workers, 0);
+    }
+
+    /// A genuinely full disk: the cell's first cache write lands on a
+    /// symlink to `/dev/full`, so the cache's own write path sees ENOSPC
+    /// and latches memory-only, which both probes must report.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_disk_turns_readyz_and_healthz_degraded() {
+        let dir = std::env::temp_dir().join(format!("olab-serve-full-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = serve(ServeConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let addr = handle.addr();
+        assert_eq!(get(addr, "/readyz").0, 200);
+        // Tmp files are named `{key}.{pid}.{instance}.{seq}.tmp`; the lease
+        // `lease.{pid}.{instance}` names this cache, and this is its first
+        // write (seq 0).
+        let lease = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .find(|name| name.starts_with("lease."))
+            .expect("the disk cache drops a lease");
+        let query = "seq=160&batch=4";
+        let key = cell_key(&parse_query(query).unwrap().experiment);
+        let writer = lease.trim_start_matches("lease.");
+        std::os::unix::fs::symlink("/dev/full", dir.join(format!("{key:016x}.{writer}.0.tmp")))
+            .unwrap();
+
+        let (status, _, body) = get(addr, &format!("/v1/cell?{query}"));
+        assert_eq!(
+            status, 200,
+            "a full disk costs persistence, not answers: {body}"
+        );
+        let (status, _, body) = get(addr, "/readyz");
+        assert_eq!((status, body.as_str()), (503, "cache degraded\n"));
+        let (status, _, body) = get(addr, "/healthz");
+        assert_eq!(status, 200);
+        assert!(body.contains("\"status\": \"degraded\""), "{body}");
+        assert!(body.contains("\"disk_entries\": 0"), "{body}");
+        assert_eq!(handle.shutdown().stranded_workers, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
