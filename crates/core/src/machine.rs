@@ -588,7 +588,7 @@ mod tests {
         if with_comm {
             w.push(TaskSpec::new(
                 "ar",
-                (0..4).map(GpuId).collect(),
+                [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
                 StreamKind::Comm,
                 allreduce_op(machine, 1 << 30),
             ));
@@ -644,7 +644,7 @@ mod tests {
         w.push(TaskSpec::compute("gemm", GpuId(0), gemm_op()));
         w.push(TaskSpec::new(
             "ar",
-            (0..4).map(GpuId).collect(),
+            [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
             StreamKind::Comm,
             allreduce_op(&m, 1 << 30),
         ));
@@ -715,7 +715,7 @@ mod tests {
         w.push(TaskSpec::compute("gemm", GpuId(0), gemm_op()));
         w.push(TaskSpec::new(
             "ar",
-            (0..4).map(GpuId).collect(),
+            [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
             StreamKind::Comm,
             allreduce_op(&m, 1 << 30),
         ));
@@ -793,7 +793,7 @@ mod tests {
             if with_comm {
                 w.push(TaskSpec::new(
                     "ar",
-                    (0..4).map(GpuId).collect(),
+                    [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
                     StreamKind::Comm,
                     allreduce_op(&m, 1 << 30),
                 ));
@@ -834,7 +834,7 @@ mod tests {
             }
             let id = w.push(TaskSpec::new(
                 "ar",
-                (0..4).map(GpuId).collect(),
+                [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
                 StreamKind::Comm,
                 allreduce_op(&m, 1 << 30),
             ));
@@ -852,7 +852,7 @@ mod tests {
         let mut w = Workload::new(4);
         w.push(TaskSpec::new(
             "ar",
-            (0..4).map(GpuId).collect(),
+            [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
             StreamKind::Comm,
             op,
         ));

@@ -475,7 +475,7 @@ mod tests {
         let mut w = Workload::new(4);
         w.push(TaskSpec::new(
             "ar",
-            (0..4).map(GpuId).collect(),
+            [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
             StreamKind::Comm,
             allreduce(machine, 1 << 28),
         ));

@@ -18,7 +18,11 @@ thread_local! {
 /// freed again, and the large holes it leaves behind make the process's
 /// peak memory depend on what else happens to land in them. Kept from one
 /// cell to the next, it is allocated once per thread, at the size of the
-/// largest schedule lowered so far. The tasks themselves are dropped here.
+/// largest schedule lowered so far. The tasks themselves are dropped here,
+/// which frees nothing per task: a task's participants and dependencies
+/// live inline in its [`TaskSpec`], and only a list that spilled (a
+/// collective over more than 8 GPUs, a task with more than 4 deps) owns a
+/// heap block.
 pub fn recycle(workload: Workload<Op>) {
     let mut tasks = workload.into_tasks();
     tasks.clear();

@@ -229,7 +229,7 @@ pub fn fsdp_timeline(
             // i-1 and is fully exposed.
             let mut spec = TaskSpec::collective(
                 tag("st{}.ag.f.L{}").with(i),
-                group.clone(),
+                &group[..],
                 collective_op(Collective::all_gather(layer_bytes, group.clone())),
             );
             let lookback = if plan.overlap.prefetch_all_gather {
@@ -260,7 +260,7 @@ pub fn fsdp_timeline(
         {
             let mut spec = TaskSpec::collective(
                 tag("st{}.ag.b.L{}").with(layers - 1),
-                group.clone(),
+                &group[..],
                 collective_op(Collective::all_gather(layer_bytes, group.clone())),
             );
             spec.deps.extend(head_f_last.iter().copied());
@@ -274,7 +274,7 @@ pub fn fsdp_timeline(
             if i > 0 {
                 let mut spec = TaskSpec::collective(
                     tag("st{}.ag.b.L{}").with(i - 1),
-                    group.clone(),
+                    &group[..],
                     collective_op(Collective::all_gather(layer_bytes, group.clone())),
                 );
                 let anchor: &[TaskId] = if plan.overlap.prefetch_all_gather {
@@ -311,7 +311,7 @@ pub fn fsdp_timeline(
             if is_last_step {
                 let mut spec = TaskSpec::collective(
                     tag("st{}.rs.L{}").with(i),
-                    group.clone(),
+                    &group[..],
                     collective_op(Collective::reduce_scatter(layer_bytes, group.clone())),
                 );
                 spec.deps.extend(last.iter().copied());

@@ -225,7 +225,7 @@ pub fn moe_timeline(
                 for c in 0..plan.chunks {
                     let mut spec = TaskSpec::collective(
                         Label::new(pass.dispatch).with(i).with(c),
-                        group.clone(),
+                        &group[..],
                         all_to_all(chunk_bytes),
                     );
                     if c == 0 {
@@ -251,7 +251,7 @@ pub fn moe_timeline(
                 for (c, done) in expert_done.iter().enumerate() {
                     let mut spec = TaskSpec::collective(
                         Label::new(pass.combine).with(i).with(c),
-                        group.clone(),
+                        &group[..],
                         all_to_all(chunk_bytes),
                     );
                     spec.deps.extend(done.iter().copied());
@@ -285,7 +285,7 @@ pub fn moe_timeline(
 
     // Data-parallel gradient sync for the replicated (non-expert) weights.
     let dense_params: u64 = plan.model.layer_params() / 2 * u64::from(plan.model.layers);
-    let mut spec = TaskSpec::collective("ar.dense", group.clone(), {
+    let mut spec = TaskSpec::collective("ar.dense", &group[..], {
         let c = Collective::all_reduce(dense_params * plan.precision.bytes(), group.clone());
         let algo = Algorithm::auto(c.kind, c.bytes, c.group_size());
         Op::Comm(lower(&c, algo, sku, topo, plan.precision))

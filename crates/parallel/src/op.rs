@@ -83,6 +83,15 @@ mod tests {
         assert!(c.as_comm().is_none());
     }
 
+    /// Each thread keeps the storage of the largest schedule it lowered
+    /// (see [`crate::recycle`]), thousands of tasks, so a task must not
+    /// grow: its participant and dependency lists are inline, no larger
+    /// than the `Vec`s they replaced.
+    #[test]
+    fn a_task_spec_fits_in_192_bytes() {
+        assert!(std::mem::size_of::<olab_sim::TaskSpec<Op>>() <= 192);
+    }
+
     #[test]
     fn display_mentions_precision() {
         let c = ComputeOp::new(KernelKind::gemm(2, 2, 2), Precision::Fp16, Datapath::Vector);

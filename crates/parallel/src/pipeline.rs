@@ -299,7 +299,7 @@ pub fn pipeline_timeline(
                         if s + 1 < s_count {
                             let spec = TaskSpec::collective(
                                 Label::new("x.f.s{}->s{}.m{}").with(s).with(s + 1).with(m),
-                                vec![GpuId(s as u16), GpuId((s + 1) as u16)],
+                                [GpuId(s as u16), GpuId((s + 1) as u16)],
                                 p2p_op(act_bytes, GpuId(s as u16), GpuId((s + 1) as u16)),
                             )
                             .after(last);
@@ -322,7 +322,7 @@ pub fn pipeline_timeline(
                         if s > 0 {
                             let spec = TaskSpec::collective(
                                 Label::new("x.b.s{}->s{}.m{}").with(s).with(s - 1).with(m),
-                                vec![GpuId((s - 1) as u16), GpuId(s as u16)],
+                                [GpuId((s - 1) as u16), GpuId(s as u16)],
                                 p2p_op(act_bytes, GpuId(s as u16), GpuId((s - 1) as u16)),
                             )
                             .after(last);
@@ -349,7 +349,7 @@ pub fn pipeline_timeline(
         let algo = Algorithm::auto(c.kind, c.bytes, 2);
         let mut spec = TaskSpec::collective(
             "ar.embed",
-            vec![GpuId(0), GpuId((s_count - 1) as u16)],
+            [GpuId(0), GpuId((s_count - 1) as u16)],
             Op::Comm(lower(&c, algo, sku, topo, plan.precision)),
         );
         for s in [0, s_count - 1] {

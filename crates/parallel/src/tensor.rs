@@ -254,7 +254,7 @@ pub fn tensor_timeline(
         last
     };
     let push_allreduce = |b: &mut ScheduleBuilder, label: Label, deps: &[TaskId]| -> TaskId {
-        let mut spec = TaskSpec::collective(label, group.clone(), allreduce(act_bytes));
+        let mut spec = TaskSpec::collective(label, &group[..], allreduce(act_bytes));
         spec.deps.extend_from_slice(deps);
         b.push(spec)
     };

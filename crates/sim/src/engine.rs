@@ -296,8 +296,10 @@ impl<M: RateModel> Engine<M> {
 
         let mut gpus: Vec<GpuActivity> = vec![GpuActivity::default(); n_gpus];
         // Task views borrow the workload, so they cannot live in the arena;
-        // one allocation per run, cleared and rebuilt each epoch.
-        let mut views: Vec<RunningTask<'_, M::Payload>> = Vec::with_capacity(n);
+        // one allocation per run, cleared and rebuilt each epoch. A running
+        // task heads every queue it sits in, and each queue has one head,
+        // so no more tasks than queues run at once.
+        let mut views: Vec<RunningTask<'_, M::Payload>> = Vec::with_capacity(n_queues.min(n));
 
         let mut now = SimTime::ZERO;
         let mut done = 0usize;

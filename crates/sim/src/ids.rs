@@ -5,7 +5,7 @@ use std::fmt;
 /// Identifies a GPU (device) in the simulated node.
 ///
 /// Device indices are dense: a system with `n` GPUs uses ids `0..n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GpuId(pub u16);
 
 impl GpuId {
@@ -30,7 +30,7 @@ impl From<u16> for GpuId {
 /// Identifies a task within a [`Workload`](crate::Workload).
 ///
 /// Ids are handed out sequentially by [`Workload::push`](crate::Workload::push).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl TaskId {

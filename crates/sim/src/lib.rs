@@ -75,6 +75,7 @@ pub mod metrics;
 mod obs;
 mod rate;
 pub mod rng;
+mod small;
 mod task;
 mod time;
 mod trace;
@@ -88,6 +89,7 @@ pub use label::Label;
 pub use obs::{EngineObserver, GpuCounters, NullObserver};
 pub use rate::{ConstantRate, RateModel, RunningTask};
 pub use rng::SeededRng;
+pub use small::{Deps, Participants, SmallList};
 pub use task::{TaskSpec, Workload};
 pub use time::SimTime;
 pub use trace::{

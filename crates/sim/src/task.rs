@@ -1,6 +1,6 @@
 //! Task specifications and workload construction.
 
-use crate::{GpuId, Label, SimError, StreamKind, TaskId};
+use crate::{Deps, GpuId, Label, Participants, SimError, StreamKind, TaskId};
 
 /// Specification of one task in a [`Workload`].
 ///
@@ -13,12 +13,14 @@ pub struct TaskSpec<P> {
     /// Human-readable label, carried into the trace and rendered only
     /// when displayed.
     pub label: Label,
-    /// Devices this task occupies, deduplicated and sorted by [`Workload::push`].
-    pub participants: Vec<GpuId>,
+    /// Devices this task occupies, deduplicated and sorted by
+    /// [`Workload::push`]; inline up to eight.
+    pub participants: Participants,
     /// The stream the task occupies on each participant.
     pub stream: StreamKind,
-    /// Explicit dependencies in addition to stream ordering.
-    pub deps: Vec<TaskId>,
+    /// Explicit dependencies in addition to stream ordering; inline up to
+    /// four.
+    pub deps: Deps,
     /// Opaque payload interpreted by the [`RateModel`](crate::RateModel).
     pub payload: P,
 }
@@ -27,31 +29,35 @@ impl<P> TaskSpec<P> {
     /// Creates a task spec with no explicit dependencies.
     pub fn new(
         label: impl Into<Label>,
-        participants: Vec<GpuId>,
+        participants: impl Into<Participants>,
         stream: StreamKind,
         payload: P,
     ) -> Self {
         TaskSpec {
             label: label.into(),
-            participants,
+            participants: participants.into(),
             stream,
-            deps: Vec::new(),
+            deps: Deps::new(),
             payload,
         }
     }
 
     /// Convenience constructor for a single-device compute task.
     pub fn compute(label: impl Into<Label>, gpu: GpuId, payload: P) -> Self {
-        Self::new(label, vec![gpu], StreamKind::Compute, payload)
+        Self::new(label, [gpu], StreamKind::Compute, payload)
     }
 
     /// Convenience constructor for a single-device communication task.
     pub fn comm(label: impl Into<Label>, gpu: GpuId, payload: P) -> Self {
-        Self::new(label, vec![gpu], StreamKind::Comm, payload)
+        Self::new(label, [gpu], StreamKind::Comm, payload)
     }
 
     /// Convenience constructor for a multi-device collective on the comm stream.
-    pub fn collective(label: impl Into<Label>, participants: Vec<GpuId>, payload: P) -> Self {
+    pub fn collective(
+        label: impl Into<Label>,
+        participants: impl Into<Participants>,
+        payload: P,
+    ) -> Self {
         Self::new(label, participants, StreamKind::Comm, payload)
     }
 
@@ -176,7 +182,9 @@ impl<P> Workload<P> {
     /// the explicit ones in sorted participant order, and a predecessor that
     /// is already a dep is not repeated. Nothing on a device can then run
     /// concurrently with anything else on it, which is the paper's
-    /// sequential execution; labels and payloads are moved, not cloned.
+    /// sequential execution. Labels and payloads are moved, not cloned,
+    /// and chaining deps are appended to each task's inline [`Deps`], so a
+    /// task with at most four deps in all allocates nothing.
     pub fn into_sequential(mut self) -> Self {
         let mut last_on_gpu: Vec<Option<TaskId>> = vec![None; self.n_gpus];
         for (i, task) in self.tasks.iter_mut().enumerate() {
@@ -256,6 +264,23 @@ mod tests {
     }
 
     #[test]
+    fn push_sorts_and_deduplicates_spilled_participants() {
+        let mut w = Workload::new(12);
+        let gpus: Vec<GpuId> = (0..12u16).rev().chain([3, 7, 0]).map(GpuId).collect();
+        let id = w.push(TaskSpec::collective("ar", gpus, ()));
+        let spec = w.get(id).unwrap();
+        assert!(spec.participants.spilled());
+        assert_eq!(spec.participants, (0..12u16).map(GpuId).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "has no participants")]
+    fn a_task_without_participants_panics() {
+        let mut w = Workload::new(2);
+        w.push(TaskSpec::new("a", Vec::new(), StreamKind::Compute, ()));
+    }
+
+    #[test]
     #[should_panic(expected = "references gpu2")]
     fn out_of_range_device_panics() {
         let mut w = Workload::new(2);
@@ -263,7 +288,7 @@ mod tests {
     }
 
     fn deps<P>(w: &Workload<P>) -> Vec<Vec<TaskId>> {
-        w.tasks().iter().map(|t| t.deps.clone()).collect()
+        w.tasks().iter().map(|t| t.deps.to_vec()).collect()
     }
 
     #[test]
@@ -331,6 +356,51 @@ mod tests {
         assert_eq!(w.len(), 1);
         assert!(w.tasks()[0].deps.is_empty());
         assert_eq!(w.tasks()[0].payload, 7);
+        w.validate().unwrap();
+    }
+
+    /// Chains the way `into_sequential` did when deps were `Vec`s: explicit
+    /// deps first, then each participant's predecessor in sorted order,
+    /// skipping one that is already a dep.
+    fn chained_reference<P>(w: &Workload<P>) -> Vec<Vec<TaskId>> {
+        let mut last_on_gpu = vec![None; w.n_gpus()];
+        w.tasks()
+            .iter()
+            .enumerate()
+            .map(|(i, task)| {
+                let mut deps = task.deps.to_vec();
+                for gpu in &task.participants {
+                    if let Some(prev) = last_on_gpu[gpu.index()].replace(TaskId(i as u32)) {
+                        if !deps.contains(&prev) {
+                            deps.push(prev);
+                        }
+                    }
+                }
+                deps
+            })
+            .collect()
+    }
+
+    #[test]
+    fn into_sequential_spills_long_dep_lists_in_order() {
+        let mut w = Workload::new(10);
+        let kernels: Vec<TaskId> = (0..10u16)
+            .map(|g| w.push(TaskSpec::compute("k", GpuId(g), ())))
+            .collect();
+        // Explicit deps on the even GPUs' kernels, then chaining deps on
+        // every GPU: 10 deps in all, 5 of them repeats.
+        let evens = kernels.iter().step_by(2).copied();
+        let ar = w.push(
+            TaskSpec::collective("ar", (0..10u16).map(GpuId).collect::<Vec<_>>(), ())
+                .after_all(evens),
+        );
+        w.push(TaskSpec::compute("tail", GpuId(9), ()).after_all(kernels[..3].iter().copied()));
+        let expected = chained_reference(&w);
+        let w = w.into_sequential();
+        assert_eq!(deps(&w), expected);
+        let ar = w.get(ar).unwrap();
+        assert!(ar.deps.spilled());
+        assert_eq!(ar.deps.len(), 10);
         w.validate().unwrap();
     }
 

@@ -1,6 +1,6 @@
 //! Simulation output: task records, power segments, overlap windows.
 
-use crate::{GpuId, Label, SimTime, StreamKind, TaskId};
+use crate::{GpuId, Label, Participants, SimTime, StreamKind, TaskId};
 
 /// A half-open time window `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,7 +53,7 @@ pub struct TaskRecord {
     /// The task's label.
     pub label: Label,
     /// Devices the task occupied.
-    pub participants: Vec<GpuId>,
+    pub participants: Participants,
     /// The stream it occupied.
     pub stream: StreamKind,
     /// When the task started running.
@@ -540,7 +540,7 @@ mod tests {
                 TaskRecord {
                     id: TaskId(0),
                     label: "k0".into(),
-                    participants: vec![GpuId(0)],
+                    participants: [GpuId(0)].into(),
                     stream: StreamKind::Compute,
                     start: SimTime::ZERO,
                     end: SimTime::from_secs(1.0),
@@ -549,7 +549,7 @@ mod tests {
                 TaskRecord {
                     id: TaskId(1),
                     label: "ar".into(),
-                    participants: vec![GpuId(0), GpuId(1)],
+                    participants: [GpuId(0), GpuId(1)].into(),
                     stream: StreamKind::Comm,
                     start: SimTime::from_secs(0.5),
                     end: SimTime::from_secs(2.0),
@@ -580,7 +580,7 @@ mod tests {
             vec![TaskRecord {
                 id: TaskId(0),
                 label: "k1".into(),
-                participants: vec![GpuId(0)],
+                participants: [GpuId(0)].into(),
                 stream: StreamKind::Compute,
                 start: SimTime::ZERO,
                 end: SimTime::from_secs(1.0),
@@ -686,7 +686,7 @@ mod tests {
         let records = vec![TaskRecord {
             id: TaskId(0),
             label: "ar".into(),
-            participants: vec![GpuId(0), GpuId(1)],
+            participants: [GpuId(0), GpuId(1)].into(),
             stream: StreamKind::Comm,
             start: SimTime::ZERO,
             end: SimTime::from_secs(2.0),

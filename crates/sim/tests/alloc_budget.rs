@@ -1,7 +1,7 @@
 //! The arena contract of the engine hot path: once this thread's scratch
 //! arena is warm, a run allocates only for the *output* it hands back (the
-//! `SimTrace` and its per-task/per-GPU vectors) — the event loop itself is
-//! allocation-free. A record-free run ([`Engine::run_summary`]) hands back
+//! `SimTrace`'s records vec and its per-GPU vectors) — the event loop
+//! itself is allocation-free, and no record owns heap memory. A record-free run ([`Engine::run_summary`]) hands back
 //! no per-task output at all, so its allocation count does not grow with
 //! the task count.
 //!
@@ -116,21 +116,20 @@ fn allocations_per_run(engine: &mut Engine<ConstantRate>, w: &Workload<()>, warm
 /// The documented steady-state budget, derived from what legitimately
 /// escapes the run:
 ///
-/// * 1 allocation per task record — its participants `Vec<GpuId>` (the
-///   trace owns it; a record's [`olab_sim::Label`] is cloned from the spec
-///   without allocating, so a record owns no label `String`);
-/// * ~1 allocation per task of vector *growth* across the records vec, the
-///   per-GPU window/power/overlap vecs and the per-epoch coactive clips
-///   (amortized doubling, counted at its worst);
-/// * a constant handful for the trace itself, the per-GPU activity vec and
-///   the per-epoch view buffer.
+/// * the records vec, allocated once at its exact length. A record owns
+///   no heap memory: its participants are an inline
+///   [`olab_sim::Participants`] and its [`olab_sim::Label`] clones
+///   without allocating;
+/// * the per-GPU activity vec and each GPU's power-segment vec (this
+///   workload's constant draw merges into one segment per GPU);
+/// * the per-epoch view buffer.
 ///
-/// 2 per task is comfortable headroom over the measured ~1.1/task without
-/// letting a per-epoch or per-dependency regression (O(epochs × tasks))
-/// hide: the pre-arena engine paid an extra ~1 allocation per task per run
-/// in queue/dependency scaffolding alone, before any growth churn, and a
-/// record that owned its label again would add 1 per task.
-const WARM_BUDGET: usize = 2 * N_TASKS + 32;
+/// That is 7 allocations for 64 tasks, measured. 16 leaves room for a few
+/// regrowths of the per-GPU vectors while anything per task fails: a
+/// record that owned its participants `Vec` again would add 64, which is
+/// what the budget of 2 allocations per task let through before records
+/// went inline (71 measured then).
+const WARM_BUDGET: usize = 16;
 
 #[test]
 fn warm_arena_runs_stay_within_the_allocation_budget() {

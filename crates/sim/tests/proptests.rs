@@ -74,7 +74,7 @@ fn build_workload(tasks: &[RandomTask], n_gpus: usize) -> Workload<Dur> {
     for (i, t) in tasks.iter().enumerate() {
         let mut spec = TaskSpec::new(
             format!("t{i}"),
-            t.gpus.iter().map(|&g| GpuId(g)).collect(),
+            t.gpus.iter().map(|&g| GpuId(g)).collect::<Vec<_>>(),
             t.stream,
             Dur(t.duration),
         );

@@ -2,8 +2,8 @@
 //! checking structural invariants of the three execution modes.
 
 use olab_core::{
-    execute, execute_lean, Experiment, ExperimentReport, Jitter, Machine, OverlapMetrics,
-    RunResult, Strategy,
+    execute, execute_lean, CellMetrics, Experiment, ExperimentReport, Jitter, Machine,
+    OverlapMetrics, RunResult, Strategy,
 };
 use olab_gpu::SkuKind;
 use olab_models::memory::ActivationPolicy;
@@ -268,4 +268,54 @@ fn one_lowering_per_cell_matches_three_lowerings_bit_for_bit() {
         );
     }
     assert_eq!(recompute, 1, "exactly one cell exercises recomputation");
+}
+
+/// A 16-GPU FSDP node: every collective's participant list spills past
+/// the 8 inline slots, and sequential chaining spills the dependency
+/// lists of the all-gathers and Adam steps past 4. The grid path still
+/// agrees with the full run, and both legs' traces verify against their
+/// workloads.
+#[test]
+fn a_sixteen_gpu_fsdp_cell_spills_its_task_lists_and_verifies() {
+    let exp =
+        Experiment::new(SkuKind::H100, 16, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(256);
+    let report = exp.run().expect("a 16-GPU FSDP cell runs");
+    assert_eq!(
+        exp.run_cell().expect("and runs on the grid path"),
+        CellMetrics::from_report(&report)
+    );
+
+    let policy = exp.validate().unwrap();
+    let overlapped = exp.timeline(ExecutionMode::Overlapped, policy).unwrap();
+    let mut collectives = 0;
+    for task in overlapped
+        .tasks()
+        .iter()
+        .filter(|t| t.participants.len() > 1)
+    {
+        assert_eq!(task.participants.len(), 16, "{}", task.label);
+        assert!(task.participants.spilled(), "{}", task.label);
+        collectives += 1;
+    }
+    assert!(collectives > 0);
+    let violations = olab_sim::verify_trace(&overlapped, &report.overlapped.trace);
+    assert!(violations.is_empty(), "{violations:?}");
+
+    let sequential = overlapped.into_sequential();
+    let spilled: Vec<String> = sequential
+        .tasks()
+        .iter()
+        .filter(|t| t.deps.len() > 4)
+        .map(|t| {
+            assert!(t.deps.spilled(), "{}", t.label);
+            t.label.to_string()
+        })
+        .collect();
+    assert!(
+        spilled.iter().any(|l| l.starts_with("adam.")),
+        "{spilled:?}"
+    );
+    assert!(spilled.iter().any(|l| l.contains(".ag.")), "{spilled:?}");
+    let violations = olab_sim::verify_trace(&sequential, &report.sequential.trace);
+    assert!(violations.is_empty(), "{violations:?}");
 }
