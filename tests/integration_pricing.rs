@@ -3,9 +3,10 @@
 //! GPU-epochs' pricing (from that GPU's previous epoch, or from its
 //! symmetric neighbour in the same epoch) and prices the rest afresh.
 //! The totals are a pure function of the grid, so they are pinned exactly.
-//! So are the route counters of the same pass and of a jittered `run_n`
-//! pass: which executor serves each leg, and how often the engine runs,
-//! must not move when a leg computes less.
+//! So are the route counters of the same pass, of a jittered `run_n`
+//! pass, and of the report path (`run`, `run_jittered`): which executor
+//! serves each leg, and how often the engine runs, must not move when a
+//! leg computes less.
 //!
 //! One `#[test]` in its own binary, because the registry (and its enable
 //! flag) is process-global.
@@ -57,4 +58,20 @@ fn pricing_memo_totals_are_pinned_on_the_main_grid() {
         let _ = exp.run_n(2, 0.05);
     }
     assert_eq!(routes(), [0, 90, 0, 0, 90]);
+
+    // The report path: the overlapped and sequential legs through the
+    // full-statistics executor, the ideal leg makespan-only (lean).
+    olab_metrics::reset();
+    for exp in registry::main_grid() {
+        let _ = exp.run();
+    }
+    assert_eq!(routes(), [107, 0, 107, 107, 107]);
+
+    // ... and under jitter, every leg on the event loop: 15 feasible
+    // cells, two full legs and one lean leg each.
+    olab_metrics::reset();
+    for exp in registry::main_grid().iter().take(40) {
+        let _ = exp.run_jittered(3, 0.05);
+    }
+    assert_eq!(routes(), [0, 15, 0, 30, 45]);
 }
