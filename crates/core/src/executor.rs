@@ -8,6 +8,7 @@ use olab_sim::{
     Engine, EngineObserver, GpuId, NullObserver, SimError, SimTime, SimTrace, StreamKind,
     StreamTotals, Workload,
 };
+use std::borrow::Cow;
 
 /// Per-GPU statistics of one run.
 #[derive(Debug, Clone)]
@@ -214,24 +215,6 @@ impl LeanRun {
         }
     }
 
-    /// Mean over GPUs of the time-average power, watts.
-    pub fn average_power_w(&self) -> f64 {
-        if self.gpus.is_empty() {
-            return 0.0;
-        }
-        self.gpus.iter().map(|g| g.average_power_w).sum::<f64>() / self.gpus.len() as f64
-    }
-
-    /// Highest instantaneous draw across GPUs, watts.
-    pub fn peak_power_w(&self) -> f64 {
-        self.gpus.iter().map(|g| g.peak_power_w).fold(0.0, f64::max)
-    }
-
-    /// Total energy across GPUs, joules.
-    pub fn energy_j(&self) -> f64 {
-        self.gpus.iter().map(|g| g.energy_j).sum()
-    }
-
     /// One-pass power summary: (mean average watts, peak watts, total
     /// joules), folded GPU by GPU in index order.
     pub fn power_summary(&self) -> (f64, f64, f64) {
@@ -266,19 +249,13 @@ impl LeanRun {
 /// Propagates [`SimError`] from the engine (malformed DAG, deadlock, or a
 /// misbehaving rate model).
 pub fn execute(workload: &Workload<Op>, machine: &Machine) -> Result<RunResult, SimError> {
-    let start = olab_metrics::now_if_enabled();
-    let m = crate::fastpath::route_metrics();
-    if crate::fastpath::machine_eligible(machine) {
-        if let Some(result) = crate::analytic::execute_fast(workload, machine) {
-            m.fast_full.inc();
-            m.fast_full_ns.observe_since(start);
-            return Ok(result);
-        }
-    }
-    let result = execute_model(workload, machine.clone(), &mut NullObserver);
-    m.event_loop_full.inc();
-    m.event_loop_full_ns.observe_since(start);
-    result
+    route(
+        workload,
+        Cow::Borrowed(machine),
+        false,
+        crate::analytic::execute_fast,
+        |w, m| execute_model(w, m, &mut NullObserver),
+    )
 }
 
 /// Runs a schedule on a machine, producing only the scalar [`LeanRun`]
@@ -288,10 +265,10 @@ pub fn execute(workload: &Workload<Op>, machine: &Machine) -> Result<RunResult, 
 /// numbers, not traces: a fast-path-eligible run computes the statistics in
 /// closed form without materializing task records or power segments at all,
 /// while an ineligible run takes the event loop without task records
-/// ([`execute_model_lean`]). Either way the result is bit-identical to
+/// ([`Engine::run_summary`]). Either way the result is bit-identical to
 /// [`LeanRun::summarize`] of [`execute`] on the same inputs. Path routing
-/// and counters match [`execute`] exactly, and [`LeanRun::route`] records
-/// which path ran.
+/// matches [`execute`] exactly, and [`LeanRun::route`] records which path
+/// ran.
 ///
 /// # Errors
 ///
@@ -309,74 +286,70 @@ pub(crate) fn execute_lean_keeping(
     machine: &Machine,
     keep_gpu0: bool,
 ) -> Result<(LeanRun, Option<PowerTrace>), SimError> {
-    let start = olab_metrics::now_if_enabled();
-    let m = crate::fastpath::route_metrics();
-    if crate::fastpath::machine_eligible(machine) {
-        if let Some(result) = crate::analytic::execute_fast_lean(workload, machine, keep_gpu0) {
-            m.fast_lean.inc();
-            m.fast_lean_ns.observe_since(start);
-            return Ok(result);
-        }
-    }
-    let result = lean_event_loop(workload, machine.clone(), keep_gpu0)?;
-    m.event_loop_lean.inc();
-    m.event_loop_lean_ns.observe_since(start);
-    Ok(result)
+    route(
+        workload,
+        Cow::Borrowed(machine),
+        true,
+        |w, m| crate::analytic::execute_fast_lean(w, m, keep_gpu0),
+        |w, m| lean_event_loop(w, m, keep_gpu0),
+    )
 }
 
 /// The ideal leg of a cell: the end-to-end time of `workload` on
 /// `machine.uncontended()`, the one number a report reads from that leg
 /// (the Eq. 4 cross-check). It equals
 /// `execute_lean(workload, &machine.uncontended())?.e2e_s` bit for bit and
-/// takes the same route under the same counters, but computes nothing
-/// else: the fast path runs only the makespan pass
+/// takes the same route, but computes nothing else: the fast path runs
+/// only the makespan pass
 /// ([`fast_makespan`](crate::analytic::fast_makespan)), and an ineligible
 /// (jittered) machine keeps only the event loop's makespan.
 pub(crate) fn ideal_e2e_s(workload: &Workload<Op>, machine: &Machine) -> Result<f64, SimError> {
-    let ideal = machine.uncontended();
-    let start = olab_metrics::now_if_enabled();
-    let m = crate::fastpath::route_metrics();
-    if crate::fastpath::machine_eligible(&ideal) {
-        if let Some(e2e) = crate::analytic::fast_makespan(workload, &ideal) {
-            m.fast_lean.inc();
-            m.fast_lean_ns.observe_since(start);
-            return Ok(e2e);
-        }
-    }
-    let makespan = Engine::new(ideal).run_summary(workload)?.makespan;
-    m.event_loop_lean.inc();
-    m.event_loop_lean_ns.observe_since(start);
-    Ok(makespan.as_secs())
+    route(
+        workload,
+        Cow::Owned(machine.uncontended()),
+        true,
+        crate::analytic::fast_makespan,
+        |w, m| Ok(Engine::new(m).run_summary(w)?.makespan.as_secs()),
+    )
 }
 
-/// Runs a schedule through the event loop on any [`RateModel`] pricing
-/// [`Op`] payloads, producing only the scalar [`LeanRun`] metrics: the
-/// engine runs without task records ([`Engine::run_summary`]), and the
-/// result is bit-identical to [`LeanRun::summarize`] of [`execute_model`].
-/// This is the event-loop route of [`execute_lean`]; the route is always
-/// [`Route::EventLoop`].
-///
-/// [`RateModel`]: olab_sim::RateModel
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn execute_model_lean<M>(workload: &Workload<Op>, model: M) -> Result<LeanRun, SimError>
-where
-    M: olab_sim::RateModel<Payload = Op>,
-{
-    lean_event_loop(workload, model, false).map(|(run, _)| run)
-}
-
-fn lean_event_loop<M>(
+/// The one router. The O(1) machine gate comes first: no jitter (it only
+/// exists epoch by epoch) and no transient frequency caps (fault layers
+/// mutate these at epoch boundaries). A machine that passes tries the
+/// closed form `fast`, which enforces the per-task rules itself and bails
+/// on the first violation, so there is no separate O(n) classification
+/// pass. Otherwise `event_loop` runs on the owned machine. A run that
+/// returns `Ok` is recorded under its route and `lean`-ness; a rejected
+/// run is not counted.
+fn route<T>(
     workload: &Workload<Op>,
-    model: M,
+    machine: Cow<'_, Machine>,
+    lean: bool,
+    fast: impl FnOnce(&Workload<Op>, &Machine) -> Option<T>,
+    event_loop: impl FnOnce(&Workload<Op>, Machine) -> Result<T, SimError>,
+) -> Result<T, SimError> {
+    let start = olab_metrics::now_if_enabled();
+    let gate = !machine.has_jitter() && !machine.has_gpu_freq_caps();
+    let (route, result) = match gate.then(|| fast(workload, &machine)).flatten() {
+        Some(result) => (Route::FastPath, result),
+        None => (
+            Route::EventLoop,
+            event_loop(workload, machine.into_owned())?,
+        ),
+    };
+    crate::fastpath::route_metrics().record(route, lean, start);
+    Ok(result)
+}
+
+/// The event-loop route of [`execute_lean`]: the engine runs without task
+/// records ([`Engine::run_summary`]), and the result is bit-identical to
+/// [`LeanRun::summarize`] of [`execute_model`] on the same model.
+fn lean_event_loop(
+    workload: &Workload<Op>,
+    machine: Machine,
     keep_gpu0: bool,
-) -> Result<(LeanRun, Option<PowerTrace>), SimError>
-where
-    M: olab_sim::RateModel<Payload = Op>,
-{
-    let summary = Engine::new(model).run_summary(workload)?;
+) -> Result<(LeanRun, Option<PowerTrace>), SimError> {
+    let summary = Engine::new(machine).run_summary(workload)?;
     let gpus = summary
         .gpus
         .iter()
@@ -464,9 +437,11 @@ pub(crate) fn run_result_from_trace(trace: SimTrace, n_gpus: usize, route: Route
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olab_gpu::{Datapath, GpuSku, Precision};
+    use olab_ccl::{Algorithm, Collective};
+    use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
     use olab_models::{memory::ActivationPolicy, ModelPreset};
-    use olab_parallel::{fsdp, ExecutionMode};
+    use olab_parallel::{fsdp, ComputeOp, ExecutionMode};
+    use olab_sim::TaskSpec;
 
     fn tiny_fsdp(mode: ExecutionMode) -> RunResult {
         let (w, machine) = tiny_fsdp_workload(mode);
@@ -540,8 +515,8 @@ mod tests {
                 let ideal = machine.uncontended();
                 let lean = execute_lean(&w, &ideal).expect("runs");
                 assert_eq!(lean.route, route, "{exp}");
-                let fast = crate::fastpath::machine_eligible(&ideal)
-                    && crate::analytic::fast_makespan(&w, &ideal).is_some();
+                let fast =
+                    !ideal.has_jitter() && crate::analytic::fast_makespan(&w, &ideal).is_some();
                 assert_eq!(fast, route == Route::FastPath, "{exp}");
                 let e2e = ideal_e2e_s(&w, &machine).expect("runs");
                 assert_eq!(e2e.to_bits(), lean.e2e_s.to_bits(), "{exp} on {route:?}");
@@ -549,6 +524,73 @@ mod tests {
             cells += 1;
         }
         assert_eq!(cells, 107);
+    }
+
+    /// The record-free event loop, the event-loop route of `execute_lean`,
+    /// is the summarized full event-loop run bit for bit, GPU 0's kept
+    /// trace included. Checked where routing never sends it: the two
+    /// fast-eligible shapes (sequential/contended, overlapped/uncontended)
+    /// of every feasible main-grid cell, and a schedule with idle gaps.
+    #[test]
+    fn record_free_event_loop_is_the_summarized_full_run() {
+        fn check(w: &Workload<Op>, machine: &Machine, what: &str) {
+            let full = execute_model(w, machine.clone(), &mut NullObserver).expect("runs");
+            let (lean, power) = lean_event_loop(w, machine.clone(), true).expect("runs");
+            assert_eq!(lean, LeanRun::summarize(&full), "{what}");
+            assert_eq!(power.as_ref(), Some(&full.gpus[0].power), "{what}");
+        }
+        let shapes: Vec<_> = crate::registry::main_grid()
+            .into_iter()
+            .filter_map(|exp| Some((exp.validate().ok()?, exp)))
+            .flat_map(|(policy, exp)| {
+                [ExecutionMode::Sequential, ExecutionMode::Overlapped]
+                    .map(|mode| (policy, exp.clone(), mode))
+            })
+            .collect();
+        assert_eq!(shapes.len(), 214);
+        olab_grid::Pool::with_available_parallelism().map(&shapes, |(policy, exp, mode)| {
+            let w = exp.timeline(*mode, *policy).expect("lowers");
+            let machine = match mode {
+                ExecutionMode::Sequential => exp.machine(),
+                ExecutionMode::Overlapped => exp.machine().uncontended(),
+            };
+            check(&w, &machine, &format!("{exp} {mode:?}"));
+        });
+
+        // GPU 1 starts late, GPU 0 then idles until a two-GPU collective,
+        // and GPUs 2 and 3 never run.
+        let stock = Machine::stock(GpuSku::h100(), 4);
+        let gemm = || {
+            Op::Compute(ComputeOp::new(
+                KernelKind::gemm(256, 256, 256),
+                Precision::Fp16,
+                Datapath::TensorCore,
+            ))
+        };
+        let all_reduce = Op::Comm(olab_ccl::lower(
+            &Collective::all_reduce(1 << 20, vec![GpuId(0), GpuId(1)]),
+            Algorithm::Ring,
+            &stock.config().sku,
+            &stock.config().topology,
+            Precision::Fp16,
+        ));
+        let mut w = Workload::new(4);
+        let k0 = w.push(TaskSpec::compute("k0", GpuId(0), gemm()));
+        let late = w.push(TaskSpec::compute("late", GpuId(1), gemm()).after(k0));
+        let ar = w.push(
+            TaskSpec::new(
+                "all_reduce",
+                [GpuId(0), GpuId(1)],
+                StreamKind::Comm,
+                all_reduce,
+            )
+            .after(late),
+        );
+        w.push(TaskSpec::compute("k1", GpuId(0), gemm()).after(ar));
+        w.push(TaskSpec::compute("k2", GpuId(0), gemm()));
+        for machine in [stock.uncontended(), stock] {
+            check(&w, &machine, "idle gaps");
+        }
     }
 
     #[test]

@@ -456,19 +456,19 @@ impl Experiment {
         self.cell_on(policy, &self.machine())
     }
 
-    /// The grid path of [`Experiment::run_on`]: the same legs, lowered
-    /// once, through the scalar-only executor.
+    /// The grid path of [`Experiment::run_on`]: the same legs through the
+    /// scalar-only executor.
     fn cell_on(
         &self,
         policy: ActivationPolicy,
         machine: &Machine,
     ) -> Result<CellMetrics, ExperimentError> {
-        let workload = self.timeline(ExecutionMode::Overlapped, policy)?;
-        let (overlapped, power) = execute_lean_keeping(&workload, machine, true)?;
-        let ideal_simulated_e2e_s = ideal_e2e_s(&workload, machine)?;
-        let workload = workload.into_sequential();
-        let sequential = execute_lean(&workload, machine)?;
-        olab_parallel::recycle(workload);
+        let ((overlapped, power), ideal_simulated_e2e_s, sequential) = self.legs(
+            policy,
+            machine,
+            |w| execute_lean_keeping(w, machine, true),
+            |w| execute_lean(w, machine),
+        )?;
         let sampled = power.unwrap_or_default().sample(self.sampler());
         Ok(CellMetrics {
             metrics: OverlapMetrics::derive_lean(&overlapped, &sequential),
@@ -482,33 +482,29 @@ impl Experiment {
         })
     }
 
-    /// The three legs and the derived metrics of a validated experiment
-    /// on `machine`. The schedule is lowered once: the ideal leg reruns the
-    /// overlapped schedule on the uncontended machine, and the sequential
-    /// leg then chains that same schedule per GPU in place, so only one
-    /// workload is ever alive. `obs` watches the overlapped leg.
+    /// The report of a validated experiment on `machine`: the three legs
+    /// with full traces, and the derived metrics. `obs` watches the
+    /// overlapped leg.
     fn run_on<O: EngineObserver>(
         &self,
         policy: ActivationPolicy,
         machine: &Machine,
         obs: &mut O,
     ) -> Result<ExperimentReport, ExperimentError> {
-        let workload = self.timeline(ExecutionMode::Overlapped, policy)?;
-        let overlapped = if O::ENABLED {
-            execute_model(&workload, machine.clone(), obs)?
-        } else {
-            execute(&workload, machine)?
-        };
-        // Only the ideal leg's end-to-end time is reported, so only that
-        // is computed.
-        let ideal_simulated_e2e_s = ideal_e2e_s(&workload, machine)?;
-        let workload = workload.into_sequential();
-        let sequential = execute(&workload, machine)?;
-        olab_parallel::recycle(workload);
-
+        let (overlapped, ideal_simulated_e2e_s, sequential) = self.legs(
+            policy,
+            machine,
+            |w| {
+                if O::ENABLED {
+                    execute_model(w, machine.clone(), obs)
+                } else {
+                    execute(w, machine)
+                }
+            },
+            |w| execute(w, machine),
+        )?;
         let metrics = OverlapMetrics::derive(&overlapped, &sequential);
         let sampled = overlapped.gpus[0].power.sample(self.sampler());
-
         Ok(ExperimentReport {
             experiment: self.clone(),
             activation_policy: policy,
@@ -519,6 +515,27 @@ impl Experiment {
             overlapped,
             sequential,
         })
+    }
+
+    /// The one leg sequence of a cell, generic over what the overlapped
+    /// and sequential legs keep. The schedule is lowered once: the
+    /// overlapped leg runs it, the ideal leg reruns it on the uncontended
+    /// machine for its makespan only, and the sequential leg chains it per
+    /// GPU in place, so only one workload is ever alive.
+    fn legs<A, B>(
+        &self,
+        policy: ActivationPolicy,
+        machine: &Machine,
+        overlapped: impl FnOnce(&Workload<Op>) -> Result<A, SimError>,
+        sequential: impl FnOnce(&Workload<Op>) -> Result<B, SimError>,
+    ) -> Result<(A, f64, B), ExperimentError> {
+        let workload = self.timeline(ExecutionMode::Overlapped, policy)?;
+        let overlapped = overlapped(&workload)?;
+        let ideal_simulated_e2e_s = ideal_e2e_s(&workload, machine)?;
+        let workload = workload.into_sequential();
+        let sequential = sequential(&workload)?;
+        olab_parallel::recycle(workload);
+        Ok((overlapped, ideal_simulated_e2e_s, sequential))
     }
 }
 

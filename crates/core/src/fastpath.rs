@@ -1,13 +1,14 @@
-//! The contention-free analytic fast path: routing gate and route metrics.
+//! The contention-free analytic fast path: the route a run took, and the
+//! route metrics.
 //!
 //! The paper's core claim is that real overlap diverges from the "constant
 //! compute/communication latency" assumption *only under contention*. The
 //! contrapositive is an optimization: a cell with no contention, no faults,
 //! and no observer attached can legally skip the event loop, because every
-//! task then runs at the rate [`Machine`] would assign it in isolation and
-//! the whole schedule collapses to a closed form
-//! (`crate::analytic::execute_fast`). This module holds the machine-level
-//! gate of that decision and the telemetry that counts its outcomes.
+//! task then runs at the rate [`Machine`](crate::Machine) would assign it in
+//! isolation and the whole schedule collapses to a closed form
+//! (`crate::analytic::execute_fast`). The executor's router makes that
+//! decision; this module holds the telemetry that counts its outcomes.
 //!
 //! Routing is semantic-free by construction: the fast path prices tasks
 //! through the *same* per-GPU pricing code the event loop uses
@@ -20,9 +21,9 @@
 //! run itself: [`RunResult::route`](crate::RunResult::route) and
 //! [`LeanRun::route`](crate::LeanRun::route).
 
-use crate::Machine;
 use olab_metrics::{counter, Counter, Determinism, Histogram};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Which execution path served a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,62 +34,70 @@ pub enum Route {
     EventLoop,
 }
 
-/// Registry-backed route attribution: per-route cell counts (cross-run
-/// deterministic) and per-route cell-latency histograms (wall-clock), for
+/// The route families, indexed `[route][lean]`: each counter's name and
+/// help, then its latency histogram's.
+const ROUTE_FAMILIES: [[[&str; 4]; 2]; 2] = [
+    [
+        [
+            "olab_core_route_fast_full_total",
+            "Executor runs served by the analytic fast path with full statistics.",
+            "olab_core_cell_fast_full_ns",
+            "Executor run latency through the fast path, full statistics.",
+        ],
+        [
+            "olab_core_route_fast_lean_total",
+            "Executor runs served by the analytic fast path with lean (scalar) statistics.",
+            "olab_core_cell_fast_lean_ns",
+            "Executor run latency through the fast path, lean statistics.",
+        ],
+    ],
+    [
+        [
+            "olab_core_route_event_loop_full_total",
+            "Executor runs served by the event loop with full statistics.",
+            "olab_core_cell_event_loop_full_ns",
+            "Executor run latency through the event loop, full statistics.",
+        ],
+        [
+            "olab_core_route_event_loop_lean_total",
+            "Executor runs served by the event loop with lean (scalar) statistics.",
+            "olab_core_cell_event_loop_lean_ns",
+            "Executor run latency through the event loop, lean statistics.",
+        ],
+    ],
+];
+
+/// Registry-backed route attribution: per-route run counts (cross-run
+/// deterministic) and per-route run-latency histograms (wall-clock), for
 /// the `olab-metrics` expositions — plus the event loop's per-GPU pricing
 /// outcomes, which share `Machine::gpu_epoch` with the fast path.
 pub(crate) struct RouteMetrics {
-    pub fast_full: &'static Counter,
-    pub fast_lean: &'static Counter,
-    pub event_loop_full: &'static Counter,
-    pub event_loop_lean: &'static Counter,
-    pub fast_full_ns: &'static Histogram,
-    pub fast_lean_ns: &'static Histogram,
-    pub event_loop_full_ns: &'static Histogram,
-    pub event_loop_lean_ns: &'static Histogram,
+    runs: [[(&'static Counter, &'static Histogram); 2]; 2],
     pub pricing_reused: &'static Counter,
     pub pricing_priced: &'static Counter,
+}
+
+impl RouteMetrics {
+    /// Records one successful executor run by its route and whether it
+    /// kept lean (scalar) or full statistics.
+    pub(crate) fn record(&self, route: Route, lean: bool, start: Option<Instant>) {
+        let (runs, latency) = self.runs[route as usize][usize::from(lean)];
+        runs.inc();
+        latency.observe_since(start);
+    }
 }
 
 pub(crate) fn route_metrics() -> &'static RouteMetrics {
     static M: OnceLock<RouteMetrics> = OnceLock::new();
     M.get_or_init(|| RouteMetrics {
-        fast_full: counter(
-            "olab_core_route_fast_full_total",
-            Determinism::CrossRun,
-            "Cells served by the analytic fast path with full statistics.",
-        ),
-        fast_lean: counter(
-            "olab_core_route_fast_lean_total",
-            Determinism::CrossRun,
-            "Cells served by the analytic fast path with lean (scalar) statistics.",
-        ),
-        event_loop_full: counter(
-            "olab_core_route_event_loop_full_total",
-            Determinism::CrossRun,
-            "Cells that fell back to the event loop with full statistics.",
-        ),
-        event_loop_lean: counter(
-            "olab_core_route_event_loop_lean_total",
-            Determinism::CrossRun,
-            "Cells that fell back to the event loop with lean (scalar) statistics.",
-        ),
-        fast_full_ns: olab_metrics::histogram(
-            "olab_core_cell_fast_full_ns",
-            "Cell latency through the fast path, full statistics.",
-        ),
-        fast_lean_ns: olab_metrics::histogram(
-            "olab_core_cell_fast_lean_ns",
-            "Cell latency through the fast path, lean statistics.",
-        ),
-        event_loop_full_ns: olab_metrics::histogram(
-            "olab_core_cell_event_loop_full_ns",
-            "Cell latency through the event loop, full statistics.",
-        ),
-        event_loop_lean_ns: olab_metrics::histogram(
-            "olab_core_cell_event_loop_lean_ns",
-            "Cell latency through the event loop, lean statistics.",
-        ),
+        runs: ROUTE_FAMILIES.map(|by_stats| {
+            by_stats.map(|[name, help, ns_name, ns_help]| {
+                (
+                    counter(name, Determinism::CrossRun, help),
+                    olab_metrics::histogram(ns_name, ns_help),
+                )
+            })
+        }),
         pricing_reused: counter(
             "olab_core_pricing_reused_total",
             Determinism::CrossRun,
@@ -109,15 +118,4 @@ pub fn touch_metrics() {
     let _ = route_metrics();
     olab_sim::metrics::touch();
     olab_grid::metrics::touch();
-}
-
-/// The O(1) machine-level gate the executor checks before attempting the
-/// analytic schedule: no jitter (it only exists epoch by epoch) and no
-/// transient frequency caps (fault layers mutate these at epoch
-/// boundaries). The per-task rules — dependencies point backward in push
-/// order, payload kind matches stream — are enforced inside the schedule
-/// builder itself, which bails to the event loop on first violation, so the
-/// executor never pays a separate O(n) classification pass.
-pub(crate) fn machine_eligible(machine: &Machine) -> bool {
-    !machine.has_jitter() && !machine.has_gpu_freq_caps()
 }

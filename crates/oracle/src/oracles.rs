@@ -679,11 +679,8 @@ fn check_report(
 ///
 /// The scalar-only executor has no tolerance: on every shape,
 /// [`execute_lean`](olab_core::execute_lean) must equal
-/// [`LeanRun::summarize`] of [`execute`](olab_core::execute) exactly, and
-/// where that route is the fast path, the event loop's record-free run
-/// ([`execute_model_lean`](olab_core::execute_model_lean)) must equal the
-/// summarized [`execute_model`](olab_core::execute_model) exactly too.
-/// A mismatch is a violation.
+/// [`LeanRun::summarize`] of [`execute`](olab_core::execute) exactly, on
+/// whichever route the two take. A mismatch is a violation.
 ///
 /// Returns the report together with how many of the cell's four routed
 /// legs (full and lean, for each eligible shape) the fast path served,
@@ -716,14 +713,8 @@ pub fn check_fastpath_equivalence(
         let routed = olab_core::execute(workload, machine)?;
         let lean = olab_core::execute_lean(workload, machine)?;
         require_equal(&mut report, tag, "execute_lean", &lean, &routed);
-        if routed.route == Route::EventLoop && !band {
-            continue;
-        }
-        // The event loop's record-free run, against its own full run.
-        let reference = olab_core::execute_model(workload, machine.clone(), &mut NullObserver)?;
-        let looped = olab_core::execute_model_lean(workload, machine.clone())?;
-        require_equal(&mut report, tag, "execute_model_lean", &looped, &reference);
         if band {
+            let reference = olab_core::execute_model(workload, machine.clone(), &mut NullObserver)?;
             compare_paths(&mut report, tag, workload, &routed, &reference);
             fast_served += [routed.route, lean.route]
                 .iter()

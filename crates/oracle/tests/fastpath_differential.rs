@@ -9,8 +9,7 @@
 use olab_ccl::{lower, Algorithm, Collective};
 use olab_core::fastpath::Route;
 use olab_core::{
-    execute, execute_lean, execute_model, execute_model_lean, Experiment, Jitter, LeanRun, Machine,
-    Strategy,
+    execute, execute_lean, execute_model, Experiment, Jitter, LeanRun, Machine, Strategy,
 };
 use olab_gpu::{Datapath, GpuSku, KernelKind, Precision, SkuKind};
 use olab_grid::Pool;
@@ -28,17 +27,16 @@ fn overlapping_cell() -> Experiment {
 }
 
 /// Runs `w` through the router, full and lean, and through the reference
-/// event loop, with and without records: every run must reproduce the
-/// reference exactly (the same engine on the same machine), error for
-/// error when the workload does not run. `LeanRun` carries the route, so
-/// equality with the reference also pins `Route::EventLoop`.
+/// event loop: every run must reproduce the reference exactly (the same
+/// engine on the same machine), error for error when the workload does not
+/// run. `LeanRun` carries the route, so equality with the reference also
+/// pins `Route::EventLoop`.
 fn assert_event_loop(w: &Workload<Op>, machine: &Machine, why: &str) {
     let reference =
         execute_model(w, machine.clone(), &mut NullObserver).map(|r| LeanRun::summarize(&r));
     let routed = execute(w, machine).map(|r| LeanRun::summarize(&r));
     assert_eq!(routed, reference, "{why}");
     assert_eq!(execute_lean(w, machine), reference, "{why}");
-    assert_eq!(execute_model_lean(w, machine.clone()), reference, "{why}");
 }
 
 #[test]
@@ -218,8 +216,7 @@ fn comm_payloads_on_the_compute_stream_never_take_the_fast_path() {
 /// The lean fast path on a schedule with idle gaps: GPU 1 starts late,
 /// GPU 0 then idles until a two-GPU collective, and GPUs 2 and 3 never
 /// run. On both machines the lean result is the summarized full run
-/// exactly, served by the fast path, and the event loop's record-free run
-/// is its own summarized full run exactly.
+/// exactly, served by the fast path.
 #[test]
 fn lean_fast_path_is_exact_across_idle_gaps() {
     let stock = Machine::stock(GpuSku::h100(), 4);
@@ -241,11 +238,6 @@ fn lean_fast_path_is_exact_across_idle_gaps() {
         let full = execute(&w, &machine).expect("runs");
         assert_eq!(full.route, Route::FastPath);
         assert_eq!(execute_lean(&w, &machine), Ok(LeanRun::summarize(&full)));
-        let reference = execute_model(&w, machine.clone(), &mut NullObserver).expect("runs");
-        assert_eq!(
-            execute_model_lean(&w, machine),
-            Ok(LeanRun::summarize(&reference))
-        );
     }
 }
 

@@ -24,7 +24,7 @@ pub(crate) fn sim_metrics() -> &'static SimMetrics {
         engine_runs: counter(
             "olab_sim_engine_runs_total",
             Determinism::CrossRun,
-            "Completed event-loop engine runs (one per simulated cell).",
+            "Completed event-loop engine runs (one per leg on the event loop; a cell has three legs).",
         ),
         arena_warm_resets: counter(
             "olab_sim_arena_warm_resets_total",

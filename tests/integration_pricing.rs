@@ -6,13 +6,16 @@
 //! So are the route counters of the same pass, of a jittered `run_n`
 //! pass, and of the report path (`run`, `run_jittered`): which executor
 //! serves each leg, and how often the engine runs, must not move when a
-//! leg computes less.
+//! leg computes less. A run the engine rejects is counted under no route.
 //!
 //! One `#[test]` in its own binary, because the registry (and its enable
 //! flag) is process-global.
 
-use olab_core::registry;
+use olab_core::{execute, execute_lean, registry, Machine};
+use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_metrics::Determinism;
+use olab_parallel::{ComputeOp, Op};
+use olab_sim::{GpuId, TaskId, TaskSpec, Workload};
 
 #[test]
 fn pricing_memo_totals_are_pinned_on_the_main_grid() {
@@ -74,4 +77,19 @@ fn pricing_memo_totals_are_pinned_on_the_main_grid() {
         let _ = exp.run_jittered(3, 0.05);
     }
     assert_eq!(routes(), [0, 15, 0, 30, 45]);
+
+    // A run the engine rejects counts under no route: one self-dependent
+    // task falls through the fast path to the event loop, which fails.
+    olab_metrics::reset();
+    let machine = Machine::stock(GpuSku::h100(), 2).uncontended();
+    let gemm = ComputeOp::new(
+        KernelKind::gemm(256, 256, 256),
+        Precision::Fp16,
+        Datapath::TensorCore,
+    );
+    let mut w = Workload::new(2);
+    w.push(TaskSpec::compute("k0", GpuId(0), Op::Compute(gemm)).after(TaskId(0)));
+    assert!(execute(&w, &machine).is_err());
+    assert!(execute_lean(&w, &machine).is_err());
+    assert_eq!(routes(), [0; 5]);
 }
