@@ -302,14 +302,15 @@ pub(crate) fn execute_lean_keeping(
 /// takes the same route, but computes nothing else: the fast path runs
 /// only the makespan pass
 /// ([`fast_makespan`](crate::analytic::fast_makespan)), and an ineligible
-/// (jittered) machine keeps only the event loop's makespan.
+/// (jittered) machine runs the event loop makespan-only
+/// ([`Engine::run_makespan`]).
 pub(crate) fn ideal_e2e_s(workload: &Workload<Op>, machine: &Machine) -> Result<f64, SimError> {
     route(
         workload,
         Cow::Owned(machine.uncontended()),
         true,
         crate::analytic::fast_makespan,
-        |w, m| Ok(Engine::new(m).run_summary(w)?.makespan.as_secs()),
+        |w, m| Ok(Engine::new(m).run_makespan(w)?.as_secs()),
     )
 }
 

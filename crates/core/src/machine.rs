@@ -1030,7 +1030,6 @@ mod tests {
                 label: &label,
                 participants: std::slice::from_ref(&gpus[g as usize]),
                 stream: StreamKind::Compute,
-                remaining: 1.0,
                 payload: &op,
             })
             .collect();

@@ -2,8 +2,8 @@
 
 use crate::obs::{EngineObserver, GpuCounters, NullObserver};
 use crate::rate::{RateModel, RunningTask};
-use crate::trace::{GpuActivity, SimSummary, SimTrace, StreamTotals, TaskRecord};
-use crate::{SimError, SimTime, StreamKind, TaskId, Workload};
+use crate::trace::{power_continues, GpuActivity, SimSummary, SimTrace, StreamTotals, TaskRecord};
+use crate::{SimError, SimTime, StreamKind, TaskId, TaskSpec, Workload};
 use std::cell::RefCell;
 
 /// Work fractions below this are considered complete (guards rounding).
@@ -14,6 +14,81 @@ enum Status {
     Pending,
     Running,
     Done,
+}
+
+/// One device's bookkeeping, carried from epoch to epoch: its stream
+/// occupancy changes only when a task starts or retires on it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Device {
+    /// Whether a task runs on each stream (indexed by
+    /// [`StreamKind::index`]). A running task heads every queue it sits in
+    /// and each (device, stream) queue has one head, so a flag is the count.
+    busy: [bool; 2],
+    /// Whether the device's last overlap window is still open, its end not
+    /// yet written.
+    overlap_open: bool,
+}
+
+impl Device {
+    /// Accounts one epoch starting at `now`, of length `epoch`, drawing
+    /// `watts`. Busy time is added per epoch. The open power segment and
+    /// overlap window are extended by leaving them open: an end is written
+    /// only when the draw changes, the overlap stops, or the run ends
+    /// ([`Device::close`]). The result is the activity
+    /// [`GpuActivity::push_power`] and [`GpuActivity::push_overlap`] build
+    /// from one push per epoch, bit for bit: epochs are contiguous, so
+    /// each push either merges into the open entry or starts a new one.
+    /// The draw is compared every epoch, so a model may change any
+    /// device's draw at any epoch, whether or not a task on it changed.
+    #[inline]
+    fn account(&mut self, activity: &mut GpuActivity, now: SimTime, epoch: SimTime, watts: f64) {
+        for s in StreamKind::ALL {
+            if self.busy[s.index()] {
+                activity.busy[s.index()] += epoch;
+            }
+        }
+        let at = now.as_secs();
+        let continues = activity
+            .power
+            .last()
+            .is_some_and(|open| power_continues(at, open.watts, at, watts));
+        if !continues {
+            if let Some(open) = activity.power.last_mut() {
+                open.window.end = now;
+            }
+            activity.push_power(now, now, watts);
+        }
+        let overlapped = self.busy[0] && self.busy[1];
+        if overlapped != self.overlap_open {
+            if overlapped {
+                // Reopens the last window if it ended within the merge
+                // distance, else starts a new one.
+                activity.push_overlap(now, now);
+            } else {
+                Self::close_overlap(activity, now);
+            }
+            self.overlap_open = overlapped;
+        }
+    }
+
+    /// Writes the end of the open power segment and overlap window at the
+    /// end of the run.
+    fn close(&self, activity: &mut GpuActivity, now: SimTime) {
+        if let Some(open) = activity.power.last_mut() {
+            open.window.end = now;
+        }
+        if self.overlap_open {
+            Self::close_overlap(activity, now);
+        }
+    }
+
+    fn close_overlap(activity: &mut GpuActivity, now: SimTime) {
+        activity
+            .overlap_windows
+            .last_mut()
+            .expect("an open overlap window")
+            .end = now;
+    }
 }
 
 /// Reusable per-run scratch memory for the engine.
@@ -49,16 +124,19 @@ struct SimArena {
     queue_tasks: Vec<TaskId>,
     /// Absolute index of each queue's current head in `queue_tasks`.
     queue_head: Vec<u32>,
+    /// Queues whose head may have become promotable since the last
+    /// promotion pass: each is some task's first queue (see
+    /// [`first_queue`]). Every queue before the first epoch.
+    candidates: Vec<u32>,
     status: Vec<Status>,
     remaining: Vec<f64>,
     start: Vec<SimTime>,
     end: Vec<SimTime>,
     coactive: Vec<SimTime>,
-    running: Vec<TaskId>,
     rates: Vec<f64>,
     power: Vec<f64>,
     counters: Vec<GpuCounters>,
-    stream_busy: Vec<[bool; 2]>,
+    devices: Vec<Device>,
 }
 
 impl SimArena {
@@ -130,6 +208,8 @@ impl SimArena {
             }
         }
         self.dep_cursor = cursor;
+        self.candidates.clear();
+        self.candidates.extend(0..n_queues as u32);
 
         self.status.clear();
         self.status.resize(n, Status::Pending);
@@ -141,13 +221,20 @@ impl SimArena {
         self.end.resize(n, SimTime::ZERO);
         self.coactive.clear();
         self.coactive.resize(n, SimTime::ZERO);
-        self.running.clear();
         self.rates.clear();
         self.power.clear();
         self.counters.clear();
-        self.stream_busy.clear();
-        self.stream_busy.resize(n_gpus, [false; 2]);
+        self.devices.clear();
+        self.devices.resize(n_gpus, Device::default());
     }
+}
+
+/// The first of a task's queues, `(device, stream)` flattened to
+/// `device * 2 + stream`: participants are sorted, so this is the queue at
+/// which a scan of every queue in order would promote the task.
+#[inline]
+fn first_queue<P>(spec: &TaskSpec<P>) -> u32 {
+    (spec.participants[0].index() * 2 + spec.stream.index()) as u32
 }
 
 thread_local! {
@@ -209,7 +296,7 @@ impl<M: RateModel> Engine<M> {
         obs: &mut O,
     ) -> Result<SimTrace, SimError> {
         with_scratch(|arena| {
-            let (gpus, makespan) = self.run_loop(workload, obs, arena)?;
+            let (gpus, makespan) = self.run_loop::<O, true>(workload, obs, arena)?;
             let records = workload
                 .tasks()
                 .iter()
@@ -239,7 +326,7 @@ impl<M: RateModel> Engine<M> {
     /// As for [`run`](Engine::run).
     pub fn run_summary(&mut self, workload: &Workload<M::Payload>) -> Result<SimSummary, SimError> {
         with_scratch(|arena| {
-            let (gpus, makespan) = self.run_loop(workload, &mut NullObserver, arena)?;
+            let (gpus, makespan) = self.run_loop::<_, true>(workload, &mut NullObserver, arena)?;
             let mut totals = StreamTotals::new(workload.n_gpus());
             for (i, spec) in workload.tasks().iter().enumerate() {
                 totals.add(
@@ -257,9 +344,32 @@ impl<M: RateModel> Engine<M> {
         })
     }
 
-    /// The event loop. Leaves each task's start, end and co-active time
-    /// in the arena and returns the per-device activity and the makespan.
-    fn run_loop<O: EngineObserver>(
+    /// Runs the workload to completion and returns only its makespan,
+    /// equal bit for bit to [`run_summary`](Engine::run_summary)'s. The
+    /// loop keeps no per-device activity, task times or co-active time.
+    ///
+    /// # Errors
+    ///
+    /// As for [`run`](Engine::run).
+    pub fn run_makespan(&mut self, workload: &Workload<M::Payload>) -> Result<SimTime, SimError> {
+        with_scratch(|arena| {
+            let (_, makespan) = self.run_loop::<_, false>(workload, &mut NullObserver, arena)?;
+            Ok(makespan)
+        })
+    }
+
+    /// The event loop. With `FULL`, it leaves each task's start, end and
+    /// co-active time in the arena and returns the per-device activity and
+    /// the makespan; without, it keeps none of these and returns no
+    /// activity, only the makespan.
+    ///
+    /// Each epoch does the work its changes require. Promotion checks only
+    /// candidate queues: those whose head advanced, or whose head's last
+    /// dependency retired. The running views persist across epochs, sorted
+    /// by id. Device stream occupancy is updated when a task starts or
+    /// retires, and the open power segment and overlap window of each
+    /// device are written out only when they close (see [`Device`]).
+    fn run_loop<O: EngineObserver, const FULL: bool>(
         &mut self,
         workload: &Workload<M::Payload>,
         obs: &mut O,
@@ -281,68 +391,91 @@ impl<M: RateModel> Engine<M> {
             queue_off,
             queue_tasks,
             queue_head,
+            candidates,
             status,
             remaining,
             start,
             end,
             coactive,
-            running,
             rates,
             power,
             counters,
-            stream_busy,
+            devices,
             ..
         } = arena;
 
-        let mut gpus: Vec<GpuActivity> = vec![GpuActivity::default(); n_gpus];
-        // Task views borrow the workload, so they cannot live in the arena;
-        // one allocation per run, cleared and rebuilt each epoch. A running
+        let mut gpus: Vec<GpuActivity> = if FULL {
+            vec![GpuActivity::default(); n_gpus]
+        } else {
+            Vec::new()
+        };
+        // The running set, sorted by id. Task views borrow the workload, so
+        // they cannot live in the arena; one allocation per run. A running
         // task heads every queue it sits in, and each queue has one head,
         // so no more tasks than queues run at once.
-        let mut views: Vec<RunningTask<'_, M::Payload>> = Vec::with_capacity(n_queues.min(n));
+        let mut running: Vec<RunningTask<'_, M::Payload>> = Vec::with_capacity(n_queues.min(n));
 
         let mut now = SimTime::ZERO;
         let mut done = 0usize;
+        let mut epochs = 0u64;
 
         while done < n {
-            // Promote every task that is at the head of all its queues with
-            // satisfied dependencies.
-            let mut promoted = true;
-            while promoted {
-                promoted = false;
-                for q in 0..n_queues {
-                    let head_at = queue_head[q];
-                    if head_at >= queue_off[q + 1] {
-                        continue;
-                    }
-                    let head = queue_tasks[head_at as usize];
-                    if status[head.index()] != Status::Pending || deps_left[head.index()] != 0 {
-                        continue;
-                    }
-                    let spec = &tasks[head.index()];
-                    let ready = spec.participants.iter().all(|g| {
-                        let pq = g.index() * 2 + spec.stream.index();
-                        let at = queue_head[pq];
-                        at < queue_off[pq + 1] && queue_tasks[at as usize] == head
-                    });
-                    if ready {
-                        status[head.index()] = Status::Running;
-                        start[head.index()] = now;
-                        running.push(head);
-                        promoted = true;
-                        if O::ENABLED {
-                            obs.on_task_start(
-                                now.as_secs(),
-                                head,
-                                &spec.label,
-                                &spec.participants,
-                                spec.stream,
-                            );
-                        }
+            // Promote every candidate queue's head that heads all its
+            // queues with satisfied dependencies. A task becomes
+            // promotable only when a queue of it advances or its last
+            // dependency retires, and either makes its first queue a
+            // candidate; so in queue order this promotes what a scan of
+            // every queue would, in the scan's order.
+            candidates.sort_unstable();
+            candidates.dedup();
+            for &q in candidates.iter() {
+                let q = q as usize;
+                let head_at = queue_head[q];
+                if head_at >= queue_off[q + 1] {
+                    continue;
+                }
+                let head = queue_tasks[head_at as usize];
+                if status[head.index()] != Status::Pending || deps_left[head.index()] != 0 {
+                    continue;
+                }
+                let spec = &tasks[head.index()];
+                let ready = spec.participants.iter().all(|g| {
+                    let pq = g.index() * 2 + spec.stream.index();
+                    let at = queue_head[pq];
+                    at < queue_off[pq + 1] && queue_tasks[at as usize] == head
+                });
+                if !ready {
+                    continue;
+                }
+                status[head.index()] = Status::Running;
+                if FULL {
+                    start[head.index()] = now;
+                    for gpu in &spec.participants {
+                        devices[gpu.index()].busy[spec.stream.index()] = true;
                     }
                 }
+                let at = running.partition_point(|task| task.id < head);
+                running.insert(
+                    at,
+                    RunningTask {
+                        id: head,
+                        label: &spec.label,
+                        participants: &spec.participants,
+                        stream: spec.stream,
+                        payload: &spec.payload,
+                    },
+                );
+                if O::ENABLED {
+                    obs.on_task_start(
+                        now.as_secs(),
+                        head,
+                        &spec.label,
+                        &spec.participants,
+                        spec.stream,
+                    );
+                }
             }
-            running.sort_unstable();
+            candidates.clear();
 
             if running.is_empty() {
                 let stuck: Vec<TaskId> = (0..n)
@@ -353,29 +486,17 @@ impl<M: RateModel> Engine<M> {
             }
 
             // Ask the model for rates and power.
-            views.clear();
-            views.extend(running.iter().map(|&id| {
-                let spec = &tasks[id.index()];
-                RunningTask {
-                    id,
-                    label: &spec.label,
-                    participants: &spec.participants,
-                    stream: spec.stream,
-                    remaining: remaining[id.index()],
-                    payload: &spec.payload,
-                }
-            }));
             rates.clear();
             rates.resize(running.len(), 0.0);
             power.clear();
             power.resize(n_gpus, 0.0);
             self.model
-                .assign_rates_at(now.as_secs(), &views, rates, power);
+                .assign_rates_at(now.as_secs(), &running, rates, power);
 
-            for (i, &rate) in rates.iter().enumerate() {
+            for (task, &rate) in running.iter().zip(rates.iter()) {
                 if !(rate.is_finite() && rate > 0.0) {
                     return Err(SimError::InvalidRate {
-                        task: running[i],
+                        task: task.id,
                         rate,
                     });
                 }
@@ -389,8 +510,8 @@ impl<M: RateModel> Engine<M> {
             // Advance to the earliest completion.
             let mut dt = f64::INFINITY;
             let mut argmin = 0usize;
-            for (i, &id) in running.iter().enumerate() {
-                let t = remaining[id.index()] / rates[i];
+            for (i, (task, &rate)) in running.iter().zip(rates.iter()).enumerate() {
+                let t = remaining[task.id.index()] / rate;
                 if t < dt {
                     dt = t;
                     argmin = i;
@@ -414,17 +535,6 @@ impl<M: RateModel> Engine<M> {
                 }
             }
 
-            // Per-device stream occupancy during this epoch.
-            for busy in stream_busy.iter_mut() {
-                *busy = [false; 2];
-            }
-            for &id in running.iter() {
-                let spec = &tasks[id.index()];
-                for gpu in &spec.participants {
-                    stream_busy[gpu.index()][spec.stream.index()] = true;
-                }
-            }
-
             let epoch = SimTime::from_secs(dt);
             let epoch_end = now + epoch;
 
@@ -438,69 +548,88 @@ impl<M: RateModel> Engine<M> {
                 obs.on_epoch(now.as_secs(), epoch_end.as_secs(), counters);
             }
 
-            for (g, busy) in stream_busy.iter().enumerate() {
-                for s in StreamKind::ALL {
-                    if busy[s.index()] {
-                        gpus[g].busy[s.index()] += epoch;
+            if FULL {
+                for ((device, activity), &watts) in
+                    devices.iter_mut().zip(&mut gpus).zip(power.iter())
+                {
+                    device.account(activity, now, epoch, watts);
+                }
+                for task in &running {
+                    let other = task.stream.other().index();
+                    if task
+                        .participants
+                        .iter()
+                        .any(|g| devices[g.index()].busy[other])
+                    {
+                        coactive[task.id.index()] += epoch;
                     }
                 }
-                if busy[0] && busy[1] {
-                    gpus[g].push_overlap(now, epoch_end);
-                }
-                gpus[g].push_power(now, epoch_end, power[g]);
             }
-
-            for (i, &id) in running.iter().enumerate() {
-                let spec = &tasks[id.index()];
-                let other_busy = spec
-                    .participants
-                    .iter()
-                    .any(|g| stream_busy[g.index()][spec.stream.other().index()]);
-                if other_busy {
-                    coactive[id.index()] += epoch;
-                }
-                remaining[id.index()] = (remaining[id.index()] - rates[i] * dt).max(0.0);
-                if completes && i == argmin {
-                    remaining[id.index()] = 0.0;
-                }
+            for (task, &rate) in running.iter().zip(rates.iter()) {
+                let left = &mut remaining[task.id.index()];
+                *left = (*left - rate * dt).max(0.0);
+            }
+            if completes {
+                remaining[running[argmin].id.index()] = 0.0;
             }
 
             now = epoch_end;
+            epochs += 1;
 
             // Retire completed tasks in place (`retain` visits in order and
-            // compacts without allocating).
-            running.retain(|&id| {
+            // compacts without allocating), naming the queues whose heads
+            // they unblock as candidates.
+            running.retain(|task| {
+                let id = task.id;
                 if remaining[id.index()] > REMAINING_TOLERANCE {
                     return true;
                 }
                 status[id.index()] = Status::Done;
-                end[id.index()] = now;
                 done += 1;
-                let spec = &tasks[id.index()];
+                if FULL {
+                    end[id.index()] = now;
+                }
                 if O::ENABLED {
                     obs.on_task_end(
                         now.as_secs(),
                         id,
-                        &spec.label,
-                        &spec.participants,
-                        spec.stream,
+                        task.label,
+                        task.participants,
+                        task.stream,
                     );
                 }
-                for gpu in &spec.participants {
-                    let q = gpu.index() * 2 + spec.stream.index();
+                for gpu in task.participants {
+                    if FULL {
+                        devices[gpu.index()].busy[task.stream.index()] = false;
+                    }
+                    let q = gpu.index() * 2 + task.stream.index();
                     debug_assert_eq!(queue_tasks[queue_head[q] as usize], id);
                     queue_head[q] += 1;
+                    if queue_head[q] < queue_off[q + 1] {
+                        let next = queue_tasks[queue_head[q] as usize];
+                        candidates.push(first_queue(&tasks[next.index()]));
+                    }
                 }
                 let lo = dep_off[id.index()] as usize;
                 let hi = dep_off[id.index() + 1] as usize;
                 for dep in &dep_edges[lo..hi] {
                     deps_left[dep.index()] -= 1;
+                    if deps_left[dep.index()] == 0 {
+                        candidates.push(first_queue(&tasks[dep.index()]));
+                    }
                 }
                 false
             });
         }
 
-        crate::metrics::sim_metrics().engine_runs.inc();
+        if FULL {
+            for (device, activity) in devices.iter().zip(&mut gpus) {
+                device.close(activity, now);
+            }
+        }
+        let m = crate::metrics::sim_metrics();
+        m.engine_runs.inc();
+        m.engine_epochs.add(epochs);
         Ok((gpus, now))
     }
 }
@@ -518,7 +647,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut SimArena) -> R) -> R {
 mod tests {
     use super::*;
     use crate::rate::ConstantRate;
-    use crate::{GpuId, TaskSpec};
+    use crate::GpuId;
 
     fn unit_workload() -> Workload<()> {
         Workload::new(2)
@@ -906,5 +1035,522 @@ mod tests {
         let activity = trace.gpu(GpuId(0));
         assert!((activity.busy_time(StreamKind::Compute).as_secs() - 1.0).abs() < 1e-9);
         assert!((activity.busy_time(StreamKind::Comm).as_secs() - 1.0).abs() < 1e-9);
+    }
+
+    /// The reference event loop: the straightforward loop the incremental
+    /// one must equal. Each epoch it rescans every queue for promotions
+    /// until a pass promotes nothing, rebuilds the running views and the
+    /// stream occupancy from the running ids, and pushes every device's
+    /// busy time, power segment and overlap window for the epoch.
+    fn reference_run<M: RateModel, O: EngineObserver>(
+        model: &mut M,
+        workload: &Workload<M::Payload>,
+        obs: &mut O,
+    ) -> Result<SimTrace, SimError> {
+        workload.validate()?;
+        model.begin_run();
+
+        let n = workload.len();
+        let n_gpus = workload.n_gpus();
+        let n_queues = n_gpus * 2;
+        let tasks = workload.tasks();
+
+        let mut arena = SimArena::default();
+        arena.reset(workload);
+        let SimArena {
+            deps_left,
+            dep_off,
+            dep_edges,
+            queue_off,
+            queue_tasks,
+            queue_head,
+            ..
+        } = &mut arena;
+        let mut status = vec![Status::Pending; n];
+        let mut remaining = vec![1.0f64; n];
+        let mut start = vec![SimTime::ZERO; n];
+        let mut end = vec![SimTime::ZERO; n];
+        let mut coactive = vec![SimTime::ZERO; n];
+        let mut running: Vec<TaskId> = Vec::new();
+        let mut stream_busy = vec![[false; 2]; n_gpus];
+        let mut gpus = vec![GpuActivity::default(); n_gpus];
+        let mut now = SimTime::ZERO;
+        let mut done = 0usize;
+
+        while done < n {
+            let mut promoted = true;
+            while promoted {
+                promoted = false;
+                for q in 0..n_queues {
+                    let head_at = queue_head[q];
+                    if head_at >= queue_off[q + 1] {
+                        continue;
+                    }
+                    let head = queue_tasks[head_at as usize];
+                    if status[head.index()] != Status::Pending || deps_left[head.index()] != 0 {
+                        continue;
+                    }
+                    let spec = &tasks[head.index()];
+                    let ready = spec.participants.iter().all(|g| {
+                        let pq = g.index() * 2 + spec.stream.index();
+                        let at = queue_head[pq];
+                        at < queue_off[pq + 1] && queue_tasks[at as usize] == head
+                    });
+                    if ready {
+                        status[head.index()] = Status::Running;
+                        start[head.index()] = now;
+                        running.push(head);
+                        promoted = true;
+                        obs.on_task_start(
+                            now.as_secs(),
+                            head,
+                            &spec.label,
+                            &spec.participants,
+                            spec.stream,
+                        );
+                    }
+                }
+            }
+            running.sort_unstable();
+            if running.is_empty() {
+                let stuck = (0..n)
+                    .filter(|&i| status[i] != Status::Done)
+                    .map(|i| TaskId(i as u32))
+                    .collect();
+                return Err(SimError::Deadlock { at: now, stuck });
+            }
+
+            let views: Vec<RunningTask<'_, M::Payload>> = running
+                .iter()
+                .map(|&id| {
+                    let spec = &tasks[id.index()];
+                    RunningTask {
+                        id,
+                        label: &spec.label,
+                        participants: &spec.participants,
+                        stream: spec.stream,
+                        payload: &spec.payload,
+                    }
+                })
+                .collect();
+            let mut rates = vec![0.0; running.len()];
+            let mut power = vec![0.0; n_gpus];
+            model.assign_rates_at(now.as_secs(), &views, &mut rates, &mut power);
+            for (i, &rate) in rates.iter().enumerate() {
+                if !(rate.is_finite() && rate > 0.0) {
+                    return Err(SimError::InvalidRate {
+                        task: running[i],
+                        rate,
+                    });
+                }
+            }
+            for (g, &watts) in power.iter().enumerate() {
+                if !(watts.is_finite() && watts >= 0.0) {
+                    return Err(SimError::InvalidPower { gpu: g, watts });
+                }
+            }
+
+            let mut dt = f64::INFINITY;
+            let mut argmin = 0usize;
+            for (i, &id) in running.iter().enumerate() {
+                let t = remaining[id.index()] / rates[i];
+                if t < dt {
+                    dt = t;
+                    argmin = i;
+                }
+            }
+            let mut completes = true;
+            if let Some(boundary) = model.next_boundary(now.as_secs()) {
+                let until = boundary - now.as_secs();
+                let eps = 1e-12f64.max(now.as_secs() * 1e-12);
+                if until > eps && until < dt {
+                    dt = until;
+                    completes = false;
+                }
+            }
+
+            for busy in stream_busy.iter_mut() {
+                *busy = [false; 2];
+            }
+            for &id in &running {
+                let spec = &tasks[id.index()];
+                for gpu in &spec.participants {
+                    stream_busy[gpu.index()][spec.stream.index()] = true;
+                }
+            }
+
+            let epoch = SimTime::from_secs(dt);
+            let epoch_end = now + epoch;
+            let counters: Vec<GpuCounters> = power
+                .iter()
+                .enumerate()
+                .map(|(g, &watts)| GpuCounters {
+                    power_w: watts,
+                    ..model.counters(g)
+                })
+                .collect();
+            obs.on_epoch(now.as_secs(), epoch_end.as_secs(), &counters);
+
+            for (g, busy) in stream_busy.iter().enumerate() {
+                for s in StreamKind::ALL {
+                    if busy[s.index()] {
+                        gpus[g].busy[s.index()] += epoch;
+                    }
+                }
+                if busy[0] && busy[1] {
+                    gpus[g].push_overlap(now, epoch_end);
+                }
+                gpus[g].push_power(now, epoch_end, power[g]);
+            }
+
+            for (i, &id) in running.iter().enumerate() {
+                let spec = &tasks[id.index()];
+                let other_busy = spec
+                    .participants
+                    .iter()
+                    .any(|g| stream_busy[g.index()][spec.stream.other().index()]);
+                if other_busy {
+                    coactive[id.index()] += epoch;
+                }
+                remaining[id.index()] = (remaining[id.index()] - rates[i] * dt).max(0.0);
+                if completes && i == argmin {
+                    remaining[id.index()] = 0.0;
+                }
+            }
+
+            now = epoch_end;
+
+            running.retain(|&id| {
+                if remaining[id.index()] > REMAINING_TOLERANCE {
+                    return true;
+                }
+                status[id.index()] = Status::Done;
+                end[id.index()] = now;
+                done += 1;
+                let spec = &tasks[id.index()];
+                obs.on_task_end(
+                    now.as_secs(),
+                    id,
+                    &spec.label,
+                    &spec.participants,
+                    spec.stream,
+                );
+                for gpu in &spec.participants {
+                    queue_head[gpu.index() * 2 + spec.stream.index()] += 1;
+                }
+                let lo = dep_off[id.index()] as usize;
+                let hi = dep_off[id.index() + 1] as usize;
+                for dep in &dep_edges[lo..hi] {
+                    deps_left[dep.index()] -= 1;
+                }
+                false
+            });
+        }
+
+        let records = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| TaskRecord {
+                id: TaskId(i as u32),
+                label: spec.label.clone(),
+                participants: spec.participants.clone(),
+                stream: spec.stream,
+                start: start[i],
+                end: end[i],
+                coactive: coactive[i],
+            })
+            .collect();
+        Ok(SimTrace::new(records, gpus, now))
+    }
+
+    /// Payload of a differential task: its solo duration in seconds.
+    #[derive(Debug, Clone, Copy)]
+    struct Solo(f64);
+
+    /// The differential's rate models.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Physics {
+        /// Contention halves a task whose device runs the other stream;
+        /// every rate carries seeded noise, and device power is 60 W plus
+        /// 40 W per running task plus sub-merge-tolerance noise, so
+        /// segments merge keeping their first draw.
+        Noisy,
+        /// Rates and every device's power step at fixed instants reported
+        /// through `next_boundary`, with no task starting or retiring.
+        Stepped,
+        /// One node-wide draw: every device's power follows the number of
+        /// tasks running anywhere, so a device whose own tasks did not
+        /// change still changes draw.
+        NodeWide,
+    }
+
+    /// The step of [`Physics::Stepped`], seconds.
+    const STEP_S: f64 = 0.37;
+
+    struct Diff {
+        physics: Physics,
+        rng: crate::SeededRng,
+        last_power: Vec<f64>,
+    }
+
+    impl Diff {
+        fn new(physics: Physics, seed: u64) -> Self {
+            Diff {
+                physics,
+                rng: crate::SeededRng::seed_from_u64(seed),
+                last_power: Vec::new(),
+            }
+        }
+    }
+
+    impl RateModel for Diff {
+        type Payload = Solo;
+
+        fn assign_rates(
+            &mut self,
+            _running: &[RunningTask<'_, Solo>],
+            _rates: &mut [f64],
+            _power: &mut [f64],
+        ) {
+            unreachable!("the engine calls assign_rates_at");
+        }
+
+        fn assign_rates_at(
+            &mut self,
+            now: f64,
+            running: &[RunningTask<'_, Solo>],
+            rates: &mut [f64],
+            power: &mut [f64],
+        ) {
+            let mut busy = vec![[false; 2]; power.len()];
+            for task in running {
+                for g in task.participants {
+                    busy[g.index()][task.stream.index()] = true;
+                }
+            }
+            let step = (now / STEP_S + 1e-9).floor();
+            for (i, task) in running.iter().enumerate() {
+                let contended = task
+                    .participants
+                    .iter()
+                    .any(|g| busy[g.index()][task.stream.other().index()]);
+                let mut duration = task.payload.0 * if contended { 2.0 } else { 1.0 };
+                match self.physics {
+                    Physics::Noisy => duration *= 0.8 + 0.4 * self.rng.next_f64(),
+                    Physics::Stepped => duration *= 1.0 + 0.5 * (step % 2.0),
+                    Physics::NodeWide => {}
+                }
+                rates[i] = 1.0 / duration;
+            }
+            for (g, watts) in power.iter_mut().enumerate() {
+                let tasks_here = busy[g].iter().filter(|&&b| b).count() as f64;
+                *watts = match self.physics {
+                    Physics::Noisy => 60.0 + 40.0 * tasks_here + 1e-10 * self.rng.next_f64(),
+                    Physics::Stepped => 60.0 + 40.0 * tasks_here + 15.0 * (step % 3.0),
+                    Physics::NodeWide => 60.0 + 10.0 * running.len() as f64,
+                };
+            }
+            self.last_power = power.to_vec();
+        }
+
+        fn next_boundary(&mut self, now: f64) -> Option<f64> {
+            (self.physics == Physics::Stepped)
+                .then(|| ((now / STEP_S + 1e-9).floor() + 1.0) * STEP_S)
+        }
+
+        fn counters(&self, gpu: usize) -> GpuCounters {
+            GpuCounters {
+                sm_occupancy: self.last_power[gpu] / 1000.0,
+                ..GpuCounters::default()
+            }
+        }
+    }
+
+    /// A seeded random DAG: single-device kernels and comm tasks mixed
+    /// with multi-device collectives on either stream, backward
+    /// dependencies across devices and streams, some near-instant tasks,
+    /// and with `forward` a few dependencies on later tasks, which can
+    /// deadlock.
+    fn random_dag(seed: u64, forward: bool) -> Workload<Solo> {
+        let mut rng = crate::SeededRng::seed_from_u64(seed);
+        let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+        let n_gpus = 1 + pick(4);
+        let n_tasks = 1 + pick(60);
+        let mut w = Workload::new(n_gpus);
+        for i in 0..n_tasks {
+            let stream = if pick(2) == 0 {
+                StreamKind::Compute
+            } else {
+                StreamKind::Comm
+            };
+            let participants: Vec<GpuId> = if n_gpus > 1 && pick(4) == 0 {
+                let mut gpus: Vec<GpuId> = (0..n_gpus as u16)
+                    .filter(|_| pick(2) == 0)
+                    .map(GpuId)
+                    .collect();
+                if gpus.len() < 2 {
+                    gpus = vec![GpuId(0), GpuId(n_gpus as u16 - 1)];
+                }
+                gpus
+            } else {
+                vec![GpuId(pick(n_gpus) as u16)]
+            };
+            // One task in ten is shorter than the 1e-12 s merge distance,
+            // so windows and segments also merge across tiny gaps.
+            let duration = match pick(10) {
+                0 => 4e-13,
+                _ => 0.05 + pick(1000) as f64 / 500.0,
+            };
+            let mut spec = TaskSpec::new(format!("t{i}"), participants, stream, Solo(duration));
+            for _ in 0..pick(4) {
+                if i > 0 {
+                    spec = spec.after(TaskId(pick(i) as u32));
+                }
+            }
+            if forward && pick(8) == 0 && i + 1 < n_tasks {
+                spec = spec.after(TaskId((i + 1 + pick(n_tasks - i - 1)) as u32));
+            }
+            w.push(spec);
+        }
+        w
+    }
+
+    /// One observer callback: its kind, task id, times as bits, and per
+    /// device the counters' occupancy and power as bits.
+    type Event = (&'static str, u32, u64, u64, Vec<[u64; 2]>);
+
+    /// Every observer callback, in order.
+    #[derive(Default, Debug, PartialEq)]
+    struct Events(Vec<Event>);
+
+    impl EngineObserver for Events {
+        fn on_task_start(
+            &mut self,
+            now_s: f64,
+            id: TaskId,
+            _label: &crate::Label,
+            _participants: &[GpuId],
+            _stream: StreamKind,
+        ) {
+            self.0.push(("start", id.0, now_s.to_bits(), 0, Vec::new()));
+        }
+        fn on_task_end(
+            &mut self,
+            now_s: f64,
+            id: TaskId,
+            _label: &crate::Label,
+            _participants: &[GpuId],
+            _stream: StreamKind,
+        ) {
+            self.0.push(("end", id.0, now_s.to_bits(), 0, Vec::new()));
+        }
+        fn on_epoch(&mut self, start_s: f64, end_s: f64, counters: &[GpuCounters]) {
+            let counters = counters
+                .iter()
+                .map(|c| [c.sm_occupancy.to_bits(), c.power_w.to_bits()])
+                .collect();
+            self.0
+                .push(("epoch", 0, start_s.to_bits(), end_s.to_bits(), counters));
+        }
+    }
+
+    fn time_bits(t: SimTime) -> u64 {
+        t.as_secs().to_bits()
+    }
+
+    /// One device's power segments, overlap windows and busy time as bits.
+    type ActivityBits = (Vec<[u64; 3]>, Vec<[u64; 2]>, [u64; 2]);
+
+    fn activity_bits(gpus: &[GpuActivity]) -> Vec<ActivityBits> {
+        gpus.iter()
+            .map(|a| {
+                let power = a
+                    .power
+                    .iter()
+                    .map(|s| {
+                        [
+                            time_bits(s.window.start),
+                            time_bits(s.window.end),
+                            s.watts.to_bits(),
+                        ]
+                    })
+                    .collect();
+                let windows = a
+                    .overlap_windows
+                    .iter()
+                    .map(|w| [time_bits(w.start), time_bits(w.end)])
+                    .collect();
+                (power, windows, a.busy.map(time_bits))
+            })
+            .collect()
+    }
+
+    fn totals_bits(totals: &StreamTotals) -> Vec<[u64; 4]> {
+        totals
+            .busy
+            .iter()
+            .zip(&totals.coactive)
+            .map(|(b, c)| [b[0], b[1], c[0], c[1]].map(time_bits))
+            .collect()
+    }
+
+    /// The incremental loop equals the reference loop bit for bit on
+    /// seeded random DAGs under each rate model: records, per-device
+    /// activity, stream totals, makespan, the observer's event sequence
+    /// (task starts in the reference's queue-scan order), and errors on
+    /// deadlocking DAGs; `run_summary` and `run_makespan` agree with the
+    /// trace run.
+    #[test]
+    fn incremental_loop_matches_the_reference_bit_for_bit() {
+        let mut epochs = 0usize;
+        let mut deadlocks = 0;
+        for seed in 0..300u64 {
+            let w = random_dag(seed, seed % 5 == 4);
+            for physics in [Physics::Noisy, Physics::Stepped, Physics::NodeWide] {
+                let what = format!("seed {seed} {physics:?}");
+                let model = || Diff::new(physics, seed);
+                let mut want_events = Events::default();
+                let want = reference_run(&mut model(), &w, &mut want_events);
+                let mut got_events = Events::default();
+                let got = Engine::new(model()).run_observed(&w, &mut got_events);
+                assert_eq!(got_events, want_events, "{what}: observer events");
+                let summary = Engine::new(model()).run_summary(&w);
+                let makespan = Engine::new(model()).run_makespan(&w);
+                let (want, got, summary, makespan) = match (want, got, summary, makespan) {
+                    (Ok(a), Ok(b), Ok(c), Ok(d)) => (a, b, c, d),
+                    (Err(a), Err(b), Err(c), Err(d)) => {
+                        assert!(matches!(a, SimError::Deadlock { .. }), "{what}: {a:?}");
+                        assert_eq!((&b, &c, &d), (&a, &a, &a), "{what}: errors");
+                        deadlocks += 1;
+                        continue;
+                    }
+                    outcomes => panic!("{what}: outcomes differ: {outcomes:?}"),
+                };
+                epochs += want_events.0.iter().filter(|e| e.0 == "epoch").count();
+                assert_eq!(got.records().len(), want.records().len(), "{what}");
+                for (g, r) in got.records().iter().zip(want.records()) {
+                    assert_eq!((g.id, &g.label, g.stream), (r.id, &r.label, r.stream));
+                    assert_eq!(g.participants, r.participants, "{what}");
+                    assert_eq!(
+                        [g.start, g.end, g.coactive].map(time_bits),
+                        [r.start, r.end, r.coactive].map(time_bits),
+                        "{what}: record {}",
+                        r.id.0
+                    );
+                }
+                let want_activity = activity_bits(want.gpus());
+                assert_eq!(activity_bits(got.gpus()), want_activity, "{what}");
+                assert_eq!(activity_bits(&summary.gpus), want_activity, "{what}");
+                let want_totals = totals_bits(&want.stream_totals());
+                assert_eq!(totals_bits(&got.stream_totals()), want_totals, "{what}");
+                assert_eq!(totals_bits(&summary.totals), want_totals, "{what}");
+                let want_makespan = time_bits(want.makespan());
+                assert_eq!(time_bits(got.makespan()), want_makespan, "{what}");
+                assert_eq!(time_bits(summary.makespan), want_makespan, "{what}");
+                assert_eq!(time_bits(makespan), want_makespan, "{what}");
+            }
+        }
+        assert!(deadlocks > 0, "no deadlocking DAG was drawn");
+        assert!(epochs > 10_000, "only {epochs} epochs compared");
     }
 }

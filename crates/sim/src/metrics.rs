@@ -11,6 +11,10 @@ pub(crate) struct SimMetrics {
     /// One per completed engine run: equals the number of simulated cells,
     /// identical between serial and parallel sweeps.
     pub engine_runs: &'static Counter,
+    /// Event-loop epochs over all completed runs, added once per run:
+    /// a pure function of the runs, identical between serial and parallel
+    /// sweeps.
+    pub engine_epochs: &'static Counter,
     /// Arena resets that found buffers from an earlier run to reuse.
     /// Thread-count dependent: each worker warms its own scratch arena.
     pub arena_warm_resets: &'static Counter,
@@ -25,6 +29,11 @@ pub(crate) fn sim_metrics() -> &'static SimMetrics {
             "olab_sim_engine_runs_total",
             Determinism::CrossRun,
             "Completed event-loop engine runs (one per leg on the event loop; a cell has three legs).",
+        ),
+        engine_epochs: counter(
+            "olab_sim_engine_epochs_total",
+            Determinism::CrossRun,
+            "Event-loop epochs of completed engine runs (one per change of the running set or model boundary).",
         ),
         arena_warm_resets: counter(
             "olab_sim_arena_warm_resets_total",

@@ -13,8 +13,6 @@ pub struct RunningTask<'a, P> {
     pub participants: &'a [GpuId],
     /// The stream it occupies on each device.
     pub stream: StreamKind,
-    /// Fraction of the task still to be done, in `(0, 1]`.
-    pub remaining: f64,
     /// The opaque payload.
     pub payload: &'a P,
 }
@@ -196,7 +194,6 @@ mod tests {
             label: &label,
             participants: &[GpuId(1)],
             stream: StreamKind::Compute,
-            remaining: 1.0,
             payload: &payload,
         }];
         let mut rates = [0.0];

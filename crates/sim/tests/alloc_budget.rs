@@ -1,9 +1,11 @@
 //! The arena contract of the engine hot path: once this thread's scratch
 //! arena is warm, a run allocates only for the *output* it hands back (the
 //! `SimTrace`'s records vec and its per-GPU vectors) — the event loop
-//! itself is allocation-free, and no record owns heap memory. A record-free run ([`Engine::run_summary`]) hands back
-//! no per-task output at all, so its allocation count does not grow with
-//! the task count.
+//! itself is allocation-free, and no record owns heap memory. A
+//! record-free run ([`Engine::run_summary`]) hands back no per-task output
+//! at all, so its allocation count does not grow with the task count, and
+//! a makespan-only run ([`Engine::run_makespan`]) allocates only its view
+//! buffer.
 //!
 //! Every engine run draws its arena from a per-thread slot, so a warm run
 //! is a warm-up run followed by counted runs on the same thread, and a
@@ -204,6 +206,29 @@ fn warm_record_free_runs_allocate_independently_of_the_task_count() {
          {N_TASKS} tasks, {large} for {}",
         16 * N_TASKS
     );
+}
+
+/// A warm makespan-only run ([`Engine::run_makespan`]) keeps no per-device
+/// activity and no task totals: its one allocation is the per-run view
+/// buffer, whatever the task count.
+#[test]
+fn warm_makespan_only_runs_allocate_only_the_view_buffer() {
+    olab_sim::metrics::touch();
+    for w in [workload(), workload_of(16 * N_TASKS)] {
+        let mut engine = Engine::new(ConstantRate::default());
+        engine.run_makespan(&w).expect("workload runs");
+        let before = allocations();
+        for _ in 0..RUNS {
+            engine.run_makespan(&w).expect("workload runs");
+        }
+        let per_run = (allocations() - before) / RUNS;
+        assert_eq!(
+            per_run,
+            1,
+            "a warm makespan-only run of {} tasks allocates {per_run} times",
+            w.len()
+        );
+    }
 }
 
 #[test]

@@ -1,5 +1,7 @@
-//! The paper's seven takeaways, as executable assertions. Each test states
-//! the takeaway it verifies (Section V of the paper).
+//! Five of the paper's seven takeaways (1, 3, 4, 5 and 7), plus four
+//! Section V-A trends, as executable assertions. Each test states the
+//! takeaway or trend it verifies (Section V of the paper). No test covers
+//! takeaways 2 or 6.
 
 use olab_core::{Experiment, ExperimentError, Strategy};
 use olab_gpu::{Datapath, Precision, SkuKind};

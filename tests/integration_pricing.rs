@@ -5,8 +5,9 @@
 //! The totals are a pure function of the grid, so they are pinned exactly.
 //! So are the route counters of the same pass, of a jittered `run_n`
 //! pass, and of the report path (`run`, `run_jittered`): which executor
-//! serves each leg, and how often the engine runs, must not move when a
-//! leg computes less. A run the engine rejects is counted under no route.
+//! serves each leg, and how often the engine runs and for how many
+//! epochs, must not move when a leg computes less. A run the engine
+//! rejects is counted under no route.
 //!
 //! One `#[test]` in its own binary, because the registry (and its enable
 //! flag) is process-global.
@@ -41,7 +42,9 @@ fn pricing_memo_totals_are_pinned_on_the_main_grid() {
 
     // Routes: the ideal and sequential legs on the fast path, the
     // contended overlapped leg on the event loop, nothing through the
-    // full-statistics executors.
+    // full-statistics executors. The last column counts the event loop's
+    // epochs: 2,899 per overlapped leg, one `assign_rates` call each (a
+    // quarter of the GPU-epochs above).
     let routes = || {
         [
             "olab_core_route_fast_lean_total",
@@ -49,10 +52,11 @@ fn pricing_memo_totals_are_pinned_on_the_main_grid() {
             "olab_core_route_fast_full_total",
             "olab_core_route_event_loop_full_total",
             "olab_sim_engine_runs_total",
+            "olab_sim_engine_epochs_total",
         ]
         .map(total)
     };
-    assert_eq!(routes(), [214, 107, 0, 0, 107]);
+    assert_eq!(routes(), [214, 107, 0, 0, 107, 310_241]);
 
     // Jitter keeps every leg on the event loop: 15 feasible cells among
     // the first 40, two seeds, three legs.
@@ -60,7 +64,7 @@ fn pricing_memo_totals_are_pinned_on_the_main_grid() {
     for exp in registry::main_grid().iter().take(40) {
         let _ = exp.run_n(2, 0.05);
     }
-    assert_eq!(routes(), [0, 90, 0, 0, 90]);
+    assert_eq!(routes(), [0, 90, 0, 0, 90, 425_100]);
 
     // The report path: the overlapped and sequential legs through the
     // full-statistics executor, the ideal leg makespan-only (lean).
@@ -68,7 +72,7 @@ fn pricing_memo_totals_are_pinned_on_the_main_grid() {
     for exp in registry::main_grid() {
         let _ = exp.run();
     }
-    assert_eq!(routes(), [107, 0, 107, 107, 107]);
+    assert_eq!(routes(), [107, 0, 107, 107, 107, 310_241]);
 
     // ... and under jitter, every leg on the event loop: 15 feasible
     // cells, two full legs and one lean leg each.
@@ -76,7 +80,7 @@ fn pricing_memo_totals_are_pinned_on_the_main_grid() {
     for exp in registry::main_grid().iter().take(40) {
         let _ = exp.run_jittered(3, 0.05);
     }
-    assert_eq!(routes(), [0, 15, 0, 30, 45]);
+    assert_eq!(routes(), [0, 15, 0, 30, 45, 212_550]);
 
     // A run the engine rejects counts under no route: one self-dependent
     // task falls through the fast path to the event loop, which fails.
@@ -91,5 +95,5 @@ fn pricing_memo_totals_are_pinned_on_the_main_grid() {
     w.push(TaskSpec::compute("k0", GpuId(0), Op::Compute(gemm)).after(TaskId(0)));
     assert!(execute(&w, &machine).is_err());
     assert!(execute_lean(&w, &machine).is_err());
-    assert_eq!(routes(), [0; 5]);
+    assert_eq!(routes(), [0; 6]);
 }

@@ -102,6 +102,7 @@ fn deterministic_metric_fields_are_identical_across_schedules() {
         "olab_core_pricing_reused_total",
         "olab_core_pricing_priced_total",
         "olab_sim_engine_runs_total",
+        "olab_sim_engine_epochs_total",
         "olab_sim_arena_warm_resets_total",
         "olab_grid_cell_exec_ns",
     ] {
