@@ -844,12 +844,13 @@ fn lean_from_lanes(
     Some((run, kept))
 }
 
-/// A multiply-xor hasher (FxHash-style) for the payload-interning map: the
-/// keys are small all-integer structs hashed once per task in the schedule
-/// loop, where the default SipHash would dominate the lookup cost. Not
-/// DoS-resistant — fine for interning a workload's own payloads.
+/// A multiply-xor hasher (FxHash-style) for the payload-keyed maps (this
+/// module's interner, the event loop's pricing table): the keys are small
+/// all-integer structs hashed once per task or per re-priced GPU, where the
+/// default SipHash would dominate the lookup cost. Not DoS-resistant —
+/// fine for a workload's own payloads.
 #[derive(Default)]
-struct FxHasher(u64);
+pub(crate) struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]
@@ -890,7 +891,7 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 
 /// Whether two sorted, internally non-overlapping interval lists share any
 /// positive-measure intersection: the co-residency check over a finished

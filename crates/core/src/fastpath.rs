@@ -101,12 +101,12 @@ pub(crate) fn route_metrics() -> &'static RouteMetrics {
         pricing_reused: counter(
             "olab_core_pricing_reused_total",
             Determinism::CrossRun,
-            "GPU-epochs the event loop reused a pricing for (the GPU's own or its neighbour's).",
+            "GPU-epochs the event loop reused a pricing for (the GPU's own, or its class's from the run's pricing table).",
         ),
         pricing_priced: counter(
             "olab_core_pricing_priced_total",
             Determinism::CrossRun,
-            "GPU-epochs the event loop priced afresh.",
+            "GPU-epochs the event loop priced afresh (the first of each pricing class in a run).",
         ),
     })
 }

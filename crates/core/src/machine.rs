@@ -19,15 +19,18 @@
 //! With `contended = false` the model prices every task as if it ran alone
 //! (used to cross-check the paper's Eq. 4 "ideal" derivation).
 //!
-//! Pricing one GPU is a pure function of its compute kernel, its
-//! collective and its clock cap, and most epochs leave most GPUs' triple
-//! unchanged: an epoch ends when *one* task finishes. So the machine keeps
-//! each GPU's last pricing, keyed by (compute task, comm task, cap), and
-//! re-prices a GPU only when its key changes. A GPU whose new key misses
-//! copies its lower neighbour's fresh pricing when both run equal kernels
-//! under the same collective and cap — FSDP ranks are symmetric — so most
-//! epochs price a GPU or two, not the node. Both reuses return exactly
-//! what re-pricing would, bit for bit.
+//! Pricing one GPU is a pure function of its *class*: the value of its
+//! compute payload, the load its collective puts on it and its clock cap
+//! ([`PriceClass`], which is all [`Machine::gpu_epoch`] takes). A run
+//! repeats a few dozen classes thousands of times — every layer runs the
+//! same kernels under the same collectives, on every rank — so the
+//! machine prices each class once per run, in a table keyed by value.
+//! Most epochs leave most GPUs' tasks unchanged (an epoch ends when *one*
+//! task finishes), so each GPU first checks whether it still runs the
+//! tasks it was last priced for and only then looks its class up. Both
+//! reuses return exactly what re-pricing would, bit for bit.
+
+use std::collections::HashMap;
 
 use olab_ccl::CommOp;
 use olab_gpu::power::Utilization;
@@ -36,6 +39,8 @@ use olab_gpu::{roofline, ContentionProfile, DvfsGovernor, GpuSku, PowerProfile};
 use olab_net::Topology;
 use olab_parallel::{ComputeOp, Op};
 use olab_sim::{GpuCounters, GpuId, RateModel, RunningTask, SeededRng, TaskId};
+
+use crate::analytic::FxBuildHasher;
 
 /// Fraction of datasheet HBM bandwidth usable when compute and
 /// communication interleave access streams.
@@ -103,10 +108,13 @@ pub struct Machine {
     /// lower dynamic power.
     gpu_freq_caps: Vec<f64>,
     /// Each GPU's pricing for the epoch whose rates were last assigned,
-    /// indexed by GPU: the memo [`RateModel::assign_rates`] re-prices
-    /// from, and the telemetry the simulated NVML poll reads through
+    /// indexed by GPU: the first test of [`RateModel::assign_rates`], and
+    /// the telemetry the simulated NVML poll reads through
     /// [`RateModel::counters`]. Cleared by [`RateModel::begin_run`].
     priced: Vec<Priced>,
+    /// This run's pricing table: every class priced so far. Cleared by
+    /// [`RateModel::begin_run`], never shared across runs or machines.
+    classes: HashMap<PriceClass, Pricing, FxBuildHasher>,
     /// Per-epoch scratch (reused across epochs to keep the rate-assignment
     /// hot path allocation-free once warm).
     scratch_compute_on: Vec<Option<usize>>,
@@ -123,13 +131,67 @@ struct PriceKey {
     cap: Option<u64>,
 }
 
-/// One GPU's memoized pricing.
+/// Everything [`Machine::gpu_epoch`] reads about one GPU, by value: its
+/// compute payload, its collective's load and its clock cap. Equal
+/// classes price bit-identically on every GPU of one machine.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PriceClass {
+    compute: Option<ComputeOp>,
+    comm: Option<CommLoad>,
+    /// `to_bits` of the active clock cap, if any.
+    cap: Option<u64>,
+}
+
+/// The part of a collective's payload that pricing a GPU reads: the SM
+/// share of its channel kernels and its HBM byte rate (the wire rate
+/// amplified by staging traffic). Held as `to_bits`, so equal loads hash
+/// and compare equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct CommLoad {
+    sm_fraction: u64,
+    hbm_bytes_per_sec: u64,
+}
+
+impl CommLoad {
+    fn of(op: &CommOp) -> Self {
+        let hbm_bytes_per_sec = if op.wire_bytes_per_rank <= 0.0 {
+            0.0
+        } else {
+            let amplification = op.hbm_bytes_per_rank / op.wire_bytes_per_rank;
+            op.wire_rate_bytes_per_sec * amplification
+        };
+        CommLoad {
+            sm_fraction: op.sm_fraction.to_bits(),
+            hbm_bytes_per_sec: hbm_bytes_per_sec.to_bits(),
+        }
+    }
+
+    fn sm_fraction(self) -> f64 {
+        f64::from_bits(self.sm_fraction)
+    }
+
+    fn hbm_bytes_per_sec(self) -> f64 {
+        f64::from_bits(self.hbm_bytes_per_sec)
+    }
+}
+
+/// What a class prices to: everything [`settle`] and the telemetry read.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pricing {
+    /// Settled rate of the class's compute kernel, 1/s (0 without one).
+    compute_rate: f64,
+    /// Rate factor applied to a co-resident collective.
+    comm_factor: f64,
+    /// Telemetry, board power included.
+    counters: GpuCounters,
+}
+
+/// One GPU's pricing and what it was priced for.
 #[derive(Debug, Clone, Copy, Default)]
 struct Priced {
-    /// What `epoch` and `counters` were priced for (`None`: nothing yet).
+    /// What `pricing` was priced for (`None`: nothing yet).
     key: Option<PriceKey>,
-    epoch: GpuEpoch,
-    counters: GpuCounters,
+    pricing: Pricing,
 }
 
 impl Priced {
@@ -154,9 +216,19 @@ struct GpuEpoch {
     freq: f64,
     /// Board power this epoch, watts.
     power_w: f64,
-    /// Demand decomposition of the co-resident compute kernel, if any
-    /// (computed once per epoch and reused by the rate loop).
+    /// Demand decomposition of the co-resident compute kernel, if any.
     demand: Option<KernelDemand>,
+}
+
+impl GpuEpoch {
+    /// Duration of the compute kernel at this epoch's factors, if any.
+    fn compute_duration(&self) -> Option<f64> {
+        self.demand.map(|d| {
+            let t_flop = d.compute_time(self.freq) / self.sm_avail;
+            let t_mem = d.memory_time(self.compute_bw_fraction);
+            (t_flop.max(t_mem) + d.launch_s) * self.l2
+        })
+    }
 }
 
 impl Default for GpuEpoch {
@@ -186,6 +258,7 @@ impl Machine {
             rng,
             gpu_freq_caps: Vec::new(),
             priced: Vec::new(),
+            classes: HashMap::default(),
             scratch_compute_on: Vec::new(),
             scratch_comm_on: Vec::new(),
         }
@@ -229,49 +302,43 @@ impl Machine {
         &self.config
     }
 
-    /// Effective HBM byte rate of a co-resident collective, bytes/s
-    /// (its wire rate amplified by staging traffic).
-    fn comm_hbm_demand(&self, op: &CommOp) -> f64 {
-        if op.wire_bytes_per_rank <= 0.0 {
-            return 0.0;
+    /// The class of GPU `g` running `kernel` and/or `comm`.
+    fn class(&self, g: usize, kernel: Option<&ComputeOp>, comm: Option<&CommOp>) -> PriceClass {
+        PriceClass {
+            compute: kernel.cloned(),
+            comm: comm.map(CommLoad::of),
+            cap: self.freq_cap(g).map(f64::to_bits),
         }
-        let amplification = op.hbm_bytes_per_rank / op.wire_bytes_per_rank;
-        op.wire_rate_bytes_per_sec * amplification
     }
 
-    /// Prices one GPU for an epoch in which `kernel` and/or `comm` are
-    /// co-resident on it: contention factors, DVFS decision, board power,
-    /// and telemetry counters.
+    /// Prices one GPU of class `class` for an epoch: contention factors,
+    /// DVFS decision, board power, and telemetry counters.
     ///
     /// This is the single source of pricing truth. [`Machine::assign_rates`]
-    /// calls it for each GPU whose (kernel, comm, cap) key changed since
-    /// its last pricing and that cannot copy its neighbour's; the analytic
-    /// fast path (`olab_core::analytic`) calls it per schedule segment,
-    /// which is what guarantees the two execution paths agree by
-    /// construction. It depends on `g` only through `g`'s clock cap.
-    fn gpu_epoch(
-        &self,
-        g: usize,
-        kernel: Option<&ComputeOp>,
-        comm: Option<&CommOp>,
-    ) -> (GpuEpoch, GpuCounters) {
+    /// calls it once per run for each class it meets; the analytic fast
+    /// path (`olab_core::analytic`) calls it per distinct payload, which is
+    /// what guarantees the two execution paths agree by construction. It
+    /// reads nothing about the GPU but what the class holds.
+    fn gpu_epoch(&self, class: &PriceClass) -> (GpuEpoch, GpuCounters) {
         let sku = &self.config.sku;
         let raw_bw = sku.mem_bw_gbs * 1e9;
         let capacity = raw_bw * SHARED_HBM_EFFICIENCY;
         let contended = self.config.contended;
+        let kernel = class.compute.as_ref();
+        let comm = class.comm;
         let mut epoch = GpuEpoch {
             demand: kernel.map(|c| roofline::demand(&c.kernel, sku, c.precision, c.datapath)),
             ..GpuEpoch::default()
         };
 
         // SM occupancy + cache interference.
-        if let (true, Some(op)) = (contended && kernel.is_some(), comm) {
-            epoch.sm_avail = (1.0 - op.sm_fraction).max(0.05);
+        if let (true, Some(load)) = (contended && kernel.is_some(), comm) {
+            epoch.sm_avail = (1.0 - load.sm_fraction()).max(0.05);
             epoch.l2 = self.contention.l2_interference;
         }
 
         // HBM sharing.
-        let comm_demand = comm.map_or(0.0, |op| self.comm_hbm_demand(op));
+        let comm_demand = comm.map_or(0.0, CommLoad::hbm_bytes_per_sec);
         let compute_demand = epoch.demand.as_ref().map_or(0.0, |d| d.bandwidth_demand());
         if contended && comm_demand + compute_demand > capacity && comm_demand > 0.0 {
             let scale = capacity / (comm_demand + compute_demand);
@@ -298,18 +365,18 @@ impl Machine {
             }
             util.mem += (d.bytes / span) / raw_bw;
         }
-        if let Some(op) = comm {
+        if comm.is_some() {
             // Links, PHYs and copy engines are busy for the whole
             // transfer even when protocol overheads cap the *useful*
             // rate, so comm-engine activity tracks the share factor,
             // not the bus efficiency.
             util.comm = epoch.comm_factor.clamp(0.0, 1.0);
-            util.mem += self.comm_hbm_demand(op) * epoch.comm_factor / raw_bw;
+            util.mem += comm_demand * epoch.comm_factor / raw_bw;
         }
         util.mem = util.mem.clamp(0.0, 1.0);
 
-        let governor = match self.freq_cap(g) {
-            Some(cap) => self.config.governor.capped(cap),
+        let governor = match class.cap {
+            Some(cap) => self.config.governor.capped(f64::from_bits(cap)),
             None => self.config.governor,
         };
         if contended {
@@ -324,7 +391,7 @@ impl Machine {
         // Telemetry: compute kernels occupy their busy share of the
         // SMs they were granted; a co-resident collective's channel
         // kernels pin `sm_fraction` on top.
-        let comm_sm = comm.map_or(0.0, |op| op.sm_fraction);
+        let comm_sm = comm.map_or(0.0, CommLoad::sm_fraction);
         let counters = GpuCounters {
             sm_occupancy: (flop_busy * epoch.sm_avail + comm_sm).clamp(0.0, 1.0),
             hbm_util: util.mem,
@@ -335,15 +402,22 @@ impl Machine {
         (epoch, counters)
     }
 
+    /// What `class` prices to, as [`settle`] reads it.
+    fn price(&self, class: &PriceClass) -> Pricing {
+        let (epoch, counters) = self.gpu_epoch(class);
+        Pricing {
+            compute_rate: epoch.compute_duration().map_or(0.0, |d| 1.0 / d),
+            comm_factor: epoch.comm_factor,
+            counters,
+        }
+    }
+
     /// Duration of a compute op running with nothing co-resident on GPU
     /// `g`, priced exactly as [`Machine::assign_rates`] would price it
     /// (including DVFS and any transient frequency cap on `g`).
     pub(crate) fn solo_compute_duration(&self, g: usize, c: &ComputeOp) -> f64 {
-        let (epoch, _) = self.gpu_epoch(g, Some(c), None);
-        let d = epoch.demand.expect("kernel demand computed");
-        let t_flop = d.compute_time(epoch.freq) / epoch.sm_avail;
-        let t_mem = d.memory_time(epoch.compute_bw_fraction);
-        (t_flop.max(t_mem) + d.launch_s) * epoch.l2
+        let (epoch, _) = self.gpu_epoch(&self.class(g, Some(c), None));
+        epoch.compute_duration().expect("kernel demand computed")
     }
 
     /// Duration of a collective running with nothing co-resident on any
@@ -355,7 +429,11 @@ impl Machine {
     pub(crate) fn solo_comm_duration(&self, participants: &[GpuId], op: &CommOp) -> f64 {
         let factor = participants
             .iter()
-            .map(|g| self.gpu_epoch(g.index(), None, Some(op)).0.comm_factor)
+            .map(|g| {
+                self.gpu_epoch(&self.class(g.index(), None, Some(op)))
+                    .0
+                    .comm_factor
+            })
             .fold(1.0_f64, f64::min);
         op.latency_s + op.wire_bytes_per_rank / (op.wire_rate_bytes_per_sec * factor.max(0.05))
     }
@@ -372,7 +450,7 @@ impl Machine {
         if kernel.is_none() && comm.is_none() {
             self.power_profile.idle_w
         } else {
-            self.gpu_epoch(g, kernel, comm).0.power_w
+            self.gpu_epoch(&self.class(g, kernel, comm)).0.power_w
         }
     }
 
@@ -397,6 +475,7 @@ impl RateModel for Machine {
 
     fn begin_run(&mut self) {
         self.priced.clear();
+        self.classes.clear();
     }
 
     fn assign_rates(
@@ -432,10 +511,10 @@ impl RateModel for Machine {
             }
         }
 
-        // Per-GPU epoch state, re-priced only where the key changed.
-        let kernel_on = |g: usize| compute_on[g].and_then(|i| running[i].payload.as_compute());
+        // A GPU still running the tasks it was last priced for keeps its
+        // pricing; any other looks its class up, pricing it on first sight.
         self.priced.resize(n_gpus, Priced::default());
-        let mut reused = 0u64;
+        let mut fresh = 0u64;
         for g in 0..n_gpus {
             let key = PriceKey {
                 compute: compute_on[g].map(|i| running[i].id),
@@ -443,41 +522,31 @@ impl RateModel for Machine {
                 cap: self.freq_cap(g).map(f64::to_bits),
             };
             if self.priced[g].key == Some(key) {
-                reused += 1;
                 continue;
             }
-            let kernel = kernel_on(g);
-            // Symmetric ranks: the lower neighbour was just priced for an
-            // equal kernel under the same collective and cap.
-            let twin = g.checked_sub(1).filter(|&h| {
-                self.priced[h]
-                    .key
-                    .is_some_and(|k| k.comm == key.comm && k.cap == key.cap)
-                    && kernel_on(h) == kernel
-            });
-            self.priced[g] = match twin {
-                Some(h) => {
-                    reused += 1;
-                    Priced {
-                        key: Some(key),
-                        ..self.priced[h]
-                    }
-                }
+            let class = self.class(
+                g,
+                compute_on[g].and_then(|i| running[i].payload.as_compute()),
+                comm_on[g].and_then(|i| running[i].payload.as_comm()),
+            );
+            let pricing = match self.classes.get(&class) {
+                Some(&pricing) => pricing,
                 None => {
-                    let comm = comm_on[g].and_then(|i| running[i].payload.as_comm());
-                    let (epoch, counters) = self.gpu_epoch(g, kernel, comm);
-                    Priced {
-                        key: Some(key),
-                        epoch,
-                        counters,
-                    }
+                    fresh += 1;
+                    let pricing = self.price(&class);
+                    self.classes.insert(class, pricing);
+                    pricing
                 }
+            };
+            self.priced[g] = Priced {
+                key: Some(key),
+                pricing,
             };
         }
         if olab_metrics::enabled() {
             let m = crate::fastpath::route_metrics();
-            m.pricing_reused.add(reused);
-            m.pricing_priced.add(n_gpus as u64 - reused);
+            m.pricing_reused.add(n_gpus as u64 - fresh);
+            m.pricing_priced.add(fresh);
         }
 
         let sigma = self.config.jitter.map_or(0.0, |j| j.sigma);
@@ -495,7 +564,10 @@ impl RateModel for Machine {
     }
 
     fn counters(&self, gpu: usize) -> GpuCounters {
-        self.priced.get(gpu).map(|p| p.counters).unwrap_or_default()
+        self.priced
+            .get(gpu)
+            .map(|p| p.pricing.counters)
+            .unwrap_or_default()
     }
 }
 
@@ -511,20 +583,12 @@ fn settle(
 ) {
     for (i, task) in running.iter().enumerate() {
         rates[i] = match task.payload {
-            Op::Compute(_) => {
-                let g = task.participants[0].index();
-                let epoch = &priced[g].epoch;
-                let d = epoch.demand.expect("kernel demand computed");
-                let t_flop = d.compute_time(epoch.freq) / epoch.sm_avail;
-                let t_mem = d.memory_time(epoch.compute_bw_fraction);
-                let duration = (t_flop.max(t_mem) + d.launch_s) * epoch.l2;
-                1.0 / duration
-            }
+            Op::Compute(_) => priced[task.participants[0].index()].pricing.compute_rate,
             Op::Comm(ref op) => {
                 let factor = task
                     .participants
                     .iter()
-                    .map(|g| priced[g.index()].epoch.comm_factor)
+                    .map(|g| priced[g.index()].pricing.comm_factor)
                     .fold(1.0_f64, f64::min);
                 let duration = op.latency_s
                     + op.wire_bytes_per_rank / (op.wire_rate_bytes_per_sec * factor.max(0.05));
@@ -544,7 +608,11 @@ fn settle(
     }
 
     for (watts, p) in power.iter_mut().zip(priced) {
-        *watts = if p.busy() { p.epoch.power_w } else { idle_w };
+        *watts = if p.busy() {
+            p.pricing.counters.power_w
+        } else {
+            idle_w
+        };
     }
 }
 
@@ -876,9 +944,9 @@ mod tests {
     }
 
     /// The memo-free reference: on every epoch it re-prices every GPU
-    /// with `gpu_epoch` — no memo, no neighbour copy — draws noise from a
-    /// clone of the wrapped machine's RNG, and asserts that the memoized
-    /// machine assigns bit-identical rates, power and counters.
+    /// with `gpu_epoch` — no per-GPU reuse, no pricing table — draws noise
+    /// from a clone of the wrapped machine's RNG, and asserts that the
+    /// memoized machine assigns bit-identical rates, power and counters.
     struct Reference {
         memo: Machine,
         epochs: usize,
@@ -911,17 +979,15 @@ mod tests {
             }
             let fresh: Vec<Priced> = (0..n_gpus)
                 .map(|g| {
-                    let (epoch, counters) =
-                        m.gpu_epoch(g, kernel[g].map(|(_, c)| c), comm[g].map(|(_, c)| c));
+                    let class = m.class(g, kernel[g].map(|(_, c)| c), comm[g].map(|(_, c)| c));
                     let key = PriceKey {
                         compute: kernel[g].map(|(id, _)| id),
                         comm: comm[g].map(|(id, _)| id),
-                        cap: m.freq_cap(g).map(f64::to_bits),
+                        cap: class.cap,
                     };
                     Priced {
                         key: Some(key),
-                        epoch,
-                        counters,
+                        pricing: m.price(&class),
                     }
                 })
                 .collect();
@@ -945,7 +1011,7 @@ mod tests {
             for (g, p) in fresh.iter().enumerate() {
                 assert_eq!(
                     counter_bits(&self.memo.counters(g)),
-                    counter_bits(&p.counters),
+                    counter_bits(&p.pricing.counters),
                     "counters of gpu {g}, epoch {epoch}"
                 );
             }
@@ -958,6 +1024,10 @@ mod tests {
         }
     }
 
+    /// Every leg `jitter_repeats` runs on the event loop, against the
+    /// reference: the overlapped and sequential schedules on the contended
+    /// machine, plain and jittered, and the overlapped schedule on the
+    /// jittered uncontended machine (the ideal leg).
     #[test]
     fn memoized_pricing_is_bit_identical_to_repricing_every_gpu_on_the_main_grid() {
         use crate::registry;
@@ -968,7 +1038,15 @@ mod tests {
             .filter_map(|exp| exp.validate().ok().map(|policy| (exp, policy)))
             .collect();
         let runs = olab_grid::Pool::with_available_parallelism().map(&cells, |(exp, policy)| {
-            let workload = exp
+            let run = |memo: &Machine, workload: &Workload<Op>| {
+                let mut engine = Engine::new(Reference {
+                    memo: memo.clone(),
+                    epochs: 0,
+                });
+                engine.run_summary(workload).expect("cell runs");
+                engine.into_model().epochs
+            };
+            let overlapped = exp
                 .timeline(ExecutionMode::Overlapped, *policy)
                 .expect("timeline builds");
             let plain = exp.machine();
@@ -976,16 +1054,17 @@ mod tests {
                 seed: 7,
                 sigma: 0.05,
             });
-            [plain, jittered].map(|memo| {
-                let mut engine = Engine::new(Reference { memo, epochs: 0 });
-                engine.run_summary(&workload).expect("cell runs");
-                engine.into_model().epochs
-            })
+            let ideal = jittered.uncontended();
+            let overlapped_runs = [&plain, &jittered, &ideal].map(|m| run(m, &overlapped));
+            let sequential = overlapped.into_sequential();
+            let sequential_runs = [&plain, &jittered].map(|m| run(m, &sequential));
+            (overlapped_runs, sequential_runs)
         });
-        let contended_runs = 2 * runs.len();
-        assert!(contended_runs >= 200, "only {contended_runs} runs");
+        let contended_runs = 4 * runs.len();
+        assert!(contended_runs >= 400, "only {contended_runs} runs");
         assert!(
-            runs.iter().flatten().all(|&epochs| epochs > 0),
+            runs.iter()
+                .all(|(o, s)| o.iter().chain(s).all(|&epochs| epochs > 0)),
             "every run prices at least one epoch"
         );
     }
@@ -1017,6 +1096,87 @@ mod tests {
             let fresh = execute_model(w, h100_machine(), &mut NullObserver).expect("runs");
             assert_eq!(LeanRun::summarize(&reused), LeanRun::summarize(&fresh));
         }
+    }
+
+    #[test]
+    fn the_pricing_table_prices_each_class_once_per_run() {
+        fn task<'a>(
+            label: &'a olab_sim::Label,
+            id: u32,
+            participants: &'a [GpuId],
+            payload: &'a Op,
+        ) -> RunningTask<'a, Op> {
+            let stream = match payload {
+                Op::Compute(_) => StreamKind::Compute,
+                Op::Comm(_) => StreamKind::Comm,
+            };
+            RunningTask {
+                id: TaskId(id),
+                label,
+                participants,
+                stream,
+                payload,
+            }
+        }
+        let mut m = h100_machine();
+        let gemm = gemm_op();
+        let wide = allreduce_op(&m, 1 << 30);
+        // The same collective, its channel kernels on half the SMs.
+        let mut narrow = wide.clone();
+        if let Op::Comm(op) = &mut narrow {
+            op.sm_fraction *= 0.5;
+        }
+        let g: Vec<GpuId> = (0..4).map(GpuId).collect();
+        let l = olab_sim::Label::from("task");
+        let assign = |m: &mut Machine, running: &[RunningTask<'_, Op>]| {
+            let (mut rates, mut power) = (vec![0.0; running.len()], [0.0; 4]);
+            m.assign_rates(running, &mut rates, &mut power);
+            (rates, m.classes.len())
+        };
+
+        m.begin_run();
+        // Equal kernels on four GPUs under one collective: one class.
+        let one_collective = [
+            task(&l, 0, &g[0..1], &gemm),
+            task(&l, 1, &g[1..2], &gemm),
+            task(&l, 2, &g[2..3], &gemm),
+            task(&l, 3, &g[3..4], &gemm),
+            task(&l, 4, &g[0..4], &wide),
+        ];
+        let (first, classes) = assign(&mut m, &one_collective);
+        assert_eq!(classes, 1);
+        assert!(first[..4].iter().all(|r| r.to_bits() == first[0].to_bits()));
+        // Mark the entry: a GPU served from the table reports the mark,
+        // one priced afresh would not.
+        let mark = 42.0;
+        m.classes.values_mut().for_each(|p| p.compute_rate = mark);
+
+        // New tasks, and a second collective on GPUs 2 and 3 that differs
+        // only in `sm_fraction`: one more class.
+        let two_collectives = [
+            task(&l, 5, &g[0..1], &gemm),
+            task(&l, 6, &g[1..2], &gemm),
+            task(&l, 7, &g[2..3], &gemm),
+            task(&l, 8, &g[3..4], &gemm),
+            task(&l, 9, &g[0..2], &wide),
+            task(&l, 10, &g[2..4], &narrow),
+        ];
+        let (rates, classes) = assign(&mut m, &two_collectives);
+        assert_eq!(classes, 2);
+        assert_eq!(bits(&rates[..2]), bits(&[mark; 2]));
+        assert!(rates[2] > first[2], "fewer SMs taken, faster kernel");
+        assert_eq!(rates[2].to_bits(), rates[3].to_bits());
+
+        // The same tasks with GPU 0 capped: exactly one more class.
+        m.set_gpu_freq_caps([0.5, 1.0, 1.0, 1.0]);
+        let (capped, classes) = assign(&mut m, &two_collectives);
+        assert_eq!(classes, 3);
+        assert!(capped[0] < first[0]);
+        assert_eq!(bits(&capped[1..]), bits(&rates[1..]));
+
+        // A new run starts from an empty table.
+        m.begin_run();
+        assert_eq!(assign(&mut m, &one_collective).1, 2, "capped and uncapped");
     }
 
     #[test]
