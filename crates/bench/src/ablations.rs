@@ -274,13 +274,10 @@ pub(crate) fn channels(_: &Sweep) -> String {
     ));
     let gemm_stream = || {
         let mut w = Workload::new(4);
+        let gemm = w.intern(gemm.clone());
         for g in 0..4u16 {
             for r in 0..4 {
-                w.push(TaskSpec::compute(
-                    format!("gemm.g{g}.r{r}"),
-                    GpuId(g),
-                    gemm.clone(),
-                ));
+                w.push(TaskSpec::compute(format!("gemm.g{g}.r{r}"), GpuId(g), gemm));
             }
         }
         w
@@ -305,12 +302,8 @@ pub(crate) fn channels(_: &Sweep) -> String {
         op.sm_fraction = profile.comm_sm_fraction(channels);
         op.wire_rate_bytes_per_sec *= (f64::from(channels) / 16.0).min(1.0);
         let mut w = gemm_stream();
-        w.push(TaskSpec::new(
-            "ar",
-            group.clone(),
-            StreamKind::Comm,
-            Op::Comm(op),
-        ));
+        let ar = w.intern(Op::Comm(op));
+        w.push(TaskSpec::new("ar", group.clone(), StreamKind::Comm, ar));
         let r = execute(&w, &machine).expect("ablation runs");
         let ar = r
             .trace

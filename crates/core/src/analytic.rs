@@ -12,22 +12,30 @@
 //!   form can capture (isolated compute/comm totals, the sequential bound),
 //!   and quantify exactly where the naive model breaks (the contention the
 //!   paper characterizes).
+//!
+//! It also holds the executor side of the contention-free fast path (see
+//! `docs/FASTPATH.md`): the one-pass schedule of an eligible workload at
+//! solo prices, in full and lean form. A workload holds each distinct
+//! payload once and its tasks name them by id, so each leg prices a
+//! payload once, on the first task that runs it, into arrays indexed by
+//! payload id (`SoloPrices` for durations and solo draws, `PowerMemo`
+//! for co-resident pairs); every other task is an array read.
 
 use crate::executor::{run_result_from_trace, LeanGpuStats, LeanRun, RunResult};
 use crate::fastpath::Route;
 use crate::Machine;
-use olab_ccl::{lower, Algorithm, Collective, CommOp};
+use olab_ccl::{lower, Algorithm, Collective};
 use olab_gpu::{roofline, GpuSku};
 use olab_models::memory::ActivationPolicy;
 use olab_models::ops;
 use olab_net::Topology;
 use olab_parallel::fsdp::FsdpPlan;
-use olab_parallel::{ComputeOp, Op};
+use olab_parallel::Op;
 use olab_power::{PowerFold, PowerStats, PowerTrace};
 use olab_sim::{
-    GpuActivity, SimTime, SimTrace, StreamKind, StreamTotals, TaskId, TaskRecord, Workload,
+    GpuActivity, PayloadId, SimTime, SimTrace, StreamKind, StreamTotals, TaskId, TaskRecord,
+    TaskSpec, Workload,
 };
-use std::collections::HashMap;
 
 /// First-order estimates for one FSDP iteration, per GPU.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,85 +149,125 @@ pub fn estimate_fsdp(plan: &FsdpPlan, sku: &GpuSku, topo: &Topology) -> Analytic
     }
 }
 
-/// Sentinel for "no interned payload of this kind" in the per-task tables.
-const NONE: u32 = u32::MAX;
-
 /// The speculative solo-priced schedule of one fast-path-eligible cell:
-/// task intervals, per-(GPU, stream) interval lists ("lanes"), and the
-/// payload interning tables both output shapes — the full
-/// [`RunResult`] of [`execute_fast`] and the scalar-only
-/// [`LeanRun`](crate::LeanRun) of [`execute_fast_lean`] — price power from.
+/// task intervals and per-(GPU, stream) interval lists ("lanes"), from
+/// which both output shapes — the full [`RunResult`] of [`execute_fast`]
+/// and the scalar-only [`LeanRun`](crate::LeanRun) of
+/// [`execute_fast_lean`] — price power.
 struct FastSchedule<'w> {
+    tasks: &'w [TaskSpec<Op>],
     start: Vec<f64>,
     end: Vec<f64>,
     lanes: Vec<[Vec<usize>; 2]>,
     makespan: f64,
-    kernel_ops: Vec<&'w ComputeOp>,
-    comm_interned: Vec<(&'w CommOp, f64)>,
-    task_kernel: Vec<u32>,
-    task_comm: Vec<u32>,
 }
 
-/// Payload interning shared by the schedule builders. Timelines repeat a
-/// handful of distinct kernel shapes and collectives thousands of times
-/// (one per layer per step), and an eligible cell has no per-GPU state
-/// that could differentiate them — so each distinct payload is priced once
-/// and every repeat is a lookup.
-#[derive(Default)]
-struct Interner<'w> {
-    kernel_ids: HashMap<&'w ComputeOp, u32, FxBuildHasher>,
-    kernel_ops: Vec<&'w ComputeOp>,
-    kernel_durations: Vec<f64>,
-    comm_interned: Vec<(&'w CommOp, f64)>,
+/// Solo prices per payload id. A workload holds each distinct payload
+/// once, and an eligible cell has no per-GPU state that could tell two
+/// tasks of one payload apart — the caller has excluded jitter and
+/// transient frequency caps, so `Machine::gpu_epoch` is a pure function of
+/// the payload alone. Each payload a leg runs is therefore priced once, on
+/// the first task that names it, and every repeat is an array read.
+struct SoloPrices<'w> {
+    payloads: &'w [Op],
+    /// Solo duration per payload id, NaN until priced.
+    duration: Vec<f64>,
 }
 
-impl<'w> Interner<'w> {
-    /// Interns one task's payload and returns `(solo duration, kernel id,
-    /// comm id)` with [`NONE`] for the absent kind, or `None` when the task
+impl<'w> SoloPrices<'w> {
+    fn new(workload: &'w Workload<Op>) -> Self {
+        SoloPrices {
+            payloads: workload.payloads(),
+            duration: vec![f64::NAN; workload.payloads().len()],
+        }
+    }
+
+    /// The solo duration of `task`'s payload, or `None` when the task
     /// disqualifies the cell: a payload kind disagreeing with its stream
     /// (the engine prices by payload while the closed form walks streams)
     /// or a non-finite/non-positive solo duration (the event loop then
     /// produces the proper rate error).
-    fn intern(
-        &mut self,
-        task: &'w olab_sim::TaskSpec<Op>,
-        machine: &Machine,
-    ) -> Option<(f64, u32, u32)> {
-        let (duration, kid, cid) = match &task.payload {
-            Op::Compute(c) => {
-                if task.stream != StreamKind::Compute {
-                    return None;
-                }
-                let id = *self.kernel_ids.entry(c).or_insert_with(|| {
-                    self.kernel_ops.push(c);
-                    self.kernel_durations
-                        .push(machine.solo_compute_duration(task.participants[0].index(), c));
-                    (self.kernel_durations.len() - 1) as u32
-                });
-                (self.kernel_durations[id as usize], id, NONE)
-            }
-            // Comm ops carry floats, so they intern by linear scan — the
-            // distinct count is tiny (one per collective shape). Equal
-            // `CommOp`s imply equal groups (the collective embeds its
-            // group), so the memoized duration transfers.
-            Op::Comm(op) => {
-                if task.stream != StreamKind::Comm {
-                    return None;
-                }
-                match self.comm_interned.iter().position(|&(m, _)| m == op) {
-                    Some(id) => (self.comm_interned[id].1, NONE, id as u32),
-                    None => {
-                        let d = machine.solo_comm_duration(&task.participants, op);
-                        self.comm_interned.push((op, d));
-                        (d, NONE, (self.comm_interned.len() - 1) as u32)
-                    }
-                }
-            }
-        };
-        if !(duration.is_finite() && duration > 0.0) {
+    #[inline]
+    fn duration(&mut self, task: &TaskSpec<Op>, machine: &Machine) -> Option<f64> {
+        let op = &self.payloads[task.payload.index()];
+        if task.stream != stream_of(op) {
             return None;
         }
-        Some((duration, kid, cid))
+        let d = &mut self.duration[task.payload.index()];
+        if d.is_nan() {
+            *d = match op {
+                Op::Compute(c) => machine.solo_compute_duration(task.participants[0].index(), c),
+                Op::Comm(op) => machine.solo_comm_duration(&task.participants, op),
+            };
+        }
+        (d.is_finite() && *d > 0.0).then_some(*d)
+    }
+}
+
+/// The stream a payload runs on.
+#[inline]
+fn stream_of(op: &Op) -> StreamKind {
+    match op {
+        Op::Compute(_) => StreamKind::Compute,
+        Op::Comm(_) => StreamKind::Comm,
+    }
+}
+
+/// The draw of each co-resident (kernel, collective) pair, priced on
+/// first use, in a dense matrix over the payloads of each kind plus
+/// "none": (kernels + 1) × (collectives + 1), NaN until priced. Like the
+/// durations, `segment_power_w` has no per-GPU input on an eligible
+/// machine, so the memo is shared across GPUs.
+struct PowerMemo<'w> {
+    payloads: &'w [Op],
+    /// Each payload's index among the payloads of its kind.
+    slot: Vec<usize>,
+    kernels: usize,
+    comms: usize,
+    watts: Vec<f64>,
+}
+
+impl<'w> PowerMemo<'w> {
+    fn new(payloads: &'w [Op]) -> Self {
+        let (mut kernels, mut comms) = (0, 0);
+        let slot = payloads
+            .iter()
+            .map(|op| {
+                let n = match op {
+                    Op::Compute(_) => &mut kernels,
+                    Op::Comm(_) => &mut comms,
+                };
+                *n += 1;
+                *n - 1
+            })
+            .collect();
+        PowerMemo {
+            payloads,
+            slot,
+            kernels,
+            comms,
+            watts: vec![f64::NAN; (kernels + 1) * (comms + 1)],
+        }
+    }
+
+    /// The draw of GPU `g` running `kernel` and `comm` (either may be
+    /// absent).
+    fn watts(
+        &mut self,
+        machine: &Machine,
+        g: usize,
+        kernel: Option<PayloadId>,
+        comm: Option<PayloadId>,
+    ) -> f64 {
+        let k = kernel.map_or(self.kernels, |id| self.slot[id.index()]);
+        let c = comm.map_or(self.comms, |id| self.slot[id.index()]);
+        let slot = &mut self.watts[k * (self.comms + 1) + c];
+        if slot.is_nan() {
+            let kernel = kernel.and_then(|id| self.payloads[id.index()].as_compute());
+            let comm = comm.and_then(|id| self.payloads[id.index()].as_comm());
+            *slot = machine.segment_power_w(g, kernel, comm);
+        }
+        *slot
     }
 }
 
@@ -229,12 +277,7 @@ impl<'w> Interner<'w> {
 /// backward in push order. Every schedule pass of the fast path starts
 /// its tasks here, so they all do the same arithmetic in the same order.
 #[inline]
-fn ready_at(
-    task: &olab_sim::TaskSpec<Op>,
-    i: usize,
-    end: &[f64],
-    queue_last: &[f64],
-) -> Option<f64> {
+fn ready_at(task: &TaskSpec<Op>, i: usize, end: &[f64], queue_last: &[f64]) -> Option<f64> {
     let mut t = 0.0f64;
     for dep in &task.deps {
         if dep.index() >= i {
@@ -289,15 +332,9 @@ fn overlaps_lane(lane: &[usize], start: &[f64], end: &[f64], t: f64, e: f64) -> 
 /// O(n) pass in push order. Durations come from the *same* per-GPU pricing
 /// the event loop uses (`Machine::gpu_epoch` via `solo_compute_duration` /
 /// `solo_comm_duration`), so agreement is by construction, not by
-/// re-derivation.
-///
-/// Timelines repeat a handful of distinct kernel shapes and collectives
-/// thousands of times (one per layer per step), and an eligible cell has no
-/// per-GPU state that could differentiate them — the caller has excluded
-/// jitter and transient frequency caps, so `Machine::gpu_epoch` is a pure
-/// function of the payload alone. Interning each distinct payload once
-/// turns the hot loops from O(n) pricing calls into O(n) map lookups plus
-/// O(distinct) pricing calls.
+/// re-derivation. Timelines repeat a handful of distinct kernel shapes and
+/// collectives thousands of times (one per layer per step), and each is
+/// priced once per leg ([`SoloPrices`]).
 fn build_schedule<'w>(workload: &'w Workload<Op>, machine: &Machine) -> Option<FastSchedule<'w>> {
     debug_assert!(
         !machine.has_jitter() && !machine.has_gpu_freq_caps(),
@@ -307,9 +344,7 @@ fn build_schedule<'w>(workload: &'w Workload<Op>, machine: &Machine) -> Option<F
     let n_gpus = workload.n_gpus();
     let tasks = workload.tasks();
 
-    let mut interner = Interner::default();
-    let mut task_kernel = vec![NONE; n];
-    let mut task_comm = vec![NONE; n];
+    let mut prices = SoloPrices::new(workload);
 
     // The per-(GPU, stream) lanes fall out of the same pass: each queue
     // serializes its tasks, so push order is start order within a lane.
@@ -320,10 +355,7 @@ fn build_schedule<'w>(workload: &'w Workload<Op>, machine: &Machine) -> Option<F
     let contended = machine.is_contended();
     for (i, task) in tasks.iter().enumerate() {
         let t = ready_at(task, i, &end, &queue_last)?;
-        let (duration, kid, cid) = interner.intern(task, machine)?;
-        let e = t + duration;
-        task_kernel[i] = kid;
-        task_comm[i] = cid;
+        let e = t + prices.duration(task, machine)?;
         start[i] = t;
         end[i] = e;
         let (si, oi) = (task.stream.index(), task.stream.other().index());
@@ -339,55 +371,13 @@ fn build_schedule<'w>(workload: &'w Workload<Op>, machine: &Machine) -> Option<F
         }
     }
     let makespan = end.iter().copied().fold(0.0f64, f64::max);
-    let Interner {
-        kernel_ops,
-        comm_interned,
-        ..
-    } = interner;
-
     Some(FastSchedule {
+        tasks,
         start,
         end,
         lanes,
         makespan,
-        kernel_ops,
-        comm_interned,
-        task_kernel,
-        task_comm,
     })
-}
-
-/// Looks up (pricing on first use) the draw of the (kernel, comm)
-/// co-resident pair in the dense memo matrix — (kernels + idle) ×
-/// (comms + idle), NaN = not yet priced. Like the durations,
-/// `segment_power_w` has no per-GPU input on an eligible machine, so the
-/// memo is shared across GPUs.
-fn priced(
-    s: &FastSchedule<'_>,
-    machine: &Machine,
-    power_memo: &mut [f64],
-    g: usize,
-    kid: u32,
-    cid: u32,
-) -> f64 {
-    let cslots = s.comm_interned.len() + 1;
-    let k_ix = if kid == NONE {
-        s.kernel_ops.len()
-    } else {
-        kid as usize
-    };
-    let c_ix = if cid == NONE {
-        s.comm_interned.len()
-    } else {
-        cid as usize
-    };
-    let slot = &mut power_memo[k_ix * cslots + c_ix];
-    if slot.is_nan() {
-        let kernel = (kid != NONE).then(|| s.kernel_ops[kid as usize]);
-        let comm = (cid != NONE).then(|| s.comm_interned[cid as usize].0);
-        *slot = machine.segment_power_w(g, kernel, comm);
-    }
-    *slot
 }
 
 /// Sweeps GPU `g`'s elementary power segments — every interval edge plus
@@ -402,7 +392,7 @@ fn sweep_power_segments(
     machine: &Machine,
     g: usize,
     bounds: &mut Vec<f64>,
-    power_memo: &mut [f64],
+    power_memo: &mut PowerMemo<'_>,
     mut emit: impl FnMut(f64, f64, f64),
 ) {
     let compute_lane = &s.lanes[g][0];
@@ -456,18 +446,11 @@ fn sweep_power_segments(
         while pj < comm_lane.len() && s.end[comm_lane[pj]] <= t0 {
             pj += 1;
         }
-        let kid = if pi < compute_lane.len() && s.start[compute_lane[pi]] <= t0 {
-            s.task_kernel[compute_lane[pi]]
-        } else {
-            NONE
-        };
-        let cid = if pj < comm_lane.len() && s.start[comm_lane[pj]] <= t0 {
-            s.task_comm[comm_lane[pj]]
-        } else {
-            NONE
-        };
-        let watts = priced(s, machine, power_memo, g, kid, cid);
-        emit(t0, t1, watts);
+        let kernel = (pi < compute_lane.len() && s.start[compute_lane[pi]] <= t0)
+            .then(|| s.tasks[compute_lane[pi]].payload);
+        let comm = (pj < comm_lane.len() && s.start[comm_lane[pj]] <= t0)
+            .then(|| s.tasks[comm_lane[pj]].payload);
+        emit(t0, t1, power_memo.watts(machine, g, kernel, comm));
     }
 }
 
@@ -498,11 +481,8 @@ fn lane_intersections(s: &FastSchedule<'_>, g: usize, mut emit: impl FnMut(SimTi
 /// windows, so tasks whose participants all have none (`has_overlap[g] ==
 /// false` — every task of a sequential schedule) skip the lane scans
 /// outright.
-fn coactive_times(
-    tasks: &[olab_sim::TaskSpec<Op>],
-    s: &FastSchedule<'_>,
-    has_overlap: &[bool],
-) -> Vec<f64> {
+fn coactive_times(s: &FastSchedule<'_>, has_overlap: &[bool]) -> Vec<f64> {
+    let tasks = s.tasks;
     let mut coactive = vec![0.0f64; tasks.len()];
     let mut clips: Vec<(f64, f64)> = Vec::new();
     for (i, task) in tasks.iter().enumerate() {
@@ -570,8 +550,7 @@ pub(crate) fn execute_fast(workload: &Workload<Op>, machine: &Machine) -> Option
     let s = build_schedule(workload, machine)?;
 
     // Per-GPU activity: busy time, overlap windows, power segments.
-    let cslots = s.comm_interned.len() + 1;
-    let mut power_memo: Vec<f64> = vec![f64::NAN; (s.kernel_ops.len() + 1) * cslots];
+    let mut power_memo = PowerMemo::new(workload.payloads());
     let mut gpus: Vec<GpuActivity> = vec![GpuActivity::default(); n_gpus];
     let mut bounds: Vec<f64> = Vec::new();
     for (g, activity) in gpus.iter_mut().enumerate() {
@@ -586,7 +565,7 @@ pub(crate) fn execute_fast(workload: &Workload<Op>, machine: &Machine) -> Option
     }
 
     let has_overlap: Vec<bool> = gpus.iter().map(|a| !a.overlap_windows.is_empty()).collect();
-    let coactive = coactive_times(tasks, &s, &has_overlap);
+    let coactive = coactive_times(&s, &has_overlap);
 
     let records: Vec<TaskRecord> = tasks
         .iter()
@@ -644,7 +623,7 @@ pub(crate) fn execute_fast_lean(
 /// The makespan of a fast-path-eligible schedule on an **uncontended**
 /// machine — the one number the ideal leg reports — or `None` where
 /// [`build_schedule`] bails. This is [`build_schedule`]'s task loop and
-/// nothing else: the same interning, the same [`ready_at`] and
+/// nothing else: the same solo prices, the same [`ready_at`] and
 /// `t + duration` arithmetic in the same order, and the same fold over the
 /// task ends, so it equals the `e2e_s` of [`execute_fast_lean`] bit for
 /// bit. It builds no lanes, power segments, co-activity or per-GPU
@@ -656,13 +635,12 @@ pub(crate) fn fast_makespan(workload: &Workload<Op>, machine: &Machine) -> Optio
         "fast_makespan requires an uncontended deterministic machine"
     );
     let tasks = workload.tasks();
-    let mut interner = Interner::default();
+    let mut prices = SoloPrices::new(workload);
     let mut end = vec![0.0f64; tasks.len()];
     let mut queue_last = vec![0.0f64; workload.n_gpus() * 2];
     for (i, task) in tasks.iter().enumerate() {
         let t = ready_at(task, i, &end, &queue_last)?;
-        let (duration, _, _) = interner.intern(task, machine)?;
-        end[i] = t + duration;
+        end[i] = t + prices.duration(task, machine)?;
         let si = task.stream.index();
         for g in &task.participants {
             queue_last[g.index() * 2 + si] = end[i];
@@ -698,9 +676,10 @@ fn single_pass(workload: &Workload<Op>, machine: &Machine) -> Option<SinglePass>
     let n_gpus = workload.n_gpus();
     let tasks = workload.tasks();
 
-    let mut interner = Interner::default();
-    let mut kernel_watts: Vec<f64> = Vec::new();
-    let mut comm_watts: Vec<f64> = Vec::new();
+    let mut prices = SoloPrices::new(workload);
+    // Solo draw per payload id, NaN until priced. Like the durations,
+    // `segment_power_w` has no per-GPU input on an eligible machine.
+    let mut solo_watts = vec![f64::NAN; workload.payloads().len()];
     let idle_w = machine.segment_power_w(0, None, None);
     let mut end = vec![0.0f64; n];
     let mut queue_last = vec![0.0f64; n_gpus * 2];
@@ -713,32 +692,17 @@ fn single_pass(workload: &Workload<Op>, machine: &Machine) -> Option<SinglePass>
         let t = ready_at(task, i, &end, &queue_last)?;
         let si = task.stream.index();
         let oi = task.stream.other().index();
-        let (duration, kid, cid) = interner.intern(task, machine)?;
-        // Solo draw, memoized per interned payload (new ids are appended
-        // sequentially, so a fresh id is priced exactly once). Like the
-        // durations, `segment_power_w` has no per-GPU input on an eligible
-        // machine.
-        let w = if kid != NONE {
-            let k = kid as usize;
-            if k == kernel_watts.len() {
-                kernel_watts.push(machine.segment_power_w(
-                    task.participants[0].index(),
-                    Some(interner.kernel_ops[k]),
-                    None,
-                ));
-            }
-            kernel_watts[k]
-        } else {
-            let c = cid as usize;
-            if c == comm_watts.len() {
-                comm_watts.push(machine.segment_power_w(
-                    task.participants[0].index(),
-                    None,
-                    Some(interner.comm_interned[c].0),
-                ));
-            }
-            comm_watts[c]
-        };
+        let duration = prices.duration(task, machine)?;
+        let w = &mut solo_watts[task.payload.index()];
+        if w.is_nan() {
+            let op = workload.payload(task);
+            *w = machine.segment_power_w(
+                task.participants[0].index(),
+                op.as_compute(),
+                op.as_comm(),
+            );
+        }
+        let w = *w;
         let e = t + duration;
         end[i] = e;
         for g in &task.participants {
@@ -795,8 +759,7 @@ fn lean_from_lanes(
     let tasks = workload.tasks();
     let s = build_schedule(workload, machine)?;
 
-    let cslots = s.comm_interned.len() + 1;
-    let mut power_memo: Vec<f64> = vec![f64::NAN; (s.kernel_ops.len() + 1) * cslots];
+    let mut power_memo = PowerMemo::new(workload.payloads());
     let mut power = Vec::with_capacity(n_gpus);
     let mut windows = Vec::with_capacity(n_gpus);
     let mut kept = None;
@@ -823,7 +786,7 @@ fn lean_from_lanes(
     }
 
     let has_overlap: Vec<bool> = windows.iter().map(|&w| w > 0).collect();
-    let coactive = coactive_times(tasks, &s, &has_overlap);
+    let coactive = coactive_times(&s, &has_overlap);
     let mut totals = StreamTotals::new(n_gpus);
     for (i, task) in tasks.iter().enumerate() {
         totals.add(
@@ -844,11 +807,11 @@ fn lean_from_lanes(
     Some((run, kept))
 }
 
-/// A multiply-xor hasher (FxHash-style) for the payload-keyed maps (this
-/// module's interner, the event loop's pricing table): the keys are small
-/// all-integer structs hashed once per task or per re-priced GPU, where the
-/// default SipHash would dominate the lookup cost. Not DoS-resistant —
-/// fine for a workload's own payloads.
+/// A multiply-xor hasher (FxHash-style) for the event loop's pricing maps
+/// (`Machine`'s id cache and value table): the keys are small all-integer
+/// structs hashed once per newly keyed GPU, where the default SipHash
+/// would dominate the lookup cost. Not DoS-resistant — fine for a
+/// workload's own payloads.
 #[derive(Default)]
 pub(crate) struct FxHasher(u64);
 
@@ -921,6 +884,7 @@ mod tests {
     use crate::{Experiment, Strategy};
     use olab_gpu::{Datapath, KernelKind, Precision, SkuKind};
     use olab_models::ModelPreset;
+    use olab_parallel::ComputeOp;
     use olab_parallel::ExecutionMode;
     use olab_sim::{GpuId, TaskSpec};
 
@@ -930,7 +894,7 @@ mod tests {
     /// keeps the fast path.
     fn a_posteriori_keeps(w: &Workload<Op>, machine: &Machine) -> bool {
         let n = w.len();
-        let mut interner = Interner::default();
+        let mut prices = SoloPrices::new(w);
         let mut lanes: Vec<[Vec<usize>; 2]> = vec![[Vec::new(), Vec::new()]; w.n_gpus()];
         let (mut start, mut end) = (vec![0.0f64; n], vec![0.0f64; n]);
         let mut queue_last = vec![0.0f64; w.n_gpus() * 2];
@@ -938,7 +902,7 @@ mod tests {
             let Some(t) = ready_at(task, i, &end, &queue_last) else {
                 return false;
             };
-            let Some((duration, _, _)) = interner.intern(task, machine) else {
+            let Some(duration) = prices.duration(task, machine) else {
                 return false;
             };
             start[i] = t;
@@ -973,8 +937,15 @@ mod tests {
         ))
     }
 
-    fn ar(machine: &Machine) -> TaskSpec<Op> {
-        TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], all_reduce(machine))
+    /// A two-GPU workload with a GEMM and an all-reduce interned.
+    fn workload(machine: &Machine) -> (Workload<Op>, PayloadId, PayloadId) {
+        let mut w = Workload::new(2);
+        let ids = (w.intern(gemm()), w.intern(all_reduce(machine)));
+        (w, ids.0, ids.1)
+    }
+
+    fn ar(all_reduce: PayloadId) -> TaskSpec<Op> {
+        TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], all_reduce)
     }
 
     /// Both checks decide `keeps` on `w` on the contended machine, and the
@@ -988,29 +959,29 @@ mod tests {
     #[test]
     fn co_residency_in_the_last_pushed_task_still_bails() {
         let stock = Machine::stock(olab_gpu::GpuSku::h100(), 2);
-        let mut w = Workload::new(2);
+        let (mut w, gemm, all_reduce) = workload(&stock);
         let mut prev = None;
         for _ in 0..3 {
-            let k = w.push(TaskSpec::compute("k", GpuId(0), gemm()).after_all(prev));
-            prev = Some(w.push(ar(&stock).after(k)));
+            let k = w.push(TaskSpec::compute("k", GpuId(0), gemm).after_all(prev));
+            prev = Some(w.push(ar(all_reduce).after(k)));
         }
         assert_decision(&w, &stock, true);
         // No dependency: the last kernel starts with the last collective.
-        w.push(TaskSpec::compute("last", GpuId(0), gemm()));
+        w.push(TaskSpec::compute("last", GpuId(0), gemm));
         assert_decision(&w, &stock, false);
     }
 
     #[test]
     fn a_task_landing_in_a_gap_of_the_other_lane_keeps_the_fast_path() {
         let stock = Machine::stock(olab_gpu::GpuSku::h100(), 2);
-        let mut w = Workload::new(2);
-        let first = w.push(ar(&stock));
+        let (mut w, gemm, all_reduce) = workload(&stock);
+        let first = w.push(ar(all_reduce));
         let mut chain = first;
         for _ in 0..5 {
-            chain = w.push(TaskSpec::compute("g1", GpuId(1), gemm()).after(chain));
+            chain = w.push(TaskSpec::compute("g1", GpuId(1), gemm).after(chain));
         }
-        let second = w.push(ar(&stock).after(chain));
-        let k = w.push(TaskSpec::compute("k", GpuId(0), gemm()).after(first));
+        let second = w.push(ar(all_reduce).after(chain));
+        let k = w.push(TaskSpec::compute("k", GpuId(0), gemm).after(first));
         assert_decision(&w, &stock, true);
         let s = build_schedule(&w, &stock).expect("fast path");
         let (k, second) = (k.index(), second.index());
@@ -1024,10 +995,10 @@ mod tests {
     #[test]
     fn touching_intervals_are_not_co_residency() {
         let stock = Machine::stock(olab_gpu::GpuSku::h100(), 2);
-        let mut w = Workload::new(2);
-        let k0 = w.push(TaskSpec::compute("k0", GpuId(0), gemm()));
-        let ar = w.push(ar(&stock).after(k0));
-        let k1 = w.push(TaskSpec::compute("k1", GpuId(0), gemm()).after(ar));
+        let (mut w, gemm, all_reduce) = workload(&stock);
+        let k0 = w.push(TaskSpec::compute("k0", GpuId(0), gemm));
+        let ar = w.push(ar(all_reduce).after(k0));
+        let k1 = w.push(TaskSpec::compute("k1", GpuId(0), gemm).after(ar));
         assert_decision(&w, &stock, true);
         let s = build_schedule(&w, &stock).expect("fast path");
         assert_eq!(s.end[k0.index()], s.start[ar.index()]);

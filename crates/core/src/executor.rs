@@ -344,7 +344,10 @@ fn route<T>(
 
 /// The event-loop route of [`execute_lean`]: the engine runs without task
 /// records ([`Engine::run_summary`]), and the result is bit-identical to
-/// [`LeanRun::summarize`] of [`execute_model`] on the same model.
+/// [`LeanRun::summarize`] of [`execute_model`] on the same model. Once
+/// read, the per-GPU activity goes back to the engine
+/// ([`olab_sim::recycle_activity`]), so the next run on this thread
+/// records into the same buffers.
 fn lean_event_loop(
     workload: &Workload<Op>,
     machine: Machine,
@@ -364,13 +367,18 @@ fn lean_event_loop(
             )
         })
         .collect();
-    let kept = summary.gpus.first().filter(|_| keep_gpu0);
+    let kept = summary
+        .gpus
+        .first()
+        .filter(|_| keep_gpu0)
+        .map(|a| PowerTrace::from_segments(&a.power));
+    olab_sim::recycle_activity(summary.gpus);
     let run = LeanRun {
         e2e_s: summary.makespan.as_secs(),
         gpus,
         route: Route::EventLoop,
     };
-    Ok((run, kept.map(|a| PowerTrace::from_segments(&a.power))))
+    Ok((run, kept))
 }
 
 /// Runs a schedule through the event loop on any [`RateModel`] pricing
@@ -576,8 +584,9 @@ mod tests {
             Precision::Fp16,
         ));
         let mut w = Workload::new(4);
-        let k0 = w.push(TaskSpec::compute("k0", GpuId(0), gemm()));
-        let late = w.push(TaskSpec::compute("late", GpuId(1), gemm()).after(k0));
+        let (gemm, all_reduce) = (w.intern(gemm()), w.intern(all_reduce));
+        let k0 = w.push(TaskSpec::compute("k0", GpuId(0), gemm));
+        let late = w.push(TaskSpec::compute("late", GpuId(1), gemm).after(k0));
         let ar = w.push(
             TaskSpec::new(
                 "all_reduce",
@@ -587,8 +596,8 @@ mod tests {
             )
             .after(late),
         );
-        w.push(TaskSpec::compute("k1", GpuId(0), gemm()).after(ar));
-        w.push(TaskSpec::compute("k2", GpuId(0), gemm()));
+        w.push(TaskSpec::compute("k1", GpuId(0), gemm).after(ar));
+        w.push(TaskSpec::compute("k2", GpuId(0), gemm));
         for machine in [stock.uncontended(), stock] {
             check(&w, &machine, "idle gaps");
         }

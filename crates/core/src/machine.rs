@@ -25,10 +25,17 @@
 //! repeats a few dozen classes thousands of times — every layer runs the
 //! same kernels under the same collectives, on every rank — so the
 //! machine prices each class once per run, in a table keyed by value.
-//! Most epochs leave most GPUs' tasks unchanged (an epoch ends when *one*
+//!
+//! A workload interns each distinct payload once, so a payload id names a
+//! value within the run, and the machine keys everything else on ids:
+//! (compute payload id, comm payload id, clock cap), a [`PriceKey`]. Most
+//! epochs leave most GPUs' payloads unchanged (an epoch ends when *one*
 //! task finishes), so each GPU first checks whether it still runs the
-//! tasks it was last priced for and only then looks its class up. Both
-//! reuses return exactly what re-pricing would, bit for bit.
+//! payloads it was last priced for. A GPU whose key changed looks it up
+//! in a small per-run id cache; only a key seen for the first time builds
+//! its class and goes to the value table, which prices a class seen for
+//! the first time. All three reuses return exactly what re-pricing would,
+//! bit for bit, and only the value table decides what counts as priced.
 
 use std::collections::HashMap;
 
@@ -38,7 +45,7 @@ use olab_gpu::roofline::KernelDemand;
 use olab_gpu::{roofline, ContentionProfile, DvfsGovernor, GpuSku, PowerProfile};
 use olab_net::Topology;
 use olab_parallel::{ComputeOp, Op};
-use olab_sim::{GpuCounters, GpuId, RateModel, RunningTask, SeededRng, TaskId};
+use olab_sim::{GpuCounters, GpuId, PayloadId, RateModel, RunningTask, SeededRng};
 
 use crate::analytic::FxBuildHasher;
 
@@ -112,6 +119,10 @@ pub struct Machine {
     /// the telemetry the simulated NVML poll reads through
     /// [`RateModel::counters`]. Cleared by [`RateModel::begin_run`].
     priced: Vec<Priced>,
+    /// This run's id cache: the pricing of every key met so far. Cleared
+    /// by [`RateModel::begin_run`]: payload ids name values only within
+    /// one workload.
+    keys: HashMap<PriceKey, Pricing, FxBuildHasher>,
     /// This run's pricing table: every class priced so far. Cleared by
     /// [`RateModel::begin_run`], never shared across runs or machines.
     classes: HashMap<PriceClass, Pricing, FxBuildHasher>,
@@ -121,12 +132,13 @@ pub struct Machine {
     scratch_comm_on: Vec<Option<usize>>,
 }
 
-/// What one GPU was priced for in an epoch: its running compute and comm
-/// tasks and its clock cap. Task ids name payloads only within one run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What one GPU was priced for in an epoch: the payloads of its running
+/// compute and comm tasks and its clock cap. Equal keys hold equal
+/// classes within one run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PriceKey {
-    compute: Option<TaskId>,
-    comm: Option<TaskId>,
+    compute: Option<PayloadId>,
+    comm: Option<PayloadId>,
     /// `to_bits` of the active clock cap, if any.
     cap: Option<u64>,
 }
@@ -258,6 +270,7 @@ impl Machine {
             rng,
             gpu_freq_caps: Vec::new(),
             priced: Vec::new(),
+            keys: HashMap::default(),
             classes: HashMap::default(),
             scratch_compute_on: Vec::new(),
             scratch_comm_on: Vec::new(),
@@ -475,6 +488,7 @@ impl RateModel for Machine {
 
     fn begin_run(&mut self) {
         self.priced.clear();
+        self.keys.clear();
         self.classes.clear();
     }
 
@@ -511,30 +525,38 @@ impl RateModel for Machine {
             }
         }
 
-        // A GPU still running the tasks it was last priced for keeps its
-        // pricing; any other looks its class up, pricing it on first sight.
+        // A GPU still running the payloads it was last priced for keeps its
+        // pricing; any other looks its key up, and a new key its class,
+        // pricing the class on first sight.
         self.priced.resize(n_gpus, Priced::default());
         let mut fresh = 0u64;
         for g in 0..n_gpus {
             let key = PriceKey {
-                compute: compute_on[g].map(|i| running[i].id),
-                comm: comm_on[g].map(|i| running[i].id),
+                compute: compute_on[g].map(|i| running[i].payload_id),
+                comm: comm_on[g].map(|i| running[i].payload_id),
                 cap: self.freq_cap(g).map(f64::to_bits),
             };
             if self.priced[g].key == Some(key) {
                 continue;
             }
-            let class = self.class(
-                g,
-                compute_on[g].and_then(|i| running[i].payload.as_compute()),
-                comm_on[g].and_then(|i| running[i].payload.as_comm()),
-            );
-            let pricing = match self.classes.get(&class) {
+            let pricing = match self.keys.get(&key) {
                 Some(&pricing) => pricing,
                 None => {
-                    fresh += 1;
-                    let pricing = self.price(&class);
-                    self.classes.insert(class, pricing);
+                    let class = self.class(
+                        g,
+                        compute_on[g].and_then(|i| running[i].payload.as_compute()),
+                        comm_on[g].and_then(|i| running[i].payload.as_comm()),
+                    );
+                    let pricing = match self.classes.get(&class) {
+                        Some(&pricing) => pricing,
+                        None => {
+                            fresh += 1;
+                            let pricing = self.price(&class);
+                            self.classes.insert(class, pricing);
+                            pricing
+                        }
+                    };
+                    self.keys.insert(key, pricing);
                     pricing
                 }
             };
@@ -622,7 +644,7 @@ mod tests {
     use olab_ccl::{lower, Algorithm, Collective};
     use olab_gpu::{Datapath, KernelKind, Precision};
     use olab_parallel::ComputeOp;
-    use olab_sim::{Engine, GpuId, StreamKind, TaskSpec, Workload};
+    use olab_sim::{Engine, GpuId, StreamKind, TaskId, TaskSpec, Workload};
 
     fn h100_machine() -> Machine {
         Machine::stock(GpuSku::h100(), 4)
@@ -652,13 +674,15 @@ mod tests {
     /// all-reduce) and returns the GEMM's duration.
     fn gemm_duration(machine: &Machine, with_comm: bool) -> f64 {
         let mut w = Workload::new(4);
-        w.push(TaskSpec::compute("gemm", GpuId(0), gemm_op()));
+        let k = w.intern(gemm_op());
+        w.push(TaskSpec::compute("gemm", GpuId(0), k));
         if with_comm {
+            let ar = w.intern(allreduce_op(machine, 1 << 30));
             w.push(TaskSpec::new(
                 "ar",
                 [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
                 StreamKind::Comm,
-                allreduce_op(machine, 1 << 30),
+                ar,
             ));
         }
         let trace = Engine::new(machine.clone()).run(&w).unwrap();
@@ -699,7 +723,8 @@ mod tests {
         let m = h100_machine();
         // Compute alone.
         let mut w = Workload::new(4);
-        w.push(TaskSpec::compute("gemm", GpuId(0), gemm_op()));
+        let k = w.intern(gemm_op());
+        w.push(TaskSpec::compute("gemm", GpuId(0), k));
         let alone = Engine::new(m.clone()).run(&w).unwrap();
         let p_alone = alone
             .gpu(GpuId(0))
@@ -709,12 +734,14 @@ mod tests {
             .fold(0.0, f64::max);
 
         let mut w = Workload::new(4);
-        w.push(TaskSpec::compute("gemm", GpuId(0), gemm_op()));
+        let k = w.intern(gemm_op());
+        w.push(TaskSpec::compute("gemm", GpuId(0), k));
+        let ar = w.intern(allreduce_op(&m, 1 << 30));
         w.push(TaskSpec::new(
             "ar",
             [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
             StreamKind::Comm,
-            allreduce_op(&m, 1 << 30),
+            ar,
         ));
         let both = Engine::new(m.clone()).run(&w).unwrap();
         let p_both = both
@@ -749,8 +776,9 @@ mod tests {
 
         let durations = |m: &Machine| {
             let mut w = Workload::new(4);
-            w.push(TaskSpec::compute("g0", GpuId(0), gemm_op()));
-            w.push(TaskSpec::compute("g1", GpuId(1), gemm_op()));
+            let k = w.intern(gemm_op());
+            w.push(TaskSpec::compute("g0", GpuId(0), k));
+            w.push(TaskSpec::compute("g1", GpuId(1), k));
             let trace = Engine::new(m.clone()).run(&w).unwrap();
             (
                 trace.records()[0].duration().as_secs(),
@@ -780,12 +808,14 @@ mod tests {
     fn telemetry_counters_track_overlap_contention() {
         let m = h100_machine();
         let mut w = Workload::new(4);
-        w.push(TaskSpec::compute("gemm", GpuId(0), gemm_op()));
+        let k = w.intern(gemm_op());
+        w.push(TaskSpec::compute("gemm", GpuId(0), k));
+        let ar = w.intern(allreduce_op(&m, 1 << 30));
         w.push(TaskSpec::new(
             "ar",
             [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
             StreamKind::Comm,
-            allreduce_op(&m, 1 << 30),
+            ar,
         ));
         let mut obs = FirstEpoch::default();
         Engine::new(m.clone()).run_observed(&w, &mut obs).unwrap();
@@ -809,7 +839,8 @@ mod tests {
     fn telemetry_counters_are_idle_defaults_for_idle_gpus() {
         let m = h100_machine();
         let mut w = Workload::new(4);
-        w.push(TaskSpec::compute("gemm", GpuId(0), gemm_op()));
+        let k = w.intern(gemm_op());
+        w.push(TaskSpec::compute("gemm", GpuId(0), k));
         let mut obs = FirstEpoch::default();
         Engine::new(m.clone()).run_observed(&w, &mut obs).unwrap();
         let counters = obs.counters.unwrap();
@@ -825,7 +856,8 @@ mod tests {
     fn idle_gpus_report_idle_power() {
         let m = h100_machine();
         let mut w = Workload::new(4);
-        w.push(TaskSpec::compute("gemm", GpuId(0), gemm_op()));
+        let k = w.intern(gemm_op());
+        w.push(TaskSpec::compute("gemm", GpuId(0), k));
         let trace = Engine::new(m.clone()).run(&w).unwrap();
         let idle = trace.gpu(GpuId(3)).power[0].watts;
         assert_eq!(idle, GpuSku::h100().power().idle_w);
@@ -857,13 +889,15 @@ mod tests {
         ));
         let duration = |with_comm: bool| {
             let mut w = Workload::new(4);
-            w.push(TaskSpec::compute("stream", GpuId(0), streaming.clone()));
+            let k = w.intern(streaming.clone());
+            w.push(TaskSpec::compute("stream", GpuId(0), k));
             if with_comm {
+                let ar = w.intern(allreduce_op(&m, 1 << 30));
                 w.push(TaskSpec::new(
                     "ar",
                     [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
                     StreamKind::Comm,
-                    allreduce_op(&m, 1 << 30),
+                    ar,
                 ));
             }
             let trace = Engine::new(m.clone()).run(&w).unwrap();
@@ -898,13 +932,15 @@ mod tests {
         let ar_duration = |busy_rank: bool| {
             let mut w = Workload::new(4);
             if busy_rank {
-                w.push(TaskSpec::compute("stream", GpuId(0), streaming.clone()));
+                let k = w.intern(streaming.clone());
+                w.push(TaskSpec::compute("stream", GpuId(0), k));
             }
+            let ar = w.intern(allreduce_op(&m, 1 << 30));
             let id = w.push(TaskSpec::new(
                 "ar",
                 [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
                 StreamKind::Comm,
-                allreduce_op(&m, 1 << 30),
+                ar,
             ));
             let trace = Engine::new(m.clone()).run(&w).unwrap();
             trace.record(id).unwrap().duration().as_secs()
@@ -918,11 +954,12 @@ mod tests {
         let op = allreduce_op(&m, 1 << 28);
         let isolated = op.as_comm().unwrap().isolated_duration_s();
         let mut w = Workload::new(4);
+        let ar = w.intern(op);
         w.push(TaskSpec::new(
             "ar",
             [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
             StreamKind::Comm,
-            op,
+            ar,
         ));
         let trace = Engine::new(m.clone()).run(&w).unwrap();
         let simulated = trace.records()[0].duration().as_secs();
@@ -943,10 +980,11 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The memo-free reference: on every epoch it re-prices every GPU
-    /// with `gpu_epoch` — no per-GPU reuse, no pricing table — draws noise
-    /// from a clone of the wrapped machine's RNG, and asserts that the
-    /// memoized machine assigns bit-identical rates, power and counters.
+    /// The memo-free reference: on every epoch it re-prices every GPU by
+    /// value with `gpu_epoch` — no per-GPU reuse, no id cache, no pricing
+    /// table — draws noise from a clone of the wrapped machine's RNG, and
+    /// asserts that the memoized machine assigns bit-identical rates,
+    /// power and counters.
     struct Reference {
         memo: Machine,
         epochs: usize,
@@ -972,8 +1010,8 @@ mod tests {
             for task in running {
                 for g in task.participants {
                     match task.payload {
-                        Op::Compute(c) => kernel[g.index()] = Some((task.id, c)),
-                        Op::Comm(c) => comm[g.index()] = Some((task.id, c)),
+                        Op::Compute(c) => kernel[g.index()] = Some((task.payload_id, c)),
+                        Op::Comm(c) => comm[g.index()] = Some((task.payload_id, c)),
                     }
                 }
             }
@@ -1086,7 +1124,8 @@ mod tests {
         };
         let workloads = [4096, 8192].map(|n| {
             let mut w = Workload::new(4);
-            w.push(TaskSpec::compute("gemm", GpuId(0), gemm(n)));
+            let k = w.intern(gemm(n));
+            w.push(TaskSpec::compute("gemm", GpuId(0), k));
             w
         });
 
@@ -1104,7 +1143,7 @@ mod tests {
             label: &'a olab_sim::Label,
             id: u32,
             participants: &'a [GpuId],
-            payload: &'a Op,
+            (payload_id, payload): (u32, &'a Op),
         ) -> RunningTask<'a, Op> {
             let stream = match payload {
                 Op::Compute(_) => StreamKind::Compute,
@@ -1116,16 +1155,18 @@ mod tests {
                 participants,
                 stream,
                 payload,
+                payload_id: PayloadId(payload_id),
             }
         }
         let mut m = h100_machine();
-        let gemm = gemm_op();
-        let wide = allreduce_op(&m, 1 << 30);
+        let gemm_op = gemm_op();
+        let wide_op = allreduce_op(&m, 1 << 30);
         // The same collective, its channel kernels on half the SMs.
-        let mut narrow = wide.clone();
-        if let Op::Comm(op) = &mut narrow {
+        let mut narrow_op = wide_op.clone();
+        if let Op::Comm(op) = &mut narrow_op {
             op.sm_fraction *= 0.5;
         }
+        let (gemm, wide, narrow) = ((0, &gemm_op), (1, &wide_op), (2, &narrow_op));
         let g: Vec<GpuId> = (0..4).map(GpuId).collect();
         let l = olab_sim::Label::from("task");
         let assign = |m: &mut Machine, running: &[RunningTask<'_, Op>]| {
@@ -1137,46 +1178,67 @@ mod tests {
         m.begin_run();
         // Equal kernels on four GPUs under one collective: one class.
         let one_collective = [
-            task(&l, 0, &g[0..1], &gemm),
-            task(&l, 1, &g[1..2], &gemm),
-            task(&l, 2, &g[2..3], &gemm),
-            task(&l, 3, &g[3..4], &gemm),
-            task(&l, 4, &g[0..4], &wide),
+            task(&l, 0, &g[0..1], gemm),
+            task(&l, 1, &g[1..2], gemm),
+            task(&l, 2, &g[2..3], gemm),
+            task(&l, 3, &g[3..4], gemm),
+            task(&l, 4, &g[0..4], wide),
         ];
         let (first, classes) = assign(&mut m, &one_collective);
-        assert_eq!(classes, 1);
+        assert_eq!((classes, m.keys.len()), (1, 1));
         assert!(first[..4].iter().all(|r| r.to_bits() == first[0].to_bits()));
-        // Mark the entry: a GPU served from the table reports the mark,
-        // one priced afresh would not.
+        // Mark the entries: a GPU served from the id cache or the table
+        // reports the mark, one priced afresh or kept would not.
         let mark = 42.0;
+        m.keys.values_mut().for_each(|p| p.compute_rate = mark);
         m.classes.values_mut().for_each(|p| p.compute_rate = mark);
 
         // New tasks, and a second collective on GPUs 2 and 3 that differs
         // only in `sm_fraction`: one more class.
         let two_collectives = [
-            task(&l, 5, &g[0..1], &gemm),
-            task(&l, 6, &g[1..2], &gemm),
-            task(&l, 7, &g[2..3], &gemm),
-            task(&l, 8, &g[3..4], &gemm),
-            task(&l, 9, &g[0..2], &wide),
-            task(&l, 10, &g[2..4], &narrow),
+            task(&l, 5, &g[0..1], gemm),
+            task(&l, 6, &g[1..2], gemm),
+            task(&l, 7, &g[2..3], gemm),
+            task(&l, 8, &g[3..4], gemm),
+            task(&l, 9, &g[0..2], wide),
+            task(&l, 10, &g[2..4], narrow),
         ];
         let (rates, classes) = assign(&mut m, &two_collectives);
-        assert_eq!(classes, 2);
-        assert_eq!(bits(&rates[..2]), bits(&[mark; 2]));
+        assert_eq!((classes, m.keys.len()), (2, 2));
+        // GPUs 0 and 1 run the payloads they were priced for, under new
+        // task ids: each keeps its own pricing, unmarked.
+        assert_eq!(bits(&rates[..2]), bits(&first[..2]));
         assert!(rates[2] > first[2], "fewer SMs taken, faster kernel");
         assert_eq!(rates[2].to_bits(), rates[3].to_bits());
 
-        // The same tasks with GPU 0 capped: exactly one more class.
+        // Payloads equal in value under other ids: new keys, no new class,
+        // and the marked pricing of the equal class.
+        let (gemm_twin, wide_twin) = ((3, &gemm_op), (4, &wide_op));
+        let twins = [
+            task(&l, 11, &g[0..1], gemm_twin),
+            task(&l, 12, &g[1..2], gemm),
+            task(&l, 13, &g[2..3], gemm_twin),
+            task(&l, 14, &g[3..4], gemm),
+            task(&l, 15, &g[0..4], wide_twin),
+        ];
+        let (twin_rates, classes) = assign(&mut m, &twins);
+        assert_eq!((classes, m.keys.len()), (2, 4));
+        assert_eq!(bits(&twin_rates[..4]), bits(&[mark; 4]));
+        assert_eq!(twin_rates[4].to_bits(), first[4].to_bits());
+
+        // The same tasks with GPU 0 capped: exactly one more class. GPU 1
+        // returns to a key the id cache holds, marked.
         m.set_gpu_freq_caps([0.5, 1.0, 1.0, 1.0]);
         let (capped, classes) = assign(&mut m, &two_collectives);
         assert_eq!(classes, 3);
         assert!(capped[0] < first[0]);
-        assert_eq!(bits(&capped[1..]), bits(&rates[1..]));
+        assert_eq!(capped[1].to_bits(), mark.to_bits());
+        assert_eq!(bits(&capped[2..]), bits(&rates[2..]));
 
-        // A new run starts from an empty table.
+        // A new run starts from an empty id cache and table.
         m.begin_run();
         assert_eq!(assign(&mut m, &one_collective).1, 2, "capped and uncapped");
+        assert_eq!(m.keys.len(), 2);
     }
 
     #[test]
@@ -1191,6 +1253,7 @@ mod tests {
                 participants: std::slice::from_ref(&gpus[g as usize]),
                 stream: StreamKind::Compute,
                 payload: &op,
+                payload_id: PayloadId(0),
             })
             .collect();
         let assign = |m: &mut Machine| {

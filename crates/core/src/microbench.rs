@@ -63,12 +63,13 @@ pub fn gemm_vs_allreduce(
 
     let build = |with_comm: bool| -> Workload<Op> {
         let mut w = Workload::new(n_gpus);
+        let gemm = w.intern(gemm.clone());
         for g in 0..n_gpus as u16 {
             for r in 0..reps {
                 w.push(TaskSpec::compute(
                     format!("gemm{n}.r{r}.g{g}"),
                     GpuId(g),
-                    gemm.clone(),
+                    gemm,
                 ));
             }
         }
@@ -82,12 +83,8 @@ pub fn gemm_vs_allreduce(
                 &machine.config().topology,
                 precision,
             );
-            w.push(TaskSpec::new(
-                "ar.1g",
-                group,
-                StreamKind::Comm,
-                Op::Comm(op),
-            ));
+            let ar = w.intern(Op::Comm(op));
+            w.push(TaskSpec::new("ar.1g", group, StreamKind::Comm, ar));
         }
         w
     };

@@ -473,11 +473,12 @@ mod tests {
 
     fn ar_workload(machine: &Machine) -> Workload<Op> {
         let mut w = Workload::new(4);
+        let ar = w.intern(allreduce(machine, 1 << 28));
         w.push(TaskSpec::new(
             "ar",
             [GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
             StreamKind::Comm,
-            allreduce(machine, 1 << 28),
+            ar,
         ));
         w
     }
@@ -518,17 +519,18 @@ mod tests {
 
         // A collective not touching the link is unaffected.
         let mut w2 = Workload::new(4);
+        let p2p = w2.intern(Op::Comm(lower(
+            &Collective::p2p(1 << 24, GpuId(0), GpuId(3)),
+            Algorithm::Direct,
+            &m.config().sku,
+            &m.config().topology,
+            Precision::Fp16,
+        )));
         w2.push(TaskSpec::new(
             "p2p",
             vec![GpuId(0), GpuId(3)],
             StreamKind::Comm,
-            Op::Comm(lower(
-                &Collective::p2p(1 << 24, GpuId(0), GpuId(3)),
-                Algorithm::Direct,
-                &m.config().sku,
-                &m.config().topology,
-                Precision::Fp16,
-            )),
+            p2p,
         ));
         let healthy_p2p = Engine::new(m.clone())
             .run(&w2)
@@ -619,7 +621,8 @@ mod tests {
     fn throttle_windows_slow_the_straggler_mid_run() {
         let m = machine();
         let mut w = Workload::new(4);
-        w.push(TaskSpec::compute("g0", GpuId(0), gemm()));
+        let gemm = w.intern(gemm());
+        w.push(TaskSpec::compute("g0", GpuId(0), gemm));
         let healthy = Engine::new(m.clone()).run(&w).unwrap().makespan().as_secs();
 
         let mut timeline = quiet_timeline();
@@ -641,7 +644,8 @@ mod tests {
     fn ecc_retries_add_fixed_latency_to_selected_kernels() {
         let m = machine();
         let mut w = Workload::new(4);
-        w.push(TaskSpec::compute("k0", GpuId(0), gemm()));
+        let gemm = w.intern(gemm());
+        w.push(TaskSpec::compute("k0", GpuId(0), gemm));
         let healthy = Engine::new(m.clone()).run(&w).unwrap().makespan().as_secs();
 
         let mut timeline = quiet_timeline();

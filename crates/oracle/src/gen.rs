@@ -96,14 +96,15 @@ impl WorkloadPlan {
     /// Materializes the plan into an engine-ready workload.
     pub fn build(&self) -> Workload<()> {
         let mut w = Workload::new(self.n_gpus);
+        let unit = w.intern(());
         let mut ids = Vec::with_capacity(self.tasks.len());
         for task in &self.tasks {
             let spec = if task.participants.len() > 1 {
-                TaskSpec::collective(task.label.clone(), task.participants.clone(), ())
+                TaskSpec::collective(task.label.clone(), task.participants.clone(), unit)
             } else if task.comm {
-                TaskSpec::comm(task.label.clone(), task.participants[0], ())
+                TaskSpec::comm(task.label.clone(), task.participants[0], unit)
             } else {
-                TaskSpec::compute(task.label.clone(), task.participants[0], ())
+                TaskSpec::compute(task.label.clone(), task.participants[0], unit)
             };
             let spec = spec.after_all(task.deps.iter().map(|&d| ids[d]));
             ids.push(w.push(spec));

@@ -431,7 +431,7 @@ fn timeline_floors(workload: &olab_sim::Workload<Op>, sku: &GpuSku) -> TimelineF
     let mut compute = vec![0.0; n];
     let mut comm = vec![0.0; n];
     for spec in workload.tasks() {
-        match &spec.payload {
+        match workload.payload(spec) {
             Op::Compute(c) => {
                 compute[spec.participants[0].index()] +=
                     roofline::lower_bound_duration(&c.kernel, sku, c.precision, c.datapath);

@@ -162,14 +162,15 @@ fn forward_dependencies_never_take_the_fast_path() {
     let machine = Machine::stock(GpuSku::h100(), 2).uncontended();
     let workload = |forward: bool| {
         let mut w = Workload::new(2);
-        let mut first = TaskSpec::compute("k0", GpuId(0), gemm());
+        let gemm = w.intern(gemm());
+        let mut first = TaskSpec::compute("k0", GpuId(0), gemm);
         if forward {
             // Depends on the task pushed next: the one-pass closed form
             // requires every dependency to point backward in push order.
             first = first.after(TaskId(1));
         }
         w.push(first);
-        w.push(TaskSpec::compute("k1", GpuId(1), gemm()));
+        w.push(TaskSpec::compute("k1", GpuId(1), gemm));
         w
     };
     assert_eq!(
@@ -189,11 +190,12 @@ fn comm_payloads_on_the_compute_stream_never_take_the_fast_path() {
     let machine = Machine::stock(GpuSku::h100(), 2);
     let workload = |stream: StreamKind| {
         let mut w = Workload::new(2);
+        let all_reduce = w.intern(all_reduce(&machine));
         w.push(TaskSpec::new(
             "all_reduce",
             vec![GpuId(0), GpuId(1)],
             stream,
-            all_reduce(&machine),
+            all_reduce,
         ));
         w
     };
@@ -221,19 +223,20 @@ fn comm_payloads_on_the_compute_stream_never_take_the_fast_path() {
 fn lean_fast_path_is_exact_across_idle_gaps() {
     let stock = Machine::stock(GpuSku::h100(), 4);
     let mut w = Workload::new(4);
-    let k0 = w.push(TaskSpec::compute("k0", GpuId(0), gemm()));
-    let late = w.push(TaskSpec::compute("late", GpuId(1), gemm()).after(k0));
+    let (gemm, all_reduce) = (w.intern(gemm()), w.intern(all_reduce(&stock)));
+    let k0 = w.push(TaskSpec::compute("k0", GpuId(0), gemm));
+    let late = w.push(TaskSpec::compute("late", GpuId(1), gemm).after(k0));
     let ar = w.push(
         TaskSpec::new(
             "all_reduce",
             vec![GpuId(0), GpuId(1)],
             StreamKind::Comm,
-            all_reduce(&stock),
+            all_reduce,
         )
         .after(late),
     );
-    w.push(TaskSpec::compute("k1", GpuId(0), gemm()).after(ar));
-    w.push(TaskSpec::compute("k2", GpuId(0), gemm()));
+    w.push(TaskSpec::compute("k1", GpuId(0), gemm).after(ar));
+    w.push(TaskSpec::compute("k2", GpuId(0), gemm));
     for machine in [stock.uncontended(), stock] {
         let full = execute(&w, &machine).expect("runs");
         assert_eq!(full.route, Route::FastPath);

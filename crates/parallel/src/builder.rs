@@ -1,16 +1,20 @@
 //! Schedule construction with optional sequential serialization.
 
-use crate::{ExecutionMode, Op};
-use olab_sim::{TaskId, TaskSpec, Workload};
+use crate::{ComputeOp, ExecutionMode, Op};
+use olab_gpu::{Datapath, KernelKind, Precision};
+use olab_sim::{PayloadId, TaskId, TaskSpec, Workload};
 use std::cell::RefCell;
 
+/// A schedule's task storage and payload table.
+type Storage = (Vec<TaskSpec<Op>>, Vec<Op>);
+
 thread_local! {
-    /// Task storage handed back by [`recycle`], taken by the next
+    /// Storage handed back by [`recycle`], taken by the next
     /// [`ScheduleBuilder`] on this thread.
-    static SPARE: RefCell<Vec<TaskSpec<Op>>> = const { RefCell::new(Vec::new()) };
+    static SPARE: RefCell<Storage> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Hands a finished schedule's task storage to the next
+/// Hands a finished schedule's task storage and payload table to the next
 /// [`ScheduleBuilder`] on this thread.
 ///
 /// A paper cell lowers up to ~16k tasks, a few MiB of contiguous storage.
@@ -22,18 +26,27 @@ thread_local! {
 /// which frees nothing per task: a task's participants and dependencies
 /// live inline in its [`TaskSpec`], and only a list that spilled (a
 /// collective over more than 8 GPUs, a task with more than 4 deps) owns a
-/// heap block.
+/// heap block. The payload table is kept the same way; dropping its
+/// payloads frees one group per distinct collective.
 pub fn recycle(workload: Workload<Op>) {
-    let mut tasks = workload.into_tasks();
+    let (mut tasks, mut payloads) = workload.into_storage();
     tasks.clear();
+    payloads.clear();
     SPARE.with_borrow_mut(|spare| {
-        if tasks.capacity() > spare.capacity() {
-            *spare = tasks;
+        if tasks.capacity() > spare.0.capacity() {
+            spare.0 = tasks;
+        }
+        if payloads.capacity() > spare.1.capacity() {
+            spare.1 = payloads;
         }
     });
 }
 
 /// Builds a [`Workload`] of [`Op`]s in program order.
+///
+/// A lowering interns each distinct payload once ([`ScheduleBuilder::intern`],
+/// [`ScheduleBuilder::intern_kernels`]) and pushes every task that runs it
+/// by id, so a collective is lowered once however many layers run it.
 ///
 /// Tasks are pushed exactly as the overlapped schedule issues them. In
 /// [`ExecutionMode::Sequential`], [`ScheduleBuilder::build`] serializes the
@@ -53,8 +66,9 @@ impl ScheduleBuilder {
     /// Creates a builder for an `n_gpus` node, pushing into the storage
     /// [`recycle`] last handed back on this thread, if any.
     pub fn new(n_gpus: usize, mode: ExecutionMode) -> Self {
+        let (tasks, payloads) = SPARE.with_borrow_mut(std::mem::take);
         ScheduleBuilder {
-            workload: Workload::reusing(n_gpus, SPARE.with_borrow_mut(std::mem::take)),
+            workload: Workload::reusing(n_gpus, tasks, payloads),
             mode,
         }
     }
@@ -62,6 +76,25 @@ impl ScheduleBuilder {
     /// The execution mode this builder serializes for.
     pub fn mode(&self) -> ExecutionMode {
         self.mode
+    }
+
+    /// Interns a payload by value (see [`Workload::intern`]).
+    pub fn intern(&mut self, op: Op) -> PayloadId {
+        self.workload.intern(op)
+    }
+
+    /// Interns each kernel as a compute op: the ids of `kernels` in order,
+    /// equal shapes sharing one id.
+    pub fn intern_kernels(
+        &mut self,
+        kernels: &[KernelKind],
+        precision: Precision,
+        datapath: Datapath,
+    ) -> Vec<PayloadId> {
+        kernels
+            .iter()
+            .map(|k| self.intern(Op::Compute(ComputeOp::new(*k, precision, datapath))))
+            .collect()
     }
 
     /// Pushes a task.
@@ -91,8 +124,6 @@ impl ScheduleBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ComputeOp;
-    use olab_gpu::{Datapath, KernelKind, Precision};
     use olab_sim::{GpuId, StreamKind};
 
     fn op() -> Op {
@@ -106,8 +137,9 @@ mod tests {
     #[test]
     fn sequential_mode_chains_across_streams() {
         let mut b = ScheduleBuilder::new(1, ExecutionMode::Sequential);
-        let a = b.push(TaskSpec::compute("a", GpuId(0), op()));
-        let c = b.push(TaskSpec::comm("c", GpuId(0), op()));
+        let op = b.intern(op());
+        let a = b.push(TaskSpec::compute("a", GpuId(0), op));
+        let c = b.push(TaskSpec::comm("c", GpuId(0), op));
         let w = b.build();
         assert_eq!(w.tasks()[c.index()].deps, vec![a]);
     }
@@ -115,24 +147,31 @@ mod tests {
     #[test]
     fn a_recycled_schedule_lends_its_storage_to_the_next_builder() {
         let mut b = ScheduleBuilder::new(1, ExecutionMode::Sequential);
-        for _ in 0..100 {
-            b.push(TaskSpec::compute("a", GpuId(0), op()));
+        let gemms: Vec<KernelKind> = (1..=20).map(|n| KernelKind::gemm(n, n, n)).collect();
+        let ids = b.intern_kernels(&gemms, Precision::Fp16, Datapath::TensorCore);
+        for _ in 0..5 {
+            for &id in &ids {
+                b.push(TaskSpec::compute("a", GpuId(0), id));
+            }
         }
         recycle(b.build());
         let next = ScheduleBuilder::new(2, ExecutionMode::Overlapped).build();
-        assert!(next.is_empty());
+        assert!(next.is_empty() && next.payloads().is_empty());
         assert_eq!(next.n_gpus(), 2);
-        assert!(next.into_tasks().capacity() >= 100);
+        let (tasks, payloads) = next.into_storage();
+        assert!(tasks.capacity() >= 100 && payloads.capacity() >= 20);
         // The storage was taken: a second builder starts from nothing.
         let other = ScheduleBuilder::new(1, ExecutionMode::Overlapped).build();
-        assert_eq!(other.into_tasks().capacity(), 0);
+        let (tasks, payloads) = other.into_storage();
+        assert_eq!((tasks.capacity(), payloads.capacity()), (0, 0));
     }
 
     #[test]
     fn overlapped_mode_adds_no_deps() {
         let mut b = ScheduleBuilder::new(1, ExecutionMode::Overlapped);
-        b.push(TaskSpec::compute("a", GpuId(0), op()));
-        let c = b.push(TaskSpec::comm("c", GpuId(0), op()));
+        let op = b.intern(op());
+        b.push(TaskSpec::compute("a", GpuId(0), op));
+        let c = b.push(TaskSpec::comm("c", GpuId(0), op));
         let w = b.build();
         assert!(w.tasks()[c.index()].deps.is_empty());
     }
@@ -140,13 +179,14 @@ mod tests {
     #[test]
     fn sequential_collectives_chain_on_every_participant() {
         let mut b = ScheduleBuilder::new(2, ExecutionMode::Sequential);
-        let a0 = b.push(TaskSpec::compute("a0", GpuId(0), op()));
-        let a1 = b.push(TaskSpec::compute("a1", GpuId(1), op()));
+        let op = b.intern(op());
+        let a0 = b.push(TaskSpec::compute("a0", GpuId(0), op));
+        let a1 = b.push(TaskSpec::compute("a1", GpuId(1), op));
         let coll = b.push(TaskSpec::new(
             "ar",
             vec![GpuId(0), GpuId(1)],
             StreamKind::Comm,
-            op(),
+            op,
         ));
         let w = b.build();
         let deps = &w.tasks()[coll.index()].deps;

@@ -23,13 +23,13 @@
 //! In [`ExecutionMode::Sequential`] the whole schedule is chained so that no
 //! communication overlaps computation — the paper's baseline.
 
-use crate::{ComputeOp, ExecutionMode, Op, ScheduleBuilder};
+use crate::{ExecutionMode, Op, ScheduleBuilder};
 use olab_ccl::{lower, Algorithm, Collective};
 use olab_gpu::{Datapath, GpuSku, Precision};
 use olab_models::memory::ActivationPolicy;
 use olab_models::{ops, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, Label, TaskId, TaskSpec, Workload};
+use olab_sim::{GpuId, Label, PayloadId, TaskId, TaskSpec, Workload};
 
 /// Which communication classes may overlap compute (overlapped mode only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,11 +168,14 @@ pub fn fsdp_timeline(
     let layers = plan.model.layers as usize;
     let mut b = ScheduleBuilder::new(n, mode);
 
-    let compute_op =
-        |k: &olab_gpu::KernelKind| Op::Compute(ComputeOp::new(*k, plan.precision, plan.datapath));
-    let collective_op = |c: Collective| {
+    // Every payload is interned once up front: each kernel shape, and each
+    // of the two collectives every layer runs, lowered once.
+    let kernels = |b: &mut ScheduleBuilder, kernels: &[olab_gpu::KernelKind]| {
+        b.intern_kernels(kernels, plan.precision, plan.datapath)
+    };
+    let collective = |b: &mut ScheduleBuilder, c: Collective| {
         let algo = Algorithm::auto_for(c.kind, c.bytes, &c.group, topo);
-        Op::Comm(lower(&c, algo, sku, topo, plan.precision))
+        b.intern(Op::Comm(lower(&c, algo, sku, topo, plan.precision)))
     };
 
     let layer = ops::layer_kernels(&plan.model, plan.batch_per_rank, plan.seq);
@@ -180,19 +183,48 @@ pub fn fsdp_timeline(
     let emb = ops::embedding_kernels(&plan.model, plan.batch_per_rank, plan.seq);
     let layer_bytes = plan.layer_bytes();
 
+    let emb = kernels(&mut b, &emb);
+    let layer_forward = kernels(&mut b, &layer.forward);
+    let head_forward = kernels(&mut b, &head.forward);
+    let head_backward = kernels(&mut b, &head.backward);
+    let bwd_kernels: Vec<PayloadId> = match plan.activation_policy {
+        ActivationPolicy::Full => kernels(&mut b, &layer.backward),
+        ActivationPolicy::Recompute => {
+            let mut v = layer_forward.clone();
+            v.extend(kernels(&mut b, &layer.backward));
+            v
+        }
+    };
+    let all_gather = collective(&mut b, Collective::all_gather(layer_bytes, group.clone()));
+    let reduce_scatter = collective(
+        &mut b,
+        Collective::reduce_scatter(layer_bytes, group.clone()),
+    );
+    // Accumulation micro-steps fold each layer's gradients into a buffer
+    // with a small elementwise add.
+    let accum = (plan.grad_accum_steps > 1).then(|| {
+        let add = olab_gpu::KernelKind::Elementwise {
+            elems: plan.model.layer_params(),
+            flops_per_elem: 1,
+            streams: 3,
+        };
+        kernels(&mut b, &[add])[0]
+    });
+    let shard_params = plan.model.param_count() / n as u64;
+    let adam = kernels(&mut b, &[ops::optimizer_kernel(shard_params)])[0];
+
     // Pushes one kernel sequence on every rank's compute stream; returns the
     // last task per rank. `label` is a pattern ending in the kernel index
     // and GPU holes (`….k{}.gpu{}`), with its leading holes already filled.
     let push_kernels = |b: &mut ScheduleBuilder,
                         label: Label,
-                        kernels: &[olab_gpu::KernelKind],
+                        kernels: &[PayloadId],
                         first_deps: &[TaskId]|
      -> Vec<TaskId> {
         let mut last = vec![TaskId(0); n];
         for (g, gpu) in group.iter().enumerate() {
-            for (ki, k) in kernels.iter().enumerate() {
-                let mut spec =
-                    TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, compute_op(k));
+            for (ki, &k) in kernels.iter().enumerate() {
+                let mut spec = TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, k);
                 if ki == 0 {
                     spec.deps.extend_from_slice(first_deps);
                 }
@@ -200,15 +232,6 @@ pub fn fsdp_timeline(
             }
         }
         last
-    };
-
-    let bwd_kernels: Vec<olab_gpu::KernelKind> = match plan.activation_policy {
-        ActivationPolicy::Full => layer.backward.clone(),
-        ActivationPolicy::Recompute => {
-            let mut v = layer.forward.clone();
-            v.extend(layer.backward.iter().copied());
-            v
-        }
     };
 
     let mut final_rs: Vec<TaskId> = Vec::with_capacity(layers);
@@ -227,11 +250,8 @@ pub fn fsdp_timeline(
             // is done (so it runs while layer i-1 computes), keeping at most
             // two layers unsharded. Without prefetch, AG(i) waits for layer
             // i-1 and is fully exposed.
-            let mut spec = TaskSpec::collective(
-                tag("st{}.ag.f.L{}").with(i),
-                &group[..],
-                collective_op(Collective::all_gather(layer_bytes, group.clone())),
-            );
+            let mut spec =
+                TaskSpec::collective(tag("st{}.ag.f.L{}").with(i), &group[..], all_gather);
             let lookback = if plan.overlap.prefetch_all_gather {
                 2
             } else {
@@ -245,15 +265,15 @@ pub fn fsdp_timeline(
             let last = push_kernels(
                 &mut b,
                 tag("st{}.L{}.f.k{}.gpu{}").with(i),
-                &layer.forward,
+                &layer_forward,
                 &[ag_f[i]],
             );
             f_last.push(last);
         }
 
         // LM head (local, unsharded in this model) forward + backward.
-        let head_f_last = push_kernels(&mut b, tag("st{}.head.f.k{}.gpu{}"), &head.forward, &[]);
-        let head_b_last = push_kernels(&mut b, tag("st{}.head.b.k{}.gpu{}"), &head.backward, &[]);
+        let head_f_last = push_kernels(&mut b, tag("st{}.head.f.k{}.gpu{}"), &head_forward, &[]);
+        let head_b_last = push_kernels(&mut b, tag("st{}.head.b.k{}.gpu{}"), &head_backward, &[]);
 
         // ---- Backward pass ----
         let mut ag_b: Vec<Option<TaskId>> = vec![None; layers];
@@ -261,7 +281,7 @@ pub fn fsdp_timeline(
             let mut spec = TaskSpec::collective(
                 tag("st{}.ag.b.L{}").with(layers - 1),
                 &group[..],
-                collective_op(Collective::all_gather(layer_bytes, group.clone())),
+                all_gather,
             );
             spec.deps.extend(head_f_last.iter().copied());
             ag_b[layers - 1] = Some(b.push(spec));
@@ -272,11 +292,8 @@ pub fn fsdp_timeline(
         for i in (0..layers).rev() {
             // Prefetch the re-gather of layer i-1 while layer i runs backward.
             if i > 0 {
-                let mut spec = TaskSpec::collective(
-                    tag("st{}.ag.b.L{}").with(i - 1),
-                    &group[..],
-                    collective_op(Collective::all_gather(layer_bytes, group.clone())),
-                );
+                let mut spec =
+                    TaskSpec::collective(tag("st{}.ag.b.L{}").with(i - 1), &group[..], all_gather);
                 let anchor: &[TaskId] = if plan.overlap.prefetch_all_gather {
                     if i + 1 < layers {
                         &b_last[i + 1]
@@ -309,28 +326,21 @@ pub fn fsdp_timeline(
             b_last[i] = last.clone();
 
             if is_last_step {
-                let mut spec = TaskSpec::collective(
-                    tag("st{}.rs.L{}").with(i),
-                    &group[..],
-                    collective_op(Collective::reduce_scatter(layer_bytes, group.clone())),
-                );
+                let mut spec =
+                    TaskSpec::collective(tag("st{}.rs.L{}").with(i), &group[..], reduce_scatter);
                 spec.deps.extend(last.iter().copied());
                 let rs = b.push(spec);
                 final_rs.push(rs);
                 prev_rs = Some(rs);
             } else {
-                // Accumulation micro-step: gradients stay local; a small
-                // elementwise add folds them into the accumulation buffer.
-                let accum = olab_gpu::KernelKind::Elementwise {
-                    elems: plan.model.layer_params(),
-                    flops_per_elem: 1,
-                    streams: 3,
-                };
+                // Accumulation micro-step: gradients stay local and fold
+                // into the accumulation buffer.
+                let accum = accum.expect("accumulation steps intern the add");
                 for gpu in &group {
                     let mut spec = TaskSpec::compute(
                         tag("st{}.accum.L{}.gpu{}").with(i).with(gpu.0),
                         *gpu,
-                        compute_op(&accum),
+                        accum,
                     );
                     spec.deps.push(last[gpu.index()]);
                     b.push(spec);
@@ -340,13 +350,8 @@ pub fn fsdp_timeline(
     }
 
     // ---- Optimizer ----
-    let shard_params = plan.model.param_count() / n as u64;
     for gpu in &group {
-        let mut spec = TaskSpec::compute(
-            Label::new("adam.gpu{}").with(gpu.0),
-            *gpu,
-            compute_op(&ops::optimizer_kernel(shard_params)),
-        );
+        let mut spec = TaskSpec::compute(Label::new("adam.gpu{}").with(gpu.0), *gpu, adam);
         spec.deps.extend(final_rs.iter().copied());
         b.push(spec);
     }
@@ -392,7 +397,7 @@ mod tests {
         let comms = w
             .tasks()
             .iter()
-            .filter(|t| matches!(t.payload, Op::Comm(_)))
+            .filter(|t| matches!(w.payload(t), Op::Comm(_)))
             .count();
         assert_eq!(comms as u32, collective_count(plan().model.layers, 1));
     }
@@ -406,7 +411,7 @@ mod tests {
         let comms = w
             .tasks()
             .iter()
-            .filter(|t| matches!(t.payload, Op::Comm(_)))
+            .filter(|t| matches!(w.payload(t), Op::Comm(_)))
             .count();
         assert_eq!(comms as u32, collective_count(p.model.layers, 3));
         let reduces = w
@@ -422,7 +427,7 @@ mod tests {
         let (sku, topo) = node();
         let w = fsdp_timeline(&plan(), &sku, &topo, ExecutionMode::Overlapped);
         for t in w.tasks() {
-            if matches!(t.payload, Op::Comm(_)) {
+            if matches!(w.payload(t), Op::Comm(_)) {
                 assert_eq!(t.participants.len(), 4, "{}", t.label);
                 assert_eq!(t.stream, StreamKind::Comm);
             } else {

@@ -14,12 +14,12 @@
 //!   combines overlap the next chunk — turning the exposed all-to-alls
 //!   into hidden ones.
 
-use crate::{ComputeOp, ExecutionMode, Op, ScheduleBuilder};
+use crate::{ExecutionMode, Op, ScheduleBuilder};
 use olab_ccl::{lower, Algorithm, Collective, CollectiveKind};
 use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_models::{ops, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, Label, TaskId, TaskSpec, Workload};
+use olab_sim::{GpuId, Label, PayloadId, TaskId, TaskSpec, Workload};
 
 /// Configuration of one MoE training iteration.
 #[derive(Debug, Clone)]
@@ -120,13 +120,6 @@ pub fn moe_timeline(
     let layers = plan.model.layers as usize;
     let mut b = ScheduleBuilder::new(n, mode);
 
-    let compute_op =
-        |k: &KernelKind| Op::Compute(ComputeOp::new(*k, plan.precision, plan.datapath));
-    let all_to_all = |bytes: u64| {
-        let c = Collective::new(CollectiveKind::AllToAll, bytes, group.clone());
-        Op::Comm(lower(&c, Algorithm::Direct, sku, topo, plan.precision))
-    };
-
     let dense = ops::layer_kernels(&plan.model, plan.batch_per_rank, plan.seq);
     let t = plan.batch_per_rank * plan.seq;
     let h = plan.model.hidden;
@@ -167,18 +160,68 @@ pub fn moe_timeline(
         },
     ];
 
+    let residual = KernelKind::Elementwise {
+        elems: t * h,
+        flops_per_elem: 1,
+        streams: 3,
+    };
+    let dense_params: u64 = plan.model.layer_params() / 2 * u64::from(plan.model.layers);
+
+    let moe_layer_sequence: Vec<bool> = (0..layers)
+        .map(|i| plan.moe_every > 0 && (i as u32 + 1).is_multiple_of(plan.moe_every))
+        .collect();
+    let has_moe = moe_layer_sequence.contains(&true);
+    let has_dense = moe_layer_sequence.contains(&false);
+
+    // Every payload a layer runs is interned once up front: each kernel
+    // shape, the chunk all-to-all every dispatch and combine runs, and
+    // the dense gradient all-reduce, each lowered once.
+    let mut kernels = |k: &[KernelKind]| b.intern_kernels(k, plan.precision, plan.datapath);
+    let attn_fwd = kernels(&attn_fwd);
+    let mlp = if has_dense {
+        kernels(&dense.forward[7..])
+    } else {
+        Vec::new()
+    };
+    let (router, expert_chunk, residual) = if has_moe {
+        (
+            kernels(&router),
+            kernels(&expert_chunk),
+            kernels(&[residual]),
+        )
+    } else {
+        Default::default()
+    };
+    let adam = kernels(&[KernelKind::AdamStep {
+        params: plan.model.param_count() / n as u64,
+    }])[0];
+    let all_to_all = has_moe.then(|| {
+        let c = Collective::new(CollectiveKind::AllToAll, chunk_bytes, group.clone());
+        b.intern(Op::Comm(lower(
+            &c,
+            Algorithm::Direct,
+            sku,
+            topo,
+            plan.precision,
+        )))
+    });
+    let dense_sync = {
+        let c = Collective::all_reduce(dense_params * plan.precision.bytes(), group.clone());
+        let algo = Algorithm::auto(c.kind, c.bytes, c.group_size());
+        b.intern(Op::Comm(lower(&c, algo, sku, topo, plan.precision)))
+    };
+
     // `label` is a pattern ending in the kernel index and GPU holes
     // (`….k{}.gpu{}`), with its leading holes already filled.
     let push_kernels = |b: &mut ScheduleBuilder,
                         label: Label,
-                        kernels: &[KernelKind],
+                        kernels: &[PayloadId],
                         first_deps: &[TaskId]|
      -> Vec<TaskId> {
         let mut last = vec![TaskId(0); n];
         for (g, gpu) in group.iter().enumerate() {
-            for (ki, k) in kernels.iter().enumerate() {
-                let mut spec =
-                    TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, compute_op(k));
+            for (ki, &k) in kernels.iter().enumerate() {
+                let mut spec = TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, k);
                 if ki == 0 {
                     spec.deps.extend_from_slice(first_deps);
                 }
@@ -193,11 +236,6 @@ pub fn moe_timeline(
     // reversed — close enough for the characterization workload, which
     // cares about the comm/compute interleaving, not autograd detail.
     let mut barrier: Vec<TaskId> = Vec::new();
-    let mut moe_layer_sequence: Vec<bool> = Vec::new();
-    for i in 0..layers {
-        moe_layer_sequence
-            .push(plan.moe_every > 0 && (i as u32 + 1).is_multiple_of(plan.moe_every));
-    }
 
     for pass in &PASSES {
         let layer_order: Vec<usize> = if pass.forward {
@@ -217,6 +255,7 @@ pub fn moe_timeline(
                 );
             }
             if moe_layer_sequence[i] {
+                let all_to_all = all_to_all.expect("an MoE layer interns its all-to-all");
                 barrier = push_kernels(&mut b, Label::new(pass.router).with(i), &router, &barrier);
                 // Chunked dispatch -> expert -> combine pipeline.
                 let mut prev_dispatch: Option<TaskId> = None;
@@ -226,7 +265,7 @@ pub fn moe_timeline(
                     let mut spec = TaskSpec::collective(
                         Label::new(pass.dispatch).with(i).with(c),
                         &group[..],
-                        all_to_all(chunk_bytes),
+                        all_to_all,
                     );
                     if c == 0 {
                         spec.deps.extend(barrier.iter().copied());
@@ -238,7 +277,7 @@ pub fn moe_timeline(
 
                     let mut expert_kernels = Vec::new();
                     for _ in 0..cost {
-                        expert_kernels.extend(expert_chunk.iter().copied());
+                        expert_kernels.extend_from_slice(&expert_chunk);
                     }
                     let done = push_kernels(
                         &mut b,
@@ -252,25 +291,19 @@ pub fn moe_timeline(
                     let mut spec = TaskSpec::collective(
                         Label::new(pass.combine).with(i).with(c),
                         &group[..],
-                        all_to_all(chunk_bytes),
+                        all_to_all,
                     );
                     spec.deps.extend(done.iter().copied());
                     combines.push(b.push(spec));
                 }
-                let residual = KernelKind::Elementwise {
-                    elems: t * h,
-                    flops_per_elem: 1,
-                    streams: 3,
-                };
                 barrier = push_kernels(
                     &mut b,
                     Label::new(pass.residual).with(i),
-                    std::slice::from_ref(&residual),
+                    &residual,
                     &combines,
                 );
             } else {
                 // Dense MLP block (remaining forward kernels).
-                let mlp: Vec<KernelKind> = dense.forward[7..].to_vec();
                 for rep in 0..cost {
                     barrier = push_kernels(
                         &mut b,
@@ -284,24 +317,12 @@ pub fn moe_timeline(
     }
 
     // Data-parallel gradient sync for the replicated (non-expert) weights.
-    let dense_params: u64 = plan.model.layer_params() / 2 * u64::from(plan.model.layers);
-    let mut spec = TaskSpec::collective("ar.dense", &group[..], {
-        let c = Collective::all_reduce(dense_params * plan.precision.bytes(), group.clone());
-        let algo = Algorithm::auto(c.kind, c.bytes, c.group_size());
-        Op::Comm(lower(&c, algo, sku, topo, plan.precision))
-    });
+    let mut spec = TaskSpec::collective("ar.dense", &group[..], dense_sync);
     spec.deps.extend(barrier.iter().copied());
     let sync = b.push(spec);
 
-    let shard_params = plan.model.param_count() / n as u64;
     for gpu in &group {
-        let mut opt = TaskSpec::compute(
-            Label::new("adam.gpu{}").with(gpu.0),
-            *gpu,
-            compute_op(&KernelKind::AdamStep {
-                params: shard_params,
-            }),
-        );
+        let mut opt = TaskSpec::compute(Label::new("adam.gpu{}").with(gpu.0), *gpu, adam);
         opt.deps.push(sync);
         b.push(opt);
     }
@@ -357,13 +378,13 @@ mod tests {
             let bytes: f64 = w
                 .tasks()
                 .iter()
-                .filter_map(|t| t.payload.as_comm())
+                .filter_map(|t| w.payload(t).as_comm())
                 .map(|c| c.wire_bytes_per_rank)
                 .sum();
             let flops: f64 = w
                 .tasks()
                 .iter()
-                .filter_map(|t| t.payload.as_compute())
+                .filter_map(|t| w.payload(t).as_compute())
                 .map(|c| c.kernel.flops())
                 .sum();
             (bytes, flops)

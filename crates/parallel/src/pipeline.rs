@@ -19,13 +19,13 @@
 //! Megatron-style embedding-gradient synchronization between the first and
 //! last stage closes the iteration alongside the per-stage Adam step.
 
-use crate::{ComputeOp, ExecutionMode, Op, ScheduleBuilder};
+use crate::{ExecutionMode, Op, ScheduleBuilder};
 use olab_ccl::{lower, Algorithm, Collective};
 use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_models::memory::ActivationPolicy;
 use olab_models::{ops, Family, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, Label, TaskId, TaskSpec, Workload};
+use olab_sim::{GpuId, Label, PayloadId, TaskId, TaskSpec, Workload};
 
 /// Which pipeline schedule to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -185,46 +185,62 @@ pub fn pipeline_timeline(
 
     let mut b = ScheduleBuilder::new(s_count, mode);
 
-    let compute_op =
-        |k: &KernelKind| Op::Compute(ComputeOp::new(*k, plan.precision, plan.datapath));
-    let p2p_op = |bytes: u64, src: GpuId, dst: GpuId| {
-        let c = Collective::p2p(bytes, src, dst);
-        Op::Comm(lower(&c, Algorithm::Direct, sku, topo, plan.precision))
-    };
-
     let layer = ops::layer_kernels(&plan.model, mb, plan.seq);
     let head = ops::head_kernels(&plan.model, mb, plan.seq);
     let emb = ops::embedding_kernels(&plan.model, mb, plan.seq);
     let act_bytes = plan.activation_bytes();
 
-    let bwd_kernels: Vec<KernelKind> = match plan.activation_policy {
-        ActivationPolicy::Full => layer.backward.clone(),
+    // Every payload is interned once up front: each kernel shape, and the
+    // one transfer between each pair of neighbouring stages (both
+    // directions move the same activation bytes over the same link), each
+    // lowered once.
+    let mut kernels = |k: &[KernelKind]| b.intern_kernels(k, plan.precision, plan.datapath);
+    let emb = kernels(&emb);
+    let layer_forward = kernels(&layer.forward);
+    let head_forward = kernels(&head.forward);
+    let head_backward = kernels(&head.backward);
+    let bwd_kernels: Vec<PayloadId> = match plan.activation_policy {
+        ActivationPolicy::Full => kernels(&layer.backward),
         ActivationPolicy::Recompute => {
-            let mut v = layer.forward.clone();
-            v.extend(layer.backward.iter().copied());
+            let mut v = layer_forward.clone();
+            v.extend(kernels(&layer.backward));
             v
         }
     };
+    // `links[s]` moves a microbatch's boundary tensor between stages `s`
+    // and `s + 1`.
+    let links: Vec<PayloadId> = (0..s_count - 1)
+        .map(|s| {
+            let c = Collective::p2p(act_bytes, GpuId(s as u16), GpuId((s + 1) as u16));
+            b.intern(Op::Comm(lower(
+                &c,
+                Algorithm::Direct,
+                sku,
+                topo,
+                plan.precision,
+            )))
+        })
+        .collect();
 
     // Kernel chunks of one forward / backward cell on stage `s`.
-    let forward_chunks = |s: usize| -> Vec<&[KernelKind]> {
-        let mut chunks: Vec<&[KernelKind]> = Vec::new();
+    let forward_chunks = |s: usize| -> Vec<&[PayloadId]> {
+        let mut chunks: Vec<&[PayloadId]> = Vec::new();
         if s == 0 {
             chunks.push(&emb);
         }
         chunks.extend(std::iter::repeat_n(
-            &layer.forward[..],
+            &layer_forward[..],
             stage_layer_count(plan, s),
         ));
         if s == s_count - 1 {
-            chunks.push(&head.forward);
+            chunks.push(&head_forward);
         }
         chunks
     };
-    let backward_chunks = |s: usize| -> Vec<&[KernelKind]> {
-        let mut chunks: Vec<&[KernelKind]> = Vec::new();
+    let backward_chunks = |s: usize| -> Vec<&[PayloadId]> {
+        let mut chunks: Vec<&[PayloadId]> = Vec::new();
         if s == s_count - 1 {
-            chunks.push(&head.backward);
+            chunks.push(&head_backward);
         }
         chunks.extend(std::iter::repeat_n(
             &bwd_kernels[..],
@@ -239,7 +255,7 @@ pub fn pipeline_timeline(
     let push_cell = |b: &mut ScheduleBuilder,
                      stage: usize,
                      m: usize,
-                     chunks: &[&[KernelKind]],
+                     chunks: &[&[PayloadId]],
                      label: &'static str,
                      first_dep: Option<TaskId>|
      -> TaskId {
@@ -247,11 +263,11 @@ pub fn pipeline_timeline(
         let mut last = None;
         let mut dep = first_dep;
         for (ci, chunk) in chunks.iter().enumerate() {
-            for (ki, k) in chunk.iter().enumerate() {
+            for (ki, &k) in chunk.iter().enumerate() {
                 let mut spec = TaskSpec::compute(
                     Label::new(label).with(stage).with(m).with(ci).with(ki),
                     gpu,
-                    compute_op(k),
+                    k,
                 );
                 if let Some(d) = dep.take() {
                     spec.deps.push(d);
@@ -300,7 +316,7 @@ pub fn pipeline_timeline(
                             let spec = TaskSpec::collective(
                                 Label::new("x.f.s{}->s{}.m{}").with(s).with(s + 1).with(m),
                                 [GpuId(s as u16), GpuId((s + 1) as u16)],
-                                p2p_op(act_bytes, GpuId(s as u16), GpuId((s + 1) as u16)),
+                                links[s],
                             )
                             .after(last);
                             fwd_send[s][m] = Some(b.push(spec));
@@ -323,7 +339,7 @@ pub fn pipeline_timeline(
                             let spec = TaskSpec::collective(
                                 Label::new("x.b.s{}->s{}.m{}").with(s).with(s - 1).with(m),
                                 [GpuId((s - 1) as u16), GpuId(s as u16)],
-                                p2p_op(act_bytes, GpuId(s as u16), GpuId((s - 1) as u16)),
+                                links[s - 1],
                             )
                             .after(last);
                             bwd_send[s][m] = Some(b.push(spec));
@@ -347,11 +363,9 @@ pub fn pipeline_timeline(
         let bytes = plan.model.vocab * plan.model.hidden * plan.precision.bytes();
         let c = Collective::all_reduce(bytes, vec![GpuId(0), GpuId((s_count - 1) as u16)]);
         let algo = Algorithm::auto(c.kind, c.bytes, 2);
-        let mut spec = TaskSpec::collective(
-            "ar.embed",
-            [GpuId(0), GpuId((s_count - 1) as u16)],
-            Op::Comm(lower(&c, algo, sku, topo, plan.precision)),
-        );
+        let sync = b.intern(Op::Comm(lower(&c, algo, sku, topo, plan.precision)));
+        let mut spec =
+            TaskSpec::collective("ar.embed", [GpuId(0), GpuId((s_count - 1) as u16)], sync);
         for s in [0, s_count - 1] {
             for done in bwd_done[s].iter().take(m_count) {
                 spec.deps.push(done.expect("backward emitted"));
@@ -363,11 +377,12 @@ pub fn pipeline_timeline(
     // ---- Optimizer, one Adam step per stage ----
     for s in 0..s_count {
         let gpu = GpuId(s as u16);
-        let mut spec = TaskSpec::compute(
-            Label::new("adam.s{}").with(s),
-            gpu,
-            compute_op(&ops::optimizer_kernel(plan.stage_params(s))),
-        );
+        let adam = b.intern_kernels(
+            &[ops::optimizer_kernel(plan.stage_params(s))],
+            plan.precision,
+            plan.datapath,
+        )[0];
+        let mut spec = TaskSpec::compute(Label::new("adam.s{}").with(s), gpu, adam);
         if let (Some(sync), true) = (embed_sync, s == 0 || s == s_count - 1) {
             spec.deps.push(sync);
         }

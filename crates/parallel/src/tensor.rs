@@ -14,13 +14,13 @@
 //! concurrently — reproduced here by splitting each layer's backward into
 //! dgrad / wgrad halves around the collective.
 
-use crate::{ComputeOp, ExecutionMode, Op, ScheduleBuilder};
+use crate::{ExecutionMode, Op, ScheduleBuilder};
 use olab_ccl::{lower, Algorithm, Collective};
 use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_models::memory::ActivationPolicy;
 use olab_models::{Family, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, Label, TaskId, TaskSpec, Workload};
+use olab_sim::{GpuId, Label, PayloadId, TaskId, TaskSpec, Workload};
 
 /// Configuration of one tensor-parallel training iteration.
 #[derive(Debug, Clone)]
@@ -221,30 +221,38 @@ pub fn tensor_timeline(
     let layers = plan.model.layers as usize;
     let mut b = ScheduleBuilder::new(n, mode);
 
-    let compute_op =
-        |k: &KernelKind| Op::Compute(ComputeOp::new(*k, plan.precision, plan.datapath));
-    let allreduce = |bytes: u64| {
-        let c = Collective::all_reduce(bytes, group.clone());
-        let algo = Algorithm::auto_for(c.kind, c.bytes, &c.group, topo);
-        Op::Comm(lower(&c, algo, sku, topo, plan.precision))
-    };
-
+    // Every payload is interned once up front: each kernel shape, and the
+    // one activation all-reduce every block runs, lowered once.
     let layer = tp_layer(&plan.model, ranks, plan.batch, plan.seq);
-    let act_bytes = plan.activation_bytes();
+    let mut kernels = |k: &[KernelKind]| b.intern_kernels(k, plan.precision, plan.datapath);
+    let attn_forward = kernels(&layer.attn_forward);
+    let mlp_forward = kernels(&layer.mlp_forward);
+    let residual = kernels(std::slice::from_ref(&layer.residual));
+    let mlp_dgrad = kernels(&layer.mlp_dgrad);
+    let mlp_wgrad = kernels(&layer.mlp_wgrad);
+    let attn_dgrad = kernels(&layer.attn_dgrad);
+    let attn_wgrad = kernels(&layer.attn_wgrad);
+    let adam = kernels(&[KernelKind::AdamStep {
+        params: plan.model.param_count() / ranks,
+    }])[0];
+    let allreduce = {
+        let c = Collective::all_reduce(plan.activation_bytes(), group.clone());
+        let algo = Algorithm::auto_for(c.kind, c.bytes, &c.group, topo);
+        b.intern(Op::Comm(lower(&c, algo, sku, topo, plan.precision)))
+    };
 
     // Pushes kernels on every rank; returns the last task per rank. `label`
     // is a pattern ending in the kernel index and GPU holes
     // (`….k{}.gpu{}`), with its leading holes already filled.
     let push_kernels = |b: &mut ScheduleBuilder,
                         label: Label,
-                        kernels: &[KernelKind],
+                        kernels: &[PayloadId],
                         first_deps: &[TaskId]|
      -> Vec<TaskId> {
         let mut last = vec![TaskId(0); n];
         for (g, gpu) in group.iter().enumerate() {
-            for (ki, k) in kernels.iter().enumerate() {
-                let mut spec =
-                    TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, compute_op(k));
+            for (ki, &k) in kernels.iter().enumerate() {
+                let mut spec = TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, k);
                 if ki == 0 {
                     spec.deps.extend_from_slice(first_deps);
                 }
@@ -254,7 +262,7 @@ pub fn tensor_timeline(
         last
     };
     let push_allreduce = |b: &mut ScheduleBuilder, label: Label, deps: &[TaskId]| -> TaskId {
-        let mut spec = TaskSpec::collective(label, &group[..], allreduce(act_bytes));
+        let mut spec = TaskSpec::collective(label, &group[..], allreduce);
         spec.deps.extend_from_slice(deps);
         b.push(spec)
     };
@@ -267,27 +275,27 @@ pub fn tensor_timeline(
         let attn = push_kernels(
             &mut b,
             Label::new("L{}.f.attn.k{}.gpu{}").with(i),
-            &layer.attn_forward,
+            &attn_forward,
             &fwd_barrier,
         );
         let ar1 = push_allreduce(&mut b, Label::new("ar.f1.L{}").with(i), &attn);
         let res1 = push_kernels(
             &mut b,
             Label::new("L{}.f.res1.k{}.gpu{}").with(i),
-            std::slice::from_ref(&layer.residual),
+            &residual,
             &[ar1],
         );
         let mlp = push_kernels(
             &mut b,
             Label::new("L{}.f.mlp.k{}.gpu{}").with(i),
-            &layer.mlp_forward,
+            &mlp_forward,
             &res1,
         );
         let ar2 = push_allreduce(&mut b, Label::new("ar.f2.L{}").with(i), &mlp);
         fwd_barrier = push_kernels(
             &mut b,
             Label::new("L{}.f.res2.k{}.gpu{}").with(i),
-            std::slice::from_ref(&layer.residual),
+            &residual,
             &[ar2],
         );
     }
@@ -300,13 +308,13 @@ pub fn tensor_timeline(
             let ra = push_kernels(
                 &mut b,
                 Label::new("L{}.rc.attn.k{}.gpu{}").with(i),
-                &layer.attn_forward,
+                &attn_forward,
                 &bwd_barrier,
             );
             bwd_barrier = push_kernels(
                 &mut b,
                 Label::new("L{}.rc.mlp.k{}.gpu{}").with(i),
-                &layer.mlp_forward,
+                &mlp_forward,
                 &ra,
             );
         }
@@ -315,14 +323,14 @@ pub fn tensor_timeline(
         let mlp_dgrad = push_kernels(
             &mut b,
             Label::new("L{}.b.mlp.dgrad.k{}.gpu{}").with(i),
-            &layer.mlp_dgrad,
+            &mlp_dgrad,
             &bwd_barrier,
         );
         let ar_b2 = push_allreduce(&mut b, Label::new("ar.b2.L{}").with(i), &mlp_dgrad);
         let _mlp_wgrad = push_kernels(
             &mut b,
             Label::new("L{}.b.mlp.wgrad.k{}.gpu{}").with(i),
-            &layer.mlp_wgrad,
+            &mlp_wgrad,
             &[],
         );
 
@@ -330,14 +338,14 @@ pub fn tensor_timeline(
         let attn_dgrad = push_kernels(
             &mut b,
             Label::new("L{}.b.attn.dgrad.k{}.gpu{}").with(i),
-            &layer.attn_dgrad,
+            &attn_dgrad,
             &[ar_b2],
         );
         let ar_b1 = push_allreduce(&mut b, Label::new("ar.b1.L{}").with(i), &attn_dgrad);
         let _attn_wgrad = push_kernels(
             &mut b,
             Label::new("L{}.b.attn.wgrad.k{}.gpu{}").with(i),
-            &layer.attn_wgrad,
+            &attn_wgrad,
             &[],
         );
         bwd_barrier = vec![ar_b1];
@@ -346,15 +354,8 @@ pub fn tensor_timeline(
     }
 
     // ---- Optimizer: each rank owns 1/N of the parameters ----
-    let shard_params = plan.model.param_count() / ranks;
     for gpu in &group {
-        let mut spec = TaskSpec::compute(
-            Label::new("adam.gpu{}").with(gpu.0),
-            *gpu,
-            compute_op(&KernelKind::AdamStep {
-                params: shard_params,
-            }),
-        );
+        let mut spec = TaskSpec::compute(Label::new("adam.gpu{}").with(gpu.0), *gpu, adam);
         spec.deps.extend(bwd_barrier.iter().copied());
         b.push(spec);
     }
@@ -398,7 +399,7 @@ mod tests {
         let comms = w
             .tasks()
             .iter()
-            .filter(|t| matches!(t.payload, Op::Comm(_)))
+            .filter(|t| matches!(w.payload(t), Op::Comm(_)))
             .count();
         assert_eq!(comms as u32, collective_count(plan().model.layers));
     }

@@ -166,9 +166,10 @@ mod tests {
     #[test]
     fn chain_path_includes_every_task() {
         let mut w = Workload::new(1);
-        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
-        let b = w.push(TaskSpec::compute("b", GpuId(0), ()).after(a));
-        let _c = w.push(TaskSpec::comm("c", GpuId(0), ()).after(b));
+        let u = w.intern(());
+        let a = w.push(TaskSpec::compute("a", GpuId(0), u));
+        let b = w.push(TaskSpec::compute("b", GpuId(0), u).after(a));
+        let _c = w.push(TaskSpec::comm("c", GpuId(0), u).after(b));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         let path = critical_path(&w, &trace);
         assert_eq!(path.steps.len(), 3);
@@ -183,10 +184,11 @@ mod tests {
     fn parallel_branches_pick_the_longer_one() {
         // gpu0 runs two tasks; gpu1 runs one; a collective joins them.
         let mut w = Workload::new(2);
-        let a0 = w.push(TaskSpec::compute("a0", GpuId(0), ()));
-        let a1 = w.push(TaskSpec::compute("a1", GpuId(0), ()).after(a0));
-        let _b0 = w.push(TaskSpec::compute("b0", GpuId(1), ()));
-        let _coll = w.push(TaskSpec::collective("coll", vec![GpuId(0), GpuId(1)], ()).after(a1));
+        let u = w.intern(());
+        let a0 = w.push(TaskSpec::compute("a0", GpuId(0), u));
+        let a1 = w.push(TaskSpec::compute("a1", GpuId(0), u).after(a0));
+        let _b0 = w.push(TaskSpec::compute("b0", GpuId(1), u));
+        let _coll = w.push(TaskSpec::collective("coll", vec![GpuId(0), GpuId(1)], u).after(a1));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         let path = critical_path(&w, &trace);
         let labels: Vec<String> = path.steps.iter().map(|s| s.label.to_string()).collect();
@@ -197,8 +199,9 @@ mod tests {
     #[test]
     fn comm_fraction_reflects_path_composition() {
         let mut w = Workload::new(1);
-        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::comm("c", GpuId(0), ()).after(a));
+        let u = w.intern(());
+        let a = w.push(TaskSpec::compute("a", GpuId(0), u));
+        w.push(TaskSpec::comm("c", GpuId(0), u).after(a));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         let path = critical_path(&w, &trace);
         assert!((path.comm_fraction() - 0.5).abs() < 1e-9);

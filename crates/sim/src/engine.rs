@@ -2,6 +2,7 @@
 
 use crate::obs::{EngineObserver, GpuCounters, NullObserver};
 use crate::rate::{RateModel, RunningTask};
+use crate::task::check_dep;
 use crate::trace::{power_continues, GpuActivity, SimSummary, SimTrace, StreamTotals, TaskRecord};
 use crate::{SimError, SimTime, StreamKind, TaskId, TaskSpec, Workload};
 use std::cell::RefCell;
@@ -137,24 +138,26 @@ struct SimArena {
     power: Vec<f64>,
     counters: Vec<GpuCounters>,
     devices: Vec<Device>,
+    /// Per-device activity handed back by [`recycle_activity`], cleared
+    /// and reused by the next full run so its power-segment and window
+    /// vectors do not grow from empty every run.
+    spare_gpus: Vec<GpuActivity>,
 }
 
 impl SimArena {
     /// Rewinds every buffer for a workload of `n` tasks on `n_gpus`
     /// devices, building the CSR dependency and queue tables. Capacity from
     /// earlier runs is retained.
-    fn reset<P>(&mut self, workload: &Workload<P>) {
+    ///
+    /// The dependency walk is also the workload's validation: it fails on
+    /// the first dependency [`Workload::validate`] would reject, in the
+    /// same order and with the same error, before any table is used.
+    fn reset<P>(&mut self, workload: &Workload<P>) -> Result<(), SimError> {
         let n = workload.len();
         let n_gpus = workload.n_gpus();
         let n_queues = n_gpus * 2;
         let tasks = workload.tasks();
-
-        let m = crate::metrics::sim_metrics();
-        if self.dep_off.capacity() == 0 {
-            m.arena_cold_resets.inc();
-        } else {
-            m.arena_warm_resets.inc();
-        }
+        let cold = self.dep_off.capacity() == 0;
 
         self.deps_left.clear();
         self.deps_left.resize(n, 0);
@@ -163,6 +166,7 @@ impl SimArena {
         for (i, task) in tasks.iter().enumerate() {
             self.deps_left[i] = task.deps.len() as u32;
             for dep in &task.deps {
+                check_dep(i, *dep, n)?;
                 self.dep_off[dep.index() + 1] += 1;
             }
         }
@@ -226,7 +230,43 @@ impl SimArena {
         self.counters.clear();
         self.devices.clear();
         self.devices.resize(n_gpus, Device::default());
+
+        let m = crate::metrics::sim_metrics();
+        if cold {
+            m.arena_cold_resets.inc();
+        } else {
+            m.arena_warm_resets.inc();
+        }
+        Ok(())
     }
+
+    /// Per-device activity for a full run on `n_gpus` devices, in the
+    /// spare's storage: every entry empty, as [`GpuActivity::default`].
+    fn take_activity(&mut self, n_gpus: usize) -> Vec<GpuActivity> {
+        let mut gpus = std::mem::take(&mut self.spare_gpus);
+        gpus.truncate(n_gpus);
+        for activity in &mut gpus {
+            activity.power.clear();
+            activity.overlap_windows.clear();
+            activity.busy = [SimTime::ZERO; 2];
+        }
+        gpus.resize_with(n_gpus, GpuActivity::default);
+        gpus
+    }
+}
+
+/// Hands a finished run's per-device activity (for example
+/// [`SimSummary::gpus`], once read) back to this thread's engine, whose
+/// next full run then records into the same power-segment and window
+/// vectors instead of growing new ones. Dropping the activity instead is
+/// always correct; this only keeps the buffers from being freed and
+/// faulted back in run after run.
+pub fn recycle_activity(gpus: Vec<GpuActivity>) {
+    SCRATCH.with(|cell| {
+        if let Ok(mut arena) = cell.try_borrow_mut() {
+            arena.spare_gpus = gpus;
+        }
+    });
 }
 
 /// The first of a task's queues, `(device, stream)` flattened to
@@ -375,15 +415,20 @@ impl<M: RateModel> Engine<M> {
         obs: &mut O,
         arena: &mut SimArena,
     ) -> Result<(Vec<GpuActivity>, SimTime), SimError> {
-        workload.validate()?;
+        arena.reset(workload)?;
         self.model.begin_run();
 
         let n = workload.len();
         let n_gpus = workload.n_gpus();
         let n_queues = n_gpus * 2;
         let tasks = workload.tasks();
+        let payloads = workload.payloads();
 
-        arena.reset(workload);
+        let mut gpus: Vec<GpuActivity> = if FULL {
+            arena.take_activity(n_gpus)
+        } else {
+            Vec::new()
+        };
         let SimArena {
             deps_left,
             dep_off,
@@ -404,11 +449,6 @@ impl<M: RateModel> Engine<M> {
             ..
         } = arena;
 
-        let mut gpus: Vec<GpuActivity> = if FULL {
-            vec![GpuActivity::default(); n_gpus]
-        } else {
-            Vec::new()
-        };
         // The running set, sorted by id. Task views borrow the workload, so
         // they cannot live in the arena; one allocation per run. A running
         // task heads every queue it sits in, and each queue has one head,
@@ -462,7 +502,8 @@ impl<M: RateModel> Engine<M> {
                         label: &spec.label,
                         participants: &spec.participants,
                         stream: spec.stream,
-                        payload: &spec.payload,
+                        payload: &payloads[spec.payload.index()],
+                        payload_id: spec.payload,
                     },
                 );
                 if O::ENABLED {
@@ -649,8 +690,14 @@ mod tests {
     use crate::rate::ConstantRate;
     use crate::GpuId;
 
+    /// The one payload of [`unit_workload`]s.
+    const U: crate::PayloadId = crate::PayloadId(0);
+
+    /// An empty two-device workload with `()` interned as [`U`].
     fn unit_workload() -> Workload<()> {
-        Workload::new(2)
+        let mut w = Workload::new(2);
+        assert_eq!(w.intern(()), U);
+        w
     }
 
     #[test]
@@ -665,8 +712,8 @@ mod tests {
     #[test]
     fn stream_order_serializes_same_stream_tasks() {
         let mut w = unit_workload();
-        w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::compute("b", GpuId(0), ()));
+        w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::compute("b", GpuId(0), U));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         assert!((trace.makespan().as_secs() - 2.0).abs() < 1e-9);
         let a = trace.record(TaskId(0)).unwrap();
@@ -677,8 +724,8 @@ mod tests {
     #[test]
     fn different_streams_run_concurrently_and_count_coactive_time() {
         let mut w = unit_workload();
-        w.push(TaskSpec::compute("k", GpuId(0), ()));
-        w.push(TaskSpec::comm("c", GpuId(0), ()));
+        w.push(TaskSpec::compute("k", GpuId(0), U));
+        w.push(TaskSpec::comm("c", GpuId(0), U));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         assert!((trace.makespan().as_secs() - 1.0).abs() < 1e-9);
         for record in trace.records() {
@@ -690,8 +737,8 @@ mod tests {
     #[test]
     fn tasks_on_different_gpus_run_concurrently() {
         let mut w = unit_workload();
-        w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::compute("b", GpuId(1), ()));
+        w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::compute("b", GpuId(1), U));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         assert!((trace.makespan().as_secs() - 1.0).abs() < 1e-9);
         // Different devices: no co-activity.
@@ -701,8 +748,8 @@ mod tests {
     #[test]
     fn dependencies_are_honored_across_streams() {
         let mut w = unit_workload();
-        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::comm("c", GpuId(0), ()).after(a));
+        let a = w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::comm("c", GpuId(0), U).after(a));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         assert!((trace.makespan().as_secs() - 2.0).abs() < 1e-9);
         assert_eq!(trace.gpu(GpuId(0)).overlap_time(), SimTime::ZERO);
@@ -712,9 +759,9 @@ mod tests {
     fn collective_rendezvous_waits_for_all_ranks() {
         let mut w = unit_workload();
         // gpu0 computes 2 tasks before reaching the collective; gpu1 none.
-        let a = w.push(TaskSpec::compute("a0", GpuId(0), ()));
-        let b = w.push(TaskSpec::compute("a1", GpuId(0), ()).after(a));
-        let ar = w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], ()).after(b));
+        let a = w.push(TaskSpec::compute("a0", GpuId(0), U));
+        let b = w.push(TaskSpec::compute("a1", GpuId(0), U).after(a));
+        let ar = w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], U).after(b));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         let rec = trace.record(ar).unwrap();
         assert!((rec.start.as_secs() - 2.0).abs() < 1e-9);
@@ -730,14 +777,71 @@ mod tests {
         // cannot be built with `after` (ids are sequential), so emulate a
         // cross-stream deadlock instead: comm task first in queue waits on a
         // compute task that is behind another comm task.
-        let mut c1 = TaskSpec::comm("c1", GpuId(0), ());
+        let mut c1 = TaskSpec::comm("c1", GpuId(0), U);
         c1.deps.push(TaskId(1)); // forward reference to k, pushed next
         w.push(c1);
-        w.push(TaskSpec::compute("k", GpuId(0), ()).after(TaskId(2)));
-        w.push(TaskSpec::comm("c2", GpuId(0), ()));
+        w.push(TaskSpec::compute("k", GpuId(0), U).after(TaskId(2)));
+        w.push(TaskSpec::comm("c2", GpuId(0), U));
         // c2 is behind c1 in the comm queue; c1 waits on k; k waits on c2.
         let err = Engine::new(ConstantRate::default()).run(&w).unwrap_err();
         assert!(matches!(err, SimError::Deadlock { .. }));
+    }
+
+    /// Counts `begin_run` calls; prices every task at one second.
+    #[derive(Default)]
+    struct Begins(usize);
+
+    impl RateModel for Begins {
+        type Payload = ();
+        fn begin_run(&mut self) {
+            self.0 += 1;
+        }
+        fn assign_rates(
+            &mut self,
+            running: &[RunningTask<'_, ()>],
+            rates: &mut [f64],
+            power: &mut [f64],
+        ) {
+            ConstantRate::default().assign_rates(running, rates, power);
+        }
+    }
+
+    /// The engine validates while it builds its tables: it reports the
+    /// first faulty dependency in task order, as `Workload::validate`
+    /// does, whichever fault that is, and starts no run on the model.
+    #[test]
+    fn a_workload_with_unknown_and_self_dependencies_fails_on_the_first() {
+        let unknown = |i: u32| SimError::UnknownDependency {
+            task: TaskId(i),
+            dep: TaskId(9),
+        };
+        let itself = |i: u32| SimError::SelfDependency { task: TaskId(i) };
+        // (deps of tasks 0..3, the error)
+        let cases: [([&[u32]; 3], SimError); 4] = [
+            ([&[], &[1], &[9]], itself(1)),
+            ([&[], &[9], &[2]], unknown(1)),
+            ([&[], &[0, 9, 1], &[2]], unknown(1)),
+            ([&[], &[0, 1, 9], &[9]], itself(1)),
+        ];
+        for (deps, want) in cases {
+            let mut w = unit_workload();
+            for (i, d) in deps.iter().enumerate() {
+                let mut spec = TaskSpec::compute(format!("t{i}"), GpuId(0), U);
+                spec.deps.extend(d.iter().map(|&d| TaskId(d)));
+                w.push(spec);
+            }
+            assert_eq!(w.validate(), Err(want.clone()));
+            let mut engine = Engine::new(Begins::default());
+            assert_eq!(engine.run(&w).unwrap_err(), want);
+            assert_eq!(engine.run_summary(&w).unwrap_err(), want);
+            assert_eq!(engine.run_makespan(&w).unwrap_err(), want);
+            assert_eq!(engine.into_model().0, 0, "begin_run on an invalid workload");
+        }
+        let mut engine = Engine::new(Begins::default());
+        let mut w = unit_workload();
+        w.push(TaskSpec::compute("a", GpuId(0), U));
+        engine.run(&w).unwrap();
+        assert_eq!(engine.into_model().0, 1);
     }
 
     #[test]
@@ -755,7 +859,7 @@ mod tests {
             }
         }
         let mut w = unit_workload();
-        w.push(TaskSpec::compute("a", GpuId(0), ()));
+        w.push(TaskSpec::compute("a", GpuId(0), U));
         let err = Engine::new(Broken).run(&w).unwrap_err();
         assert!(matches!(err, SimError::InvalidRate { rate, .. } if rate == 0.0));
     }
@@ -803,7 +907,7 @@ mod tests {
         // One 1.0-unit task: rate 1.0 until t=0.4 (0.4 done), then rate 0.5
         // for the remaining 0.6 units -> finishes at 0.4 + 1.2 = 1.6 s.
         let mut w = unit_workload();
-        w.push(TaskSpec::compute("a", GpuId(0), ()));
+        w.push(TaskSpec::compute("a", GpuId(0), U));
         let trace = Engine::new(SteppedRate {
             switch_at: 0.4,
             late_rate: 0.5,
@@ -816,7 +920,7 @@ mod tests {
     #[test]
     fn boundary_beyond_completion_does_not_delay_retirement() {
         let mut w = unit_workload();
-        w.push(TaskSpec::compute("a", GpuId(0), ()));
+        w.push(TaskSpec::compute("a", GpuId(0), U));
         let trace = Engine::new(SteppedRate {
             switch_at: 10.0,
             late_rate: 0.5,
@@ -848,8 +952,8 @@ mod tests {
             }
         }
         let mut w = unit_workload();
-        w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::compute("b", GpuId(0), ()));
+        w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::compute("b", GpuId(0), U));
         let trace = Engine::new(Stale).run(&w).unwrap();
         assert!((trace.makespan().as_secs() - 2.0).abs() < 1e-9);
     }
@@ -857,8 +961,8 @@ mod tests {
     #[test]
     fn power_segments_cover_the_busy_span_and_merge() {
         let mut w = unit_workload();
-        w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::compute("b", GpuId(0), ()));
+        w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::compute("b", GpuId(0), U));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         let segs = &trace.gpu(GpuId(0)).power;
         assert_eq!(segs.len(), 1, "equal-power contiguous segments merge");
@@ -904,8 +1008,8 @@ mod tests {
     #[test]
     fn observer_sees_task_edges_and_epochs_covering_the_makespan() {
         let mut w = unit_workload();
-        w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::compute("b", GpuId(0), ()));
+        w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::compute("b", GpuId(0), U));
         let mut obs = Recording::default();
         let trace = Engine::new(ConstantRate::default())
             .run_observed(&w, &mut obs)
@@ -921,9 +1025,9 @@ mod tests {
     #[test]
     fn observed_and_unobserved_runs_produce_identical_traces() {
         let mut w = unit_workload();
-        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::comm("c", GpuId(0), ()).after(a));
-        w.push(TaskSpec::compute("b", GpuId(1), ()));
+        let a = w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::comm("c", GpuId(0), U).after(a));
+        w.push(TaskSpec::compute("b", GpuId(1), U));
         let plain = Engine::new(ConstantRate::default()).run(&w).unwrap();
         let mut obs = Recording::default();
         let observed = Engine::new(ConstantRate::default())
@@ -945,10 +1049,10 @@ mod tests {
     #[test]
     fn summary_is_the_trace_without_records() {
         let mut w = unit_workload();
-        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::comm("c", GpuId(0), ()));
-        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], ()).after(a));
-        w.push(TaskSpec::compute("b", GpuId(1), ()));
+        let a = w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::comm("c", GpuId(0), U));
+        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], U).after(a));
+        w.push(TaskSpec::compute("b", GpuId(1), U));
         let model = || ConstantRate {
             duration_secs: 0.3,
             busy_watts: 250.0,
@@ -962,6 +1066,34 @@ mod tests {
             assert_eq!(s.power, t.power);
             assert_eq!(s.overlap_windows, t.overlap_windows);
             assert_eq!(s.busy, t.busy);
+        }
+    }
+
+    /// A full run on recycled activity records what a run on fresh
+    /// activity does, whether the spare came from a wider or a narrower
+    /// node, and a run on a busy scratch leaves the spare alone.
+    #[test]
+    fn a_run_on_recycled_activity_equals_a_fresh_run() {
+        let model = || ConstantRate {
+            duration_secs: 0.3,
+            busy_watts: 250.0,
+        };
+        let mut wide = Workload::new(5);
+        let u = wide.intern(());
+        for g in 0..5u16 {
+            wide.push(TaskSpec::compute("k", GpuId(g), u));
+            wide.push(TaskSpec::comm("c", GpuId(g), u));
+        }
+        let mut w = unit_workload();
+        let a = w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::comm("c", GpuId(0), U));
+        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], U).after(a));
+        let fresh = Engine::new(model()).run_summary(&w).unwrap();
+        for spare in [&wide, &w] {
+            recycle_activity(Engine::new(model()).run_summary(spare).unwrap().gpus);
+            let recycled = Engine::new(model()).run_summary(&w).unwrap();
+            assert_eq!(activity_bits(&recycled.gpus), activity_bits(&fresh.gpus));
+            assert_eq!(recycled.gpus.len(), 2);
         }
     }
 
@@ -990,8 +1122,8 @@ mod tests {
             power: &mut [f64],
         ) {
             let mut inner = unit_workload();
-            let k = inner.push(TaskSpec::compute("inner-k", GpuId(1), ()));
-            inner.push(TaskSpec::comm("inner-c", GpuId(1), ()).after(k));
+            let k = inner.push(TaskSpec::compute("inner-k", GpuId(1), U));
+            inner.push(TaskSpec::comm("inner-c", GpuId(1), U).after(k));
             let trace = Engine::new(ConstantRate::default()).run(&inner).unwrap();
             assert!((trace.makespan().as_secs() - 2.0).abs() < 1e-9);
             self.inner_runs += 1;
@@ -1004,10 +1136,10 @@ mod tests {
     #[test]
     fn a_nested_run_on_a_busy_scratch_leaves_the_outer_run_intact() {
         let mut w = unit_workload();
-        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::comm("c", GpuId(0), ()));
-        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], ()).after(a));
-        w.push(TaskSpec::compute("b", GpuId(1), ()));
+        let a = w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::comm("c", GpuId(0), U));
+        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], U).after(a));
+        w.push(TaskSpec::compute("b", GpuId(1), U));
         let plain = Engine::new(ConstantRate::default()).run(&w).unwrap();
         let mut engine = Engine::new(Nesting { inner_runs: 0 });
         let nested = engine.run(&w).unwrap();
@@ -1029,8 +1161,8 @@ mod tests {
     #[test]
     fn busy_time_accumulates_per_stream() {
         let mut w = unit_workload();
-        w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::comm("c", GpuId(0), ()));
+        w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::comm("c", GpuId(0), U));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         let activity = trace.gpu(GpuId(0));
         assert!((activity.busy_time(StreamKind::Compute).as_secs() - 1.0).abs() < 1e-9);
@@ -1056,7 +1188,7 @@ mod tests {
         let tasks = workload.tasks();
 
         let mut arena = SimArena::default();
-        arena.reset(workload);
+        arena.reset(workload).expect("the workload validated");
         let SimArena {
             deps_left,
             dep_off,
@@ -1129,7 +1261,8 @@ mod tests {
                         label: &spec.label,
                         participants: &spec.participants,
                         stream: spec.stream,
-                        payload: &spec.payload,
+                        payload: workload.payload(spec),
+                        payload_id: spec.payload,
                     }
                 })
                 .collect();
@@ -1264,7 +1397,7 @@ mod tests {
     }
 
     /// Payload of a differential task: its solo duration in seconds.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     struct Solo(f64);
 
     /// The differential's rate models.
@@ -1401,7 +1534,8 @@ mod tests {
                 0 => 4e-13,
                 _ => 0.05 + pick(1000) as f64 / 500.0,
             };
-            let mut spec = TaskSpec::new(format!("t{i}"), participants, stream, Solo(duration));
+            let payload = w.intern(Solo(duration));
+            let mut spec = TaskSpec::new(format!("t{i}"), participants, stream, payload);
             for _ in 0..pick(4) {
                 if i > 0 {
                     spec = spec.after(TaskId(pick(i) as u32));

@@ -46,6 +46,22 @@ impl fmt::Display for TaskId {
     }
 }
 
+/// Identifies a payload in a [`Workload`](crate::Workload)'s payload table.
+///
+/// Ids are handed out sequentially by
+/// [`Workload::intern`](crate::Workload::intern), once per distinct value:
+/// every task running the same kernel shape or collective carries the same
+/// id, so a rate model can key what it memoizes on the id alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PayloadId(pub u32);
+
+impl PayloadId {
+    /// The id as a `usize` index into [`Workload::payloads`](crate::Workload::payloads).
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// The two in-order execution queues of a device, mirroring the way
 /// distributed-training frameworks dedicate one CUDA/HIP stream to compute
 /// kernels and one to communication (NCCL/RCCL) kernels.

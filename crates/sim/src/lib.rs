@@ -15,7 +15,9 @@
 //!   (collectives occupy the comm stream of *every* rank, which gives
 //!   rendezvous semantics for free: the task starts only when it reaches the
 //!   head of each rank's queue);
-//! * carries an opaque payload interpreted by a user-supplied [`RateModel`];
+//! * names an opaque payload interpreted by a user-supplied [`RateModel`].
+//!   The workload holds each distinct payload once ([`Workload::intern`]),
+//!   and a task carries its [`PayloadId`];
 //! * progresses *fluidly*: the rate model assigns each running task a rate in
 //!   "fraction of the task completed per second", re-evaluated every time the
 //!   running set changes. This is what lets contention (shared memory
@@ -53,8 +55,9 @@
 //!
 //! # fn main() -> Result<(), olab_sim::SimError> {
 //! let mut workload = Workload::new(1);
-//! let a = workload.push(TaskSpec::compute("a", GpuId(0), ()));
-//! let mut b = TaskSpec::new("b", vec![GpuId(0)], StreamKind::Comm, ());
+//! let unit = workload.intern(());
+//! let a = workload.push(TaskSpec::compute("a", GpuId(0), unit));
+//! let mut b = TaskSpec::new("b", vec![GpuId(0)], StreamKind::Comm, unit);
 //! b.deps.push(a);
 //! workload.push(b);
 //! let trace = Engine::new(Unit).run(&workload)?;
@@ -82,9 +85,9 @@ mod trace;
 pub mod verify;
 
 pub use critical::{critical_path, CriticalPath, CriticalStep};
-pub use engine::Engine;
+pub use engine::{recycle_activity, Engine};
 pub use error::SimError;
-pub use ids::{GpuId, StreamKind, TaskId};
+pub use ids::{GpuId, PayloadId, StreamKind, TaskId};
 pub use label::Label;
 pub use obs::{EngineObserver, GpuCounters, NullObserver};
 pub use rate::{ConstantRate, RateModel, RunningTask};

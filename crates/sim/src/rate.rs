@@ -1,6 +1,6 @@
 //! The rate-model trait: where domain physics plugs into the engine.
 
-use crate::{GpuCounters, GpuId, Label, StreamKind, TaskId};
+use crate::{GpuCounters, GpuId, Label, PayloadId, StreamKind, TaskId};
 
 /// A view of one currently-running task handed to the [`RateModel`].
 #[derive(Debug)]
@@ -13,8 +13,11 @@ pub struct RunningTask<'a, P> {
     pub participants: &'a [GpuId],
     /// The stream it occupies on each device.
     pub stream: StreamKind,
-    /// The opaque payload.
+    /// The task's payload, resolved from the workload's table.
     pub payload: &'a P,
+    /// The payload's id in the workload's table: equal ids are equal
+    /// payloads, so a model can key what it memoizes on the id.
+    pub payload_id: PayloadId,
 }
 
 /// Supplies execution rates and instantaneous power for running tasks.
@@ -35,13 +38,13 @@ pub trait RateModel {
     /// Called by the engine once per run, after the workload validated and
     /// before the first epoch.
     ///
-    /// Task ids are only unique within one workload, so a model that
-    /// memoizes anything keyed on them — [`RunningTask::id`] or the payload
-    /// a running task carries — must drop it here: the same `&mut` model
-    /// may be driven through several workloads in turn. The hook is for
-    /// memoized state only: stochastic state such as a seeded noise stream
-    /// carries on across runs. The default does nothing, so stateless
-    /// models need not change.
+    /// Task and payload ids are only unique within one workload, so a
+    /// model that memoizes anything keyed on them — [`RunningTask::id`],
+    /// [`RunningTask::payload_id`] or the payload a running task carries —
+    /// must drop it here: the same `&mut` model may be driven through
+    /// several workloads in turn. The hook is for memoized state only:
+    /// stochastic state such as a seeded noise stream carries on across
+    /// runs. The default does nothing, so stateless models need not change.
     fn begin_run(&mut self) {}
 
     /// Assigns a rate to every running task and a power draw to every device.
@@ -195,6 +198,7 @@ mod tests {
             participants: &[GpuId(1)],
             stream: StreamKind::Compute,
             payload: &payload,
+            payload_id: PayloadId(0),
         }];
         let mut rates = [0.0];
         let mut power = [0.0, 0.0];

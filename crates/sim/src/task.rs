@@ -1,6 +1,7 @@
 //! Task specifications and workload construction.
 
-use crate::{Deps, GpuId, Label, Participants, SimError, StreamKind, TaskId};
+use crate::{Deps, GpuId, Label, Participants, PayloadId, SimError, StreamKind, TaskId};
+use std::marker::PhantomData;
 
 /// Specification of one task in a [`Workload`].
 ///
@@ -8,6 +9,10 @@ use crate::{Deps, GpuId, Label, Participants, SimError, StreamKind, TaskId};
 /// Single-participant tasks model kernels; multi-participant tasks model
 /// collectives, which start only when they reach the head of every
 /// participant's queue (rendezvous semantics, like NCCL).
+///
+/// A task names its payload by id; the value lives once in the workload's
+/// payload table (see [`Workload::intern`]). `P` ties a spec to the payload
+/// type of the workload it is pushed into.
 #[derive(Debug, Clone)]
 pub struct TaskSpec<P> {
     /// Human-readable label, carried into the trace and rendered only
@@ -21,8 +26,10 @@ pub struct TaskSpec<P> {
     /// Explicit dependencies in addition to stream ordering; inline up to
     /// four.
     pub deps: Deps,
-    /// Opaque payload interpreted by the [`RateModel`](crate::RateModel).
-    pub payload: P,
+    /// The task's payload in the workload's table, interpreted by the
+    /// [`RateModel`](crate::RateModel).
+    pub payload: PayloadId,
+    payload_type: PhantomData<fn() -> P>,
 }
 
 impl<P> TaskSpec<P> {
@@ -31,7 +38,7 @@ impl<P> TaskSpec<P> {
         label: impl Into<Label>,
         participants: impl Into<Participants>,
         stream: StreamKind,
-        payload: P,
+        payload: PayloadId,
     ) -> Self {
         TaskSpec {
             label: label.into(),
@@ -39,16 +46,17 @@ impl<P> TaskSpec<P> {
             stream,
             deps: Deps::new(),
             payload,
+            payload_type: PhantomData,
         }
     }
 
     /// Convenience constructor for a single-device compute task.
-    pub fn compute(label: impl Into<Label>, gpu: GpuId, payload: P) -> Self {
+    pub fn compute(label: impl Into<Label>, gpu: GpuId, payload: PayloadId) -> Self {
         Self::new(label, [gpu], StreamKind::Compute, payload)
     }
 
     /// Convenience constructor for a single-device communication task.
-    pub fn comm(label: impl Into<Label>, gpu: GpuId, payload: P) -> Self {
+    pub fn comm(label: impl Into<Label>, gpu: GpuId, payload: PayloadId) -> Self {
         Self::new(label, [gpu], StreamKind::Comm, payload)
     }
 
@@ -56,7 +64,7 @@ impl<P> TaskSpec<P> {
     pub fn collective(
         label: impl Into<Label>,
         participants: impl Into<Participants>,
-        payload: P,
+        payload: PayloadId,
     ) -> Self {
         Self::new(label, participants, StreamKind::Comm, payload)
     }
@@ -74,7 +82,8 @@ impl<P> TaskSpec<P> {
     }
 }
 
-/// An ordered collection of tasks forming the DAG the engine executes.
+/// An ordered collection of tasks forming the DAG the engine executes,
+/// and the table of distinct payloads its tasks name.
 ///
 /// Stream order is implied by push order: two tasks on the same
 /// `(device, stream)` queue run in the order they were pushed, exactly like
@@ -83,6 +92,7 @@ impl<P> TaskSpec<P> {
 pub struct Workload<P> {
     n_gpus: usize,
     tasks: Vec<TaskSpec<P>>,
+    payloads: Vec<P>,
 }
 
 impl<P> Workload<P> {
@@ -92,31 +102,32 @@ impl<P> Workload<P> {
     ///
     /// Panics if `n_gpus` is zero.
     pub fn new(n_gpus: usize) -> Self {
-        assert!(n_gpus > 0, "workload needs at least one device");
-        Workload {
-            n_gpus,
-            tasks: Vec::new(),
-        }
+        Self::reusing(n_gpus, Vec::new(), Vec::new())
     }
 
-    /// Creates an empty workload that pushes into `tasks`' storage: the
-    /// vector is cleared and its capacity kept, so a caller lowering one
-    /// schedule after another can give each the storage of the last (see
-    /// [`Workload::into_tasks`]).
+    /// Creates an empty workload that pushes into `tasks`' and interns
+    /// into `payloads`' storage: both vectors are cleared and their
+    /// capacity kept, so a caller lowering one schedule after another can
+    /// give each the storage of the last (see [`Workload::into_storage`]).
     ///
     /// # Panics
     ///
     /// Panics if `n_gpus` is zero.
-    pub fn reusing(n_gpus: usize, mut tasks: Vec<TaskSpec<P>>) -> Self {
+    pub fn reusing(n_gpus: usize, mut tasks: Vec<TaskSpec<P>>, mut payloads: Vec<P>) -> Self {
         assert!(n_gpus > 0, "workload needs at least one device");
         tasks.clear();
-        Workload { n_gpus, tasks }
+        payloads.clear();
+        Workload {
+            n_gpus,
+            tasks,
+            payloads,
+        }
     }
 
-    /// The tasks in push order, by value: the storage a later
-    /// [`Workload::reusing`] can take over.
-    pub fn into_tasks(self) -> Vec<TaskSpec<P>> {
-        self.tasks
+    /// The tasks in push order and the payload table, by value: the
+    /// storage a later [`Workload::reusing`] can take over.
+    pub fn into_storage(self) -> (Vec<TaskSpec<P>>, Vec<P>) {
+        (self.tasks, self.payloads)
     }
 
     /// Number of devices in the node.
@@ -142,13 +153,20 @@ impl<P> Workload<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the task has no participants or references a device outside
-    /// the node.
+    /// Panics if the task has no participants, references a device outside
+    /// the node, or names a payload this workload has not interned.
     pub fn push(&mut self, mut spec: TaskSpec<P>) -> TaskId {
         assert!(
             !spec.participants.is_empty(),
             "task {:?} has no participants",
             spec.label
+        );
+        assert!(
+            spec.payload.index() < self.payloads.len(),
+            "task {:?} names payload {} but the workload interned {}",
+            spec.label,
+            spec.payload.0,
+            self.payloads.len()
         );
         spec.participants.sort_unstable();
         spec.participants.dedup();
@@ -176,15 +194,26 @@ impl<P> Workload<P> {
         self.tasks.get(id.index())
     }
 
+    /// The payload table: each distinct payload once, indexed by
+    /// [`PayloadId::index`].
+    pub fn payloads(&self) -> &[P] {
+        &self.payloads
+    }
+
+    /// The payload a task names.
+    pub fn payload(&self, task: &TaskSpec<P>) -> &P {
+        &self.payloads[task.payload.index()]
+    }
+
     /// Serializes the workload per device, in place: each task additionally
     /// depends on the previous task, in push order, of every one of its
     /// participants, regardless of stream. Chaining deps are appended after
     /// the explicit ones in sorted participant order, and a predecessor that
     /// is already a dep is not repeated. Nothing on a device can then run
     /// concurrently with anything else on it, which is the paper's
-    /// sequential execution. Labels and payloads are moved, not cloned,
-    /// and chaining deps are appended to each task's inline [`Deps`], so a
-    /// task with at most four deps in all allocates nothing.
+    /// sequential execution. Labels and the payload table are moved, not
+    /// cloned, and chaining deps are appended to each task's inline
+    /// [`Deps`], so a task with at most four deps in all allocates nothing.
     pub fn into_sequential(mut self) -> Self {
         let mut last_on_gpu: Vec<Option<TaskId>> = vec![None; self.n_gpus];
         for (i, task) in self.tasks.iter_mut().enumerate() {
@@ -202,36 +231,73 @@ impl<P> Workload<P> {
     }
 
     /// Validates structural invariants (dependency ids in range, no
-    /// self-dependency). Called by the engine before running.
+    /// self-dependency): the first offending dependency in task order, and
+    /// in dependency order within a task. The engine makes the same checks
+    /// while it builds its dependency tables, with the same result.
     pub fn validate(&self) -> Result<(), SimError> {
         for (i, task) in self.tasks.iter().enumerate() {
             for dep in &task.deps {
-                if dep.index() >= self.tasks.len() {
-                    return Err(SimError::UnknownDependency {
-                        task: TaskId(i as u32),
-                        dep: *dep,
-                    });
-                }
-                if dep.index() == i {
-                    return Err(SimError::SelfDependency {
-                        task: TaskId(i as u32),
-                    });
-                }
+                check_dep(i, *dep, self.tasks.len())?;
             }
         }
         Ok(())
     }
 }
 
+impl<P: PartialEq> Workload<P> {
+    /// Interns `payload` by value and returns its id: the id of an equal
+    /// payload interned before, else a new id. The table is scanned
+    /// linearly, so a lowering interns each distinct kernel shape or
+    /// collective once up front and pushes every repeat by id.
+    pub fn intern(&mut self, payload: P) -> PayloadId {
+        let at = match self.payloads.iter().position(|p| *p == payload) {
+            Some(at) => at,
+            None => {
+                self.payloads.push(payload);
+                self.payloads.len() - 1
+            }
+        };
+        PayloadId(u32::try_from(at).expect("too many payloads"))
+    }
+}
+
+/// The structural check of one dependency `dep` of task `task` in a
+/// workload of `n` tasks.
+#[inline]
+pub(crate) fn check_dep(task: usize, dep: TaskId, n: usize) -> Result<(), SimError> {
+    if dep.index() >= n {
+        return Err(SimError::UnknownDependency {
+            task: TaskId(task as u32),
+            dep,
+        });
+    }
+    if dep.index() == task {
+        return Err(SimError::SelfDependency {
+            task: TaskId(task as u32),
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The one payload of the unit workloads below.
+    const U: PayloadId = PayloadId(0);
+
+    /// An empty workload of `n_gpus` devices with `()` interned as [`U`].
+    fn unit(n_gpus: usize) -> Workload<()> {
+        let mut w = Workload::new(n_gpus);
+        assert_eq!(w.intern(()), U);
+        w
+    }
+
     #[test]
     fn push_assigns_sequential_ids() {
-        let mut w = Workload::new(2);
-        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
-        let b = w.push(TaskSpec::comm("b", GpuId(1), ()));
+        let mut w = unit(2);
+        let a = w.push(TaskSpec::compute("a", GpuId(0), U));
+        let b = w.push(TaskSpec::comm("b", GpuId(1), U));
         assert_eq!(a, TaskId(0));
         assert_eq!(b, TaskId(1));
         assert_eq!(w.len(), 2);
@@ -239,11 +305,11 @@ mod tests {
 
     #[test]
     fn participants_are_deduplicated_and_sorted() {
-        let mut w = Workload::new(4);
+        let mut w = unit(4);
         let id = w.push(TaskSpec::collective(
             "ar",
             vec![GpuId(3), GpuId(1), GpuId(3), GpuId(0)],
-            (),
+            U,
         ));
         let spec = w.get(id).unwrap();
         assert_eq!(spec.participants, vec![GpuId(0), GpuId(1), GpuId(3)]);
@@ -251,23 +317,23 @@ mod tests {
 
     #[test]
     fn validate_rejects_unknown_and_self_dependencies() {
-        let mut w = Workload::new(1);
-        w.push(TaskSpec::compute("a", GpuId(0), ()).after(TaskId(5)));
+        let mut w = unit(1);
+        w.push(TaskSpec::compute("a", GpuId(0), U).after(TaskId(5)));
         assert!(matches!(
             w.validate(),
             Err(SimError::UnknownDependency { .. })
         ));
 
-        let mut w = Workload::new(1);
-        w.push(TaskSpec::compute("a", GpuId(0), ()).after(TaskId(0)));
+        let mut w = unit(1);
+        w.push(TaskSpec::compute("a", GpuId(0), U).after(TaskId(0)));
         assert!(matches!(w.validate(), Err(SimError::SelfDependency { .. })));
     }
 
     #[test]
     fn push_sorts_and_deduplicates_spilled_participants() {
-        let mut w = Workload::new(12);
+        let mut w = unit(12);
         let gpus: Vec<GpuId> = (0..12u16).rev().chain([3, 7, 0]).map(GpuId).collect();
-        let id = w.push(TaskSpec::collective("ar", gpus, ()));
+        let id = w.push(TaskSpec::collective("ar", gpus, U));
         let spec = w.get(id).unwrap();
         assert!(spec.participants.spilled());
         assert_eq!(spec.participants, (0..12u16).map(GpuId).collect::<Vec<_>>());
@@ -276,15 +342,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "has no participants")]
     fn a_task_without_participants_panics() {
-        let mut w = Workload::new(2);
-        w.push(TaskSpec::new("a", Vec::new(), StreamKind::Compute, ()));
+        let mut w = unit(2);
+        w.push(TaskSpec::new("a", Vec::new(), StreamKind::Compute, U));
     }
 
     #[test]
     #[should_panic(expected = "references gpu2")]
     fn out_of_range_device_panics() {
-        let mut w = Workload::new(2);
-        w.push(TaskSpec::compute("a", GpuId(2), ()));
+        let mut w = unit(2);
+        w.push(TaskSpec::compute("a", GpuId(2), U));
     }
 
     fn deps<P>(w: &Workload<P>) -> Vec<Vec<TaskId>> {
@@ -293,10 +359,10 @@ mod tests {
 
     #[test]
     fn into_sequential_chains_across_streams() {
-        let mut w = Workload::new(1);
-        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
-        let b = w.push(TaskSpec::comm("b", GpuId(0), ()));
-        let c = w.push(TaskSpec::compute("c", GpuId(0), ()));
+        let mut w = unit(1);
+        let a = w.push(TaskSpec::compute("a", GpuId(0), U));
+        let b = w.push(TaskSpec::comm("b", GpuId(0), U));
+        let c = w.push(TaskSpec::compute("c", GpuId(0), U));
         let w = w.into_sequential();
         assert_eq!(deps(&w), vec![vec![], vec![a], vec![b]]);
         assert_eq!(w.get(c).unwrap().label, "c");
@@ -305,15 +371,15 @@ mod tests {
 
     #[test]
     fn into_sequential_chains_a_collective_on_every_participant() {
-        let mut w = Workload::new(3);
-        let a0 = w.push(TaskSpec::compute("a0", GpuId(0), ()));
-        let a2 = w.push(TaskSpec::compute("a2", GpuId(2), ()));
+        let mut w = unit(3);
+        let a0 = w.push(TaskSpec::compute("a0", GpuId(0), U));
+        let a2 = w.push(TaskSpec::compute("a2", GpuId(2), U));
         let ar = w.push(TaskSpec::collective(
             "ar",
             vec![GpuId(2), GpuId(1), GpuId(0)],
-            (),
+            U,
         ));
-        let b1 = w.push(TaskSpec::compute("b1", GpuId(1), ()));
+        let b1 = w.push(TaskSpec::compute("b1", GpuId(1), U));
         let w = w.into_sequential();
         assert_eq!(deps(&w), vec![vec![], vec![], vec![a0, a2], vec![ar]]);
         assert_eq!(w.get(b1).unwrap().deps, vec![ar]);
@@ -322,10 +388,10 @@ mod tests {
 
     #[test]
     fn into_sequential_does_not_duplicate_an_explicit_predecessor() {
-        let mut w = Workload::new(2);
-        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
-        let ar = w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], ()).after(a));
-        let b = w.push(TaskSpec::compute("b", GpuId(1), ()).after(ar));
+        let mut w = unit(2);
+        let a = w.push(TaskSpec::compute("a", GpuId(0), U));
+        let ar = w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], U).after(a));
+        let b = w.push(TaskSpec::compute("b", GpuId(1), U).after(ar));
         let w = w.into_sequential();
         assert_eq!(w.get(ar).unwrap().deps, vec![a]);
         assert_eq!(w.get(b).unwrap().deps, vec![ar]);
@@ -334,11 +400,11 @@ mod tests {
 
     #[test]
     fn into_sequential_appends_chaining_deps_after_explicit_ones() {
-        let mut w = Workload::new(3);
-        let x = w.push(TaskSpec::compute("x", GpuId(2), ()));
-        let p1 = w.push(TaskSpec::comm("p1", GpuId(1), ()));
-        let p0 = w.push(TaskSpec::compute("p0", GpuId(0), ()));
-        let ar = w.push(TaskSpec::collective("ar", vec![GpuId(1), GpuId(0)], ()).after(x));
+        let mut w = unit(3);
+        let x = w.push(TaskSpec::compute("x", GpuId(2), U));
+        let p1 = w.push(TaskSpec::comm("p1", GpuId(1), U));
+        let p0 = w.push(TaskSpec::compute("p0", GpuId(0), U));
+        let ar = w.push(TaskSpec::collective("ar", vec![GpuId(1), GpuId(0)], U).after(x));
         let w = w.into_sequential();
         assert_eq!(w.get(ar).unwrap().deps, vec![x, p0, p1]);
         w.validate().unwrap();
@@ -346,17 +412,40 @@ mod tests {
 
     #[test]
     fn into_sequential_leaves_empty_and_single_task_workloads_unchanged() {
-        let w: Workload<()> = Workload::new(2).into_sequential();
+        let w: Workload<()> = unit(2).into_sequential();
         assert!(w.is_empty());
         assert_eq!(w.n_gpus(), 2);
 
         let mut w = Workload::new(2);
-        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], 7u8));
+        let seven = w.intern(7u8);
+        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], seven));
         let w = w.into_sequential();
         assert_eq!(w.len(), 1);
         assert!(w.tasks()[0].deps.is_empty());
-        assert_eq!(w.tasks()[0].payload, 7);
+        assert_eq!(*w.payload(&w.tasks()[0]), 7);
         w.validate().unwrap();
+    }
+
+    #[test]
+    fn intern_hands_out_one_id_per_distinct_value() {
+        let mut w = Workload::new(1);
+        let a = w.intern(3u8);
+        let b = w.intern(5u8);
+        assert_eq!((a, b), (PayloadId(0), PayloadId(1)));
+        assert_eq!(w.intern(3u8), a, "an equal value gets the earlier id");
+        assert_eq!(w.payloads(), [3, 5]);
+        let k = w.push(TaskSpec::compute("k", GpuId(0), b));
+        assert_eq!(*w.payload(w.get(k).unwrap()), 5);
+        let (tasks, payloads) = w.into_storage();
+        let w = Workload::reusing(1, tasks, payloads);
+        assert!(w.is_empty() && w.payloads().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "names payload 1 but the workload interned 1")]
+    fn a_task_naming_an_uninterned_payload_panics() {
+        let mut w = unit(1);
+        w.push(TaskSpec::compute("k", GpuId(0), PayloadId(1)));
     }
 
     /// Chains the way `into_sequential` did when deps were `Vec`s: explicit
@@ -383,18 +472,18 @@ mod tests {
 
     #[test]
     fn into_sequential_spills_long_dep_lists_in_order() {
-        let mut w = Workload::new(10);
+        let mut w = unit(10);
         let kernels: Vec<TaskId> = (0..10u16)
-            .map(|g| w.push(TaskSpec::compute("k", GpuId(g), ())))
+            .map(|g| w.push(TaskSpec::compute("k", GpuId(g), U)))
             .collect();
         // Explicit deps on the even GPUs' kernels, then chaining deps on
         // every GPU: 10 deps in all, 5 of them repeats.
         let evens = kernels.iter().step_by(2).copied();
         let ar = w.push(
-            TaskSpec::collective("ar", (0..10u16).map(GpuId).collect::<Vec<_>>(), ())
+            TaskSpec::collective("ar", (0..10u16).map(GpuId).collect::<Vec<_>>(), U)
                 .after_all(evens),
         );
-        w.push(TaskSpec::compute("tail", GpuId(9), ()).after_all(kernels[..3].iter().copied()));
+        w.push(TaskSpec::compute("tail", GpuId(9), U).after_all(kernels[..3].iter().copied()));
         let expected = chained_reference(&w);
         let w = w.into_sequential();
         assert_eq!(deps(&w), expected);
@@ -406,10 +495,10 @@ mod tests {
 
     #[test]
     fn after_all_extends_dependencies() {
-        let mut w = Workload::new(1);
-        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
-        let b = w.push(TaskSpec::compute("b", GpuId(0), ()));
-        let c = TaskSpec::compute("c", GpuId(0), ()).after_all([a, b]);
+        let mut w = unit(1);
+        let a = w.push(TaskSpec::compute("a", GpuId(0), U));
+        let b = w.push(TaskSpec::compute("b", GpuId(0), U));
+        let c: TaskSpec<()> = TaskSpec::compute("c", GpuId(0), U).after_all([a, b]);
         assert_eq!(c.deps, vec![a, b]);
     }
 }

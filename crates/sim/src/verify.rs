@@ -432,9 +432,10 @@ mod tests {
     #[test]
     fn engine_output_always_validates() {
         let mut w = Workload::new(2);
-        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
-        w.push(TaskSpec::comm("c", GpuId(0), ()).after(a));
-        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], ()));
+        let u = w.intern(());
+        let a = w.push(TaskSpec::compute("a", GpuId(0), u));
+        w.push(TaskSpec::comm("c", GpuId(0), u).after(a));
+        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], u));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         let violations = verify_trace(&w, &trace);
         assert!(violations.is_empty(), "{violations:?}");

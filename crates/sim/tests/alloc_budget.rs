@@ -69,13 +69,14 @@ fn workload() -> Workload<()> {
 
 fn workload_of(n_tasks: usize) -> Workload<()> {
     let mut w = Workload::new(N_GPUS);
+    let unit = w.intern(());
     let mut ids = Vec::new();
     for i in 0..n_tasks {
         let gpu = GpuId((i % N_GPUS) as u16);
         let mut spec = if i % 2 == 0 {
-            TaskSpec::compute(format!("k{i}"), gpu, ())
+            TaskSpec::compute(format!("k{i}"), gpu, unit)
         } else {
-            TaskSpec::comm(format!("c{i}"), gpu, ())
+            TaskSpec::comm(format!("c{i}"), gpu, unit)
         };
         if i >= 4 && i % 4 == 0 {
             spec = spec.after(ids[i - 4]);
@@ -241,4 +242,30 @@ fn warm_arena_beats_a_cold_arena() {
         warm < cold,
         "arena reuse must save allocations: warm {warm} vs cold {cold}"
     );
+}
+
+/// A warm record-free run whose per-device activity goes back to the
+/// engine ([`olab_sim::recycle_activity`]) records into the spare's
+/// buffers: of the record-free run's allocations only the task totals'
+/// busy and co-active vecs and the per-run view buffer remain, whatever
+/// the task count.
+#[test]
+fn recycled_activity_leaves_only_the_totals_and_the_view_buffer() {
+    olab_sim::metrics::touch();
+    for w in [workload(), workload_of(16 * N_TASKS)] {
+        let mut engine = Engine::new(ConstantRate::default());
+        olab_sim::recycle_activity(engine.run_summary(&w).expect("workload runs").gpus);
+        let before = allocations();
+        for _ in 0..RUNS {
+            let summary = engine.run_summary(&w).expect("workload runs");
+            olab_sim::recycle_activity(summary.gpus);
+        }
+        let per_run = (allocations() - before) / RUNS;
+        assert_eq!(
+            per_run,
+            3,
+            "a warm recycled run of {} tasks allocates {per_run} times",
+            w.len()
+        );
+    }
 }

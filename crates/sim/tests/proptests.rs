@@ -5,7 +5,7 @@ use olab_sim::{Engine, GpuId, RateModel, RunningTask, SimTime, StreamKind, TaskS
 use proptest::prelude::*;
 
 /// Payload carrying the isolated duration of the task in seconds.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Dur(f64);
 
 /// Rate model: rate is 1/duration, slowed by 2x whenever the other stream is
@@ -72,11 +72,12 @@ fn random_task(n_gpus: u16) -> impl Strategy<Value = RandomTask> {
 fn build_workload(tasks: &[RandomTask], n_gpus: usize) -> Workload<Dur> {
     let mut w = Workload::new(n_gpus);
     for (i, t) in tasks.iter().enumerate() {
+        let payload = w.intern(Dur(t.duration));
         let mut spec = TaskSpec::new(
             format!("t{i}"),
             t.gpus.iter().map(|&g| GpuId(g)).collect::<Vec<_>>(),
             t.stream,
-            Dur(t.duration),
+            payload,
         );
         for &off in &t.dep_offsets {
             if off <= i {

@@ -93,7 +93,7 @@ fn pipeline_uses_point_to_point_fsdp_uses_collectives() {
     let comm_group_sizes = |w: &olab_sim::Workload<olab_parallel::Op>| -> Vec<usize> {
         w.tasks()
             .iter()
-            .filter(|t| matches!(t.payload, olab_parallel::Op::Comm(_)))
+            .filter(|t| matches!(w.payload(t), olab_parallel::Op::Comm(_)))
             .map(|t| t.participants.len())
             .collect()
     };

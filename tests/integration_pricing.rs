@@ -99,7 +99,8 @@ fn pricing_memo_totals_are_pinned_on_the_main_grid() {
         Datapath::TensorCore,
     );
     let mut w = Workload::new(2);
-    w.push(TaskSpec::compute("k0", GpuId(0), Op::Compute(gemm)).after(TaskId(0)));
+    let gemm = w.intern(Op::Compute(gemm));
+    w.push(TaskSpec::compute("k0", GpuId(0), gemm).after(TaskId(0)));
     assert!(execute(&w, &machine).is_err());
     assert!(execute_lean(&w, &machine).is_err());
     assert_eq!(routes(), [0; 6]);

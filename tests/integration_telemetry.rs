@@ -121,7 +121,8 @@ fn deterministic_metric_fields_are_identical_across_schedules() {
     olab_metrics::set_enabled(false);
     let frozen = olab_metrics::render_json();
     let mut w: Workload<()> = Workload::new(1);
-    w.push(olab_sim::TaskSpec::compute("k0", olab_sim::GpuId(0), ()));
+    let unit = w.intern(());
+    w.push(olab_sim::TaskSpec::compute("k0", olab_sim::GpuId(0), unit));
     olab_sim::Engine::new(olab_sim::ConstantRate::default())
         .run(&w)
         .expect("workload runs");
