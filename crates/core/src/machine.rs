@@ -28,14 +28,18 @@
 //!
 //! A workload interns each distinct payload once, so a payload id names a
 //! value within the run, and the machine keys everything else on ids:
-//! (compute payload id, comm payload id, clock cap), a [`PriceKey`]. Most
-//! epochs leave most GPUs' payloads unchanged (an epoch ends when *one*
-//! task finishes), so each GPU first checks whether it still runs the
-//! payloads it was last priced for. A GPU whose key changed looks it up
-//! in a small per-run id cache; only a key seen for the first time builds
+//! (compute payload id, comm payload id, clock cap), a [`PriceKey`] of two
+//! words. One pass over the running set builds every GPU's key; the cap
+//! joins it only while caps are set. Most epochs leave most GPUs' payloads
+//! unchanged (an epoch ends when *one* task finishes), so each GPU first
+//! checks whether it still runs the payloads it was last priced for. A GPU
+//! whose key changed looks it up in a small per-run id cache; only a key
+//! seen for the first time finds its payloads in the running set, builds
 //! its class and goes to the value table, which prices a class seen for
 //! the first time. All three reuses return exactly what re-pricing would,
 //! bit for bit, and only the value table decides what counts as priced.
+//! A pricing holds the GPU's draw as well as its rates, so [`settle`]
+//! copies power and draws each task's noise as it sets the task's rate.
 
 use std::collections::HashMap;
 
@@ -126,21 +130,59 @@ pub struct Machine {
     /// This run's pricing table: every class priced so far. Cleared by
     /// [`RateModel::begin_run`], never shared across runs or machines.
     classes: HashMap<PriceClass, Pricing, FxBuildHasher>,
-    /// Per-epoch scratch (reused across epochs to keep the rate-assignment
-    /// hot path allocation-free once warm).
-    scratch_compute_on: Vec<Option<usize>>,
-    scratch_comm_on: Vec<Option<usize>>,
+    /// This epoch's key of every GPU, indexed by GPU: scratch reused
+    /// across epochs, so the hot path is allocation-free once warm.
+    epoch_keys: Vec<PriceKey>,
 }
 
 /// What one GPU was priced for in an epoch: the payloads of its running
 /// compute and comm tasks and its clock cap. Equal keys hold equal
-/// classes within one run.
+/// classes within one run. Two words, so the per-GPU check and the id
+/// cache compare and hash two integers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PriceKey {
-    compute: Option<PayloadId>,
-    comm: Option<PayloadId>,
-    /// `to_bits` of the active clock cap, if any.
-    cap: Option<u64>,
+    /// One plus the payload id of the GPU's compute task in the low half,
+    /// of its comm task in the high half; zero for an idle stream.
+    payloads: u64,
+    /// `to_bits` of the active clock cap, or [`PriceKey::UNCAPPED`].
+    cap: u64,
+}
+
+impl PriceKey {
+    /// The cap of an uncapped GPU: 1.0, which no active cap is.
+    const UNCAPPED: u64 = 1.0f64.to_bits();
+
+    /// An idle, uncapped GPU.
+    const IDLE: PriceKey = PriceKey {
+        payloads: 0,
+        cap: Self::UNCAPPED,
+    };
+
+    /// Records `id` as the payload of the GPU's task of `payload`'s kind.
+    fn add(&mut self, payload: &Op, id: PayloadId) {
+        let shift = match payload {
+            Op::Compute(_) => 0,
+            Op::Comm(_) => 32,
+        };
+        debug_assert_eq!(
+            self.payloads >> shift & 0xffff_ffff,
+            0,
+            "two tasks on one stream"
+        );
+        self.payloads |= u64::from(id.0 + 1) << shift;
+    }
+
+    fn compute(self) -> Option<PayloadId> {
+        (self.payloads as u32).checked_sub(1).map(PayloadId)
+    }
+
+    fn comm(self) -> Option<PayloadId> {
+        ((self.payloads >> 32) as u32).checked_sub(1).map(PayloadId)
+    }
+
+    fn cap(self) -> Option<u64> {
+        (self.cap != Self::UNCAPPED).then_some(self.cap)
+    }
 }
 
 /// Everything [`Machine::gpu_epoch`] reads about one GPU, by value: its
@@ -194,6 +236,9 @@ struct Pricing {
     compute_rate: f64,
     /// Rate factor applied to a co-resident collective.
     comm_factor: f64,
+    /// The GPU's board draw, watts: the class's power when a task runs
+    /// on it, the idle draw when none does.
+    draw_w: f64,
     /// Telemetry, board power included.
     counters: GpuCounters,
 }
@@ -204,14 +249,6 @@ struct Priced {
     /// What `pricing` was priced for (`None`: nothing yet).
     key: Option<PriceKey>,
     pricing: Pricing,
-}
-
-impl Priced {
-    /// Whether any task ran on the GPU when it was priced.
-    fn busy(&self) -> bool {
-        self.key
-            .is_some_and(|k| k.compute.is_some() || k.comm.is_some())
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -272,8 +309,7 @@ impl Machine {
             priced: Vec::new(),
             keys: HashMap::default(),
             classes: HashMap::default(),
-            scratch_compute_on: Vec::new(),
-            scratch_comm_on: Vec::new(),
+            epoch_keys: Vec::new(),
         }
     }
 
@@ -321,6 +357,20 @@ impl Machine {
             compute: kernel.cloned(),
             comm: comm.map(CommLoad::of),
             cap: self.freq_cap(g).map(f64::to_bits),
+        }
+    }
+
+    /// The class `key` names in this epoch: its payloads are those of the
+    /// running tasks carrying its payload ids.
+    fn class_of(key: PriceKey, running: &[RunningTask<'_, Op>]) -> PriceClass {
+        let payload = |id: Option<PayloadId>| {
+            id.and_then(|id| running.iter().find(|task| task.payload_id == id))
+                .map(|task| task.payload)
+        };
+        PriceClass {
+            compute: payload(key.compute()).and_then(Op::as_compute).cloned(),
+            comm: payload(key.comm()).and_then(Op::as_comm).map(CommLoad::of),
+            cap: key.cap(),
         }
     }
 
@@ -418,9 +468,15 @@ impl Machine {
     /// What `class` prices to, as [`settle`] reads it.
     fn price(&self, class: &PriceClass) -> Pricing {
         let (epoch, counters) = self.gpu_epoch(class);
+        let busy = class.compute.is_some() || class.comm.is_some();
         Pricing {
             compute_rate: epoch.compute_duration().map_or(0.0, |d| 1.0 / d),
             comm_factor: epoch.comm_factor,
+            draw_w: if busy {
+                counters.power_w
+            } else {
+                self.power_profile.idle_w
+            },
             counters,
         }
     }
@@ -500,28 +556,13 @@ impl RateModel for Machine {
     ) {
         let n_gpus = power.len();
 
-        // Index the (at most one) compute and comm task per GPU. The index
-        // buffers are machine-owned scratch, reused every epoch.
-        let mut compute_on = std::mem::take(&mut self.scratch_compute_on);
-        let mut comm_on = std::mem::take(&mut self.scratch_comm_on);
-        compute_on.clear();
-        compute_on.resize(n_gpus, None);
-        comm_on.clear();
-        comm_on.resize(n_gpus, None);
-        for (i, task) in running.iter().enumerate() {
-            match task.payload {
-                Op::Compute(_) => {
-                    for g in task.participants {
-                        debug_assert!(compute_on[g.index()].is_none());
-                        compute_on[g.index()] = Some(i);
-                    }
-                }
-                Op::Comm(_) => {
-                    for g in task.participants {
-                        debug_assert!(comm_on[g.index()].is_none());
-                        comm_on[g.index()] = Some(i);
-                    }
-                }
+        // Every GPU's key, from one pass over the running set: the payload
+        // of the (at most one) task on each of its streams.
+        self.epoch_keys.clear();
+        self.epoch_keys.resize(n_gpus, PriceKey::IDLE);
+        for task in running {
+            for g in task.participants {
+                self.epoch_keys[g.index()].add(task.payload, task.payload_id);
             }
         }
 
@@ -529,24 +570,20 @@ impl RateModel for Machine {
         // pricing; any other looks its key up, and a new key its class,
         // pricing the class on first sight.
         self.priced.resize(n_gpus, Priced::default());
+        let capped = !self.gpu_freq_caps.is_empty();
         let mut fresh = 0u64;
         for g in 0..n_gpus {
-            let key = PriceKey {
-                compute: compute_on[g].map(|i| running[i].payload_id),
-                comm: comm_on[g].map(|i| running[i].payload_id),
-                cap: self.freq_cap(g).map(f64::to_bits),
-            };
+            let mut key = self.epoch_keys[g];
+            if capped {
+                key.cap = self.freq_cap(g).map_or(PriceKey::UNCAPPED, f64::to_bits);
+            }
             if self.priced[g].key == Some(key) {
                 continue;
             }
             let pricing = match self.keys.get(&key) {
                 Some(&pricing) => pricing,
                 None => {
-                    let class = self.class(
-                        g,
-                        compute_on[g].and_then(|i| running[i].payload.as_compute()),
-                        comm_on[g].and_then(|i| running[i].payload.as_comm()),
-                    );
+                    let class = Self::class_of(key, running);
                     let pricing = match self.classes.get(&class) {
                         Some(&pricing) => pricing,
                         None => {
@@ -576,13 +613,9 @@ impl RateModel for Machine {
             running,
             &self.priced,
             self.rng.as_mut().map(|rng| (rng, sigma)),
-            self.power_profile.idle_w,
             rates,
             power,
         );
-
-        self.scratch_compute_on = compute_on;
-        self.scratch_comm_on = comm_on;
     }
 
     fn counters(&self, gpu: usize) -> GpuCounters {
@@ -598,13 +631,12 @@ impl RateModel for Machine {
 fn settle(
     running: &[RunningTask<'_, Op>],
     priced: &[Priced],
-    noise: Option<(&mut SeededRng, f64)>,
-    idle_w: f64,
+    mut noise: Option<(&mut SeededRng, f64)>,
     rates: &mut [f64],
     power: &mut [f64],
 ) {
-    for (i, task) in running.iter().enumerate() {
-        rates[i] = match task.payload {
+    for (rate, task) in rates.iter_mut().zip(running) {
+        let base = match task.payload {
             Op::Compute(_) => priced[task.participants[0].index()].pricing.compute_rate,
             Op::Comm(ref op) => {
                 let factor = task
@@ -617,25 +649,22 @@ fn settle(
                 1.0 / duration
             }
         };
-    }
-
-    // Measurement noise: an approximately-Gaussian multiplicative factor
-    // per task-epoch (sum of four uniforms), clamped so rates stay
-    // positive. It scales rates after pricing, so the memo stays valid.
-    if let Some((rng, sigma)) = noise {
-        for rate in rates.iter_mut() {
-            let u: f64 = (0..4).map(|_| rng.next_f64() - 0.5).sum::<f64>() / 2.0;
-            *rate *= (1.0 + sigma * u * 3.464).clamp(0.7, 1.3);
-        }
-    }
-
-    for (watts, p) in power.iter_mut().zip(priced) {
-        *watts = if p.busy() {
-            p.pricing.counters.power_w
-        } else {
-            idle_w
+        *rate = match &mut noise {
+            Some((rng, sigma)) => base * noise_factor(rng, *sigma),
+            None => base,
         };
     }
+    for (watts, p) in power.iter_mut().zip(priced) {
+        *watts = p.pricing.draw_w;
+    }
+}
+
+/// Measurement noise: an approximately-Gaussian multiplicative factor per
+/// task-epoch (sum of four uniforms), clamped so rates stay positive. It
+/// scales rates after pricing, so the memo stays valid.
+fn noise_factor(rng: &mut SeededRng, sigma: f64) -> f64 {
+    let u: f64 = (0..4).map(|_| rng.next_f64() - 0.5).sum::<f64>() / 2.0;
+    (1.0 + sigma * u * 3.464).clamp(0.7, 1.3)
 }
 
 #[cfg(test)]
@@ -1010,21 +1039,16 @@ mod tests {
             for task in running {
                 for g in task.participants {
                     match task.payload {
-                        Op::Compute(c) => kernel[g.index()] = Some((task.payload_id, c)),
-                        Op::Comm(c) => comm[g.index()] = Some((task.payload_id, c)),
+                        Op::Compute(c) => kernel[g.index()] = Some(c),
+                        Op::Comm(c) => comm[g.index()] = Some(c),
                     }
                 }
             }
             let fresh: Vec<Priced> = (0..n_gpus)
                 .map(|g| {
-                    let class = m.class(g, kernel[g].map(|(_, c)| c), comm[g].map(|(_, c)| c));
-                    let key = PriceKey {
-                        compute: kernel[g].map(|(id, _)| id),
-                        comm: comm[g].map(|(id, _)| id),
-                        cap: class.cap,
-                    };
+                    let class = m.class(g, kernel[g], comm[g]);
                     Priced {
-                        key: Some(key),
+                        key: None,
                         pricing: m.price(&class),
                     }
                 })
@@ -1037,7 +1061,6 @@ mod tests {
                 running,
                 &fresh,
                 rng.as_mut().map(|rng| (rng, sigma)),
-                m.power_profile.idle_w,
                 &mut want_rates,
                 &mut want_power,
             );
@@ -1239,6 +1262,37 @@ mod tests {
         m.begin_run();
         assert_eq!(assign(&mut m, &one_collective).1, 2, "capped and uncapped");
         assert_eq!(m.keys.len(), 2);
+
+        // A collective spanning a GPU that also runs compute (GPU 0) and one
+        // that does not (GPU 1): each GPU's key names both its streams, so
+        // the two are different classes, and idle GPUs 2 and 3 a third. Both
+        // tasks price as they did next to four kernels: the kernel's class
+        // is GPU 0's there too, and the collective's slowest rank is a GPU
+        // running a kernel under it. The table's growth is the priced count
+        // of each case; every other GPU of an epoch counts as reused.
+        m.set_gpu_freq_caps([]);
+        m.begin_run();
+        let spanning = [task(&l, 0, &g[0..1], gemm), task(&l, 1, &g[0..2], wide)];
+        let (spanned, classes) = assign(&mut m, &spanning);
+        assert_eq!((classes, m.keys.len()), (3, 3));
+        assert_eq!(bits(&spanned), bits(&[first[0], first[4]]));
+
+        // Caps set, then cleared: the two capped GPUs are two more classes,
+        // and clearing returns every GPU to a key the id cache holds.
+        m.set_gpu_freq_caps([0.5, 0.5]);
+        let (capped, classes) = assign(&mut m, &spanning);
+        assert_eq!((classes, m.keys.len()), (5, 5));
+        assert!(capped[0] < spanned[0], "a capped clock slows the kernel");
+        m.set_gpu_freq_caps([]);
+        let (cleared, classes) = assign(&mut m, &spanning);
+        assert_eq!((classes, m.keys.len()), (5, 5));
+        assert_eq!(bits(&cleared), bits(&spanned));
+
+        // Caps of exactly 1.0 are no caps: the same keys, nothing priced.
+        m.set_gpu_freq_caps([1.0; 4]);
+        let (uncapped, classes) = assign(&mut m, &spanning);
+        assert_eq!((classes, m.keys.len()), (5, 5));
+        assert_eq!(bits(&uncapped), bits(&spanned));
     }
 
     #[test]

@@ -2,8 +2,12 @@
 
 use crate::{ComputeOp, ExecutionMode, Op};
 use olab_gpu::{Datapath, KernelKind, Precision};
-use olab_sim::{PayloadId, TaskId, TaskSpec, Workload};
+use olab_sim::{GpuId, Label, PayloadId, SmallList, TaskId, TaskSpec, Workload};
 use std::cell::RefCell;
+
+/// One task per rank of a node, in rank order: inline up to 8 ranks, so a
+/// lowering's per-layer id lists allocate nothing on any paper node.
+pub(crate) type RankTasks = SmallList<TaskId, 8>;
 
 /// A schedule's task storage and payload table.
 type Storage = (Vec<TaskSpec<Op>>, Vec<Op>);
@@ -100,6 +104,33 @@ impl ScheduleBuilder {
     /// Pushes a task.
     pub fn push(&mut self, spec: TaskSpec<Op>) -> TaskId {
         self.workload.push(spec)
+    }
+
+    /// Pushes one kernel sequence on the compute stream of every GPU in
+    /// `group`, GPU by GPU, the first kernel on each depending on
+    /// `first_deps`; returns each GPU's last task. `label` is a pattern
+    /// ending in the kernel index and GPU holes (`….k{}.gpu{}`), with its
+    /// leading holes already filled.
+    pub(crate) fn push_kernels(
+        &mut self,
+        group: &[GpuId],
+        label: Label,
+        kernels: &[PayloadId],
+        first_deps: &[TaskId],
+    ) -> RankTasks {
+        let mut last = RankTasks::new();
+        for gpu in group {
+            let mut end = TaskId(0);
+            for (ki, &k) in kernels.iter().enumerate() {
+                let mut spec = TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, k);
+                if ki == 0 {
+                    spec.deps.extend_from_slice(first_deps);
+                }
+                end = self.push(spec);
+            }
+            last.push(end);
+        }
+        last
     }
 
     /// Finishes construction, serializing per GPU in sequential mode.

@@ -23,6 +23,7 @@
 //! In [`ExecutionMode::Sequential`] the whole schedule is chained so that no
 //! communication overlaps computation — the paper's baseline.
 
+use crate::builder::RankTasks;
 use crate::{ExecutionMode, Op, ScheduleBuilder};
 use olab_ccl::{lower, Algorithm, Collective};
 use olab_gpu::{Datapath, GpuSku, Precision};
@@ -213,38 +214,23 @@ pub fn fsdp_timeline(
     let shard_params = plan.model.param_count() / n as u64;
     let adam = kernels(&mut b, &[ops::optimizer_kernel(shard_params)])[0];
 
-    // Pushes one kernel sequence on every rank's compute stream; returns the
-    // last task per rank. `label` is a pattern ending in the kernel index
-    // and GPU holes (`….k{}.gpu{}`), with its leading holes already filled.
-    let push_kernels = |b: &mut ScheduleBuilder,
-                        label: Label,
-                        kernels: &[PayloadId],
-                        first_deps: &[TaskId]|
-     -> Vec<TaskId> {
-        let mut last = vec![TaskId(0); n];
-        for (g, gpu) in group.iter().enumerate() {
-            for (ki, &k) in kernels.iter().enumerate() {
-                let mut spec = TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, k);
-                if ki == 0 {
-                    spec.deps.extend_from_slice(first_deps);
-                }
-                last[g] = b.push(spec);
-            }
-        }
-        last
-    };
-
     let mut final_rs: Vec<TaskId> = Vec::with_capacity(layers);
+    // Per micro-step, reused by the next: each layer's forward all-gather,
+    // and its forward, backward and backward re-gather's tasks.
+    let mut ag_f: Vec<TaskId> = Vec::with_capacity(layers);
+    let mut f_last: Vec<RankTasks> = Vec::with_capacity(layers);
+    let mut ag_b: Vec<Option<TaskId>> = vec![None; layers];
+    let mut b_last: Vec<RankTasks> = vec![RankTasks::new(); layers];
 
     for step in 0..plan.grad_accum_steps {
         let is_last_step = step + 1 == plan.grad_accum_steps;
         let tag = |pattern: &'static str| Label::new(pattern).with(step);
 
         // ---- Forward pass ----
-        let _ = push_kernels(&mut b, tag("st{}.emb.f.k{}.gpu{}"), &emb, &[]);
+        b.push_kernels(&group, tag("st{}.emb.f.k{}.gpu{}"), &emb, &[]);
 
-        let mut ag_f: Vec<TaskId> = Vec::with_capacity(layers);
-        let mut f_last: Vec<Vec<TaskId>> = Vec::with_capacity(layers);
+        ag_f.clear();
+        f_last.clear();
         for i in 0..layers {
             // Prefetch discipline: AG(i) may start once layer i-2's forward
             // is done (so it runs while layer i-1 computes), keeping at most
@@ -262,8 +248,8 @@ pub fn fsdp_timeline(
             }
             ag_f.push(b.push(spec));
 
-            let last = push_kernels(
-                &mut b,
+            let last = b.push_kernels(
+                &group,
                 tag("st{}.L{}.f.k{}.gpu{}").with(i),
                 &layer_forward,
                 &[ag_f[i]],
@@ -272,11 +258,11 @@ pub fn fsdp_timeline(
         }
 
         // LM head (local, unsharded in this model) forward + backward.
-        let head_f_last = push_kernels(&mut b, tag("st{}.head.f.k{}.gpu{}"), &head_forward, &[]);
-        let head_b_last = push_kernels(&mut b, tag("st{}.head.b.k{}.gpu{}"), &head_backward, &[]);
+        let head_f_last = b.push_kernels(&group, tag("st{}.head.f.k{}.gpu{}"), &head_forward, &[]);
+        let head_b_last = b.push_kernels(&group, tag("st{}.head.b.k{}.gpu{}"), &head_backward, &[]);
 
         // ---- Backward pass ----
-        let mut ag_b: Vec<Option<TaskId>> = vec![None; layers];
+        ag_b.fill(None);
         {
             let mut spec = TaskSpec::collective(
                 tag("st{}.ag.b.L{}").with(layers - 1),
@@ -287,7 +273,6 @@ pub fn fsdp_timeline(
             ag_b[layers - 1] = Some(b.push(spec));
         }
 
-        let mut b_last: Vec<Vec<TaskId>> = vec![Vec::new(); layers];
         let mut prev_rs: Option<TaskId> = None;
         for i in (0..layers).rev() {
             // Prefetch the re-gather of layer i-1 while layer i runs backward.
@@ -310,20 +295,19 @@ pub fn fsdp_timeline(
                 ag_b[i - 1] = Some(b.push(spec));
             }
 
-            let mut first_deps = vec![ag_b[i].expect("all-gather enqueued")];
-            if !plan.overlap.overlap_reduce_scatter {
-                // Serialized reduce-scatter: the next backward waits for it.
-                if let Some(rs) = prev_rs {
-                    first_deps.push(rs);
-                }
-            }
-            let last = push_kernels(
-                &mut b,
+            let gather = ag_b[i].expect("all-gather enqueued");
+            // Serialized reduce-scatter: the next backward waits for it.
+            let first_deps: &[TaskId] = match prev_rs {
+                Some(rs) if !plan.overlap.overlap_reduce_scatter => &[gather, rs],
+                _ => &[gather],
+            };
+            b_last[i] = b.push_kernels(
+                &group,
                 tag("st{}.L{}.b.k{}.gpu{}").with(i),
                 &bwd_kernels,
-                &first_deps,
+                first_deps,
             );
-            b_last[i] = last.clone();
+            let last = &b_last[i];
 
             if is_last_step {
                 let mut spec =

@@ -14,6 +14,7 @@
 //!   combines overlap the next chunk — turning the exposed all-to-alls
 //!   into hidden ones.
 
+use crate::builder::RankTasks;
 use crate::{ExecutionMode, Op, ScheduleBuilder};
 use olab_ccl::{lower, Algorithm, Collective, CollectiveKind};
 use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
@@ -211,44 +212,33 @@ pub fn moe_timeline(
         b.intern(Op::Comm(lower(&c, algo, sku, topo, plan.precision)))
     };
 
-    // `label` is a pattern ending in the kernel index and GPU holes
-    // (`….k{}.gpu{}`), with its leading holes already filled.
-    let push_kernels = |b: &mut ScheduleBuilder,
-                        label: Label,
-                        kernels: &[PayloadId],
-                        first_deps: &[TaskId]|
-     -> Vec<TaskId> {
-        let mut last = vec![TaskId(0); n];
-        for (g, gpu) in group.iter().enumerate() {
-            for (ki, &k) in kernels.iter().enumerate() {
-                let mut spec = TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, k);
-                if ki == 0 {
-                    spec.deps.extend_from_slice(first_deps);
-                }
-                last[g] = b.push(spec);
-            }
-        }
-        last
-    };
-
     // Forward + backward, layer by layer. Backward reuses the forward
     // structure at 2x kernel cost (dgrad + wgrad), with the all-to-alls
     // reversed — close enough for the characterization workload, which
     // cares about the comm/compute interleaving, not autograd detail.
-    let mut barrier: Vec<TaskId> = Vec::new();
+    let mut barrier = RankTasks::new();
+    // Per MoE layer, reused by the next: each chunk's expert tasks and
+    // combine, and one chunk's expert kernels at this pass's cost.
+    let mut expert_done: Vec<RankTasks> = Vec::new();
+    let mut combines: Vec<TaskId> = Vec::new();
+    let mut expert_kernels: Vec<PayloadId> = Vec::new();
 
     for pass in &PASSES {
-        let layer_order: Vec<usize> = if pass.forward {
-            (0..layers).collect()
-        } else {
-            (0..layers).rev().collect()
-        };
         let cost = if pass.forward { 1 } else { 2 };
-        for &i in &layer_order {
+        expert_kernels.clear();
+        for _ in 0..cost {
+            expert_kernels.extend_from_slice(&expert_chunk);
+        }
+        for step in 0..layers {
+            let i = if pass.forward {
+                step
+            } else {
+                layers - 1 - step
+            };
             // Attention block (dense backward cost modeled by repetition).
             for rep in 0..cost {
-                barrier = push_kernels(
-                    &mut b,
+                barrier = b.push_kernels(
+                    &group,
                     Label::new(pass.attn).with(i).with(rep),
                     &attn_fwd,
                     &barrier,
@@ -256,11 +246,12 @@ pub fn moe_timeline(
             }
             if moe_layer_sequence[i] {
                 let all_to_all = all_to_all.expect("an MoE layer interns its all-to-all");
-                barrier = push_kernels(&mut b, Label::new(pass.router).with(i), &router, &barrier);
+                barrier =
+                    b.push_kernels(&group, Label::new(pass.router).with(i), &router, &barrier);
                 // Chunked dispatch -> expert -> combine pipeline.
                 let mut prev_dispatch: Option<TaskId> = None;
-                let mut expert_done: Vec<Vec<TaskId>> = Vec::new();
-                let mut combines: Vec<TaskId> = Vec::new();
+                expert_done.clear();
+                combines.clear();
                 for c in 0..plan.chunks {
                     let mut spec = TaskSpec::collective(
                         Label::new(pass.dispatch).with(i).with(c),
@@ -275,12 +266,8 @@ pub fn moe_timeline(
                     let dispatch = b.push(spec);
                     prev_dispatch = Some(dispatch);
 
-                    let mut expert_kernels = Vec::new();
-                    for _ in 0..cost {
-                        expert_kernels.extend_from_slice(&expert_chunk);
-                    }
-                    let done = push_kernels(
-                        &mut b,
+                    let done = b.push_kernels(
+                        &group,
                         Label::new(pass.expert).with(i).with(c),
                         &expert_kernels,
                         &[dispatch],
@@ -296,8 +283,8 @@ pub fn moe_timeline(
                     spec.deps.extend(done.iter().copied());
                     combines.push(b.push(spec));
                 }
-                barrier = push_kernels(
-                    &mut b,
+                barrier = b.push_kernels(
+                    &group,
                     Label::new(pass.residual).with(i),
                     &residual,
                     &combines,
@@ -305,8 +292,8 @@ pub fn moe_timeline(
             } else {
                 // Dense MLP block (remaining forward kernels).
                 for rep in 0..cost {
-                    barrier = push_kernels(
-                        &mut b,
+                    barrier = b.push_kernels(
+                        &group,
                         Label::new(pass.mlp).with(i).with(rep),
                         &mlp,
                         &barrier,

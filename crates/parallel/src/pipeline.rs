@@ -19,7 +19,7 @@
 //! Megatron-style embedding-gradient synchronization between the first and
 //! last stage closes the iteration alongside the per-stage Adam step.
 
-use crate::{ExecutionMode, Op, ScheduleBuilder};
+use crate::{ComputeOp, ExecutionMode, Op, ScheduleBuilder};
 use olab_ccl::{lower, Algorithm, Collective};
 use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_models::memory::ActivationPolicy;
@@ -223,46 +223,33 @@ pub fn pipeline_timeline(
         .collect();
 
     // Kernel chunks of one forward / backward cell on stage `s`.
-    let forward_chunks = |s: usize| -> Vec<&[PayloadId]> {
-        let mut chunks: Vec<&[PayloadId]> = Vec::new();
-        if s == 0 {
-            chunks.push(&emb);
-        }
-        chunks.extend(std::iter::repeat_n(
-            &layer_forward[..],
-            stage_layer_count(plan, s),
-        ));
-        if s == s_count - 1 {
-            chunks.push(&head_forward);
-        }
-        chunks
+    let forward_chunks = |s: usize| {
+        let emb = (s == 0).then_some(&emb[..]);
+        let head = (s == s_count - 1).then_some(&head_forward[..]);
+        let layers = std::iter::repeat_n(&layer_forward[..], stage_layer_count(plan, s));
+        emb.into_iter().chain(layers).chain(head)
     };
-    let backward_chunks = |s: usize| -> Vec<&[PayloadId]> {
-        let mut chunks: Vec<&[PayloadId]> = Vec::new();
-        if s == s_count - 1 {
-            chunks.push(&head_backward);
-        }
-        chunks.extend(std::iter::repeat_n(
-            &bwd_kernels[..],
-            stage_layer_count(plan, s),
-        ));
-        chunks
+    let backward_chunks = |s: usize| {
+        let head = (s == s_count - 1).then_some(&head_backward[..]);
+        let layers = std::iter::repeat_n(&bwd_kernels[..], stage_layer_count(plan, s));
+        head.into_iter().chain(layers)
     };
 
     // Pushes the compute of one (stage, microbatch) cell; returns last task.
     // `label` is the cell's pattern, with stage, microbatch, chunk and
     // kernel holes.
-    let push_cell = |b: &mut ScheduleBuilder,
-                     stage: usize,
-                     m: usize,
-                     chunks: &[&[PayloadId]],
-                     label: &'static str,
-                     first_dep: Option<TaskId>|
-     -> TaskId {
+    fn push_cell<'a>(
+        b: &mut ScheduleBuilder,
+        stage: usize,
+        m: usize,
+        chunks: impl Iterator<Item = &'a [PayloadId]>,
+        label: &'static str,
+        first_dep: Option<TaskId>,
+    ) -> TaskId {
         let gpu = GpuId(stage as u16);
         let mut last = None;
         let mut dep = first_dep;
-        for (ci, chunk) in chunks.iter().enumerate() {
+        for (ci, chunk) in chunks.enumerate() {
             for (ki, &k) in chunk.iter().enumerate() {
                 let mut spec = TaskSpec::compute(
                     Label::new(label).with(stage).with(m).with(ci).with(ki),
@@ -276,7 +263,7 @@ pub fn pipeline_timeline(
             }
         }
         last.expect("stage owns at least one kernel")
-    };
+    }
 
     // Breadth-first emission of the per-stage programs: each pass emits at
     // most one op per stage, and only once its cross-stage producer is
@@ -287,10 +274,13 @@ pub fn pipeline_timeline(
     // ahead of its neighbours' receives and serialize the pipeline).
     let programs = stage_programs(plan.schedule, s_count, m_count);
     let mut cursor = vec![0usize; s_count];
-    let mut fwd_send: Vec<Vec<Option<TaskId>>> = vec![vec![None; m_count]; s_count];
-    let mut bwd_send: Vec<Vec<Option<TaskId>>> = vec![vec![None; m_count]; s_count];
-    let mut fwd_done: Vec<Vec<Option<TaskId>>> = vec![vec![None; m_count]; s_count];
-    let mut bwd_done: Vec<Vec<Option<TaskId>>> = vec![vec![None; m_count]; s_count];
+    // What each (stage, microbatch) cell emitted, at `s * m_count + m`.
+    let cells = s_count * m_count;
+    let at = |s: usize, m: usize| s * m_count + m;
+    let mut fwd_send: Vec<Option<TaskId>> = vec![None; cells];
+    let mut bwd_send: Vec<Option<TaskId>> = vec![None; cells];
+    let mut fwd_done: Vec<Option<TaskId>> = vec![None; cells];
+    let mut bwd_done: Vec<Option<TaskId>> = vec![None; cells];
 
     let total_ops: usize = programs.iter().map(Vec::len).sum();
     let mut emitted = 0usize;
@@ -300,18 +290,18 @@ pub fn pipeline_timeline(
             if cursor[s] < programs[s].len() {
                 let op = programs[s][cursor[s]];
                 let ready = match op {
-                    StageOp::Forward(m) => s == 0 || fwd_send[s - 1][m].is_some(),
-                    StageOp::Backward(m) => s == s_count - 1 || bwd_send[s + 1][m].is_some(),
+                    StageOp::Forward(m) => s == 0 || fwd_send[at(s - 1, m)].is_some(),
+                    StageOp::Backward(m) => s == s_count - 1 || bwd_send[at(s + 1, m)].is_some(),
                 };
                 if !ready {
                     continue;
                 }
                 match op {
                     StageOp::Forward(m) => {
-                        let recv = if s > 0 { fwd_send[s - 1][m] } else { None };
+                        let recv = if s > 0 { fwd_send[at(s - 1, m)] } else { None };
                         let last =
-                            push_cell(&mut b, s, m, &forward_chunks(s), "s{}.m{}.f.c{}k{}", recv);
-                        fwd_done[s][m] = Some(last);
+                            push_cell(&mut b, s, m, forward_chunks(s), "s{}.m{}.f.c{}k{}", recv);
+                        fwd_done[at(s, m)] = Some(last);
                         if s + 1 < s_count {
                             let spec = TaskSpec::collective(
                                 Label::new("x.f.s{}->s{}.m{}").with(s).with(s + 1).with(m),
@@ -319,22 +309,22 @@ pub fn pipeline_timeline(
                                 links[s],
                             )
                             .after(last);
-                            fwd_send[s][m] = Some(b.push(spec));
+                            fwd_send[at(s, m)] = Some(b.push(spec));
                         } else {
                             // Terminal stage: mark availability for readiness
                             // checks without a transfer.
-                            fwd_send[s][m] = Some(last);
+                            fwd_send[at(s, m)] = Some(last);
                         }
                     }
                     StageOp::Backward(m) => {
                         let recv = if s + 1 < s_count {
-                            bwd_send[s + 1][m]
+                            bwd_send[at(s + 1, m)]
                         } else {
-                            fwd_done[s][m]
+                            fwd_done[at(s, m)]
                         };
                         let last =
-                            push_cell(&mut b, s, m, &backward_chunks(s), "s{}.m{}.b.c{}k{}", recv);
-                        bwd_done[s][m] = Some(last);
+                            push_cell(&mut b, s, m, backward_chunks(s), "s{}.m{}.b.c{}k{}", recv);
+                        bwd_done[at(s, m)] = Some(last);
                         if s > 0 {
                             let spec = TaskSpec::collective(
                                 Label::new("x.b.s{}->s{}.m{}").with(s).with(s - 1).with(m),
@@ -342,9 +332,9 @@ pub fn pipeline_timeline(
                                 links[s - 1],
                             )
                             .after(last);
-                            bwd_send[s][m] = Some(b.push(spec));
+                            bwd_send[at(s, m)] = Some(b.push(spec));
                         } else {
-                            bwd_send[s][m] = Some(last);
+                            bwd_send[at(s, m)] = Some(last);
                         }
                     }
                 }
@@ -367,7 +357,7 @@ pub fn pipeline_timeline(
         let mut spec =
             TaskSpec::collective("ar.embed", [GpuId(0), GpuId((s_count - 1) as u16)], sync);
         for s in [0, s_count - 1] {
-            for done in bwd_done[s].iter().take(m_count) {
+            for done in &bwd_done[at(s, 0)..at(s + 1, 0)] {
                 spec.deps.push(done.expect("backward emitted"));
             }
         }
@@ -377,11 +367,11 @@ pub fn pipeline_timeline(
     // ---- Optimizer, one Adam step per stage ----
     for s in 0..s_count {
         let gpu = GpuId(s as u16);
-        let adam = b.intern_kernels(
-            &[ops::optimizer_kernel(plan.stage_params(s))],
+        let adam = b.intern(Op::Compute(ComputeOp::new(
+            ops::optimizer_kernel(plan.stage_params(s)),
             plan.precision,
             plan.datapath,
-        )[0];
+        )));
         let mut spec = TaskSpec::compute(Label::new("adam.s{}").with(s), gpu, adam);
         if let (Some(sync), true) = (embed_sync, s == 0 || s == s_count - 1) {
             spec.deps.push(sync);

@@ -14,13 +14,14 @@
 //! concurrently — reproduced here by splitting each layer's backward into
 //! dgrad / wgrad halves around the collective.
 
+use crate::builder::RankTasks;
 use crate::{ExecutionMode, Op, ScheduleBuilder};
 use olab_ccl::{lower, Algorithm, Collective};
 use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_models::memory::ActivationPolicy;
 use olab_models::{Family, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, Label, PayloadId, TaskId, TaskSpec, Workload};
+use olab_sim::{GpuId, Label, TaskId, TaskSpec, Workload};
 
 /// Configuration of one tensor-parallel training iteration.
 #[derive(Debug, Clone)]
@@ -241,26 +242,6 @@ pub fn tensor_timeline(
         b.intern(Op::Comm(lower(&c, algo, sku, topo, plan.precision)))
     };
 
-    // Pushes kernels on every rank; returns the last task per rank. `label`
-    // is a pattern ending in the kernel index and GPU holes
-    // (`….k{}.gpu{}`), with its leading holes already filled.
-    let push_kernels = |b: &mut ScheduleBuilder,
-                        label: Label,
-                        kernels: &[PayloadId],
-                        first_deps: &[TaskId]|
-     -> Vec<TaskId> {
-        let mut last = vec![TaskId(0); n];
-        for (g, gpu) in group.iter().enumerate() {
-            for (ki, &k) in kernels.iter().enumerate() {
-                let mut spec = TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, k);
-                if ki == 0 {
-                    spec.deps.extend_from_slice(first_deps);
-                }
-                last[g] = b.push(spec);
-            }
-        }
-        last
-    };
     let push_allreduce = |b: &mut ScheduleBuilder, label: Label, deps: &[TaskId]| -> TaskId {
         let mut spec = TaskSpec::collective(label, &group[..], allreduce);
         spec.deps.extend_from_slice(deps);
@@ -270,30 +251,30 @@ pub fn tensor_timeline(
     // ---- Forward ----
     // Forward all-reduces are on the critical path: the residual add needs
     // the reduced activations.
-    let mut fwd_barrier: Vec<TaskId> = Vec::new(); // carried dependency between blocks
+    let mut fwd_barrier = RankTasks::new(); // carried dependency between blocks
     for i in 0..layers {
-        let attn = push_kernels(
-            &mut b,
+        let attn = b.push_kernels(
+            &group,
             Label::new("L{}.f.attn.k{}.gpu{}").with(i),
             &attn_forward,
             &fwd_barrier,
         );
         let ar1 = push_allreduce(&mut b, Label::new("ar.f1.L{}").with(i), &attn);
-        let res1 = push_kernels(
-            &mut b,
+        let res1 = b.push_kernels(
+            &group,
             Label::new("L{}.f.res1.k{}.gpu{}").with(i),
             &residual,
             &[ar1],
         );
-        let mlp = push_kernels(
-            &mut b,
+        let mlp = b.push_kernels(
+            &group,
             Label::new("L{}.f.mlp.k{}.gpu{}").with(i),
             &mlp_forward,
             &res1,
         );
         let ar2 = push_allreduce(&mut b, Label::new("ar.f2.L{}").with(i), &mlp);
-        fwd_barrier = push_kernels(
-            &mut b,
+        fwd_barrier = b.push_kernels(
+            &group,
             Label::new("L{}.f.res2.k{}.gpu{}").with(i),
             &residual,
             &[ar2],
@@ -302,17 +283,17 @@ pub fn tensor_timeline(
 
     // ---- Backward ----
     // Recomputation replays the layer's forward before its backward.
-    let mut bwd_barrier: Vec<TaskId> = fwd_barrier.clone();
+    let mut bwd_barrier = fwd_barrier;
     for i in (0..layers).rev() {
         if plan.activation_policy == ActivationPolicy::Recompute {
-            let ra = push_kernels(
-                &mut b,
+            let ra = b.push_kernels(
+                &group,
                 Label::new("L{}.rc.attn.k{}.gpu{}").with(i),
                 &attn_forward,
                 &bwd_barrier,
             );
-            bwd_barrier = push_kernels(
-                &mut b,
+            bwd_barrier = b.push_kernels(
+                &group,
                 Label::new("L{}.rc.mlp.k{}.gpu{}").with(i),
                 &mlp_forward,
                 &ra,
@@ -320,35 +301,35 @@ pub fn tensor_timeline(
         }
         // MLP backward: dgrads produce the input gradient; the all-reduce
         // of that gradient overlaps the wgrads.
-        let mlp_dgrad = push_kernels(
-            &mut b,
+        let mlp_dgrad = b.push_kernels(
+            &group,
             Label::new("L{}.b.mlp.dgrad.k{}.gpu{}").with(i),
             &mlp_dgrad,
             &bwd_barrier,
         );
         let ar_b2 = push_allreduce(&mut b, Label::new("ar.b2.L{}").with(i), &mlp_dgrad);
-        let _mlp_wgrad = push_kernels(
-            &mut b,
+        let _mlp_wgrad = b.push_kernels(
+            &group,
             Label::new("L{}.b.mlp.wgrad.k{}.gpu{}").with(i),
             &mlp_wgrad,
             &[],
         );
 
         // Attention backward needs the reduced MLP input gradient.
-        let attn_dgrad = push_kernels(
-            &mut b,
+        let attn_dgrad = b.push_kernels(
+            &group,
             Label::new("L{}.b.attn.dgrad.k{}.gpu{}").with(i),
             &attn_dgrad,
             &[ar_b2],
         );
         let ar_b1 = push_allreduce(&mut b, Label::new("ar.b1.L{}").with(i), &attn_dgrad);
-        let _attn_wgrad = push_kernels(
-            &mut b,
+        let _attn_wgrad = b.push_kernels(
+            &group,
             Label::new("L{}.b.attn.wgrad.k{}.gpu{}").with(i),
             &attn_wgrad,
             &[],
         );
-        bwd_barrier = vec![ar_b1];
+        bwd_barrier = RankTasks::from([ar_b1]);
         // Next layer's backward must also follow this layer's wgrads only
         // through stream order (same compute stream), which is implicit.
     }

@@ -138,11 +138,20 @@ struct SimArena {
     power: Vec<f64>,
     counters: Vec<GpuCounters>,
     devices: Vec<Device>,
-    /// Per-device activity handed back by [`recycle_activity`], cleared
-    /// and reused by the next full run so its power-segment and window
-    /// vectors do not grow from empty every run.
-    spare_gpus: Vec<GpuActivity>,
+    /// Per-device activity handed back by [`recycle_activity`] or by a
+    /// dropped [`SimTrace`], at most [`SPARES`] sets, taken and cleared by
+    /// the next full runs so their power-segment and window vectors do not
+    /// grow from empty every run.
+    spare_gpus: Vec<Vec<GpuActivity>>,
+    /// Record vectors of dropped traces, emptied, at most [`SPARES`]:
+    /// the next traced runs record into them.
+    spare_records: Vec<Vec<TaskRecord>>,
 }
+
+/// How many spare activity sets and record vectors a thread's engine
+/// keeps: a cell's report holds two traces (its overlapped and sequential
+/// legs), and both come back when it drops.
+const SPARES: usize = 2;
 
 impl SimArena {
     /// Rewinds every buffer for a workload of `n` tasks on `n_gpus`
@@ -243,7 +252,7 @@ impl SimArena {
     /// Per-device activity for a full run on `n_gpus` devices, in the
     /// spare's storage: every entry empty, as [`GpuActivity::default`].
     fn take_activity(&mut self, n_gpus: usize) -> Vec<GpuActivity> {
-        let mut gpus = std::mem::take(&mut self.spare_gpus);
+        let mut gpus = self.spare_gpus.pop().unwrap_or_default();
         gpus.truncate(n_gpus);
         for activity in &mut gpus {
             activity.power.clear();
@@ -262,9 +271,23 @@ impl SimArena {
 /// always correct; this only keeps the buffers from being freed and
 /// faulted back in run after run.
 pub fn recycle_activity(gpus: Vec<GpuActivity>) {
-    SCRATCH.with(|cell| {
-        if let Ok(mut arena) = cell.try_borrow_mut() {
-            arena.spare_gpus = gpus;
+    recycle(gpus, Vec::new());
+}
+
+/// Keeps a finished run's per-device activity and record vector, emptied,
+/// as this thread's spares, if there is room and the engine is not
+/// running; otherwise they are freed. A dropped [`SimTrace`] comes here.
+pub(crate) fn recycle(gpus: Vec<GpuActivity>, mut records: Vec<TaskRecord>) {
+    let _ = SCRATCH.try_with(|cell| {
+        let Ok(mut arena) = cell.try_borrow_mut() else {
+            return;
+        };
+        if gpus.capacity() > 0 && arena.spare_gpus.len() < SPARES {
+            arena.spare_gpus.push(gpus);
+        }
+        if records.capacity() > 0 && arena.spare_records.len() < SPARES {
+            records.clear();
+            arena.spare_records.push(records);
         }
     });
 }
@@ -337,20 +360,22 @@ impl<M: RateModel> Engine<M> {
     ) -> Result<SimTrace, SimError> {
         with_scratch(|arena| {
             let (gpus, makespan) = self.run_loop::<O, true>(workload, obs, arena)?;
-            let records = workload
-                .tasks()
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| TaskRecord {
-                    id: TaskId(i as u32),
-                    label: spec.label.clone(),
-                    participants: spec.participants.clone(),
-                    stream: spec.stream,
-                    start: arena.start[i],
-                    end: arena.end[i],
-                    coactive: arena.coactive[i],
-                })
-                .collect();
+            let mut records = arena.spare_records.pop().unwrap_or_default();
+            records.extend(
+                workload
+                    .tasks()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, spec)| TaskRecord {
+                        id: TaskId(i as u32),
+                        label: spec.label.clone(),
+                        participants: spec.participants.clone(),
+                        stream: spec.stream,
+                        start: arena.start[i],
+                        end: arena.end[i],
+                        coactive: arena.coactive[i],
+                    }),
+            );
             Ok(SimTrace::new(records, gpus, makespan))
         })
     }
@@ -534,24 +559,18 @@ impl<M: RateModel> Engine<M> {
             self.model
                 .assign_rates_at(now.as_secs(), &running, rates, power);
 
-            for (task, &rate) in running.iter().zip(rates.iter()) {
+            // Advance to the earliest completion, checking each rate on the
+            // way: the first invalid rate in running order fails the run,
+            // before any power is checked.
+            let mut dt = f64::INFINITY;
+            let mut argmin = 0usize;
+            for (i, (task, &rate)) in running.iter().zip(rates.iter()).enumerate() {
                 if !(rate.is_finite() && rate > 0.0) {
                     return Err(SimError::InvalidRate {
                         task: task.id,
                         rate,
                     });
                 }
-            }
-            for (g, &watts) in power.iter().enumerate() {
-                if !(watts.is_finite() && watts >= 0.0) {
-                    return Err(SimError::InvalidPower { gpu: g, watts });
-                }
-            }
-
-            // Advance to the earliest completion.
-            let mut dt = f64::INFINITY;
-            let mut argmin = 0usize;
-            for (i, (task, &rate)) in running.iter().zip(rates.iter()).enumerate() {
                 let t = remaining[task.id.index()] / rate;
                 if t < dt {
                     dt = t;
@@ -559,6 +578,11 @@ impl<M: RateModel> Engine<M> {
                 }
             }
             debug_assert!(dt.is_finite());
+            for (g, &watts) in power.iter().enumerate() {
+                if !(watts.is_finite() && watts >= 0.0) {
+                    return Err(SimError::InvalidPower { gpu: g, watts });
+                }
+            }
 
             // A time-varying model may change rates before the earliest
             // completion; clamp the epoch to the model's next boundary and
@@ -595,23 +619,26 @@ impl<M: RateModel> Engine<M> {
                 {
                     device.account(activity, now, epoch, watts);
                 }
-                for task in &running {
+            }
+            // One pass over the running set: co-active time, and the work
+            // left, which is none for the task that completes.
+            for (i, (task, &rate)) in running.iter().zip(rates.iter()).enumerate() {
+                let id = task.id.index();
+                if FULL {
                     let other = task.stream.other().index();
                     if task
                         .participants
                         .iter()
                         .any(|g| devices[g.index()].busy[other])
                     {
-                        coactive[task.id.index()] += epoch;
+                        coactive[id] += epoch;
                     }
                 }
-            }
-            for (task, &rate) in running.iter().zip(rates.iter()) {
-                let left = &mut remaining[task.id.index()];
-                *left = (*left - rate * dt).max(0.0);
-            }
-            if completes {
-                remaining[running[argmin].id.index()] = 0.0;
+                remaining[id] = if completes && i == argmin {
+                    0.0
+                } else {
+                    (remaining[id] - rate * dt).max(0.0)
+                };
             }
 
             now = epoch_end;
@@ -864,6 +891,86 @@ mod tests {
         assert!(matches!(err, SimError::InvalidRate { rate, .. } if rate == 0.0));
     }
 
+    /// Prices each task from a table indexed by task id, and each device at
+    /// a fixed draw.
+    struct Scripted {
+        rates: Vec<f64>,
+        power: Vec<f64>,
+    }
+
+    impl RateModel for Scripted {
+        type Payload = ();
+        fn assign_rates(
+            &mut self,
+            running: &[RunningTask<'_, ()>],
+            rates: &mut [f64],
+            power: &mut [f64],
+        ) {
+            for (rate, task) in rates.iter_mut().zip(running) {
+                *rate = self.rates[task.id.index()];
+            }
+            power.copy_from_slice(&self.power);
+        }
+    }
+
+    /// Runs three tasks that start together (a kernel on each device and a
+    /// comm task on device 0) under `rates` and `power` on every entry
+    /// point, and returns the error each reports: all must agree.
+    fn first_epoch_error(rates: [f64; 3], power: [f64; 2]) -> SimError {
+        let mut w = unit_workload();
+        w.push(TaskSpec::compute("a", GpuId(0), U));
+        w.push(TaskSpec::compute("b", GpuId(1), U));
+        w.push(TaskSpec::comm("c", GpuId(0), U));
+        let mut engine = Engine::new(Scripted {
+            rates: rates.to_vec(),
+            power: power.to_vec(),
+        });
+        let errors = [
+            engine.run(&w).unwrap_err(),
+            engine.run_summary(&w).unwrap_err(),
+            engine.run_makespan(&w).unwrap_err(),
+        ];
+        let shown = errors.clone().map(|e| format!("{e:?}"));
+        assert!(shown.iter().all(|e| *e == shown[0]), "{shown:?}");
+        errors[0].clone()
+    }
+
+    /// The rates are checked in the pass that finds the earliest
+    /// completion, and the power after it: in one epoch with a NaN rate on
+    /// a later running task, a zero rate after it and a negative draw, the
+    /// run fails on the NaN, the first invalid rate in running order.
+    #[test]
+    fn the_first_invalid_rate_is_reported_before_an_invalid_power() {
+        let err = first_epoch_error([1.0, f64::NAN, 0.0], [100.0, -1.0]);
+        assert!(
+            matches!(err, SimError::InvalidRate { task: TaskId(1), rate } if rate.is_nan()),
+            "{err:?}"
+        );
+        let err = first_epoch_error([1.0, 2.0, 3.0], [100.0, -1.0]);
+        assert_eq!(
+            err,
+            SimError::InvalidPower {
+                gpu: 1,
+                watts: -1.0
+            }
+        );
+    }
+
+    /// A rate that would make its task the earliest completion (infinite,
+    /// or negative, so its time left is zero or less) fails the run rather
+    /// than ending the epoch, and so does one that never compares.
+    #[test]
+    fn an_invalid_rate_on_the_would_be_earliest_task_is_reported() {
+        for bad in [f64::INFINITY, -2.0, f64::NAN] {
+            let err = first_epoch_error([1.0, bad, 1.5], [100.0, 100.0]);
+            assert!(
+                matches!(err, SimError::InvalidRate { task: TaskId(1), rate }
+                    if rate.to_bits() == bad.to_bits()),
+                "{bad}: {err:?}"
+            );
+        }
+    }
+
     /// Rate 1.0 before `switch_at`, `late_rate` after; boundary reported at
     /// `switch_at`. Exercises the fault-injection hook points.
     struct SteppedRate {
@@ -1071,7 +1178,7 @@ mod tests {
 
     /// A full run on recycled activity records what a run on fresh
     /// activity does, whether the spare came from a wider or a narrower
-    /// node, and a run on a busy scratch leaves the spare alone.
+    /// node, and so does a traced run on a dropped trace's buffers.
     #[test]
     fn a_run_on_recycled_activity_equals_a_fresh_run() {
         let model = || ConstantRate {
@@ -1094,6 +1201,17 @@ mod tests {
             let recycled = Engine::new(model()).run_summary(&w).unwrap();
             assert_eq!(activity_bits(&recycled.gpus), activity_bits(&fresh.gpus));
             assert_eq!(recycled.gpus.len(), 2);
+        }
+        // A dropped trace's records and activity, of a longer workload on a
+        // wider node, serve the next traced run.
+        let fresh = reference_run(&mut model(), &w, &mut NullObserver).unwrap();
+        drop(Engine::new(model()).run(&wide).unwrap());
+        let recycled = Engine::new(model()).run(&w).unwrap();
+        assert_eq!(activity_bits(recycled.gpus()), activity_bits(fresh.gpus()));
+        assert_eq!(recycled.records().len(), w.len());
+        for (r, f) in recycled.records().iter().zip(fresh.records()) {
+            assert_eq!((r.id, &r.label, r.stream), (f.id, &f.label, f.stream));
+            assert_eq!((r.start, r.end, r.coactive), (f.start, f.end, f.coactive));
         }
     }
 

@@ -215,6 +215,18 @@ pub struct SimTrace {
     makespan: SimTime,
 }
 
+/// A dropped trace hands its record vector and per-device activity back
+/// to this thread's engine, so the next traced run records into them
+/// instead of growing new ones.
+impl Drop for SimTrace {
+    fn drop(&mut self) {
+        crate::engine::recycle(
+            std::mem::take(&mut self.gpus),
+            std::mem::take(&mut self.records),
+        );
+    }
+}
+
 impl SimTrace {
     pub(crate) fn new(records: Vec<TaskRecord>, gpus: Vec<GpuActivity>, makespan: SimTime) -> Self {
         SimTrace {

@@ -1,7 +1,9 @@
 //! The arena contract of the engine hot path: once this thread's scratch
 //! arena is warm, a run allocates only for the *output* it hands back (the
 //! `SimTrace`'s records vec and its per-GPU vectors) — the event loop
-//! itself is allocation-free, and no record owns heap memory. A
+//! itself is allocation-free, and no record owns heap memory. A dropped
+//! trace hands those vectors back to the engine, so a warm traced run
+//! after a dropped one allocates only its view buffer. A
 //! record-free run ([`Engine::run_summary`]) hands back no per-task output
 //! at all, so its allocation count does not grow with the task count, and
 //! a makespan-only run ([`Engine::run_makespan`]) allocates only its view
@@ -127,7 +129,9 @@ fn allocations_per_run(engine: &mut Engine<ConstantRate>, w: &Workload<()>, warm
 ///   workload's constant draw merges into one segment per GPU);
 /// * the per-epoch view buffer.
 ///
-/// That is 7 allocations for 64 tasks, measured. 16 leaves room for a few
+/// That was 7 allocations for 64 tasks, measured; since a dropped trace
+/// hands its vectors back, a run after a dropped one measures 1 (see
+/// `dropped_traces_leave_only_the_view_buffer`). 16 leaves room for a few
 /// regrowths of the per-GPU vectors while anything per task fails: a
 /// record that owned its participants `Vec` again would add 64, which is
 /// what the budget of 2 allocations per task let through before records
@@ -265,6 +269,36 @@ fn recycled_activity_leaves_only_the_totals_and_the_view_buffer() {
             per_run,
             3,
             "a warm recycled run of {} tasks allocates {per_run} times",
+            w.len()
+        );
+    }
+}
+
+/// A dropped trace hands its record vector and per-device activity back
+/// to this thread's engine: warm traced runs whose traces are dropped
+/// allocate only their view buffers, whatever the task count, also when
+/// two traces are alive at once, as a report's two traced legs are.
+#[test]
+fn dropped_traces_leave_only_the_view_buffer() {
+    olab_sim::metrics::touch();
+    for w in [workload(), workload_of(16 * N_TASKS)] {
+        let mut engine = Engine::new(ConstantRate::default());
+        let both = |engine: &mut Engine<ConstantRate>| {
+            let first = engine.run(&w).expect("workload runs");
+            let second = engine.run(&w).expect("workload runs");
+            assert_eq!(first.records().len(), w.len());
+            assert_eq!(second.records().len(), w.len());
+        };
+        both(&mut engine);
+        let before = allocations();
+        for _ in 0..RUNS {
+            both(&mut engine);
+        }
+        let per_run = (allocations() - before) / (2 * RUNS);
+        assert_eq!(
+            per_run,
+            1,
+            "a warm traced run of {} tasks allocates {per_run} times",
             w.len()
         );
     }
