@@ -108,13 +108,15 @@ impl ScheduleBuilder {
 
     /// Pushes one kernel sequence on the compute stream of every GPU in
     /// `group`, GPU by GPU, the first kernel on each depending on
-    /// `first_deps`; returns each GPU's last task. `label` is a pattern
-    /// ending in the kernel index and GPU holes (`….k{}.gpu{}`), with its
-    /// leading holes already filled.
+    /// `first_deps`; returns each GPU's last task. `label` returns a
+    /// pattern ending in the kernel index and GPU holes (`….k{}.gpu{}`),
+    /// with its leading holes already filled. It is called once per task:
+    /// a label built where it is pushed costs next to nothing, one cloned
+    /// and then filled costs several times more (see `olab_sim::Label`).
     pub(crate) fn push_kernels(
         &mut self,
         group: &[GpuId],
-        label: Label,
+        label: impl Fn() -> Label,
         kernels: &[PayloadId],
         first_deps: &[TaskId],
     ) -> RankTasks {
@@ -122,7 +124,7 @@ impl ScheduleBuilder {
         for gpu in group {
             let mut end = TaskId(0);
             for (ki, &k) in kernels.iter().enumerate() {
-                let mut spec = TaskSpec::compute(label.clone().with(ki).with(gpu.0), *gpu, k);
+                let mut spec = TaskSpec::compute(label().with(ki).with(gpu.0), *gpu, k);
                 if ki == 0 {
                     spec.deps.extend_from_slice(first_deps);
                 }

@@ -227,7 +227,7 @@ pub fn fsdp_timeline(
         let tag = |pattern: &'static str| Label::new(pattern).with(step);
 
         // ---- Forward pass ----
-        b.push_kernels(&group, tag("st{}.emb.f.k{}.gpu{}"), &emb, &[]);
+        b.push_kernels(&group, || tag("st{}.emb.f.k{}.gpu{}"), &emb, &[]);
 
         ag_f.clear();
         f_last.clear();
@@ -250,7 +250,7 @@ pub fn fsdp_timeline(
 
             let last = b.push_kernels(
                 &group,
-                tag("st{}.L{}.f.k{}.gpu{}").with(i),
+                || tag("st{}.L{}.f.k{}.gpu{}").with(i),
                 &layer_forward,
                 &[ag_f[i]],
             );
@@ -258,8 +258,10 @@ pub fn fsdp_timeline(
         }
 
         // LM head (local, unsharded in this model) forward + backward.
-        let head_f_last = b.push_kernels(&group, tag("st{}.head.f.k{}.gpu{}"), &head_forward, &[]);
-        let head_b_last = b.push_kernels(&group, tag("st{}.head.b.k{}.gpu{}"), &head_backward, &[]);
+        let head_f_last =
+            b.push_kernels(&group, || tag("st{}.head.f.k{}.gpu{}"), &head_forward, &[]);
+        let head_b_last =
+            b.push_kernels(&group, || tag("st{}.head.b.k{}.gpu{}"), &head_backward, &[]);
 
         // ---- Backward pass ----
         ag_b.fill(None);
@@ -303,7 +305,7 @@ pub fn fsdp_timeline(
             };
             b_last[i] = b.push_kernels(
                 &group,
-                tag("st{}.L{}.b.k{}.gpu{}").with(i),
+                || tag("st{}.L{}.b.k{}.gpu{}").with(i),
                 &bwd_kernels,
                 first_deps,
             );

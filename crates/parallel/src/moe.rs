@@ -239,15 +239,19 @@ pub fn moe_timeline(
             for rep in 0..cost {
                 barrier = b.push_kernels(
                     &group,
-                    Label::new(pass.attn).with(i).with(rep),
+                    || Label::new(pass.attn).with(i).with(rep),
                     &attn_fwd,
                     &barrier,
                 );
             }
             if moe_layer_sequence[i] {
                 let all_to_all = all_to_all.expect("an MoE layer interns its all-to-all");
-                barrier =
-                    b.push_kernels(&group, Label::new(pass.router).with(i), &router, &barrier);
+                barrier = b.push_kernels(
+                    &group,
+                    || Label::new(pass.router).with(i),
+                    &router,
+                    &barrier,
+                );
                 // Chunked dispatch -> expert -> combine pipeline.
                 let mut prev_dispatch: Option<TaskId> = None;
                 expert_done.clear();
@@ -268,7 +272,7 @@ pub fn moe_timeline(
 
                     let done = b.push_kernels(
                         &group,
-                        Label::new(pass.expert).with(i).with(c),
+                        || Label::new(pass.expert).with(i).with(c),
                         &expert_kernels,
                         &[dispatch],
                     );
@@ -285,7 +289,7 @@ pub fn moe_timeline(
                 }
                 barrier = b.push_kernels(
                     &group,
-                    Label::new(pass.residual).with(i),
+                    || Label::new(pass.residual).with(i),
                     &residual,
                     &combines,
                 );
@@ -294,7 +298,7 @@ pub fn moe_timeline(
                 for rep in 0..cost {
                     barrier = b.push_kernels(
                         &group,
-                        Label::new(pass.mlp).with(i).with(rep),
+                        || Label::new(pass.mlp).with(i).with(rep),
                         &mlp,
                         &barrier,
                     );

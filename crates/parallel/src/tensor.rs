@@ -255,27 +255,27 @@ pub fn tensor_timeline(
     for i in 0..layers {
         let attn = b.push_kernels(
             &group,
-            Label::new("L{}.f.attn.k{}.gpu{}").with(i),
+            || Label::new("L{}.f.attn.k{}.gpu{}").with(i),
             &attn_forward,
             &fwd_barrier,
         );
         let ar1 = push_allreduce(&mut b, Label::new("ar.f1.L{}").with(i), &attn);
         let res1 = b.push_kernels(
             &group,
-            Label::new("L{}.f.res1.k{}.gpu{}").with(i),
+            || Label::new("L{}.f.res1.k{}.gpu{}").with(i),
             &residual,
             &[ar1],
         );
         let mlp = b.push_kernels(
             &group,
-            Label::new("L{}.f.mlp.k{}.gpu{}").with(i),
+            || Label::new("L{}.f.mlp.k{}.gpu{}").with(i),
             &mlp_forward,
             &res1,
         );
         let ar2 = push_allreduce(&mut b, Label::new("ar.f2.L{}").with(i), &mlp);
         fwd_barrier = b.push_kernels(
             &group,
-            Label::new("L{}.f.res2.k{}.gpu{}").with(i),
+            || Label::new("L{}.f.res2.k{}.gpu{}").with(i),
             &residual,
             &[ar2],
         );
@@ -288,13 +288,13 @@ pub fn tensor_timeline(
         if plan.activation_policy == ActivationPolicy::Recompute {
             let ra = b.push_kernels(
                 &group,
-                Label::new("L{}.rc.attn.k{}.gpu{}").with(i),
+                || Label::new("L{}.rc.attn.k{}.gpu{}").with(i),
                 &attn_forward,
                 &bwd_barrier,
             );
             bwd_barrier = b.push_kernels(
                 &group,
-                Label::new("L{}.rc.mlp.k{}.gpu{}").with(i),
+                || Label::new("L{}.rc.mlp.k{}.gpu{}").with(i),
                 &mlp_forward,
                 &ra,
             );
@@ -303,14 +303,14 @@ pub fn tensor_timeline(
         // of that gradient overlaps the wgrads.
         let mlp_dgrad = b.push_kernels(
             &group,
-            Label::new("L{}.b.mlp.dgrad.k{}.gpu{}").with(i),
+            || Label::new("L{}.b.mlp.dgrad.k{}.gpu{}").with(i),
             &mlp_dgrad,
             &bwd_barrier,
         );
         let ar_b2 = push_allreduce(&mut b, Label::new("ar.b2.L{}").with(i), &mlp_dgrad);
         let _mlp_wgrad = b.push_kernels(
             &group,
-            Label::new("L{}.b.mlp.wgrad.k{}.gpu{}").with(i),
+            || Label::new("L{}.b.mlp.wgrad.k{}.gpu{}").with(i),
             &mlp_wgrad,
             &[],
         );
@@ -318,14 +318,14 @@ pub fn tensor_timeline(
         // Attention backward needs the reduced MLP input gradient.
         let attn_dgrad = b.push_kernels(
             &group,
-            Label::new("L{}.b.attn.dgrad.k{}.gpu{}").with(i),
+            || Label::new("L{}.b.attn.dgrad.k{}.gpu{}").with(i),
             &attn_dgrad,
             &[ar_b2],
         );
         let ar_b1 = push_allreduce(&mut b, Label::new("ar.b1.L{}").with(i), &attn_dgrad);
         let _attn_wgrad = b.push_kernels(
             &group,
-            Label::new("L{}.b.attn.wgrad.k{}.gpu{}").with(i),
+            || Label::new("L{}.b.attn.wgrad.k{}.gpu{}").with(i),
             &attn_wgrad,
             &[],
         );

@@ -10,13 +10,6 @@ use std::cell::RefCell;
 /// Work fractions below this are considered complete (guards rounding).
 const REMAINING_TOLERANCE: f64 = 1e-12;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Pending,
-    Running,
-    Done,
-}
-
 /// One device's bookkeeping, carried from epoch to epoch: its stream
 /// occupancy changes only when a task starts or retires on it.
 #[derive(Debug, Clone, Copy, Default)]
@@ -102,34 +95,35 @@ impl Device {
 /// allocations for engine bookkeeping at all (a returned [`SimTrace`]
 /// still owns its records; a [`SimSummary`] has none).
 ///
-/// The dependency graph and the per-(device, stream) FIFO queues are stored
-/// in CSR form (offset table + one flat array); queue contents never change
-/// during a run — only a head cursor advances — so "pop front" is an index
-/// increment instead of a `VecDeque` rotation.
+/// Readiness is a count. Stream order is a set of edges: each task waits
+/// for its explicit dependencies and, in each (device, stream) queue it
+/// sits in, for the task pushed before it there. One successor table
+/// lists, per task, the tasks that wait for it, as a chain of entries
+/// threaded through one flat array; a retirement decrements each of them,
+/// and a task whose count reaches zero is ready. A ready task heads every
+/// queue it sits in: its predecessor in each has retired, and that one
+/// headed the queue when it ran.
 ///
 /// Every [`Engine`] run draws its arena from a per-thread slot (see
 /// [`with_scratch`]), so back-to-back runs on one thread are warm.
 #[derive(Debug, Default)]
 struct SimArena {
-    /// Unsatisfied dependency count per task.
-    deps_left: Vec<u32>,
-    /// CSR offsets into `dep_edges`: task `i`'s dependents occupy
-    /// `dep_edges[dep_off[i]..dep_off[i + 1]]`.
-    dep_off: Vec<u32>,
-    dep_edges: Vec<TaskId>,
-    /// Fill cursors while building `dep_edges` (dead after setup).
-    dep_cursor: Vec<u32>,
-    /// CSR offsets into `queue_tasks`: queue `q` occupies
-    /// `queue_tasks[queue_off[q]..queue_off[q + 1]]` in push order.
-    queue_off: Vec<u32>,
-    queue_tasks: Vec<TaskId>,
-    /// Absolute index of each queue's current head in `queue_tasks`.
-    queue_head: Vec<u32>,
-    /// Queues whose head may have become promotable since the last
-    /// promotion pass: each is some task's first queue (see
-    /// [`first_queue`]). Every queue before the first epoch.
-    candidates: Vec<u32>,
-    status: Vec<Status>,
+    /// Per task, how many of its explicit dependencies (counted with
+    /// repeats) and queue predecessors have not retired.
+    wait: Vec<u32>,
+    /// Per task, its first entry in `succ`, or [`NONE`].
+    first_succ: Vec<u32>,
+    /// The successor table: each entry is a task that waits for some task
+    /// and the index of that task's next entry, or [`NONE`]. A task that
+    /// names a dependency has one entry per naming, and the next task in
+    /// each of a task's queues has one.
+    succ: Vec<(TaskId, u32)>,
+    /// The last task met in each queue while the table is built (dead
+    /// after setup).
+    queue_last: Vec<u32>,
+    /// Tasks whose count reached zero since the last promotion, each as
+    /// [`ready_key`]: they are promoted in ascending key order.
+    ready: Vec<u64>,
     remaining: Vec<f64>,
     start: Vec<SimTime>,
     end: Vec<SimTime>,
@@ -153,79 +147,56 @@ struct SimArena {
 /// legs), and both come back when it drops.
 const SPARES: usize = 2;
 
+/// No task or table entry.
+const NONE: u32 = u32::MAX;
+
 impl SimArena {
     /// Rewinds every buffer for a workload of `n` tasks on `n_gpus`
-    /// devices, building the CSR dependency and queue tables. Capacity from
-    /// earlier runs is retained.
+    /// devices, building the wait counts, the successor table and the
+    /// list of tasks ready at the start in one pass over the tasks.
+    /// Capacity from earlier runs is retained.
     ///
-    /// The dependency walk is also the workload's validation: it fails on
-    /// the first dependency [`Workload::validate`] would reject, in the
-    /// same order and with the same error, before any table is used.
+    /// The pass is also the workload's validation: it fails on the first
+    /// dependency [`Workload::validate`] would reject, in the same order
+    /// and with the same error, before any table is used.
     fn reset<P>(&mut self, workload: &Workload<P>) -> Result<(), SimError> {
         let n = workload.len();
-        let n_gpus = workload.n_gpus();
-        let n_queues = n_gpus * 2;
+        let n_queues = workload.n_gpus() * 2;
         let tasks = workload.tasks();
-        let cold = self.dep_off.capacity() == 0;
+        let cold = self.first_succ.capacity() == 0;
 
-        self.deps_left.clear();
-        self.deps_left.resize(n, 0);
-        self.dep_off.clear();
-        self.dep_off.resize(n + 1, 0);
+        self.wait.clear();
+        self.ready.clear();
+        self.succ.clear();
+        self.first_succ.clear();
+        self.first_succ.resize(n, NONE);
+        self.queue_last.clear();
+        self.queue_last.resize(n_queues, NONE);
         for (i, task) in tasks.iter().enumerate() {
-            self.deps_left[i] = task.deps.len() as u32;
+            let id = TaskId(i as u32);
+            let mut wait = 0;
+            let mut waits_for = |before: usize, succ: &mut Vec<(TaskId, u32)>| {
+                let at = succ.len() as u32;
+                succ.push((id, std::mem::replace(&mut self.first_succ[before], at)));
+                wait += 1;
+            };
             for dep in &task.deps {
                 check_dep(i, *dep, n)?;
-                self.dep_off[dep.index() + 1] += 1;
+                waits_for(dep.index(), &mut self.succ);
             }
-        }
-        for i in 0..n {
-            self.dep_off[i + 1] += self.dep_off[i];
-        }
-        self.dep_cursor.clear();
-        self.dep_cursor.extend_from_slice(&self.dep_off[..n]);
-        self.dep_edges.clear();
-        self.dep_edges.resize(self.dep_off[n] as usize, TaskId(0));
-        for (i, task) in tasks.iter().enumerate() {
-            for dep in &task.deps {
-                let slot = &mut self.dep_cursor[dep.index()];
-                self.dep_edges[*slot as usize] = TaskId(i as u32);
-                *slot += 1;
-            }
-        }
-
-        self.queue_off.clear();
-        self.queue_off.resize(n_queues + 1, 0);
-        for task in tasks {
-            for gpu in &task.participants {
-                self.queue_off[gpu.index() * 2 + task.stream.index() + 1] += 1;
-            }
-        }
-        for q in 0..n_queues {
-            self.queue_off[q + 1] += self.queue_off[q];
-        }
-        self.queue_head.clear();
-        self.queue_head
-            .extend_from_slice(&self.queue_off[..n_queues]);
-        let mut cursor = std::mem::take(&mut self.dep_cursor);
-        cursor.clear();
-        cursor.extend_from_slice(&self.queue_off[..n_queues]);
-        self.queue_tasks.clear();
-        self.queue_tasks
-            .resize(self.queue_off[n_queues] as usize, TaskId(0));
-        for (i, task) in tasks.iter().enumerate() {
             for gpu in &task.participants {
                 let q = gpu.index() * 2 + task.stream.index();
-                self.queue_tasks[cursor[q] as usize] = TaskId(i as u32);
-                cursor[q] += 1;
+                let prev = std::mem::replace(&mut self.queue_last[q], id.0);
+                if prev != NONE {
+                    waits_for(prev as usize, &mut self.succ);
+                }
+            }
+            self.wait.push(wait);
+            if wait == 0 {
+                self.ready.push(ready_key(task, id));
             }
         }
-        self.dep_cursor = cursor;
-        self.candidates.clear();
-        self.candidates.extend(0..n_queues as u32);
 
-        self.status.clear();
-        self.status.resize(n, Status::Pending);
         self.remaining.clear();
         self.remaining.resize(n, 1.0);
         self.start.clear();
@@ -238,7 +209,7 @@ impl SimArena {
         self.power.clear();
         self.counters.clear();
         self.devices.clear();
-        self.devices.resize(n_gpus, Device::default());
+        self.devices.resize(workload.n_gpus(), Device::default());
 
         let m = crate::metrics::sim_metrics();
         if cold {
@@ -292,12 +263,16 @@ pub(crate) fn recycle(gpus: Vec<GpuActivity>, mut records: Vec<TaskRecord>) {
     });
 }
 
-/// The first of a task's queues, `(device, stream)` flattened to
-/// `device * 2 + stream`: participants are sorted, so this is the queue at
-/// which a scan of every queue in order would promote the task.
+/// The key a ready task is promoted by: its first queue, `(device,
+/// stream)` flattened to `device * 2 + stream`, in the high word and its
+/// id in the low. Participants are sorted, so the first queue is where a
+/// scan of every queue in order would meet the task at its head, and
+/// ascending keys are that scan's order. A ready task heads each of its
+/// queues, so no two ready tasks share a first queue.
 #[inline]
-fn first_queue<P>(spec: &TaskSpec<P>) -> u32 {
-    (spec.participants[0].index() * 2 + spec.stream.index()) as u32
+fn ready_key<P>(spec: &TaskSpec<P>, id: TaskId) -> u64 {
+    let first_queue = spec.participants[0].index() * 2 + spec.stream.index();
+    (first_queue as u64) << 32 | u64::from(id.0)
 }
 
 thread_local! {
@@ -428,12 +403,16 @@ impl<M: RateModel> Engine<M> {
     /// the makespan; without, it keeps none of these and returns no
     /// activity, only the makespan.
     ///
-    /// Each epoch does the work its changes require. Promotion checks only
-    /// candidate queues: those whose head advanced, or whose head's last
-    /// dependency retired. The running views persist across epochs, sorted
-    /// by id. Device stream occupancy is updated when a task starts or
-    /// retires, and the open power segment and overlap window of each
-    /// device are written out only when they close (see [`Device`]).
+    /// Each epoch does the work its changes require. Promotion starts the
+    /// tasks whose wait count reached zero (see [`SimArena`]), in
+    /// ascending [`ready_key`] order, the order a scan of every queue
+    /// would start them in. The running views persist across epochs,
+    /// sorted by id. Device stream occupancy, and the number of devices
+    /// with both streams busy, are updated when a task starts or retires;
+    /// while no device has both busy, no task is co-active and the
+    /// co-active scan is skipped. The open power segment and overlap
+    /// window of each device are written out only when they close (see
+    /// [`Device`]).
     fn run_loop<O: EngineObserver, const FULL: bool>(
         &mut self,
         workload: &Workload<M::Payload>,
@@ -455,14 +434,10 @@ impl<M: RateModel> Engine<M> {
             Vec::new()
         };
         let SimArena {
-            deps_left,
-            dep_off,
-            dep_edges,
-            queue_off,
-            queue_tasks,
-            queue_head,
-            candidates,
-            status,
+            wait,
+            first_succ,
+            succ,
+            ready,
             remaining,
             start,
             end,
@@ -479,51 +454,34 @@ impl<M: RateModel> Engine<M> {
         // task heads every queue it sits in, and each queue has one head,
         // so no more tasks than queues run at once.
         let mut running: Vec<RunningTask<'_, M::Payload>> = Vec::with_capacity(n_queues.min(n));
+        // Devices with both streams busy (kept with `FULL` only).
+        let mut overlapped = 0usize;
 
         let mut now = SimTime::ZERO;
         let mut done = 0usize;
         let mut epochs = 0u64;
 
         while done < n {
-            // Promote every candidate queue's head that heads all its
-            // queues with satisfied dependencies. A task becomes
-            // promotable only when a queue of it advances or its last
-            // dependency retires, and either makes its first queue a
-            // candidate; so in queue order this promotes what a scan of
-            // every queue would, in the scan's order.
-            candidates.sort_unstable();
-            candidates.dedup();
-            for &q in candidates.iter() {
-                let q = q as usize;
-                let head_at = queue_head[q];
-                if head_at >= queue_off[q + 1] {
-                    continue;
-                }
-                let head = queue_tasks[head_at as usize];
-                if status[head.index()] != Status::Pending || deps_left[head.index()] != 0 {
-                    continue;
-                }
-                let spec = &tasks[head.index()];
-                let ready = spec.participants.iter().all(|g| {
-                    let pq = g.index() * 2 + spec.stream.index();
-                    let at = queue_head[pq];
-                    at < queue_off[pq + 1] && queue_tasks[at as usize] == head
-                });
-                if !ready {
-                    continue;
-                }
-                status[head.index()] = Status::Running;
+            // Start every ready task, in the order a scan of every queue
+            // would meet them.
+            ready.sort_unstable();
+            for &key in ready.iter() {
+                let id = TaskId(key as u32);
+                let spec = &tasks[id.index()];
                 if FULL {
-                    start[head.index()] = now;
+                    start[id.index()] = now;
+                    let (s, other) = (spec.stream.index(), spec.stream.other().index());
                     for gpu in &spec.participants {
-                        devices[gpu.index()].busy[spec.stream.index()] = true;
+                        let device = &mut devices[gpu.index()];
+                        device.busy[s] = true;
+                        overlapped += usize::from(device.busy[other]);
                     }
                 }
-                let at = running.partition_point(|task| task.id < head);
+                let at = running.partition_point(|task| task.id < id);
                 running.insert(
                     at,
                     RunningTask {
-                        id: head,
+                        id,
                         label: &spec.label,
                         participants: &spec.participants,
                         stream: spec.stream,
@@ -534,18 +492,20 @@ impl<M: RateModel> Engine<M> {
                 if O::ENABLED {
                     obs.on_task_start(
                         now.as_secs(),
-                        head,
+                        id,
                         &spec.label,
                         &spec.participants,
                         spec.stream,
                     );
                 }
             }
-            candidates.clear();
+            ready.clear();
 
             if running.is_empty() {
+                // Nothing runs and nothing is ready: every task not done
+                // still waits for something.
                 let stuck: Vec<TaskId> = (0..n)
-                    .filter(|&i| status[i] != Status::Done)
+                    .filter(|&i| wait[i] != 0)
                     .map(|i| TaskId(i as u32))
                     .collect();
                 return Err(SimError::Deadlock { at: now, stuck });
@@ -621,10 +581,13 @@ impl<M: RateModel> Engine<M> {
                 }
             }
             // One pass over the running set: co-active time, and the work
-            // left, which is none for the task that completes.
+            // left, which is none for the task that completes. A task is
+            // co-active only on a device with both streams busy, so while
+            // no device is, the co-active scan is skipped.
+            let scan_coactive = FULL && overlapped > 0;
             for (i, (task, &rate)) in running.iter().zip(rates.iter()).enumerate() {
                 let id = task.id.index();
-                if FULL {
+                if scan_coactive {
                     let other = task.stream.other().index();
                     if task
                         .participants
@@ -645,17 +608,22 @@ impl<M: RateModel> Engine<M> {
             epochs += 1;
 
             // Retire completed tasks in place (`retain` visits in order and
-            // compacts without allocating), naming the queues whose heads
-            // they unblock as candidates.
+            // compacts without allocating), counting down their successors
+            // and naming those whose count reaches zero as ready.
             running.retain(|task| {
                 let id = task.id;
                 if remaining[id.index()] > REMAINING_TOLERANCE {
                     return true;
                 }
-                status[id.index()] = Status::Done;
                 done += 1;
                 if FULL {
                     end[id.index()] = now;
+                    let (s, other) = (task.stream.index(), task.stream.other().index());
+                    for gpu in task.participants {
+                        let device = &mut devices[gpu.index()];
+                        device.busy[s] = false;
+                        overlapped -= usize::from(device.busy[other]);
+                    }
                 }
                 if O::ENABLED {
                     obs.on_task_end(
@@ -666,25 +634,15 @@ impl<M: RateModel> Engine<M> {
                         task.stream,
                     );
                 }
-                for gpu in task.participants {
-                    if FULL {
-                        devices[gpu.index()].busy[task.stream.index()] = false;
+                let mut entry = first_succ[id.index()];
+                while entry != NONE {
+                    let (next, link) = succ[entry as usize];
+                    let left = &mut wait[next.index()];
+                    *left -= 1;
+                    if *left == 0 {
+                        ready.push(ready_key(&tasks[next.index()], next));
                     }
-                    let q = gpu.index() * 2 + task.stream.index();
-                    debug_assert_eq!(queue_tasks[queue_head[q] as usize], id);
-                    queue_head[q] += 1;
-                    if queue_head[q] < queue_off[q + 1] {
-                        let next = queue_tasks[queue_head[q] as usize];
-                        candidates.push(first_queue(&tasks[next.index()]));
-                    }
-                }
-                let lo = dep_off[id.index()] as usize;
-                let hi = dep_off[id.index() + 1] as usize;
-                for dep in &dep_edges[lo..hi] {
-                    deps_left[dep.index()] -= 1;
-                    if deps_left[dep.index()] == 0 {
-                        candidates.push(first_queue(&tasks[dep.index()]));
-                    }
+                    entry = link;
                 }
                 false
             });
@@ -1287,11 +1245,21 @@ mod tests {
         assert!((activity.busy_time(StreamKind::Comm).as_secs() - 1.0).abs() < 1e-9);
     }
 
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Status {
+        Pending,
+        Running,
+        Done,
+    }
+
     /// The reference event loop: the straightforward loop the incremental
-    /// one must equal. Each epoch it rescans every queue for promotions
-    /// until a pass promotes nothing, rebuilds the running views and the
-    /// stream occupancy from the running ids, and pushes every device's
-    /// busy time, power segment and overlap window for the epoch.
+    /// one must equal. It keeps each (device, stream) queue as a list in
+    /// push order with a head cursor, and each epoch rescans every queue
+    /// for promotions until a pass promotes nothing: a queue's head starts
+    /// once it heads all its queues and every explicit dependency is done.
+    /// It rebuilds the running views and the stream occupancy from the
+    /// running ids, and pushes every device's busy time, power segment and
+    /// overlap window for the epoch.
     fn reference_run<M: RateModel, O: EngineObserver>(
         model: &mut M,
         workload: &Workload<M::Payload>,
@@ -1305,17 +1273,15 @@ mod tests {
         let n_queues = n_gpus * 2;
         let tasks = workload.tasks();
 
-        let mut arena = SimArena::default();
-        arena.reset(workload).expect("the workload validated");
-        let SimArena {
-            deps_left,
-            dep_off,
-            dep_edges,
-            queue_off,
-            queue_tasks,
-            queue_head,
-            ..
-        } = &mut arena;
+        let queue_of =
+            |gpu: &GpuId, spec: &TaskSpec<M::Payload>| gpu.index() * 2 + spec.stream.index();
+        let mut queues: Vec<Vec<TaskId>> = vec![Vec::new(); n_queues];
+        for (i, spec) in tasks.iter().enumerate() {
+            for gpu in &spec.participants {
+                queues[queue_of(gpu, spec)].push(TaskId(i as u32));
+            }
+        }
+        let mut heads = vec![0usize; n_queues];
         let mut status = vec![Status::Pending; n];
         let mut remaining = vec![1.0f64; n];
         let mut start = vec![SimTime::ZERO; n];
@@ -1332,20 +1298,15 @@ mod tests {
             while promoted {
                 promoted = false;
                 for q in 0..n_queues {
-                    let head_at = queue_head[q];
-                    if head_at >= queue_off[q + 1] {
+                    let Some(&head) = queues[q].get(heads[q]) else {
                         continue;
-                    }
-                    let head = queue_tasks[head_at as usize];
-                    if status[head.index()] != Status::Pending || deps_left[head.index()] != 0 {
-                        continue;
-                    }
+                    };
                     let spec = &tasks[head.index()];
-                    let ready = spec.participants.iter().all(|g| {
-                        let pq = g.index() * 2 + spec.stream.index();
-                        let at = queue_head[pq];
-                        at < queue_off[pq + 1] && queue_tasks[at as usize] == head
-                    });
+                    let ready = status[head.index()] == Status::Pending
+                        && spec.deps.iter().all(|d| status[d.index()] == Status::Done)
+                        && spec.participants.iter().all(|g| {
+                            queues[queue_of(g, spec)].get(heads[queue_of(g, spec)]) == Some(&head)
+                        });
                     if ready {
                         status[head.index()] = Status::Running;
                         start[head.index()] = now;
@@ -1487,12 +1448,7 @@ mod tests {
                     spec.stream,
                 );
                 for gpu in &spec.participants {
-                    queue_head[gpu.index() * 2 + spec.stream.index()] += 1;
-                }
-                let lo = dep_off[id.index()] as usize;
-                let hi = dep_off[id.index() + 1] as usize;
-                for dep in &dep_edges[lo..hi] {
-                    deps_left[dep.index()] -= 1;
+                    heads[queue_of(gpu, spec)] += 1;
                 }
                 false
             });
@@ -1746,60 +1702,172 @@ mod tests {
             .collect()
     }
 
-    /// The incremental loop equals the reference loop bit for bit on
-    /// seeded random DAGs under each rate model: records, per-device
-    /// activity, stream totals, makespan, the observer's event sequence
-    /// (task starts in the reference's queue-scan order), and errors on
-    /// deadlocking DAGs; `run_summary` and `run_makespan` agree with the
-    /// trace run.
+    /// How a workload ran on both loops.
+    enum Agreed {
+        /// Both completed, after this many epochs.
+        Ran(usize),
+        /// Both deadlocked with the same error.
+        Deadlocked,
+    }
+
+    /// Runs `w` on the reference and the incremental loop under `physics`
+    /// and asserts they agree bit for bit: records, per-device activity,
+    /// stream totals, makespan, the observer's event sequence (task starts
+    /// in the reference's queue-scan order) and, on a deadlock, the error
+    /// with its stuck list; `run_summary` and `run_makespan` agree with
+    /// the trace run.
+    fn assert_matches_reference(
+        w: &Workload<Solo>,
+        physics: Physics,
+        seed: u64,
+        what: &str,
+    ) -> Agreed {
+        let model = || Diff::new(physics, seed);
+        let mut want_events = Events::default();
+        let want = reference_run(&mut model(), w, &mut want_events);
+        let mut got_events = Events::default();
+        let got = Engine::new(model()).run_observed(w, &mut got_events);
+        assert_eq!(got_events, want_events, "{what}: observer events");
+        let summary = Engine::new(model()).run_summary(w);
+        let makespan = Engine::new(model()).run_makespan(w);
+        let (want, got, summary, makespan) = match (want, got, summary, makespan) {
+            (Ok(a), Ok(b), Ok(c), Ok(d)) => (a, b, c, d),
+            (Err(a), Err(b), Err(c), Err(d)) => {
+                assert!(matches!(a, SimError::Deadlock { .. }), "{what}: {a:?}");
+                assert_eq!((&b, &c, &d), (&a, &a, &a), "{what}: errors");
+                return Agreed::Deadlocked;
+            }
+            outcomes => panic!("{what}: outcomes differ: {outcomes:?}"),
+        };
+        assert_eq!(got.records().len(), want.records().len(), "{what}");
+        for (g, r) in got.records().iter().zip(want.records()) {
+            assert_eq!((g.id, &g.label, g.stream), (r.id, &r.label, r.stream));
+            assert_eq!(g.participants, r.participants, "{what}");
+            assert_eq!(
+                [g.start, g.end, g.coactive].map(time_bits),
+                [r.start, r.end, r.coactive].map(time_bits),
+                "{what}: record {}",
+                r.id.0
+            );
+        }
+        let want_activity = activity_bits(want.gpus());
+        assert_eq!(activity_bits(got.gpus()), want_activity, "{what}");
+        assert_eq!(activity_bits(&summary.gpus), want_activity, "{what}");
+        let want_totals = totals_bits(&want.stream_totals());
+        assert_eq!(totals_bits(&got.stream_totals()), want_totals, "{what}");
+        assert_eq!(totals_bits(&summary.totals), want_totals, "{what}");
+        let want_makespan = time_bits(want.makespan());
+        assert_eq!(time_bits(got.makespan()), want_makespan, "{what}");
+        assert_eq!(time_bits(summary.makespan), want_makespan, "{what}");
+        assert_eq!(time_bits(makespan), want_makespan, "{what}");
+        Agreed::Ran(want_events.0.iter().filter(|e| e.0 == "epoch").count())
+    }
+
+    /// A hand-built task of `secs` solo seconds on `gpus`' `stream` queues,
+    /// after `deps`.
+    fn task(
+        w: &mut Workload<Solo>,
+        stream: StreamKind,
+        gpus: &[u16],
+        deps: &[u32],
+        secs: f64,
+    ) -> TaskId {
+        let payload = w.intern(Solo(secs));
+        let i = w.len();
+        let gpus: Vec<GpuId> = gpus.iter().map(|&g| GpuId(g)).collect();
+        let spec = TaskSpec::new(format!("h{i}"), gpus, stream, payload)
+            .after_all(deps.iter().map(|&d| TaskId(d)));
+        w.push(spec)
+    }
+
+    /// The scheduler cases random DAGs rarely draw, each built by hand:
+    /// `(name, workload, deadlocks)`.
+    fn scheduler_cases() -> Vec<(&'static str, Workload<Solo>, bool)> {
+        use StreamKind::{Comm, Compute};
+        let mut cases = Vec::new();
+
+        // A task naming one dependency twice waits for it once per naming.
+        let mut w = Workload::new(2);
+        task(&mut w, Compute, &[0], &[], 1.0);
+        task(&mut w, Compute, &[1], &[], 0.5);
+        task(&mut w, Comm, &[1], &[0, 0, 1], 0.7);
+        task(&mut w, Compute, &[0], &[2, 2], 0.3);
+        cases.push(("duplicate deps", w, false));
+
+        // The same, on a cycle: a comm task names a later kernel twice,
+        // the kernel waits for the comm task queued behind the first.
+        let mut w = Workload::new(1);
+        task(&mut w, Comm, &[0], &[1, 1], 1.0);
+        task(&mut w, Compute, &[0], &[2], 1.0);
+        task(&mut w, Comm, &[0], &[], 1.0);
+        cases.push(("duplicate deps on a cycle", w, true));
+
+        // A collective heads its first queue (gpu0 comm) at once but its
+        // last (gpu1 comm) only when the long comm task ahead of it
+        // retires. Two kernels waiting for that task become ready in the
+        // same epoch, one on a queue before the collective's first and one
+        // between its first and its last: they start first and last.
+        let mut w = Workload::new(2);
+        task(&mut w, Comm, &[1], &[], 2.0);
+        task(&mut w, Comm, &[0, 1], &[], 1.0);
+        task(&mut w, Compute, &[1], &[0], 0.4);
+        task(&mut w, Compute, &[0], &[0], 0.6);
+        cases.push(("collective unblocked last on a later queue", w, false));
+
+        // Ready at t = 0 on five queues, pushed in descending queue order,
+        // one of them a compute collective over gpus 1 and 3.
+        let mut w = Workload::new(4);
+        task(&mut w, Comm, &[3], &[], 0.9);
+        task(&mut w, Compute, &[2], &[], 0.8);
+        task(&mut w, Compute, &[3, 1], &[], 0.7);
+        task(&mut w, Compute, &[0], &[], 0.6);
+        task(&mut w, Comm, &[0], &[], 0.5);
+        task(&mut w, Comm, &[2], &[3, 4], 0.4);
+        cases.push(("several ready at the start", w, false));
+
+        // Explicit dependencies on the task ahead in the same queue: a
+        // kernel, and a comm task behind a collective on one of its ranks.
+        let mut w = Workload::new(2);
+        task(&mut w, Compute, &[0], &[], 1.0);
+        task(&mut w, Compute, &[0], &[0], 1.0);
+        task(&mut w, Comm, &[0, 1], &[0], 0.5);
+        task(&mut w, Comm, &[1], &[2], 0.5);
+        task(&mut w, Comm, &[0], &[2, 1], 0.5);
+        cases.push(("redundant same-queue deps", w, false));
+
+        // A collective on a cycle through its second rank's queue; a kernel
+        // elsewhere completes, so the stuck list is a strict subset.
+        let mut w = Workload::new(2);
+        task(&mut w, Comm, &[1], &[2], 1.0);
+        task(&mut w, Comm, &[0, 1], &[], 1.0);
+        task(&mut w, Compute, &[0], &[1], 1.0);
+        task(&mut w, Compute, &[1], &[], 1.0);
+        cases.push(("collective on a cycle", w, true));
+        cases
+    }
+
+    /// The incremental loop equals the reference loop bit for bit (see
+    /// [`assert_matches_reference`]) under each rate model, on the
+    /// hand-built [`scheduler_cases`] and on seeded random DAGs.
     #[test]
     fn incremental_loop_matches_the_reference_bit_for_bit() {
+        for (name, w, deadlocks) in scheduler_cases() {
+            for physics in [Physics::Noisy, Physics::Stepped, Physics::NodeWide] {
+                let what = format!("{name} {physics:?}");
+                let agreed = assert_matches_reference(&w, physics, 1, &what);
+                assert_eq!(matches!(agreed, Agreed::Deadlocked), deadlocks, "{what}");
+            }
+        }
         let mut epochs = 0usize;
         let mut deadlocks = 0;
         for seed in 0..300u64 {
             let w = random_dag(seed, seed % 5 == 4);
             for physics in [Physics::Noisy, Physics::Stepped, Physics::NodeWide] {
                 let what = format!("seed {seed} {physics:?}");
-                let model = || Diff::new(physics, seed);
-                let mut want_events = Events::default();
-                let want = reference_run(&mut model(), &w, &mut want_events);
-                let mut got_events = Events::default();
-                let got = Engine::new(model()).run_observed(&w, &mut got_events);
-                assert_eq!(got_events, want_events, "{what}: observer events");
-                let summary = Engine::new(model()).run_summary(&w);
-                let makespan = Engine::new(model()).run_makespan(&w);
-                let (want, got, summary, makespan) = match (want, got, summary, makespan) {
-                    (Ok(a), Ok(b), Ok(c), Ok(d)) => (a, b, c, d),
-                    (Err(a), Err(b), Err(c), Err(d)) => {
-                        assert!(matches!(a, SimError::Deadlock { .. }), "{what}: {a:?}");
-                        assert_eq!((&b, &c, &d), (&a, &a, &a), "{what}: errors");
-                        deadlocks += 1;
-                        continue;
-                    }
-                    outcomes => panic!("{what}: outcomes differ: {outcomes:?}"),
-                };
-                epochs += want_events.0.iter().filter(|e| e.0 == "epoch").count();
-                assert_eq!(got.records().len(), want.records().len(), "{what}");
-                for (g, r) in got.records().iter().zip(want.records()) {
-                    assert_eq!((g.id, &g.label, g.stream), (r.id, &r.label, r.stream));
-                    assert_eq!(g.participants, r.participants, "{what}");
-                    assert_eq!(
-                        [g.start, g.end, g.coactive].map(time_bits),
-                        [r.start, r.end, r.coactive].map(time_bits),
-                        "{what}: record {}",
-                        r.id.0
-                    );
+                match assert_matches_reference(&w, physics, seed, &what) {
+                    Agreed::Ran(n) => epochs += n,
+                    Agreed::Deadlocked => deadlocks += 1,
                 }
-                let want_activity = activity_bits(want.gpus());
-                assert_eq!(activity_bits(got.gpus()), want_activity, "{what}");
-                assert_eq!(activity_bits(&summary.gpus), want_activity, "{what}");
-                let want_totals = totals_bits(&want.stream_totals());
-                assert_eq!(totals_bits(&got.stream_totals()), want_totals, "{what}");
-                assert_eq!(totals_bits(&summary.totals), want_totals, "{what}");
-                let want_makespan = time_bits(want.makespan());
-                assert_eq!(time_bits(got.makespan()), want_makespan, "{what}");
-                assert_eq!(time_bits(summary.makespan), want_makespan, "{what}");
-                assert_eq!(time_bits(makespan), want_makespan, "{what}");
             }
         }
         assert!(deadlocks > 0, "no deadlocking DAG was drawn");

@@ -54,6 +54,7 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
     }
 
     /// The items as a slice.
+    #[inline]
     pub fn as_slice(&self) -> &[T] {
         match &self.0 {
             Repr::Inline { len, items } => &items[..usize::from(*len)],
@@ -62,6 +63,7 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
     }
 
     /// The items as a mutable slice.
+    #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         match &mut self.0 {
             Repr::Inline { len, items } => &mut items[..usize::from(*len)],
@@ -75,11 +77,13 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
     }
 
     /// Appends one item.
+    #[inline]
     pub fn push(&mut self, item: T) {
         self.extend_from_slice(&[item]);
     }
 
     /// Appends every item of `more`.
+    #[inline]
     pub fn extend_from_slice(&mut self, more: &[T]) {
         let at = self.len();
         let end = at + more.len();
@@ -99,6 +103,7 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
     }
 
     /// Every slot, in use or spare.
+    #[inline]
     fn slots(&mut self) -> &mut [T] {
         match &mut self.0 {
             Repr::Inline { items, .. } => items,
@@ -107,6 +112,7 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
     }
 
     /// Sets the length; `new_len` must not exceed the slot count.
+    #[inline]
     fn set_len(&mut self, new_len: usize) {
         match &mut self.0 {
             Repr::Inline { len, .. } => *len = new_len as u8,
@@ -118,6 +124,7 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
 
     /// Moves the items to a heap buffer of at least `needed` slots, and at
     /// least twice as many as now.
+    #[cold]
     fn grow(&mut self, needed: usize) {
         let len = self.len();
         let capacity = needed.max(2 * self.slots().len());
@@ -155,12 +162,14 @@ impl<T: Copy + Default, const N: usize> Default for SmallList<T, N> {
 impl<T: Copy + Default, const N: usize> Deref for SmallList<T, N> {
     type Target = [T];
 
+    #[inline]
     fn deref(&self) -> &[T] {
         self.as_slice()
     }
 }
 
 impl<T: Copy + Default, const N: usize> DerefMut for SmallList<T, N> {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [T] {
         self.as_mut_slice()
     }

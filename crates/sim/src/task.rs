@@ -155,7 +155,34 @@ impl<P> Workload<P> {
     ///
     /// Panics if the task has no participants, references a device outside
     /// the node, or names a payload this workload has not interned.
-    pub fn push(&mut self, mut spec: TaskSpec<P>) -> TaskId {
+    #[inline(always)]
+    pub fn push(&mut self, spec: TaskSpec<P>) -> TaskId {
+        // Stored first and then checked in place: a spec built at the call
+        // site is then written once, straight into the task vector.
+        let id = TaskId(u32::try_from(self.tasks.len()).expect("too many tasks"));
+        self.tasks.push(spec);
+        let spec = self.tasks.last_mut().expect("a task was just pushed");
+        if spec.participants.len() > 1 {
+            spec.participants.sort_unstable();
+            spec.participants.dedup();
+        }
+        // Sorted, so the last is the highest device.
+        let fits = spec
+            .participants
+            .last()
+            .is_some_and(|gpu| gpu.index() < self.n_gpus);
+        if !fits || spec.payload.index() >= self.payloads.len() {
+            self.reject();
+        }
+        id
+    }
+
+    /// Takes back the task [`Workload::push`] just stored and panics with
+    /// its first fault.
+    #[cold]
+    #[inline(never)]
+    fn reject(&mut self) -> ! {
+        let spec = self.tasks.pop().expect("a task was just pushed");
         assert!(
             !spec.participants.is_empty(),
             "task {:?} has no participants",
@@ -168,20 +195,15 @@ impl<P> Workload<P> {
             spec.payload.0,
             self.payloads.len()
         );
-        spec.participants.sort_unstable();
-        spec.participants.dedup();
-        for gpu in &spec.participants {
-            assert!(
-                gpu.index() < self.n_gpus,
-                "task {:?} references {} but the node has {} devices",
-                spec.label,
-                gpu,
-                self.n_gpus
-            );
-        }
-        let id = TaskId(u32::try_from(self.tasks.len()).expect("too many tasks"));
-        self.tasks.push(spec);
-        id
+        let gpu = spec
+            .participants
+            .iter()
+            .find(|gpu| gpu.index() >= self.n_gpus)
+            .expect("a rejected task has a fault");
+        panic!(
+            "task {:?} references {} but the node has {} devices",
+            spec.label, gpu, self.n_gpus
+        );
     }
 
     /// The tasks in push order.
