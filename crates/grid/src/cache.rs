@@ -37,7 +37,8 @@
 //!   ([`CacheCounters::admission_rejected`]) instead of flushing the tier.
 //! * **Graceful degradation** — a disk write failing with `ENOSPC` or
 //!   `EACCES` latches the cache into memory-only operation instead of
-//!   failing every subsequent cell; [`ResultCache::health`] reports it.
+//!   failing every subsequent cell; [`ResultCache::is_degraded`] reads
+//!   the latch and [`ResultCache::health`] reports it.
 //! * **Quarantine evidence preservation** — repeated quarantines of one
 //!   key land on `.corrupt`, `.corrupt.1`, `.corrupt.2`, … so earlier
 //!   evidence is never clobbered.
@@ -454,6 +455,11 @@ impl<V: CacheValue> ResultCache<V> {
         self.disk_dir.as_deref()
     }
 
+    /// The disk-tier byte cap, when one is set.
+    pub(crate) fn disk_cap(&self) -> Option<u64> {
+        self.max_disk_bytes
+    }
+
     /// A snapshot of the hit/miss/store counters.
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
@@ -468,13 +474,25 @@ impl<V: CacheValue> ResultCache<V> {
         }
     }
 
-    /// True once the disk tier latched into memory-only degradation.
+    /// True once the disk tier latched into memory-only degradation. Reads
+    /// the latch only; never touches the directory.
     pub fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::SeqCst)
     }
 
+    /// The error that latched degradation, once degraded. Reads the latch
+    /// only; never touches the directory.
+    pub(crate) fn degraded_reason(&self) -> Option<String> {
+        self.degraded_reason
+            .lock()
+            .expect("degradation reason poisoned")
+            .clone()
+    }
+
     /// A typed report on the disk tier: degradation state, occupancy, and
-    /// the configured cap.
+    /// the configured cap. The occupancy comes from a fresh directory
+    /// scan, so the cost grows with the tier; hot paths read
+    /// [`ResultCache::is_degraded`] instead.
     pub fn health(&self) -> CacheHealth {
         let (disk_entries, disk_bytes) = match &self.disk_dir {
             Some(dir) => {
@@ -486,11 +504,7 @@ impl<V: CacheValue> ResultCache<V> {
         CacheHealth {
             disk_enabled: self.disk_dir.is_some(),
             degraded: self.is_degraded(),
-            degraded_reason: self
-                .degraded_reason
-                .lock()
-                .expect("degradation reason poisoned")
-                .clone(),
+            degraded_reason: self.degraded_reason(),
             disk_entries,
             disk_bytes,
             max_disk_bytes: self.max_disk_bytes,
@@ -506,19 +520,22 @@ impl<V: CacheValue> ResultCache<V> {
     /// cost ranks (pure functions of the cells), and the order are all
     /// independent of worker scheduling, so serial and parallel sweeps
     /// evict identically — the determinism contract extends to the cache
-    /// directory itself. Returns entries evicted by this call (also
-    /// accumulated into [`CacheCounters::evicted`]).
-    pub fn enforce_disk_cap(&self) -> u64 {
+    /// directory itself. Returns `(evicted, bytes_left)`: the entries
+    /// evicted by this call (also accumulated into
+    /// [`CacheCounters::evicted`]) and the `*.cell` bytes the scan left on
+    /// disk. With no cap, no disk tier or a degraded tier, nothing is
+    /// scanned and both are 0.
+    pub fn enforce_disk_cap(&self) -> (u64, u64) {
         let (Some(dir), Some(cap)) = (&self.disk_dir, self.max_disk_bytes) else {
-            return 0;
+            return (0, 0);
         };
         if self.degraded.load(Ordering::SeqCst) {
-            return 0;
+            return (0, 0);
         }
         let cells = scan_cells(dir);
         let mut total: u64 = cells.iter().map(|&(_, b)| b).sum();
         if total <= cap {
-            return 0;
+            return (0, total);
         }
         let hot: HashSet<u64> = self
             .memory
@@ -550,7 +567,7 @@ impl<V: CacheValue> ResultCache<V> {
         }
         self.evicted.fetch_add(evicted, Ordering::Relaxed);
         crate::metrics::grid_metrics().cache_evicted.add(evicted);
-        evicted
+        (evicted, total)
     }
 
     fn disk_lookup(&self, key: u64, descriptor: &str) -> Option<V> {
@@ -714,8 +731,11 @@ fn quarantine_dest(dir: &Path, key: u64) -> PathBuf {
 }
 
 /// Every `*.cell` entry in `dir` as `(key, bytes)`, ascending by key —
-/// the stable scan order the eviction policy's determinism rests on.
+/// the stable scan order the eviction policy's determinism rests on. One
+/// `read_dir` plus one `stat` per entry, so each call is counted in
+/// `olab_cache_disk_scans_total`.
 fn scan_cells(dir: &Path) -> Vec<(u64, u64)> {
+    crate::metrics::grid_metrics().cache_disk_scans.inc();
     let mut cells = Vec::new();
     if let Ok(entries) = fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -1083,10 +1103,20 @@ mod tests {
             .find(|d| ResultCache::<(u64, f64)>::key_of(d) == expect[0])
             .unwrap();
         assert!(cache.lookup(&survivor).is_some(), "promoted to hot");
-        cache.set_disk_cap(Some(entry_bytes));
+        cache.max_disk_bytes = Some(entry_bytes);
+        assert_eq!(
+            cache.enforce_disk_cap(),
+            (4, entry_bytes),
+            "four cold entries go; one entry's bytes are left"
+        );
         let kept_now = scan_cells(&dir);
         assert_eq!(kept_now.len(), 1);
         assert_eq!(kept_now[0].0, expect[0], "the hot entry survived");
+        assert_eq!(
+            cache.enforce_disk_cap(),
+            (0, entry_bytes),
+            "under the cap nothing goes, and the scan's total comes back"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

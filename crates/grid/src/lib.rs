@@ -147,7 +147,7 @@ impl<V: CacheValue> Executor<V> {
 
     /// Caps the disk tier at `max_bytes`, evicting deterministically
     /// (cold entries first, ascending key) now and at the end of every
-    /// run. No-op until a disk cache is attached.
+    /// run that stores a cell. No-op until a disk cache is attached.
     pub fn with_cache_cap(mut self, max_bytes: u64) -> Self {
         self.cache.set_disk_cap(Some(max_bytes));
         self
@@ -265,29 +265,9 @@ impl<V: CacheValue> Executor<V> {
                 (value, source)
             });
 
-        // End-of-run (not per-insert) cap enforcement: the candidate set
-        // and order depend only on the directory and the touched-key set,
-        // both identical between serial and parallel sweeps — the eviction
-        // happens at a deterministic point, so directories stay
-        // byte-identical.
-        self.cache.enforce_disk_cap();
-        let counters_after = self.cache.counters();
-
-        // One fresh scan feeds both the stats and any `on_degraded`
-        // reporting below — offline sweeps and a serving `/readyz` read
-        // the same `CacheHealth` source of truth.
-        let health = self.cache.health();
         let mut stats = SweepStats {
             cells: jobs.len(),
             workers: self.pool.workers(),
-            wall_s: start.elapsed().as_secs_f64(),
-            observer_s: observer_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-            quarantined: (counters_after.quarantined - counters_before.quarantined) as usize,
-            evicted: (counters_after.evicted - counters_before.evicted) as usize,
-            degraded: health.degraded,
-            disk_enabled: health.disk_enabled,
-            disk_entries: health.disk_entries,
-            disk_bytes: health.disk_bytes,
             ..SweepStats::default()
         };
         let mut outputs = Vec::with_capacity(results.len());
@@ -316,16 +296,38 @@ impl<V: CacheValue> Executor<V> {
                 }
             }
         }
+
+        // End-of-run (not per-insert) cap enforcement, after a run that
+        // stored a cell: a run of hits wrote nothing, and every writer
+        // enforces after its own writes. The candidate set and order depend
+        // only on the directory and the touched-key set, both identical
+        // between serial and parallel sweeps — the eviction happens at a
+        // deterministic point, so directories stay byte-identical.
+        let (evicted, bytes_left) = if stats.simulated > 0 {
+            self.cache.enforce_disk_cap()
+        } else {
+            (0, 0)
+        };
+        // The latch, not a directory scan: a hit costs the same on a tier
+        // of ten entries or ten thousand. Occupancy is a snapshot callers
+        // ask for explicitly, through `ResultCache::health`.
+        let counters_after = self.cache.counters();
+        stats.quarantined = (counters_after.quarantined - counters_before.quarantined) as usize;
+        stats.evicted = evicted as usize;
+        stats.degraded = self.cache.is_degraded();
+        stats.observer_s = observer_ns.load(Ordering::Relaxed) as f64 * 1e-9;
+        stats.wall_s = start.elapsed().as_secs_f64();
         if let Some(sink) = sink {
             if stats.evicted > 0 {
                 sink.on_evict(
                     stats.evicted,
-                    health.disk_bytes,
-                    health.max_disk_bytes.unwrap_or(0),
+                    bytes_left,
+                    self.cache.disk_cap().unwrap_or(0),
                 );
             }
             if stats.degraded {
-                sink.on_degraded(health.degraded_reason.as_deref().unwrap_or("unknown"));
+                let reason = self.cache.degraded_reason();
+                sink.on_degraded(reason.as_deref().unwrap_or("unknown"));
             }
         }
         SweepRun { outputs, stats }
@@ -413,6 +415,11 @@ mod tests {
         assert_eq!(executions.load(Ordering::SeqCst), 10);
         assert_eq!(warm.stats.disk_hits, 10);
         assert_eq!(warm.stats.simulated, 0);
+        assert!(
+            !warm.stats.summary().contains("disk tier"),
+            "a run reports no occupancy snapshot: {}",
+            warm.stats.summary()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

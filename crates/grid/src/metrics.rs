@@ -33,6 +33,7 @@ pub(crate) struct GridMetrics {
     pub cache_evicted: &'static Counter,
     pub cache_tmp_reaped: &'static Counter,
     pub cache_admission_rejected: &'static Counter,
+    pub cache_disk_scans: &'static Counter,
     pub cache_lookup_memory_hit_ns: &'static Histogram,
     pub cache_lookup_disk_hit_ns: &'static Histogram,
     pub cache_lookup_miss_ns: &'static Histogram,
@@ -120,6 +121,11 @@ pub(crate) fn grid_metrics() -> &'static GridMetrics {
             "olab_cache_admission_rejected_total",
             Determinism::CrossRun,
             "Values denied disk-tier admission because one entry would exceed the byte cap.",
+        ),
+        cache_disk_scans: counter(
+            "olab_cache_disk_scans_total",
+            Determinism::CrossRun,
+            "Disk-tier directory scans (health snapshots and cap enforcement).",
         ),
         cache_lookup_memory_hit_ns: histogram(
             "olab_cache_lookup_memory_hit_ns",

@@ -22,22 +22,14 @@ pub struct SweepStats {
     pub quarantined: usize,
     /// Cells that hit their wall-clock deadline.
     pub timeouts: usize,
-    /// Disk cache entries evicted by the size-cap policy during this
-    /// sweep (at open or at end-of-run enforcement).
+    /// Disk cache entries evicted by the size-cap policy at the end of
+    /// this sweep (enforced only after a sweep that stored a cell).
     pub evicted: usize,
     /// The disk tier latched into memory-only degradation (ENOSPC/EACCES)
-    /// at some point up to the end of this sweep.
+    /// at some point up to the end of this sweep. Read from the cache's
+    /// latch; the stats carry no directory snapshot (occupancy is
+    /// [`crate::cache::ResultCache::health`]'s job).
     pub degraded: bool,
-    /// Whether a disk cache tier was attached for this sweep. With it the
-    /// two fields below describe the tier as of end-of-run; without it
-    /// they are zero.
-    pub disk_enabled: bool,
-    /// Disk cache entries present after the sweep (post cap enforcement),
-    /// from the same [`crate::cache::CacheHealth`] scan that `/readyz`
-    /// reads in a serving deployment.
-    pub disk_entries: u64,
-    /// Bytes occupied by the disk tier after the sweep.
-    pub disk_bytes: u64,
     /// Worker threads used.
     pub workers: usize,
     /// Wall-clock time of the whole sweep, seconds.
@@ -131,13 +123,6 @@ impl fmt::Display for SweepStats {
         if self.degraded {
             write!(f, ", cache degraded to memory-only")?;
         }
-        if self.disk_enabled {
-            write!(
-                f,
-                ", disk tier {} entries / {} B",
-                self.disk_entries, self.disk_bytes
-            )?;
-        }
         if self.observer_s > 0.0 {
             write!(f, ", {:.3} s in observers", self.observer_s)?;
         }
@@ -227,30 +212,18 @@ mod tests {
     }
 
     #[test]
-    fn disk_tier_clause_appears_only_with_a_disk_cache() {
-        assert!(
-            !stats().summary().contains("disk tier"),
-            "memory-only sweeps stay quiet about the disk tier"
-        );
-        let on_disk = SweepStats {
-            disk_enabled: true,
-            disk_entries: 12,
-            disk_bytes: 4096,
+    fn summary_carries_no_disk_tier_snapshot() {
+        // Occupancy is a directory scan, reported by `ResultCache::health`
+        // (and `/healthz`), never by a per-run summary: even a sweep that
+        // evicted and degraded says nothing about the tier's size.
+        let busy = SweepStats {
+            evicted: 3,
+            degraded: true,
             ..stats()
         };
-        assert!(
-            on_disk.summary().contains("disk tier 12 entries / 4096 B"),
-            "{}",
-            on_disk.summary()
-        );
-        let empty_disk = SweepStats {
-            disk_enabled: true,
-            ..stats()
-        };
-        assert!(
-            empty_disk.summary().contains("disk tier 0 entries / 0 B"),
-            "an attached-but-empty tier is still reported: {}",
-            empty_disk.summary()
-        );
+        for text in [stats().summary(), busy.summary()] {
+            assert!(!text.contains("disk tier"), "{text}");
+            assert!(!text.contains("entries"), "{text}");
+        }
     }
 }

@@ -383,10 +383,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             let _ = write_response(&stream, 200, "application/json", &[], &health_body(shared));
         }
         ("GET", "/readyz") => {
-            let health = shared.engine.executor().cache().health();
+            // Readiness reads the degradation latch; occupancy, which
+            // costs a directory scan, is `/healthz`'s.
             if shared.draining.load(Ordering::SeqCst) {
                 let _ = write_response(&stream, 503, "text/plain", &[], "draining\n");
-            } else if health.degraded {
+            } else if shared.engine.executor().cache().is_degraded() {
                 let _ = write_response(&stream, 503, "text/plain", &[], "cache degraded\n");
             } else {
                 let _ = write_response(&stream, 200, "text/plain", &[], "ready\n");
