@@ -8,7 +8,9 @@ use olab_core::adaptive::{tune_fsdp, Objective};
 use olab_core::report::{ms, pct, Table};
 use olab_core::Sweep;
 use olab_gpu::GpuSku;
-use olab_grid::{CacheValue, Executor, GridJob, GuardConfig, ProgressSink, SweepRun};
+use olab_grid::{
+    CacheValue, Executor, GridJob, GuardConfig, ProgressSink, ResultCache, SweepRun, SweepStats,
+};
 use olab_models::ModelPreset;
 use olab_obs::{JsonlProgress, MultiSink, StderrProgress};
 use olab_power::Sampler;
@@ -163,8 +165,12 @@ pub fn sweep(args: &RunArgs, sweep_args: &SweepArgs) -> Result<String, CliError>
         })
         .collect();
     let sinks = progress_sinks(sweep_args.observe, sweep_args.out_dir.as_deref())?;
-    let outcome = engine.run_guarded(&grid, engine.executor().guard(), sinks.as_deref());
-    outcome.stats.log();
+    let mut outcome = engine.run_guarded(&grid, engine.executor().guard(), sinks.as_deref());
+    log_landed(
+        engine.executor().cache(),
+        sinks.as_deref(),
+        &mut outcome.stats,
+    );
     if sweep_args.observe {
         write_cell_artifacts(
             sweep_args.out_dir.as_deref(),
@@ -461,9 +467,29 @@ fn run_fault_sweep<J: GridJob>(
 ) -> Result<SweepRun<J::Output>, CliError> {
     let engine = executor(&faults_args.engine)?;
     let sinks = progress_sinks(faults_args.observe, faults_args.out_dir.as_deref())?;
-    let outcome = engine.run_guarded(cells, engine.guard(), sinks.as_deref());
-    outcome.stats.log();
+    let mut outcome = engine.run_guarded(cells, engine.guard(), sinks.as_deref());
+    log_landed(engine.cache(), sinks.as_deref(), &mut outcome.stats);
     Ok(outcome)
+}
+
+/// Logs a run's telemetry line once the cache's queued disk writes have
+/// landed, folding the degradation latch into `stats` so the line reports
+/// a full disk even when only the last queued write hit it; `sink` hears
+/// of such a late degradation too, as it would have during the run.
+fn log_landed<V: CacheValue>(
+    cache: &ResultCache<V>,
+    sink: Option<&dyn ProgressSink>,
+    stats: &mut SweepStats,
+) {
+    cache.flush();
+    if !stats.degraded && cache.is_degraded() {
+        stats.degraded = true;
+        if let Some(sink) = sink {
+            let reason = cache.degraded_reason();
+            sink.on_degraded(reason.as_deref().unwrap_or("unknown"));
+        }
+    }
+    stats.log();
 }
 
 /// `olab resilience`: run every recovery policy against the same fault
@@ -759,6 +785,55 @@ mod tests {
             let err = crate::main_with(&argv).unwrap_err();
             assert!(err.0.contains("invalid configuration"), "{words}: {err}");
         }
+    }
+
+    /// A disk write that fails after the run returned, because it was
+    /// still queued, reaches the stats line and the progress sink.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_disk_failure_in_a_queued_write_still_reaches_stats_and_sink() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        #[derive(Clone)]
+        struct Unit;
+        impl CacheValue for Unit {
+            fn encode(&self, _: &mut olab_grid::Writer) {}
+            fn decode(_: &mut olab_grid::Reader<'_>) -> Option<Self> {
+                Some(Unit)
+            }
+        }
+        #[derive(Default)]
+        struct Degradations(AtomicUsize);
+        impl ProgressSink for Degradations {
+            fn on_cell(&self, _: &olab_grid::CellProgress<'_>) {}
+            fn on_degraded(&self, _: &str) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        let dir = std::env::temp_dir().join(format!("olab-cli-late-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::<Unit>::with_disk(&dir).unwrap();
+        // The first write's tmp name `{key}.{pid}.{instance}.0.tmp` is a
+        // symlink to `/dev/full`; the lease names `{pid}.{instance}`.
+        let lease = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .find(|name| name.starts_with("lease."))
+            .expect("the disk cache drops a lease");
+        let key = ResultCache::<Unit>::key_of("late");
+        let writer = lease.trim_start_matches("lease.");
+        std::os::unix::fs::symlink("/dev/full", dir.join(format!("{key:016x}.{writer}.0.tmp")))
+            .unwrap();
+        cache.insert("late", Unit);
+
+        let sink = Degradations::default();
+        let mut stats = SweepStats::default();
+        log_landed(&cache, Some(&sink), &mut stats);
+        assert!(stats.degraded, "the flushed write's ENOSPC is reported");
+        assert_eq!(sink.0.load(Ordering::SeqCst), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn jobs(n: usize) -> EngineArgs {

@@ -16,6 +16,19 @@
 //! concurrent writers and readers — including several sweep processes
 //! sharing one `--cache` directory — only ever see whole entries.
 //!
+//! ## When an entry reaches the disk
+//!
+//! An insert fills the memory tier and encodes the entry before it
+//! returns, so this instance serves the value at once. The file itself is
+//! written by the instance's one background writer thread, started on the
+//! first disk write and fed through a bounded FIFO queue (a producer
+//! waits while the queue is full). Another instance or process sees the
+//! entry once that write has landed, which [`ResultCache::flush`] and
+//! dropping the instance both guarantee. Every in-process reader of the
+//! directory flushes first: [`ResultCache::health`] and
+//! [`ResultCache::enforce_disk_cap`] do, so occupancy snapshots and the
+//! eviction order are the same as if each write had landed inline.
+//!
 //! ## Service-grade hardening
 //!
 //! * **Advisory leases + stale-`.tmp` reaping** — every instance drops a
@@ -38,18 +51,21 @@
 //! * **Graceful degradation** — a disk write failing with `ENOSPC` or
 //!   `EACCES` latches the cache into memory-only operation instead of
 //!   failing every subsequent cell; [`ResultCache::is_degraded`] reads
-//!   the latch and [`ResultCache::health`] reports it.
+//!   the latch and [`ResultCache::health`] reports it. The write runs on
+//!   the writer thread, so the latch trips there: flush first to see the
+//!   outcome of every write queued so far.
 //! * **Quarantine evidence preservation** — repeated quarantines of one
 //!   key land on `.corrupt`, `.corrupt.1`, `.corrupt.2`, … so earlier
 //!   evidence is never clobbered.
 
 use crate::hash::fnv1a_64;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 
 /// Distinguishes instances within one process so their tmp names and
 /// leases never collide.
@@ -58,6 +74,10 @@ static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
 /// Magic prefix of every cache file (`OLABGRD` + format version).
 /// Version 2 appends a trailing FNV-1a checksum over the whole entry.
 const MAGIC: &[u8; 8] = b"OLABGRD2";
+
+/// Encoded entries a disk tier's writer may have queued or in flight
+/// before an insert waits for one to land.
+const WRITE_QUEUE_CAPACITY: u64 = 64;
 
 /// A little-endian byte writer for cache payloads.
 #[derive(Debug, Default)]
@@ -273,13 +293,9 @@ pub struct ResultCache<V> {
     /// Recompute-cost classes of keys inserted by this process, feeding
     /// the eviction order of [`ResultCache::enforce_disk_cap`].
     costs: Mutex<HashMap<u64, CacheCost>>,
-    disk_dir: Option<PathBuf>,
+    /// The disk tier, shared with its background writer thread.
+    disk: Option<Arc<DiskTier>>,
     max_disk_bytes: Option<u64>,
-    lease_path: Option<PathBuf>,
-    instance: u64,
-    tmp_seq: AtomicU64,
-    degraded: AtomicBool,
-    degraded_reason: Mutex<Option<String>>,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -296,13 +312,8 @@ impl<V: CacheValue> ResultCache<V> {
         ResultCache {
             memory: Mutex::new(HashMap::new()),
             costs: Mutex::new(HashMap::new()),
-            disk_dir: None,
+            disk: None,
             max_disk_bytes: None,
-            lease_path: None,
-            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
-            tmp_seq: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
-            degraded_reason: Mutex::new(None),
             memory_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -318,8 +329,9 @@ impl<V: CacheValue> ResultCache<V> {
     ///
     /// Opening reaps stale `.tmp` files left by provably dead writers
     /// (counted in [`CacheCounters::tmp_reaped`]) and drops an advisory
-    /// lease file, removed when this instance is dropped, so future
-    /// openers can tell live writers from dead ones.
+    /// lease file, removed when this instance is dropped (after its queued
+    /// writes have landed), so future openers can tell live writers from
+    /// dead ones.
     ///
     /// # Errors
     ///
@@ -332,12 +344,12 @@ impl<V: CacheValue> ResultCache<V> {
         let reaped = reap_stale_tmp(&dir);
         cache.tmp_reaped.store(reaped, Ordering::Relaxed);
         crate::metrics::grid_metrics().cache_tmp_reaped.add(reaped);
-        let lease = dir.join(format!("lease.{}.{}", std::process::id(), cache.instance));
+        let instance = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
+        let lease = dir.join(format!("lease.{}.{instance}", std::process::id()));
         // The lease is advisory: failing to write it (read-only directory)
         // costs reap precision for others, never the sweep.
         let _ = fs::write(&lease, b"olab-grid writer lease\n");
-        cache.lease_path = Some(lease);
-        cache.disk_dir = Some(dir);
+        cache.disk = Some(Arc::new(DiskTier::new(dir, lease, instance)));
         Ok(cache)
     }
 
@@ -403,6 +415,8 @@ impl<V: CacheValue> ResultCache<V> {
     }
 
     /// Stores a computed value under `descriptor` in every configured tier.
+    /// The memory tier is filled before this returns; the disk write is
+    /// queued for the background writer (see [`ResultCache::flush`]).
     /// Disk write failures are swallowed — a read-only cache directory
     /// costs persistence, not the sweep — except that `ENOSPC`/`EACCES`
     /// additionally latch the disk tier into memory-only degradation (see
@@ -422,14 +436,15 @@ impl<V: CacheValue> ResultCache<V> {
         let key = Self::key_of(descriptor);
         self.stores.fetch_add(1, Ordering::Relaxed);
         m.cache_stores.inc();
-        if let Some(dir) = &self.disk_dir {
+        if let Some(disk) = &self.disk {
             self.costs
                 .lock()
                 .expect("cost map poisoned")
                 .insert(key, cost);
-            if !self.degraded.load(Ordering::SeqCst) {
-                if let Err(err) = self.write_entry(dir, key, descriptor, &value) {
-                    self.note_write_failure(&err);
+            if !disk.is_degraded() {
+                let bytes = encode_entry(key, descriptor, &value);
+                if self.admits(&bytes) {
+                    disk.enqueue(key, bytes);
                 }
             }
         }
@@ -438,6 +453,17 @@ impl<V: CacheValue> ResultCache<V> {
             .expect("cache map poisoned")
             .insert(key, (descriptor.to_string(), value));
         m.cache_insert_ns.observe_since(start);
+    }
+
+    /// Waits until every disk write queued before this call has landed
+    /// (or failed, latching degradation). Returns at once without a disk
+    /// tier, before the first write, and when the writer thread could not
+    /// be spawned or has died. A run never flushes on its own; callers
+    /// that read the directory or report on it do.
+    pub fn flush(&self) {
+        if let Some(disk) = &self.disk {
+            disk.flush();
+        }
     }
 
     /// Entries currently resident in the memory tier.
@@ -452,7 +478,7 @@ impl<V: CacheValue> ResultCache<V> {
 
     /// The disk directory, when a disk tier is configured.
     pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk_dir.as_deref()
+        self.disk.as_ref().map(|disk| disk.dir.as_path())
     }
 
     /// The disk-tier byte cap, when one is set.
@@ -475,34 +501,39 @@ impl<V: CacheValue> ResultCache<V> {
     }
 
     /// True once the disk tier latched into memory-only degradation. Reads
-    /// the latch only; never touches the directory.
+    /// the latch only; never touches the directory nor waits for queued
+    /// writes, so a failure in a write still queued shows only after a
+    /// [`ResultCache::flush`].
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
+        self.disk.as_ref().is_some_and(|disk| disk.is_degraded())
     }
 
     /// The error that latched degradation, once degraded. Reads the latch
     /// only; never touches the directory.
-    pub(crate) fn degraded_reason(&self) -> Option<String> {
-        self.degraded_reason
-            .lock()
-            .expect("degradation reason poisoned")
-            .clone()
+    pub fn degraded_reason(&self) -> Option<String> {
+        self.disk.as_ref().and_then(|disk| {
+            disk.degraded_reason
+                .lock()
+                .expect("degradation reason poisoned")
+                .clone()
+        })
     }
 
     /// A typed report on the disk tier: degradation state, occupancy, and
-    /// the configured cap. The occupancy comes from a fresh directory
-    /// scan, so the cost grows with the tier; hot paths read
-    /// [`ResultCache::is_degraded`] instead.
+    /// the configured cap. Flushes queued writes first; the occupancy
+    /// comes from a fresh directory scan, so the cost grows with the tier;
+    /// hot paths read [`ResultCache::is_degraded`] instead.
     pub fn health(&self) -> CacheHealth {
-        let (disk_entries, disk_bytes) = match &self.disk_dir {
-            Some(dir) => {
-                let cells = scan_cells(dir);
+        self.flush();
+        let (disk_entries, disk_bytes) = match &self.disk {
+            Some(disk) => {
+                let cells = scan_cells(&disk.dir);
                 (cells.len() as u64, cells.iter().map(|&(_, b)| b).sum())
             }
             None => (0, 0),
         };
         CacheHealth {
-            disk_enabled: self.disk_dir.is_some(),
+            disk_enabled: self.disk.is_some(),
             degraded: self.is_degraded(),
             degraded_reason: self.degraded_reason(),
             disk_entries,
@@ -524,14 +555,17 @@ impl<V: CacheValue> ResultCache<V> {
     /// evicted by this call (also accumulated into
     /// [`CacheCounters::evicted`]) and the `*.cell` bytes the scan left on
     /// disk. With no cap, no disk tier or a degraded tier, nothing is
-    /// scanned and both are 0.
+    /// scanned and both are 0. Queued writes are flushed first, so the
+    /// scan sees every entry this instance has stored.
     pub fn enforce_disk_cap(&self) -> (u64, u64) {
-        let (Some(dir), Some(cap)) = (&self.disk_dir, self.max_disk_bytes) else {
+        let (Some(disk), Some(cap)) = (&self.disk, self.max_disk_bytes) else {
             return (0, 0);
         };
-        if self.degraded.load(Ordering::SeqCst) {
+        disk.flush();
+        if disk.is_degraded() {
             return (0, 0);
         }
+        let dir = &disk.dir;
         let cells = scan_cells(dir);
         let mut total: u64 = cells.iter().map(|&(_, b)| b).sum();
         if total <= cap {
@@ -571,10 +605,11 @@ impl<V: CacheValue> ResultCache<V> {
     }
 
     fn disk_lookup(&self, key: u64, descriptor: &str) -> Option<V> {
-        let dir = self.disk_dir.as_ref()?;
-        if self.degraded.load(Ordering::SeqCst) {
+        let disk = self.disk.as_ref()?;
+        if disk.is_degraded() {
             return None;
         }
+        let dir = &disk.dir;
         let path = entry_path(dir, key);
         let bytes = fs::read(&path).ok()?;
         match parse_entry::<V>(&bytes, key, descriptor) {
@@ -597,48 +632,243 @@ impl<V: CacheValue> ResultCache<V> {
         }
     }
 
-    /// Writes one disk entry atomically: full bytes to a tmp name unique
-    /// per (process, instance, write), then rename.
-    fn write_entry(&self, dir: &Path, key: u64, descriptor: &str, value: &V) -> io::Result<()> {
-        let mut w = Writer::new();
-        w.buf.extend_from_slice(MAGIC);
-        w.put_u64(key);
-        w.put_str(descriptor);
-        value.encode(&mut w);
-        let digest = fnv1a_64(&w.buf);
-        w.put_u64(digest);
-        let bytes = w.into_bytes();
-
-        // Size-aware admission: an entry that alone exceeds the byte cap
-        // could never survive enforcement — admitting it would just evict
-        // the rest of the tier on its way out. Deny it the disk tier up
-        // front; it still serves from memory. A pure function of the entry
-        // and the cap, so serial and parallel sweeps decide identically.
-        if let Some(cap) = self.max_disk_bytes {
-            if bytes.len() as u64 > cap {
+    /// Size-aware admission: an entry that alone exceeds the byte cap
+    /// could never survive enforcement — admitting it would just evict
+    /// the rest of the tier on its way out. Deny it the disk tier up
+    /// front; it still serves from memory. A pure function of the entry
+    /// and the cap, so serial and parallel sweeps decide identically.
+    fn admits(&self, bytes: &[u8]) -> bool {
+        match self.max_disk_bytes {
+            Some(cap) if bytes.len() as u64 > cap => {
                 self.admission_rejected.fetch_add(1, Ordering::Relaxed);
                 crate::metrics::grid_metrics()
                     .cache_admission_rejected
                     .inc();
-                return Ok(());
+                false
+            }
+            _ => true,
+        }
+    }
+
+    /// Classifies a disk write failure: `ENOSPC`/`EACCES` latch the
+    /// memory-only degradation flag (first failure records the reason),
+    /// anything else stays a swallowed one-off. A no-op without a disk
+    /// tier.
+    #[cfg(test)]
+    pub(crate) fn note_write_failure(&self, err: &io::Error) {
+        if let Some(disk) = &self.disk {
+            disk.note_write_failure(err);
+        }
+    }
+}
+
+impl<V> Drop for ResultCache<V> {
+    fn drop(&mut self) {
+        if let Some(disk) = &self.disk {
+            // Queued writes land before the lease goes, so the lease
+            // covers every tmp file this instance creates.
+            disk.close();
+            let _ = fs::remove_file(&disk.lease);
+        }
+    }
+}
+
+/// One disk entry's bytes: magic, key, descriptor, the encoded value, and
+/// a trailing FNV-1a checksum over everything before it.
+fn encode_entry<V: CacheValue>(key: u64, descriptor: &str, value: &V) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.buf.extend_from_slice(MAGIC);
+    w.put_u64(key);
+    w.put_str(descriptor);
+    value.encode(&mut w);
+    let digest = fnv1a_64(&w.buf);
+    w.put_u64(digest);
+    w.into_bytes()
+}
+
+/// The disk tier of one cache instance: its directory, lease and writer
+/// identity, the degradation latch, and the queue its background writer
+/// thread drains. Shared between the cache and that thread.
+#[derive(Debug)]
+struct DiskTier {
+    dir: PathBuf,
+    lease: PathBuf,
+    /// Distinguishes this instance's tmp names from every other writer's.
+    instance: u64,
+    tmp_seq: AtomicU64,
+    degraded: AtomicBool,
+    degraded_reason: Mutex<Option<String>>,
+    queue: Mutex<WriteQueue>,
+    /// Wakes the writer: an entry was queued, or the cache is closing.
+    work: Condvar,
+    /// Wakes producers and flushers: an entry landed, or the writer is
+    /// gone.
+    landed: Condvar,
+}
+
+/// The writer's FIFO and its progress.
+#[derive(Debug, Default)]
+struct WriteQueue {
+    pending: VecDeque<(u64, Vec<u8>)>,
+    /// Entries ever queued.
+    queued: u64,
+    /// Entries the writer has finished with: written, failed, or skipped
+    /// on a degraded tier.
+    landed: u64,
+    writer: WriterThread,
+    /// Set when the cache drops: the writer exits once the queue is empty.
+    closing: bool,
+}
+
+/// The life of a disk tier's writer thread.
+#[derive(Debug, Default)]
+enum WriterThread {
+    /// No disk write yet: a run of hits starts no thread.
+    #[default]
+    Unstarted,
+    Running(thread::JoinHandle<()>),
+    /// Failed to spawn, exited, or died: inserts write inline, and a flush
+    /// waits on nothing.
+    Gone,
+}
+
+impl WriterThread {
+    fn running(&self) -> bool {
+        matches!(self, WriterThread::Running(_))
+    }
+}
+
+impl DiskTier {
+    fn new(dir: PathBuf, lease: PathBuf, instance: u64) -> Self {
+        DiskTier {
+            dir,
+            lease,
+            instance,
+            tmp_seq: AtomicU64::new(0),
+            degraded: AtomicBool::new(false),
+            degraded_reason: Mutex::new(None),
+            queue: Mutex::new(WriteQueue::default()),
+            work: Condvar::new(),
+            landed: Condvar::new(),
+        }
+    }
+
+    fn is_degraded(&self) -> bool {
+        self.degraded.load(Ordering::SeqCst)
+    }
+
+    /// The queue lock. Its state is consistent at every unlock, so a
+    /// poisoned lock is still usable (and `Drop` must not panic on it).
+    fn lock(&self) -> MutexGuard<'_, WriteQueue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hands one encoded entry to the writer thread, spawning it on the
+    /// first call, and waits while the queue is full. Without a writer
+    /// thread the entry is written inline.
+    fn enqueue(self: &Arc<Self>, key: u64, bytes: Vec<u8>) {
+        let mut q = self.lock();
+        if matches!(q.writer, WriterThread::Unstarted) {
+            let tier = Arc::clone(self);
+            q.writer = match thread::Builder::new()
+                .name("olab-cache-writer".into())
+                .spawn(move || tier.drain())
+            {
+                Ok(handle) => WriterThread::Running(handle),
+                Err(_) => WriterThread::Gone,
+            };
+        }
+        while q.writer.running() && q.queued - q.landed >= WRITE_QUEUE_CAPACITY {
+            q = self.landed.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+        if !q.writer.running() {
+            drop(q);
+            self.store(key, &bytes);
+            return;
+        }
+        q.pending.push_back((key, bytes));
+        q.queued += 1;
+        drop(q);
+        self.work.notify_one();
+    }
+
+    /// The writer thread's loop: lands queued entries in FIFO order until
+    /// the cache closes.
+    fn drain(&self) {
+        let _gone = MarkGone(self);
+        let mut q = self.lock();
+        loop {
+            if let Some((key, bytes)) = q.pending.pop_front() {
+                drop(q);
+                self.store(key, &bytes);
+                q = self.lock();
+                q.landed += 1;
+                self.landed.notify_all();
+            } else if q.closing {
+                return;
+            } else {
+                q = self.work.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         }
+    }
 
+    /// Waits until every entry queued before the call has landed, or the
+    /// writer is gone.
+    fn flush(&self) {
+        let mut q = self.lock();
+        let target = q.queued;
+        while q.landed < target && q.writer.running() {
+            q = self.landed.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Flushes, then stops and joins the writer thread.
+    fn close(&self) {
+        self.flush();
+        let writer = {
+            let mut q = self.lock();
+            q.closing = true;
+            std::mem::replace(&mut q.writer, WriterThread::Gone)
+        };
+        self.work.notify_all();
+        if let WriterThread::Running(handle) = writer {
+            let _ = handle.join();
+        }
+    }
+
+    /// Lands one encoded entry, unless the tier has latched degraded; a
+    /// failure is classified by [`DiskTier::note_write_failure`]. Times the
+    /// write plus rename into `olab_cache_disk_write_ns`.
+    fn store(&self, key: u64, bytes: &[u8]) {
+        if self.is_degraded() {
+            return;
+        }
+        let start = olab_metrics::now_if_enabled();
+        if let Err(err) = self.write_entry(key, bytes) {
+            self.note_write_failure(&err);
+        }
+        crate::metrics::grid_metrics()
+            .cache_disk_write_ns
+            .observe_since(start);
+    }
+
+    /// Writes one disk entry atomically: full bytes to a tmp name unique
+    /// per (process, instance, write), then rename.
+    fn write_entry(&self, key: u64, bytes: &[u8]) -> io::Result<()> {
         let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = dir.join(format!(
+        let tmp = self.dir.join(format!(
             "{key:016x}.{}.{}.{seq}.tmp",
             std::process::id(),
             self.instance
         ));
-
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, entry_path(dir, key))
+        fs::write(&tmp, bytes)?;
+        fs::rename(&tmp, entry_path(&self.dir, key))
     }
 
     /// Classifies a disk write failure: `ENOSPC`/`EACCES` latch the
     /// memory-only degradation flag (first failure records the reason),
     /// anything else stays a swallowed one-off.
-    pub(crate) fn note_write_failure(&self, err: &io::Error) {
+    fn note_write_failure(&self, err: &io::Error) {
         let fatal = matches!(
             err.kind(),
             io::ErrorKind::StorageFull | io::ErrorKind::PermissionDenied
@@ -652,11 +882,14 @@ impl<V: CacheValue> ResultCache<V> {
     }
 }
 
-impl<V> Drop for ResultCache<V> {
+/// Marks the writer gone when its thread leaves [`DiskTier::drain`],
+/// returning or unwinding, and wakes everyone waiting on it.
+struct MarkGone<'a>(&'a DiskTier);
+
+impl Drop for MarkGone<'_> {
     fn drop(&mut self) {
-        if let Some(lease) = &self.lease_path {
-            let _ = fs::remove_file(lease);
-        }
+        self.0.lock().writer = WriterThread::Gone;
+        self.0.landed.notify_all();
     }
 }
 
@@ -916,6 +1149,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let cache: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
         cache.insert("victim", (9, 9.0));
+        cache.flush();
         let key = ResultCache::<(u64, f64)>::key_of("victim");
         let path = entry_path(&dir, key);
         fs::write(&path, b"not a cache file at all").unwrap();
@@ -954,6 +1188,7 @@ mod tests {
 
         // The recompute path: insert rewrites the entry, lookups hit again.
         cache.insert("flipped", (123, 0.25));
+        cache.flush();
         assert!(path.exists(), "healed entry re-lands on the canonical name");
         let fresh: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
         assert_eq!(
@@ -1056,6 +1291,7 @@ mod tests {
         let path = entry_path(&dir, key);
         for round in 0..3u8 {
             cache.insert("repeat offender", (round as u64, 0.0));
+            cache.flush();
             fs::write(&path, [b"rotten round ", &[b'0' + round][..]].concat()).unwrap();
             let fresh: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
             assert!(fresh.lookup("repeat offender").is_none());
@@ -1127,6 +1363,7 @@ mod tests {
         // key, descriptor, and checksum; a 30-byte cap admits nothing.
         let cache: ResultCache<(u64, f64)> = ResultCache::with_disk_capped(&dir, 30).unwrap();
         cache.insert("too big to ever fit", (1, 1.0));
+        cache.flush();
         assert!(scan_cells(&dir).is_empty(), "never reached the disk");
         assert_eq!(cache.counters().admission_rejected, 1);
         assert_eq!(cache.counters().evicted, 0, "rejected, not evicted");
@@ -1139,6 +1376,7 @@ mod tests {
         // A roomy cap admits the same entry normally.
         let roomy: ResultCache<(u64, f64)> = ResultCache::with_disk_capped(&dir, 10_000).unwrap();
         roomy.insert("too big to ever fit", (1, 1.0));
+        roomy.flush();
         assert_eq!(scan_cells(&dir).len(), 1);
         assert_eq!(roomy.counters().admission_rejected, 0);
         let _ = fs::remove_dir_all(&dir);
@@ -1166,6 +1404,7 @@ mod tests {
             };
             cache.insert_with_cost(d, (i as u64, 0.0), cost);
         }
+        cache.flush();
         let entry_bytes = scan_cells(&dir)[0].1;
         let mut cache = cache;
         cache.set_disk_cap(Some(entry_bytes * 2));
@@ -1197,6 +1436,7 @@ mod tests {
             for i in order {
                 cache.insert_with_cost(&descriptors[i], (i as u64, 0.0), cost_of(i));
             }
+            cache.flush();
             let entry_bytes = scan_cells(&dir)[0].1;
             let mut cache = cache;
             cache.set_disk_cap(Some(entry_bytes * 3));
@@ -1245,12 +1485,98 @@ mod tests {
     }
 
     #[test]
+    fn after_a_flush_a_fresh_instance_sees_every_entry() {
+        let dir = temp_dir("flush");
+        let writer: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
+        // More entries than the queue holds, so some inserts wait for room.
+        let n = 3 * WRITE_QUEUE_CAPACITY;
+        for i in 0..n {
+            writer.insert(&format!("flushed {i}"), (i, i as f64));
+        }
+        writer.flush();
+        let fresh: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
+        for i in 0..n {
+            assert_eq!(
+                fresh.lookup(&format!("flushed {i}")),
+                Some(((i, i as f64), CacheTier::Disk)),
+                "entry {i} landed before flush returned"
+            );
+        }
+        assert_eq!(scan_cells(&dir).len() as u64, n);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_run_of_lookups_starts_no_writer_thread() {
+        let dir = temp_dir("lazy-writer");
+        {
+            let cache: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
+            cache.insert("seeded", (1, 1.0));
+        }
+        let cache: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
+        assert!(cache.lookup("seeded").is_some() && cache.lookup("absent").is_none());
+        cache.flush();
+        let disk = cache.disk.as_ref().unwrap();
+        assert!(matches!(disk.lock().writer, WriterThread::Unstarted));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn without_a_writer_thread_an_insert_writes_inline() {
+        let dir = temp_dir("inline");
+        let cache: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
+        // What a failed spawn or a dead writer leaves behind.
+        cache.disk.as_ref().unwrap().lock().writer = WriterThread::Gone;
+        cache.insert("inline", (5, 5.0));
+        assert_eq!(scan_cells(&dir).len(), 1, "landed before insert returned");
+        cache.flush();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A write that fails on the writer thread, not on the inserting one:
+    /// the entry's tmp name is a symlink to `/dev/full`, so the background
+    /// write sees ENOSPC, and the latch trips there.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_write_failure_on_the_writer_thread_latches_degradation() {
+        let dir = temp_dir("writer-enospc");
+        let cache: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
+        let instance = cache.disk.as_ref().unwrap().instance;
+        let key = ResultCache::<(u64, f64)>::key_of("lands on a full disk");
+        std::os::unix::fs::symlink(
+            "/dev/full",
+            dir.join(format!(
+                "{key:016x}.{}.{instance}.0.tmp",
+                std::process::id()
+            )),
+        )
+        .unwrap();
+        cache.insert("lands on a full disk", (1, 1.0));
+        assert_eq!(
+            cache.lookup("lands on a full disk"),
+            Some(((1, 1.0), CacheTier::Memory)),
+            "memory serves before the write lands"
+        );
+        cache.flush();
+        assert!(cache.is_degraded(), "the writer thread latched ENOSPC");
+        assert!(cache
+            .degraded_reason()
+            .is_some_and(|r| r.contains("No space left")));
+        // Later inserts skip the disk entirely.
+        cache.insert("after the latch", (2, 2.0));
+        cache.flush();
+        assert!(scan_cells(&dir).is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn descriptor_is_verified_not_just_the_digest() {
         // Simulate a digest collision by planting an entry whose file name
         // matches but whose descriptor differs: must miss.
         let dir = temp_dir("collide");
         let cache: ResultCache<(u64, f64)> = ResultCache::with_disk(&dir).unwrap();
         cache.insert("original descriptor", (3, 1.5));
+        cache.flush();
         let key = ResultCache::<(u64, f64)>::key_of("other descriptor");
         let orig = ResultCache::<(u64, f64)>::key_of("original descriptor");
         fs::rename(entry_path(&dir, orig), entry_path(&dir, key)).unwrap();

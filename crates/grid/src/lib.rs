@@ -302,7 +302,10 @@ impl<V: CacheValue> Executor<V> {
         // enforces after its own writes. The candidate set and order depend
         // only on the directory and the touched-key set, both identical
         // between serial and parallel sweeps — the eviction happens at a
-        // deterministic point, so directories stay byte-identical.
+        // deterministic point, so directories stay byte-identical. The
+        // enforcement flushes the run's queued disk writes first; an
+        // uncapped run leaves them queued, so a served miss answers
+        // before its file lands.
         let (evicted, bytes_left) = if stats.simulated > 0 {
             self.cache.enforce_disk_cap()
         } else {
@@ -443,6 +446,7 @@ mod tests {
 
         let engine = Executor::new().with_disk_cache(&dir).unwrap();
         let run = engine.run(&jobs(&xs, &executions));
+        engine.cache().flush();
         // Every output is still correct — the rotten entry was recomputed,
         // not served.
         let expect: Vec<Result<u64, CellFailure>> = xs.iter().map(|x| Ok(x * x)).collect();

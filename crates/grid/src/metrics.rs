@@ -38,6 +38,7 @@ pub(crate) struct GridMetrics {
     pub cache_lookup_disk_hit_ns: &'static Histogram,
     pub cache_lookup_miss_ns: &'static Histogram,
     pub cache_insert_ns: &'static Histogram,
+    pub cache_disk_write_ns: &'static Histogram,
     // Executor.
     pub cell_exec_ns: &'static Histogram,
 }
@@ -139,7 +140,14 @@ pub(crate) fn grid_metrics() -> &'static GridMetrics {
             "olab_cache_lookup_miss_ns",
             "Lookup latency when neither tier had the entry.",
         ),
-        cache_insert_ns: histogram("olab_cache_insert_ns", "Insert latency across both tiers."),
+        cache_insert_ns: histogram(
+            "olab_cache_insert_ns",
+            "Request-path insert latency: encode, memory insert and disk-write enqueue.",
+        ),
+        cache_disk_write_ns: histogram(
+            "olab_cache_disk_write_ns",
+            "Disk-tier entry write plus rename, timed on the cache's writer thread.",
+        ),
         cell_exec_ns: histogram(
             "olab_grid_cell_exec_ns",
             "Wall-clock of each computed (non-cached) cell execution.",

@@ -27,7 +27,11 @@ pub struct SweepStats {
     pub evicted: usize,
     /// The disk tier latched into memory-only degradation (ENOSPC/EACCES)
     /// at some point up to the end of this sweep. Read from the cache's
-    /// latch; the stats carry no directory snapshot (occupancy is
+    /// latch when the run returns, without waiting for its queued disk
+    /// writes: a failure in one of those shows only after
+    /// [`crate::cache::ResultCache::flush`], so callers that report the
+    /// outcome flush and fold [`crate::cache::ResultCache::is_degraded`]
+    /// in. The stats carry no directory snapshot (occupancy is
     /// [`crate::cache::ResultCache::health`]'s job).
     pub degraded: bool,
     /// Worker threads used.

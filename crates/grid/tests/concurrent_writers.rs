@@ -78,6 +78,8 @@ fn two_instances_racing_the_same_directory_stay_consistent() {
         }
     });
     assert_eq!(wrong.load(Ordering::SeqCst), 0, "a wrong value was served");
+    a.flush();
+    b.flush();
 
     // After the dust settles, a third instance sees one intact entry per
     // key — no torn files, no quarantines, no leftover tmp files.
@@ -104,6 +106,7 @@ fn a_torn_entry_planted_mid_race_is_never_served() {
     let dir = temp_dir("torn");
     let writer: ResultCache<Payload> = ResultCache::with_disk(&dir).unwrap();
     writer.insert(&descriptor(0), payload(0));
+    writer.flush();
     let key = ResultCache::<Payload>::key_of(&descriptor(0));
     let entry = dir.join(format!("{key:016x}.cell"));
     let whole = std::fs::read(&entry).unwrap();

@@ -25,8 +25,9 @@
 //! new arrivals get `503` — and wakes the acceptor with a loopback
 //! connection so no thread is ever left blocked in `accept()`. Shutdown
 //! then joins the workers under a bounded timeout and reports how many
-//! (if any) were stranded, and flushes the metrics expositions to disk
-//! when an output directory is configured.
+//! (if any) were stranded, waits until the disk cache's queued writes
+//! have landed, and flushes the metrics expositions to disk when an
+//! output directory is configured.
 
 use std::fs::File;
 use std::io::{self, BufWriter};
@@ -164,7 +165,7 @@ impl ServerHandle {
 
     /// Drains and stops the daemon: no new admissions, every admitted
     /// request finished, workers joined under the configured timeout,
-    /// metrics expositions flushed.
+    /// queued disk-cache writes landed, metrics expositions flushed.
     pub fn shutdown(mut self) -> DrainReport {
         self.shared.begin_drain();
         if let Some(acceptor) = self.acceptor.take() {
@@ -195,6 +196,9 @@ impl ServerHandle {
                 let _ = worker.join();
             }
         }
+        // A served miss answers before its disk write lands; the drain
+        // waits for every write queued by the workers that exited.
+        self.shared.engine.executor().cache().flush();
         // Flush expositions after the last worker that could still record
         // a sample has exited.
         if let Some(dir) = &self.shared.cfg.metrics_out {
@@ -383,15 +387,21 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             let _ = write_response(&stream, 200, "application/json", &[], &health_body(shared));
         }
         ("GET", "/readyz") => {
-            // Readiness reads the degradation latch; occupancy, which
-            // costs a directory scan, is `/healthz`'s.
-            if shared.draining.load(Ordering::SeqCst) {
-                let _ = write_response(&stream, 503, "text/plain", &[], "draining\n");
-            } else if shared.engine.executor().cache().is_degraded() {
-                let _ = write_response(&stream, 503, "text/plain", &[], "cache degraded\n");
+            // Readiness reads the degradation latch once the queued disk
+            // writes have landed, so a write that failed counts; occupancy,
+            // which costs a directory scan, is `/healthz`'s.
+            let (status, body) = if shared.draining.load(Ordering::SeqCst) {
+                (503, "draining\n")
             } else {
-                let _ = write_response(&stream, 200, "text/plain", &[], "ready\n");
-            }
+                let cache = shared.engine.executor().cache();
+                cache.flush();
+                if cache.is_degraded() {
+                    (503, "cache degraded\n")
+                } else {
+                    (200, "ready\n")
+                }
+            };
+            let _ = write_response(&stream, status, "text/plain", &[], body);
         }
         ("GET", "/metricsz") => {
             let _ = write_response(
@@ -635,6 +645,57 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("\"status\": \"degraded\""), "{body}");
         assert!(body.contains("\"disk_entries\": 0"), "{body}");
+        assert_eq!(handle.shutdown().stranded_workers, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A served miss answers before its disk write lands. The cell's first
+    /// cache write opens a FIFO planted at its tmp name, and opening a FIFO
+    /// to write blocks until someone reads it: the writer thread waits
+    /// there, while the response must still arrive. A write on the request
+    /// path would block the HTTP worker instead, and the client's read
+    /// would time out.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_served_miss_does_not_wait_for_its_disk_write() {
+        let dir = std::env::temp_dir().join(format!("olab-serve-fifo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = serve(ServeConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let lease = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .find(|name| name.starts_with("lease."))
+            .expect("the disk cache drops a lease");
+        let query = "seq=176&batch=4";
+        let key = cell_key(&parse_query(query).unwrap().experiment);
+        let writer = lease.trim_start_matches("lease.");
+        let fifo = dir.join(format!("{key:016x}.{writer}.0.tmp"));
+        let made = std::process::Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .expect("mkfifo runs");
+        assert!(made.success(), "mkfifo {}", fifo.display());
+
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write!(stream, "GET /v1/cell?{query} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let mut raw = String::new();
+        stream
+            .read_to_string(&mut raw)
+            .expect("the response arrives while its disk write is blocked");
+        let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(body, crate::oneshot(query).expect("offline render"));
+
+        // Unblock the writer: it writes the whole entry into the FIFO.
+        let landed = std::fs::read(&fifo).expect("read the FIFO");
+        assert!(landed.starts_with(b"OLABGRD"), "a whole cache entry");
         assert_eq!(handle.shutdown().stranded_workers, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

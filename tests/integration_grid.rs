@@ -105,6 +105,7 @@ fn disk_cache_survives_engine_restarts() {
     );
     let cold = first.run(&grid);
     assert_eq!(cold.stats.simulated, 1);
+    first.executor().cache().flush();
 
     // A fresh engine (empty memory tier) must hit the disk tier.
     let second = Sweep::from(

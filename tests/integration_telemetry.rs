@@ -97,6 +97,7 @@ fn deterministic_metric_fields_are_identical_across_schedules() {
         "olab_cache_evicted_total",
         "olab_cache_disk_scans_total",
         "olab_cache_insert_ns",
+        "olab_cache_disk_write_ns",
         "olab_core_route_fast_lean_total",
         "olab_core_route_event_loop_full_total",
         "olab_core_cell_fast_lean_ns",
