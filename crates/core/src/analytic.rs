@@ -881,7 +881,7 @@ fn lanes_intersect(a: &[usize], b: &[usize], start: &[f64], end: &[f64]) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Experiment, Strategy};
+    use crate::{Experiment, RunTotals, Strategy};
     use olab_gpu::{Datapath, KernelKind, Precision, SkuKind};
     use olab_models::ModelPreset;
     use olab_parallel::ComputeOp;

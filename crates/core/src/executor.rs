@@ -27,6 +27,57 @@ pub struct GpuRunStats {
     pub overlap_windows: Vec<(f64, f64)>,
 }
 
+/// One GPU's four time statistics, the quantities [`RunTotals`] sums.
+#[derive(Debug, Clone, Copy)]
+pub struct GpuTimes {
+    /// Sum of compute-kernel durations, seconds.
+    pub compute_s: f64,
+    /// Sum of communication-task durations, seconds.
+    pub comm_s: f64,
+    /// Compute time co-active with communication, seconds.
+    pub overlapped_compute_s: f64,
+    /// Communication time co-active with compute, seconds.
+    pub hidden_comm_s: f64,
+}
+
+/// Run-wide totals of the per-GPU time statistics, defined once for both
+/// result forms ([`RunResult`] and [`LeanRun`]). Each total is summed in
+/// GPU index order, so the two forms of one run agree bit for bit.
+pub trait RunTotals {
+    /// Each GPU's time statistics, in GPU index order.
+    fn gpu_times(&self) -> impl Iterator<Item = GpuTimes> + '_;
+
+    /// Total compute time across GPUs, seconds.
+    fn compute_s(&self) -> f64 {
+        self.gpu_times().map(|g| g.compute_s).sum()
+    }
+
+    /// Total communication time across GPUs, seconds.
+    fn comm_s(&self) -> f64 {
+        self.gpu_times().map(|g| g.comm_s).sum()
+    }
+
+    /// Total compute time co-active with communication, seconds.
+    fn overlapped_compute_s(&self) -> f64 {
+        self.gpu_times().map(|g| g.overlapped_compute_s).sum()
+    }
+
+    /// Total hidden (co-active) communication time, seconds.
+    fn hidden_comm_s(&self) -> f64 {
+        self.gpu_times().map(|g| g.hidden_comm_s).sum()
+    }
+
+    /// Eq. 2: fraction of compute time overlapped with communication.
+    fn overlap_ratio(&self) -> f64 {
+        let c = self.compute_s();
+        if c > 0.0 {
+            self.overlapped_compute_s() / c
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Output of executing one schedule.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -41,36 +92,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Total compute time across GPUs, seconds.
-    pub fn compute_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.compute_s).sum()
-    }
-
-    /// Total communication time across GPUs, seconds.
-    pub fn comm_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.comm_s).sum()
-    }
-
-    /// Total compute time co-active with communication, seconds.
-    pub fn overlapped_compute_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.overlapped_compute_s).sum()
-    }
-
-    /// Total hidden (co-active) communication time, seconds.
-    pub fn hidden_comm_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.hidden_comm_s).sum()
-    }
-
-    /// Eq. 2: fraction of compute time overlapped with communication.
-    pub fn overlap_ratio(&self) -> f64 {
-        let c = self.compute_s();
-        if c > 0.0 {
-            self.overlapped_compute_s() / c
-        } else {
-            0.0
-        }
-    }
-
     /// Mean over GPUs of the time-average power, watts.
     pub fn average_power_w(&self) -> f64 {
         if self.gpus.is_empty() {
@@ -90,6 +111,17 @@ impl RunResult {
     /// Total energy across GPUs, joules.
     pub fn energy_j(&self) -> f64 {
         self.gpus.iter().map(|g| g.power.energy_j()).sum()
+    }
+}
+
+impl RunTotals for RunResult {
+    fn gpu_times(&self) -> impl Iterator<Item = GpuTimes> + '_ {
+        self.gpus.iter().map(|g| GpuTimes {
+            compute_s: g.compute_s,
+            comm_s: g.comm_s,
+            overlapped_compute_s: g.overlapped_compute_s,
+            hidden_comm_s: g.hidden_comm_s,
+        })
     }
 }
 
@@ -185,36 +217,6 @@ impl LeanRun {
         }
     }
 
-    /// Total compute time across GPUs, seconds.
-    pub fn compute_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.compute_s).sum()
-    }
-
-    /// Total communication time across GPUs, seconds.
-    pub fn comm_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.comm_s).sum()
-    }
-
-    /// Total compute time co-active with communication, seconds.
-    pub fn overlapped_compute_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.overlapped_compute_s).sum()
-    }
-
-    /// Total hidden (co-active) communication time, seconds.
-    pub fn hidden_comm_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.hidden_comm_s).sum()
-    }
-
-    /// Eq. 2: fraction of compute time overlapped with communication.
-    pub fn overlap_ratio(&self) -> f64 {
-        let c = self.compute_s();
-        if c > 0.0 {
-            self.overlapped_compute_s() / c
-        } else {
-            0.0
-        }
-    }
-
     /// One-pass power summary: (mean average watts, peak watts, total
     /// joules), folded GPU by GPU in index order.
     pub fn power_summary(&self) -> (f64, f64, f64) {
@@ -230,6 +232,17 @@ impl LeanRun {
             avg / self.gpus.len() as f64
         };
         (avg, peak, energy)
+    }
+}
+
+impl RunTotals for LeanRun {
+    fn gpu_times(&self) -> impl Iterator<Item = GpuTimes> + '_ {
+        self.gpus.iter().map(|g| GpuTimes {
+            compute_s: g.compute_s,
+            comm_s: g.comm_s,
+            overlapped_compute_s: g.overlapped_compute_s,
+            hidden_comm_s: g.hidden_comm_s,
+        })
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::executor::{execute_lean_keeping, ideal_e2e_s};
 use crate::{
     execute, execute_lean, execute_model, CellMetrics, Jitter, Machine, MachineConfig,
-    OverlapMetrics, RunResult,
+    OverlapMetrics, RunResult, RunTotals,
 };
 use olab_gpu::{Datapath, PowerLimit, Precision, SkuKind};
 use olab_models::memory::{self, ActivationPolicy, Sharding};

@@ -63,7 +63,8 @@ pub use chrome_trace::{
     to_chrome_trace, to_chrome_trace_annotated, to_chrome_trace_full, CounterTrack, TraceAnnotation,
 };
 pub use executor::{
-    execute, execute_lean, execute_model, GpuRunStats, LeanGpuStats, LeanRun, RunResult,
+    execute, execute_lean, execute_model, GpuRunStats, GpuTimes, LeanGpuStats, LeanRun, RunResult,
+    RunTotals,
 };
 pub use experiment::{Experiment, ExperimentError, ExperimentReport, MultiRunStats, Strategy};
 pub use machine::{Jitter, Machine, MachineConfig};

@@ -1,6 +1,6 @@
 //! The paper's metrics (Section IV-D, Eqs. 1–5).
 
-use crate::{LeanRun, RunResult};
+use crate::{LeanRun, RunResult, RunTotals};
 
 /// All metrics for one experiment cell, derived exactly as the paper
 /// derives them from measured quantities.

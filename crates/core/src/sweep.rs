@@ -12,7 +12,7 @@
 //! bit-identical to a serial one (`--jobs 1`); `tests/integration_grid.rs`
 //! pins that invariant on the paper's main grid.
 
-use crate::{Experiment, ExperimentError, ExperimentReport, OverlapMetrics};
+use crate::{Experiment, ExperimentError, ExperimentReport, OverlapMetrics, RunTotals};
 use olab_grid::{
     CacheCost, CacheValue, CellFailure, Executor, GridJob, GuardConfig, ProgressSink, Reader,
     SweepRun, SweepStats, Writer,

@@ -12,7 +12,7 @@ use crate::machine::{AbortInfo, FaultEventKind, FaultStats, FaultyMachine};
 use crate::scenario::{FaultScenarioSpec, FaultTimeline};
 use olab_core::{
     execute, execute_model, to_chrome_trace_annotated, Experiment, ExperimentError, RunResult,
-    TraceAnnotation,
+    RunTotals, TraceAnnotation,
 };
 use olab_parallel::ExecutionMode;
 use olab_sim::EngineObserver;

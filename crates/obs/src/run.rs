@@ -16,7 +16,7 @@ use crate::counters::{counter_tracks, counters_csv, sample_epochs};
 use crate::event::{to_jsonl, EventBus, JsonlSink, ObsEvent};
 use crate::record::Recorder;
 use olab_core::sweep::{cell_descriptor, CELL_SCHEMA_VERSION};
-use olab_core::{to_chrome_trace_full, Experiment, ExperimentError, TraceAnnotation};
+use olab_core::{to_chrome_trace_full, Experiment, ExperimentError, RunTotals, TraceAnnotation};
 use olab_faults::{run_under_faults, FaultCell, FaultRun, FaultScenarioSpec, FaultTimeline};
 use olab_grid::GridJob;
 use olab_resilience::{

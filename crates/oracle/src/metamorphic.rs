@@ -22,7 +22,7 @@
 use crate::gen::{random_experiment, Gen};
 use crate::oracles::Tolerance;
 use olab_ccl::{lower, Algorithm, Collective, CollectiveKind};
-use olab_core::{execute, Experiment, ExperimentError, RunResult, Strategy};
+use olab_core::{execute, Experiment, ExperimentError, RunResult, RunTotals, Strategy};
 use olab_gpu::{GpuSku, Precision};
 use olab_net::Topology;
 use olab_parallel::ExecutionMode;

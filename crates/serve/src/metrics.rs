@@ -24,8 +24,21 @@ pub struct ServeMetrics {
     pub executed: &'static Counter,
     /// Connections waiting in the admission queue right now.
     pub queue_depth: &'static Gauge,
-    /// End-to-end request latency, admission to response, nanoseconds.
+    /// End-to-end request latency of every admitted request, from the
+    /// acceptor's admission to the response written, nanoseconds.
     pub request_ns: &'static Histogram,
+    /// Stage: an admitted connection's wait in the admission queue.
+    pub queue_ns: &'static Histogram,
+    /// Stage: joining the coalescing map, plus a waiter's wait on the
+    /// leader's flight (`/v1/cell`, once per join).
+    pub coalesce_ns: &'static Histogram,
+    /// Stage: a leader's guarded cell execution, cache lookup and insert
+    /// included (`/v1/cell`).
+    pub execute_ns: &'static Histogram,
+    /// Stage: rendering a leader's cell body (`/v1/cell`).
+    pub render_ns: &'static Histogram,
+    /// Stage: writing a response to an admitted connection.
+    pub write_ns: &'static Histogram,
 }
 
 /// The process-wide serve metric handles (registered on first use).
@@ -59,7 +72,27 @@ pub fn serve_metrics() -> &'static ServeMetrics {
         ),
         request_ns: histogram(
             "olab_serve_request_ns",
-            "End-to-end request latency from admission to response.",
+            "End-to-end latency of every admitted request, from admission to response written.",
+        ),
+        queue_ns: histogram(
+            "olab_serve_queue_ns",
+            "Stage: wait of an admitted connection in the admission queue.",
+        ),
+        coalesce_ns: histogram(
+            "olab_serve_coalesce_ns",
+            "Stage: coalescing join of a /v1/cell request, plus a waiter's wait on the leader.",
+        ),
+        execute_ns: histogram(
+            "olab_serve_execute_ns",
+            "Stage: guarded cell execution of a /v1/cell leader, cache lookup and insert included.",
+        ),
+        render_ns: histogram(
+            "olab_serve_render_ns",
+            "Stage: rendering of a /v1/cell leader's body.",
+        ),
+        write_ns: histogram(
+            "olab_serve_write_ns",
+            "Stage: writing the response to an admitted connection.",
         ),
     })
 }
@@ -85,6 +118,11 @@ mod tests {
             "olab_serve_executed_total",
             "olab_serve_queue_depth",
             "olab_serve_request_ns",
+            "olab_serve_queue_ns",
+            "olab_serve_coalesce_ns",
+            "olab_serve_execute_ns",
+            "olab_serve_render_ns",
+            "olab_serve_write_ns",
         ] {
             assert!(prom.contains(family), "missing {family} in:\n{prom}");
         }

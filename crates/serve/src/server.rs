@@ -114,11 +114,18 @@ pub struct DrainReport {
     pub stranded_workers: usize,
 }
 
+/// An admitted connection, stamped when the acceptor admitted it so a
+/// request's recorded latency includes its wait in the queue.
+struct Admitted {
+    stream: TcpStream,
+    at: Instant,
+}
+
 struct Shared {
     cfg: ServeConfig,
     addr: SocketAddr,
     engine: Sweep,
-    queue: AdmissionQueue<TcpStream>,
+    queue: AdmissionQueue<Admitted>,
     coalesce: CoalesceMap<(u16, String)>,
     draining: AtomicBool,
     workers_exited: Mutex<usize>,
@@ -333,7 +340,11 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             break;
         }
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-        match shared.queue.push(stream) {
+        let admitted = Admitted {
+            stream,
+            at: Instant::now(),
+        };
+        match shared.queue.push(admitted) {
             Ok(()) => {
                 m.accepted.inc();
                 m.queue_depth.set(shared.queue.depth() as i64);
@@ -344,7 +355,8 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                 // unread bytes in the receive buffer turns the close into
                 // a TCP reset and the client never sees the 429. The
                 // read is bounded by the socket timeout set above.
-                let _ = read_request(&rejected.item);
+                let stream = rejected.item.stream;
+                let _ = read_request(&stream);
                 let (status, headers, body): (u16, Vec<String>, &str) = match rejected.reason {
                     RejectReason::Full => (
                         429,
@@ -354,16 +366,19 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                     RejectReason::Closed => (503, Vec::new(), "draining\n"),
                 };
                 let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-                let _ = write_response(rejected.item, status, "text/plain", &header_refs, body);
+                let _ = write_response(stream, status, "text/plain", &header_refs, body);
             }
         }
     }
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Some(stream) = shared.queue.pop() {
-        serve_metrics().queue_depth.set(shared.queue.depth() as i64);
-        handle_connection(shared, stream);
+    let m = serve_metrics();
+    while let Some(Admitted { stream, at }) = shared.queue.pop() {
+        m.queue_depth.set(shared.queue.depth() as i64);
+        m.queue_ns.observe_since(Some(at));
+        handle_connection(shared, &stream, at);
+        m.request_ns.observe_since(Some(at));
     }
     let mut exited = shared
         .workers_exited
@@ -373,18 +388,24 @@ fn worker_loop(shared: &Shared) {
     shared.exit_cv.notify_all();
 }
 
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let start = Instant::now();
-    let req = match read_request(&stream) {
+/// Writes one response to an admitted connection, timing the write stage.
+fn respond(stream: &TcpStream, status: u16, content_type: &str, extra: &[&str], body: &str) {
+    let start = olab_metrics::now_if_enabled();
+    let _ = write_response(stream, status, content_type, extra, body);
+    serve_metrics().write_ns.observe_since(start);
+}
+
+fn handle_connection(shared: &Shared, stream: &TcpStream, admitted: Instant) {
+    let req = match read_request(stream) {
         Ok(req) => req,
         Err(_) => {
-            let _ = write_response(&stream, 400, "text/plain", &[], "malformed request\n");
+            respond(stream, 400, "text/plain", &[], "malformed request\n");
             return;
         }
     };
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
-            let _ = write_response(&stream, 200, "application/json", &[], &health_body(shared));
+            respond(stream, 200, "application/json", &[], &health_body(shared));
         }
         ("GET", "/readyz") => {
             // Readiness reads the degradation latch once the queued disk
@@ -401,11 +422,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                     (200, "ready\n")
                 }
             };
-            let _ = write_response(&stream, status, "text/plain", &[], body);
+            respond(stream, status, "text/plain", &[], body);
         }
         ("GET", "/metricsz") => {
-            let _ = write_response(
-                &stream,
+            respond(
+                stream,
                 200,
                 "text/plain; version=0.0.4",
                 &[],
@@ -416,19 +437,16 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             let queued = shared.queue.depth();
             shared.begin_drain();
             let body = format!("{{\"draining\": true, \"queued\": {queued}}}\n");
-            let _ = write_response(&stream, 200, "application/json", &[], &body);
+            respond(stream, 200, "application/json", &[], &body);
         }
-        ("GET", "/v1/cell") => handle_cell(shared, stream, &req, start),
+        ("GET", "/v1/cell") => handle_cell(shared, stream, &req, admitted),
         ("GET" | "POST", _) => {
-            let _ = write_response(&stream, 404, "text/plain", &[], "no such route\n");
+            respond(stream, 404, "text/plain", &[], "no such route\n");
         }
         _ => {
-            let _ = write_response(&stream, 405, "text/plain", &[], "method not allowed\n");
+            respond(stream, 405, "text/plain", &[], "method not allowed\n");
         }
     }
-    serve_metrics()
-        .request_ns
-        .observe(start.elapsed().as_nanos() as u64);
 }
 
 fn health_body(shared: &Shared) -> String {
@@ -455,12 +473,12 @@ fn health_body(shared: &Shared) -> String {
     )
 }
 
-fn handle_cell(shared: &Shared, stream: TcpStream, req: &Request, start: Instant) {
+fn handle_cell(shared: &Shared, stream: &TcpStream, req: &Request, admitted: Instant) {
     let m = serve_metrics();
     let cell = match parse_query(&req.query) {
         Ok(cell) => cell,
         Err(msg) => {
-            let _ = write_response(&stream, 400, "text/plain", &[], &format!("{msg}\n"));
+            respond(stream, 400, "text/plain", &[], &format!("{msg}\n"));
             return;
         }
     };
@@ -476,8 +494,10 @@ fn handle_cell(shared: &Shared, stream: TcpStream, req: &Request, start: Instant
     let mut outcome_tag = "error";
     let mut response: (u16, String) = (500, "{\"ok\": false, \"error\": \"abandoned\"}\n".into());
     for _ in 0..2 {
+        let joined = olab_metrics::now_if_enabled();
         match shared.coalesce.join(key) {
             Join::Leader(leader) => {
+                m.coalesce_ns.observe_since(joined);
                 let mut guard = *shared.engine.executor().guard();
                 if let Some(ms) = cell.timeout_ms {
                     let budget_s = ms as f64 / 1000.0;
@@ -486,16 +506,20 @@ fn handle_cell(shared: &Shared, stream: TcpStream, req: &Request, start: Instant
                         None => budget_s,
                     });
                 }
+                let executed = olab_metrics::now_if_enabled();
                 let outcome = shared
                     .engine
                     .run_guarded(std::slice::from_ref(&cell.experiment), &guard, None)
                     .cells
                     .remove(0);
+                m.execute_ns.observe_since(executed);
                 let status = match &outcome {
                     Err(CellError::Timeout { .. }) => 504,
                     _ => 200,
                 };
+                let rendered = olab_metrics::now_if_enabled();
                 let body = render_cell_body(&descriptor, &outcome);
+                m.render_ns.observe_since(rendered);
                 m.executed.inc();
                 if shared.cfg.coalesce_hold_ms > 0 {
                     // Keep the flight open so a duplicate storm in a test
@@ -509,7 +533,9 @@ fn handle_cell(shared: &Shared, stream: TcpStream, req: &Request, start: Instant
             }
             Join::Waiter(waiter) => {
                 let wait = Duration::from_millis(cell.timeout_ms.unwrap_or(DEFAULT_WAIT_MS));
-                match waiter.wait(wait) {
+                let waited = waiter.wait(wait);
+                m.coalesce_ns.observe_since(joined);
+                match waited {
                     WaitOutcome::Done((status, body)) => {
                         m.coalesced.inc();
                         outcome_tag = "coalesced";
@@ -546,12 +572,12 @@ fn handle_cell(shared: &Shared, stream: TcpStream, req: &Request, start: Instant
     } else {
         &[]
     };
-    let _ = write_response(&stream, status, "application/json", extra, &body);
+    respond(stream, status, "application/json", extra, &body);
     shared.log_event(&ObsEvent::RequestDone {
         descriptor: &descriptor,
         status,
         outcome: outcome_tag,
-        wall_ms: start.elapsed().as_millis() as u64,
+        wall_ms: admitted.elapsed().as_millis() as u64,
     });
 }
 

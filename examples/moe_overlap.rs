@@ -7,7 +7,7 @@
 //! cargo run --release -p olab-core --example moe_overlap
 //! ```
 
-use olab_core::{execute, Machine};
+use olab_core::{execute, Machine, RunTotals};
 use olab_gpu::{Datapath, GpuSku, Precision};
 use olab_models::ModelPreset;
 use olab_parallel::{moe, ExecutionMode};

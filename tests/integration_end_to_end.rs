@@ -3,7 +3,7 @@
 
 use olab_core::{
     execute, execute_lean, CellMetrics, Experiment, ExperimentReport, Jitter, Machine,
-    OverlapMetrics, RunResult, Strategy,
+    OverlapMetrics, RunResult, RunTotals, Strategy,
 };
 use olab_gpu::SkuKind;
 use olab_models::memory::ActivationPolicy;

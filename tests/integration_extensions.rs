@@ -3,7 +3,7 @@
 //! adaptive overlap scheduler.
 
 use olab_core::adaptive::{tune_fsdp, Objective};
-use olab_core::{execute, Experiment, Machine, Strategy};
+use olab_core::{execute, Experiment, Machine, RunTotals, Strategy};
 use olab_gpu::{Datapath, GpuSku, Precision, SkuKind};
 use olab_models::ModelPreset;
 use olab_parallel::{moe, ExecutionMode};

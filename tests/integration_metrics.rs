@@ -1,7 +1,7 @@
 //! Integration tests of the paper's metric derivations (Eqs. 1–5) against
 //! directly simulated quantities.
 
-use olab_core::{Experiment, Strategy};
+use olab_core::{Experiment, RunTotals, Strategy};
 use olab_gpu::SkuKind;
 use olab_models::ModelPreset;
 
